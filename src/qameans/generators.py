@@ -1,10 +1,11 @@
 """Generator functions for quasiarithmetic means.
 
 A generator is a continuous, strictly monotone function f on a working
-interval, carried together with oracles for its first and second
-derivatives.  Closed-form kinds (power:p, log, exp, id, affine:a:b) return
-exact analytic values; tabulated kinds interpolate a sampled grid and
-differentiate by central differences.
+interval, carried together with its inverse f^{-1} and oracles for its
+first and second derivatives.  Closed-form kinds (power:p, log, exp, id,
+affine:a:b) return exact analytic values and invert in closed form;
+tabulated kinds interpolate a sampled grid, invert by interpolating the
+same grid with the axes swapped, and differentiate by central differences.
 
 The central derived object is the slope/curvature profile f'/f'' computed
 on the grid by :func:`rho`; its sign, positivity, and concavity drive the
@@ -43,6 +44,10 @@ class Generator:
     domain: WorkingInterval
 
     def f(self, x):
+        raise NotImplementedError
+
+    def finv(self, y):
+        """Inverse of f: the x with f(x) = y, for y in the image of the domain."""
         raise NotImplementedError
 
     def f1(self, x):
@@ -86,6 +91,9 @@ class PowerGenerator(Generator):
     def f(self, x):
         return np.asarray(x, dtype=float) ** self.p
 
+    def finv(self, y):
+        return np.asarray(y, dtype=float) ** (1.0 / self.p)
+
     def f1(self, x):
         x = np.asarray(x, dtype=float)
         return self.p * x ** (self.p - 1.0)
@@ -109,6 +117,9 @@ class LogGenerator(Generator):
     def f(self, x):
         return np.log(np.asarray(x, dtype=float))
 
+    def finv(self, y):
+        return np.exp(np.asarray(y, dtype=float))
+
     def f1(self, x):
         return 1.0 / np.asarray(x, dtype=float)
 
@@ -129,6 +140,9 @@ class ExpGenerator(Generator):
     def f(self, x):
         return np.exp(np.asarray(x, dtype=float))
 
+    def finv(self, y):
+        return np.log(np.asarray(y, dtype=float))
+
     def f1(self, x):
         return np.exp(np.asarray(x, dtype=float))
 
@@ -147,6 +161,9 @@ class IdentityGenerator(Generator):
 
     def f(self, x):
         return np.asarray(x, dtype=float) + 0.0
+
+    def finv(self, y):
+        return np.asarray(y, dtype=float) + 0.0
 
     def f1(self, x):
         return np.ones_like(np.asarray(x, dtype=float))
@@ -170,6 +187,9 @@ class AffineGenerator(Generator):
 
     def f(self, x):
         return self.a * np.asarray(x, dtype=float) + self.b
+
+    def finv(self, y):
+        return (np.asarray(y, dtype=float) - self.b) / self.a
 
     def f1(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.a)
@@ -199,6 +219,9 @@ class AffineOfGenerator(Generator):
     def f(self, x):
         return self.a * self.inner.f(x) + self.b
 
+    def finv(self, y):
+        return self.inner.finv((np.asarray(y, dtype=float) - self.b) / self.a)
+
     def f1(self, x):
         return self.a * self.inner.f1(x)
 
@@ -218,6 +241,9 @@ class ReflectedGenerator(Generator):
 
     def f(self, x):
         return self.inner.f(-np.asarray(x, dtype=float))
+
+    def finv(self, y):
+        return -self.inner.finv(y)
 
     def f1(self, x):
         return -self.inner.f1(-np.asarray(x, dtype=float))
@@ -258,6 +284,12 @@ class TabulatedGenerator(Generator):
     def f(self, x):
         return np.interp(x, self.domain.grid(), self.values)
 
+    def finv(self, y):
+        # np.interp needs an increasing abscissa
+        if self.values[0] < self.values[-1]:
+            return np.interp(y, self.values, self.domain.grid())
+        return np.interp(-np.asarray(y, dtype=float), -self.values, self.domain.grid())
+
     def f1(self, x):
         return np.interp(x, self.domain.grid(), self.f1_values)
 
@@ -293,13 +325,14 @@ def _central_diff2(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _check_domain(gen: Generator, x):
+def _check_domain(domain: WorkingInterval, x) -> np.ndarray:
+    """x as a float array, or DomainError if an entry (NaN included) is outside."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < gen.domain.lo) or np.any(arr > gen.domain.hi):
-        bad = arr[(arr < gen.domain.lo) | (arr > gen.domain.hi)]
+    inside = (arr >= domain.lo) & (arr <= domain.hi)
+    if not np.all(inside):
         raise DomainError(
-            f"value {float(np.ravel(bad)[0])!r} outside working interval "
-            f"[{gen.domain.lo}, {gen.domain.hi}]"
+            f"value {float(arr[~inside][0])!r} outside working interval "
+            f"[{domain.lo}, {domain.hi}]"
         )
     return arr
 
@@ -312,19 +345,19 @@ def _scalar_or_array(result, x):
 
 def eval_f(gen: Generator, x):
     """Evaluate f at x (scalar or array); x must lie in the working interval."""
-    arr = _check_domain(gen, x)
+    arr = _check_domain(gen.domain, x)
     return _scalar_or_array(gen.f(arr), x)
 
 
 def eval_f1(gen: Generator, x):
     """Evaluate f' at x."""
-    arr = _check_domain(gen, x)
+    arr = _check_domain(gen.domain, x)
     return _scalar_or_array(gen.f1(arr), x)
 
 
 def eval_f2(gen: Generator, x):
     """Evaluate f'' at x.  Affine-like kinds return exactly 0."""
-    arr = _check_domain(gen, x)
+    arr = _check_domain(gen.domain, x)
     return _scalar_or_array(gen.f2(arr), x)
 
 
@@ -408,38 +441,19 @@ def rho(gen: Generator) -> ScalarGrid:
 
 
 def invert_f(gen: Generator, y: float) -> float:
-    """Solve f(x) = y on the working interval.
+    """Solve f(x) = y on the working interval with the generator's inverse.
 
-    Closed-form kinds are inverted by bisection on the monotone f; tabulated
-    kinds by binary search on the value grid followed by linear
-    interpolation.  The target must lie between f(lo) and f(hi).
+    The target must lie between f(lo) and f(hi); the result is clamped to
+    [lo, hi] so the last-bit error of a closed-form inverse at an endpoint
+    image cannot leave the interval.
     """
     lo, hi = gen.domain.lo, gen.domain.hi
     flo, fhi = float(gen.f(lo)), float(gen.f(hi))
     y = float(y)
     ylo, yhi = min(flo, fhi), max(flo, fhi)
-    if y < ylo or y > yhi:
+    if not ylo <= y <= yhi:
         raise RangeError(f"target {y!r} outside generator range [{ylo!r}, {yhi!r}]")
-    if isinstance(gen, TabulatedGenerator):
-        vals = gen.values
-        xs = gen.domain.grid()
-        if vals[0] > vals[-1]:
-            # np.interp needs an increasing abscissa
-            vals = -vals
-            y = -y
-        return float(np.interp(y, vals, xs))
-    increasing = fhi > flo
-    a, b = lo, hi
-    for _ in range(120):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        fm = float(gen.f(mid))
-        if (fm < y) == increasing:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    return min(max(float(gen.finv(y)), lo), hi)
 
 
 def tabulate(gen: Generator) -> TabulatedGenerator:
@@ -497,8 +511,11 @@ def load_table(path: str) -> TabulatedGenerator:
     and a strictly monotone value column.  With a header row, the value
     column is the one named ``f`` (falling back to ``g``, so envelope CSV
     output reloads directly); a ``g1``/``f1`` column, when present, is used
-    as the first-derivative grid.  Without a header the first two columns
-    are taken as x and f.  Rows starting with '#' are skipped.
+    as the first-derivative grid, and together with an ``m`` column (the
+    profile f'/f'' an envelope was built from) gives the second-derivative
+    grid f'' = f'/m, so a reloaded envelope keeps its profile exactly.
+    Without a header the first two columns are taken as x and f.  Rows
+    starting with '#' are skipped.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh)
@@ -528,6 +545,12 @@ def load_table(path: str) -> TabulatedGenerator:
     xs = col("x", default=0)
     fs = col("f", "g", default=1)
     f1s = col("f1", "g1")
+    ms = col("m")
+    f2s = None
+    if f1s is not None and ms is not None:
+        if np.any(ms == 0.0):
+            raise UsageError(f"{path}: m column must be nonzero")
+        f2s = f1s / ms
 
     steps = np.diff(xs)
     if np.any(steps <= 0):
@@ -537,7 +560,8 @@ def load_table(path: str) -> TabulatedGenerator:
         raise UsageError(f"{path}: x column must be uniformly spaced")
 
     interval = WorkingInterval(float(xs[0]), float(xs[-1]), len(xs))
-    return TabulatedGenerator(interval, fs, f1_values=f1s, source=path)
+    return TabulatedGenerator(interval, fs, f1_values=f1s, f2_values=f2s,
+                              source=path)
 
 
 def generator_kinds() -> list[str]:

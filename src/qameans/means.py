@@ -1,11 +1,13 @@
 """Quasiarithmetic, arithmetic, and power means, plus the comparison criterion.
 
 A quasiarithmetic mean applies the generator f to the data, averages, and
-inverts: QA_f(v) = f^{-1}((f(v_1) + ... + f(v_n)) / n).  Evaluation is
-stabilized by the affine invariance of QA means (shift and scale the
-generator values before averaging) so wide intervals and exp-like
-generators do not overflow, and the inversion runs by bisection so the
-same code path serves closed-form and tabulated generators alike.
+inverts: QA_f(v) = f^{-1}((f(v_1) + ... + f(v_n)) / n).  Evaluation follows
+that formula literally, with the generator's own inverse (closed form, or
+interpolation of a table with its axes swapped), and clamps the result to
+[min v, max v] so the last-bit error of the inverse cannot break
+internality.  Entries outside the working interval, NaN included, raise
+DomainError; a generator value or average that is not finite raises
+RangeError rather than returning a wrong mean.
 
 Mean handles wrap a callable mean with its working interval; the reflected
 handle realizes v -> -M(-v), which swaps convexity with concavity.
@@ -20,15 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, UsageError
-from .generators import Generator, reflect_generator
+from .errors import DomainError, RangeError, UsageError
+from .generators import Generator, _check_domain, reflect_generator
 from .grids import WorkingInterval
-
-# Bisection iteration count; halving [lo,hi] 100 times lands far below one ulp.
-_BISECT_ITERS = 100
-
-# Internality clamp window, relative to the interval span.
-CLAMP_TOL = 1e-12
 
 
 def _as_batch(values) -> np.ndarray:
@@ -41,40 +37,17 @@ def _as_batch(values) -> np.ndarray:
 
 
 def _qa_mean_batch(gen: Generator, X: np.ndarray) -> np.ndarray:
-    """Row-wise QA mean of a (B, n) array, by vectorized bisection."""
-    lo, hi = gen.domain.lo, gen.domain.hi
-    if np.any(X < lo) or np.any(X > hi):
-        bad = X[(X < lo) | (X > hi)]
-        raise DomainError(
-            f"entry {float(np.ravel(bad)[0])!r} outside working interval [{lo}, {hi}]"
+    """Row-wise QA mean of a (B, n) array: f, row average, f^{-1}, clamp."""
+    _check_domain(gen.domain, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        avg = np.asarray(gen.f(X), dtype=float).mean(axis=1)
+    if not np.all(np.isfinite(avg)):
+        raise RangeError(
+            f"{gen.spec_string()}: generator values overflow on "
+            f"[{gen.domain.lo}, {gen.domain.hi}]"
         )
-    vmin = X.min(axis=1)
-    vmax = X.max(axis=1)
-
-    # Affine stabilization: averaging (f(v) - shift)/scale changes nothing
-    # mathematically but keeps exp-like generators inside float range.
-    shift = np.asarray(gen.f(0.5 * (vmin + vmax)), dtype=float)
-    fv = np.asarray(gen.f(X), dtype=float) - shift[:, None]
-    scale = np.max(np.abs(fv), axis=1)
-    degenerate = scale == 0.0
-    scale[degenerate] = 1.0
-    target = fv.mean(axis=1) / scale
-
-    h_lo = (np.asarray(gen.f(vmin), dtype=float) - shift) / scale
-    h_hi = (np.asarray(gen.f(vmax), dtype=float) - shift) / scale
-    increasing = h_hi > h_lo
-
-    a = vmin.copy()
-    b = vmax.copy()
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (a + b)
-        hm = (np.asarray(gen.f(mid), dtype=float) - shift) / scale
-        go_right = (hm < target) == increasing
-        a = np.where(go_right, mid, a)
-        b = np.where(go_right, b, mid)
-    out = 0.5 * (a + b)
-    out = np.where(degenerate, vmin, out)
-    return np.minimum(np.maximum(out, vmin), vmax)
+    out = np.asarray(gen.finv(avg), dtype=float)
+    return np.minimum(np.maximum(out, X.min(axis=1)), X.max(axis=1))
 
 
 def qa_mean(gen: Generator, values) -> float:
@@ -99,8 +72,8 @@ def _power_mean_batch(p: float, X: np.ndarray) -> np.ndarray:
 def power_mean(p: float, values) -> float:
     """The p-th power mean; p = 0 is the geometric mean.
 
-    Closed-form route, independent of the generator/bisection machinery,
-    so the two can cross-check each other.
+    Closed-form route, independent of the generator machinery, so the two
+    can cross-check each other.
     """
     return float(_power_mean_batch(float(p), _as_batch(values))[0])
 
@@ -129,10 +102,7 @@ class ArithmeticMean(MeanHandle):
         self.domain = domain
 
     def batch(self, X):
-        X = np.asarray(X, dtype=float)
-        if np.any(X < self.domain.lo) or np.any(X > self.domain.hi):
-            raise DomainError("entry outside working interval")
-        return X.mean(axis=1)
+        return _check_domain(self.domain, X).mean(axis=1)
 
     def spec_string(self):
         return "arith"

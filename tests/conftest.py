@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qameans.envelope import _reconstruct_from_values
 from qameans.generators import (
@@ -12,6 +13,11 @@ from qameans.generators import (
     TabulatedGenerator,
 )
 from qameans.grids import WorkingInterval
+
+# Property tests draw the same examples on every run and machine, and are
+# not timed per example, so a loaded host cannot fail them.
+settings.register_profile("qameans", derandomize=True, deadline=None)
+settings.load_profile("qameans")
 
 
 @pytest.fixture(scope="session")

@@ -154,3 +154,23 @@ def brute_qa_mean(fvals_fn, inv_fn, values):
     """Quasiarithmetic mean from user-supplied f and f^{-1} callables."""
     arr = np.asarray(values, dtype=float)
     return inv_fn(float(np.mean(fvals_fn(arr))))
+
+
+def bisection_qa_mean(f, X, iters=100):
+    """Row-wise QA mean of a (B, n) array by bisection on the monotone f.
+
+    Uses only f itself, never a generator's inverse: each row's root of
+    f(x) = mean(f(row)) is bracketed by the row's min and max and halved
+    `iters` times, which lands below one ulp for any float bracket.
+    """
+    X = np.asarray(X, dtype=float)
+    a = X.min(axis=1)
+    b = X.max(axis=1)
+    target = np.mean(f(X), axis=1)
+    increasing = f(b) > f(a)
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        go_right = (f(mid) < target) == increasing
+        a = np.where(go_right, mid, a)
+        b = np.where(go_right, b, mid)
+    return 0.5 * (a + b)

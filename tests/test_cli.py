@@ -125,6 +125,19 @@ def test_envelope_csv_round_trip(tmp_path, capsys):
         assert direct == pytest.approx(qa_mean(tab, list(v)), abs=1e-12)
 
 
+@pytest.mark.parametrize("grid", [257, 1025])
+@pytest.mark.parametrize("gen,kind,verdict", [("power:3", "convex", "Convex"),
+                                              ("log", "concave", "Concave")])
+def test_envelope_csv_reload_keeps_class(tmp_path, capsys, grid, gen, kind, verdict):
+    """A reloaded envelope table takes f'' from its m column, so the
+    profile stays the hull it was built from and the class survives."""
+    out_path = tmp_path / "env.csv"
+    assert run(["envelope", "--gen", gen, "--kind", kind, "--grid", str(grid),
+                "--format", "csv", "--out", str(out_path)]) == 0
+    assert run(["classify", "--gen", f"table:{out_path}"]) == 0
+    assert _json_out(capsys)["class"] == verdict
+
+
 def test_envelope_csv_to_stdout(capsys):
     code = run(["envelope", "--gen", "exp", "--format", "csv"])
     out = capsys.readouterr().out

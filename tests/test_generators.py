@@ -204,6 +204,13 @@ def test_invert_f_out_of_range(iv):
         invert_f(PowerGenerator(-1.0, iv), 11.0)
 
 
+def test_nan_is_rejected(iv):
+    with pytest.raises(DomainError):
+        eval_f(LogGenerator(iv), np.nan)
+    with pytest.raises(RangeError):
+        invert_f(LogGenerator(iv), float("nan"))
+
+
 def test_tabulate_round_trip(iv):
     gen = PowerGenerator(3.0, iv)
     tab = tabulate(gen)

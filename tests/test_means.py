@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qameans.errors import DomainError, UsageError
+from qameans.errors import DomainError, RangeError, UsageError
 from qameans.generators import (
     AffineOfGenerator,
     ExpGenerator,
@@ -51,8 +51,24 @@ def test_qa_mean_input_validation(iv):
         qa_mean(gen, [1.0, 11.0])
 
 
+def test_mean_domain_checks_reject_nan(iv):
+    with pytest.raises(DomainError):
+        qa_mean(LogGenerator(iv), [1.0, np.nan])
+    with pytest.raises(DomainError):
+        ArithmeticMean(iv).batch(np.array([[np.nan, 2.0]]))
+
+
+def test_qa_mean_overflow_is_a_range_error():
+    # exp(719) overflows; the true mean of (1, 719) is 718.307, not 719
+    wide = WorkingInterval(0.0, 720.0)
+    with pytest.raises(RangeError):
+        qa_mean(ExpGenerator(wide), [1.0, 719.0])
+    assert qa_mean(ExpGenerator(wide), [1.0, 700.0]) == pytest.approx(
+        700.0 - np.log(2.0), rel=1e-15)
+
+
 def test_qa_mean_against_direct_formula(iv):
-    """Bisection agrees with the textbook f^{-1}(average of f)."""
+    """QA evaluation agrees with the textbook f^{-1}(average of f)."""
     rng = np.random.default_rng(11)
     cases = [
         (PowerGenerator(3.0, iv), lambda v: v**3.0, lambda y: y ** (1.0 / 3.0)),

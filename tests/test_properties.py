@@ -1,0 +1,147 @@
+"""Property tests: every generator's inverse, and QA means against oracles.
+
+The examples are drawn by hypothesis under the derandomized profile that
+conftest.py loads, so a run is reproducible.  Two floating-point facts set
+the ranges below.  A generator value carries one ulp of rounding, which
+x -> f^{-1}(y) magnifies by |f(x) / (x f'(x))|: that is 1/|p| for x**p, so
+exponents closer to 0 than P_MIN cannot return x to 1e-12 through any
+inverse (the log kind is the p -> 0 member).  Likewise an affine offset b
+much larger than a*x cancels digits of x inside f itself, so offsets are
+drawn on the scale of the slope.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qameans.generators import (
+    AffineGenerator,
+    AffineOfGenerator,
+    ExpGenerator,
+    LogGenerator,
+    PowerGenerator,
+    ReflectedGenerator,
+    negate_generator,
+    parse_generator,
+    tabulate,
+)
+from qameans.grids import WorkingInterval
+from qameans.means import power_mean, qa_mean
+
+from oracles import bisection_qa_mean
+
+REL = 1e-12
+P_MIN = 1e-3
+
+IV = WorkingInterval(0.1, 10.0)
+# Tables at a coarse and at the default resolution.
+IV_TABLES = (WorkingInterval(0.1, 10.0, 257), IV)
+
+xs_in = st.floats(IV.lo, IV.hi)
+exponents = st.one_of(st.floats(-20.0, -P_MIN), st.floats(P_MIN, 20.0))
+slopes = st.one_of(st.floats(-5.0, -0.5), st.floats(0.5, 5.0))
+offsets = st.floats(-5.0, 5.0)
+vectors = st.lists(xs_in, min_size=1, max_size=6)
+
+
+def _closed_form(kind, p, iv=IV):
+    if kind == "power":
+        return PowerGenerator(p, iv)
+    if kind == "log":
+        return LogGenerator(iv)
+    return ExpGenerator(iv)
+
+
+kinds = st.sampled_from(["power", "log", "exp"])
+
+
+def _assert_round_trip(gen, x):
+    back = float(gen.finv(gen.f(x)))
+    assert back == pytest.approx(x, rel=REL, abs=0.0)
+
+
+@given(p=exponents, x=xs_in)
+def test_power_finv_round_trip(p, x):
+    _assert_round_trip(PowerGenerator(p, IV), x)
+
+
+@given(x=xs_in)
+def test_log_and_exp_finv_round_trip(x):
+    _assert_round_trip(LogGenerator(IV), x)
+    _assert_round_trip(ExpGenerator(IV), x)
+
+
+@given(a=slopes, b=offsets, x=xs_in)
+def test_affine_finv_round_trip(a, b, x):
+    _assert_round_trip(AffineGenerator(a, b, IV), x)
+
+
+@given(inner=st.sampled_from(["power:2", "power:-1", "log", "exp"]),
+       a=slopes, b=offsets, x=xs_in)
+def test_affine_of_finv_round_trip(inner, a, b, x):
+    _assert_round_trip(AffineOfGenerator(parse_generator(inner, IV), a, b), x)
+
+
+@given(kind=kinds, p=exponents, x=xs_in)
+def test_reflected_finv_round_trip(kind, p, x):
+    gen = ReflectedGenerator(_closed_form(kind, p))
+    _assert_round_trip(gen, -x)
+
+
+@given(kind=kinds, p=exponents, negate=st.booleans(),
+       iv=st.sampled_from(IV_TABLES), x=xs_in)
+def test_table_finv_round_trip(kind, p, negate, iv, x):
+    """Increasing and decreasing tables both invert their interpolant."""
+    gen = _closed_form(kind, p, iv)
+    table = tabulate(negate_generator(gen) if negate else gen)
+    _assert_round_trip(table, x)
+
+
+@given(p=exponents, v=vectors)
+def test_power_qa_mean_matches_oracles(p, v):
+    gen = PowerGenerator(p, IV)
+    got = qa_mean(gen, v)
+    assert got == pytest.approx(power_mean(p, v), rel=REL, abs=0.0)
+    want = float(bisection_qa_mean(gen.f, [v])[0])
+    assert got == pytest.approx(want, rel=REL, abs=0.0)
+
+
+@given(v=vectors)
+def test_log_and_exp_qa_mean_match_oracles(v):
+    got = qa_mean(LogGenerator(IV), v)
+    assert got == pytest.approx(power_mean(0.0, v), rel=REL, abs=0.0)
+    for gen in (LogGenerator(IV), ExpGenerator(IV)):
+        want = float(bisection_qa_mean(gen.f, [v])[0])
+        assert qa_mean(gen, v) == pytest.approx(want, rel=REL, abs=0.0)
+
+
+@given(kind=kinds, p=exponents, negate=st.booleans(),
+       iv=st.sampled_from(IV_TABLES), v=vectors)
+def test_table_qa_mean_matches_bisection(kind, p, negate, iv, v):
+    gen = _closed_form(kind, p, iv)
+    table = tabulate(negate_generator(gen) if negate else gen)
+    want = float(bisection_qa_mean(table.f, [v])[0])
+    assert qa_mean(table, v) == pytest.approx(want, rel=REL, abs=0.0)
+
+
+@given(a=slopes, b=offsets, v=vectors)
+def test_wrapped_qa_means_match_bisection(a, b, v):
+    """Affine wrappers and reflection evaluate through the composed inverse."""
+    for gen in (AffineOfGenerator(ExpGenerator(IV), a, b),
+                AffineOfGenerator(PowerGenerator(-1.0, IV), a, b)):
+        want = float(bisection_qa_mean(gen.f, [v])[0])
+        assert qa_mean(gen, v) == pytest.approx(want, rel=REL, abs=0.0)
+    ref = ReflectedGenerator(LogGenerator(IV))
+    w = [-x for x in v]
+    want = float(bisection_qa_mean(ref.f, [w])[0])
+    assert qa_mean(ref, w) == pytest.approx(want, rel=REL, abs=0.0)
+    assert qa_mean(ref, w) == pytest.approx(-power_mean(0.0, v), rel=REL, abs=0.0)
+
+
+def test_bisection_oracle_hand_values():
+    """The oracle itself reproduces textbook means."""
+    X = np.array([[1.0, 7.0], [1.0, 4.0]])
+    got = bisection_qa_mean(lambda x: x * x, X)
+    assert got[0] == pytest.approx(5.0, rel=1e-15)
+    assert bisection_qa_mean(np.log, X[1:])[0] == pytest.approx(2.0, rel=1e-15)
