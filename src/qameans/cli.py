@@ -11,15 +11,16 @@ envelope that does not exist), 2 usage or domain errors.
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .convexity import classify
 from .envelope import qa_concave_envelope, qa_convex_envelope
 from .errors import QameansError, UsageError
-from .generators import parse_generator
+from .generators import generator_kinds, parse_generator
 from .grids import DEFAULT_GRID_POINTS, WorkingInterval
 from .means import compare, parse_mean, qa_mean
 from .verify import (
@@ -38,8 +39,7 @@ DEFAULT_TRIALS = 10_000
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--gen", required=True,
-                        help="generator spec: power:<p> | log | exp | id | "
-                             "affine:<a>:<b> | table:<path>")
+                        help="generator spec: " + " | ".join(generator_kinds()))
     common.add_argument("--lo", type=float, default=DEFAULT_LO,
                         help=f"interval lower end (default {DEFAULT_LO}); "
                              "ignored for table: specs, which carry their grid")
@@ -116,8 +116,42 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """The text of json.dumps(obj, indent=2) for a tree of str-keyed dicts.
+
+    A list made only of floats is written in one join, so a 65537-point
+    grid costs one repr per value instead of a pass through the pure-Python
+    indenting encoder.  Strings go through json's own escaper, ints and
+    finite floats through repr (as json writes them), and every other
+    scalar through json.dumps.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is int or (type(obj) is float and math.isfinite(obj)):
+        return repr(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join(f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                        for k, v in obj.items())
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {float}:
+            body = sep.join(map(float.__repr__, obj))
+            if "n" in body:  # nan or inf, which json spells NaN, Infinity
+                body = sep.join(map(json.dumps, obj))
+        else:
+            body = sep.join(_json_text(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
 def _json_report(report: dict, out_path: str | None) -> None:
-    _emit(json.dumps(report, indent=2) + "\n", out_path)
+    _emit(_json_text(report) + "\n", out_path)
 
 
 def _parse_vec(text: str) -> list:
@@ -165,20 +199,18 @@ def _cmd_compare(args, seed: int) -> int:
 
 def _envelope_csv(result, config: dict) -> str:
     xs = result.interval.grid()
-    cols = [("x", list(xs))]
+    cols = [("x", xs)]
     if result.rho is not None:
-        cols.append(("rho", list(result.rho.values)))
+        cols.append(("rho", result.rho.values))
     if result.m is not None:
-        cols.append(("m", list(result.m(xs))))
-    cols.append(("g", list(result.g.values)))
-    cols.append(("g1", list(result.g1.values)))
-    buf = io.StringIO()
-    buf.write("# " + json.dumps({"config": config, "status": result.status,
-                                 "direction": result.direction}) + "\n")
-    buf.write(",".join(name for name, _ in cols) + "\n")
-    for k in range(len(xs)):
-        buf.write(",".join(repr(float(vals[k])) for _, vals in cols) + "\n")
-    return buf.getvalue()
+        cols.append(("m", result.m(xs)))
+    cols.append(("g", result.g.values))
+    cols.append(("g1", result.g1.values))
+    head = "# " + json.dumps({"config": config, "status": result.status,
+                              "direction": result.direction})
+    rows = zip(*(map(repr, vals.tolist()) for _, vals in cols))
+    return "\n".join([head, ",".join(name for name, _ in cols),
+                      *map(",".join, rows)]) + "\n"
 
 
 def _cmd_envelope(args, seed: int) -> int:

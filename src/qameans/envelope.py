@@ -74,10 +74,11 @@ def _monotone_chain(xs: np.ndarray, ys: np.ndarray, upper: bool) -> tuple:
 
     The cross product of the last two stack points with the incoming point
     decides the turn; popping on >= 0 (upper) or <= 0 (lower) also removes
-    collinear interior vertices.
+    collinear interior vertices.  The scan runs on plain floats: numpy-scalar
+    arithmetic per element is slower and gives the same IEEE results.
     """
     stack: list = []
-    for x, y in zip(xs, ys):
+    for x, y in zip(xs.tolist(), ys.tolist()):
         while len(stack) >= 2:
             x0, y0 = stack[-2]
             x1, y1 = stack[-1]
@@ -86,7 +87,7 @@ def _monotone_chain(xs: np.ndarray, ys: np.ndarray, upper: bool) -> tuple:
                 stack.pop()
             else:
                 break
-        stack.append((float(x), float(y)))
+        stack.append((x, y))
     return tuple(stack)
 
 
@@ -171,9 +172,9 @@ class EnvelopeResult:
         if self.m is not None:
             out["hull_vertices"] = self.m.to_list()
         if include_grids and self.g is not None:
-            out["grid"] = [float(v) for v in self.interval.grid()]
-            out["g"] = [float(v) for v in self.g.values]
-            out["g1"] = [float(v) for v in self.g1.values]
+            out["grid"] = self.interval.grid().tolist()
+            out["g"] = self.g.values.tolist()
+            out["g1"] = self.g1.values.tolist()
         return out
 
 

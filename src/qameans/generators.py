@@ -14,9 +14,6 @@ classification and envelope machinery in the sibling modules.
 
 from __future__ import annotations
 
-import csv
-import math
-
 import numpy as np
 
 from .errors import (
@@ -504,6 +501,11 @@ def parse_generator(spec: str, interval: WorkingInterval | None = None) -> Gener
     raise UsageError(f"unknown generator spec {spec!r}")
 
 
+# A line opening with one of these is a data line under every skip rule of
+# load_table, so the per-line tests run only on the few lines that do not.
+_NUMBER_STARTS = frozenset("0123456789+-.")
+
+
 def load_table(path: str) -> TabulatedGenerator:
     """Load a tabulated generator from a CSV file.
 
@@ -514,26 +516,41 @@ def load_table(path: str) -> TabulatedGenerator:
     as the first-derivative grid, and together with an ``m`` column (the
     profile f'/f'' an envelope was built from) gives the second-derivative
     grid f'' = f'/m, so a reloaded envelope keeps its profile exactly.
-    Without a header the first two columns are taken as x and f.  Rows
-    starting with '#' are skipped.
+    Without a header the first two columns are taken as x and f.
+
+    Blank lines, lines whose cells are all empty, and lines whose first
+    cell starts with '#' are skipped; the rest are parsed in one
+    ``np.loadtxt`` call, whose values are bit-equal to ``float()`` of each
+    cell.  A non-numeric cell or a row with a different number of cells
+    raises UsageError naming the file.
     """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh)
-                if row and any(c.strip() for c in row)
-                and not row[0].lstrip().startswith("#")]
-    if not rows:
+    with open(path) as fh:
+        lines = [line for line in fh.read().splitlines()
+                 if line[:1] in _NUMBER_STARTS
+                 or (line.replace(",", "").strip()
+                     and not line.lstrip().startswith("#"))]
+    if not lines:
         raise UsageError(f"{path}: empty table")
 
     header = None
+    first = lines[0].split(",")
     try:
-        [float(c) for c in rows[0]]
+        [float(c) for c in first]
     except ValueError:
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    if len(rows) < 3:
+        header = [c.strip() for c in first]
+        lines = lines[1:]
+    if len(lines) < 3:
         raise UsageError(f"{path}: need at least 3 rows")
 
-    data = np.array([[float(c) for c in row] for row in rows], dtype=float)
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise UsageError(f"{path}: malformed data row: {exc}") from None
+    ncols = data.shape[1]
+    if header is not None and len(header) != ncols:
+        raise UsageError(f"{path}: header has {len(header)} cells, data rows {ncols}")
+    if ncols < 2:
+        raise UsageError(f"{path}: need an x column and a value column")
 
     def col(*names, default=None):
         if header is not None:

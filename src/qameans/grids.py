@@ -8,6 +8,7 @@ between grid points it interpolates piecewise-linearly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,9 @@ import numpy as np
 from .errors import UsageError
 
 DEFAULT_GRID_POINTS = 1025
+# 16x the largest grid the tests and the benchmark build; validated before
+# any grid is allocated, so an oversized request fails fast.
+MAX_GRID_POINTS = 2**20 + 1
 
 
 @dataclass(frozen=True)
@@ -30,8 +34,11 @@ class WorkingInterval:
             raise UsageError("interval endpoints must be finite")
         if not self.lo < self.hi:
             raise UsageError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.grid_points < 3:
-            raise UsageError(f"need grid_points >= 3, got {self.grid_points}")
+        n = self.grid_points
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise UsageError(f"grid_points must be an integer, got {n!r}")
+        if not 3 <= n <= MAX_GRID_POINTS:
+            raise UsageError(f"need 3 <= grid_points <= {MAX_GRID_POINTS}, got {n}")
 
     @property
     def span(self) -> float:
@@ -77,9 +84,3 @@ class ScalarGrid:
 
     def __call__(self, x):
         return np.interp(x, self.interval.grid(), self.values)
-
-    def min(self) -> float:
-        return float(self.values.min())
-
-    def max(self) -> float:
-        return float(self.values.max())

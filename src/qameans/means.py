@@ -59,8 +59,9 @@ def qa_mean(gen: Generator, values) -> float:
 
 
 def _power_mean_batch(p: float, X: np.ndarray) -> np.ndarray:
-    if np.any(X <= 0.0):
-        bad = X[X <= 0.0]
+    nonpositive = ~(X > 0.0)
+    if np.any(nonpositive):
+        bad = X[nonpositive]
         raise DomainError(f"power mean needs positive entries, got {float(np.ravel(bad)[0])!r}")
     if p == 0:
         return np.exp(np.mean(np.log(X), axis=1))
@@ -116,7 +117,7 @@ class PowerMeanHandle(MeanHandle):
         self.domain = domain
 
     def batch(self, X):
-        return _power_mean_batch(self.p, np.asarray(X, dtype=float))
+        return _power_mean_batch(self.p, _check_domain(self.domain, X))
 
     def spec_string(self):
         return f"pmean:{self.p:g}"

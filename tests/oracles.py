@@ -6,6 +6,8 @@ worked out by hand. Tests compare package output against these oracles so
 that a bug in the package cannot silently agree with itself.
 """
 
+import csv
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -174,3 +176,61 @@ def bisection_qa_mean(f, X, iters=100):
         a = np.where(go_right, mid, a)
         b = np.where(go_right, b, mid)
     return 0.5 * (a + b)
+
+
+def indented_json(obj):
+    """The report text the package's JSON writer must reproduce byte for byte."""
+    return json.dumps(obj, indent=2)
+
+
+def rowwise_envelope_csv(result, config):
+    """Envelope CSV written row by row, one repr(float(v)) per cell."""
+    xs = result.interval.grid()
+    cols = [("x", list(xs))]
+    if result.rho is not None:
+        cols.append(("rho", list(result.rho.values)))
+    if result.m is not None:
+        cols.append(("m", list(result.m(xs))))
+    cols.append(("g", list(result.g.values)))
+    cols.append(("g1", list(result.g1.values)))
+    out = ["# " + json.dumps({"config": config, "status": result.status,
+                              "direction": result.direction}) + "\n"]
+    out.append(",".join(name for name, _ in cols) + "\n")
+    for k in range(len(xs)):
+        out.append(",".join(repr(float(vals[k])) for _, vals in cols) + "\n")
+    return "".join(out)
+
+
+def numpy_scalar_monotone_chain(xs, ys, upper):
+    """Monotone-chain hull scanned over numpy scalars, as zip over arrays gives."""
+    stack = []
+    for x, y in zip(xs, ys):
+        while len(stack) >= 2:
+            x0, y0 = stack[-2]
+            x1, y1 = stack[-1]
+            cross = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
+            if (cross >= 0.0) if upper else (cross <= 0.0):
+                stack.pop()
+            else:
+                break
+        stack.append((float(x), float(y)))
+    return tuple(stack)
+
+
+def float_cell_table(path):
+    """Header and data of a table CSV, by csv.reader and float() per cell.
+
+    Skips blank rows, rows of empty cells and rows whose first cell starts
+    with '#'; the first kept row is the header when a cell is not a number.
+    """
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh)
+                if row and any(c.strip() for c in row)
+                and not row[0].lstrip().startswith("#")]
+    header = None
+    try:
+        [float(c) for c in rows[0]]
+    except ValueError:
+        header = [c.strip() for c in rows[0]]
+        rows = rows[1:]
+    return header, np.array([[float(c) for c in row] for row in rows])

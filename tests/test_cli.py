@@ -231,6 +231,14 @@ def test_unknown_generator_spec_is_usage_error(capsys):
     assert run(["classify", "--gen", "sinh"]) == 2
 
 
+@pytest.mark.parametrize("row", ["0.2,abc", "0.2,2,5"])
+def test_malformed_table_is_usage_error(tmp_path, capsys, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,f\n0.1,1\n{row}\n0.3,3\n0.4,4\n")
+    assert run(["classify", "--gen", f"table:{path}"]) == 2
+    assert "bad.csv" in capsys.readouterr().err
+
+
 def test_byte_identical_reruns(capsys):
     args = ["verify", "--check", "ij", "--gen", "log", "--gen2", "arith",
             "--trials", "400", "--seed", "9"]

@@ -32,7 +32,7 @@ from qameans.generators import (
     rho,
     tabulate,
 )
-from qameans.grids import WorkingInterval
+from qameans.grids import MAX_GRID_POINTS, WorkingInterval
 
 from oracles import fd_first, fd_second
 
@@ -66,6 +66,17 @@ def test_power_generator_rejects_bad_arguments():
         PowerGenerator(2.0, WorkingInterval(-1.0, 1.0))
     with pytest.raises(UsageError):
         LogGenerator(WorkingInterval(0.0, 1.0))
+
+
+@pytest.mark.parametrize("grid_points", [3.5, True, 2, MAX_GRID_POINTS + 1])
+def test_working_interval_rejects_bad_grid_sizes(grid_points):
+    with pytest.raises(UsageError):
+        WorkingInterval(0.1, 10.0, grid_points)
+
+
+def test_working_interval_accepts_integer_grid_sizes():
+    assert WorkingInterval(0.1, 10.0, MAX_GRID_POINTS).grid_points == MAX_GRID_POINTS
+    assert WorkingInterval(0.1, 10.0, np.int64(5)).grid().shape == (5,)
 
 
 def test_derivative_grids_match_finite_differences(iv):
@@ -292,3 +303,25 @@ def test_load_table_rejects_bad_grids(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(UsageError):
         load_table(str(empty))
+
+
+MALFORMED_TABLES = {
+    "non-numeric cell": "x,f\n0.1,1\n0.2,abc\n0.3,3\n0.4,4\n",
+    "ragged row": "x,f\n0.1,1\n0.2,2,5\n0.3,3\n0.4,4\n",
+    "more cells than header": "x,f\n0.1,1,1\n0.2,2,2\n0.3,3,3\n",
+    "one column": "0.1\n0.2\n0.3\n",
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED_TABLES.values(), ids=MALFORMED_TABLES)
+def test_load_table_malformed_rows_are_usage_errors(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(UsageError, match="bad.csv"):
+        load_table(str(path))
+
+
+def test_load_table_skips_blank_empty_and_comment_rows(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("# c\n\nx,f\n , ,\n0,1\n  # indented\n1,2\n\n2,4\n")
+    assert np.array_equal(load_table(str(path)).values, [1.0, 2.0, 4.0])

@@ -58,6 +58,18 @@ def test_mean_domain_checks_reject_nan(iv):
         ArithmeticMean(iv).batch(np.array([[np.nan, 2.0]]))
 
 
+def test_power_mean_handle_checks_its_interval(iv):
+    with pytest.raises(DomainError):
+        PowerMeanHandle(2.0, iv)([50.0, 60.0])
+    with pytest.raises(DomainError):
+        PowerMeanHandle(2.0, iv).batch(np.array([[1.0, np.nan]]))
+
+
+def test_power_mean_rejects_nan():
+    with pytest.raises(DomainError):
+        power_mean(2.0, [1.0, np.nan])
+
+
 def test_qa_mean_overflow_is_a_range_error():
     # exp(719) overflows; the true mean of (1, 719) is 718.307, not 719
     wide = WorkingInterval(0.0, 720.0)
