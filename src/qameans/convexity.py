@@ -10,7 +10,11 @@ the arithmetic mean, the unique member that is both convex and concave.
 
 Two sampled cross-checks accompany the classification: domination of the
 arithmetic mean (the existence gate for convex envelopes) and a direct
-midpoint Jensen test on random tuple pairs.
+midpoint Jensen test on random tuple pairs.  They, and every check in
+:mod:`qameans.verify`, run through one driver, :func:`_sample_margins`: it
+folds a margin function over groups of trials and keeps the worst margin,
+the failure count and the failing trial with the lowest index, which is
+the one a report names as its witness.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ POS_TAU = 1e-10
 CONC_TAU = 1e-8
 
 # Slack for sampled mean comparisons, relative to the interval span.
-GATE_TOL = 1e-9
+MEAN_CMP_TOL = 1e-9
 
 # Absolute slack for the midpoint Jensen test.
 JENSEN_TOL = 1e-9
@@ -181,6 +185,32 @@ def _grouped_tuples(rng, trials: int, n_max: int, interval: WorkingInterval):
         yield idx, X
 
 
+def _sample_margins(groups, margin_fn, tol: float) -> tuple:
+    """Fold a sampled inequality over groups of (trial indices, batch X).
+
+    margin_fn(X) returns (margin, *arrays) with one entry per row; a row
+    fails when its margin is below -tol.  Returns the worst margin, the
+    failure count, the lowest failing trial index and that trial's row
+    (X[j], margin[j], *arrays[j]), the last two None when nothing fails.
+    groups may draw lazily from an rng that margin_fn also draws from.
+    """
+    worst = np.inf
+    failures = 0
+    witness_trial = None
+    row = None
+    for idx, X in groups:
+        margin, *arrays = margin_fn(X)
+        worst = min(worst, float(np.min(margin)))
+        bad = np.nonzero(margin < -tol)[0]
+        failures += len(bad)
+        if len(bad) > 0:
+            j = bad[np.argmin(idx[bad])]
+            if witness_trial is None or idx[j] < witness_trial:
+                witness_trial = int(idx[j])
+                row = (X[j], margin[j], *(a[j] for a in arrays))
+    return worst, failures, witness_trial, row
+
+
 def dominates_arithmetic(gen: Generator, n_max: int, trials: int,
                          direction: str = "ge", seed: int = 0) -> GateReport:
     """Sampled test of QA_f >= A (direction "ge") or QA_f <= A ("le").
@@ -194,30 +224,25 @@ def dominates_arithmetic(gen: Generator, n_max: int, trials: int,
     if trials < 1 or n_max < 2:
         raise ValueError("need trials >= 1 and n_max >= 2")
     rng = np.random.default_rng(seed)
-    tol = GATE_TOL * gen.domain.span
-    worst = np.inf
-    witness = None
-    witness_trial = None
-    for idx, X in _grouped_tuples(rng, trials, n_max, gen.domain):
+    tol = MEAN_CMP_TOL * gen.domain.span
+
+    def margin(X):
         qa = _qa_mean_batch(gen, X)
         am = X.mean(axis=1)
-        margin = qa - am if direction == "ge" else am - qa
-        k = int(np.argmin(margin))
-        if margin[k] < worst:
-            worst = float(margin[k])
-        viol = np.nonzero(margin < -tol)[0]
-        if len(viol) > 0:
-            j = viol[np.argmin(idx[viol])]
-            trial = int(idx[j])
-            if witness_trial is None or trial < witness_trial:
-                witness_trial = trial
-                witness = {
-                    "values": [float(v) for v in X[j]],
-                    "qa_mean": float(qa[j]),
-                    "arith_mean": float(am[j]),
-                    "margin": float(margin[j]),
-                    "trial": trial,
-                }
+        return (qa - am if direction == "ge" else am - qa), qa, am
+
+    worst, _, trial, row = _sample_margins(
+        _grouped_tuples(rng, trials, n_max, gen.domain), margin, tol)
+    witness = None
+    if trial is not None:
+        x, mg, qa, am = row
+        witness = {
+            "values": [float(v) for v in x],
+            "qa_mean": float(qa),
+            "arith_mean": float(am),
+            "margin": float(mg),
+            "trial": trial,
+        }
     return GateReport(witness is None, direction, trials, n_max, seed,
                       tol, worst, witness)
 
@@ -263,36 +288,26 @@ def jensen_midpoint_check(mean: MeanHandle, n_max: int, trials: int,
     if trials < 1 or n_max < 2:
         raise ValueError("need trials >= 1 and n_max >= 2")
     rng = np.random.default_rng(seed)
-    worst = np.inf
-    witness = None
-    witness_trial = None
     interval = mean.domain
-    sizes = rng.integers(2, n_max + 1, size=trials)
-    for n in range(2, n_max + 1):
-        idx = np.nonzero(sizes == n)[0]
-        if len(idx) == 0:
-            continue
-        X = rng.uniform(interval.lo, interval.hi, size=(len(idx), n))
-        Y = rng.uniform(interval.lo, interval.hi, size=(len(idx), n))
+
+    def margin(X):
+        Y = rng.uniform(interval.lo, interval.hi, size=X.shape)
         lhs = mean.batch(0.5 * (X + Y))
         rhs = 0.5 * (mean.batch(X) + mean.batch(Y))
-        margin = rhs - lhs if sense == "convex" else lhs - rhs
-        k = int(np.argmin(margin))
-        if margin[k] < worst:
-            worst = float(margin[k])
-        viol = np.nonzero(margin < -JENSEN_TOL)[0]
-        if len(viol) > 0:
-            j = viol[np.argmin(idx[viol])]
-            trial = int(idx[j])
-            if witness_trial is None or trial < witness_trial:
-                witness_trial = trial
-                witness = {
-                    "x": [float(v) for v in X[j]],
-                    "y": [float(v) for v in Y[j]],
-                    "m_at_midpoint": float(lhs[j]),
-                    "average_of_m": float(rhs[j]),
-                    "margin": float(margin[j]),
-                    "trial": trial,
-                }
+        return (rhs - lhs if sense == "convex" else lhs - rhs), Y, lhs, rhs
+
+    worst, _, trial, row = _sample_margins(
+        _grouped_tuples(rng, trials, n_max, interval), margin, JENSEN_TOL)
+    witness = None
+    if trial is not None:
+        x, mg, y, lhs, rhs = row
+        witness = {
+            "x": [float(v) for v in x],
+            "y": [float(v) for v in y],
+            "m_at_midpoint": float(lhs),
+            "average_of_m": float(rhs),
+            "margin": float(mg),
+            "trial": trial,
+        }
     return JensenReport(witness is None, sense, trials, n_max, seed,
                         JENSEN_TOL, worst, witness)

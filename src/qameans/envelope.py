@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .convexity import GateReport, _profile_pos_concave, dominates_arithmetic
+from .convexity import _profile_pos_concave, dominates_arithmetic
 from .errors import (
     DegenerateSecondDerivative,
     NonpositiveM,
@@ -178,19 +178,6 @@ class EnvelopeResult:
         return out
 
 
-def _gate_summary(gate: GateReport) -> dict:
-    out = {
-        "holds": gate.holds,
-        "direction": gate.direction,
-        "trials": gate.trials,
-        "n_max": gate.n_max,
-        "seed": gate.seed,
-        "tol": gate.tol,
-        "worst_margin": gate.worst_margin,
-    }
-    return out
-
-
 def _qa_envelope(gen: Generator, direction: str, gate_trials: int,
                  gate_n_max: int, seed: int) -> EnvelopeResult:
     ngen = normalize(gen)
@@ -201,7 +188,7 @@ def _qa_envelope(gen: Generator, direction: str, gate_trials: int,
         ngen, gate_n_max, gate_trials,
         "ge" if direction == "convex" else "le", seed,
     )
-    diag: dict = {"gate": _gate_summary(gate)}
+    diag: dict = {"gate": {k: v for k, v in gate.to_dict().items() if k != "witness"}}
     if not gate.holds:
         diag["witness"] = gate.witness
         return EnvelopeResult("NoneExists", direction, interval, diagnostics=diag)

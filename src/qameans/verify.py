@@ -11,6 +11,12 @@ Checks: matrix interchange of two means (row-wise then column-wise),
 the chained running-mean inequality, maximality of a computed envelope
 against random concave competitor profiles, agreement of the direct and
 reflected concave-envelope routes, and permutation symmetry.
+
+Each check supplies a margin function to the sampling driver
+``convexity._sample_margins`` and builds its witness once, after the
+loop, from the failing trial with the lowest index (maximality takes it
+from the first failing candidate).  The interchange and running-mean
+witnesses are shrunk once per report.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .convexity import MEAN_CMP_TOL, _grouped_tuples, _sample_margins
 from .envelope import (
     EnvelopeResult,
     _monotone_chain,
@@ -29,9 +36,6 @@ from .envelope import (
 from .errors import CandidateRejected, UsageError
 from .generators import Generator, TabulatedGenerator
 from .means import MeanHandle, QuasiArithmeticMean
-
-# Slack for sampled mean comparisons, relative to the interval span.
-MEAN_CMP_TOL = 1e-9
 
 # Agreement tolerance between the two concave-envelope routes.
 DUALITY_TOL = 1e-6
@@ -79,7 +83,7 @@ class TrialReport:
         return out
 
 
-def _shrink(violation_fn, arr0: np.ndarray, v0: float, floor: float) -> tuple:
+def _shrink(violation_fn, arr0: np.ndarray, floor: float) -> tuple:
     """Pull a counterexample toward the all-equal point while it still violates.
 
     Coordinate-wise bisection toward the grand mean; a move is kept only if
@@ -103,6 +107,63 @@ def _shrink(violation_fn, arr0: np.ndarray, v0: float, floor: float) -> tuple:
     return arr, float(violation_fn(arr))
 
 
+def _shrunk_witness(key: str, sides, row: tuple, trial: int, tol: float) -> dict:
+    """Shrink a failing input of lhs <= rhs once and evaluate both sides.
+
+    row is the driver's (x, margin); sides(x) returns (lhs, rhs) for an
+    input of x's shape, which the witness keeps under key.
+    """
+    x0, margin = row
+
+    def violation(flat):
+        lhs, rhs = sides(flat.reshape(x0.shape))
+        return lhs - rhs
+
+    shrunk, v = _shrink(violation, x0.ravel(), max(2.0 * tol, -0.5 * margin))
+    x = shrunk.reshape(x0.shape)
+    lhs, rhs = sides(x)
+    return {key: x.tolist(), "lhs": lhs, "rhs": rhs, "violation": v, "trial": trial}
+
+
+def _ij_sides(M: MeanHandle, N: MeanHandle, x: np.ndarray) -> tuple:
+    """Both sides N(row-wise M), M(column-wise N) of one n-by-m matrix.
+
+    The columns are copied contiguous so each is summed in the order a
+    single-vector call would sum it.
+    """
+    return float(N(M.batch(x))), float(M(N.batch(np.ascontiguousarray(x.T))))
+
+
+def _ij_sample(M: MeanHandle, N: MeanHandle, draws: list, per: int) -> tuple:
+    """Interchange margins of per random matrices for each (seed, m, n) draw.
+
+    Trial k of draw i is trial i * per + k, so the witness comes from the
+    first failing draw; it is shrunk once.  Returns the worst margin, the
+    failure count, the witness (or None) and the tolerance.
+    """
+    if M.domain != N.domain:
+        raise UsageError("both means must share a working interval")
+    interval = M.domain
+    tol = MEAN_CMP_TOL * interval.span
+
+    def groups():
+        for i, (seed, m, n) in enumerate(draws):
+            rng = np.random.default_rng(seed)
+            yield (np.arange(i * per, (i + 1) * per),
+                   rng.uniform(interval.lo, interval.hi, size=(per, n, m)))
+
+    def margin(X):
+        trials, n, m = X.shape
+        lhs = N.batch(M.batch(X.reshape(-1, m)).reshape(trials, n))
+        rhs = M.batch(N.batch(np.swapaxes(X, 1, 2).reshape(-1, n)).reshape(trials, m))
+        return (rhs - lhs,)
+
+    worst, failures, trial, row = _sample_margins(groups(), margin, tol)
+    witness = None if trial is None else _shrunk_witness(
+        "matrix", lambda x: _ij_sides(M, N, x), row, trial % per, tol)
+    return worst, failures, witness, tol
+
+
 def ingham_jessen_check(M: MeanHandle, N: MeanHandle, m: int, n: int,
                         trials: int, seed: int = 0) -> TrialReport:
     """Test N(row-wise M) <= M(column-wise N) on random n-by-m matrices.
@@ -110,44 +171,19 @@ def ingham_jessen_check(M: MeanHandle, N: MeanHandle, m: int, n: int,
     M consumes the m entries of each row, N the n row results; the right
     side applies N down each of the m columns and M across the results.
     """
-    if M.domain != N.domain:
-        raise UsageError("both means must share a working interval")
     if m < 1 or n < 1 or trials < 1:
         raise UsageError("need m, n, trials >= 1")
-    interval = M.domain
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(interval.lo, interval.hi, size=(trials, n, m))
-    rows = M.batch(X.reshape(-1, m)).reshape(trials, n)
-    lhs = N.batch(rows)
-    cols = N.batch(np.swapaxes(X, 1, 2).reshape(-1, n)).reshape(trials, m)
-    rhs = M.batch(cols)
-    tol = MEAN_CMP_TOL * interval.span
-    margin = rhs - lhs
-    worst = float(np.min(margin))
-    bad = np.nonzero(margin < -tol)[0]
-    witness = None
-    if len(bad) > 0:
-        t = int(bad[0])
-
-        def violation(flat):
-            x = flat.reshape(n, m)
-            l = N([M(row) for row in x])
-            r = M([N(col) for col in x.T])
-            return l - r
-
-        v0 = float(lhs[t] - rhs[t])
-        shrunk, v = _shrink(violation, X[t].ravel(), v0, max(2.0 * tol, 0.5 * v0))
-        x = shrunk.reshape(n, m)
-        witness = {
-            "matrix": [[float(c) for c in row] for row in x],
-            "lhs": float(N([M(row) for row in x])),
-            "rhs": float(M([N(col) for col in x.T])),
-            "violation": v,
-            "trial": t,
-        }
-    return TrialReport("ingham_jessen", trials, int(len(bad)), worst, seed,
+    worst, failures, witness, tol = _ij_sample(M, N, [(seed, m, n)], trials)
+    return TrialReport("ingham_jessen", trials, failures, worst, seed,
                        witness, extra={"m": m, "n": n, "tol": tol,
                                        "M": M.spec_string(), "N": N.spec_string()})
+
+
+def _prefix_sides(M: MeanHandle, N: MeanHandle, vec: np.ndarray) -> tuple:
+    """Both sides N(running M-means), M(running N-means) of one vector."""
+    ks = range(1, len(vec) + 1)
+    return (float(N([M(vec[:k]) for k in ks])),
+            float(M([N(vec[:k]) for k in ks])))
 
 
 def kedlaya_check(M: MeanHandle, N: MeanHandle, n_max: int, trials: int,
@@ -164,46 +200,18 @@ def kedlaya_check(M: MeanHandle, N: MeanHandle, n_max: int, trials: int,
     interval = M.domain
     rng = np.random.default_rng(seed)
     tol = MEAN_CMP_TOL * interval.span
-    sizes = rng.integers(2, n_max + 1, size=trials)
-    worst = np.inf
-    failures = 0
-    witness = None
-    witness_trial = None
-    for n in range(2, n_max + 1):
-        idx = np.nonzero(sizes == n)[0]
-        if len(idx) == 0:
-            continue
-        X = rng.uniform(interval.lo, interval.hi, size=(len(idx), n))
+
+    def margin(X):
+        n = X.shape[1]
         m_pref = np.column_stack([M.batch(X[:, :k]) for k in range(1, n + 1)])
         n_pref = np.column_stack([N.batch(X[:, :k]) for k in range(1, n + 1)])
-        lhs = N.batch(m_pref)
-        rhs = M.batch(n_pref)
-        margin = rhs - lhs
-        worst = min(worst, float(np.min(margin)))
-        bad = np.nonzero(margin < -tol)[0]
-        failures += int(len(bad))
-        if len(bad) > 0:
-            j = bad[np.argmin(idx[bad])]
-            t = int(idx[j])
-            if witness_trial is None or t < witness_trial:
-                witness_trial = t
+        return (M.batch(n_pref) - N.batch(m_pref),)
 
-                def violation(vec):
-                    l = N([M(vec[:k]) for k in range(1, len(vec) + 1)])
-                    r = M([N(vec[:k]) for k in range(1, len(vec) + 1)])
-                    return l - r
-
-                v0 = float(lhs[j] - rhs[j])
-                shrunk, v = _shrink(violation, X[j].copy(), v0,
-                                    max(2.0 * tol, 0.5 * v0))
-                witness = {
-                    "values": [float(c) for c in shrunk],
-                    "lhs": float(N([M(shrunk[:k]) for k in range(1, len(shrunk) + 1)])),
-                    "rhs": float(M([N(shrunk[:k]) for k in range(1, len(shrunk) + 1)])),
-                    "violation": v,
-                    "trial": t,
-                }
-    return TrialReport("kedlaya", trials, failures, float(worst), seed, witness,
+    worst, failures, trial, row = _sample_margins(
+        _grouped_tuples(rng, trials, n_max, interval), margin, tol)
+    witness = None if trial is None else _shrunk_witness(
+        "values", lambda x: _prefix_sides(M, N, x), row, trial, tol)
+    return TrialReport("kedlaya", trials, failures, worst, seed, witness,
                        extra={"n_max": n_max, "tol": tol,
                               "M": M.spec_string(), "N": N.spec_string()})
 
@@ -238,8 +246,7 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
     rejected = 0
     worst = np.inf
     failures = 0
-    witness = None
-    total = 0
+    first = None
     for c in range(candidates):
         for _ in range(200):
             k = int(rng.integers(2, 7))
@@ -263,32 +270,29 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
         htab = TabulatedGenerator(interval, h.values, h1.values,
                                   h1.values / mp, source=f"candidate:{c}")
         cand_mean = QuasiArithmeticMean(htab)
-        sizes = rng.integers(2, 7, size=trials)
-        for n in range(2, 7):
-            idx = np.nonzero(sizes == n)[0]
-            if len(idx) == 0:
-                continue
-            X = rng.uniform(interval.lo, interval.hi, size=(len(idx), n))
-            margin = env_mean.batch(X) - cand_mean.batch(X)
-            total += len(idx)
-            worst = min(worst, float(np.min(margin)))
-            bad = np.nonzero(margin < -MAXIMALITY_TOL)[0]
-            failures += int(len(bad))
-            if len(bad) > 0 and witness is None:
-                j = int(bad[0])
-                witness = {
-                    "candidate": c,
-                    "values": [float(v) for v in X[j]],
-                    "qa_candidate": float(cand_mean(X[j])),
-                    "qa_envelope": float(env_mean(X[j])),
-                    "margin": float(margin[j]),
-                }
-    return TrialReport("maximality", total, failures, float(worst), seed, witness,
-                       extra={"candidates": candidates,
-                              "rejected_candidates": rejected,
-                              "tol": MAXIMALITY_TOL,
-                              "generator": f.spec_string(),
-                              "envelope_status": env.status})
+        w, fails, trial, row = _sample_margins(
+            _grouped_tuples(rng, trials, 6, interval),
+            lambda X: (env_mean.batch(X) - cand_mean.batch(X),), MAXIMALITY_TOL)
+        worst = min(worst, w)
+        failures += fails
+        if first is None and trial is not None:
+            first = (c, cand_mean, row)
+    witness = None
+    if first is not None:
+        c, cand_mean, (x, mg) = first
+        witness = {
+            "candidate": c,
+            "values": [float(v) for v in x],
+            "qa_candidate": float(cand_mean(x)),
+            "qa_envelope": float(env_mean(x)),
+            "margin": float(mg),
+        }
+    return TrialReport("maximality", candidates * trials, failures, worst, seed,
+                       witness, extra={"candidates": candidates,
+                                       "rejected_candidates": rejected,
+                                       "tol": MAXIMALITY_TOL,
+                                       "generator": f.spec_string(),
+                                       "envelope_status": env.status})
 
 
 def duality_check(f: Generator, trials: int, seed: int = 0) -> TrialReport:
@@ -310,64 +314,50 @@ def duality_check(f: Generator, trials: int, seed: int = 0) -> TrialReport:
             f"duality check needs a concave envelope, got status {env_a.status}")
     mean_a = env_a.mean_handle()
     mean_b = env_b.mean_handle()
-    interval = f.domain
     rng = np.random.default_rng(seed)
-    sizes = rng.integers(2, 7, size=trials)
-    worst = np.inf
-    failures = 0
-    witness = None
-    for n in range(2, 7):
-        idx = np.nonzero(sizes == n)[0]
-        if len(idx) == 0:
-            continue
-        X = rng.uniform(interval.lo, interval.hi, size=(len(idx), n))
+
+    def margin(X):
         diff = np.abs(mean_a.batch(X) - mean_b.batch(X))
-        margin = DUALITY_TOL - diff
-        worst = min(worst, float(np.min(margin)))
-        bad = np.nonzero(margin < 0.0)[0]
-        failures += int(len(bad))
-        if len(bad) > 0 and witness is None:
-            j = int(bad[0])
-            witness = {
-                "values": [float(v) for v in X[j]],
-                "direct": float(mean_a(X[j])),
-                "reflected": float(mean_b(X[j])),
-                "difference": float(diff[j]),
-            }
-    return TrialReport("duality", trials, failures, float(worst), seed, witness,
+        return DUALITY_TOL - diff, diff
+
+    worst, failures, trial, row = _sample_margins(
+        _grouped_tuples(rng, trials, 6, f.domain), margin, 0.0)
+    witness = None
+    if trial is not None:
+        x, _, diff = row
+        witness = {
+            "values": [float(v) for v in x],
+            "direct": float(mean_a(x)),
+            "reflected": float(mean_b(x)),
+            "difference": float(diff),
+        }
+    return TrialReport("duality", trials, failures, worst, seed, witness,
                        extra={"generator": f.spec_string(), "tol": DUALITY_TOL,
                               "status": env_a.status})
 
 
 def symmetry_check(mean: MeanHandle, trials: int, seed: int = 0) -> TrialReport:
     """Invariance of the mean under random permutations of its arguments."""
-    interval = mean.domain
     rng = np.random.default_rng(seed)
-    sizes = rng.integers(2, 7, size=trials)
-    worst = np.inf
-    failures = 0
-    witness = None
-    for n in range(2, 7):
-        idx = np.nonzero(sizes == n)[0]
-        if len(idx) == 0:
-            continue
-        X = rng.uniform(interval.lo, interval.hi, size=(len(idx), n))
+
+    def margin(X):
         P = rng.permuted(X, axis=1)
         diff = np.abs(mean.batch(X) - mean.batch(P))
-        margin = SYMMETRY_TOL - diff
-        worst = min(worst, float(np.min(margin)))
-        bad = np.nonzero(margin < 0.0)[0]
-        failures += int(len(bad))
-        if len(bad) > 0 and witness is None:
-            j = int(bad[0])
-            witness = {
-                "values": [float(v) for v in X[j]],
-                "permuted": [float(v) for v in P[j]],
-                "value": float(mean(X[j])),
-                "permuted_value": float(mean(P[j])),
-                "difference": float(diff[j]),
-            }
-    return TrialReport("symmetry", trials, failures, float(worst), seed, witness,
+        return SYMMETRY_TOL - diff, P, diff
+
+    worst, failures, trial, row = _sample_margins(
+        _grouped_tuples(rng, trials, 6, mean.domain), margin, 0.0)
+    witness = None
+    if trial is not None:
+        x, _, p, diff = row
+        witness = {
+            "values": [float(v) for v in x],
+            "permuted": [float(v) for v in p],
+            "value": float(mean(x)),
+            "permuted_value": float(mean(p)),
+            "difference": float(diff),
+        }
+    return TrialReport("symmetry", trials, failures, worst, seed, witness,
                        extra={"mean": mean.spec_string(), "tol": SYMMETRY_TOL})
 
 
@@ -376,25 +366,16 @@ def ingham_jessen_sweep(M: MeanHandle, N: MeanHandle, trials: int,
     """Run the matrix interchange check over all shapes 2..max_dim squared.
 
     Trials are split evenly across the (m, n) combinations; each runs on
-    its own derived seed so the sweep stays reproducible as a whole.
+    its own derived seed so the sweep stays reproducible as a whole.  The
+    witness comes from the first failing combination.
     """
     combos = [(m, n) for m in range(2, max_dim + 1) for n in range(2, max_dim + 1)]
     per = max(1, trials // len(combos))
-    failures = 0
-    worst = np.inf
-    witness = None
-    total = 0
-    for i, (m, n) in enumerate(combos):
-        rep = ingham_jessen_check(M, N, m, n, per, seed + 7919 * i)
-        total += rep.trials
-        failures += rep.failures
-        if rep.worst_margin < worst:
-            worst = rep.worst_margin
-        if witness is None and rep.witness is not None:
-            witness = dict(rep.witness)
-            witness["m"] = m
-            witness["n"] = n
-    return TrialReport("ingham_jessen_sweep", total, failures, float(worst),
+    worst, failures, witness, _ = _ij_sample(
+        M, N, [(seed + 7919 * i, m, n) for i, (m, n) in enumerate(combos)], per)
+    if witness is not None:
+        witness.update(m=len(witness["matrix"][0]), n=len(witness["matrix"]))
+    return TrialReport("ingham_jessen_sweep", per * len(combos), failures, worst,
                        seed, witness,
                        extra={"max_dim": max_dim, "trials_per_combo": per,
                               "M": M.spec_string(), "N": N.spec_string()})

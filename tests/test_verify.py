@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qameans import verify
 from qameans.envelope import qa_convex_envelope
 from qameans.errors import UsageError
 from qameans.means import ArithmeticMean, MeanHandle, QuasiArithmeticMean
@@ -81,10 +82,28 @@ def test_ingham_jessen_sweep_aggregates(iv, catalog):
     assert rep.passed
     assert rep.extra["trials_per_combo"] == 100
     assert rep.trials == 1600
-    # smaller failing sweep: every combo that fails shrinks its own witness
+    # smaller failing sweep: the witness comes from the first failing combo
     bad = ingham_jessen_sweep(a, g, trials=400, seed=0, max_dim=3)
     assert not bad.passed
     assert {"m", "n"} <= set(bad.witness)
+
+
+def test_failing_reports_shrink_one_witness(iv, catalog, monkeypatch):
+    calls = []
+    shrink = verify._shrink
+
+    def counting(*args):
+        calls.append(args)
+        return shrink(*args)
+
+    monkeypatch.setattr(verify, "_shrink", counting)
+    a = ArithmeticMean(iv)
+    g = QuasiArithmeticMean(catalog["log"])
+    rep = ingham_jessen_sweep(a, g, trials=400, seed=0, max_dim=3)
+    assert rep.failures > 1 and len(calls) == 1
+    calls.clear()
+    rep = kedlaya_check(a, g, 5, 200, seed=6)
+    assert rep.failures > 1 and len(calls) == 1
 
 
 def test_kedlaya_equal_means_and_paired_means(iv, catalog):
@@ -191,6 +210,24 @@ def test_symmetry_catches_order_dependence(iv):
     w = rep.witness
     assert sorted(w["values"]) == sorted(w["permuted"])
     assert w["difference"] > rep.extra["tol"]
+
+
+def test_symmetry_witness_is_lowest_failing_trial(iv):
+    mean = _FirstHeavy(iv)
+    rep = symmetry_check(mean, trials=2000, seed=0)
+    # replay the draws: sizes, then per size the tuples and their permutations
+    rng = np.random.default_rng(0)
+    sizes = rng.integers(2, 7, size=2000)
+    rows = {}
+    for n in range(2, 7):
+        idx = np.nonzero(sizes == n)[0]
+        X = rng.uniform(iv.lo, iv.hi, size=(len(idx), n))
+        P = rng.permuted(X, axis=1)
+        diff = np.abs(mean.batch(X) - mean.batch(P))
+        rows.update((int(t), x) for t, x, d in zip(idx, X, diff)
+                    if d > rep.extra["tol"])
+    assert rep.failures == len(rows)
+    assert rep.witness["values"] == rows[min(rows)].tolist()
 
 
 def test_reports_are_deterministic(iv, catalog, rho_x2_gen):
