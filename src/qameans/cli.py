@@ -6,11 +6,18 @@ grid resolution, seed, and trial count, so any run can be reproduced from
 its own output.  Numbers are printed in shortest round-trip form.  Exit
 codes: 0 success or pass, 1 a check failed with a witness (including an
 envelope that does not exist), 2 usage or domain errors.
+
+:func:`run` can be called repeatedly from one process: the argument parser
+is built once, on the first call, and parse_args gives every call a fresh
+namespace, so each report is the same bytes as a shell run with that argv.
+Grids handed out by ``WorkingInterval.grid()`` are shared and read-only;
+copy one before writing into it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -36,6 +43,7 @@ DEFAULT_HI = 10.0
 DEFAULT_TRIALS = 10_000
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--gen", required=True,
@@ -248,8 +256,8 @@ def _cmd_verify(args, seed: int) -> int:
             _json_report(report, args.out)
             return 1
         candidates = max(1, min(100, args.trials // 100))
-        rep = maximality_check(gen, env, candidates,
-                               max(1, args.trials // candidates), seed)
+        rep = maximality_check(gen, env, candidates, args.trials // candidates,
+                               seed)
     elif args.check == "duality":
         gen = parse_generator(args.gen, interval)
         rep = duality_check(gen, args.trials, seed)
@@ -265,9 +273,8 @@ def _cmd_verify(args, seed: int) -> int:
 
 def run(argv) -> int:
     """Parse argv, run the command, return the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

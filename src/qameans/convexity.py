@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSecondDerivative, SignChange
+from .errors import DegenerateSecondDerivative, SignChange, UsageError
 from .generators import Generator, normalize, reflect_generator, rho
 from .grids import WorkingInterval
 from .means import MeanHandle, _qa_mean_batch
@@ -175,14 +175,27 @@ class GateReport:
 
 
 def _grouped_tuples(rng, trials: int, n_max: int, interval: WorkingInterval):
-    """Random tuple sizes 2..n_max, yielded as (original indices, batch)."""
+    """Random tuple sizes 2..n_max, yielded as (original indices, batch).
+
+    The one rule for sample counts of every sampled check: trials >= 1 and
+    n_max >= 2, else UsageError, raised at the call, before anything is
+    drawn.  The batches are drawn lazily, one per size, between the draws
+    a margin function makes from the same rng.
+    """
+    if trials < 1:
+        raise UsageError(f"need trials >= 1, got {trials}")
+    if n_max < 2:
+        raise UsageError(f"need n_max >= 2, got {n_max}")
     sizes = rng.integers(2, n_max + 1, size=trials)
-    for n in range(2, n_max + 1):
-        idx = np.nonzero(sizes == n)[0]
-        if len(idx) == 0:
-            continue
-        X = rng.uniform(interval.lo, interval.hi, size=(len(idx), n))
-        yield idx, X
+
+    def groups():
+        for n in range(2, n_max + 1):
+            idx = np.nonzero(sizes == n)[0]
+            if len(idx) == 0:
+                continue
+            yield idx, rng.uniform(interval.lo, interval.hi, size=(len(idx), n))
+
+    return groups()
 
 
 def _sample_margins(groups, margin_fn, tol: float) -> tuple:
@@ -220,9 +233,7 @@ def dominates_arithmetic(gen: Generator, n_max: int, trials: int,
     returned as a witness tuple with both sides evaluated.
     """
     if direction not in ("ge", "le"):
-        raise ValueError("direction must be 'ge' or 'le'")
-    if trials < 1 or n_max < 2:
-        raise ValueError("need trials >= 1 and n_max >= 2")
+        raise UsageError("direction must be 'ge' or 'le'")
     rng = np.random.default_rng(seed)
     tol = MEAN_CMP_TOL * gen.domain.span
 
@@ -284,9 +295,7 @@ def jensen_midpoint_check(mean: MeanHandle, n_max: int, trials: int,
     counterexample and is reported with both sides.
     """
     if sense not in ("convex", "concave"):
-        raise ValueError("sense must be 'convex' or 'concave'")
-    if trials < 1 or n_max < 2:
-        raise ValueError("need trials >= 1 and n_max >= 2")
+        raise UsageError("sense must be 'convex' or 'concave'")
     rng = np.random.default_rng(seed)
     interval = mean.domain
 

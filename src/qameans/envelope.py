@@ -45,7 +45,8 @@ class PiecewiseLinearHull:
 
     Vertices are strictly increasing in x, span the whole interval, and
     interior collinear vertices are dropped, so the vertex list is the
-    canonical minimal one.
+    canonical minimal one.  The vertex coordinates are also kept as two
+    read-only arrays, built once, which every evaluation interpolates.
     """
 
     vertices: tuple
@@ -59,11 +60,13 @@ class PiecewiseLinearHull:
             raise UsageError("hull vertices must be strictly increasing in x")
         if self.orientation not in ("upper", "lower"):
             raise UsageError("orientation must be 'upper' or 'lower'")
+        vy = np.array([v[1] for v in self.vertices])
+        vx.flags.writeable = vy.flags.writeable = False
+        object.__setattr__(self, "_vx", vx)
+        object.__setattr__(self, "_vy", vy)
 
     def __call__(self, x):
-        vx = np.array([v[0] for v in self.vertices])
-        vy = np.array([v[1] for v in self.vertices])
-        return np.interp(x, vx, vy)
+        return np.interp(x, self._vx, self._vy)
 
     def to_list(self) -> list:
         return [[float(x), float(y)] for x, y in self.vertices]

@@ -49,7 +49,18 @@ class WorkingInterval:
         return (self.hi - self.lo) / (self.grid_points - 1)
 
     def grid(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.grid_points)
+        """The uniform grid linspace(lo, hi, grid_points), built on first use.
+
+        Every call returns the same read-only array, shared by all callers;
+        copy it before writing.  The cache is not a field, so equality,
+        hashing and repr see only lo, hi and grid_points.
+        """
+        xs = self.__dict__.get("_grid")
+        if xs is None:
+            xs = np.linspace(self.lo, self.hi, self.grid_points)
+            xs.flags.writeable = False
+            object.__setattr__(self, "_grid", xs)
+        return xs
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)

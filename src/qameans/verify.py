@@ -195,8 +195,6 @@ def kedlaya_check(M: MeanHandle, N: MeanHandle, n_max: int, trials: int,
     """
     if M.domain != N.domain:
         raise UsageError("both means must share a working interval")
-    if n_max < 2 or trials < 1:
-        raise UsageError("need n_max >= 2 and trials >= 1")
     interval = M.domain
     rng = np.random.default_rng(seed)
     tol = MEAN_CMP_TOL * interval.span
@@ -230,6 +228,8 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
         raise UsageError(f"maximality needs an envelope, got status {env.status}")
     if env.direction != "convex":
         raise UsageError("maximality check applies to the convex envelope")
+    if candidates < 1:
+        raise UsageError(f"need candidates >= 1, got {candidates}")
     interval = env.interval
     xs = interval.grid()
     rho_vals = env.rho.values
@@ -367,8 +367,13 @@ def ingham_jessen_sweep(M: MeanHandle, N: MeanHandle, trials: int,
 
     Trials are split evenly across the (m, n) combinations; each runs on
     its own derived seed so the sweep stays reproducible as a whole.  The
-    witness comes from the first failing combination.
+    witness comes from the first failing combination.  Needs trials >= 1
+    and max_dim >= 2; fewer than one trial per combination runs one each.
     """
+    if trials < 1:
+        raise UsageError(f"need trials >= 1, got {trials}")
+    if max_dim < 2:
+        raise UsageError(f"need max_dim >= 2, got {max_dim}")
     combos = [(m, n) for m in range(2, max_dim + 1) for n in range(2, max_dim + 1)]
     per = max(1, trials // len(combos))
     worst, failures, witness, _ = _ij_sample(

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, formats, seeds, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,3 +259,69 @@ def test_output_file_writing(tmp_path, capsys):
     assert code == 0
     data = json.loads(path.read_text())
     assert data["class"] == "Convex"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--check", "symmetry", "--gen", "power:3", "--trials", "0"],
+    ["verify", "--check", "symmetry", "--gen", "power:3", "--trials", "-1"],
+    ["verify", "--check", "duality", "--gen", "log", "--trials", "0"],
+    ["verify", "--check", "ij", "--gen", "log", "--trials", "0"],
+    ["verify", "--check", "kedlaya", "--gen", "log", "--trials", "0"],
+    ["verify", "--check", "maximality", "--gen", "power:3", "--trials", "0"],
+    ["envelope", "--gen", "power:3", "--trials", "0"],
+])
+def test_nonpositive_trials_is_usage_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: need trials >= 1")
+
+
+# One argv per subcommand.  The first run sets --seed and the envelope run
+# asks for CSV, so a parser that carried values from one call into the next
+# would change a later report.
+REUSE_ARGVS = [
+    ["eval", "--gen", "power:2", "--vec", "1,7", "--seed", "7"],
+    ["classify", "--gen", "log", "--lo", "0.5", "--hi", "4"],
+    ["compare", "--gen", "log", "--gen2", "power:2"],
+    ["envelope", "--gen", "log", "--kind", "concave", "--grid", "33",
+     "--trials", "200", "--format", "csv"],
+    ["verify", "--check", "kedlaya", "--gen", "log", "--trials", "300"],
+]
+
+
+def _shell_report(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "QAM_SEED"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run([sys.executable, "-m", "qameans", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_repeated_runs_share_a_parser_without_state(capsys, monkeypatch):
+    monkeypatch.delenv("QAM_SEED", raising=False)
+    reports = []
+    for _ in range(2):
+        for argv in REUSE_ARGVS:
+            assert run(argv) == 0
+            reports.append(capsys.readouterr().out)
+        assert run(["verify", "--check", "nope", "--gen", "log"]) == 2
+        assert run(["compare", "--help"]) == 0
+        capsys.readouterr()
+    first, second = reports[:len(REUSE_ARGVS)], reports[len(REUSE_ARGVS):]
+    assert first == second
+    for argv, report in zip(REUSE_ARGVS, first):
+        assert report == _shell_report(argv), argv
+
+
+def test_seed_from_environment_is_read_on_every_run(capsys, monkeypatch):
+    argv = ["verify", "--check", "symmetry", "--gen", "log", "--trials", "100"]
+    seeds = []
+    for value in ("3", "11"):
+        monkeypatch.setenv("QAM_SEED", value)
+        assert run(argv) == 0
+        seeds.append(_json_out(capsys)["config"]["seed"])
+    assert seeds == [3, 11]

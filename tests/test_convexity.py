@@ -8,6 +8,7 @@ from qameans.convexity import (
     dominates_arithmetic,
     jensen_midpoint_check,
 )
+from qameans.errors import UsageError
 from qameans.generators import (
     AffineGenerator,
     AffineOfGenerator,
@@ -121,6 +122,23 @@ def test_dominates_arithmetic_deterministic(catalog):
     a = dominates_arithmetic(catalog["power:3"], n_max=5, trials=3000, seed=7)
     b = dominates_arithmetic(catalog["power:3"], n_max=5, trials=3000, seed=7)
     assert a == b
+
+
+@pytest.mark.parametrize("n_max, trials", [(5, 0), (5, -1), (1, 100)])
+def test_sampled_gates_reject_bad_counts(catalog, n_max, trials):
+    with pytest.raises(UsageError):
+        dominates_arithmetic(catalog["power:3"], n_max=n_max, trials=trials)
+    with pytest.raises(UsageError):
+        jensen_midpoint_check(QuasiArithmeticMean(catalog["power:3"]),
+                              n_max=n_max, trials=trials)
+
+
+def test_sampled_gates_reject_bad_direction(catalog):
+    with pytest.raises(UsageError):
+        dominates_arithmetic(catalog["log"], 5, 100, direction="gt")
+    with pytest.raises(UsageError):
+        jensen_midpoint_check(QuasiArithmeticMean(catalog["log"]), 5, 100,
+                              sense="both")
 
 
 def test_jensen_midpoint_arithmetic_both_senses(iv):

@@ -54,6 +54,16 @@ def test_upper_hull_of_convex_samples_is_the_chord():
     assert hull.orientation == "upper"
 
 
+def test_hull_vertex_arrays_are_built_once():
+    verts = ((0.0, 1.0), (1.0, 3.0), (2.0, 2.0))
+    a = PiecewiseLinearHull(verts, "upper")
+    b = PiecewiseLinearHull(verts, "upper")
+    x = np.array([0.0, 0.5, 1.5, 2.0])
+    assert np.array_equal(a(x), [1.0, 2.0, 2.5, 2.0])
+    assert a(x).tobytes() == np.interp(x, [0.0, 1.0, 2.0], [1.0, 3.0, 2.0]).tobytes()
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
 def test_upper_hull_of_tent_dip():
     ivs = WorkingInterval(0.0, 2.0, 3)
     hull = concave_envelope_1d(ScalarGrid(ivs, np.array([1.0, 0.0, 1.0])))

@@ -79,6 +79,28 @@ def test_working_interval_accepts_integer_grid_sizes():
     assert WorkingInterval(0.1, 10.0, np.int64(5)).grid().shape == (5,)
 
 
+def test_working_interval_grid_is_built_once_and_read_only():
+    iv = WorkingInterval(-0.3, 7.1, 1025)
+    xs = iv.grid()
+    assert np.array_equal(xs, np.linspace(-0.3, 7.1, 1025))
+    assert xs.tobytes() == np.linspace(-0.3, 7.1, 1025).tobytes()
+    assert iv.grid() is xs
+    with pytest.raises(ValueError):
+        xs[0] = 1.0
+    ref = iv.reflected()
+    assert ref.grid() is not xs
+    assert ref.grid().tobytes() == np.linspace(-7.1, 0.3, 1025).tobytes()
+
+
+def test_working_interval_grid_cache_leaves_identity_alone():
+    a = WorkingInterval(0.1, 10.0, 65)
+    b = WorkingInterval(0.1, 10.0, 65)
+    a.grid()
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == "WorkingInterval(lo=0.1, hi=10.0, grid_points=65)"
+    assert {a: 1}[b] == 1
+
+
 def test_derivative_grids_match_finite_differences(iv):
     """Reported f1 and f2 agree with central differences of reported f."""
     xs = iv.grid()

@@ -163,6 +163,29 @@ def test_maximality_rejects_wrong_inputs(catalog, rho_neg_x2_gen):
         maximality_check(rho_neg_x2_gen, conc, candidates=2, trials=10, seed=0)
 
 
+def test_checks_reject_bad_counts(iv, catalog, rho_x2_gen):
+    a, g = ArithmeticMean(iv), QuasiArithmeticMean(catalog["log"])
+    env = qa_convex_envelope(rho_x2_gen, seed=0)
+    for trials in (0, -1):
+        with pytest.raises(UsageError):
+            symmetry_check(g, trials=trials)
+        with pytest.raises(UsageError):
+            duality_check(catalog["log"], trials=trials)
+        with pytest.raises(UsageError):
+            ingham_jessen_sweep(g, a, trials=trials)
+        with pytest.raises(UsageError):
+            kedlaya_check(g, a, n_max=5, trials=trials)
+        with pytest.raises(UsageError):
+            maximality_check(rho_x2_gen, env, candidates=2, trials=trials)
+    with pytest.raises(UsageError):
+        maximality_check(rho_x2_gen, env, candidates=0, trials=10)
+    with pytest.raises(UsageError):
+        kedlaya_check(g, a, n_max=1, trials=100)
+    for max_dim in (1, 0):
+        with pytest.raises(UsageError):
+            ingham_jessen_sweep(g, a, trials=100, max_dim=max_dim)
+
+
 def test_duality_passes_on_concave_catalog(catalog, rho_neg_x2_gen):
     gens = [catalog["log"], catalog["power:0.5"], catalog["power:-1"],
             catalog["id"], rho_neg_x2_gen]
