@@ -48,7 +48,7 @@ def main():
     print("expected to pass:")
     ok = show(ingham_jessen_sweep(G, A, args.trials, args.seed))
     ok &= show(kedlaya_check(G, A, 5, args.trials, args.seed))
-    env = qa_convex_envelope(P3, seed=args.seed)
+    env = qa_convex_envelope(P3)
     ok &= show(maximality_check(P3, env, candidates=20,
                                 trials=max(1, args.trials // 20),
                                 seed=args.seed))

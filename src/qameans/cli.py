@@ -225,8 +225,8 @@ def _cmd_envelope(args, seed: int) -> int:
     interval = WorkingInterval(args.lo, args.hi, args.grid)
     gen = parse_generator(args.gen, interval)
     fn = qa_convex_envelope if args.kind == "convex" else qa_concave_envelope
-    result = fn(gen, gate_trials=args.trials, seed=seed)
-    failed = result.status in ("NoneExists", "NonsmoothCase")
+    result = fn(gen)
+    failed = result.status == "NoneExists"
     if args.format == "csv" and not failed:
         _emit(_envelope_csv(result, _config(args, seed, kind=args.kind)), args.out)
     else:
@@ -246,8 +246,10 @@ def _cmd_verify(args, seed: int) -> int:
         else:
             rep = kedlaya_check(M, N, 5, args.trials, seed)
     elif args.check == "maximality":
+        if args.trials < 1:
+            raise UsageError(f"need trials >= 1, got {args.trials}")
         gen = parse_generator(args.gen, interval)
-        env = qa_convex_envelope(gen, seed=seed)
+        env = qa_convex_envelope(gen)
         if env.status not in ("Envelope", "AlreadyExtremal"):
             report = {"config": _config(args, seed, check=args.check),
                       "check": "maximality",

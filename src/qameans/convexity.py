@@ -9,7 +9,7 @@ rather than by numerical luck.  Generators with f'' identically zero give
 the arithmetic mean, the unique member that is both convex and concave.
 
 Two sampled cross-checks accompany the classification: domination of the
-arithmetic mean (the existence gate for convex envelopes) and a direct
+arithmetic mean (a cross-check of the envelope existence verdict) and a direct
 midpoint Jensen test on random tuple pairs.  They, and every check in
 :mod:`qameans.verify`, run through one driver, :func:`_sample_margins`: it
 folds a margin function over groups of trials and keeps the worst margin,
@@ -27,9 +27,6 @@ from .errors import DegenerateSecondDerivative, SignChange, UsageError
 from .generators import Generator, normalize, reflect_generator, rho
 from .grids import WorkingInterval
 from .means import MeanHandle, _qa_mean_batch
-
-# Positivity floor for rho, relative to the interval span.
-POS_TAU = 1e-10
 
 # Concavity slack for second differences of rho, relative to max |rho|.
 CONC_TAU = 1e-8
@@ -65,8 +62,7 @@ def _profile_pos_concave(values, interval: WorkingInterval) -> dict:
     """
     xs = interval.grid()
     r = np.asarray(values, dtype=float)
-    delta_pos = POS_TAU * interval.span
-    pos_margin = float(np.min(r)) - delta_pos
+    pos_margin = float(np.min(r))
     if pos_margin <= 0.0:
         k = int(np.argmin(r))
         return {

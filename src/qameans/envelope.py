@@ -12,9 +12,10 @@ to (ln g')' = 1/m:
 
 anchored at g(lo) = 0, g'(lo) = 1 (any anchor gives the same mean).
 
-An envelope in a given direction exists at all only when the mean sits on
-the right side of the arithmetic mean; that gate is decided by sampling
-before anything else runs, and failures return the violating tuple.
+An envelope in a given direction exists only when the mean sits on the
+right side of the arithmetic mean; for increasing f, QA_f >= A exactly when
+f is convex (Jensen), so the sign of rho decides, and a refusal returns a
+re-verified violating grid pair.
 """
 
 from __future__ import annotations
@@ -24,19 +25,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .convexity import _profile_pos_concave, dominates_arithmetic
+from .convexity import MEAN_CMP_TOL, _profile_pos_concave
 from .errors import (
     DegenerateSecondDerivative,
     NonpositiveM,
+    RangeError,
     SignChange,
     UsageError,
 )
 from .generators import Generator, TabulatedGenerator, normalize, rho, tabulate
 from .grids import ScalarGrid, WorkingInterval
-from .means import ArithmeticMean, MeanHandle, QuasiArithmeticMean
-
-DEFAULT_GATE_TRIALS = 10_000
-DEFAULT_GATE_NMAX = 5
+from .means import ArithmeticMean, MeanHandle, QuasiArithmeticMean, _qa_mean_batch
 
 
 @dataclass(frozen=True)
@@ -139,8 +138,8 @@ class EnvelopeResult:
     """Outcome of a QA envelope computation.
 
     status is one of Envelope, AlreadyExtremal, ArithmeticEnvelope,
-    NoneExists, NonsmoothCase.  Grids are present for the first three;
-    NoneExists carries the gate witness in diagnostics.
+    NoneExists.  Grids are present for the first three; NoneExists carries
+    the violating grid pair in diagnostics["witness"].
     """
 
     status: str
@@ -181,49 +180,71 @@ class EnvelopeResult:
         return out
 
 
-def _qa_envelope(gen: Generator, direction: str, gate_trials: int,
-                 gate_n_max: int, seed: int) -> EnvelopeResult:
+def _pair_witness(gen: Generator, direction: str) -> dict | None:
+    """A grid pair (a, b) with QA_f(a, b) on the wrong side of (a + b)/2, or None.
+
+    Second differences of f, negated for the concave direction, are negative
+    where f bends the wrong way; the pair bounds the maximal run of them around
+    the most negative.  Direct evaluation must confirm it beyond MEAN_CMP_TOL * span.
+    """
+    xs = gen.domain.grid()
+    fx = np.asarray(gen.f(xs), dtype=float)
+    if not np.all(np.isfinite(fx)):
+        raise RangeError(f"{gen.spec_string()}: generator values overflow on the grid")
+    d2 = fx[:-2] - 2.0 * fx[1:-1] + fx[2:]
+    if direction == "concave":
+        d2 = -d2
+    k = int(np.argmin(d2))
+    if not d2[k] < 0.0:
+        return None
+    # d2[j] sits at grid point j + 1; the pair flanks the run around k
+    ok = np.flatnonzero(d2 >= 0.0)
+    j = int(np.searchsorted(ok, k))
+    a = int(ok[j - 1]) + 1 if j > 0 else 0
+    b = int(ok[j]) + 1 if j < len(ok) else len(xs) - 1
+    pair = xs[[a, b]]
+    qa = float(_qa_mean_batch(gen, pair[None, :])[0])
+    am = float(pair.mean())
+    margin = am - qa if direction == "convex" else qa - am
+    tol = MEAN_CMP_TOL * gen.domain.span
+    if not margin > tol:
+        return None
+    return {"values": pair.tolist(), "qa_mean": qa, "arith_mean": am,
+            "margin": margin, "tol": tol}
+
+
+def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
     ngen = normalize(gen)
     interval = ngen.domain
     xs = interval.grid()
 
-    gate = dominates_arithmetic(
-        ngen, gate_n_max, gate_trials,
-        "ge" if direction == "convex" else "le", seed,
-    )
-    diag: dict = {"gate": {k: v for k, v in gate.to_dict().items() if k != "witness"}}
-    if not gate.holds:
-        diag["witness"] = gate.witness
-        return EnvelopeResult("NoneExists", direction, interval, diagnostics=diag)
-
+    # Existence and extremality are read from rho for the convex direction
+    # and from -rho for the concave one (rho negative and convex is the
+    # concave counterpart of rho positive and concave): a wrong sign rules
+    # the envelope out.
     try:
         profile = rho(ngen)
+        oriented = profile.values if direction == "convex" else -profile.values
+        if not np.min(oriented) > 0.0:
+            raise SignChange(f"{ngen.spec_string()}: the sign of f'' rules out "
+                             f"a {direction} envelope")
     except DegenerateSecondDerivative as exc:
-        diag["detail"] = str(exc)
         return EnvelopeResult(
             "ArithmeticEnvelope", direction, interval,
             g=ScalarGrid(interval, xs),
             g1=ScalarGrid(interval, np.ones_like(xs)),
-            diagnostics=diag,
+            diagnostics={"detail": str(exc)},
         )
     except SignChange as exc:
-        diag["reason"] = "second derivative changes sign although the gate passed"
-        diag["witness"] = exc.witness
-        return EnvelopeResult("NonsmoothCase", direction, interval, diagnostics=diag)
+        witness = _pair_witness(ngen, direction)
+        if witness is None:
+            raise SignChange(f"{exc}; no grid pair confirms it beyond the "
+                             f"comparison tolerance", exc.witness) from exc
+        return EnvelopeResult("NoneExists", direction, interval,
+                              diagnostics={"witness": witness})
 
-    # The extremality test runs on rho for the convex direction and on
-    # -rho for the concave one (rho negative and convex is the concave
-    # counterpart of rho positive and concave).
-    oriented = profile.values if direction == "convex" else -profile.values
     already = _profile_pos_concave(oriented, interval)
-    diag["profile_test"] = {k: v for k, v in already.items() if k != "ok"}
-
-    if already.get("reason") == "nonpositive-rho":
-        # Wrong-signed profile past the gate: only reachable through
-        # sampling slack; the construction's hypotheses do not hold.
-        diag["reason"] = "profile has the wrong sign although the gate passed"
-        return EnvelopeResult("NonsmoothCase", direction, interval,
-                              rho=profile, diagnostics=diag)
+    diag = {"profile_test": {k: v for k, v in already.items() if k != "ok"}}
 
     if already["ok"]:
         hull = (concave_envelope_1d(profile) if direction == "convex"
@@ -259,31 +280,24 @@ def _qa_envelope(gen: Generator, direction: str, gate_trials: int,
     )
 
 
-def qa_convex_envelope(gen: Generator, *, gate_trials: int = DEFAULT_GATE_TRIALS,
-                       gate_n_max: int = DEFAULT_GATE_NMAX,
-                       seed: int = 0) -> EnvelopeResult:
+def qa_convex_envelope(gen: Generator) -> EnvelopeResult:
     """Largest convex QA mean below QA_f on the working interval.
 
-    Pipeline: normalize; sampled existence gate QA_f >= A (failure means
-    no convex QA minorant exists and returns the witness); degenerate f''
-    gives the arithmetic mean; a positive concave profile means QA_f is
-    its own envelope; otherwise the upper hull of the profile is taken and
-    the envelope generator is reconstructed from it.
+    Pipeline: normalize; degenerate f'' gives the arithmetic mean; an f''
+    that is not strictly positive on the grid means no convex QA minorant
+    exists, and the result names a violating grid pair; a positive concave
+    profile means QA_f is its own envelope; otherwise the upper hull of the
+    profile is taken and the envelope generator is reconstructed from it.
     """
-    return _qa_envelope(gen, "convex", gate_trials, gate_n_max, seed)
+    return _qa_envelope(gen, "convex")
 
 
-def qa_concave_envelope(gen: Generator, *, gate_trials: int = DEFAULT_GATE_TRIALS,
-                        gate_n_max: int = DEFAULT_GATE_NMAX,
-                        seed: int = 0) -> EnvelopeResult:
+def qa_concave_envelope(gen: Generator) -> EnvelopeResult:
     """Smallest concave QA mean above QA_f (direct route: lower hull of rho)."""
-    return _qa_envelope(gen, "concave", gate_trials, gate_n_max, seed)
+    return _qa_envelope(gen, "concave")
 
 
-def qa_concave_envelope_via_reflection(gen: Generator, *,
-                                       gate_trials: int = DEFAULT_GATE_TRIALS,
-                                       gate_n_max: int = DEFAULT_GATE_NMAX,
-                                       seed: int = 0) -> EnvelopeResult:
+def qa_concave_envelope_via_reflection(gen: Generator) -> EnvelopeResult:
     """Concave envelope by the mirror route: reflect, convex-envelope, reflect.
 
     Cross-check for the direct route.  The returned result is expressed on
@@ -294,13 +308,13 @@ def qa_concave_envelope_via_reflection(gen: Generator, *,
     from .generators import reflect_generator
 
     rgen = reflect_generator(gen)
-    renv = _qa_envelope(rgen, "convex", gate_trials, gate_n_max, seed)
+    renv = _qa_envelope(rgen, "convex")
     interval = gen.domain
     xs = interval.grid()
     diag = dict(renv.diagnostics)
     diag["route"] = "reflected"
 
-    if renv.status in ("NoneExists", "NonsmoothCase"):
+    if renv.status == "NoneExists":
         return EnvelopeResult(renv.status, "concave", interval, diagnostics=diag)
     if renv.status == "ArithmeticEnvelope":
         return EnvelopeResult(
@@ -317,12 +331,9 @@ def qa_concave_envelope_via_reflection(gen: Generator, *,
     gen_out = normalize(reflect_generator(renv.generator))
     gvals = np.asarray(gen_out.f(xs), dtype=float)
     g1vals = np.asarray(gen_out.f1(xs), dtype=float)
-    rho_vals = None
-    if renv.rho is not None:
-        rho_vals = ScalarGrid(interval, -renv.rho.values[::-1])
     return EnvelopeResult(
         renv.status, "concave", interval,
-        rho=rho_vals, m=hull,
+        rho=ScalarGrid(interval, -renv.rho.values[::-1]), m=hull,
         g=ScalarGrid(interval, gvals),
         g1=ScalarGrid(interval, g1vals),
         generator=gen_out, diagnostics=diag,

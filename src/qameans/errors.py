@@ -27,8 +27,9 @@ class DegenerateSecondDerivative(QameansError):
 
 
 class SignChange(QameansError):
-    """The second derivative changes sign (or dips to zero) on the grid, so the
-    slope/curvature ratio is not defined as a sign-constant profile."""
+    """The second derivative is not strictly one-signed on the grid.  An
+    envelope raises it when f'' rules the envelope out but no grid pair of
+    the values confirms that: the curvature data contradicts the values."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

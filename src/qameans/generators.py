@@ -30,10 +30,6 @@ from .grids import ScalarGrid, WorkingInterval
 # against max|f'| / (hi - lo) so the test is scale- and unit-consistent.
 DEGENERATE_TAU = 1e-8
 
-# Relative floor deciding that f'' is bounded away from zero: every grid value
-# must exceed SIGN_TAU * max|f''| in magnitude, with a single sign throughout.
-SIGN_TAU = 1e-8
-
 
 class Generator:
     """Base class: strictly monotone f with derivative oracles on a domain."""
@@ -68,9 +64,6 @@ class Generator:
             raise NotMonotone(
                 f"{self.spec_string()}: f' must be nonzero with one sign on the grid"
             )
-
-    def is_increasing(self) -> bool:
-        return float(self.f1(self.domain.lo)) > 0.0
 
 
 class PowerGenerator(Generator):
@@ -266,6 +259,8 @@ class TabulatedGenerator(Generator):
         vals = np.array(values, dtype=float)
         if vals.shape != (domain.grid_points,):
             raise UsageError("tabulated values must match the grid")
+        if not np.all(np.isfinite(vals)):
+            raise RangeError("tabulated values must be finite")
         d = np.diff(vals)
         if not (np.all(d > 0.0) or np.all(d < 0.0)):
             raise NotMonotone("tabulated values must be strictly monotone")
@@ -400,17 +395,19 @@ def normalize(gen: Generator) -> Generator:
 def rho(gen: Generator) -> ScalarGrid:
     """The slope/curvature profile f'/f'' sampled on the grid.
 
-    Requires an increasing generator whose second derivative has a single
-    sign and is bounded away from zero on the grid.  Raises
-    DegenerateSecondDerivative when f'' is numerically zero everywhere
-    (affine-equivalent generator, arithmetic mean) and SignChange when f''
-    flips sign or dips below the nonvanishing floor at some grid point.
+    Requires an increasing generator with f' and f'' finite on the grid
+    (else RangeError).  Raises DegenerateSecondDerivative when f'' is
+    numerically zero everywhere (affine-equivalent generator, arithmetic
+    mean) and SignChange unless f'' is strictly one-signed on the grid,
+    with no floor relative to max|f''|.
     """
     xs = gen.domain.grid()
     g1 = np.asarray(gen.f1(xs), dtype=float)
     if not np.all(g1 > 0.0):
         raise UsageError("rho requires a normalized (increasing) generator")
     g2 = np.asarray(gen.f2(xs), dtype=float)
+    if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+        raise RangeError(f"{gen.spec_string()}: f' or f'' is not finite on the grid")
     scale2 = float(np.max(np.abs(g2)))
     degenerate_floor = DEGENERATE_TAU * float(np.max(np.abs(g1))) / gen.domain.span
     if scale2 <= degenerate_floor:
@@ -418,22 +415,13 @@ def rho(gen: Generator) -> ScalarGrid:
             f"{gen.spec_string()}: f'' vanishes on the whole grid "
             f"(max |f''| = {scale2:.3e} <= {degenerate_floor:.3e})"
         )
-    floor = SIGN_TAU * scale2
-    small = np.abs(g2) <= floor
-    if np.any(small):
-        k = int(np.argmax(small))
+    if not (np.all(g2 > 0.0) or np.all(g2 < 0.0)):
+        # first grid point whose f'' is zero or of the other sign
+        k = int(np.argmax(~(g2 * np.sign(g2[0]) > 0.0)))
         raise SignChange(
-            f"{gen.spec_string()}: |f''| dips to {abs(g2[k]):.3e} at x = {xs[k]!r}",
-            witness={"x": float(xs[k]), "f2": float(g2[k])},
-        )
-    if np.any(g2 > 0.0) and np.any(g2 < 0.0):
-        k = int(np.argmax(np.sign(g2) != np.sign(g2[0])))
-        raise SignChange(
-            f"{gen.spec_string()}: f'' changes sign between x = {xs[k - 1]!r} "
-            f"and x = {xs[k]!r}",
-            witness={"x": float(xs[k]), "f2": float(g2[k]),
-                     "x_prev": float(xs[k - 1]), "f2_prev": float(g2[k - 1])},
-        )
+            f"{gen.spec_string()}: f'' is {g2[0]:.3e} at x = {float(xs[0])!r} "
+            f"but {g2[k]:.3e} at x = {float(xs[k])!r}",
+            witness={"x": float(xs[k]), "f2": float(g2[k])})
     return ScalarGrid(gen.domain, g1 / g2)
 
 

@@ -303,13 +303,13 @@ def duality_check(f: Generator, trials: int, seed: int = 0) -> TrialReport:
     reflects back.  Both must produce the same status and means within
     1e-6 of each other.
     """
-    env_a = qa_concave_envelope(f, seed=seed)
-    env_b = qa_concave_envelope_via_reflection(f, seed=seed)
+    env_a = qa_concave_envelope(f)
+    env_b = qa_concave_envelope_via_reflection(f)
     if env_a.status != env_b.status:
         witness = {"status_direct": env_a.status, "status_reflected": env_b.status}
         return TrialReport("duality", trials, 1, 0.0, seed, witness,
                            extra={"generator": f.spec_string(), "tol": DUALITY_TOL})
-    if env_a.status in ("NoneExists", "NonsmoothCase"):
+    if env_a.status == "NoneExists":
         raise UsageError(
             f"duality check needs a concave envelope, got status {env_a.status}")
     mean_a = env_a.mean_handle()
@@ -365,17 +365,17 @@ def ingham_jessen_sweep(M: MeanHandle, N: MeanHandle, trials: int,
                         seed: int = 0, max_dim: int = 5) -> TrialReport:
     """Run the matrix interchange check over all shapes 2..max_dim squared.
 
-    Trials are split evenly across the (m, n) combinations; each runs on
-    its own derived seed so the sweep stays reproducible as a whole.  The
-    witness comes from the first failing combination.  Needs trials >= 1
-    and max_dim >= 2; fewer than one trial per combination runs one each.
+    Each of the (max_dim - 1)**2 shapes runs trials // shapes matrices on
+    its own derived seed, so the sweep is reproducible as a whole, and the
+    report counts the trials run.  The witness comes from the first failing
+    shape.  Needs max_dim >= 2 and trials >= shapes, else UsageError.
     """
-    if trials < 1:
-        raise UsageError(f"need trials >= 1, got {trials}")
     if max_dim < 2:
         raise UsageError(f"need max_dim >= 2, got {max_dim}")
     combos = [(m, n) for m in range(2, max_dim + 1) for n in range(2, max_dim + 1)]
-    per = max(1, trials // len(combos))
+    if trials < len(combos):
+        raise UsageError(f"need trials >= {len(combos)}, got {trials}")
+    per = trials // len(combos)
     worst, failures, witness, _ = _ij_sample(
         M, N, [(seed + 7919 * i, m, n) for i, (m, n) in enumerate(combos)], per)
     if witness is not None:

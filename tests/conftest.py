@@ -107,10 +107,11 @@ def neither_cubic():
 
 @pytest.fixture(scope="session")
 def nonsmooth_cubic():
-    """x^3 tabulated on [-0.001, 10]: ratio sign flip on a tiny subinterval.
+    """x^3 tabulated on [-0.001, 10]: f'' < 0 only on a tiny subinterval.
 
-    Random sampling of the domination gate essentially never lands inside the
-    negative sliver, so the gate passes while the profile still changes sign.
+    At the default 1025 points only the left end lies in the sliver, so the
+    tabulated f'' changes sign while every second difference of the values
+    is positive.
     """
     ivn = WorkingInterval(-0.001, 10.0)
     xs = ivn.grid()

@@ -69,14 +69,12 @@ def test_json_writer_matches_json_dumps_on_reports(tmp_path, argv):
 
 
 def _extremal(n):
-    return qa_convex_envelope(PowerGenerator(3.0, WorkingInterval(0.1, 10.0, n)),
-                              gate_trials=500)
+    return qa_convex_envelope(PowerGenerator(3.0, WorkingInterval(0.1, 10.0, n)))
 
 
 def _envelope(n):
     iv = WorkingInterval(1.0, 3.0, n)
-    return qa_convex_envelope(build_from_profile(iv.grid() ** 2, iv, "rho-x2"),
-                              gate_trials=500)
+    return qa_convex_envelope(build_from_profile(iv.grid() ** 2, iv, "rho-x2"))
 
 
 @pytest.mark.parametrize("n", [3, 1025])

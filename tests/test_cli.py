@@ -268,7 +268,8 @@ def test_output_file_writing(tmp_path, capsys):
     ["verify", "--check", "ij", "--gen", "log", "--trials", "0"],
     ["verify", "--check", "kedlaya", "--gen", "log", "--trials", "0"],
     ["verify", "--check", "maximality", "--gen", "power:3", "--trials", "0"],
-    ["envelope", "--gen", "power:3", "--trials", "0"],
+    ["verify", "--check", "maximality", "--gen", "log", "--trials", "0"],
+    ["verify", "--check", "ij", "--gen", "log", "--trials", "5"],
 ])
 def test_nonpositive_trials_is_usage_error(capsys, argv):
     assert run(argv) == 2

@@ -16,12 +16,13 @@ from qameans.envelope import (
     qa_convex_envelope,
     reconstruct_generator,
 )
-from qameans.errors import NonpositiveM, UsageError
+from qameans.errors import NonpositiveM, RangeError, SignChange, UsageError
 from qameans.generators import (
     ExpGenerator,
     IdentityGenerator,
     LogGenerator,
     PowerGenerator,
+    TabulatedGenerator,
 )
 from qameans.grids import ScalarGrid, WorkingInterval
 from qameans.means import ArithmeticMean, QuasiArithmeticMean, qa_mean
@@ -196,7 +197,7 @@ def test_reconstructed_profile_matches_by_finite_differences(iv13):
 
 
 def test_convex_envelope_of_exp_is_itself(iv):
-    res = qa_convex_envelope(ExpGenerator(iv), seed=0)
+    res = qa_convex_envelope(ExpGenerator(iv))
     assert res.status == "AlreadyExtremal"
     assert res.direction == "convex"
     # profile of e^x is identically 1
@@ -212,14 +213,14 @@ def test_convex_envelope_of_exp_is_itself(iv):
 
 
 def test_convex_envelope_of_power3_is_itself(iv):
-    res = qa_convex_envelope(PowerGenerator(3.0, iv), seed=0)
+    res = qa_convex_envelope(PowerGenerator(3.0, iv))
     assert res.status == "AlreadyExtremal"
     # profile x/2 is linear, hence equal to its own upper hull
     assert np.max(np.abs(res.m(iv.grid()) - iv.grid() / 2.0)) < 1e-9
 
 
 def test_convex_envelope_chord_case(rho_x2_gen, iv13):
-    res = qa_convex_envelope(rho_x2_gen, seed=0)
+    res = qa_convex_envelope(rho_x2_gen)
     assert res.status == "Envelope"
     # convex profile x^2: the least concave majorant is the exact chord
     assert res.m.vertices == ((1.0, 1.0), (3.0, 9.0))
@@ -231,13 +232,13 @@ def test_convex_envelope_chord_case(rho_x2_gen, iv13):
     assert np.max(np.abs(res.g1.values - want_g1)) < 1e-5
     # the result is itself convex and idempotent under the envelope
     assert classify(res.generator).value == "Convex"
-    again = qa_convex_envelope(res.generator, seed=0)
+    again = qa_convex_envelope(res.generator)
     assert again.status == "AlreadyExtremal"
 
 
 def test_convex_envelope_is_a_minorant(rho_x2_gen):
     """Envelope mean never exceeds the original mean on sampled tuples."""
-    res = qa_convex_envelope(rho_x2_gen, seed=0)
+    res = qa_convex_envelope(rho_x2_gen)
     env_mean = res.mean_handle()
     orig_mean = QuasiArithmeticMean(rho_x2_gen)
     rng = np.random.default_rng(23)
@@ -249,35 +250,80 @@ def test_convex_envelope_is_a_minorant(rho_x2_gen):
 
 
 def test_convex_envelope_none_exists_for_log(iv):
-    res = qa_convex_envelope(LogGenerator(iv), seed=0)
+    res = qa_convex_envelope(LogGenerator(iv))
     assert res.status == "NoneExists"
     w = res.diagnostics["witness"]
     # the witness really places the geometric mean below the arithmetic one
     vals = np.asarray(w["values"], dtype=float)
     qa = qa_mean(LogGenerator(iv), vals)
     assert qa == pytest.approx(w["qa_mean"], abs=1e-12)
-    assert qa < float(np.mean(vals)) - res.diagnostics["gate"]["tol"]
+    assert qa < float(np.mean(vals)) - w["tol"]
     with pytest.raises(UsageError):
         res.mean_handle()
 
 
 def test_convex_envelope_of_identity_is_arithmetic(iv):
-    res = qa_convex_envelope(IdentityGenerator(iv), seed=0)
+    res = qa_convex_envelope(IdentityGenerator(iv))
     assert res.status == "ArithmeticEnvelope"
     assert isinstance(res.mean_handle(), ArithmeticMean)
 
 
 def test_convex_envelope_nonsmooth_case(nonsmooth_cubic):
-    res = qa_convex_envelope(nonsmooth_cubic, seed=0)
-    assert res.status == "NonsmoothCase"
-    assert res.diagnostics["gate"]["holds"]
-    assert "witness" in res.diagnostics
-    with pytest.raises(UsageError):
-        res.mean_handle()
+    """x^3 with f'' < 0 only on [-0.001, 0): no convex envelope exists.
+
+    At 1025 points the one grid point below 0 is the left end, so every
+    second difference of the values is positive (the smallest is 5.0e-6):
+    the interpolant QA_f evaluates is convex, no grid pair can refute the
+    ordering, and the contradiction with the tabulated f'' is an error.
+    Finer grids put interior points in the sliver, and the pair around
+    them re-verifies.
+    """
+    with pytest.raises(SignChange):
+        qa_convex_envelope(nonsmooth_cubic)
+    for n in (16385, 65537):
+        ivn = WorkingInterval(-0.001, 10.0, n)
+        xs = ivn.grid()
+        gen = TabulatedGenerator(ivn, xs**3, 3.0 * xs**2, 6.0 * xs, source="sliver")
+        res = qa_convex_envelope(gen)
+        assert res.status == "NoneExists"
+        w = res.diagnostics["witness"]
+        a, b = w["values"]
+        assert a == -0.001 and a < 0.0 < b < 0.001
+        qa = qa_mean(gen, [a, b])
+        assert qa == w["qa_mean"]
+        assert 0.5 * (a + b) - qa > w["tol"]
+        with pytest.raises(UsageError):
+            res.mean_handle()
+
+
+def test_overflowing_generators_raise_range_error():
+    """Values or derivatives that overflow on the grid are an explicit error,
+    never a verdict: exp'' is inf past x = 709.78, x**3 past 5.6e102."""
+    exp = ExpGenerator(WorkingInterval(0.0, 720.0))
+    cube = PowerGenerator(3.0, WorkingInterval(0.1, 1e120))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn in (classify, qa_convex_envelope, qa_concave_envelope):
+            with pytest.raises(RangeError):
+                fn(exp)
+        assert classify(cube).value == "Convex"
+        for fn in (qa_convex_envelope, qa_concave_envelope):
+            with pytest.raises(RangeError):
+                fn(cube)
+
+
+def test_refusal_needs_a_confirmed_pair():
+    """x**p with p > 1 has no concave envelope.  At p = 1 + 1e-9 on [0.01, 4]
+    f'' is 40 times the degenerate floor, but QA_p(0.01, 4) exceeds 2.005 by
+    only 1.4e-9, inside the 4e-9 comparison tolerance, so no pair confirms
+    the refusal and the call raises."""
+    iv = WorkingInterval(0.01, 4.0)
+    assert qa_concave_envelope(PowerGenerator(1.001, iv)).status == "NoneExists"
+    with pytest.raises(SignChange, match="no grid pair"):
+        qa_concave_envelope(PowerGenerator(1.0 + 1e-9, iv))
 
 
 def test_already_extremal_keeps_kinked_profile(tent_profile_gen, iv13):
-    res = qa_convex_envelope(tent_profile_gen, seed=0)
+    res = qa_convex_envelope(tent_profile_gen)
     assert res.status == "AlreadyExtremal"
     xs = iv13.grid()
     tent = 2.0 - np.abs(xs - 2.0)
@@ -294,14 +340,14 @@ def test_already_extremal_keeps_kinked_profile(tent_profile_gen, iv13):
 
 
 def test_concave_envelope_of_log_is_itself(iv):
-    res = qa_concave_envelope(LogGenerator(iv), seed=0)
+    res = qa_concave_envelope(LogGenerator(iv))
     assert res.status == "AlreadyExtremal"
     assert res.direction == "concave"
     assert classify(res.generator).value == "Concave"
 
 
 def test_concave_envelope_none_exists_for_exp(iv):
-    res = qa_concave_envelope(ExpGenerator(iv), seed=0)
+    res = qa_concave_envelope(ExpGenerator(iv))
     assert res.status == "NoneExists"
     w = res.diagnostics["witness"]
     vals = np.asarray(w["values"], dtype=float)
@@ -310,7 +356,7 @@ def test_concave_envelope_none_exists_for_exp(iv):
 
 
 def test_concave_envelope_chord_case(rho_neg_x2_gen, iv13):
-    res = qa_concave_envelope(rho_neg_x2_gen, seed=0)
+    res = qa_concave_envelope(rho_neg_x2_gen)
     assert res.status == "Envelope"
     # convex minorant of -x^2 on [1, 3] is the chord through (1,-1), (3,-9)
     assert res.m.vertices == ((1.0, -1.0), (3.0, -9.0))
@@ -323,7 +369,7 @@ def test_concave_envelope_chord_case(rho_neg_x2_gen, iv13):
 
 
 def test_concave_envelope_is_a_majorant(rho_neg_x2_gen):
-    res = qa_concave_envelope(rho_neg_x2_gen, seed=0)
+    res = qa_concave_envelope(rho_neg_x2_gen)
     env_mean = res.mean_handle()
     orig_mean = QuasiArithmeticMean(rho_neg_x2_gen)
     rng = np.random.default_rng(29)
@@ -335,8 +381,8 @@ def test_concave_envelope_is_a_majorant(rho_neg_x2_gen):
 
 
 def test_reflected_route_matches_direct_route(rho_neg_x2_gen, iv13, catalog):
-    direct = qa_concave_envelope(rho_neg_x2_gen, seed=0)
-    mirrored = qa_concave_envelope_via_reflection(rho_neg_x2_gen, seed=0)
+    direct = qa_concave_envelope(rho_neg_x2_gen)
+    mirrored = qa_concave_envelope_via_reflection(rho_neg_x2_gen)
     assert mirrored.status == direct.status == "Envelope"
     assert mirrored.diagnostics["route"] == "reflected"
     dv = np.array(direct.m.to_list())
@@ -353,8 +399,8 @@ def test_reflected_route_matches_direct_route(rho_neg_x2_gen, iv13, catalog):
 def test_reflected_route_statuses_match_direct(catalog, nonsmooth_cubic):
     gens = list(catalog.values()) + [nonsmooth_cubic]
     for gen in gens:
-        direct = qa_concave_envelope(gen, seed=0)
-        mirrored = qa_concave_envelope_via_reflection(gen, seed=0)
+        direct = qa_concave_envelope(gen)
+        mirrored = qa_concave_envelope_via_reflection(gen)
         assert direct.status == mirrored.status, gen.spec_string()
 
 
@@ -362,11 +408,11 @@ def test_reflected_route_statuses_match_direct(catalog, nonsmooth_cubic):
 
 
 def test_envelope_to_dict_and_determinism(rho_x2_gen):
-    a = qa_convex_envelope(rho_x2_gen, seed=4).to_dict()
-    b = qa_convex_envelope(rho_x2_gen, seed=4).to_dict()
+    a = qa_convex_envelope(rho_x2_gen).to_dict()
+    b = qa_convex_envelope(rho_x2_gen).to_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert a["status"] == "Envelope"
     assert a["hull_vertices"] == [[1.0, 1.0], [3.0, 9.0]]
     assert len(a["g"]) == rho_x2_gen.domain.grid_points
-    slim = qa_convex_envelope(rho_x2_gen, seed=4).to_dict(include_grids=False)
+    slim = qa_convex_envelope(rho_x2_gen).to_dict(include_grids=False)
     assert "g" not in slim and "hull_vertices" in slim

@@ -126,7 +126,7 @@ def test_normalize_flips_decreasing_generator(iv):
     gen = PowerGenerator(-1.0, iv)
     ngen = normalize(gen)
     assert ngen is not gen
-    assert ngen.is_increasing()
+    assert np.all(ngen.f1(iv.grid()) > 0.0)
     xs = iv.grid()[::100]
     assert np.allclose(eval_f(ngen, xs), -eval_f(gen, xs), rtol=1e-15)
     # normalizing twice is the identity on the already increasing result

@@ -1,4 +1,5 @@
-"""Property tests: every generator's inverse, and QA means against oracles.
+"""Property tests: every generator's inverse, QA means against oracles, and
+the paper's classification table with the envelope statuses it implies.
 
 The examples are drawn by hypothesis under the derandomized profile that
 conftest.py loads, so a run is reproducible.  Two floating-point facts set
@@ -7,7 +8,10 @@ x -> f^{-1}(y) magnifies by |f(x) / (x f'(x))|: that is 1/|p| for x**p, so
 exponents closer to 0 than P_MIN cannot return x to 1e-12 through any
 inverse (the log kind is the p -> 0 member).  Likewise an affine offset b
 much larger than a*x cancels digits of x inside f itself, so offsets are
-drawn on the scale of the slope.
+drawn on the scale of the slope.  For the table, exponents within P_MIN of
+1 are left out too: there QA_p(a, b) and (a + b)/2 can differ by less than
+the comparison tolerance MEAN_CMP_TOL * span, so no pair could confirm the
+missing envelope; p = 1 itself is drawn.
 """
 
 import numpy as np
@@ -15,6 +19,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qameans.convexity import classify, dominates_arithmetic
+from qameans.envelope import qa_concave_envelope, qa_convex_envelope
 from qameans.generators import (
     AffineGenerator,
     AffineOfGenerator,
@@ -43,6 +49,10 @@ exponents = st.one_of(st.floats(-20.0, -P_MIN), st.floats(P_MIN, 20.0))
 slopes = st.one_of(st.floats(-5.0, -0.5), st.floats(0.5, 5.0))
 offsets = st.floats(-5.0, 5.0)
 vectors = st.lists(xs_in, min_size=1, max_size=6)
+table_exponents = st.one_of(st.floats(-20.0, -P_MIN), st.floats(P_MIN, 1.0 - P_MIN),
+                            st.just(1.0), st.floats(1.0 + P_MIN, 20.0))
+TABLE_INTERVALS = (IV, WorkingInterval(1e-3, 1e3), WorkingInterval(1e-6, 1e6),
+                   WorkingInterval(0.5, 4.0))
 
 
 def _closed_form(kind, p, iv=IV):
@@ -137,6 +147,30 @@ def test_wrapped_qa_means_match_bisection(a, b, v):
     want = float(bisection_qa_mean(ref.f, [w])[0])
     assert qa_mean(ref, w) == pytest.approx(want, rel=REL, abs=0.0)
     assert qa_mean(ref, w) == pytest.approx(-power_mean(0.0, v), rel=REL, abs=0.0)
+
+
+@given(p=table_exponents, iv=st.sampled_from(TABLE_INTERVALS))
+def test_power_family_follows_the_paper_table(p, iv):
+    """Class and both envelope statuses of x**p; refusals carry a pair that
+    re-verifies, and sampled domination of A agrees with existence."""
+    gen = PowerGenerator(p, iv)
+    if p == 1.0:
+        want = ("ArithmeticBoth", "ArithmeticEnvelope", "ArithmeticEnvelope")
+    elif p > 1.0:
+        want = ("Convex", "AlreadyExtremal", "NoneExists")
+    else:
+        want = ("Concave", "NoneExists", "AlreadyExtremal")
+    envs = (qa_convex_envelope(gen), qa_concave_envelope(gen))
+    assert (classify(gen).value, *(e.status for e in envs)) == want
+    for env, side, sense in zip(envs, (1.0, -1.0), ("ge", "le")):
+        exists = env.status != "NoneExists"
+        if not exists:
+            w = env.diagnostics["witness"]
+            a, b = w["values"]
+            assert iv.lo <= a < b <= iv.hi
+            # convex: QA_p below the midpoint; concave: above it
+            assert side * (0.5 * (a + b) - qa_mean(gen, [a, b])) > w["tol"]
+        assert dominates_arithmetic(gen, 5, 300, sense).holds == exists
 
 
 def test_bisection_oracle_hand_values():

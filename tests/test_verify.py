@@ -131,7 +131,7 @@ def test_kedlaya_misordered_fails_and_reverifies(iv, catalog):
 
 
 def test_maximality_envelope_dominates_candidates(rho_x2_gen):
-    env = qa_convex_envelope(rho_x2_gen, seed=0)
+    env = qa_convex_envelope(rho_x2_gen)
     rep = maximality_check(rho_x2_gen, env, candidates=10, trials=300, seed=0)
     assert rep.passed
     assert rep.failures == 0
@@ -142,7 +142,7 @@ def test_maximality_envelope_dominates_candidates(rho_x2_gen):
 
 
 def test_maximality_already_extremal_with_rejections(tent_profile_gen):
-    env = qa_convex_envelope(tent_profile_gen, seed=0)
+    env = qa_convex_envelope(tent_profile_gen)
     assert env.status == "AlreadyExtremal"
     rep = maximality_check(tent_profile_gen, env, candidates=20, trials=200, seed=2)
     assert rep.passed
@@ -152,20 +152,22 @@ def test_maximality_already_extremal_with_rejections(tent_profile_gen):
 
 
 def test_maximality_rejects_wrong_inputs(catalog, rho_neg_x2_gen):
-    bad_env = qa_convex_envelope(catalog["log"], seed=0)
+    bad_env = qa_convex_envelope(catalog["log"])
     assert bad_env.status == "NoneExists"
     with pytest.raises(UsageError):
         maximality_check(catalog["log"], bad_env, candidates=2, trials=10, seed=0)
     from qameans.envelope import qa_concave_envelope
 
-    conc = qa_concave_envelope(rho_neg_x2_gen, seed=0)
+    conc = qa_concave_envelope(rho_neg_x2_gen)
     with pytest.raises(UsageError):
         maximality_check(rho_neg_x2_gen, conc, candidates=2, trials=10, seed=0)
 
 
 def test_checks_reject_bad_counts(iv, catalog, rho_x2_gen):
     a, g = ArithmeticMean(iv), QuasiArithmeticMean(catalog["log"])
-    env = qa_convex_envelope(rho_x2_gen, seed=0)
+    env = qa_convex_envelope(rho_x2_gen)
+    with pytest.raises(UsageError):
+        ingham_jessen_sweep(g, a, trials=5)
     for trials in (0, -1):
         with pytest.raises(UsageError):
             symmetry_check(g, trials=trials)
@@ -266,7 +268,7 @@ def test_reports_are_deterministic(iv, catalog, rho_x2_gen):
         kedlaya_check(a, g, 5, 2000, seed=5))
     assert dump(symmetry_check(g, 2000, seed=5)) == dump(
         symmetry_check(g, 2000, seed=5))
-    env = qa_convex_envelope(rho_x2_gen, seed=5)
+    env = qa_convex_envelope(rho_x2_gen)
     assert dump(maximality_check(rho_x2_gen, env, 3, 100, seed=5)) == dump(
         maximality_check(rho_x2_gen, env, 3, 100, seed=5))
 
