@@ -18,10 +18,10 @@ CATALOG = ["power:-1", "log", "power:0.5", "id", "power:2", "power:3", "exp"]
 
 
 def cubic_on(lo, hi):
-    # x^3 with exact derivative grids; f''/f' changes sign at x = 0.
+    # x^3 with exact f' and rho = f'/f'' = x/2 grids; rho changes sign at x = 0.
     iv = WorkingInterval(lo, hi)
     xs = iv.grid()
-    return TabulatedGenerator(iv, xs**3, 3.0 * xs**2, 6.0 * xs, source="cubic")
+    return TabulatedGenerator(iv, xs**3, 3.0 * xs**2, xs / 2.0, source="cubic")
 
 
 def describe(ev):

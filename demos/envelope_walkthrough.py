@@ -22,11 +22,10 @@ from qameans.means import qa_mean
 
 
 def profile_generator(interval, profile_values, name):
-    # Solve g'/g'' = profile for g; store g'' = g'/profile exactly.
+    # Solve g'/g'' = profile for g; the profile itself is the rho grid.
     m0 = np.asarray(profile_values, dtype=float)
     g, g1 = _reconstruct_from_values(m0, interval)
-    return TabulatedGenerator(interval, g.values, g1.values, g1.values / m0,
-                              source=name)
+    return TabulatedGenerator(interval, g.values, g1.values, m0, source=name)
 
 
 def main():

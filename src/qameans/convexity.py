@@ -3,10 +3,11 @@
 The decisive test: an increasing generator with nowhere-vanishing second
 derivative yields a convex mean exactly when the profile rho = f'/f'' is
 positive and concave on the interval.  Concavity of the mean is the dual
-statement, decided by running the identical test on the reflected
-generator; this makes the convex/concave verdicts coherent by construction
-rather than by numerical luck.  Generators with f'' identically zero give
-the arithmetic mean, the unique member that is both convex and concave.
+statement: the reflected generator's profile is -rho(-x), so the same
+test runs on -rho over the same grid; both senses read one profile, which
+makes the convex/concave verdicts coherent by construction rather than by
+numerical luck.  Generators with f'' identically zero give the arithmetic
+mean, the unique member that is both convex and concave.
 
 Two sampled cross-checks accompany the classification: domination of the
 arithmetic mean (a cross-check of the envelope existence verdict) and a direct
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSecondDerivative, SignChange, UsageError
-from .generators import Generator, normalize, reflect_generator, rho
+from .generators import Generator, normalize, rho
 from .grids import WorkingInterval
 from .means import MeanHandle, _qa_mean_batch
 
@@ -95,51 +96,45 @@ def _profile_pos_concave(values, interval: WorkingInterval) -> dict:
     }
 
 
-def _positive_concave_test(gen: Generator) -> dict:
-    """Run the positive-and-concave profile test on rho of a generator."""
-    try:
-        profile = rho(gen)
-    except DegenerateSecondDerivative as exc:
-        return {"ok": False, "reason": "degenerate", "detail": str(exc)}
-    except SignChange as exc:
-        return {"ok": False, "reason": "sign-change", "witness": exc.witness}
-    return _profile_pos_concave(profile.values, gen.domain)
-
-
 def classify(gen: Generator) -> ConvexityClass:
     """Classify the QA mean of gen as Convex, Concave, ArithmeticBoth, or Neither.
 
-    Order of tests: degenerate f'' branch, then the positive-and-concave
-    rho test on the normalized generator (Convex), then the same test on
-    the reflected generator (Concave), else Neither with witnesses from
-    both failed tests.
+    The profile rho of the normalized generator is computed once.  A
+    degenerate f'' gives ArithmeticBoth; otherwise rho positive and concave
+    gives Convex, and -rho positive and concave on the same grid (rho
+    negative and convex, the profile of the reflected generator read back on
+    the working interval) gives Concave; else Neither with witnesses from
+    both failed tests, every witness x on the working interval.
     """
     ngen = normalize(gen)
-    primary = _positive_concave_test(ngen)
-    if primary.get("reason") == "degenerate":
+    try:
+        values = rho(ngen).values
+    except DegenerateSecondDerivative as exc:
         return ConvexityClass(
-            "ArithmeticBoth",
-            {"branch": "f2-identically-zero", "detail": primary["detail"]},
-        )
-    if primary["ok"]:
-        ev = {"branch": "rho-positive-concave"}
-        ev.update({k: v for k, v in primary.items() if k != "ok"})
-        return ConvexityClass("Convex", ev)
-
-    dual = _positive_concave_test(normalize(reflect_generator(ngen)))
-    if dual.get("ok"):
-        ev = {"branch": "reflected-rho-positive-concave"}
-        ev.update({k: v for k, v in dual.items() if k != "ok"})
-        return ConvexityClass("Concave", ev)
-
+            "ArithmeticBoth", {"branch": "f2-identically-zero", "detail": str(exc)})
+    except SignChange as exc:
+        primary = dual = {"ok": False, "reason": "sign-change", "witness": exc.witness}
+    else:
+        primary = _profile_pos_concave(values, ngen.domain)
+        if primary["ok"]:
+            return ConvexityClass("Convex", {"branch": "rho-positive-concave",
+                                             **_without_ok(primary)})
+        dual = _profile_pos_concave(-values, ngen.domain)
+        if dual["ok"]:
+            return ConvexityClass("Concave", {"branch": "reflected-rho-positive-concave",
+                                              **_without_ok(dual)})
     return ConvexityClass(
         "Neither",
         {
             "branch": "neither",
-            "convex_test": {k: v for k, v in primary.items() if k != "ok"},
-            "concave_test": {k: v for k, v in dual.items() if k != "ok"},
+            "convex_test": _without_ok(primary),
+            "concave_test": _without_ok(dual),
         },
     )
+
+
+def _without_ok(test: dict) -> dict:
+    return {k: v for k, v in test.items() if k != "ok"}
 
 
 @dataclass(frozen=True)

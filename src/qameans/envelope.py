@@ -10,7 +10,9 @@ to (ln g')' = 1/m:
 
     g'(x) = exp( integral_lo^x dt / m(t) ),    g(x) = integral_lo^x g'(t) dt,
 
-anchored at g(lo) = 0, g'(lo) = 1 (any anchor gives the same mean).
+anchored at g(lo) = 0, g'(lo) = 1 (any anchor gives the same mean).  The
+result's generator carries g, g' and m itself as its profile, so its rho
+is the hull to the bit.
 
 An envelope in a given direction exists only when the mean sits on the
 right side of the arithmetic mean; for increasing f, QA_f >= A exactly when
@@ -267,10 +269,9 @@ def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
         hull = convex_envelope_1d(profile)
         g, g1 = _reconstruct_from_values(np.asarray(hull(xs), dtype=float), interval)
 
-    mvals = np.asarray(hull(xs), dtype=float)
-    # Store g'' = g'/m exactly so the result's own profile is m to the ulp.
+    # The hull is the result's profile: rho of the generator is m to the bit.
     gen_out = TabulatedGenerator(
-        interval, g.values, g1.values, g1.values / mvals,
+        interval, g.values, g1.values, np.asarray(hull(xs), dtype=float),
         source=f"envelope({ngen.spec_string()})",
     )
     return EnvelopeResult(
@@ -315,6 +316,12 @@ def qa_concave_envelope_via_reflection(gen: Generator) -> EnvelopeResult:
     diag["route"] = "reflected"
 
     if renv.status == "NoneExists":
+        # The mirror pair (a, b) on -I is the pair (-b, -a) on I, and both
+        # means change sign; the margin and tolerance carry over.
+        w = dict(diag["witness"])
+        a, b = w["values"]
+        w.update(values=[-b, -a], qa_mean=-w["qa_mean"], arith_mean=-w["arith_mean"])
+        diag["witness"] = w
         return EnvelopeResult(renv.status, "concave", interval, diagnostics=diag)
     if renv.status == "ArithmeticEnvelope":
         return EnvelopeResult(

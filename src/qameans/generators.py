@@ -1,15 +1,18 @@
 """Generator functions for quasiarithmetic means.
 
 A generator is a continuous, strictly monotone function f on a working
-interval, carried together with its inverse f^{-1} and oracles for its
-first and second derivatives.  Closed-form kinds (power:p, log, exp, id,
-affine:a:b) return exact analytic values and invert in closed form;
-tabulated kinds interpolate a sampled grid, invert by interpolating the
-same grid with the axes swapped, and differentiate by central differences.
+interval, described by the facts the theory uses: f, its inverse f^{-1},
+its derivative f', and its profile rho = f'/f'' (infinite where f'' = 0).
+f'' is never needed on its own: where it is used, it is f'/rho.
+Closed-form kinds (power:p, log, exp, affine:a:b, with id = affine:1:0)
+return exact analytic values, invert in closed form and give rho in
+closed form (x/(p-1), -x, 1, +inf); tabulated kinds interpolate a sampled
+grid, invert by interpolating the same grid with the axes swapped, and
+fill in f' and rho by central differences unless given.
 
-The central derived object is the slope/curvature profile f'/f'' computed
-on the grid by :func:`rho`; its sign, positivity, and concavity drive the
-classification and envelope machinery in the sibling modules.
+:func:`rho` samples the profile on the grid and checks it; its sign,
+positivity, and concavity drive the classification and envelope machinery
+in the sibling modules.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ class Generator:
     def f1(self, x):
         raise NotImplementedError
 
-    def f2(self, x):
+    def rho(self, x):
+        """The profile f'/f'' at x, infinite where f'' = 0."""
         raise NotImplementedError
 
     def spec_string(self) -> str:
@@ -88,12 +92,12 @@ class PowerGenerator(Generator):
         x = np.asarray(x, dtype=float)
         return self.p * x ** (self.p - 1.0)
 
-    def f2(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.p * (self.p - 1.0) * x ** (self.p - 2.0)
+    def rho(self, x):
+        with np.errstate(divide="ignore"):  # p = 1: f'' = 0, rho = +inf
+            return np.asarray(x, dtype=float) / (self.p - 1.0)
 
     def spec_string(self):
-        return f"power:{self.p:g}"
+        return f"power:{_shortest(self.p)}"
 
 
 class LogGenerator(Generator):
@@ -113,9 +117,8 @@ class LogGenerator(Generator):
     def f1(self, x):
         return 1.0 / np.asarray(x, dtype=float)
 
-    def f2(self, x):
-        x = np.asarray(x, dtype=float)
-        return -1.0 / (x * x)
+    def rho(self, x):
+        return -np.asarray(x, dtype=float)
 
     def spec_string(self):
         return "log"
@@ -136,37 +139,18 @@ class ExpGenerator(Generator):
     def f1(self, x):
         return np.exp(np.asarray(x, dtype=float))
 
-    def f2(self, x):
-        return np.exp(np.asarray(x, dtype=float))
+    def rho(self, x):
+        return np.ones_like(np.asarray(x, dtype=float))
 
     def spec_string(self):
         return "exp"
 
 
-class IdentityGenerator(Generator):
-    """f(x) = x, the arithmetic-mean generator."""
-
-    def __init__(self, domain: WorkingInterval):
-        self.domain = domain
-
-    def f(self, x):
-        return np.asarray(x, dtype=float) + 0.0
-
-    def finv(self, y):
-        return np.asarray(y, dtype=float) + 0.0
-
-    def f1(self, x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def f2(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def spec_string(self):
-        return "id"
-
-
 class AffineGenerator(Generator):
-    """f(x) = a*x + b with a != 0; generates the arithmetic mean."""
+    """f(x) = a*x + b with a != 0; generates the arithmetic mean.
+
+    a = 1, b = 0 is the identity, spelled ``id``.
+    """
 
     def __init__(self, a: float, b: float, domain: WorkingInterval):
         if a == 0:
@@ -184,11 +168,13 @@ class AffineGenerator(Generator):
     def f1(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.a)
 
-    def f2(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def rho(self, x):
+        return np.full_like(np.asarray(x, dtype=float), np.inf)
 
     def spec_string(self):
-        return f"affine:{self.a:g}:{self.b:g}"
+        if self.a == 1.0 and self.b == 0.0:
+            return "id"
+        return f"affine:{_shortest(self.a)}:{_shortest(self.b)}"
 
 
 class AffineOfGenerator(Generator):
@@ -215,8 +201,8 @@ class AffineOfGenerator(Generator):
     def f1(self, x):
         return self.a * self.inner.f1(x)
 
-    def f2(self, x):
-        return self.a * self.inner.f2(x)
+    def rho(self, x):
+        return self.inner.rho(x)
 
     def spec_string(self):
         return f"{self.a:g}*({self.inner.spec_string()})+{self.b:g}"
@@ -238,8 +224,8 @@ class ReflectedGenerator(Generator):
     def f1(self, x):
         return -self.inner.f1(-np.asarray(x, dtype=float))
 
-    def f2(self, x):
-        return self.inner.f2(-np.asarray(x, dtype=float))
+    def rho(self, x):
+        return -self.inner.rho(-np.asarray(x, dtype=float))
 
     def spec_string(self):
         return f"reflected({self.inner.spec_string()})"
@@ -248,13 +234,14 @@ class ReflectedGenerator(Generator):
 class TabulatedGenerator(Generator):
     """Generator given by sampled values on the grid, interpolated linearly.
 
-    Derivative grids may be supplied (when built from an exact construction)
-    or are otherwise filled in by central finite differences with the grid
-    step, accurate to O(h^2) in the interior.
+    The f' and rho grids may be supplied (when built from an exact
+    construction, such as an envelope's hull m) or are otherwise filled in
+    by central finite differences with the grid step, accurate to O(h^2) in
+    the interior: f' directly, rho as f' over the second difference.
     """
 
     def __init__(self, domain: WorkingInterval, values, f1_values=None,
-                 f2_values=None, source: str = "<grid>"):
+                 rho_values=None, source: str = "<grid>"):
         self.domain = domain
         vals = np.array(values, dtype=float)
         if vals.shape != (domain.grid_points,):
@@ -268,8 +255,11 @@ class TabulatedGenerator(Generator):
         h = domain.step
         self.f1_values = (np.array(f1_values, dtype=float) if f1_values is not None
                           else _central_diff(vals, h))
-        self.f2_values = (np.array(f2_values, dtype=float) if f2_values is not None
-                          else _central_diff2(vals, h))
+        if rho_values is not None:
+            self.rho_values = np.array(rho_values, dtype=float)
+        else:
+            with np.errstate(divide="ignore"):  # f'' = 0: rho is infinite
+                self.rho_values = self.f1_values / _central_diff2(vals, h)
         self.source = source
         self._validate_monotone()
 
@@ -285,8 +275,8 @@ class TabulatedGenerator(Generator):
     def f1(self, x):
         return np.interp(x, self.domain.grid(), self.f1_values)
 
-    def f2(self, x):
-        return np.interp(x, self.domain.grid(), self.f2_values)
+    def rho(self, x):
+        return np.interp(x, self.domain.grid(), self.rho_values)
 
     def spec_string(self):
         return f"table:{self.source}"
@@ -329,6 +319,11 @@ def _check_domain(domain: WorkingInterval, x) -> np.ndarray:
     return arr
 
 
+def _shortest(v: float) -> str:
+    """The shortest decimal that reads back as v, without a trailing '.0'."""
+    return repr(float(v)).removesuffix(".0")
+
+
 def _scalar_or_array(result, x):
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
         return float(result)
@@ -347,12 +342,6 @@ def eval_f1(gen: Generator, x):
     return _scalar_or_array(gen.f1(arr), x)
 
 
-def eval_f2(gen: Generator, x):
-    """Evaluate f'' at x.  Affine-like kinds return exactly 0."""
-    arr = _check_domain(gen.domain, x)
-    return _scalar_or_array(gen.f2(arr), x)
-
-
 def negate_generator(gen: Generator) -> Generator:
     """The generator -f, which produces the identical mean."""
     if isinstance(gen, AffineOfGenerator):
@@ -361,7 +350,7 @@ def negate_generator(gen: Generator) -> Generator:
         return AffineGenerator(-gen.a, -gen.b, gen.domain)
     if isinstance(gen, TabulatedGenerator):
         return TabulatedGenerator(gen.domain, -gen.values, -gen.f1_values,
-                                  -gen.f2_values, source=gen.source)
+                                  gen.rho_values, source=gen.source)
     return AffineOfGenerator(gen, -1.0, 0.0)
 
 
@@ -395,6 +384,7 @@ def normalize(gen: Generator) -> Generator:
 def rho(gen: Generator) -> ScalarGrid:
     """The slope/curvature profile f'/f'' sampled on the grid.
 
+    Reads the generator's own profile; f'' where needed is f'/rho.
     Requires an increasing generator with f' and f'' finite on the grid
     (else RangeError).  Raises DegenerateSecondDerivative when f'' is
     numerically zero everywhere (affine-equivalent generator, arithmetic
@@ -405,7 +395,9 @@ def rho(gen: Generator) -> ScalarGrid:
     g1 = np.asarray(gen.f1(xs), dtype=float)
     if not np.all(g1 > 0.0):
         raise UsageError("rho requires a normalized (increasing) generator")
-    g2 = np.asarray(gen.f2(xs), dtype=float)
+    r = np.asarray(gen.rho(xs), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g2 = g1 / r
     if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
         raise RangeError(f"{gen.spec_string()}: f' or f'' is not finite on the grid")
     scale2 = float(np.max(np.abs(g2)))
@@ -422,7 +414,7 @@ def rho(gen: Generator) -> ScalarGrid:
             f"{gen.spec_string()}: f'' is {g2[0]:.3e} at x = {float(xs[0])!r} "
             f"but {g2[k]:.3e} at x = {float(xs[k])!r}",
             witness={"x": float(xs[k]), "f2": float(g2[k])})
-    return ScalarGrid(gen.domain, g1 / g2)
+    return ScalarGrid(gen.domain, r)
 
 
 def invert_f(gen: Generator, y: float) -> float:
@@ -442,13 +434,13 @@ def invert_f(gen: Generator, y: float) -> float:
 
 
 def tabulate(gen: Generator) -> TabulatedGenerator:
-    """Sample a generator (and its derivatives) into a tabulated one."""
+    """Sample a generator (f, f' and rho) into a tabulated one."""
     xs = gen.domain.grid()
     return TabulatedGenerator(
         gen.domain,
         np.asarray(gen.f(xs), dtype=float),
         np.asarray(gen.f1(xs), dtype=float),
-        np.asarray(gen.f2(xs), dtype=float),
+        np.asarray(gen.rho(xs), dtype=float),
         source=f"tabulated({gen.spec_string()})",
     )
 
@@ -470,7 +462,7 @@ def parse_generator(spec: str, interval: WorkingInterval | None = None) -> Gener
     if spec == "exp":
         return ExpGenerator(interval)
     if spec == "id":
-        return IdentityGenerator(interval)
+        return AffineGenerator(1.0, 0.0, interval)
     if spec.startswith("power:"):
         try:
             p = float(spec.split(":", 1)[1])
@@ -501,9 +493,9 @@ def load_table(path: str) -> TabulatedGenerator:
     and a strictly monotone value column.  With a header row, the value
     column is the one named ``f`` (falling back to ``g``, so envelope CSV
     output reloads directly); a ``g1``/``f1`` column, when present, is used
-    as the first-derivative grid, and together with an ``m`` column (the
-    profile f'/f'' an envelope was built from) gives the second-derivative
-    grid f'' = f'/m, so a reloaded envelope keeps its profile exactly.
+    as the first-derivative grid, and an ``m`` column (the profile f'/f''
+    an envelope was built from) as the profile grid, so a reloaded envelope
+    keeps its profile exactly.
     Without a header the first two columns are taken as x and f.
 
     Blank lines, lines whose cells are all empty, and lines whose first
@@ -551,11 +543,8 @@ def load_table(path: str) -> TabulatedGenerator:
     fs = col("f", "g", default=1)
     f1s = col("f1", "g1")
     ms = col("m")
-    f2s = None
-    if f1s is not None and ms is not None:
-        if np.any(ms == 0.0):
-            raise UsageError(f"{path}: m column must be nonzero")
-        f2s = f1s / ms
+    if ms is not None and np.any(ms == 0.0):
+        raise UsageError(f"{path}: m column must be nonzero")
 
     steps = np.diff(xs)
     if np.any(steps <= 0):
@@ -565,7 +554,7 @@ def load_table(path: str) -> TabulatedGenerator:
         raise UsageError(f"{path}: x column must be uniformly spaced")
 
     interval = WorkingInterval(float(xs[0]), float(xs[-1]), len(xs))
-    return TabulatedGenerator(interval, fs, f1_values=f1s, f2_values=f2s,
+    return TabulatedGenerator(interval, fs, f1_values=f1s, rho_values=ms,
                               source=path)
 
 

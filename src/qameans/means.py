@@ -190,15 +190,16 @@ class ComparisonReport:
 def compare(f: Generator, g: Generator) -> ComparisonReport:
     """Order QA_f against QA_g on the grid.
 
-    QA_f <= QA_g holds exactly when f''/f' <= g''/g' pointwise; that ratio
-    is invariant under negating the generator, so no normalization is
-    needed.  The verdict is about the sampled criterion on this grid.
+    QA_f <= QA_g holds exactly when f''/f' <= g''/g' pointwise, that is
+    1/rho_f <= 1/rho_g (0 where f'' = 0); the profile is invariant under
+    negating the generator, so no normalization is needed.  The verdict
+    is about the sampled criterion on this grid.
     """
     if f.domain != g.domain:
         raise UsageError("compare needs generators on the same working interval")
     xs = f.domain.grid()
-    sig_f = np.asarray(f.f2(xs), dtype=float) / np.asarray(f.f1(xs), dtype=float)
-    sig_g = np.asarray(g.f2(xs), dtype=float) / np.asarray(g.f1(xs), dtype=float)
+    sig_f = 1.0 / np.asarray(f.rho(xs), dtype=float)
+    sig_g = 1.0 / np.asarray(g.rho(xs), dtype=float)
     scale = max(1.0, float(np.max(np.abs(sig_f))), float(np.max(np.abs(sig_g))))
     delta = 1e-9 * scale
     d = sig_f - sig_g

@@ -236,10 +236,8 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
     # Candidates are grid-reconstructed, so the envelope side must go
     # through the same discretization: otherwise quadrature bias of order
     # step^2 shows up as spurious ordering failures against an exact mean.
-    mvals = env.m(xs)
     env_mean = QuasiArithmeticMean(TabulatedGenerator(
-        interval, env.g.values, env.g1.values, env.g1.values / mvals,
-        source="envelope-grid"))
+        interval, env.g.values, env.g1.values, env.m(xs), source="envelope-grid"))
     rng = np.random.default_rng(seed)
     lift_scale = float(np.max(rho_vals) - np.min(rho_vals)) + 0.1 * max(
         1.0, float(np.max(np.abs(rho_vals))))
@@ -267,9 +265,8 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
             raise CandidateRejected(
                 f"candidate {c}: no dominating concave profile in 200 attempts")
         h, h1 = _reconstruct_from_values(mp, interval)
-        htab = TabulatedGenerator(interval, h.values, h1.values,
-                                  h1.values / mp, source=f"candidate:{c}")
-        cand_mean = QuasiArithmeticMean(htab)
+        cand_mean = QuasiArithmeticMean(TabulatedGenerator(
+            interval, h.values, h1.values, mp, source=f"candidate:{c}"))
         w, fails, trial, row = _sample_margins(
             _grouped_tuples(rng, trials, 6, interval),
             lambda X: (env_mean.batch(X) - cand_mean.batch(X),), MAXIMALITY_TOL)

@@ -7,10 +7,10 @@ from hypothesis import settings
 from qameans.envelope import _reconstruct_from_values
 from qameans.generators import (
     ExpGenerator,
-    IdentityGenerator,
     LogGenerator,
     PowerGenerator,
     TabulatedGenerator,
+    parse_generator,
 )
 from qameans.grids import WorkingInterval
 
@@ -39,7 +39,7 @@ def catalog(iv):
         "power:-1": PowerGenerator(-1.0, iv),
         "log": LogGenerator(iv),
         "power:0.5": PowerGenerator(0.5, iv),
-        "id": IdentityGenerator(iv),
+        "id": parse_generator("id", iv),
         "power:2": PowerGenerator(2.0, iv),
         "power:3": PowerGenerator(3.0, iv),
         "exp": ExpGenerator(iv),
@@ -49,15 +49,12 @@ def catalog(iv):
 def build_from_profile(profile_values, interval, name):
     """Generator whose curvature ratio g'/g'' equals the given grid profile.
 
-    Solves the reconstruction quadrature and stores the implied second
-    derivative g'' = g'/m alongside, so the stored grids satisfy the profile
-    identity to the last bit.
+    Solves the reconstruction quadrature and stores the profile itself as
+    the generator's rho grid, so the profile identity holds to the last bit.
     """
     m0 = np.asarray(profile_values, dtype=float)
     g, g1 = _reconstruct_from_values(m0, interval)
-    return TabulatedGenerator(
-        interval, g.values, g1.values, g1.values / m0, source=name
-    )
+    return TabulatedGenerator(interval, g.values, g1.values, m0, source=name)
 
 
 @pytest.fixture(scope="session")
@@ -98,11 +95,11 @@ def neither_cubic():
     """x^3 tabulated on [-1, 1.5]: f''/f' changes sign inside the interval.
 
     Strictly increasing, but the curvature ratio x/2 crosses zero, so the
-    mean is neither convex nor concave. Derivative grids are exact.
+    mean is neither convex nor concave. The f' and rho grids are exact.
     """
     ivc = WorkingInterval(-1.0, 1.5)
     xs = ivc.grid()
-    return TabulatedGenerator(ivc, xs**3, 3.0 * xs**2, 6.0 * xs, source="cubic")
+    return TabulatedGenerator(ivc, xs**3, 3.0 * xs**2, xs / 2.0, source="cubic")
 
 
 @pytest.fixture(scope="session")
@@ -115,4 +112,4 @@ def nonsmooth_cubic():
     """
     ivn = WorkingInterval(-0.001, 10.0)
     xs = ivn.grid()
-    return TabulatedGenerator(ivn, xs**3, 3.0 * xs**2, 6.0 * xs, source="cubic-sliver")
+    return TabulatedGenerator(ivn, xs**3, 3.0 * xs**2, xs / 2.0, source="cubic-sliver")

@@ -109,7 +109,7 @@ def test_load_table_is_bit_equal_to_float_per_cell(tmp_path):
     g1 = data[:, header.index("g1")]
     assert np.array_equal(tab.values, data[:, header.index("g")])
     assert np.array_equal(tab.f1_values, g1)
-    assert np.array_equal(tab.f2_values, g1 / data[:, header.index("m")])
+    assert np.array_equal(tab.rho_values, data[:, header.index("m")])
     assert (tab.domain.lo, tab.domain.hi) == (data[0, 0], data[-1, 0])
 
     # Cells spelled in several ways float() takes, some padded with blanks.

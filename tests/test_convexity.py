@@ -13,12 +13,15 @@ from qameans.generators import (
     AffineGenerator,
     AffineOfGenerator,
     ExpGenerator,
-    IdentityGenerator,
     LogGenerator,
     PowerGenerator,
+    TabulatedGenerator,
+    parse_generator,
     reflect_generator,
 )
 from qameans.means import ArithmeticMean, QuasiArithmeticMean
+
+from conftest import build_from_profile
 
 # expected classes across the power family: Concave below p = 1 (log is
 # the p = 0 member), ArithmeticBoth at p = 1, Convex above, exp Convex
@@ -75,6 +78,32 @@ def test_classify_neither_convex_profile(rho_x2_gen):
     assert len(w["triple_x"]) == 3
 
 
+def _witness_xs(evidence):
+    """Every grid point a classification's evidence names."""
+    for test in (evidence.get("convex_test", {}), evidence.get("concave_test", {})):
+        w = test.get("witness", {})
+        yield from w.get("triple_x", [w["x"]] if "x" in w else [])
+
+
+def test_classify_witnesses_lie_on_the_working_interval(iv, neither_cubic):
+    """Both senses are read from one profile on the working interval, so a
+    Neither verdict names no point of the mirror interval."""
+    xs = iv.grid()
+    cases = {
+        # sign change of f'' at x = 5
+        "cubic-table": TabulatedGenerator(iv, (xs - 5.0) ** 3 + xs, source="cubic"),
+        # positive convex profile: nonconcave rho, then nonpositive -rho
+        "convex-profile": build_from_profile(1.0 + (xs - 5.0) ** 2, iv, "bowl"),
+        "neither-cubic": neither_cubic,
+    }
+    for name, gen in cases.items():
+        got = classify(gen)
+        assert got.value == "Neither", name
+        found = list(_witness_xs(got.evidence))
+        assert len(found) >= 2, name
+        assert gen.domain.contains(found), (name, found)
+
+
 def test_classify_reflection_swaps_convex_and_concave(catalog, neither_cubic):
     swap = {"Convex": "Concave", "Concave": "Convex"}
     for gen in list(catalog.values()) + [neither_cubic]:
@@ -113,7 +142,7 @@ def test_dominates_arithmetic_direction_flip(catalog):
 
 def test_dominates_arithmetic_identity_is_tight(iv):
     # QA of the identity IS the arithmetic mean; margins sit at zero
-    rep = dominates_arithmetic(IdentityGenerator(iv), n_max=4, trials=2000, seed=1)
+    rep = dominates_arithmetic(parse_generator("id", iv), n_max=4, trials=2000, seed=1)
     assert rep.holds
     assert abs(rep.worst_margin) < 1e-9
 

@@ -19,14 +19,17 @@ from qameans.envelope import (
 from qameans.errors import NonpositiveM, RangeError, SignChange, UsageError
 from qameans.generators import (
     ExpGenerator,
-    IdentityGenerator,
     LogGenerator,
     PowerGenerator,
     TabulatedGenerator,
+    normalize,
+    parse_generator,
+    rho,
 )
 from qameans.grids import ScalarGrid, WorkingInterval
 from qameans.means import ArithmeticMean, QuasiArithmeticMean, qa_mean
 
+from conftest import build_from_profile
 from oracles import (
     chord_profile_generator,
     concave_chord_profile_generator,
@@ -263,7 +266,7 @@ def test_convex_envelope_none_exists_for_log(iv):
 
 
 def test_convex_envelope_of_identity_is_arithmetic(iv):
-    res = qa_convex_envelope(IdentityGenerator(iv))
+    res = qa_convex_envelope(parse_generator("id", iv))
     assert res.status == "ArithmeticEnvelope"
     assert isinstance(res.mean_handle(), ArithmeticMean)
 
@@ -283,7 +286,7 @@ def test_convex_envelope_nonsmooth_case(nonsmooth_cubic):
     for n in (16385, 65537):
         ivn = WorkingInterval(-0.001, 10.0, n)
         xs = ivn.grid()
-        gen = TabulatedGenerator(ivn, xs**3, 3.0 * xs**2, 6.0 * xs, source="sliver")
+        gen = TabulatedGenerator(ivn, xs**3, 3.0 * xs**2, xs / 2.0, source="sliver")
         res = qa_convex_envelope(gen)
         assert res.status == "NoneExists"
         w = res.diagnostics["witness"]
@@ -396,12 +399,51 @@ def test_reflected_route_matches_direct_route(rho_neg_x2_gen, iv13, catalog):
     assert np.max(np.abs(dm.batch(X) - mm.batch(X))) < 1e-6
 
 
+@pytest.mark.parametrize("spec", ["exp", "power:3", "cubic-table"])
+def test_reflected_route_witness_lies_on_the_working_interval(iv, spec):
+    """The mirror route's refusal names the direct route's pair, on I."""
+    if spec == "cubic-table":
+        # (x - 5)^3 + x is convex only past 5: the pair flanks [5, 10]
+        xs = iv.grid()
+        gen = TabulatedGenerator(iv, (xs - 5.0) ** 3 + xs, source=spec)
+    else:
+        gen = parse_generator(spec, iv)
+    direct = qa_concave_envelope(gen).diagnostics["witness"]
+    mirrored = qa_concave_envelope_via_reflection(gen)
+    assert mirrored.status == "NoneExists"
+    w = mirrored.diagnostics["witness"]
+    assert w["values"] == pytest.approx(direct["values"], rel=1e-14)
+    assert iv.contains(w["values"])
+    for key in ("qa_mean", "arith_mean", "margin"):
+        assert w[key] == pytest.approx(direct[key], rel=1e-9)
+    qa = qa_mean(gen, w["values"])
+    assert qa == pytest.approx(w["qa_mean"], rel=1e-12)
+    assert qa - float(np.mean(w["values"])) > w["tol"]
+
+
 def test_reflected_route_statuses_match_direct(catalog, nonsmooth_cubic):
     gens = list(catalog.values()) + [nonsmooth_cubic]
     for gen in gens:
         direct = qa_concave_envelope(gen)
         mirrored = qa_concave_envelope_via_reflection(gen)
         assert direct.status == mirrored.status, gen.spec_string()
+
+
+@pytest.mark.parametrize("grid_points", [257, 1025, 65537])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_envelope_generator_profile_is_the_hull_to_the_bit(grid_points, sign):
+    """rho of an Envelope result's generator is its hull m, bit for bit.
+
+    The profile 1.5 + sin 6x on [0.1, 3] is positive and bends both ways, so
+    its upper hull (convex direction) and, negated, its lower hull (concave
+    direction) are strict envelopes at every grid.
+    """
+    ivs = WorkingInterval(0.1, 3.0, grid_points)
+    xs = ivs.grid()
+    gen = build_from_profile(sign * (1.5 + np.sin(6.0 * xs)), ivs, "sine")
+    res = (qa_convex_envelope if sign > 0 else qa_concave_envelope)(gen)
+    assert res.status == "Envelope"
+    assert np.array_equal(rho(normalize(res.generator)).values, res.m(xs))
 
 
 # ------------------------------------------------------------ reporting

@@ -15,14 +15,12 @@ from qameans.generators import (
     AffineGenerator,
     AffineOfGenerator,
     ExpGenerator,
-    IdentityGenerator,
     LogGenerator,
     PowerGenerator,
     ReflectedGenerator,
     TabulatedGenerator,
     eval_f,
     eval_f1,
-    eval_f2,
     invert_f,
     load_table,
     negate_generator,
@@ -38,10 +36,11 @@ from oracles import fd_first, fd_second
 
 
 def test_eval_closed_forms(iv):
-    # hand values: 3^2 = 9, d/dx ln x at 4 is 0.25, affine has zero curvature
+    # hand values: 3^2 = 9, d/dx ln x at 4 is 0.25, affine has zero
+    # curvature, so its profile f'/f'' is +inf
     assert eval_f(PowerGenerator(2.0, iv), 3.0) == 9.0
     assert eval_f1(LogGenerator(iv), 4.0) == 0.25
-    assert eval_f2(AffineGenerator(2.0, 5.0, iv), 1.0) == 0.0
+    assert AffineGenerator(2.0, 5.0, iv).rho(1.0) == np.inf
     assert eval_f(ExpGenerator(iv), 1.0) == pytest.approx(np.e, rel=1e-15)
 
 
@@ -102,13 +101,13 @@ def test_working_interval_grid_cache_leaves_identity_alone():
 
 
 def test_derivative_grids_match_finite_differences(iv):
-    """Reported f1 and f2 agree with central differences of reported f."""
+    """Reported f1 and f1/rho agree with central differences of reported f."""
     xs = iv.grid()
     h = iv.step
     for gen in (PowerGenerator(3.0, iv), LogGenerator(iv), ExpGenerator(iv)):
         f = eval_f(gen, xs)
         f1 = eval_f1(gen, xs)
-        f2 = eval_f2(gen, xs)
+        f2 = f1 / gen.rho(xs)
         # O(h^2) stencils; pointwise relative bound since log is steep at lo
         rel1 = np.abs(fd_first(f, h) - f1)[2:-2] / np.abs(f1)[2:-2]
         rel2 = np.abs(fd_second(f, h) - f2)[2:-2] / np.abs(f2)[2:-2]
@@ -142,20 +141,16 @@ def test_normalize_rejects_nonmonotone():
 
 
 def test_rho_closed_forms(iv):
-    """Curvature ratio f'/f'' for power generators is x/(p-1)."""
+    """Curvature ratio f'/f'' for power generators is x/(p-1), in closed form."""
     xs = iv.grid()
     for p in (-1.0, 0.5, 2.0, 3.0):
         # rho needs the increasing representative; negation leaves it unchanged
         r = rho(normalize(PowerGenerator(p, iv)))
-        assert np.max(np.abs(r.values - xs / (p - 1.0))) < 1e-10 * np.max(
-            np.abs(xs / (p - 1.0))
-        )
+        assert np.array_equal(r.values, xs / (p - 1.0))
     # ln x: f'/f'' = (1/x)/(-1/x^2) = -x
-    r = rho(LogGenerator(iv))
-    assert np.max(np.abs(r.values + xs)) < 1e-10 * iv.hi
+    assert np.array_equal(rho(LogGenerator(iv)).values, -xs)
     # e^x: ratio is identically 1
-    r = rho(ExpGenerator(iv))
-    assert np.max(np.abs(r.values - 1.0)) < 1e-12
+    assert np.array_equal(rho(ExpGenerator(iv)).values, np.ones_like(xs))
 
 
 def test_rho_affine_invariance(iv):
@@ -166,7 +161,7 @@ def test_rho_affine_invariance(iv):
 
 def test_rho_degenerate_second_derivative(iv):
     with pytest.raises(DegenerateSecondDerivative):
-        rho(IdentityGenerator(iv))
+        rho(parse_generator("id", iv))
     with pytest.raises(DegenerateSecondDerivative):
         rho(AffineGenerator(3.0, -2.0, iv))
 
@@ -187,6 +182,10 @@ def test_negate_generator_round_trip(iv):
     assert np.array_equal(eval_f(neg, xs), -eval_f(gen, xs))
     back = negate_generator(neg)
     assert np.array_equal(eval_f(back, xs), eval_f(gen, xs))
+    # the profile f'/f'' is invariant under negation
+    tab = tabulate(gen)
+    assert np.array_equal(negate_generator(tab).rho_values, tab.rho_values)
+    assert np.array_equal(neg.rho(xs), gen.rho(xs))
 
 
 def test_reflect_generator_values(iv):
@@ -196,6 +195,7 @@ def test_reflect_generator_values(iv):
     xs = ref.domain.grid()[::50]
     assert np.array_equal(eval_f(ref, xs), eval_f(gen, -xs))
     assert np.array_equal(eval_f1(ref, xs), -eval_f1(gen, -xs))
+    assert np.array_equal(ref.rho(xs), -gen.rho(-xs))
     # double reflection unwraps to the original object
     assert reflect_generator(ref) is gen
 
@@ -261,17 +261,34 @@ def test_tabulated_fd_fallback_accuracy(iv13):
     xs = iv13.grid()
     tab = TabulatedGenerator(iv13, np.exp(xs), source="exp-values-only")
     assert np.max(np.abs(tab.f1_values - np.exp(xs))) < 1e-5 * np.e**3
-    assert np.max(np.abs(tab.f2_values[1:-1] - np.exp(xs)[1:-1])) < 1e-4 * np.e**3
+    # rho of e^x is 1: f' over the second difference
+    assert np.max(np.abs(tab.rho_values[1:-1] - 1.0)) < 1e-4
 
 
 def test_parse_generator_grammar(iv):
     assert isinstance(parse_generator("power:2", iv), PowerGenerator)
     assert isinstance(parse_generator("log", iv), LogGenerator)
     assert isinstance(parse_generator("exp", iv), ExpGenerator)
-    assert isinstance(parse_generator("id", iv), IdentityGenerator)
+    ident = parse_generator("id", iv)
+    assert isinstance(ident, AffineGenerator) and (ident.a, ident.b) == (1.0, 0.0)
+    assert ident.spec_string() == "id"
     aff = parse_generator("affine:2:-1", iv)
     assert isinstance(aff, AffineGenerator)
     assert eval_f(aff, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("p", [3.0, -5.0, 0.5, 1.000000001, 0.1, 1 / 3, -20.25, 1e-300])
+def test_power_spec_string_round_trips(iv, p):
+    gen = PowerGenerator(p, iv)
+    assert parse_generator(gen.spec_string(), iv).p == p
+    aff = AffineGenerator(p, -p / 7, iv)
+    back = parse_generator(aff.spec_string(), iv)
+    assert (back.a, back.b) == (aff.a, aff.b)
+
+
+def test_catalog_spec_strings_print_as_written(iv):
+    for spec in ("power:3", "power:-5", "power:0.5", "affine:2:1", "id", "log", "exp"):
+        assert parse_generator(spec, iv).spec_string() == spec
 
 
 def test_parse_generator_errors(iv):
