@@ -3,7 +3,11 @@
 Every report is machine-readable (JSON by default, CSV for envelope grid
 tables) and opens with a config block stating the effective interval,
 grid resolution, seed, and trial count, so any run can be reproduced from
-its own output.  Numbers are printed in shortest round-trip form.  Exit
+its own output.  Numbers are printed in shortest round-trip form, spelled
+as Python's repr spells them (json.dumps in JSON, so NaN and Infinity keep
+json's names).  Float lists and tables are formatted in C by orjson, whose
+text is repr's exactly when 1e-4 <= |v| < 1e16 or v = +-0; a row holding
+any other value is rewritten cell by cell through repr or json.dumps.  Exit
 codes: 0 success or pass, 1 a check failed with a witness (including an
 envelope that does not exist), 2 usage or domain errors.
 
@@ -23,6 +27,9 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
+import orjson
 
 from .convexity import classify
 from .envelope import qa_concave_envelope, qa_convex_envelope
@@ -124,14 +131,56 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _float_text(table, row_sep: str, special) -> str:
+    """The floats of a 1-D list or 2-D array as text, each cell as repr spells it.
+
+    Cells of a row are joined by "," and rows by row_sep; a 1-D table is one
+    cell per row.  One orjson.dumps call formats the whole table into one
+    string, with no str per cell.  orjson writes repr's text when
+    1e-4 <= |v| < 1e16 or v = +-0; other values it spells 0.00001, 1e16 or
+    null, so each row holding a nonzero |v| < 1e-4, |v| >= 1e16, NaN or +-inf
+    is rewritten through special (repr, or json.dumps for JSON's NaN and
+    Infinity).
+    """
+    arr = np.ascontiguousarray(table, dtype=float)
+    if arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
+    raw = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)
+    mag = np.abs(arr)
+    odd = np.flatnonzero(((mag < 1e-4) & (arr != 0) | ~(mag < 1e16)).any(axis=1))
+    if len(odd):
+        raw = _respell_rows(raw, arr, odd, special)
+    raw = raw.replace(b"],[", row_sep.encode())
+    return str(memoryview(raw)[2:-2], "ascii")
+
+
+def _respell_rows(raw: bytes, arr, rows, special) -> bytes:
+    """raw, the orjson text [[row],[row],...] of arr, with each of the given
+    rows spelled cell by cell through special."""
+    # Row k starts just past the (k+2)-th "[" and ends at the "],[" before
+    # row k+1; the last row ends at the closing "]]".
+    starts = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("["))[1:] + 1
+    ends = np.append(starts[1:] - 3, len(raw) - 2)
+    view = memoryview(raw)
+    chunks, pos = [], 0
+    for k in rows.tolist():
+        chunks.append(view[pos:starts[k]])
+        chunks.append(",".join(map(special, arr[k].tolist())).encode())
+        pos = ends[k]
+    chunks.append(view[pos:])
+    return b"".join(chunks)
+
+
 def _json_text(obj, indent: str = "") -> str:
     """The text of json.dumps(obj, indent=2) for a tree of str-keyed dicts.
 
-    A list made only of floats is written in one join, so a 65537-point
-    grid costs one repr per value instead of a pass through the pure-Python
-    indenting encoder.  Strings go through json's own escaper, ints and
-    finite floats through repr (as json writes them), and every other
-    scalar through json.dumps.
+    A list made only of floats is formatted by _float_text in one orjson
+    call, so a 65537-point grid pays neither a repr per value nor a pass
+    through the pure-Python indenting encoder.  Its items are orjson's text
+    when 1e-4 <= |v| < 1e16 or v = +-0, which is repr's, and json.dumps's
+    otherwise, as json writes them.  Strings go through json's own escaper,
+    ints and finite floats through repr, and every other scalar through
+    json.dumps.
     """
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -149,9 +198,7 @@ def _json_text(obj, indent: str = "") -> str:
         if not obj:
             return "[]"
         if set(map(type, obj)) == {float}:
-            body = sep.join(map(float.__repr__, obj))
-            if "n" in body:  # nan or inf, which json spells NaN, Infinity
-                body = sep.join(map(json.dumps, obj))
+            body = _float_text(obj, sep, json.dumps)
         else:
             body = sep.join(_json_text(v, inner) for v in obj)
         return "[\n" + inner + body + "\n" + indent + "]"
@@ -216,9 +263,8 @@ def _envelope_csv(result, config: dict) -> str:
     cols.append(("g1", result.g1.values))
     head = "# " + json.dumps({"config": config, "status": result.status,
                               "direction": result.direction})
-    rows = zip(*(map(repr, vals.tolist()) for _, vals in cols))
-    return "\n".join([head, ",".join(name for name, _ in cols),
-                      *map(",".join, rows)]) + "\n"
+    body = _float_text(np.column_stack([vals for _, vals in cols]), "\n", repr)
+    return "\n".join([head, ",".join(name for name, _ in cols), body]) + "\n"
 
 
 def _cmd_envelope(args, seed: int) -> int:

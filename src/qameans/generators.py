@@ -205,7 +205,7 @@ class AffineOfGenerator(Generator):
         return self.inner.rho(x)
 
     def spec_string(self):
-        return f"{self.a:g}*({self.inner.spec_string()})+{self.b:g}"
+        return f"{_shortest(self.a)}*({self.inner.spec_string()})+{_shortest(self.b)}"
 
 
 class ReflectedGenerator(Generator):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RangeError, UsageError
-from .generators import Generator, _check_domain, reflect_generator
+from .generators import Generator, _check_domain, _shortest, reflect_generator
 from .grids import WorkingInterval
 
 
@@ -120,7 +120,7 @@ class PowerMeanHandle(MeanHandle):
         return _power_mean_batch(self.p, _check_domain(self.domain, X))
 
     def spec_string(self):
-        return f"pmean:{self.p:g}"
+        return f"pmean:{_shortest(self.p)}"
 
 
 class QuasiArithmeticMean(MeanHandle):

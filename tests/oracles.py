@@ -183,6 +183,13 @@ def indented_json(obj):
     return json.dumps(obj, indent=2)
 
 
+def per_cell_float_text(table, row_sep, spell):
+    """Floats written one spell(float(v)) per cell, cells of a row joined by
+    ',' and rows by row_sep; a 1-D table is one cell per row."""
+    rows = [[v] for v in table] if np.ndim(table) == 1 else table
+    return row_sep.join(",".join(spell(float(v)) for v in row) for row in rows)
+
+
 def rowwise_envelope_csv(result, config):
     """Envelope CSV written row by row, one repr(float(v)) per cell."""
     xs = result.interval.grid()

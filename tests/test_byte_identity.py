@@ -1,5 +1,6 @@
-"""The column-wise report writers, the float hull scan and the numpy table
-parse against the row-wise, numpy-scalar and float()-per-cell references.
+"""The column-wise report writers, the orjson float formatter, the float
+hull scan and the numpy table parse against the row-wise, per-cell repr,
+numpy-scalar and float()-per-cell references.
 
 Each fast path does the same IEEE arithmetic or the same formatting as its
 reference, so the comparisons are exact: equal strings, equal vertex
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from qameans.cli import _envelope_csv, _json_text, run
-from qameans.envelope import _monotone_chain, qa_convex_envelope
+from qameans.cli import _envelope_csv, _float_text, _json_text, run
+from qameans.envelope import _monotone_chain, qa_concave_envelope, qa_convex_envelope
 from qameans.generators import (
     LogGenerator,
     PowerGenerator,
@@ -29,6 +31,7 @@ from oracles import (
     float_cell_table,
     indented_json,
     numpy_scalar_monotone_chain,
+    per_cell_float_text,
     rowwise_envelope_csv,
 )
 
@@ -53,6 +56,30 @@ def test_json_writer_matches_json_dumps(obj):
     assert _json_text(obj) == indented_json(obj)
 
 
+# Row separators and spellings of the two report formats: JSON list items,
+# CSV rows.
+SPELLINGS = [(",\n  ", json.dumps), ("\n", repr)]
+# The ends of the range where orjson's text is repr's, and the least subnormal.
+EDGES = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 5e-324]
+
+
+@given(st.lists(floats))
+@example(EDGES)
+@example([-v for v in EDGES] + [0.0, -0.0, NAN, INF, -INF])
+def test_float_text_matches_per_cell_spelling_on_lists(values):
+    for row_sep, spell in SPELLINGS:
+        assert (_float_text(values, row_sep, spell)
+                == per_cell_float_text(values, row_sep, spell))
+
+
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2), elements=floats))
+@example(np.array([EDGES[:2], EDGES[2:4], [EDGES[4], -0.0], [1.5, NAN], [-INF, 2.0]]))
+def test_float_text_matches_per_cell_spelling_on_tables(table):
+    for row_sep, spell in SPELLINGS:
+        assert (_float_text(table, row_sep, spell)
+                == per_cell_float_text(table, row_sep, spell))
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--gen", "log", "--vec", "1,7"],
     ["classify", "--gen", "power:3"],
@@ -60,6 +87,7 @@ def test_json_writer_matches_json_dumps(obj):
     ["envelope", "--gen", "power:3", "--grid", "257", "--trials", "500"],
     ["envelope", "--gen", "exp", "--kind", "concave", "--trials", "500"],
     ["verify", "--check", "kedlaya", "--gen", "log", "--trials", "200"],
+    ["envelope", "--gen", "power:3", "--grid", "65537", "--trials", "500"],
 ])
 def test_json_writer_matches_json_dumps_on_reports(tmp_path, argv):
     path = tmp_path / "report.json"
@@ -85,6 +113,16 @@ def test_envelope_csv_matches_rowwise_writer(n, build, status):
     assert result.status == status
     config = {"command": "envelope", "grid_points": n, "seed": 0}
     assert _envelope_csv(result, config) == rowwise_envelope_csv(result, config)
+
+
+def test_log_concave_envelope_csv_at_65537_matches_rowwise_writer():
+    result = qa_concave_envelope(LogGenerator(WorkingInterval(0.1, 10.0, 65537)))
+    config = {"command": "envelope", "grid_points": 65537, "seed": 0}
+    text = _envelope_csv(result, config)
+    # One cell lies below 1e-4, where orjson writes 0.00002746544313380802,
+    # so the equality below covers the rewrite of its row through repr.
+    assert text.count("e-05") == 1 and ",2.746544313380802e-05," in text
+    assert text == rowwise_envelope_csv(result, config)
 
 
 @pytest.mark.parametrize("gen", [PowerGenerator(3.0, WorkingInterval(0.1, 10.0, 65537)),

@@ -291,6 +291,13 @@ def test_catalog_spec_strings_print_as_written(iv):
         assert parse_generator(spec, iv).spec_string() == spec
 
 
+def test_affine_of_spec_string_keeps_every_digit(iv):
+    log = LogGenerator(iv)
+    assert (AffineOfGenerator(log, 1 / 3, -0.1).spec_string()
+            == "0.3333333333333333*(log)+-0.1")
+    assert negate_generator(log).spec_string() == "-1*(log)+0"
+
+
 def test_parse_generator_errors(iv):
     for bad in ("power:", "power:x", "affine:1", "affine:a:b", "cosh", ""):
         with pytest.raises(UsageError):

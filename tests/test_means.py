@@ -65,6 +65,11 @@ def test_power_mean_handle_checks_its_interval(iv):
         PowerMeanHandle(2.0, iv).batch(np.array([[1.0, np.nan]]))
 
 
+def test_power_mean_spec_string_keeps_every_digit(iv):
+    assert PowerMeanHandle(1.000000001, iv).spec_string() == "pmean:1.000000001"
+    assert PowerMeanHandle(2.0, iv).spec_string() == "pmean:2"
+
+
 def test_power_mean_rejects_nan():
     with pytest.raises(DomainError):
         power_mean(2.0, [1.0, np.nan])
