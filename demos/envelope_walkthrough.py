@@ -15,7 +15,7 @@ import argparse
 import numpy as np
 
 from qameans.convexity import classify
-from qameans.envelope import _reconstruct_from_values, qa_convex_envelope
+from qameans.envelope import qa_convex_envelope, reconstruct_generator
 from qameans.generators import TabulatedGenerator, parse_generator
 from qameans.grids import WorkingInterval
 from qameans.means import qa_mean
@@ -24,7 +24,7 @@ from qameans.means import qa_mean
 def profile_generator(interval, profile_values, name):
     # Solve g'/g'' = profile for g; the profile itself is the rho grid.
     m0 = np.asarray(profile_values, dtype=float)
-    g, g1 = _reconstruct_from_values(m0, interval)
+    g, g1 = reconstruct_generator(m0, interval)
     return TabulatedGenerator(interval, g.values, g1.values, m0, source=name)
 
 

@@ -106,13 +106,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("QAM_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"QAM_SEED must be an integer, got {raw!r}") from None
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get("QAM_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise UsageError(f"QAM_SEED must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _config(args, seed: int, **extras) -> dict:
@@ -277,7 +280,7 @@ def _cmd_envelope(args, seed: int) -> int:
         _emit(_envelope_csv(result, _config(args, seed, kind=args.kind)), args.out)
     else:
         report = {"config": _config(args, seed, kind=args.kind)}
-        report.update(result.to_dict(include_grids=(args.format == "json")))
+        report.update(result.to_dict())
         _json_report(report, args.out)
     return 1 if failed else 0
 

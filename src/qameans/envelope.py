@@ -5,8 +5,8 @@ convex QA envelope of QA_f is QA_g where g'/g'' is the least concave
 majorant (upper hull) of rho, and the concave envelope dually uses the
 greatest convex minorant (lower hull).  Hulls of the sampled profile are
 computed by a monotone-chain scan; the generator g is recovered from its
-profile m by two cumulative quadratures, since g'/g'' = m is equivalent
-to (ln g')' = 1/m:
+profile m on the grid by two running trapezoid sums, since g'/g'' = m is
+equivalent to (ln g')' = 1/m:
 
     g'(x) = exp( integral_lo^x dt / m(t) ),    g(x) = integral_lo^x g'(t) dt,
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .convexity import MEAN_CMP_TOL, _profile_pos_concave
 from .errors import (
@@ -107,32 +106,25 @@ def convex_envelope_1d(samples: ScalarGrid) -> PiecewiseLinearHull:
     return PiecewiseLinearHull(_monotone_chain(xs, samples.values, upper=False), "lower")
 
 
-def _reconstruct_from_values(mvals: np.ndarray, interval: WorkingInterval):
-    """Quadrature solve of g'/g'' = m for sign-constant m on the grid."""
-    if np.any(mvals == 0.0) or (np.any(mvals > 0.0) and np.any(mvals < 0.0)):
-        raise NonpositiveM("profile m must have one nonzero sign on the grid")
-    xs = interval.grid()
-    u = cumulative_trapezoid(1.0 / mvals, xs, initial=0.0)
-    g1 = np.exp(u)
-    g = cumulative_trapezoid(g1, xs, initial=0.0)
-    return ScalarGrid(interval, g), ScalarGrid(interval, g1)
+def _cumulative_trapezoid(y: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of y from xs[0] to each grid point, summed left to right."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(xs) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def reconstruct_generator(m: PiecewiseLinearHull, interval: WorkingInterval):
+def reconstruct_generator(mvals, interval: WorkingInterval):
     """Solve g'/g'' = m by the integrating-factor quadratures.
 
-    Requires m > 0 on the interval (the profile of an increasing convex
-    generator); returns the grids (g, g1) anchored at g(lo) = 0,
-    g'(lo) = 1.
+    mvals is the profile m on the interval's grid.  It must be nonzero with
+    one sign: positive for an increasing convex generator, negative for an
+    increasing concave one.  Returns the grids (g, g1) anchored at
+    g(lo) = 0, g'(lo) = 1.
     """
-    mvals = np.asarray(m(interval.grid()), dtype=float)
-    if np.any(mvals <= 0.0):
-        k = int(np.argmin(mvals))
-        raise NonpositiveM(
-            f"m is not positive on the interval (m = {mvals[k]!r} "
-            f"at x = {interval.grid()[k]!r})"
-        )
-    return _reconstruct_from_values(mvals, interval)
+    mvals = np.asarray(mvals, dtype=float)
+    if not (np.all(mvals > 0.0) or np.all(mvals < 0.0)):
+        raise NonpositiveM("profile m must have one nonzero sign on the grid")
+    xs = interval.grid()
+    g1 = np.exp(_cumulative_trapezoid(1.0 / mvals, xs))
+    return ScalarGrid(interval, _cumulative_trapezoid(g1, xs)), ScalarGrid(interval, g1)
 
 
 @dataclass
@@ -162,7 +154,7 @@ class EnvelopeResult:
             return QuasiArithmeticMean(self.generator)
         raise UsageError(f"no envelope mean for status {self.status}")
 
-    def to_dict(self, include_grids: bool = True) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "status": self.status,
             "direction": self.direction,
@@ -175,8 +167,7 @@ class EnvelopeResult:
         }
         if self.m is not None:
             out["hull_vertices"] = self.m.to_list()
-        if include_grids and self.g is not None:
-            out["grid"] = self.interval.grid().tolist()
+        if self.g is not None:
             out["g"] = self.g.values.tolist()
             out["g1"] = self.g1.values.tolist()
         return out
@@ -247,10 +238,10 @@ def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
 
     already = _profile_pos_concave(oriented, interval)
     diag = {"profile_test": {k: v for k, v in already.items() if k != "ok"}}
+    hull = (concave_envelope_1d(profile) if direction == "convex"
+            else convex_envelope_1d(profile))
 
     if already["ok"]:
-        hull = (concave_envelope_1d(profile) if direction == "convex"
-                else convex_envelope_1d(profile))
         gtab = tabulate(ngen)
         # The mean is its own envelope: keep the exact generator for the
         # mean handle and publish its sampled grids for serialization.
@@ -262,18 +253,11 @@ def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
             generator=ngen, diagnostics=diag,
         )
 
-    if direction == "convex":
-        hull = concave_envelope_1d(profile)
-        g, g1 = reconstruct_generator(hull, interval)
-    else:
-        hull = convex_envelope_1d(profile)
-        g, g1 = _reconstruct_from_values(np.asarray(hull(xs), dtype=float), interval)
-
     # The hull is the result's profile: rho of the generator is m to the bit.
-    gen_out = TabulatedGenerator(
-        interval, g.values, g1.values, np.asarray(hull(xs), dtype=float),
-        source=f"envelope({ngen.spec_string()})",
-    )
+    mvals = hull(xs)
+    g, g1 = reconstruct_generator(mvals, interval)
+    gen_out = TabulatedGenerator(interval, g.values, g1.values, mvals,
+                                 source=f"envelope({ngen.spec_string()})")
     return EnvelopeResult(
         "Envelope", direction, interval,
         rho=profile, m=hull, g=g, g1=g1,

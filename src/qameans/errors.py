@@ -37,7 +37,7 @@ class SignChange(QameansError):
 
 
 class NonpositiveM(QameansError):
-    """A profile handed to the generator reconstruction is not strictly positive."""
+    """A profile handed to the generator reconstruction is zero or changes sign."""
 
 
 class CandidateRejected(QameansError):

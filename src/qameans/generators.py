@@ -550,7 +550,8 @@ def load_table(path: str) -> TabulatedGenerator:
     if np.any(steps <= 0):
         raise UsageError(f"{path}: x column must be strictly increasing")
     h = (xs[-1] - xs[0]) / (len(xs) - 1)
-    if np.max(np.abs(steps - h)) > 1e-9 * max(abs(h), 1.0):
+    # Relative to the step, plus the rounding of the x values themselves.
+    if np.max(np.abs(steps - h)) > 1e-9 * h + 4.0 * np.spacing(np.max(np.abs(xs))):
         raise UsageError(f"{path}: x column must be uniformly spaced")
 
     interval = WorkingInterval(float(xs[0]), float(xs[-1]), len(xs))

@@ -29,9 +29,9 @@ from .convexity import MEAN_CMP_TOL, _grouped_tuples, _sample_margins
 from .envelope import (
     EnvelopeResult,
     _monotone_chain,
-    _reconstruct_from_values,
     qa_concave_envelope,
     qa_concave_envelope_via_reflection,
+    reconstruct_generator,
 )
 from .errors import CandidateRejected, UsageError
 from .generators import Generator, TabulatedGenerator
@@ -264,7 +264,7 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
         else:
             raise CandidateRejected(
                 f"candidate {c}: no dominating concave profile in 200 attempts")
-        h, h1 = _reconstruct_from_values(mp, interval)
+        h, h1 = reconstruct_generator(mp, interval)
         cand_mean = QuasiArithmeticMean(TabulatedGenerator(
             interval, h.values, h1.values, mp, source=f"candidate:{c}"))
         w, fails, trial, row = _sample_margins(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qameans.envelope import _reconstruct_from_values
+from qameans.envelope import reconstruct_generator
 from qameans.generators import (
     ExpGenerator,
     LogGenerator,
@@ -53,7 +53,7 @@ def build_from_profile(profile_values, interval, name):
     the generator's rho grid, so the profile identity holds to the last bit.
     """
     m0 = np.asarray(profile_values, dtype=float)
-    g, g1 = _reconstruct_from_values(m0, interval)
+    g, g1 = reconstruct_generator(m0, interval)
     return TabulatedGenerator(interval, g.values, g1.values, m0, source=name)
 
 

@@ -152,6 +152,19 @@ def constant_profile_generator(xs, lo, c):
     return g, g1
 
 
+def running_trapezoid(y, x):
+    """Trapezoid integral of y from x[0] to each x[i], one interval at a time.
+
+    A plain loop over Python floats, adding each panel to the running total
+    in grid order.
+    """
+    out, acc = [0.0], 0.0
+    for i in range(1, len(x)):
+        acc += (x[i] - x[i - 1]) * (y[i] + y[i - 1]) / 2.0
+        out.append(acc)
+    return np.array(out)
+
+
 def brute_qa_mean(fvals_fn, inv_fn, values):
     """Quasiarithmetic mean from user-supplied f and f^{-1} callables."""
     arr = np.asarray(values, dtype=float)

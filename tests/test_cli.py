@@ -142,6 +142,17 @@ def test_envelope_csv_reload_keeps_class(tmp_path, capsys, grid, gen, kind, verd
     assert _json_out(capsys)["class"] == verdict
 
 
+@pytest.mark.parametrize("lo,hi", [(0.1, 10.0), (1e-3, 1e3), (1e6, 1e6 + 100.0)])
+def test_envelope_csv_reloads_at_65537_points(tmp_path, lo, hi):
+    """The loader's spacing check passes the rounding of a fine, wide or
+    offset x column."""
+    out_path = tmp_path / "env.csv"
+    assert run(["envelope", "--gen", "power:3", "--lo", repr(lo), "--hi", repr(hi),
+                "--grid", "65537", "--format", "csv", "--out", str(out_path)]) == 0
+    dom = load_table(str(out_path)).domain
+    assert (dom.lo, dom.hi, dom.grid_points) == (lo, hi, 65537)
+
+
 def test_envelope_csv_to_stdout(capsys):
     code = run(["envelope", "--gen", "exp", "--format", "csv"])
     out = capsys.readouterr().out
@@ -229,6 +240,22 @@ def test_seed_resolution(capsys, monkeypatch):
     assert _json_out(capsys)["config"]["seed"] == 7
     monkeypatch.setenv("QAM_SEED", "not-a-number")
     assert run(["verify", "--check", "symmetry", "--gen", "log", "--trials", "100"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--check", "symmetry", "--gen", "log", "--trials", "10", "--seed", "-1"],
+    ["eval", "--gen", "log", "--vec", "1,2", "--seed", "-1"],
+    ["envelope", "--gen", "power:3", "--seed", "-1"],
+])
+def test_negative_seed_is_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.delenv("QAM_SEED", raising=False)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    monkeypatch.setenv("QAM_SEED", "-5")
+    assert run(argv[:-2]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
 
 
 def test_unknown_generator_spec_is_usage_error(capsys):

@@ -1,6 +1,10 @@
 """Hulls, generator reconstruction, and the QA envelope pipeline."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,6 @@ import pytest
 from qameans.convexity import classify
 from qameans.envelope import (
     PiecewiseLinearHull,
-    _reconstruct_from_values,
     concave_envelope_1d,
     convex_envelope_1d,
     qa_concave_envelope,
@@ -35,7 +38,10 @@ from oracles import (
     concave_chord_profile_generator,
     constant_profile_generator,
     fd_curvature_ratio,
+    running_trapezoid,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------- hulls
@@ -150,7 +156,7 @@ def test_hull_validation():
 def test_reconstruct_constant_profile(iv13):
     xs = iv13.grid()
     hull = PiecewiseLinearHull(((1.0, 2.0), (3.0, 2.0)), "upper")
-    g, g1 = reconstruct_generator(hull, iv13)
+    g, g1 = reconstruct_generator(hull(xs), iv13)
     want_g, want_g1 = constant_profile_generator(xs, 1.0, 2.0)
     # the inner quadrature of a constant is exact, so g1 is tight
     assert np.max(np.abs(g1.values - want_g1)) < 1e-12
@@ -162,7 +168,7 @@ def test_reconstruct_constant_profile(iv13):
 def test_reconstruct_chord_profile(iv13):
     xs = iv13.grid()
     hull = PiecewiseLinearHull(((1.0, 1.0), (3.0, 9.0)), "upper")
-    g, g1 = reconstruct_generator(hull, iv13)
+    g, g1 = reconstruct_generator(hull(xs), iv13)
     want_g, want_g1 = chord_profile_generator(xs)
     assert np.max(np.abs(g1.values - want_g1)) < 1e-5
     assert np.max(np.abs(g.values - want_g)) < 1e-5
@@ -170,7 +176,7 @@ def test_reconstruct_chord_profile(iv13):
 
 def test_reconstruct_negative_profile_internal(iv13):
     xs = iv13.grid()
-    g, g1 = _reconstruct_from_values(np.full_like(xs, -2.0), iv13)
+    g, g1 = reconstruct_generator(np.full_like(xs, -2.0), iv13)
     want_g1 = np.exp(-(xs - 1.0) / 2.0)
     assert np.max(np.abs(g1.values - want_g1)) < 1e-12
     # g' stays positive and decays: an increasing concave generator
@@ -181,16 +187,37 @@ def test_reconstruct_rejects_sign_crossing_profile(iv13):
     xs = iv13.grid()
     hull = PiecewiseLinearHull(((1.0, -1.0), (3.0, 1.0)), "upper")
     with pytest.raises(NonpositiveM):
-        reconstruct_generator(hull, iv13)
+        reconstruct_generator(hull(xs), iv13)
     with pytest.raises(NonpositiveM):
-        _reconstruct_from_values(xs - 2.0, iv13)
+        reconstruct_generator(xs - 2.0, iv13)
+
+
+@pytest.mark.parametrize("grid_points", [3, 1025, 65537])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_reconstruction_is_bit_equal_to_a_running_trapezoid_loop(grid_points, sign):
+    ivs = WorkingInterval(0.1, 3.0, grid_points)
+    xs = ivs.grid()
+    m = sign * (1.5 + np.sin(6.0 * xs))
+    g, g1 = reconstruct_generator(m, ivs)
+    want_g1 = np.exp(running_trapezoid((1.0 / m).tolist(), xs.tolist()))
+    assert np.array_equal(g1.values, want_g1)
+    assert np.array_equal(g.values, running_trapezoid(want_g1.tolist(), xs.tolist()))
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, qameans; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_reconstructed_profile_matches_by_finite_differences(iv13):
     """FD curvature ratio of the reconstructed g reproduces the profile."""
     xs = iv13.grid()
     hull = PiecewiseLinearHull(((1.0, 1.0), (3.0, 9.0)), "upper")
-    g, _ = reconstruct_generator(hull, iv13)
+    g, _ = reconstruct_generator(hull(xs), iv13)
     ratio = fd_curvature_ratio(g.values, iv13.step)
     want = 4.0 * xs - 3.0
     assert np.max(np.abs(ratio - want)[2:-2]) < 1e-3
@@ -456,5 +483,3 @@ def test_envelope_to_dict_and_determinism(rho_x2_gen):
     assert a["status"] == "Envelope"
     assert a["hull_vertices"] == [[1.0, 1.0], [3.0, 9.0]]
     assert len(a["g"]) == rho_x2_gen.domain.grid_points
-    slim = qa_convex_envelope(rho_x2_gen).to_dict(include_grids=False)
-    assert "g" not in slim and "hull_vertices" in slim

@@ -337,6 +337,11 @@ def test_load_table_rejects_bad_grids(tmp_path):
     bad1.write_text("x,f\n0,0\n1,1\n3,3\n")
     with pytest.raises(UsageError):
         load_table(str(bad1))
+    # the same shape at a tiny scale: no absolute floor hides it
+    tiny = tmp_path / "tiny-steps.csv"
+    tiny.write_text("x,f\n0,0\n1e-12,1\n3e-12,3\n")
+    with pytest.raises(UsageError, match="uniformly spaced"):
+        load_table(str(tiny))
     bad2 = tmp_path / "decreasing-x.csv"
     bad2.write_text("x,f\n2,0\n1,1\n0,2\n")
     with pytest.raises(UsageError):
