@@ -13,9 +13,9 @@ Two sampled cross-checks accompany the classification: domination of the
 arithmetic mean (a cross-check of the envelope existence verdict) and a direct
 midpoint Jensen test on random tuple pairs.  They, and every check in
 :mod:`qameans.verify`, run through one driver, :func:`_sample_margins`: it
-folds a margin function over groups of trials and keeps the worst margin,
-the failure count and the failing trial with the lowest index, which is
-the one a report names as its witness.
+folds a margin function over groups of trials, keeps the worst margin and
+the failure count, and hands the failing trial with the lowest index to the
+check's witness builder.  Every check returns a :class:`TrialReport`.
 """
 
 from __future__ import annotations
@@ -137,34 +137,6 @@ def _without_ok(test: dict) -> dict:
     return {k: v for k, v in test.items() if k != "ok"}
 
 
-@dataclass(frozen=True)
-class GateReport:
-    """Sampled comparison of a QA mean against the arithmetic mean."""
-
-    holds: bool
-    direction: str  # "ge" or "le"
-    trials: int
-    n_max: int
-    seed: int
-    tol: float
-    worst_margin: float
-    witness: dict | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "holds": self.holds,
-            "direction": self.direction,
-            "trials": self.trials,
-            "n_max": self.n_max,
-            "seed": self.seed,
-            "tol": self.tol,
-            "worst_margin": self.worst_margin,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
 def _grouped_tuples(rng, trials: int, n_max: int, interval: WorkingInterval):
     """Random tuple sizes 2..n_max, yielded as (original indices, batch).
 
@@ -189,14 +161,50 @@ def _grouped_tuples(rng, trials: int, n_max: int, interval: WorkingInterval):
     return groups()
 
 
-def _sample_margins(groups, margin_fn, tol: float) -> tuple:
+@dataclass(frozen=True)
+class TrialReport:
+    """Outcome of one sampled check."""
+
+    check: str
+    trials: int
+    failures: int
+    worst_margin: float
+    seed: int
+    witness: dict | None = None
+    extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if (self.failures == 0) != (self.witness is None):
+            raise UsageError("witness must be present exactly when failures > 0")
+
+    @property
+    def passed(self) -> bool:
+        return self.failures == 0
+
+    def to_dict(self) -> dict:
+        out = {
+            "check": self.check,
+            "trials": self.trials,
+            "failures": self.failures,
+            "worst_margin": self.worst_margin,
+            "seed": self.seed,
+        }
+        if self.witness is not None:
+            out["witness"] = self.witness
+        if self.extra:
+            out["extra"] = self.extra
+        return out
+
+
+def _sample_margins(groups, margin_fn, tol: float, witness_fn) -> tuple:
     """Fold a sampled inequality over groups of (trial indices, batch X).
 
     margin_fn(X) returns (margin, *arrays) with one entry per row; a row
     fails when its margin is below -tol.  Returns the worst margin, the
-    failure count, the lowest failing trial index and that trial's row
-    (X[j], margin[j], *arrays[j]), the last two None when nothing fails.
-    groups may draw lazily from an rng that margin_fn also draws from.
+    failure count and the witness: witness_fn(trial, x, margin, *arrays)
+    called once on the failing row with the lowest trial index, or None
+    when nothing fails.  groups may draw lazily from an rng that margin_fn
+    also draws from.
     """
     worst = np.inf
     failures = 0
@@ -212,11 +220,11 @@ def _sample_margins(groups, margin_fn, tol: float) -> tuple:
             if witness_trial is None or idx[j] < witness_trial:
                 witness_trial = int(idx[j])
                 row = (X[j], margin[j], *(a[j] for a in arrays))
-    return worst, failures, witness_trial, row
+    return worst, failures, None if row is None else witness_fn(witness_trial, *row)
 
 
 def dominates_arithmetic(gen: Generator, n_max: int, trials: int,
-                         direction: str = "ge", seed: int = 0) -> GateReport:
+                         direction: str = "ge", seed: int = 0) -> TrialReport:
     """Sampled test of QA_f >= A (direction "ge") or QA_f <= A ("le").
 
     Deterministic under the seed.  The worst margin is the minimum over
@@ -233,52 +241,17 @@ def dominates_arithmetic(gen: Generator, n_max: int, trials: int,
         am = X.mean(axis=1)
         return (qa - am if direction == "ge" else am - qa), qa, am
 
-    worst, _, trial, row = _sample_margins(
-        _grouped_tuples(rng, trials, n_max, gen.domain), margin, tol)
-    witness = None
-    if trial is not None:
-        x, mg, qa, am = row
-        witness = {
-            "values": [float(v) for v in x],
-            "qa_mean": float(qa),
-            "arith_mean": float(am),
-            "margin": float(mg),
-            "trial": trial,
-        }
-    return GateReport(witness is None, direction, trials, n_max, seed,
-                      tol, worst, witness)
-
-
-@dataclass(frozen=True)
-class JensenReport:
-    """Sampled midpoint convexity/concavity test for a mean."""
-
-    passed: bool
-    sense: str  # "convex" or "concave"
-    trials: int
-    n_max: int
-    seed: int
-    tol: float
-    worst_margin: float
-    witness: dict | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "passed": self.passed,
-            "sense": self.sense,
-            "trials": self.trials,
-            "n_max": self.n_max,
-            "seed": self.seed,
-            "tol": self.tol,
-            "worst_margin": self.worst_margin,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+    worst, failures, witness = _sample_margins(
+        _grouped_tuples(rng, trials, n_max, gen.domain), margin, tol,
+        lambda trial, x, mg, qa, am: {
+            "values": x.tolist(), "qa_mean": float(qa), "arith_mean": float(am),
+            "margin": float(mg), "trial": trial})
+    return TrialReport("dominates_arithmetic", trials, failures, worst, seed, witness,
+                       extra={"direction": direction, "n_max": n_max, "tol": tol})
 
 
 def jensen_midpoint_check(mean: MeanHandle, n_max: int, trials: int,
-                          sense: str = "convex", seed: int = 0) -> JensenReport:
+                          sense: str = "convex", seed: int = 0) -> TrialReport:
     """Test M((x+y)/2) <= (M(x)+M(y))/2 (or >= for sense "concave").
 
     Random tuple pairs of each length 2..n_max; the margin is the slack of
@@ -296,18 +269,10 @@ def jensen_midpoint_check(mean: MeanHandle, n_max: int, trials: int,
         rhs = 0.5 * (mean.batch(X) + mean.batch(Y))
         return (rhs - lhs if sense == "convex" else lhs - rhs), Y, lhs, rhs
 
-    worst, _, trial, row = _sample_margins(
-        _grouped_tuples(rng, trials, n_max, interval), margin, JENSEN_TOL)
-    witness = None
-    if trial is not None:
-        x, mg, y, lhs, rhs = row
-        witness = {
-            "x": [float(v) for v in x],
-            "y": [float(v) for v in y],
-            "m_at_midpoint": float(lhs),
-            "average_of_m": float(rhs),
-            "margin": float(mg),
-            "trial": trial,
-        }
-    return JensenReport(witness is None, sense, trials, n_max, seed,
-                        JENSEN_TOL, worst, witness)
+    worst, failures, witness = _sample_margins(
+        _grouped_tuples(rng, trials, n_max, interval), margin, JENSEN_TOL,
+        lambda trial, x, mg, y, lhs, rhs: {
+            "x": x.tolist(), "y": y.tolist(), "m_at_midpoint": float(lhs),
+            "average_of_m": float(rhs), "margin": float(mg), "trial": trial})
+    return TrialReport("jensen_midpoint", trials, failures, worst, seed, witness,
+                       extra={"sense": sense, "n_max": n_max, "tol": JENSEN_TOL})

@@ -237,7 +237,9 @@ class TabulatedGenerator(Generator):
     The f' and rho grids may be supplied (when built from an exact
     construction, such as an envelope's hull m) or are otherwise filled in
     by central finite differences with the grid step, accurate to O(h^2) in
-    the interior: f' directly, rho as f' over the second difference.
+    the interior: f' directly, rho as f' over the second difference.  A
+    supplied rho may be +-inf (f'' = 0) but not zero or NaN (UsageError
+    naming the source).
     """
 
     def __init__(self, domain: WorkingInterval, values, f1_values=None,
@@ -257,6 +259,8 @@ class TabulatedGenerator(Generator):
                           else _central_diff(vals, h))
         if rho_values is not None:
             self.rho_values = np.array(rho_values, dtype=float)
+            if not np.all(np.abs(self.rho_values) > 0.0):
+                raise UsageError(f"{source}: rho values must be nonzero and not NaN")
         else:
             with np.errstate(divide="ignore"):  # f'' = 0: rho is infinite
                 self.rho_values = self.f1_values / _central_diff2(vals, h)
@@ -543,15 +547,14 @@ def load_table(path: str) -> TabulatedGenerator:
     fs = col("f", "g", default=1)
     f1s = col("f1", "g1")
     ms = col("m")
-    if ms is not None and np.any(ms == 0.0):
-        raise UsageError(f"{path}: m column must be nonzero")
 
+    # Both x tests are written so that a NaN fails them.
     steps = np.diff(xs)
-    if np.any(steps <= 0):
+    if not np.all(steps > 0):
         raise UsageError(f"{path}: x column must be strictly increasing")
     h = (xs[-1] - xs[0]) / (len(xs) - 1)
     # Relative to the step, plus the rounding of the x values themselves.
-    if np.max(np.abs(steps - h)) > 1e-9 * h + 4.0 * np.spacing(np.max(np.abs(xs))):
+    if not np.max(np.abs(steps - h)) <= 1e-9 * h + 4.0 * np.spacing(np.max(np.abs(xs))):
         raise UsageError(f"{path}: x column must be uniformly spaced")
 
     interval = WorkingInterval(float(xs[0]), float(xs[-1]), len(xs))

@@ -12,20 +12,20 @@ the chained running-mean inequality, maximality of a computed envelope
 against random concave competitor profiles, agreement of the direct and
 reflected concave-envelope routes, and permutation symmetry.
 
-Each check supplies a margin function to the sampling driver
-``convexity._sample_margins`` and builds its witness once, after the
-loop, from the failing trial with the lowest index (maximality takes it
-from the first failing candidate).  The interchange and running-mean
-witnesses are shrunk once per report.
+Each check supplies a margin function and a witness builder to the
+sampling driver ``convexity._sample_margins``, which calls the builder
+once, on the failing trial with the lowest index (maximality keeps the
+witness of its first failing candidate).  The interchange and
+running-mean witnesses are shrunk once per report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 
 import numpy as np
 
-from .convexity import MEAN_CMP_TOL, _grouped_tuples, _sample_margins
+from .convexity import MEAN_CMP_TOL, TrialReport, _grouped_tuples, _sample_margins
 from .envelope import (
     EnvelopeResult,
     _monotone_chain,
@@ -46,41 +46,6 @@ SYMMETRY_TOL = 1e-12
 # Slack for envelope-maximality comparisons; absorbs quadrature error of
 # reconstructed candidate generators.
 MAXIMALITY_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class TrialReport:
-    """Outcome of one randomized check."""
-
-    check: str
-    trials: int
-    failures: int
-    worst_margin: float
-    seed: int
-    witness: dict | None = None
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if (self.failures == 0) != (self.witness is None):
-            raise UsageError("witness must be present exactly when failures > 0")
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
-    def to_dict(self) -> dict:
-        out = {
-            "check": self.check,
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst_margin": self.worst_margin,
-            "seed": self.seed,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.extra:
-            out["extra"] = self.extra
-        return out
 
 
 def _shrink(violation_fn, arr0: np.ndarray, floor: float) -> tuple:
@@ -107,13 +72,13 @@ def _shrink(violation_fn, arr0: np.ndarray, floor: float) -> tuple:
     return arr, float(violation_fn(arr))
 
 
-def _shrunk_witness(key: str, sides, row: tuple, trial: int, tol: float) -> dict:
-    """Shrink a failing input of lhs <= rhs once and evaluate both sides.
+def _shrunk_witness(key: str, sides, tol: float, trial: int, x0: np.ndarray,
+                    margin: float) -> dict:
+    """Shrink a failing input x0 of lhs <= rhs once and evaluate both sides.
 
-    row is the driver's (x, margin); sides(x) returns (lhs, rhs) for an
-    input of x's shape, which the witness keeps under key.
+    The last three arguments are the driver's witness row; sides(x) returns
+    (lhs, rhs) for an input of x0's shape, which the witness keeps under key.
     """
-    x0, margin = row
 
     def violation(flat):
         lhs, rhs = sides(flat.reshape(x0.shape))
@@ -138,8 +103,8 @@ def _ij_sample(M: MeanHandle, N: MeanHandle, draws: list, per: int) -> tuple:
     """Interchange margins of per random matrices for each (seed, m, n) draw.
 
     Trial k of draw i is trial i * per + k, so the witness comes from the
-    first failing draw; it is shrunk once.  Returns the worst margin, the
-    failure count, the witness (or None) and the tolerance.
+    first failing draw; it is shrunk once.  Returns the driver's worst
+    margin, failure count and witness, and the tolerance.
     """
     if M.domain != N.domain:
         raise UsageError("both means must share a working interval")
@@ -158,10 +123,11 @@ def _ij_sample(M: MeanHandle, N: MeanHandle, draws: list, per: int) -> tuple:
         rhs = M.batch(N.batch(np.swapaxes(X, 1, 2).reshape(-1, n)).reshape(trials, m))
         return (rhs - lhs,)
 
-    worst, failures, trial, row = _sample_margins(groups(), margin, tol)
-    witness = None if trial is None else _shrunk_witness(
-        "matrix", lambda x: _ij_sides(M, N, x), row, trial % per, tol)
-    return worst, failures, witness, tol
+    def witness(trial, x, mg):
+        return _shrunk_witness("matrix", functools.partial(_ij_sides, M, N), tol,
+                               trial % per, x, mg)
+
+    return (*_sample_margins(groups(), margin, tol, witness), tol)
 
 
 def ingham_jessen_check(M: MeanHandle, N: MeanHandle, m: int, n: int,
@@ -205,10 +171,10 @@ def kedlaya_check(M: MeanHandle, N: MeanHandle, n_max: int, trials: int,
         n_pref = np.column_stack([N.batch(X[:, :k]) for k in range(1, n + 1)])
         return (M.batch(n_pref) - N.batch(m_pref),)
 
-    worst, failures, trial, row = _sample_margins(
-        _grouped_tuples(rng, trials, n_max, interval), margin, tol)
-    witness = None if trial is None else _shrunk_witness(
-        "values", lambda x: _prefix_sides(M, N, x), row, trial, tol)
+    worst, failures, witness = _sample_margins(
+        _grouped_tuples(rng, trials, n_max, interval), margin, tol,
+        functools.partial(_shrunk_witness, "values",
+                          functools.partial(_prefix_sides, M, N), tol))
     return TrialReport("kedlaya", trials, failures, worst, seed, witness,
                        extra={"n_max": n_max, "tol": tol,
                               "M": M.spec_string(), "N": N.spec_string()})
@@ -244,7 +210,7 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
     rejected = 0
     worst = np.inf
     failures = 0
-    first = None
+    witness = None
     for c in range(candidates):
         for _ in range(200):
             k = int(rng.integers(2, 7))
@@ -267,23 +233,16 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
         h, h1 = reconstruct_generator(mp, interval)
         cand_mean = QuasiArithmeticMean(TabulatedGenerator(
             interval, h.values, h1.values, mp, source=f"candidate:{c}"))
-        w, fails, trial, row = _sample_margins(
+        # Only the first failing candidate's witness is built and kept.
+        w, fails, found = _sample_margins(
             _grouped_tuples(rng, trials, 6, interval),
-            lambda X: (env_mean.batch(X) - cand_mean.batch(X),), MAXIMALITY_TOL)
+            lambda X: (env_mean.batch(X) - cand_mean.batch(X),), MAXIMALITY_TOL,
+            lambda trial, x, mg: witness or {
+                "candidate": c, "values": x.tolist(), "qa_candidate": float(cand_mean(x)),
+                "qa_envelope": float(env_mean(x)), "margin": float(mg)})
         worst = min(worst, w)
         failures += fails
-        if first is None and trial is not None:
-            first = (c, cand_mean, row)
-    witness = None
-    if first is not None:
-        c, cand_mean, (x, mg) = first
-        witness = {
-            "candidate": c,
-            "values": [float(v) for v in x],
-            "qa_candidate": float(cand_mean(x)),
-            "qa_envelope": float(env_mean(x)),
-            "margin": float(mg),
-        }
+        witness = witness or found
     return TrialReport("maximality", candidates * trials, failures, worst, seed,
                        witness, extra={"candidates": candidates,
                                        "rejected_candidates": rejected,
@@ -317,17 +276,11 @@ def duality_check(f: Generator, trials: int, seed: int = 0) -> TrialReport:
         diff = np.abs(mean_a.batch(X) - mean_b.batch(X))
         return DUALITY_TOL - diff, diff
 
-    worst, failures, trial, row = _sample_margins(
-        _grouped_tuples(rng, trials, 6, f.domain), margin, 0.0)
-    witness = None
-    if trial is not None:
-        x, _, diff = row
-        witness = {
-            "values": [float(v) for v in x],
-            "direct": float(mean_a(x)),
-            "reflected": float(mean_b(x)),
-            "difference": float(diff),
-        }
+    worst, failures, witness = _sample_margins(
+        _grouped_tuples(rng, trials, 6, f.domain), margin, 0.0,
+        lambda trial, x, mg, diff: {
+            "values": x.tolist(), "direct": float(mean_a(x)),
+            "reflected": float(mean_b(x)), "difference": float(diff)})
     return TrialReport("duality", trials, failures, worst, seed, witness,
                        extra={"generator": f.spec_string(), "tol": DUALITY_TOL,
                               "status": env_a.status})
@@ -342,18 +295,11 @@ def symmetry_check(mean: MeanHandle, trials: int, seed: int = 0) -> TrialReport:
         diff = np.abs(mean.batch(X) - mean.batch(P))
         return SYMMETRY_TOL - diff, P, diff
 
-    worst, failures, trial, row = _sample_margins(
-        _grouped_tuples(rng, trials, 6, mean.domain), margin, 0.0)
-    witness = None
-    if trial is not None:
-        x, _, p, diff = row
-        witness = {
-            "values": [float(v) for v in x],
-            "permuted": [float(v) for v in p],
-            "value": float(mean(x)),
-            "permuted_value": float(mean(p)),
-            "difference": float(diff),
-        }
+    worst, failures, witness = _sample_margins(
+        _grouped_tuples(rng, trials, 6, mean.domain), margin, 0.0,
+        lambda trial, x, mg, p, diff: {
+            "values": x.tolist(), "permuted": p.tolist(), "value": float(mean(x)),
+            "permuted_value": float(mean(p)), "difference": float(diff)})
     return TrialReport("symmetry", trials, failures, worst, seed, witness,
                        extra={"mean": mean.spec_string(), "tol": SYMMETRY_TOL})
 

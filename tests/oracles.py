@@ -152,6 +152,26 @@ def constant_profile_generator(xs, lo, c):
     return g, g1
 
 
+def kinked_square_envelope_mean(values):
+    """Convex-envelope QA mean of f = x^2, plus (x - 1)^2 past 1, on [0.1, 3].
+
+    f is C^1 but not C^2: its profile f'/f'' is x on [0.1, 1] and x - 1/2
+    past 1.  The least concave majorant of that profile is the hull
+    (0.1, 0.1)-(1, 1)-(3, 2.5), i.e. m = x, then 1/4 + 3x/4.  Solving
+    g'/g'' = m with g(0.1) = 0, g'(0.1) = 1:
+        g'(x) = 10x,                      g(x) = 5(x^2 - 1/100)     on [0.1, 1]
+        g'(x) = 10(1/4 + 3x/4)^(4/3),    g(x) = 99/20 + (40/7)((1/4 + 3x/4)^(7/3) - 1)
+    past 1, and the mean is g^{-1} of the average of g over the values.
+    """
+    x = np.asarray(values, dtype=float)
+    g = np.where(x <= 1.0, 5.0 * (x * x - 0.01),
+                 4.95 + 40.0 / 7.0 * ((0.25 + 0.75 * x) ** (7.0 / 3.0) - 1.0))
+    y = float(np.mean(g))
+    if y <= 4.95:
+        return (y / 5.0 + 0.01) ** 0.5
+    return ((1.0 + (y - 4.95) * 7.0 / 40.0) ** (3.0 / 7.0) - 0.25) / 0.75
+
+
 def running_trapezoid(y, x):
     """Trapezoid integral of y from x[0] to each x[i], one interval at a time.
 

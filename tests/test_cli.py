@@ -270,6 +270,18 @@ def test_malformed_table_is_usage_error(tmp_path, capsys, row):
     assert "bad.csv" in capsys.readouterr().err
 
 
+def test_compare_on_nan_profile_table_is_usage_error(tmp_path, capsys):
+    """A NaN in a table's m column is an explicit error, not a NaN gap."""
+    xs = np.linspace(0.1, 10.0, 1025).tolist()
+    cells = [[repr(x), repr(x ** 3), repr(x / 2)] for x in xs]
+    cells[300][2] = "nan"
+    path = tmp_path / "nan-m.csv"
+    path.write_text("x,f,m\n" + "".join(",".join(c) + "\n" for c in cells))
+    assert run(["compare", "--gen", f"table:{path}", "--gen2", "power:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nan-m.csv" in captured.err
+
+
 def test_byte_identical_reruns(capsys):
     args = ["verify", "--check", "ij", "--gen", "log", "--gen2", "arith",
             "--trials", "400", "--seed", "9"]

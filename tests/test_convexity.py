@@ -114,13 +114,13 @@ def test_classify_reflection_swaps_convex_and_concave(catalog, neither_cubic):
 
 def test_dominates_arithmetic_convex_side(catalog):
     rep = dominates_arithmetic(catalog["power:2"], n_max=5, trials=4000, seed=0)
-    assert rep.holds and rep.witness is None
+    assert rep.passed and rep.witness is None
     assert rep.worst_margin > 0
 
 
 def test_dominates_arithmetic_failure_witness(catalog, iv):
     rep = dominates_arithmetic(catalog["log"], n_max=5, trials=4000, seed=0)
-    assert not rep.holds
+    assert not rep.passed
     w = rep.witness
     # re-verify the witness by direct evaluation
     vals = np.asarray(w["values"], dtype=float)
@@ -128,22 +128,22 @@ def test_dominates_arithmetic_failure_witness(catalog, iv):
     am = float(np.mean(vals))
     assert qa == pytest.approx(w["qa_mean"], abs=1e-12)
     assert am == pytest.approx(w["arith_mean"], abs=1e-12)
-    assert qa - am < -rep.tol
+    assert qa - am < -rep.extra["tol"]
 
 
 def test_dominates_arithmetic_direction_flip(catalog):
     rep = dominates_arithmetic(catalog["log"], n_max=5, trials=4000,
                                direction="le", seed=0)
-    assert rep.holds
+    assert rep.passed
     rep = dominates_arithmetic(catalog["power:2"], n_max=5, trials=4000,
                                direction="le", seed=0)
-    assert not rep.holds
+    assert not rep.passed
 
 
 def test_dominates_arithmetic_identity_is_tight(iv):
     # QA of the identity IS the arithmetic mean; margins sit at zero
     rep = dominates_arithmetic(parse_generator("id", iv), n_max=4, trials=2000, seed=1)
-    assert rep.holds
+    assert rep.passed
     assert abs(rep.worst_margin) < 1e-9
 
 
@@ -191,7 +191,7 @@ def test_jensen_midpoint_convex_mean(catalog):
     rhs = 0.5 * (m(x) + m(y))
     assert lhs == pytest.approx(w["m_at_midpoint"], abs=1e-12)
     assert rhs == pytest.approx(w["average_of_m"], abs=1e-12)
-    assert lhs < rhs - rep.tol
+    assert lhs < rhs - rep.extra["tol"]
 
 
 def test_jensen_agrees_with_classification(catalog):
@@ -223,11 +223,11 @@ def test_gate_agrees_with_classification(catalog):
         le = dominates_arithmetic(catalog[name], n_max=4, trials=2000,
                                   direction="le", seed=5)
         if want == "Convex":
-            assert ge.holds and not le.holds
+            assert ge.passed and not le.passed
         elif want == "Concave":
-            assert le.holds and not ge.holds
+            assert le.passed and not ge.passed
         else:
-            assert ge.holds and le.holds
+            assert ge.passed and le.passed
 
 
 def test_classify_to_dict(catalog):

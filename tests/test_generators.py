@@ -376,3 +376,32 @@ def test_load_table_skips_blank_empty_and_comment_rows(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("# c\n\nx,f\n , ,\n0,1\n  # indented\n1,2\n\n2,4\n")
     assert np.array_equal(load_table(str(path)).values, [1.0, 2.0, 4.0])
+
+
+@pytest.mark.parametrize("column", [0, 2], ids=["x", "m"])
+def test_load_table_rejects_nan(tmp_path, column):
+    """x**3 on [0.1, 10] with its profile m = x/2, 1025 rows, and one NaN
+    in the x or the m column."""
+    rows = [[repr(x), repr(x ** 3), repr(x / 2)]
+            for x in np.linspace(0.1, 10.0, 1025).tolist()]
+    rows[300][column] = "nan"
+    path = tmp_path / "nan.csv"
+    path.write_text("x,f,m\n" + "".join(",".join(r) + "\n" for r in rows))
+    with pytest.raises(UsageError, match="nan.csv"):
+        load_table(str(path))
+
+
+def test_load_table_accepts_infinite_m(tmp_path):
+    """rho = +inf means f'' = 0, so an infinite profile value is legal."""
+    path = tmp_path / "affine.csv"
+    path.write_text("x,f,m\n0,0,inf\n1,1,inf\n2,2,inf\n")
+    assert np.all(np.isposinf(load_table(str(path)).rho_values))
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_tabulated_rejects_zero_or_nan_rho(iv, bad):
+    xs = iv.grid()
+    r = xs / 2.0
+    r[7] = bad
+    with pytest.raises(UsageError, match="my-source"):
+        TabulatedGenerator(iv, xs ** 3, 3.0 * xs ** 2, r, source="my-source")

@@ -170,7 +170,7 @@ def test_power_family_follows_the_paper_table(p, iv):
             assert iv.lo <= a < b <= iv.hi
             # convex: QA_p below the midpoint; concave: above it
             assert side * (0.5 * (a + b) - qa_mean(gen, [a, b])) > w["tol"]
-        assert dominates_arithmetic(gen, 5, 300, sense).holds == exists
+        assert dominates_arithmetic(gen, 5, 300, sense).passed == exists
 
 
 def test_bisection_oracle_hand_values():
