@@ -29,9 +29,6 @@ from .generators import (
     PowerGenerator,
     ReflectedGenerator,
     TabulatedGenerator,
-    eval_f,
-    eval_f1,
-    invert_f,
     load_table,
     negate_generator,
     normalize,
@@ -118,11 +115,8 @@ __all__ = [
     "convex_envelope_1d",
     "dominates_arithmetic",
     "duality_check",
-    "eval_f",
-    "eval_f1",
     "ingham_jessen_check",
     "ingham_jessen_sweep",
-    "invert_f",
     "jensen_midpoint_check",
     "kedlaya_check",
     "load_table",

@@ -1,9 +1,12 @@
 """Generator functions for quasiarithmetic means.
 
 A generator is a continuous, strictly monotone function f on a working
-interval, described by the facts the theory uses: f, its inverse f^{-1},
-its derivative f', and its profile rho = f'/f'' (infinite where f'' = 0).
-f'' is never needed on its own: where it is used, it is f'/rho.
+interval, described by the facts the theory uses: its direction
+(``increasing``), f, its inverse f^{-1}, its derivative f', and its profile
+rho = f'/f'' (infinite where f'' = 0).  f'' is never needed on its own:
+where it is used, it is f'/rho.  The direction is stated by each kind, not
+read off an f' grid: power:p is increasing iff p > 0, log and exp are
+increasing, affine:a:b iff a > 0, a tabulated generator follows its values.
 Closed-form kinds (power:p, log, exp, affine:a:b, with id = affine:1:0)
 return exact analytic values, invert in closed form and give rho in
 closed form (x/(p-1), -x, 1, +inf); tabulated kinds interpolate a sampled
@@ -38,6 +41,7 @@ class Generator:
     """Base class: strictly monotone f with derivative oracles on a domain."""
 
     domain: WorkingInterval
+    increasing: bool  # the direction of f, stated by the kind
 
     def f(self, x):
         raise NotImplementedError
@@ -60,15 +64,6 @@ class Generator:
         d = self.domain
         return f"<{self.spec_string()} on [{d.lo}, {d.hi}] n={d.grid_points}>"
 
-    def _validate_monotone(self):
-        g1 = np.asarray(self.f1(self.domain.grid()), dtype=float)
-        if not np.all(np.isfinite(g1)):
-            raise NotMonotone(f"{self.spec_string()}: derivative not finite on grid")
-        if not (np.all(g1 > 0.0) or np.all(g1 < 0.0)):
-            raise NotMonotone(
-                f"{self.spec_string()}: f' must be nonzero with one sign on the grid"
-            )
-
 
 class PowerGenerator(Generator):
     """f(x) = x**p on a positive interval, p != 0."""
@@ -80,7 +75,16 @@ class PowerGenerator(Generator):
             raise UsageError("power generator needs lo > 0")
         self.p = float(p)
         self.domain = domain
-        self._validate_monotone()
+        self.increasing = self.p > 0
+        # |f'| = |p| x**(p-1) is monotone in x, so the grid's extremes of f'
+        # are its values at lo and hi.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = self.f1(np.array([domain.lo, domain.hi]))
+        if not np.all(np.isfinite(ends)):
+            raise NotMonotone(f"{self.spec_string()}: derivative not finite on grid")
+        if not np.all(ends != 0.0):
+            raise NotMonotone(
+                f"{self.spec_string()}: f' must be nonzero with one sign on the grid")
 
     def f(self, x):
         return np.asarray(x, dtype=float) ** self.p
@@ -102,6 +106,8 @@ class PowerGenerator(Generator):
 
 class LogGenerator(Generator):
     """f(x) = ln x on a positive interval (the p = 0 member of the power family)."""
+
+    increasing = True
 
     def __init__(self, domain: WorkingInterval):
         if domain.lo <= 0:
@@ -126,6 +132,8 @@ class LogGenerator(Generator):
 
 class ExpGenerator(Generator):
     """f(x) = e**x."""
+
+    increasing = True
 
     def __init__(self, domain: WorkingInterval):
         self.domain = domain
@@ -153,11 +161,12 @@ class AffineGenerator(Generator):
     """
 
     def __init__(self, a: float, b: float, domain: WorkingInterval):
-        if a == 0:
-            raise UsageError("affine generator needs a != 0")
+        if not abs(a) > 0:  # NaN has no direction
+            raise UsageError(f"affine generator needs a != 0, got {float(a)!r}")
         self.a = float(a)
         self.b = float(b)
         self.domain = domain
+        self.increasing = self.a > 0
 
     def f(self, x):
         return self.a * np.asarray(x, dtype=float) + self.b
@@ -185,12 +194,13 @@ class AffineOfGenerator(Generator):
     """
 
     def __init__(self, inner: Generator, a: float, b: float):
-        if a == 0:
-            raise UsageError("affine transform needs a != 0")
+        if not abs(a) > 0:  # NaN has no direction
+            raise UsageError(f"affine transform needs a != 0, got {float(a)!r}")
         self.inner = inner
         self.a = float(a)
         self.b = float(b)
         self.domain = inner.domain
+        self.increasing = inner.increasing == (self.a > 0)
 
     def f(self, x):
         return self.a * self.inner.f(x) + self.b
@@ -214,6 +224,7 @@ class ReflectedGenerator(Generator):
     def __init__(self, inner: Generator):
         self.inner = inner
         self.domain = inner.domain.reflected()
+        self.increasing = not inner.increasing
 
     def f(self, x):
         return self.inner.f(-np.asarray(x, dtype=float))
@@ -239,7 +250,8 @@ class TabulatedGenerator(Generator):
     by central finite differences with the grid step, accurate to O(h^2) in
     the interior: f' directly, rho as f' over the second difference.  A
     supplied rho may be +-inf (f'' = 0) but not zero or NaN (UsageError
-    naming the source).
+    naming the source).  The direction is that of the values; f' must be
+    finite, nonzero and of the values' sign (NotMonotone naming the source).
     """
 
     def __init__(self, domain: WorkingInterval, values, f1_values=None,
@@ -254,6 +266,8 @@ class TabulatedGenerator(Generator):
         if not (np.all(d > 0.0) or np.all(d < 0.0)):
             raise NotMonotone("tabulated values must be strictly monotone")
         self.values = vals
+        self.increasing = bool(d[0] > 0.0)
+        self.source = source
         h = domain.step
         self.f1_values = (np.array(f1_values, dtype=float) if f1_values is not None
                           else _central_diff(vals, h))
@@ -264,15 +278,19 @@ class TabulatedGenerator(Generator):
         else:
             with np.errstate(divide="ignore"):  # f'' = 0: rho is infinite
                 self.rho_values = self.f1_values / _central_diff2(vals, h)
-        self.source = source
-        self._validate_monotone()
+        f1 = self.f1_values
+        if not np.all(np.isfinite(f1)):
+            raise NotMonotone(f"{self.spec_string()}: derivative not finite on grid")
+        if not np.all(f1 > 0.0 if self.increasing else f1 < 0.0):
+            raise NotMonotone(
+                f"{self.spec_string()}: f' must be nonzero with the values' sign on the grid")
 
     def f(self, x):
         return np.interp(x, self.domain.grid(), self.values)
 
     def finv(self, y):
         # np.interp needs an increasing abscissa
-        if self.values[0] < self.values[-1]:
+        if self.increasing:
             return np.interp(y, self.values, self.domain.grid())
         return np.interp(-np.asarray(y, dtype=float), -self.values, self.domain.grid())
 
@@ -328,24 +346,6 @@ def _shortest(v: float) -> str:
     return repr(float(v)).removesuffix(".0")
 
 
-def _scalar_or_array(result, x):
-    if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
-        return float(result)
-    return np.asarray(result, dtype=float)
-
-
-def eval_f(gen: Generator, x):
-    """Evaluate f at x (scalar or array); x must lie in the working interval."""
-    arr = _check_domain(gen.domain, x)
-    return _scalar_or_array(gen.f(arr), x)
-
-
-def eval_f1(gen: Generator, x):
-    """Evaluate f' at x."""
-    arr = _check_domain(gen.domain, x)
-    return _scalar_or_array(gen.f1(arr), x)
-
-
 def negate_generator(gen: Generator) -> Generator:
     """The generator -f, which produces the identical mean."""
     if isinstance(gen, AffineOfGenerator):
@@ -374,36 +374,36 @@ def reflect_generator(gen: Generator) -> Generator:
 def normalize(gen: Generator) -> Generator:
     """Return gen unchanged if increasing, else its negation.
 
-    The returned generator is increasing and produces the identical mean.
-    Idempotent: normalizing twice gives the same object.
+    The direction is the generator's stated fact.  The returned generator is
+    increasing and produces the identical mean.  Idempotent: normalizing
+    twice gives the same object.
     """
-    g1 = np.asarray(gen.f1(gen.domain.grid()), dtype=float)
-    if np.all(g1 > 0.0):
-        return gen
-    if np.all(g1 < 0.0):
-        return negate_generator(gen)
-    raise NotMonotone(f"{gen.spec_string()}: f' changes sign on the grid")
+    return gen if gen.increasing else negate_generator(gen)
 
 
 def rho(gen: Generator) -> ScalarGrid:
     """The slope/curvature profile f'/f'' sampled on the grid.
 
     Reads the generator's own profile; f'' where needed is f'/rho.
-    Requires an increasing generator with f' and f'' finite on the grid
-    (else RangeError).  Raises DegenerateSecondDerivative when f'' is
-    numerically zero everywhere (affine-equivalent generator, arithmetic
-    mean) and SignChange unless f'' is strictly one-signed on the grid,
-    with no floor relative to max|f''|.
+    Requires an increasing generator (else UsageError), with f' finite and
+    nonzero and f'' finite on the grid (else RangeError).  Raises
+    DegenerateSecondDerivative when f'' is numerically zero everywhere
+    (affine-equivalent generator, arithmetic mean) and SignChange unless
+    f'' is strictly one-signed on the grid, with no floor relative to
+    max|f''|.
     """
-    xs = gen.domain.grid()
-    g1 = np.asarray(gen.f1(xs), dtype=float)
-    if not np.all(g1 > 0.0):
+    if not gen.increasing:
         raise UsageError("rho requires a normalized (increasing) generator")
+    xs = gen.domain.grid()
+    with np.errstate(over="ignore", invalid="ignore"):
+        g1 = np.asarray(gen.f1(xs), dtype=float)
+    if not np.all(np.isfinite(g1) & (g1 != 0.0)):
+        raise RangeError(f"{gen.spec_string()}: f' is not finite or is zero on the grid")
     r = np.asarray(gen.rho(xs), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g2 = g1 / r
-    if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
-        raise RangeError(f"{gen.spec_string()}: f' or f'' is not finite on the grid")
+    if not np.all(np.isfinite(g2)):
+        raise RangeError(f"{gen.spec_string()}: f'' is not finite on the grid")
     scale2 = float(np.max(np.abs(g2)))
     degenerate_floor = DEGENERATE_TAU * float(np.max(np.abs(g1))) / gen.domain.span
     if scale2 <= degenerate_floor:
@@ -419,22 +419,6 @@ def rho(gen: Generator) -> ScalarGrid:
             f"but {g2[k]:.3e} at x = {float(xs[k])!r}",
             witness={"x": float(xs[k]), "f2": float(g2[k])})
     return ScalarGrid(gen.domain, r)
-
-
-def invert_f(gen: Generator, y: float) -> float:
-    """Solve f(x) = y on the working interval with the generator's inverse.
-
-    The target must lie between f(lo) and f(hi); the result is clamped to
-    [lo, hi] so the last-bit error of a closed-form inverse at an endpoint
-    image cannot leave the interval.
-    """
-    lo, hi = gen.domain.lo, gen.domain.hi
-    flo, fhi = float(gen.f(lo)), float(gen.f(hi))
-    y = float(y)
-    ylo, yhi = min(flo, fhi), max(flo, fhi)
-    if not ylo <= y <= yhi:
-        raise RangeError(f"target {y!r} outside generator range [{ylo!r}, {yhi!r}]")
-    return min(max(float(gen.finv(y)), lo), hi)
 
 
 def tabulate(gen: Generator) -> TabulatedGenerator:

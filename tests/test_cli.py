@@ -282,6 +282,24 @@ def test_compare_on_nan_profile_table_is_usage_error(tmp_path, capsys):
     assert captured.out == "" and "nan-m.csv" in captured.err
 
 
+def test_table_whose_g1_contradicts_its_values_is_refused(tmp_path, capsys):
+    """x**3 with g1 = -3x**2 once classified Concave with exit 0; it is Convex."""
+    xs = np.linspace(0.1, 10.0, 1025).tolist()
+    path = tmp_path / "wrong-g1.csv"
+    path.write_text("x,f,g1\n" + "".join(f"{x!r},{x**3!r},{-3*x*x!r}\n" for x in xs))
+    assert run(["classify", "--gen", f"table:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "wrong-g1.csv" in captured.err
+
+
+def test_underflowing_derivative_is_named(capsys):
+    """e**x underflows on [-800, -700]; f' does not change sign there."""
+    assert run(["classify", "--gen", "exp", "--lo", "-800", "--hi", "-700"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exp: f' is not finite or is zero on the grid\n"
+
+
 def test_byte_identical_reruns(capsys):
     args = ["verify", "--check", "ij", "--gen", "log", "--gen2", "arith",
             "--trials", "400", "--seed", "9"]
@@ -331,14 +349,30 @@ REUSE_ARGVS = [
 ]
 
 
-def _shell_report(argv):
+def _shell(argv):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {k: v for k, v in os.environ.items() if k != "QAM_SEED"}
     env["PYTHONPATH"] = str(src)
-    proc = subprocess.run([sys.executable, "-m", "qameans", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "qameans", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _shell_report(argv):
+    proc = _shell(argv)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--gen", "power:20", "--lo", "1e-20", "--hi", "1e20", "--vec", "1,2"],
+    ["classify", "--gen", "exp", "--lo", "0", "--hi", "720"],
+])
+def test_overflowing_derivative_prints_one_error_line(argv):
+    """f' overflows on these grids; no numpy warning precedes the error."""
+    proc = _shell(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 def test_repeated_runs_share_a_parser_without_state(capsys, monkeypatch):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qameans.errors import (
     DegenerateSecondDerivative,
@@ -19,9 +21,7 @@ from qameans.generators import (
     PowerGenerator,
     ReflectedGenerator,
     TabulatedGenerator,
-    eval_f,
-    eval_f1,
-    invert_f,
+    _check_domain,
     load_table,
     negate_generator,
     normalize,
@@ -31,31 +31,39 @@ from qameans.generators import (
     tabulate,
 )
 from qameans.grids import MAX_GRID_POINTS, WorkingInterval
+from qameans.means import qa_mean
 
-from oracles import fd_first, fd_second
+from oracles import fd_first, fd_second, power_grid_scan_refusal
 
 
 def test_eval_closed_forms(iv):
     # hand values: 3^2 = 9, d/dx ln x at 4 is 0.25, affine has zero
     # curvature, so its profile f'/f'' is +inf
-    assert eval_f(PowerGenerator(2.0, iv), 3.0) == 9.0
-    assert eval_f1(LogGenerator(iv), 4.0) == 0.25
+    assert PowerGenerator(2.0, iv).f(3.0) == 9.0
+    assert LogGenerator(iv).f1(4.0) == 0.25
     assert AffineGenerator(2.0, 5.0, iv).rho(1.0) == np.inf
-    assert eval_f(ExpGenerator(iv), 1.0) == pytest.approx(np.e, rel=1e-15)
+    assert ExpGenerator(iv).f(1.0) == pytest.approx(np.e, rel=1e-15)
 
 
 def test_eval_vectorized(iv):
     xs = np.array([1.0, 2.0, 4.0])
-    out = eval_f(PowerGenerator(0.5, iv), xs)
+    out = PowerGenerator(0.5, iv).f(xs)
     assert np.allclose(out, np.sqrt(xs), rtol=1e-15)
 
 
 def test_eval_outside_domain_raises(iv):
-    gen = LogGenerator(iv)
     with pytest.raises(DomainError):
-        eval_f(gen, 0.05)
+        _check_domain(iv, 0.05)
     with pytest.raises(DomainError):
-        eval_f1(gen, np.array([1.0, 11.0]))
+        _check_domain(iv, np.array([1.0, 11.0]))
+
+
+@pytest.mark.parametrize("a", [0.0, np.nan])
+def test_affine_kinds_reject_a_without_direction(iv, a):
+    with pytest.raises(UsageError, match="needs a != 0"):
+        AffineGenerator(a, 1.0, iv)
+    with pytest.raises(UsageError, match="needs a != 0"):
+        AffineOfGenerator(LogGenerator(iv), a, 1.0)
 
 
 def test_power_generator_rejects_bad_arguments():
@@ -105,8 +113,8 @@ def test_derivative_grids_match_finite_differences(iv):
     xs = iv.grid()
     h = iv.step
     for gen in (PowerGenerator(3.0, iv), LogGenerator(iv), ExpGenerator(iv)):
-        f = eval_f(gen, xs)
-        f1 = eval_f1(gen, xs)
+        f = gen.f(xs)
+        f1 = gen.f1(xs)
         f2 = f1 / gen.rho(xs)
         # O(h^2) stencils; pointwise relative bound since log is steep at lo
         rel1 = np.abs(fd_first(f, h) - f1)[2:-2] / np.abs(f1)[2:-2]
@@ -127,7 +135,7 @@ def test_normalize_flips_decreasing_generator(iv):
     assert ngen is not gen
     assert np.all(ngen.f1(iv.grid()) > 0.0)
     xs = iv.grid()[::100]
-    assert np.allclose(eval_f(ngen, xs), -eval_f(gen, xs), rtol=1e-15)
+    assert np.allclose(ngen.f(xs), -gen.f(xs), rtol=1e-15)
     # normalizing twice is the identity on the already increasing result
     assert normalize(ngen) is ngen
 
@@ -138,6 +146,112 @@ def test_normalize_rejects_nonmonotone():
     with pytest.raises(NotMonotone):
         # x^2 is not injective through the origin
         TabulatedGenerator(ivq, xs**2, source="parabola")
+
+
+def test_opposite_sign_f1_column_is_refused(tmp_path):
+    """x**3 on [0.1, 10] with g1 = -3x**2: the column contradicts the values,
+    and trusting it would classify the mean Concave."""
+    xs = np.linspace(0.1, 10.0, 1025).tolist()
+    path = tmp_path / "wrong-g1.csv"
+    path.write_text("x,f,g1\n" + "".join(f"{x!r},{x**3!r},{-3*x*x!r}\n" for x in xs))
+    with pytest.raises(NotMonotone, match="wrong-g1.csv"):
+        load_table(str(path))
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+def test_tabulated_f1_must_be_finite_and_nonzero(iv, bad):
+    xs = iv.grid()
+    f1 = 3.0 * xs ** 2
+    f1[9] = bad
+    with pytest.raises(NotMonotone, match="my-source"):
+        TabulatedGenerator(iv, xs ** 3, f1, source="my-source")
+
+
+def test_power_constructor_evaluates_f1_at_the_endpoints_only(iv, monkeypatch):
+    sizes = []
+    f1 = PowerGenerator.f1
+
+    def recording_f1(self, x):
+        sizes.append(np.size(x))
+        return f1(self, x)
+
+    monkeypatch.setattr(PowerGenerator, "f1", recording_f1)
+    PowerGenerator(-1.0, iv)
+    assert sizes == [2]
+
+
+def test_normalize_reads_the_direction_not_f1(iv):
+    for gen in (PowerGenerator(-1.0, iv), PowerGenerator(2.0, iv), ExpGenerator(iv),
+                AffineGenerator(-2.0, 1.0, iv), tabulate(PowerGenerator(-1.0, iv)),
+                reflect_generator(LogGenerator(iv))):
+        gen.f1 = None  # any f' evaluation would fail
+        assert normalize(gen).increasing
+
+
+@st.composite
+def composed_generators(draw):
+    """power p, log, exp or affine a on a positive interval, then up to three
+    AffineOf, reflect, negate or tabulate steps."""
+    lo = draw(st.floats(0.1, 5.0))
+    iv = WorkingInterval(lo, lo + draw(st.floats(0.1, 10.0)), 65)
+    nonzero = st.floats(0.05, 5.0).flatmap(lambda v: st.sampled_from((v, -v)))
+    offset = st.floats(-5.0, 5.0)
+    kind = draw(st.sampled_from(("power", "log", "exp", "affine")))
+    if kind == "power":
+        gen = PowerGenerator(draw(nonzero), iv)
+    elif kind == "log":
+        gen = LogGenerator(iv)
+    elif kind == "exp":
+        gen = ExpGenerator(iv)
+    else:
+        gen = AffineGenerator(draw(nonzero), draw(offset), iv)
+    steps = st.sampled_from(("affine_of", "reflect", "negate", "tabulate"))
+    for step in draw(st.lists(steps, max_size=3)):
+        if step == "affine_of":
+            gen = AffineOfGenerator(gen, draw(nonzero), draw(offset))
+        elif step == "reflect":
+            gen = reflect_generator(gen)
+        elif step == "negate":
+            gen = negate_generator(gen)
+        else:
+            gen = tabulate(gen)
+    return gen
+
+
+def _rises(gen):
+    return bool(gen.f(gen.domain.hi) > gen.f(gen.domain.lo))
+
+
+@given(composed_generators())
+def test_stated_direction_matches_the_values(gen):
+    assert gen.increasing == _rises(gen)
+    ngen = normalize(gen)
+    assert ngen.increasing and _rises(ngen)
+
+
+@settings(max_examples=400)
+@given(p=st.one_of(st.floats(-400.0, 400.0), st.floats(-1e6, 1e6)).filter(lambda p: p != 0),
+       lo_exp=st.floats(-300.0, 300.0), decades=st.floats(1e-3, 600.0),
+       grid_points=st.integers(3, 257))
+def test_power_refuses_exactly_where_the_grid_scan_does(p, lo_exp, decades, grid_points):
+    lo, hi = 10.0 ** lo_exp, 10.0 ** min(lo_exp + decades, 300.0)
+    assume(lo < hi)
+    iv = WorkingInterval(lo, hi, grid_points)
+    expected = power_grid_scan_refusal(p, iv)
+    try:
+        gen = PowerGenerator(p, iv)
+    except NotMonotone as exc:
+        assert str(exc) == f"power:{repr(p).removesuffix('.0')}: {expected}"
+    else:
+        assert expected is None and gen.increasing == (p > 0)
+
+
+def test_rho_names_an_underflowing_f1():
+    """e**x on [-800, -700] underflows to 0: a RangeError, not a false
+    'changes sign'."""
+    gen = ExpGenerator(WorkingInterval(-800.0, -700.0))
+    with pytest.raises(RangeError, match="^exp: f' is not finite or is zero on the grid$"):
+        rho(normalize(gen))
 
 
 def test_rho_closed_forms(iv):
@@ -179,9 +293,9 @@ def test_negate_generator_round_trip(iv):
     gen = PowerGenerator(2.0, iv)
     neg = negate_generator(gen)
     xs = iv.grid()[::50]
-    assert np.array_equal(eval_f(neg, xs), -eval_f(gen, xs))
+    assert np.array_equal(neg.f(xs), -gen.f(xs))
     back = negate_generator(neg)
-    assert np.array_equal(eval_f(back, xs), eval_f(gen, xs))
+    assert np.array_equal(back.f(xs), gen.f(xs))
     # the profile f'/f'' is invariant under negation
     tab = tabulate(gen)
     assert np.array_equal(negate_generator(tab).rho_values, tab.rho_values)
@@ -193,8 +307,8 @@ def test_reflect_generator_values(iv):
     ref = reflect_generator(gen)
     assert ref.domain.lo == -iv.hi and ref.domain.hi == -iv.lo
     xs = ref.domain.grid()[::50]
-    assert np.array_equal(eval_f(ref, xs), eval_f(gen, -xs))
-    assert np.array_equal(eval_f1(ref, xs), -eval_f1(gen, -xs))
+    assert np.array_equal(ref.f(xs), gen.f(-xs))
+    assert np.array_equal(ref.f1(xs), -gen.f1(-xs))
     assert np.array_equal(ref.rho(xs), -gen.rho(-xs))
     # double reflection unwraps to the original object
     assert reflect_generator(ref) is gen
@@ -206,15 +320,15 @@ def test_reflect_distributes_over_affine_wrappers(iv):
     # result stays an affine wrapper, never a nested reflection
     assert not isinstance(ref, ReflectedGenerator)
     xs = ref.domain.grid()[::97]
-    assert np.allclose(eval_f(ref, xs), eval_f(gen, -xs), rtol=1e-15)
+    assert np.allclose(ref.f(xs), gen.f(-xs), rtol=1e-15)
 
 
-def test_invert_f_closed_forms(iv):
-    assert invert_f(PowerGenerator(2.0, iv), 25.0) == pytest.approx(5.0, abs=1e-12)
-    assert invert_f(LogGenerator(iv), 0.0) == pytest.approx(1.0, abs=1e-12)
+def test_finv_closed_forms(iv):
+    assert PowerGenerator(2.0, iv).finv(25.0) == pytest.approx(5.0, abs=1e-12)
+    assert LogGenerator(iv).finv(0.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_invert_f_round_trip(iv):
+def test_finv_round_trip(iv):
     rng = np.random.default_rng(3)
     gens = [
         PowerGenerator(2.0, iv),
@@ -225,35 +339,27 @@ def test_invert_f_round_trip(iv):
     ]
     xs = rng.uniform(iv.lo, iv.hi, size=1000)
     for gen in gens:
-        back = np.array([invert_f(gen, float(eval_f(gen, x))) for x in xs])
+        back = gen.finv(gen.f(xs))
         assert np.max(np.abs(back - xs)) < 1e-9 * iv.span
-
-
-def test_invert_f_out_of_range(iv):
-    with pytest.raises(RangeError):
-        invert_f(PowerGenerator(2.0, iv), 101.0)
-    with pytest.raises(RangeError):
-        # decreasing generator, value above the left endpoint image
-        invert_f(PowerGenerator(-1.0, iv), 11.0)
 
 
 def test_nan_is_rejected(iv):
     with pytest.raises(DomainError):
-        eval_f(LogGenerator(iv), np.nan)
-    with pytest.raises(RangeError):
-        invert_f(LogGenerator(iv), float("nan"))
+        _check_domain(iv, np.nan)
+    with pytest.raises(DomainError):
+        qa_mean(LogGenerator(iv), [1.0, float("nan")])
 
 
 def test_tabulate_round_trip(iv):
     gen = PowerGenerator(3.0, iv)
     tab = tabulate(gen)
     xs = iv.grid()
-    assert np.array_equal(tab.values, eval_f(gen, xs))
-    assert np.array_equal(tab.f1_values, eval_f1(gen, xs))
+    assert np.array_equal(tab.values, gen.f(xs))
+    assert np.array_equal(tab.f1_values, gen.f1(xs))
     # off-grid evaluation interpolates between exact samples
     mid = 0.5 * (xs[10] + xs[11])
     expected = 0.5 * (tab.values[10] + tab.values[11])
-    assert eval_f(tab, mid) == pytest.approx(expected, rel=1e-15)
+    assert tab.f(mid) == pytest.approx(expected, rel=1e-15)
 
 
 def test_tabulated_fd_fallback_accuracy(iv13):
@@ -274,7 +380,7 @@ def test_parse_generator_grammar(iv):
     assert ident.spec_string() == "id"
     aff = parse_generator("affine:2:-1", iv)
     assert isinstance(aff, AffineGenerator)
-    assert eval_f(aff, 1.0) == 1.0
+    assert aff.f(1.0) == 1.0
 
 
 @pytest.mark.parametrize("p", [3.0, -5.0, 0.5, 1.000000001, 0.1, 1 / 3, -20.25, 1e-300])
@@ -314,7 +420,7 @@ def test_load_table_with_and_without_header(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     tab = load_table(str(path))
     assert tab.domain.grid_points == 11
-    assert eval_f(tab, 1.5) == pytest.approx(2.25, rel=1e-12)
+    assert tab.f(1.5) == pytest.approx(2.25, rel=1e-12)
 
     bare = tmp_path / "bare.csv"
     bare.write_text("\n".join(f"{float(x)!r},{float(x*x)!r}" for x in xs) + "\n")
