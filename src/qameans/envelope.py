@@ -181,7 +181,8 @@ def _pair_witness(gen: Generator, direction: str) -> dict | None:
     the most negative.  Direct evaluation must confirm it beyond MEAN_CMP_TOL * span.
     """
     xs = gen.domain.grid()
-    fx = np.asarray(gen.f(xs), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = np.asarray(gen.f(xs), dtype=float)
     if not np.all(np.isfinite(fx)):
         raise RangeError(f"{gen.spec_string()}: generator values overflow on the grid")
     d2 = fx[:-2] - 2.0 * fx[1:-1] + fx[2:]
@@ -218,7 +219,7 @@ def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
     try:
         profile = rho(ngen)
         oriented = profile.values if direction == "convex" else -profile.values
-        if not np.min(oriented) > 0.0:
+        if not oriented[0] > 0.0:  # rho is one-signed
             raise SignChange(f"{ngen.spec_string()}: the sign of f'' rules out "
                              f"a {direction} envelope")
     except DegenerateSecondDerivative as exc:

@@ -2,20 +2,20 @@
 
 A generator is a continuous, strictly monotone function f on a working
 interval, described by the facts the theory uses: its direction
-(``increasing``), f, its inverse f^{-1}, its derivative f', and its profile
-rho = f'/f'' (infinite where f'' = 0).  f'' is never needed on its own:
-where it is used, it is f'/rho.  The direction is stated by each kind, not
-read off an f' grid: power:p is increasing iff p > 0, log and exp are
-increasing, affine:a:b iff a > 0, a tabulated generator follows its values.
+(``increasing``), f, its inverse f^{-1}, and its profile rho = f'/f''
+(infinite where f'' = 0); f', which each kind also gives, only fills an
+envelope's g' grid.  The direction is stated by each kind, not read off an
+f' grid: power:p is increasing iff p > 0, log and exp are increasing,
+affine:a:b iff a > 0, a tabulated generator follows its values.
 Closed-form kinds (power:p, log, exp, affine:a:b, with id = affine:1:0)
 return exact analytic values, invert in closed form and give rho in
 closed form (x/(p-1), -x, 1, +inf); tabulated kinds interpolate a sampled
 grid, invert by interpolating the same grid with the axes swapped, and
 fill in f' and rho by central differences unless given.
 
-:func:`rho` samples the profile on the grid and checks it; its sign,
-positivity, and concavity drive the classification and envelope machinery
-in the sibling modules.
+:func:`rho` samples the profile on the grid and checks it.  For an
+increasing f, f'' has the sign of rho, so the sign and size of rho decide
+the classification and envelope machinery in the sibling modules.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .errors import (
 )
 from .grids import ScalarGrid, WorkingInterval
 
-# Relative floor deciding that f'' is identically zero on the grid, measured
-# against max|f'| / (hi - lo) so the test is scale- and unit-consistent.
+# Floor deciding that f'' is identically zero on the grid: span * max|1/rho|,
+# the largest relative change of f' across the interval, is at most this.
 DEGENERATE_TAU = 1e-8
 
 
@@ -154,17 +154,22 @@ class ExpGenerator(Generator):
         return "exp"
 
 
+def _affine_coefficients(kind: str, a: float, b: float) -> tuple[float, float]:
+    """(a, b) as floats, or UsageError unless both are finite and a != 0."""
+    a, b = float(a), float(b)
+    if not (0.0 < abs(a) < np.inf and abs(b) < np.inf):  # NaN fails it too
+        raise UsageError(f"{kind} needs a != 0 and finite a and b, got a = {a!r}, b = {b!r}")
+    return a, b
+
+
 class AffineGenerator(Generator):
-    """f(x) = a*x + b with a != 0; generates the arithmetic mean.
+    """f(x) = a*x + b with finite a != 0 and finite b; generates the arithmetic mean.
 
     a = 1, b = 0 is the identity, spelled ``id``.
     """
 
     def __init__(self, a: float, b: float, domain: WorkingInterval):
-        if not abs(a) > 0:  # NaN has no direction
-            raise UsageError(f"affine generator needs a != 0, got {float(a)!r}")
-        self.a = float(a)
-        self.b = float(b)
+        self.a, self.b = _affine_coefficients("affine generator", a, b)
         self.domain = domain
         self.increasing = self.a > 0
 
@@ -194,11 +199,8 @@ class AffineOfGenerator(Generator):
     """
 
     def __init__(self, inner: Generator, a: float, b: float):
-        if not abs(a) > 0:  # NaN has no direction
-            raise UsageError(f"affine transform needs a != 0, got {float(a)!r}")
+        self.a, self.b = _affine_coefficients("affine transform", a, b)
         self.inner = inner
-        self.a = float(a)
-        self.b = float(b)
         self.domain = inner.domain
         self.increasing = inner.increasing == (self.a > 0)
 
@@ -257,17 +259,18 @@ class TabulatedGenerator(Generator):
     def __init__(self, domain: WorkingInterval, values, f1_values=None,
                  rho_values=None, source: str = "<grid>"):
         self.domain = domain
+        self.source = source
         vals = np.array(values, dtype=float)
         if vals.shape != (domain.grid_points,):
             raise UsageError("tabulated values must match the grid")
         if not np.all(np.isfinite(vals)):
-            raise RangeError("tabulated values must be finite")
+            raise RangeError(f"{self.spec_string()}: tabulated values must be finite")
         d = np.diff(vals)
         if not (np.all(d > 0.0) or np.all(d < 0.0)):
-            raise NotMonotone("tabulated values must be strictly monotone")
+            raise NotMonotone(
+                f"{self.spec_string()}: tabulated values must be strictly monotone")
         self.values = vals
         self.increasing = bool(d[0] > 0.0)
-        self.source = source
         h = domain.step
         self.f1_values = (np.array(f1_values, dtype=float) if f1_values is not None
                           else _central_diff(vals, h))
@@ -384,53 +387,45 @@ def normalize(gen: Generator) -> Generator:
 def rho(gen: Generator) -> ScalarGrid:
     """The slope/curvature profile f'/f'' sampled on the grid.
 
-    Reads the generator's own profile; f'' where needed is f'/rho.
-    Requires an increasing generator (else UsageError), with f' finite and
-    nonzero and f'' finite on the grid (else RangeError).  Raises
-    DegenerateSecondDerivative when f'' is numerically zero everywhere
-    (affine-equivalent generator, arithmetic mean) and SignChange unless
-    f'' is strictly one-signed on the grid, with no floor relative to
-    max|f''|.
+    Reads the generator's own profile and nothing else; its sign and size
+    decide, since for an increasing f, f'' has the sign of rho and is zero
+    exactly where rho is infinite.
+    Requires an increasing generator (else UsageError) and rho nonzero and
+    not NaN (a zero rho is an infinite f'': RangeError).  Raises
+    DegenerateSecondDerivative when span * max|1/rho| <= DEGENERATE_TAU
+    (f'' numerically zero everywhere: the arithmetic mean), and SignChange
+    unless every rho is finite with the sign of rho at lo.
     """
     if not gen.increasing:
         raise UsageError("rho requires a normalized (increasing) generator")
     xs = gen.domain.grid()
-    with np.errstate(over="ignore", invalid="ignore"):
-        g1 = np.asarray(gen.f1(xs), dtype=float)
-    if not np.all(np.isfinite(g1) & (g1 != 0.0)):
-        raise RangeError(f"{gen.spec_string()}: f' is not finite or is zero on the grid")
     r = np.asarray(gen.rho(xs), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g2 = g1 / r
-    if not np.all(np.isfinite(g2)):
+    if not np.all(np.abs(r) > 0.0):  # NaN fails it too
         raise RangeError(f"{gen.spec_string()}: f'' is not finite on the grid")
-    scale2 = float(np.max(np.abs(g2)))
-    degenerate_floor = DEGENERATE_TAU * float(np.max(np.abs(g1))) / gen.domain.span
-    if scale2 <= degenerate_floor:
+    curvature = gen.domain.span / float(np.min(np.abs(r)))
+    if curvature <= DEGENERATE_TAU:
         raise DegenerateSecondDerivative(
             f"{gen.spec_string()}: f'' vanishes on the whole grid "
-            f"(max |f''| = {scale2:.3e} <= {degenerate_floor:.3e})"
+            f"(span * max |1/rho| = {curvature:.3e} <= {DEGENERATE_TAU:.3e})"
         )
-    if not (np.all(g2 > 0.0) or np.all(g2 < 0.0)):
-        # first grid point whose f'' is zero or of the other sign
-        k = int(np.argmax(~(g2 * np.sign(g2[0]) > 0.0)))
+    one_signed = np.isfinite(r) & (np.sign(r) == np.sign(r[0]))
+    if not np.all(one_signed):
+        # first grid point whose rho is infinite (f'' = 0) or of the other sign
+        k = int(np.argmin(one_signed))
         raise SignChange(
-            f"{gen.spec_string()}: f'' is {g2[0]:.3e} at x = {float(xs[0])!r} "
-            f"but {g2[k]:.3e} at x = {float(xs[k])!r}",
-            witness={"x": float(xs[k]), "f2": float(g2[k])})
+            f"{gen.spec_string()}: rho is {r[0]:.3e} at x = {float(xs[0])!r} "
+            f"but {r[k]:.3e} at x = {float(xs[k])!r}",
+            witness={"x": float(xs[k]), "rho": float(r[k])})
     return ScalarGrid(gen.domain, r)
 
 
 def tabulate(gen: Generator) -> TabulatedGenerator:
     """Sample a generator (f, f' and rho) into a tabulated one."""
     xs = gen.domain.grid()
-    return TabulatedGenerator(
-        gen.domain,
-        np.asarray(gen.f(xs), dtype=float),
-        np.asarray(gen.f1(xs), dtype=float),
-        np.asarray(gen.rho(xs), dtype=float),
-        source=f"tabulated({gen.spec_string()})",
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+        values, f1_values = gen.f(xs), gen.f1(xs)
+    return TabulatedGenerator(gen.domain, values, f1_values, gen.rho(xs),
+                              source=f"tabulated({gen.spec_string()})")
 
 
 def parse_generator(spec: str, interval: WorkingInterval | None = None) -> Generator:

@@ -6,8 +6,8 @@ that formula literally, with the generator's own inverse (closed form, or
 interpolation of a table with its axes swapped), and clamps the result to
 [min v, max v] so the last-bit error of the inverse cannot break
 internality.  Entries outside the working interval, NaN included, raise
-DomainError; a generator value or average that is not finite raises
-RangeError rather than returning a wrong mean.
+DomainError; a generator value, average or inverse of the average that is
+not finite raises RangeError rather than returning a wrong mean.
 
 Mean handles wrap a callable mean with its working interval; the reflected
 handle realizes v -> -M(-v), which swaps convexity with concavity.
@@ -39,14 +39,14 @@ def _as_batch(values) -> np.ndarray:
 def _qa_mean_batch(gen: Generator, X: np.ndarray) -> np.ndarray:
     """Row-wise QA mean of a (B, n) array: f, row average, f^{-1}, clamp."""
     _check_domain(gen.domain, X)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         avg = np.asarray(gen.f(X), dtype=float).mean(axis=1)
-    if not np.all(np.isfinite(avg)):
+        out = np.asarray(gen.finv(avg), dtype=float)
+    if not (np.isfinite(avg).all() and np.isfinite(out).all()):
         raise RangeError(
-            f"{gen.spec_string()}: generator values overflow on "
-            f"[{gen.domain.lo}, {gen.domain.hi}]"
+            f"{gen.spec_string()}: generator values or the inverse of their average "
+            f"are not finite on [{gen.domain.lo}, {gen.domain.hi}]"
         )
-    out = np.asarray(gen.finv(avg), dtype=float)
     return np.minimum(np.maximum(out, X.min(axis=1)), X.max(axis=1))
 
 

@@ -292,12 +292,32 @@ def test_table_whose_g1_contradicts_its_values_is_refused(tmp_path, capsys):
     assert captured.out == "" and "wrong-g1.csv" in captured.err
 
 
-def test_underflowing_derivative_is_named(capsys):
-    """e**x underflows on [-800, -700]; f' does not change sign there."""
-    assert run(["classify", "--gen", "exp", "--lo", "-800", "--hi", "-700"]) == 2
+def test_underflowing_derivative_still_classifies(capsys):
+    """e**x underflows on [-800, -700], but its profile is 1 there: Convex."""
+    assert run(["classify", "--gen", "exp", "--lo", "-800", "--hi", "-700"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["class"] == "Convex"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("spec", ["affine:1:nan", "affine:1:inf", "affine:inf:0"])
+def test_nonfinite_affine_spec_is_usage_error(capsys, spec):
+    """These once classified ArithmeticBoth with exit 0."""
+    assert run(["classify", "--gen", spec]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: exp: f' is not finite or is zero on the grid\n"
+    assert captured.err.startswith("error: affine generator needs a != 0 and finite a and b")
+
+
+def test_mean_whose_inverse_is_not_finite_is_range_error(capsys):
+    """exp(-799.9) and exp(-799.7) underflow to 0, and log(0) = -inf, which
+    the clamp once turned into -799.9; the true mean is -799.795."""
+    argv = ["eval", "--gen", "exp", "--lo", "-800", "--hi", "-700", "--vec=-799.9,-799.7"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: exp: generator values or the inverse of their average "
+                            "are not finite on [-800.0, -700.0]\n")
 
 
 def test_byte_identical_reruns(capsys):
@@ -365,10 +385,13 @@ def _shell_report(argv):
 
 @pytest.mark.parametrize("argv", [
     ["eval", "--gen", "power:20", "--lo", "1e-20", "--hi", "1e20", "--vec", "1,2"],
-    ["classify", "--gen", "exp", "--lo", "0", "--hi", "720"],
+    ["envelope", "--gen", "exp", "--lo", "0", "--hi", "720"],
+    ["envelope", "--gen", "exp", "--lo", "0", "--hi", "720", "--kind", "concave"],
+    ["envelope", "--gen", "exp", "--lo", "-800", "--hi", "-700"],
 ])
 def test_overflowing_derivative_prints_one_error_line(argv):
-    """f' overflows on these grids; no numpy warning precedes the error."""
+    """f or f' overflows or underflows on these grids; no numpy warning
+    precedes the error."""
     proc = _shell(argv)
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()

@@ -19,6 +19,7 @@ from qameans.generators import (
     parse_generator,
     reflect_generator,
 )
+from qameans.grids import WorkingInterval
 from qameans.means import ArithmeticMean, QuasiArithmeticMean
 
 from conftest import build_from_profile
@@ -40,6 +41,18 @@ def test_classify_power_family(catalog):
     for name, want in POWER_TABLE:
         got = classify(catalog[name])
         assert got.value == want, f"{name}: expected {want}, got {got.value}"
+
+
+@pytest.mark.parametrize("p, lo, hi", [
+    (-1.0, 0.1, 1e120),
+    (-1.0, 1e-3, 1e160),
+    (-0.5, 1e-3, 1e160),
+    (-5.0, 1e-50, 1e50),
+])
+def test_power_below_one_is_concave_on_wide_intervals(p, lo, hi):
+    """p < 1 is concave at every scale.  These once classified Neither,
+    because f'' = f'/rho underflowed to -0.0, or raised RangeError."""
+    assert classify(PowerGenerator(p, WorkingInterval(lo, hi))).value == "Concave"
 
 
 def test_classify_evidence_branches(catalog):

@@ -327,18 +327,24 @@ def test_convex_envelope_nonsmooth_case(nonsmooth_cubic):
 
 
 def test_overflowing_generators_raise_range_error():
-    """Values or derivatives that overflow on the grid are an explicit error,
-    never a verdict: exp'' is inf past x = 709.78, x**3 past 5.6e102."""
+    """Values that overflow on the grid are an explicit error for an
+    envelope, never a wrong grid: e**x is inf past x = 709.78, x**3 past
+    5.6e102.  The classification reads rho alone, which stays finite."""
     exp = ExpGenerator(WorkingInterval(0.0, 720.0))
     cube = PowerGenerator(3.0, WorkingInterval(0.1, 1e120))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for fn in (classify, qa_convex_envelope, qa_concave_envelope):
-            with pytest.raises(RangeError):
-                fn(exp)
-        assert classify(cube).value == "Convex"
-        for fn in (qa_convex_envelope, qa_concave_envelope):
-            with pytest.raises(RangeError):
-                fn(cube)
+    with np.errstate(all="raise"):
+        for gen in (exp, cube):
+            assert classify(gen).value == "Convex"
+            for fn in (qa_convex_envelope, qa_concave_envelope):
+                with pytest.raises(RangeError):
+                    fn(gen)
+
+
+def test_harmonic_mean_is_its_own_concave_envelope_on_a_wide_interval():
+    """power:-1 on [0.1, 1e120] once raised SignChange here."""
+    gen = PowerGenerator(-1.0, WorkingInterval(0.1, 1e120))
+    assert classify(gen).value == "Concave"
+    assert qa_concave_envelope(gen).status == "AlreadyExtremal"
 
 
 def test_refusal_needs_a_confirmed_pair():

@@ -58,12 +58,21 @@ def test_eval_outside_domain_raises(iv):
         _check_domain(iv, np.array([1.0, 11.0]))
 
 
-@pytest.mark.parametrize("a", [0.0, np.nan])
+@pytest.mark.parametrize("a", [0.0, np.nan, np.inf, -np.inf])
 def test_affine_kinds_reject_a_without_direction(iv, a):
-    with pytest.raises(UsageError, match="needs a != 0"):
+    with pytest.raises(UsageError, match="needs a != 0 and finite a and b"):
         AffineGenerator(a, 1.0, iv)
-    with pytest.raises(UsageError, match="needs a != 0"):
+    with pytest.raises(UsageError, match="needs a != 0 and finite a and b"):
         AffineOfGenerator(LogGenerator(iv), a, 1.0)
+
+
+@pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf])
+def test_affine_kinds_reject_a_nonfinite_b(iv, b):
+    """Every value of f would be NaN or infinite."""
+    with pytest.raises(UsageError, match="needs a != 0 and finite a and b"):
+        AffineGenerator(1.0, b, iv)
+    with pytest.raises(UsageError, match="needs a != 0 and finite a and b"):
+        AffineOfGenerator(LogGenerator(iv), -2.0, b)
 
 
 def test_power_generator_rejects_bad_arguments():
@@ -246,12 +255,31 @@ def test_power_refuses_exactly_where_the_grid_scan_does(p, lo_exp, decades, grid
         assert expected is None and gen.increasing == (p > 0)
 
 
-def test_rho_names_an_underflowing_f1():
-    """e**x on [-800, -700] underflows to 0: a RangeError, not a false
-    'changes sign'."""
-    gen = ExpGenerator(WorkingInterval(-800.0, -700.0))
-    with pytest.raises(RangeError, match="^exp: f' is not finite or is zero on the grid$"):
-        rho(normalize(gen))
+def test_rho_ignores_an_underflowing_f1():
+    """e**x on [-800, -700] underflows to 0, but its profile is 1 there."""
+    iv = WorkingInterval(-800.0, -700.0)
+    assert ExpGenerator(iv).f1(-800.0) == 0.0
+    assert np.array_equal(rho(ExpGenerator(iv)).values, np.ones(iv.grid_points))
+
+
+class _NoDerivative(ExpGenerator):
+    def f1(self, x):
+        raise AssertionError("f' was evaluated")
+
+
+def test_rho_makes_no_f1_call(iv):
+    assert np.array_equal(rho(_NoDerivative(iv)).values, np.ones(iv.grid_points))
+    assert rho(_NoDerivative(WorkingInterval(0.0, 1e4))).values[0] == 1.0
+
+
+def test_rho_refuses_a_zero_or_nan_profile(iv):
+    """rho = 0 is an infinite f''; NaN is no profile at all."""
+    xs = iv.grid()
+    for bad in (0.0, np.nan):
+        gen = TabulatedGenerator(iv, xs**3, 3.0 * xs**2, xs / 2.0, source="cube")
+        gen.rho_values[100] = bad  # past the constructor's own check
+        with pytest.raises(RangeError, match="^table:cube: f'' is not finite on the grid$"):
+            rho(gen)
 
 
 def test_rho_closed_forms(iv):
@@ -285,8 +313,11 @@ def test_rho_sign_change_carries_witness(neither_cubic):
         rho(neither_cubic)
     w = exc.value.witness
     assert neither_cubic.domain.contains(w["x"])
-    # the witness pins either a near-zero or a sign disagreement of f''
-    assert "f2" in w
+    # rho = x/2 is negative at lo = -1: the witness is the first grid point
+    # where it is positive
+    assert "rho" in w
+    assert w["rho"] == w["x"] / 2.0 > 0.0
+    assert w["x"] == float(neither_cubic.domain.grid()[410])
 
 
 def test_negate_generator_round_trip(iv):

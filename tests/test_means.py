@@ -84,6 +84,19 @@ def test_qa_mean_overflow_is_a_range_error():
         700.0 - np.log(2.0), rel=1e-15)
 
 
+def test_qa_mean_whose_inverse_is_not_finite_is_a_range_error():
+    """exp(-799.9) and exp(-799.7) underflow to 0, and log(0) = -inf; the
+    clamp once turned it into -799.9 where the true mean is -799.795."""
+    gen = ExpGenerator(WorkingInterval(-800.0, -700.0))
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        with pytest.raises(RangeError, match="inverse of their average are not finite"):
+            qa_mean(gen, [-799.9, -799.7])
+        with pytest.raises(RangeError, match="inverse of their average are not finite"):
+            QuasiArithmeticMean(gen).batch(np.array([[-701.0, -700.0], [-799.9, -799.7]]))
+        assert qa_mean(gen, [-701.0, -700.0]) == pytest.approx(
+            -700.0 + np.log((1.0 + np.exp(-1.0)) / 2.0), rel=1e-15)
+
+
 def test_qa_mean_against_direct_formula(iv):
     """QA evaluation agrees with the textbook f^{-1}(average of f)."""
     rng = np.random.default_rng(11)

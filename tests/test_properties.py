@@ -16,11 +16,12 @@ missing envelope; p = 1 itself is drawn.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qameans.convexity import classify, dominates_arithmetic
 from qameans.envelope import qa_concave_envelope, qa_convex_envelope
+from qameans.errors import NotMonotone
 from qameans.generators import (
     AffineGenerator,
     AffineOfGenerator,
@@ -171,6 +172,37 @@ def test_power_family_follows_the_paper_table(p, iv):
             # convex: QA_p below the midpoint; concave: above it
             assert side * (0.5 * (a + b) - qa_mean(gen, [a, b])) > w["tol"]
         assert dominates_arithmetic(gen, 5, 300, sense).passed == exists
+
+
+# The paper's table over whole ranges: any p in [-20, 20] but 0, on
+# [10**lo_exp, 10**hi_exp] with exponents up to 100 in size.  hi >= 2 lo
+# keeps span * max|1/rho| = |p - 1| (hi - lo) / lo >= P_MIN, far above the
+# degeneracy floor, so only p = 1 is arithmetic; p within P_MIN of 1 is left
+# out as in the table above.
+wide_exponents = st.one_of(st.floats(-20.0, 1.0 - P_MIN), st.just(1.0),
+                           st.floats(1.0 + P_MIN, 20.0)).filter(lambda p: p != 0.0)
+decade_pairs = st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)).filter(
+    lambda e: e[1] - e[0] >= np.log10(2.0))
+
+
+@settings(max_examples=500)
+@given(p=wide_exponents, decades=decade_pairs, grid_points=st.sampled_from([257, 1025]))
+def test_power_family_follows_the_paper_table_at_every_scale(p, decades, grid_points):
+    """Either f' over- or underflows at an end (NotMonotone), or the class
+    is the paper's: p < 1 Concave, p > 1 Convex, p = 1 ArithmeticBoth."""
+    iv = WorkingInterval(10.0 ** decades[0], 10.0 ** decades[1], grid_points)
+    try:
+        gen = PowerGenerator(p, iv)
+    except NotMonotone:
+        return
+    want = "Concave" if p < 1.0 else "Convex" if p > 1.0 else "ArithmeticBoth"
+    assert classify(gen).value == want
+
+
+@settings(max_examples=300)
+@given(lo=st.floats(-1e4, 1e4), width=st.floats(1e-6, 1e4))
+def test_exp_is_convex_on_intervals_up_to_1e4_wide(lo, width):
+    assert classify(ExpGenerator(WorkingInterval(lo, lo + width))).value == "Convex"
 
 
 def test_bisection_oracle_hand_values():
