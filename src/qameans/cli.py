@@ -228,9 +228,12 @@ def _cmd_eval(args, seed: int) -> int:
     if args.vec is not None:
         report = {"config": report, "value": qa_mean(gen, _parse_vec(args.vec))}
     else:
-        with open(args.vec_file) as fh:
-            rows = [_parse_vec(line) for line in fh
-                    if line.strip() and not line.lstrip().startswith("#")]
+        try:
+            with open(args.vec_file, encoding="utf-8") as fh:
+                rows = [_parse_vec(line) for line in fh
+                        if line.strip() and not line.lstrip().startswith("#")]
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{args.vec_file}: {exc}") from None
         report = {"config": report,
                   "values": [qa_mean(gen, row) for row in rows]}
     _json_report(report, args.out)

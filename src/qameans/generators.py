@@ -20,7 +20,10 @@ the classification and envelope machinery in the sibling modules.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
+import orjson
 
 from .errors import (
     DegenerateSecondDerivative,
@@ -467,6 +470,112 @@ def parse_generator(spec: str, interval: WorkingInterval | None = None) -> Gener
 # A line opening with one of these is a data line under every skip rule of
 # load_table, so the per-line tests run only on the few lines that do not.
 _NUMBER_STARTS = frozenset("0123456789+-.")
+# The first such line of a file's bytes, where the fast path's data begins.
+_DATA_LINE = re.compile(rb"^[0-9+.-]", re.MULTILINE)
+
+# load_table's fast path hands orjson at most this many bytes at a time, cut
+# at a line end, which bounds its float list and byte copies.
+_CHUNK_BYTES = 1 << 18
+# The bytes of a JSON number and the blanks around it.  Deleting them from a
+# chunk of data lines leaves its commas, its line ends and every other byte.
+_CELL_BYTES = b"0123456789.eE+- \t\r"
+# An integer -0 (or an exponent -0), which orjson reads as int 0, that is
+# +0.0, where float() gives -0.0.
+_INT_MINUS_ZERO = re.compile(rb"-0(?![.eE0-9])")
+
+
+def _kept_lines(text: str) -> list:
+    """The lines of text load_table reads: not blank, not all empty cells,
+    and not opening with '#'."""
+    return [line for line in text.splitlines()
+            if line[:1] in _NUMBER_STARTS
+            or (line.replace(",", "").strip()
+                and not line.lstrip().startswith("#"))]
+
+
+def _header(line: str):
+    """The stripped cells of line when one of them is not a number, else None."""
+    cells = line.split(",")
+    try:
+        [float(c) for c in cells]
+    except ValueError:
+        return [c.strip() for c in cells]
+    return None
+
+
+def _orjson_table(raw: bytes):
+    """(header, data) of a table file's bytes, parsed by orjson chunk by
+    chunk into one preallocated array; None for any file whose cells orjson
+    might read otherwise than float(), or whose lines load_table might
+    split or skip otherwise."""
+    first = _DATA_LINE.search(raw)
+    if first is None:
+        return None
+    start = first.start()
+    try:
+        kept = _kept_lines(raw[:start].decode())
+    except UnicodeDecodeError:
+        return None
+    header = _header(kept[0]) if len(kept) == 1 else None
+    if kept and header is None:
+        return None
+    end = len(raw) - raw.endswith(b"\n")
+    # A lone \r ends a line for splitlines; orjson reads it as a blank.
+    if b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"):
+        return None
+    line_end = raw.find(b"\n", start, end)
+    cols = raw.count(b",", start, end if line_end < 0 else line_end) + 1
+    rows = raw.count(b"\n", start, end) + 1
+    if cols < 2 or rows < 3:
+        return None
+    skeleton_row = b"," * (cols - 1) + b"\n"
+    data = np.empty((rows, cols))
+    row = 0
+    while start < end:
+        cut = end
+        if end - start > _CHUNK_BYTES:
+            cut = raw.rfind(b"\n", start, start + _CHUNK_BYTES)
+            if cut < 0:
+                return None
+        chunk = raw[start:cut]
+        skeleton = chunk.translate(None, _CELL_BYTES)
+        n = skeleton.count(b"\n") + 1
+        if skeleton != (skeleton_row * n)[:-1] or _INT_MINUS_ZERO.search(chunk):
+            return None
+        try:
+            cells = orjson.loads(b"[" + chunk.replace(b"\n", b",") + b"]")
+        except orjson.JSONDecodeError:
+            return None
+        data[row:row + n] = np.array(cells, dtype=float).reshape(n, cols)
+        row += n
+        start = cut + 1
+    return header, data
+
+
+def _read_table(path: str):
+    """(header, data) of a table file, by orjson when _orjson_table takes
+    the bytes, else by np.loadtxt on the kept lines."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    table = _orjson_table(raw)
+    if table is not None:
+        return table
+    try:
+        lines = _kept_lines(raw.decode())
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+    if not lines:
+        raise UsageError(f"{path}: empty table")
+    header = _header(lines[0])
+    if header is not None:
+        lines = lines[1:]
+    if len(lines) < 3:
+        raise UsageError(f"{path}: need at least 3 rows")
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise UsageError(f"{path}: malformed data row: {exc}") from None
+    return header, data
 
 
 def load_table(path: str) -> TabulatedGenerator:
@@ -482,33 +591,26 @@ def load_table(path: str) -> TabulatedGenerator:
     Without a header the first two columns are taken as x and f.
 
     Blank lines, lines whose cells are all empty, and lines whose first
-    cell starts with '#' are skipped; the rest are parsed in one
-    ``np.loadtxt`` call, whose values are bit-equal to ``float()`` of each
-    cell.  A non-numeric cell or a row with a different number of cells
-    raises UsageError naming the file.
+    cell starts with '#' are skipped; the first kept line is the header
+    when one of its cells is not a number.  The data lines are read by one
+    of two paths, both bit-equal to ``float()`` of each cell:
+
+    - orjson, when the lines before the first one opening with a digit,
+      sign or '.' keep at most a header, every later byte is a digit,
+      ``.eE+-``, a comma, a line end or a blank (space, tab, or the CR of
+      a CRLF line end), every line holds the first one's number of cells,
+      and every cell is a JSON number but no integer -0 (which orjson
+      reads as +0.0).  It parses chunks of at most ``_CHUNK_BYTES`` cut at
+      line ends into one preallocated array, so its extra memory is
+      bounded by the chunk, not the file;
+    - ``np.loadtxt`` on the kept lines otherwise: spellings JSON refuses
+      (``.5``, ``5.``, ``+1``, ``inf``, ``nan``, ``1e400``), comment or
+      blank lines among the data, and every malformed file.
+
+    A byte that is not UTF-8, a non-numeric cell or a row with a different
+    number of cells raises UsageError naming the file.
     """
-    with open(path) as fh:
-        lines = [line for line in fh.read().splitlines()
-                 if line[:1] in _NUMBER_STARTS
-                 or (line.replace(",", "").strip()
-                     and not line.lstrip().startswith("#"))]
-    if not lines:
-        raise UsageError(f"{path}: empty table")
-
-    header = None
-    first = lines[0].split(",")
-    try:
-        [float(c) for c in first]
-    except ValueError:
-        header = [c.strip() for c in first]
-        lines = lines[1:]
-    if len(lines) < 3:
-        raise UsageError(f"{path}: need at least 3 rows")
-
-    try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise UsageError(f"{path}: malformed data row: {exc}") from None
+    header, data = _read_table(path)
     ncols = data.shape[1]
     if header is not None and len(header) != ncols:
         raise UsageError(f"{path}: header has {len(header)} cells, data rows {ncols}")

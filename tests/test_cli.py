@@ -270,6 +270,26 @@ def test_malformed_table_is_usage_error(tmp_path, capsys, row):
     assert "bad.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"x,f\xff\n0,0\n1,1\n2,4\n", b"x,f\n0,0\n1,1\xff\n2,4\n"],
+                         ids=["in the header", "in a data row"])
+def test_undecodable_table_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    assert run(["classify", "--gen", f"table:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
+def test_undecodable_vec_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1,2\n3,\xff4\n")
+    assert run(["eval", "--gen", "power:3", "--vec-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
 def test_compare_on_nan_profile_table_is_usage_error(tmp_path, capsys):
     """A NaN in a table's m column is an explicit error, not a NaN gap."""
     xs = np.linspace(0.1, 10.0, 1025).tolist()

@@ -1,0 +1,231 @@
+"""The table reader: its orjson fast path against the np.loadtxt path it
+falls back to and against float() per cell (``oracles.float_cell_table``).
+
+Every comparison is bit for bit, through ``.view(np.uint64)``, so the sign
+of zero counts.  The np.loadtxt path is forced by making ``_orjson_table``
+decline every file; what it gives, values or error, is what the reader gave
+before the fast path existed.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from qameans import generators
+from qameans.cli import run
+from qameans.errors import QameansError
+from qameans.generators import _CHUNK_BYTES, _orjson_table, _read_table, load_table
+
+from oracles import float_cell_table
+
+# Spellings float() takes and a JSON number also is (orjson reads them).
+JSON_SPELLINGS = (repr, "{:.17g}".format, "{:.17E}".format)
+# Spellings of finite values that only float() takes.
+LOOSE_SPELLINGS = (
+    lambda v: repr(v).replace("0.", ".", 1),                 # .5, -.5
+    lambda v: f"{v:.0f}." if v.is_integer() else repr(v),    # 5.
+    lambda v: "+" + repr(v) if v >= 0 else repr(v),          # +1
+)
+# Cells worth drawing by themselves: zeros of both signs, integers past 2**53
+# and 2**64, upper-case exponents, the non-finite spellings and overflow.
+SPECIAL_CELLS = ("0", "-0", "0.0", "-0.0", "1E5", "-1E-5", str(2**53 + 1),
+                 str(2**64 + 1), str(-2**64 - 1), "18446744073709551615",
+                 "1e-400", "-1e-400", "inf", "-inf", "nan", "-nan", "1e400")
+JSON_SPECIAL_CELLS = SPECIAL_CELLS[:11]
+SKIPPED_LINES = ("", "  ", ",,", " , ,", "# comment, 1, 2", "  # indented", "#1,2")
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+blanks = st.sampled_from(["", "", " ", "\t", "  "])
+
+
+@st.composite
+def cells(draw, json_only):
+    """One cell's text: a float spelled by some rule, a raw integer, or a
+    special cell, padded with blanks."""
+    kind = draw(st.sampled_from(["float", "int", "special"]))
+    if kind == "float":
+        rules = JSON_SPELLINGS if json_only else JSON_SPELLINGS + LOOSE_SPELLINGS
+        text = draw(st.sampled_from(rules))(draw(finite))
+    elif kind == "int":
+        text = str(draw(st.integers(-2**70, 2**70)))
+    else:
+        text = draw(st.sampled_from(JSON_SPECIAL_CELLS if json_only else SPECIAL_CELLS))
+    return draw(blanks) + text + draw(blanks)
+
+
+@st.composite
+def table_texts(draw):
+    """CSV text of a table: optional header, skipped lines before and after
+    it, 3 to 8 data rows, LF or CRLF line ends.  Half the tables spell every
+    cell as a JSON number and put no skipped line among the data, which the
+    fast path takes unless a cell is an integer -0 or the first data line
+    opens with a blank."""
+    json_only = draw(st.booleans())
+    cols = draw(st.integers(2, 5))
+    rows = [[draw(cells(json_only)) for _ in range(cols)]
+            for _ in range(draw(st.integers(3, 8)))]
+    skipped = st.lists(st.sampled_from(SKIPPED_LINES), max_size=2)
+    lines = draw(skipped)
+    if draw(st.booleans()):
+        lines += [",".join(f" c{k} " for k in range(cols))] + draw(skipped)
+    lines += [",".join(row) for row in rows]
+    if not json_only:
+        at = draw(st.integers(len(lines) - len(rows) + 1, len(lines)))
+        lines[at:at] = draw(skipped)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    fast = (json_only and not rows[0][0][0].isspace()
+            and all(c.strip() != "-0" for row in rows for c in row))
+    return text, fast
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _outcome(read, path):
+    """What read(path) gives, in comparable form: the error's type and
+    message, or the arrays' bits."""
+    try:
+        got = read(path)
+    except QameansError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, tuple):
+        header, data = got
+        return header, data.shape, _bits(data).tobytes()
+    arrays = ([got.domain.lo, got.domain.hi], got.values, got.f1_values, got.rho_values)
+    return tuple(_bits(a).tobytes() for a in arrays)
+
+
+def assert_reads_as_loadtxt_path(read, path):
+    """read(path) gives the np.loadtxt path's values or error, and an
+    error names the file; returns that outcome."""
+    fast = _outcome(read, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "_orjson_table", lambda raw: None)
+        assert _outcome(read, path) == fast
+    if isinstance(fast[0], type):
+        assert str(path) in fast[1]
+    return fast
+
+
+def assert_bits_equal_oracle(path):
+    header, data = _read_table(str(path))
+    want_header, want = float_cell_table(path)
+    assert header == want_header
+    assert data.shape == want.shape
+    assert np.array_equal(_bits(data), _bits(want))
+
+
+@given(table=table_texts())
+@example(table=("x,f\n0,-0\n1,1\n2,2\n", False))
+@example(table=("x,f\r\n0,1\r\n1,2\r\n2,3", True))
+@example(table=("0,1\r,5\n1,2\r,6\n2,4\r,7\n", False))    # a lone CR ends a line
+def test_reader_is_float_per_cell(tmp_path_factory, table):
+    text, fast = table
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    path.write_bytes(text.encode())
+    outcome = assert_reads_as_loadtxt_path(_read_table, str(path))
+    if fast:
+        assert _orjson_table(path.read_bytes()) is not None
+    if not isinstance(outcome[0], type):
+        assert_bits_equal_oracle(path)
+
+
+# "1,2" makes the row ragged; null, true and [0.5] are JSON but no numbers.
+BAD_CELLS = ("abc", "1e400", "-1e400", "1,2", "null", "true", "[0.5]")
+
+
+@given(n=st.integers(3, 40), row=st.integers(1, 39), column=st.sampled_from(["x", "f"]),
+       bad=st.sampled_from(BAD_CELLS), header=st.booleans(),
+       newline=st.sampled_from(["\n", "\r\n"]))
+def test_malformed_table_errors_as_loadtxt_path(tmp_path_factory, n, row, column,
+                                                bad, header, newline):
+    """A non-numeric cell, a ragged row or an overflowing cell in the x or
+    the f column, below the first data row, of a table the fast path would
+    otherwise take."""
+    xs = np.linspace(-1.0, 1.0, n).tolist()
+    rows = [[repr(x), repr(x ** 3 + 2 * x)] for x in xs]
+    rows[1 + row % (n - 1)][["x", "f"].index(column)] = bad
+    lines = (["x,f"] if header else []) + [",".join(r) for r in rows]
+    path = tmp_path_factory.getbasetemp() / "malformed.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    outcome = assert_reads_as_loadtxt_path(load_table, str(path))
+    assert isinstance(outcome[0], type) and issubclass(outcome[0], QameansError)
+
+
+@pytest.fixture(scope="module")
+def envelope_csv(tmp_path_factory):
+    """The 65537-row envelope CSV of power:3: about 6 MB, over 20 chunks."""
+    path = tmp_path_factory.mktemp("envelope") / "env65537.csv"
+    assert run(["envelope", "--gen", "power:3", "--grid", "65537",
+                "--format", "csv", "--out", str(path)]) == 0
+    return path
+
+
+def _line_span(raw, where):
+    """Start and end of the line that holds the first chunk edge, or of the
+    last chunk's next-to-last line."""
+    if where == "edge":
+        at = generators._DATA_LINE.search(raw).start() + _CHUNK_BYTES
+    else:
+        at = raw.rfind(b"\n", 0, len(raw) - 1) - 1
+    start = raw.rfind(b"\n", 0, at) + 1
+    return start, raw.index(b"\n", at)
+
+
+def _second_cell(text):
+    """Mutation of a line: its second cell replaced by text."""
+    return lambda line: b",".join([line.split(b",")[0], text] + line.split(b",")[2:])
+
+
+# Each mutation of one line, and whether the file is then malformed.
+MUTATIONS = {
+    "ragged row": (lambda line: line + b",5", True),
+    "non-numeric cell": (_second_cell(b"abc"), True),
+    "comment line": (lambda line: b"# note\n" + line, False),
+    "integer -0": (_second_cell(b"-0"), False),   # the oracle's cell is -0.0
+}
+
+
+@pytest.mark.parametrize("where", ["edge", "last"])
+@pytest.mark.parametrize("mutation, malformed", MUTATIONS.values(), ids=MUTATIONS)
+def test_chunk_boundaries(envelope_csv, tmp_path, where, mutation, malformed):
+    raw = envelope_csv.read_bytes()
+    start, end = _line_span(raw, where)
+    path = tmp_path / "mutated.csv"
+    path.write_bytes(raw[:start] + mutation(raw[start:end]) + raw[end:])
+    outcome = assert_reads_as_loadtxt_path(_read_table, str(path))
+    assert isinstance(outcome[0], type) == malformed
+    if not malformed:
+        assert_bits_equal_oracle(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gen", "power:3", "--grid", "65537"],
+    # x crosses an exact 0.0, so a zero cell alone does not decline the fast path
+    ["--gen", "exp", "--lo", "-1", "--hi", "1", "--grid", "1025"],
+], ids=["power:3 65537", "exp on [-1, 1]"])
+def test_fast_path_reads_envelope_csv(tmp_path, monkeypatch, argv):
+    path = tmp_path / "env.csv"
+    assert run(["envelope", *argv, "--format", "csv", "--out", str(path)]) == 0
+    header, want = float_cell_table(path)
+    sizes = []
+    real_loads = generators.orjson.loads
+
+    def loads(text):
+        sizes.append(len(text))
+        return real_loads(text)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called: the fast path declined the file")
+
+    monkeypatch.setattr(generators.orjson, "loads", loads)
+    monkeypatch.setattr(generators.np, "loadtxt", refuse)
+    tab = load_table(str(path))
+    for got, name in [(tab.values, "g"), (tab.f1_values, "g1"), (tab.rho_values, "m")]:
+        assert np.array_equal(_bits(got), _bits(want[:, header.index(name)]))
+    assert (tab.domain.lo, tab.domain.hi) == (want[0, 0], want[-1, 0])
+    # The chunks bound what one orjson call sees: "[" + chunk + "]".
+    assert max(sizes) <= _CHUNK_BYTES + 2
