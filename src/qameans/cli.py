@@ -5,11 +5,15 @@ tables) and opens with a config block stating the effective interval,
 grid resolution, seed, and trial count, so any run can be reproduced from
 its own output.  Numbers are printed in shortest round-trip form, spelled
 as Python's repr spells them (json.dumps in JSON, so NaN and Infinity keep
-json's names).  Float lists and tables are formatted in C by orjson, whose
-text is repr's exactly when 1e-4 <= |v| < 1e16 or v = +-0; a row holding
-any other value is rewritten cell by cell through repr or json.dumps.  Exit
-codes: 0 success or pass, 1 a check failed with a witness (including an
-envelope that does not exist), 2 usage or domain errors.
+json's names).  A report is built as ASCII byte blocks and written straight
+to --out, or joined into one string for stdout, so no whole-report string
+exists for a file.  Float lists and tables go in blocks of at most
+_BLOCK_ROWS rows, each run of rows formatted in C by one flat orjson call,
+whose text is repr's exactly when 1e-4 <= |v| < 1e16 or v = +-0; a row
+holding any other value is a block of its own, spelled cell by cell through
+repr or json.dumps.  Exit codes: 0 success or pass, 1 a check failed with a
+witness (including an envelope that does not exist), 2 usage or domain
+errors.
 
 :func:`run` can be called repeatedly from one process: the argument parser
 is built once, on the first call, and parse_args gives every call a fresh
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -48,6 +53,8 @@ from .verify import (
 DEFAULT_LO = 0.1
 DEFAULT_HI = 10.0
 DEFAULT_TRIALS = 10_000
+# Rows of a float table scanned and formatted at a time by _float_text.
+_BLOCK_ROWS = 8192
 
 
 @functools.cache
@@ -126,90 +133,143 @@ def _config(args, seed: int, **extras) -> dict:
     return cfg
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(blocks, out_path: str | None) -> None:
+    """Write a report's ASCII byte blocks to out_path, truncating it, or to
+    stdout as one string of the same bytes."""
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        with open(out_path, "wb") as fh:
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(b"".join(blocks).decode("ascii"))
 
 
-def _float_text(table, row_sep: str, special) -> str:
-    """The floats of a 1-D list or 2-D array as text, each cell as repr spells it.
+def _float_text(table, row_sep: str, special):
+    """Yield the floats of a 1-D list or 2-D array as ASCII byte blocks, each
+    cell as repr spells it.
 
     Cells of a row are joined by "," and rows by row_sep; a 1-D table is one
-    cell per row.  One orjson.dumps call formats the whole table into one
-    string, with no str per cell.  orjson writes repr's text when
-    1e-4 <= |v| < 1e16 or v = +-0; other values it spells 0.00001, 1e16 or
-    null, so each row holding a nonzero |v| < 1e-4, |v| >= 1e16, NaN or +-inf
-    is rewritten through special (repr, or json.dumps for JSON's NaN and
-    Infinity).
+    cell per row, and every block but the first opens with row_sep.  The
+    table is scanned _BLOCK_ROWS rows at a time, so no block holds more.
+    orjson writes repr's text when 1e-4 <= |v| < 1e16 or v = +-0, so each
+    run of rows holding only such values is one block, formatted flat by one
+    orjson.dumps call.  Other values orjson spells 0.00001, 1e16 or null, so
+    a row holding a nonzero |v| < 1e-4, |v| >= 1e16, NaN or +-inf is a block
+    of its own, spelled cell by cell through special (repr, or _json_float
+    for JSON's NaN and Infinity).
+
+    Beyond its input array and the blocks it has handed out, the generator
+    holds the working set of one scan: at most 116 bytes a cell.  That is
+    the scan's magnitudes and a run's comma offsets, 8 bytes a cell each, and
+    at most four buffers of the run's text (orjson's, its copy, the comma
+    mask over it and the block cut from it), each at most 25 bytes a cell
+    when row_sep is one byte: repr's longest float, 24 characters, and a
+    separator.
     """
     arr = np.ascontiguousarray(table, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
-    raw = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)
-    mag = np.abs(arr)
-    odd = np.flatnonzero(((mag < 1e-4) & (arr != 0) | ~(mag < 1e16)).any(axis=1))
-    if len(odd):
-        raw = _respell_rows(raw, arr, odd, special)
-    raw = raw.replace(b"],[", row_sep.encode())
-    return str(memoryview(raw)[2:-2], "ascii")
+    sep = row_sep.encode()
+    lead = b""
+    for top in range(0, len(arr), _BLOCK_ROWS):
+        scan = arr[top:top + _BLOCK_ROWS]
+        mag = np.abs(scan)
+        odd = ((mag < 1e-4) & (scan != 0) | ~(mag < 1e16)).any(axis=1)
+        start = 0
+        for stop in [*np.flatnonzero(odd).tolist(), len(scan)]:
+            if start < stop:
+                yield lead + _orjson_rows(scan[start:stop], sep)
+                lead = sep
+            if stop < len(scan):
+                yield lead + ",".join(map(special, scan[stop].tolist())).encode()
+                lead = sep
+            start = stop + 1
 
 
-def _respell_rows(raw: bytes, arr, rows, special) -> bytes:
-    """raw, the orjson text [[row],[row],...] of arr, with each of the given
-    rows spelled cell by cell through special."""
-    # Row k starts just past the (k+2)-th "[" and ends at the "],[" before
-    # row k+1; the last row ends at the closing "]]".
-    starts = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("["))[1:] + 1
-    ends = np.append(starts[1:] - 3, len(raw) - 2)
-    view = memoryview(raw)
-    chunks, pos = [], 0
-    for k in rows.tolist():
-        chunks.append(view[pos:starts[k]])
-        chunks.append(",".join(map(special, arr[k].tolist())).encode())
-        pos = ends[k]
-    chunks.append(view[pos:])
-    return b"".join(chunks)
+def _orjson_rows(rows, sep: bytes) -> bytes:
+    """orjson's text of the C-contiguous 2-D array rows, dumped flat: cells
+    joined by "," and rows by sep."""
+    raw = orjson.dumps(rows.reshape(-1), option=orjson.OPT_SERIALIZE_NUMPY)
+    cols = rows.shape[1]
+    if cols == 1:
+        return raw[1:-1].replace(b",", sep)
+    # Every cols-th comma ends a row.  orjson's text holds no newline, so
+    # one marks each row end until sep replaces it.
+    text = bytearray(raw)
+    chars = np.frombuffer(text, np.uint8)
+    chars[np.flatnonzero(chars == ord(","))[cols - 1::cols]] = ord("\n")
+    body = bytes(memoryview(text)[1:-1])
+    return body if sep == b"\n" else body.replace(b"\n", sep)
 
 
-def _json_text(obj, indent: str = "") -> str:
-    """The text of json.dumps(obj, indent=2) for a tree of str-keyed dicts.
+def _json_text(obj):
+    """Yield the text of json.dumps(obj, indent=2) for a tree of str-keyed
+    dicts as ASCII byte blocks.
 
-    A list made only of floats is formatted by _float_text in one orjson
-    call, so a 65537-point grid pays neither a repr per value nor a pass
-    through the pure-Python indenting encoder.  Its items are orjson's text
-    when 1e-4 <= |v| < 1e16 or v = +-0, which is repr's, and json.dumps's
-    otherwise, as json writes them.  Strings go through json's own escaper,
-    ints and finite floats through repr, and every other scalar through
-    json.dumps.
+    The tree is walked, and every scalar spelled, before the first block; a
+    list made only of floats is left to _float_text, which formats it in
+    blocks of orjson text when its turn comes, so a 65537-point grid pays
+    neither a repr per value nor a pass through the pure-Python indenting
+    encoder.  Its items are orjson's text when 1e-4 <= |v| < 1e16 or
+    v = +-0, which is repr's, and json.dumps's otherwise, as json writes
+    them.  The text between two float lists is one block.
+    """
+    parts = []
+    _json_parts(obj, "", parts)
+    text = []
+    for part in parts:
+        if isinstance(part, str):
+            text.append(part)
+        else:
+            yield "".join(text).encode()
+            text.clear()
+            yield from part
+    yield "".join(text).encode()
+
+
+def _json_parts(obj, indent: str, parts: list) -> None:
+    """Append obj's indented JSON text to parts: a str for each piece, and a
+    _float_text generator for each list made only of floats.
+
+    Strings go through json's own escaper, ints and finite floats through
+    repr, and every other scalar through json.dumps.
     """
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if type(obj) is int or (type(obj) is float and math.isfinite(obj)):
-        return repr(obj)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = sep.join(f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
-                        for k, v in obj.items())
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+        parts.append(encode_basestring_ascii(obj))
+    elif type(obj) is int or (type(obj) is float and math.isfinite(obj)):
+        parts.append(repr(obj))
+    elif not isinstance(obj, (dict, list, tuple)):
+        parts.append(json.dumps(obj))
+    elif not obj:
+        parts.append("{}" if isinstance(obj, dict) else "[]")
+    else:
+        inner = indent + "  "
+        sep = ",\n" + inner
+        lead = ("{" if isinstance(obj, dict) else "[") + "\n" + inner
+        if isinstance(obj, dict):
+            for k, v in obj.items():
+                parts.append(f"{lead}{encode_basestring_ascii(k)}: ")
+                _json_parts(v, inner, parts)
+                lead = sep
+            parts.append(f"\n{indent}}}")
+            return
         if set(map(type, obj)) == {float}:
-            body = _float_text(obj, sep, json.dumps)
+            parts += [lead, _float_text(obj, sep, _json_float)]
         else:
-            body = sep.join(_json_text(v, inner) for v in obj)
-        return "[\n" + inner + body + "\n" + indent + "]"
-    return json.dumps(obj)
+            for v in obj:
+                parts.append(lead)
+                _json_parts(v, inner, parts)
+                lead = sep
+        parts.append(f"\n{indent}]")
+
+
+def _json_float(v: float) -> str:
+    """json.dumps(v) for a float v, without its encoder: repr when v is
+    finite, else NaN, Infinity or -Infinity."""
+    return repr(v) if math.isfinite(v) else json.dumps(v)
 
 
 def _json_report(report: dict, out_path: str | None) -> None:
-    _emit(_json_text(report) + "\n", out_path)
+    _emit(itertools.chain(_json_text(report), [b"\n"]), out_path)
 
 
 def _parse_vec(text: str) -> list:
@@ -258,7 +318,14 @@ def _cmd_compare(args, seed: int) -> int:
     return 0
 
 
-def _envelope_csv(result, config: dict) -> str:
+def _envelope_csv(result, config: dict):
+    """The envelope's grid table as CSV, in ASCII byte blocks: a "# " JSON
+    header line, the column names, then one line of cells per grid point.
+
+    The columns are stacked into one float table before the first block, so
+    beyond the result the writer holds that table, the m column it computes
+    (8 bytes a cell each) and one block of _float_text's working set.
+    """
     xs = result.interval.grid()
     cols = [("x", xs)]
     if result.rho is not None:
@@ -269,8 +336,10 @@ def _envelope_csv(result, config: dict) -> str:
     cols.append(("g1", result.g1.values))
     head = "# " + json.dumps({"config": config, "status": result.status,
                               "direction": result.direction})
-    body = _float_text(np.column_stack([vals for _, vals in cols]), "\n", repr)
-    return "\n".join([head, ",".join(name for name, _ in cols), body]) + "\n"
+    names = ",".join(name for name, _ in cols)
+    table = np.column_stack([vals for _, vals in cols])
+    return itertools.chain([f"{head}\n{names}\n".encode()],
+                           _float_text(table, "\n", repr), [b"\n"])
 
 
 def _cmd_envelope(args, seed: int) -> int:

@@ -629,10 +629,14 @@ def load_table(path: str) -> TabulatedGenerator:
     f1s = col("f1", "g1")
     ms = col("m")
 
-    # Both x tests are written so that a NaN fails them.
+    # Each x test is written so that a NaN fails it.  An infinite end passes
+    # the first and is refused before the spacing test, whose inf - inf
+    # would warn.
     steps = np.diff(xs)
     if not np.all(steps > 0):
         raise UsageError(f"{path}: x column must be strictly increasing")
+    if not np.all(np.isfinite(xs)):
+        raise UsageError(f"{path}: x column must be finite")
     h = (xs[-1] - xs[0]) / (len(xs) - 1)
     # Relative to the step, plus the rounding of the x values themselves.
     if not np.max(np.abs(steps - h)) <= 1e-9 * h + 4.0 * np.spacing(np.max(np.abs(xs))):

@@ -15,6 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from qameans import cli
 from qameans.cli import _envelope_csv, _float_text, _json_text, run
 from qameans.envelope import _monotone_chain, qa_concave_envelope, qa_convex_envelope
 from qameans.generators import (
@@ -37,6 +38,11 @@ from oracles import (
 
 NAN, INF = float("nan"), float("inf")
 
+
+def _text(blocks):
+    """The text of a writer's ASCII byte blocks."""
+    return b"".join(blocks).decode("ascii")
+
 floats = st.floats(allow_nan=True, allow_infinity=True)
 scalars = st.none() | st.booleans() | st.integers() | floats | st.text()
 leaves = scalars | st.lists(floats) | st.lists(st.integers() | floats)
@@ -53,7 +59,7 @@ trees = st.recursive(
           "nested": [[-0.0, INF], [-INF], []], "mixed": [1, 2.5, True, None],
           "text": "é€\n\"q\""})
 def test_json_writer_matches_json_dumps(obj):
-    assert _json_text(obj) == indented_json(obj)
+    assert _text(_json_text(obj)) == indented_json(obj)
 
 
 # Row separators and spellings of the two report formats: JSON list items,
@@ -63,21 +69,48 @@ SPELLINGS = [(",\n  ", json.dumps), ("\n", repr)]
 EDGES = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 5e-324]
 
 
+# Block sizes for _float_text: a few rows, so that hypothesis draws cross
+# block edges, and the writer's own.  Its edge is crossed by the 65537-row
+# CSV below, 8 blocks and one row.
+BLOCK_SIZES = [1, 2, 3, cli._BLOCK_ROWS]
+# Rows outside orjson's range at block 0's first and last row, next to each
+# other across the edge of blocks of 3, and filling whole blocks of 1 and 2.
+ODD_LIST = [1e-5, 0.5, 1e300, NAN, 2.5, 3.5, -INF]
+ODD_TABLE = np.array([[1e-5, 1.0], [0.5, 0.25], [2.0, 1e300], [NAN, 3.0],
+                      [4.0, 5.0], [6.0, -INF]])
+
+
+def _assert_blocks_match_per_cell_spelling(table):
+    for rows in BLOCK_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_BLOCK_ROWS", rows)
+            for row_sep, spell in SPELLINGS:
+                blocks = list(_float_text(table, row_sep, spell))
+                assert _text(blocks) == per_cell_float_text(table, row_sep, spell)
+                # A block holds at most `rows` rows, with the separator that
+                # opens every block but the first.
+                assert all(b.count(row_sep.encode()) <= rows for b in blocks)
+
+
 @given(st.lists(floats))
 @example(EDGES)
 @example([-v for v in EDGES] + [0.0, -0.0, NAN, INF, -INF])
+@example(ODD_LIST)
+@example([1e-5, NAN, INF, -1e20])
+@example([0.5, -0.0, 1e15, 1e-4])
 def test_float_text_matches_per_cell_spelling_on_lists(values):
-    for row_sep, spell in SPELLINGS:
-        assert (_float_text(values, row_sep, spell)
-                == per_cell_float_text(values, row_sep, spell))
+    _assert_blocks_match_per_cell_spelling(values)
 
 
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2), elements=floats))
 @example(np.array([EDGES[:2], EDGES[2:4], [EDGES[4], -0.0], [1.5, NAN], [-INF, 2.0]]))
+@example(ODD_TABLE)
+@example(np.array([[1e-5, 1.0], [NAN, 0.5], [2.0, 1e20]]))
+@example(np.array([[0.5, 1.0, -2.0], [0.0, -0.0, 1e15], [3.25, 1e-4, 9999999999999998.0]]))
+# One row longer than a block of 3.
+@example(np.linspace(0.5, 4.0, 8).reshape(4, 2))
 def test_float_text_matches_per_cell_spelling_on_tables(table):
-    for row_sep, spell in SPELLINGS:
-        assert (_float_text(table, row_sep, spell)
-                == per_cell_float_text(table, row_sep, spell))
+    _assert_blocks_match_per_cell_spelling(table)
 
 
 @pytest.mark.parametrize("argv", [
@@ -96,6 +129,20 @@ def test_json_writer_matches_json_dumps_on_reports(tmp_path, argv):
     assert text == indented_json(json.loads(text)) + "\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--gen", "power:3", "--grid", "65537"],
+    ["envelope", "--gen", "power:3", "--grid", "65537", "--format", "csv"],
+    ["classify", "--gen", "power:3"],
+], ids=["envelope json", "envelope csv", "classify"])
+def test_out_file_holds_the_bytes_of_stdout(tmp_path, capsys, argv):
+    path = tmp_path / "report"
+    path.write_bytes(b"an older, longer file that --out must truncate" * 10**5)
+    assert run(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(argv) == 0
+    assert path.read_bytes() == capsys.readouterr().out.encode("ascii")
+
+
 def _extremal(n):
     return qa_convex_envelope(PowerGenerator(3.0, WorkingInterval(0.1, 10.0, n)))
 
@@ -112,13 +159,13 @@ def test_envelope_csv_matches_rowwise_writer(n, build, status):
     result = build(n)
     assert result.status == status
     config = {"command": "envelope", "grid_points": n, "seed": 0}
-    assert _envelope_csv(result, config) == rowwise_envelope_csv(result, config)
+    assert _text(_envelope_csv(result, config)) == rowwise_envelope_csv(result, config)
 
 
 def test_log_concave_envelope_csv_at_65537_matches_rowwise_writer():
     result = qa_concave_envelope(LogGenerator(WorkingInterval(0.1, 10.0, 65537)))
     config = {"command": "envelope", "grid_points": 65537, "seed": 0}
-    text = _envelope_csv(result, config)
+    text = _text(_envelope_csv(result, config))
     # One cell lies below 1e-4, where orjson writes 0.00002746544313380802,
     # so the equality below covers the rewrite of its row through repr.
     assert text.count("e-05") == 1 and ",2.746544313380802e-05," in text

@@ -4,13 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qameans import cli
 from qameans.cli import run
-from qameans.generators import load_table
+from qameans.envelope import qa_concave_envelope
+from qameans.generators import LogGenerator, load_table
+from qameans.grids import WorkingInterval
 from qameans.means import qa_mean
 
 
@@ -290,6 +295,23 @@ def test_undecodable_vec_file_is_usage_error(tmp_path, capsys):
     assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def test_infinite_x_in_table_prints_one_error_line(tmp_path, capfd):
+    path = tmp_path / "inf-x.csv"
+    path.write_text("x,f\n0,0\n1,1\n2,2\n1e400,3\n")
+    with warnings.catch_warnings():
+        # Warnings reach stderr, as in a shell run, not pytest's record.
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        code = run(["classify", "--gen", f"table:{path}"])
+    captured = capfd.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: x column must be finite\n"
+
+
 def test_compare_on_nan_profile_table_is_usage_error(tmp_path, capsys):
     """A NaN in a table's m column is an explicit error, not a NaN gap."""
     xs = np.linspace(0.1, 10.0, 1025).tolist()
@@ -356,6 +378,27 @@ def test_output_file_writing(tmp_path, capsys):
     assert code == 0
     data = json.loads(path.read_text())
     assert data["class"] == "Convex"
+
+
+def test_envelope_csv_writer_memory_is_bounded_by_its_block(tmp_path):
+    """The CSV writer's peak, traced alone, stays within what _envelope_csv
+    and _float_text state: the stacked table and its computed m column,
+    8 bytes a cell each, plus one block's working set of 116 bytes a cell."""
+    result = qa_concave_envelope(LogGenerator(WorkingInterval(0.1, 10.0, 65537)))
+    config = {"command": "envelope", "grid_points": 65537, "seed": 0}
+    path = tmp_path / "env.csv"
+    tracemalloc.start()
+    try:
+        cli._emit(cli._envelope_csv(result, config), str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    names = path.read_text().split("\n", 2)[1].split(",")
+    assert names == ["x", "rho", "m", "g", "g1"]
+    rows, cols = 65537, len(names)
+    # 64 KiB covers the header line and the interpreter's small objects.
+    bound = 8 * rows * (cols + 1) + 116 * cli._BLOCK_ROWS * cols + 2 ** 16
+    assert peak <= bound, (peak, bound)
 
 
 @pytest.mark.parametrize("argv", [
