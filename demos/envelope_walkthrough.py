@@ -16,16 +16,9 @@ import numpy as np
 
 from qameans.convexity import classify
 from qameans.envelope import qa_convex_envelope, reconstruct_generator
-from qameans.generators import TabulatedGenerator, parse_generator
+from qameans.generators import parse_generator
 from qameans.grids import WorkingInterval
 from qameans.means import qa_mean
-
-
-def profile_generator(interval, profile_values, name):
-    # Solve g'/g'' = profile for g; the profile itself is the rho grid.
-    m0 = np.asarray(profile_values, dtype=float)
-    g, g1 = reconstruct_generator(m0, interval)
-    return TabulatedGenerator(interval, g.values, g1.values, m0, source=name)
 
 
 def main():
@@ -36,7 +29,8 @@ def main():
 
     iv = WorkingInterval(1.0, 3.0)
     xs = iv.grid()
-    gen = profile_generator(iv, xs**2, "rho-x2")
+    # Solve g'/g'' = x^2 for g; the profile itself is the rho grid.
+    gen = reconstruct_generator(xs**2, iv, source="rho-x2")
 
     env = qa_convex_envelope(gen)
     print("input: generator with curvature profile x^2 on [1, 3]")

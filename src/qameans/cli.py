@@ -7,7 +7,7 @@ its own output.  Numbers are printed in shortest round-trip form, spelled
 as Python's repr spells them (json.dumps in JSON, so NaN and Infinity keep
 json's names).  A report is built as ASCII byte blocks and written straight
 to --out, or joined into one string for stdout, so no whole-report string
-exists for a file.  Float lists and tables go in blocks of at most
+exists for a file.  Float arrays and tables go in blocks of at most
 _BLOCK_ROWS rows, each run of rows formatted in C by one flat orjson call,
 whose text is repr's exactly when 1e-4 <= |v| < 1e16 or v = +-0; a row
 holding any other value is a block of its own, spelled cell by cell through
@@ -144,7 +144,7 @@ def _emit(blocks, out_path: str | None) -> None:
 
 
 def _float_text(table, row_sep: str, special):
-    """Yield the floats of a 1-D list or 2-D array as ASCII byte blocks, each
+    """Yield the floats of a 1-D or 2-D array as ASCII byte blocks, each
     cell as repr spells it.
 
     Cells of a row are joined by "," and rows by row_sep; a 1-D table is one
@@ -203,15 +203,14 @@ def _orjson_rows(rows, sep: bytes) -> bytes:
 
 def _json_text(obj):
     """Yield the text of json.dumps(obj, indent=2) for a tree of str-keyed
-    dicts as ASCII byte blocks.
+    dicts as ASCII byte blocks, each 1-D float ndarray written as its list.
 
     The tree is walked, and every scalar spelled, before the first block; a
-    list made only of floats is left to _float_text, which formats it in
-    blocks of orjson text when its turn comes, so a 65537-point grid pays
-    neither a repr per value nor a pass through the pure-Python indenting
-    encoder.  Its items are orjson's text when 1e-4 <= |v| < 1e16 or
-    v = +-0, which is repr's, and json.dumps's otherwise, as json writes
-    them.  The text between two float lists is one block.
+    1-D ndarray is left to _float_text, which formats it in blocks of orjson
+    text when its turn comes, so a 65537-point grid pays neither a repr per
+    value nor a pass through the pure-Python indenting encoder.  Its items
+    are orjson's text when 1e-4 <= |v| < 1e16 or v = +-0, which is repr's,
+    and json.dumps's otherwise.  The text between two arrays is one block.
     """
     parts = []
     _json_parts(obj, "", parts)
@@ -228,18 +227,18 @@ def _json_text(obj):
 
 def _json_parts(obj, indent: str, parts: list) -> None:
     """Append obj's indented JSON text to parts: a str for each piece, and a
-    _float_text generator for each list made only of floats.
+    _float_text generator for each 1-D float ndarray.
 
-    Strings go through json's own escaper, ints and finite floats through
-    repr, and every other scalar through json.dumps.
+    Lists and tuples go item by item, strings through json's escaper, ints
+    and finite floats through repr, every other scalar through json.dumps.
     """
     if isinstance(obj, str):
         parts.append(encode_basestring_ascii(obj))
     elif type(obj) is int or (type(obj) is float and math.isfinite(obj)):
         parts.append(repr(obj))
-    elif not isinstance(obj, (dict, list, tuple)):
+    elif not isinstance(obj, (dict, list, tuple, np.ndarray)):
         parts.append(json.dumps(obj))
-    elif not obj:
+    elif not len(obj):
         parts.append("{}" if isinstance(obj, dict) else "[]")
     else:
         inner = indent + "  "
@@ -252,7 +251,7 @@ def _json_parts(obj, indent: str, parts: list) -> None:
                 lead = sep
             parts.append(f"\n{indent}}}")
             return
-        if set(map(type, obj)) == {float}:
+        if isinstance(obj, np.ndarray):
             parts += [lead, _float_text(obj, sep, _json_float)]
         else:
             for v in obj:
@@ -272,11 +271,12 @@ def _json_report(report: dict, out_path: str | None) -> None:
     _emit(itertools.chain(_json_text(report), [b"\n"]), out_path)
 
 
-def _parse_vec(text: str) -> list:
+def _parse_vec(text: str, where: str = "--vec") -> list:
+    """The reals of a comma-separated row; where names the row in an error."""
     try:
         return [float(c) for c in text.split(",") if c.strip()]
     except ValueError:
-        raise UsageError(f"--vec must be comma-separated reals, got {text!r}") from None
+        raise UsageError(f"{where} must be comma-separated reals, got {text!r}") from None
 
 
 def _cmd_eval(args, seed: int) -> int:
@@ -290,7 +290,8 @@ def _cmd_eval(args, seed: int) -> int:
     else:
         try:
             with open(args.vec_file, encoding="utf-8") as fh:
-                rows = [_parse_vec(line) for line in fh
+                rows = [_parse_vec(line.strip(), f"{args.vec_file}:{n}: row")
+                        for n, line in enumerate(fh, 1)
                         if line.strip() and not line.lstrip().startswith("#")]
         except UnicodeDecodeError as exc:
             raise UsageError(f"{args.vec_file}: {exc}") from None
@@ -332,8 +333,8 @@ def _envelope_csv(result, config: dict):
         cols.append(("rho", result.rho.values))
     if result.m is not None:
         cols.append(("m", result.m(xs)))
-    cols.append(("g", result.g.values))
-    cols.append(("g1", result.g1.values))
+    cols.append(("g", result.g))
+    cols.append(("g1", result.g1))
     head = "# " + json.dumps({"config": config, "status": result.status,
                               "direction": result.direction})
     names = ",".join(name for name, _ in cols)

@@ -111,29 +111,33 @@ def _cumulative_trapezoid(y: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(xs) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def reconstruct_generator(mvals, interval: WorkingInterval):
+def reconstruct_generator(mvals, interval: WorkingInterval,
+                          source: str = "<grid>") -> TabulatedGenerator:
     """Solve g'/g'' = m by the integrating-factor quadratures.
 
     mvals is the profile m on the interval's grid.  It must be nonzero with
     one sign: positive for an increasing convex generator, negative for an
-    increasing concave one.  Returns the grids (g, g1) anchored at
-    g(lo) = 0, g'(lo) = 1.
+    increasing concave one.  Returns the tabulated generator g anchored at
+    g(lo) = 0, g'(lo) = 1, named by source, which carries m itself as its
+    profile, so its rho is m to the bit.
     """
     mvals = np.asarray(mvals, dtype=float)
     if not (np.all(mvals > 0.0) or np.all(mvals < 0.0)):
         raise NonpositiveM("profile m must have one nonzero sign on the grid")
     xs = interval.grid()
     g1 = np.exp(_cumulative_trapezoid(1.0 / mvals, xs))
-    return ScalarGrid(interval, _cumulative_trapezoid(g1, xs)), ScalarGrid(interval, g1)
+    return TabulatedGenerator(interval, _cumulative_trapezoid(g1, xs), g1, mvals,
+                              source=source)
 
 
-@dataclass
+@dataclass(eq=False)
 class EnvelopeResult:
     """Outcome of a QA envelope computation.
 
     status is one of Envelope, AlreadyExtremal, ArithmeticEnvelope,
-    NoneExists.  Grids are present for the first three; NoneExists carries
-    the violating grid pair in diagnostics["witness"].
+    NoneExists.  The first three carry g and g' on the grid as read-only
+    arrays; NoneExists carries the violating grid pair in
+    diagnostics["witness"].
     """
 
     status: str
@@ -141,10 +145,15 @@ class EnvelopeResult:
     interval: WorkingInterval
     rho: ScalarGrid | None = None
     m: PiecewiseLinearHull | None = None
-    g: ScalarGrid | None = None
-    g1: ScalarGrid | None = None
+    g: np.ndarray | None = None
+    g1: np.ndarray | None = None
     generator: Generator | None = None
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for arr in (self.g, self.g1):
+            if arr is not None:
+                arr.flags.writeable = False
 
     def mean_handle(self) -> MeanHandle:
         """The envelope mean itself, as an evaluable handle."""
@@ -155,6 +164,7 @@ class EnvelopeResult:
         raise UsageError(f"no envelope mean for status {self.status}")
 
     def to_dict(self) -> dict:
+        """The report fields; g and g1 stay arrays, which json.dumps takes as lists."""
         out = {
             "status": self.status,
             "direction": self.direction,
@@ -168,9 +178,17 @@ class EnvelopeResult:
         if self.m is not None:
             out["hull_vertices"] = self.m.to_list()
         if self.g is not None:
-            out["g"] = self.g.values.tolist()
-            out["g1"] = self.g1.values.tolist()
+            out["g"] = self.g
+            out["g1"] = self.g1
         return out
+
+
+def _arithmetic(direction: str, interval: WorkingInterval,
+                diagnostics: dict) -> EnvelopeResult:
+    """The arithmetic mean as the envelope: g(x) = x, g'(x) = 1."""
+    xs = interval.grid()
+    return EnvelopeResult("ArithmeticEnvelope", direction, interval, g=xs,
+                          g1=np.ones_like(xs), diagnostics=diagnostics)
 
 
 def _pair_witness(gen: Generator, direction: str) -> dict | None:
@@ -223,12 +241,7 @@ def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
             raise SignChange(f"{ngen.spec_string()}: the sign of f'' rules out "
                              f"a {direction} envelope")
     except DegenerateSecondDerivative as exc:
-        return EnvelopeResult(
-            "ArithmeticEnvelope", direction, interval,
-            g=ScalarGrid(interval, xs),
-            g1=ScalarGrid(interval, np.ones_like(xs)),
-            diagnostics={"detail": str(exc)},
-        )
+        return _arithmetic(direction, interval, {"detail": str(exc)})
     except SignChange as exc:
         witness = _pair_witness(ngen, direction)
         if witness is None:
@@ -248,20 +261,16 @@ def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
         # mean handle and publish its sampled grids for serialization.
         return EnvelopeResult(
             "AlreadyExtremal", direction, interval,
-            rho=profile, m=hull,
-            g=ScalarGrid(interval, gtab.values),
-            g1=ScalarGrid(interval, gtab.f1_values),
+            rho=profile, m=hull, g=gtab.values, g1=gtab.f1_values,
             generator=ngen, diagnostics=diag,
         )
 
     # The hull is the result's profile: rho of the generator is m to the bit.
-    mvals = hull(xs)
-    g, g1 = reconstruct_generator(mvals, interval)
-    gen_out = TabulatedGenerator(interval, g.values, g1.values, mvals,
-                                 source=f"envelope({ngen.spec_string()})")
+    gen_out = reconstruct_generator(hull(xs), interval,
+                                    source=f"envelope({ngen.spec_string()})")
     return EnvelopeResult(
         "Envelope", direction, interval,
-        rho=profile, m=hull, g=g, g1=g1,
+        rho=profile, m=hull, g=gen_out.values, g1=gen_out.f1_values,
         generator=gen_out, diagnostics=diag,
     )
 
@@ -309,24 +318,17 @@ def qa_concave_envelope_via_reflection(gen: Generator) -> EnvelopeResult:
         diag["witness"] = w
         return EnvelopeResult(renv.status, "concave", interval, diagnostics=diag)
     if renv.status == "ArithmeticEnvelope":
-        return EnvelopeResult(
-            "ArithmeticEnvelope", "concave", interval,
-            g=ScalarGrid(interval, xs),
-            g1=ScalarGrid(interval, np.ones_like(xs)),
-            diagnostics=diag,
-        )
+        return _arithmetic("concave", interval, diag)
 
     # Mirror the hull: if m-hat is the profile envelope on -I, the original
     # envelope generator satisfies g'/g'' = -m-hat(-x).
     verts = tuple((-x, -y) for x, y in reversed(renv.m.vertices))
     hull = PiecewiseLinearHull(verts, "lower")
     gen_out = normalize(reflect_generator(renv.generator))
-    gvals = np.asarray(gen_out.f(xs), dtype=float)
-    g1vals = np.asarray(gen_out.f1(xs), dtype=float)
     return EnvelopeResult(
         renv.status, "concave", interval,
         rho=ScalarGrid(interval, -renv.rho.values[::-1]), m=hull,
-        g=ScalarGrid(interval, gvals),
-        g1=ScalarGrid(interval, g1vals),
+        g=np.asarray(gen_out.f(xs), dtype=float),
+        g1=np.asarray(gen_out.f1(xs), dtype=float),
         generator=gen_out, diagnostics=diag,
     )

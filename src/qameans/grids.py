@@ -1,9 +1,9 @@
 """Compact working intervals and uniformly sampled scalar functions.
 
 All numerics in this package run on a caller-chosen compact interval [lo, hi]
-discretized by a uniform grid.  ScalarGrid is the carrier for sampled
-functions (slope/curvature profiles, envelopes, reconstructed generators);
-between grid points it interpolates piecewise-linearly.
+discretized by a uniform grid.  ScalarGrid carries sampled profiles only
+(rho = f'/f'', the input of the hulls); a generator keeps its own grids, and
+an envelope result publishes g and g' as read-only arrays.
 """
 
 from __future__ import annotations
@@ -73,11 +73,8 @@ class WorkingInterval:
 
 @dataclass(frozen=True, eq=False)
 class ScalarGrid:
-    """A real function sampled on the uniform grid of `interval`.
-
-    Values are stored read-only; evaluation between grid points is
-    piecewise-linear.
-    """
+    """A real function sampled on the uniform grid of `interval`, its values
+    stored read-only and finite."""
 
     interval: WorkingInterval
     values: np.ndarray = field(repr=False)
@@ -92,6 +89,3 @@ class ScalarGrid:
             raise UsageError("grid values must all be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def __call__(self, x):
-        return np.interp(x, self.interval.grid(), self.values)

@@ -65,9 +65,11 @@ def _power_mean_batch(p: float, X: np.ndarray) -> np.ndarray:
         raise DomainError(f"power mean needs positive entries, got {float(np.ravel(bad)[0])!r}")
     if p == 0:
         return np.exp(np.mean(np.log(X), axis=1))
-    if p == 1:
-        return np.mean(X, axis=1)
-    return np.mean(X ** p, axis=1) ** (1.0 / p)
+    # From t = p log x, shifted by its row maximum, so no power overflows or
+    # underflows, and expm1/log1p keep the digits of t near 0 when |p| is small.
+    t = p * np.log(X)
+    top = t.max(axis=1)
+    return np.exp((top + np.log1p(np.mean(np.expm1(t - top[:, None]), axis=1))) / p)
 
 
 def power_mean(p: float, values) -> float:

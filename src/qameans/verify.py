@@ -28,6 +28,7 @@ import numpy as np
 from .convexity import MEAN_CMP_TOL, TrialReport, _grouped_tuples, _sample_margins
 from .envelope import (
     EnvelopeResult,
+    PiecewiseLinearHull,
     _monotone_chain,
     qa_concave_envelope,
     qa_concave_envelope_via_reflection,
@@ -203,7 +204,7 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
     # through the same discretization: otherwise quadrature bias of order
     # step^2 shows up as spurious ordering failures against an exact mean.
     env_mean = QuasiArithmeticMean(TabulatedGenerator(
-        interval, env.g.values, env.g1.values, env.m(xs), source="envelope-grid"))
+        interval, env.g, env.g1, env.m(xs), source="envelope-grid"))
     rng = np.random.default_rng(seed)
     lift_scale = float(np.max(rho_vals) - np.min(rho_vals)) + 0.1 * max(
         1.0, float(np.max(np.abs(rho_vals))))
@@ -220,19 +221,15 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
                 rejected += 1
                 continue
             vy = np.interp(vx, xs, rho_vals) + rng.uniform(0.01, 1.0, size=k) * lift_scale
-            hull_pts = _monotone_chain(vx, vy, upper=True)
-            hx = np.array([p[0] for p in hull_pts])
-            hy = np.array([p[1] for p in hull_pts])
-            mp = np.interp(xs, hx, hy)
+            mp = PiecewiseLinearHull(_monotone_chain(vx, vy, upper=True), "upper")(xs)
             if np.all(mp >= rho_vals):
                 break
             rejected += 1
         else:
             raise CandidateRejected(
                 f"candidate {c}: no dominating concave profile in 200 attempts")
-        h, h1 = reconstruct_generator(mp, interval)
-        cand_mean = QuasiArithmeticMean(TabulatedGenerator(
-            interval, h.values, h1.values, mp, source=f"candidate:{c}"))
+        cand_mean = QuasiArithmeticMean(
+            reconstruct_generator(mp, interval, source=f"candidate:{c}"))
         # Only the first failing candidate's witness is built and kept.
         w, fails, found = _sample_margins(
             _grouped_tuples(rng, trials, 6, interval),

@@ -52,9 +52,7 @@ def build_from_profile(profile_values, interval, name):
     Solves the reconstruction quadrature and stores the profile itself as
     the generator's rho grid, so the profile identity holds to the last bit.
     """
-    m0 = np.asarray(profile_values, dtype=float)
-    g, g1 = reconstruct_generator(m0, interval)
-    return TabulatedGenerator(interval, g.values, g1.values, m0, source=name)
+    return reconstruct_generator(profile_values, interval, source=name)
 
 
 @pytest.fixture(scope="session")

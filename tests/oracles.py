@@ -8,6 +8,7 @@ that a bug in the package cannot silently agree with itself.
 
 import csv
 import json
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -207,6 +208,17 @@ def brute_qa_mean(fvals_fn, inv_fn, values):
     return inv_fn(float(np.mean(fvals_fn(arr))))
 
 
+def decimal_power_mean(p, values):
+    """The p-th power mean (sum x**p / n)**(1/p), p != 0, of the floats'
+    exact decimal values in 60-digit arithmetic, whose exponent range holds
+    every power of a double the tests take."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        q = Decimal(p)
+        mean = sum(Decimal(v) ** q for v in values) / len(values)
+        return float(mean ** (1 / q))
+
+
 def bisection_qa_mean(f, X, iters=100):
     """Row-wise QA mean of a (B, n) array by bisection on the monotone f.
 
@@ -247,8 +259,8 @@ def rowwise_envelope_csv(result, config):
         cols.append(("rho", list(result.rho.values)))
     if result.m is not None:
         cols.append(("m", list(result.m(xs))))
-    cols.append(("g", list(result.g.values)))
-    cols.append(("g1", list(result.g1.values)))
+    cols.append(("g", list(result.g)))
+    cols.append(("g1", list(result.g1)))
     out = ["# " + json.dumps({"config": config, "status": result.status,
                               "direction": result.direction}) + "\n"]
     out.append(",".join(name for name, _ in cols) + "\n")

@@ -66,7 +66,7 @@ def _chord_fd_residual(interval):
     xs = interval.grid()
     gen = build_from_profile(xs**2, interval, "rho-x2")
     env = qa_convex_envelope(gen)
-    ratio = fd_curvature_ratio(env.g.values, interval.step)
+    ratio = fd_curvature_ratio(env.g, interval.step)
     resid = float(np.max(np.abs(ratio[2:-2] - (4.0 * xs - 3.0)[2:-2])))
     return env, resid
 

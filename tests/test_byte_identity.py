@@ -43,6 +43,30 @@ def _text(blocks):
     """The text of a writer's ASCII byte blocks."""
     return b"".join(blocks).decode("ascii")
 
+
+def _assert_same_text(got: str, want: str) -> None:
+    """Require equal report texts; else fail naming the first differing line
+    and both versions of it, which a multi-megabyte diff would take minutes
+    to show."""
+    if got == want:
+        return
+    a, b = got.split("\n"), want.split("\n")
+    k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    end = "<end of text>"
+    pytest.fail(f"line {k + 1} differs: got {a[k] if k < len(a) else end!r}, "
+                f"want {b[k] if k < len(b) else end!r}", pytrace=False)
+
+
+@pytest.mark.parametrize("got, want, line", [
+    ("a\nb\nc", "a\nB\nc", "line 2 differs: got 'b', want 'B'"),
+    ("a\nb", "a\nb\n", "line 3 differs: got '<end of text>', want ''"),
+    ("a\nb\nc", "a\nb", "line 3 differs: got 'c', want '<end of text>'"),
+])
+def test_text_comparison_names_the_first_differing_line(got, want, line):
+    _assert_same_text(want, want)
+    with pytest.raises(pytest.fail.Exception, match=f"^{line}$"):
+        _assert_same_text(got, want)
+
 floats = st.floats(allow_nan=True, allow_infinity=True)
 scalars = st.none() | st.booleans() | st.integers() | floats | st.text()
 leaves = scalars | st.lists(floats) | st.lists(st.integers() | floats)
@@ -86,7 +110,7 @@ def _assert_blocks_match_per_cell_spelling(table):
             mp.setattr(cli, "_BLOCK_ROWS", rows)
             for row_sep, spell in SPELLINGS:
                 blocks = list(_float_text(table, row_sep, spell))
-                assert _text(blocks) == per_cell_float_text(table, row_sep, spell)
+                _assert_same_text(_text(blocks), per_cell_float_text(table, row_sep, spell))
                 # A block holds at most `rows` rows, with the separator that
                 # opens every block but the first.
                 assert all(b.count(row_sep.encode()) <= rows for b in blocks)
@@ -126,7 +150,7 @@ def test_json_writer_matches_json_dumps_on_reports(tmp_path, argv):
     path = tmp_path / "report.json"
     assert run(argv + ["--out", str(path)]) in (0, 1)
     text = path.read_text()
-    assert text == indented_json(json.loads(text)) + "\n"
+    _assert_same_text(text, indented_json(json.loads(text)) + "\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -140,7 +164,7 @@ def test_out_file_holds_the_bytes_of_stdout(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert run(argv) == 0
-    assert path.read_bytes() == capsys.readouterr().out.encode("ascii")
+    _assert_same_text(path.read_bytes().decode("ascii"), capsys.readouterr().out)
 
 
 def _extremal(n):
@@ -169,7 +193,7 @@ def test_log_concave_envelope_csv_at_65537_matches_rowwise_writer():
     # One cell lies below 1e-4, where orjson writes 0.00002746544313380802,
     # so the equality below covers the rewrite of its row through repr.
     assert text.count("e-05") == 1 and ",2.746544313380802e-05," in text
-    assert text == rowwise_envelope_csv(result, config)
+    _assert_same_text(text, rowwise_envelope_csv(result, config))
 
 
 @pytest.mark.parametrize("gen", [PowerGenerator(3.0, WorkingInterval(0.1, 10.0, 65537)),

@@ -13,8 +13,8 @@ import pytest
 
 from qameans import cli
 from qameans.cli import run
-from qameans.envelope import qa_concave_envelope
-from qameans.generators import LogGenerator, load_table
+from qameans.envelope import qa_concave_envelope, qa_convex_envelope
+from qameans.generators import LogGenerator, PowerGenerator, load_table
 from qameans.grids import WorkingInterval
 from qameans.means import qa_mean
 
@@ -286,6 +286,16 @@ def test_undecodable_table_is_usage_error(tmp_path, capsys, content):
     assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
 
 
+def test_bad_vec_file_row_names_the_file_and_line(tmp_path, capsys):
+    path = tmp_path / "vecs.csv"
+    path.write_text("# one tuple per line\n1,2\n\n3,x\n")
+    assert run(["eval", "--gen", "log", "--vec-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}:4: row must be comma-separated reals, "
+                            f"got '3,x'\n")
+
+
 def test_undecodable_vec_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"1,2\n3,\xff4\n")
@@ -398,6 +408,26 @@ def test_envelope_csv_writer_memory_is_bounded_by_its_block(tmp_path):
     rows, cols = 65537, len(names)
     # 64 KiB covers the header line and the interpreter's small objects.
     bound = 8 * rows * (cols + 1) + 116 * cli._BLOCK_ROWS * cols + 2 ** 16
+    assert peak <= bound, (peak, bound)
+
+
+def test_envelope_json_writer_memory_is_bounded_by_its_block(tmp_path):
+    """The JSON writer's peak, traced alone, stays within one block of
+    _float_text's working set, 116 bytes a cell: the result's g and g1
+    reach the writer as arrays, and no list of their floats is made."""
+    result = qa_convex_envelope(PowerGenerator(3.0, WorkingInterval(0.1, 10.0, 65537)))
+    config = {"command": "envelope", "grid_points": 65537, "seed": 0}
+    path = tmp_path / "env.json"
+    tracemalloc.start()
+    try:
+        cli._json_report({"config": config, **result.to_dict()}, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = json.loads(path.read_text())
+    assert len(report["g"]) == len(report["g1"]) == 65537
+    # 64 KiB covers the text around the arrays and the interpreter's small objects.
+    bound = 116 * cli._BLOCK_ROWS + 2 ** 16
     assert peak <= bound, (peak, bound)
 
 

@@ -1,5 +1,7 @@
 """Mean evaluation, power means, reflection duality, and comparison."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from qameans.means import (
     reflect,
 )
 
-from oracles import brute_qa_mean
+from oracles import brute_qa_mean, decimal_power_mean
 
 
 def test_qa_mean_hand_values(iv):
@@ -139,6 +141,20 @@ def test_power_mean_hand_values():
     assert power_mean(0.0, [2.0, 8.0]) == pytest.approx(4.0, abs=1e-12)
     assert power_mean(-1.0, [1.0, 3.0]) == pytest.approx(1.5, abs=1e-12)
     assert power_mean(2.0, [1.0, 7.0]) == pytest.approx(5.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p, values", [
+    (2.0, [4.8e-300, 3.5e-298]),
+    (-20.0, [1e20, 1e21]),
+    (1.0, [1e308, 1e308]),
+], ids=["squares-underflow", "negative-powers-underflow", "sum-overflows"])
+def test_power_mean_is_accurate_at_extreme_scales(p, values):
+    """Powers or their sum that leave the double range still give the mean,
+    without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = power_mean(p, values)
+    assert got == pytest.approx(decimal_power_mean(p, values), rel=1e-12, abs=0.0)
 
 
 def test_power_mean_rejects_nonpositive():
