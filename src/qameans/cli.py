@@ -41,7 +41,7 @@ from .envelope import qa_concave_envelope, qa_convex_envelope
 from .errors import QameansError, UsageError
 from .generators import generator_kinds, parse_generator
 from .grids import DEFAULT_GRID_POINTS, WorkingInterval
-from .means import compare, parse_mean, qa_mean
+from .means import QuasiArithmeticMean, compare, parse_mean, qa_mean
 from .verify import (
     duality_check,
     ingham_jessen_sweep,
@@ -295,8 +295,20 @@ def _cmd_eval(args, seed: int) -> int:
                         if line.strip() and not line.lstrip().startswith("#")]
         except UnicodeDecodeError as exc:
             raise UsageError(f"{args.vec_file}: {exc}") from None
-        report = {"config": report,
-                  "values": [qa_mean(gen, row) for row in rows]}
+        # One batch per row length, written back in file order.  A batch
+        # raises exactly when one of its rows would; the rows are then
+        # evaluated one by one, so the first failing row in file order raises.
+        by_length, values = {}, np.empty(len(rows))
+        for k, row in enumerate(rows):
+            by_length.setdefault(len(row), []).append(k)
+        try:
+            for idx in by_length.values():
+                values[idx] = QuasiArithmeticMean(gen).batch(np.array([rows[k] for k in idx]))
+        except QameansError:
+            for row in rows:
+                qa_mean(gen, row)
+            raise
+        report = {"config": report, "values": values}
     _json_report(report, args.out)
     return 0
 

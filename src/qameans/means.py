@@ -7,7 +7,9 @@ interpolation of a table with its axes swapped), and clamps the result to
 [min v, max v] so the last-bit error of the inverse cannot break
 internality.  Entries outside the working interval, NaN included, raise
 DomainError; a generator value, average or inverse of the average that is
-not finite raises RangeError rather than returning a wrong mean.
+not finite raises RangeError rather than returning a wrong mean.  The
+interval test reads the batch's min and max, and seeks the entry to name
+only when it fails.
 
 Mean handles wrap a callable mean with its working interval; the reflected
 handle realizes v -> -M(-v), which swaps convexity with concavity.
@@ -36,11 +38,24 @@ def _as_batch(values) -> np.ndarray:
     return arr
 
 
-def _qa_mean_batch(gen: Generator, X: np.ndarray) -> np.ndarray:
+def _checked_rows(domain: WorkingInterval, X) -> np.ndarray:
+    """X as a (B, n) float array, n >= 1 (else UsageError), whose entries lie
+    in the working interval: the test reads the batch's min and max, and
+    _check_domain, which names the first entry outside, runs only if it fails."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[1] == 0:
+        raise UsageError("mean needs a nonempty vector of values")
+    if not (np.minimum.reduce(X, axis=None, initial=np.inf) >= domain.lo
+            and np.maximum.reduce(X, axis=None, initial=-np.inf) <= domain.hi):
+        _check_domain(domain, X)
+    return X
+
+
+def _qa_mean_batch(gen: Generator, X) -> np.ndarray:
     """Row-wise QA mean of a (B, n) array: f, row average, f^{-1}, clamp."""
-    _check_domain(gen.domain, X)
+    X = _checked_rows(gen.domain, X)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        avg = np.asarray(gen.f(X), dtype=float).mean(axis=1)
+        avg = np.add.reduce(np.asarray(gen.f(X), dtype=float), axis=1) / X.shape[1]
         out = np.asarray(gen.finv(avg), dtype=float)
     if not (np.isfinite(avg).all() and np.isfinite(out).all()):
         raise RangeError(
@@ -105,7 +120,8 @@ class ArithmeticMean(MeanHandle):
         self.domain = domain
 
     def batch(self, X):
-        return _check_domain(self.domain, X).mean(axis=1)
+        X = _checked_rows(self.domain, X)
+        return np.add.reduce(X, axis=1) / X.shape[1]
 
     def spec_string(self):
         return "arith"
@@ -119,7 +135,7 @@ class PowerMeanHandle(MeanHandle):
         self.domain = domain
 
     def batch(self, X):
-        return _power_mean_batch(self.p, _check_domain(self.domain, X))
+        return _power_mean_batch(self.p, _checked_rows(self.domain, X))
 
     def spec_string(self):
         return f"pmean:{_shortest(self.p)}"
@@ -131,7 +147,7 @@ class QuasiArithmeticMean(MeanHandle):
         self.domain = gen.domain
 
     def batch(self, X):
-        return _qa_mean_batch(self.gen, np.asarray(X, dtype=float))
+        return _qa_mean_batch(self.gen, X)
 
     def spec_string(self):
         return f"qa({self.gen.spec_string()})"

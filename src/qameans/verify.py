@@ -49,28 +49,35 @@ SYMMETRY_TOL = 1e-12
 MAXIMALITY_TOL = 1e-6
 
 
-def _shrink(violation_fn, arr0: np.ndarray, floor: float) -> tuple:
+def _shrink(sides, arr0: np.ndarray, floor: float) -> tuple:
     """Pull a counterexample toward the all-equal point while it still violates.
 
     Coordinate-wise bisection toward the grand mean; a move is kept only if
-    the violation stays at or above the floor, so the shrunk witness still
-    re-verifies with a definite margin.
+    the violation lhs - rhs of sides(point) stays at or above the floor, so
+    the shrunk witness still re-verifies with a definite margin.  A pass that
+    has kept no move stops past the previous pass's last kept one, whose
+    later trials it would repeat.  Returns the shrunk point and its sides,
+    evaluated once: those of the last kept move, or arr0's if none was kept.
     """
     arr = arr0.astype(float).copy()
     target = float(arr.mean())
+    kept, last = None, arr.size
     for _ in range(40):
         moved = False
         for i in range(arr.size):
+            if i > last and not moved:
+                break
             trial = arr.copy()
             trial[i] = 0.5 * (trial[i] + target)
             if abs(trial[i] - arr[i]) <= 1e-15 * (1.0 + abs(arr[i])):
                 continue
-            if violation_fn(trial) >= floor:
-                arr = trial
+            trial_sides = sides(trial)
+            if trial_sides[0] - trial_sides[1] >= floor:
+                arr, kept, last = trial, trial_sides, i
                 moved = True
         if not moved:
             break
-    return arr, float(violation_fn(arr))
+    return arr, kept if kept is not None else sides(arr)
 
 
 def _shrunk_witness(key: str, sides, tol: float, trial: int, x0: np.ndarray,
@@ -80,15 +87,10 @@ def _shrunk_witness(key: str, sides, tol: float, trial: int, x0: np.ndarray,
     The last three arguments are the driver's witness row; sides(x) returns
     (lhs, rhs) for an input of x0's shape, which the witness keeps under key.
     """
-
-    def violation(flat):
-        lhs, rhs = sides(flat.reshape(x0.shape))
-        return lhs - rhs
-
-    shrunk, v = _shrink(violation, x0.ravel(), max(2.0 * tol, -0.5 * margin))
-    x = shrunk.reshape(x0.shape)
-    lhs, rhs = sides(x)
-    return {key: x.tolist(), "lhs": lhs, "rhs": rhs, "violation": v, "trial": trial}
+    shrunk, (lhs, rhs) = _shrink(lambda flat: sides(flat.reshape(x0.shape)),
+                                 x0.ravel(), max(2.0 * tol, -0.5 * margin))
+    return {key: shrunk.reshape(x0.shape).tolist(), "lhs": lhs, "rhs": rhs,
+            "violation": float(lhs - rhs), "trial": trial}
 
 
 def _ij_sides(M: MeanHandle, N: MeanHandle, x: np.ndarray) -> tuple:

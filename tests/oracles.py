@@ -14,6 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
+from qameans.errors import DomainError, RangeError
+
 
 def frac_interp(vx, vy, x):
     """Evaluate the piecewise-linear function through (vx, vy) at x, exactly.
@@ -206,6 +208,48 @@ def brute_qa_mean(fvals_fn, inv_fn, values):
     """Quasiarithmetic mean from user-supplied f and f^{-1} callables."""
     arr = np.asarray(values, dtype=float)
     return inv_fn(float(np.mean(fvals_fn(arr))))
+
+
+def domain_checked(domain, X):
+    """X as a float array, or DomainError naming its first entry, NaN
+    included, outside the working interval, found by one masked test."""
+    arr = np.asarray(X, dtype=float)
+    inside = (arr >= domain.lo) & (arr <= domain.hi)
+    if not np.all(inside):
+        raise DomainError(
+            f"value {float(arr[~inside][0])!r} outside working interval "
+            f"[{domain.lo}, {domain.hi}]"
+        )
+    return arr
+
+
+def reference_qa_mean_batch(gen, X):
+    """Row-wise QA mean of a (B, n) array as the means layer first wrote it:
+    a masked interval test, f, ndarray.mean, f^{-1}, and a clamp to the rows'
+    min and max, reduced again for it."""
+    X = domain_checked(gen.domain, X)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        avg = np.asarray(gen.f(X), dtype=float).mean(axis=1)
+        out = np.asarray(gen.finv(avg), dtype=float)
+    if not (np.isfinite(avg).all() and np.isfinite(out).all()):
+        raise RangeError(
+            f"{gen.spec_string()}: generator values or the inverse of their average "
+            f"are not finite on [{gen.domain.lo}, {gen.domain.hi}]"
+        )
+    return np.minimum(np.maximum(out, X.min(axis=1)), X.max(axis=1))
+
+
+def reference_arithmetic_batch(domain, X):
+    """Row-wise arithmetic mean: a masked interval test, then ndarray.mean."""
+    return domain_checked(domain, X).mean(axis=1)
+
+
+def reference_power_batch(p, domain, X):
+    """Row-wise p-th power mean, p != 0, after a masked interval test on a
+    positive interval: from t = p log x shifted by its row maximum."""
+    t = p * np.log(domain_checked(domain, X))
+    top = t.max(axis=1)
+    return np.exp((top + np.log1p(np.mean(np.expm1(t - top[:, None]), axis=1))) / p)
 
 
 def decimal_power_mean(p, values):

@@ -106,6 +106,23 @@ def test_failing_reports_shrink_one_witness(iv, catalog, monkeypatch):
     assert rep.failures > 1 and len(calls) == 1
 
 
+@pytest.mark.parametrize("floor, moves", [(0.5, True), (100.0, False)])
+def test_shrink_evaluates_each_point_once(floor, moves):
+    seen = []
+
+    def sides(x):
+        seen.append(tuple(x))
+        return float(x.max()), float(x.mean())
+
+    x0 = np.array([1.0, 5.0, 2.0])
+    arr, (lhs, rhs) = verify._shrink(sides, x0, floor)
+    assert len(seen) == len(set(seen))
+    assert (tuple(arr) != tuple(x0)) == moves
+    # arr0 is evaluated, once and last, only when no move was kept
+    assert seen.count(tuple(arr)) == 1 and (seen[-1] == tuple(x0)) == (not moves)
+    assert (lhs, rhs) == (float(arr.max()), float(arr.mean()))
+
+
 def test_kedlaya_equal_means_and_paired_means(iv, catalog):
     a = ArithmeticMean(iv)
     rep = kedlaya_check(a, a, n_max=5, trials=2000, seed=0)
