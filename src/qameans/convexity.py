@@ -7,7 +7,9 @@ statement: the reflected generator's profile is -rho(-x), so the same
 test runs on -rho over the same grid; both senses read one profile, which
 makes the convex/concave verdicts coherent by construction rather than by
 numerical luck.  Generators with f'' identically zero give the arithmetic
-mean, the unique member that is both convex and concave.
+mean, the unique member that is both convex and concave.  One function,
+:func:`_profile_tests`, reads the profile in either sense; classify and the
+envelopes of :mod:`qameans.envelope` take their verdicts from its records.
 
 Two sampled cross-checks accompany the classification: domination of the
 arithmetic mean (a cross-check of the envelope existence verdict) and a direct
@@ -21,6 +23,7 @@ check's witness builder.  Every check returns a :class:`TrialReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -57,21 +60,17 @@ class ConvexityClass:
 def _profile_pos_concave(values, interval: WorkingInterval) -> dict:
     """Decide positivity and concavity of a sampled profile.
 
-    Returns a record with ok plus margins, or the failure reason and a
-    concrete witness (nonpositive value, or a grid triple violating
-    midpoint concavity).
+    Returns the margins, or the failure reason, its margins and a concrete
+    witness (nonpositive value, or a grid triple violating midpoint
+    concavity).
     """
     xs = interval.grid()
     r = np.asarray(values, dtype=float)
     pos_margin = float(np.min(r))
     if pos_margin <= 0.0:
         k = int(np.argmin(r))
-        return {
-            "ok": False,
-            "reason": "nonpositive-rho",
-            "positivity_margin": pos_margin,
-            "witness": {"x": float(xs[k]), "rho": float(r[k])},
-        }
+        return {"reason": "nonpositive-rho", "positivity_margin": pos_margin,
+                "witness": {"x": float(xs[k]), "rho": float(r[k])}}
 
     d2 = r[:-2] - 2.0 * r[1:-1] + r[2:]
     delta_cc = CONC_TAU * float(np.max(np.abs(r)))
@@ -79,7 +78,6 @@ def _profile_pos_concave(values, interval: WorkingInterval) -> dict:
     if conc_margin < 0.0:
         k = int(np.argmax(d2)) + 1
         return {
-            "ok": False,
             "reason": "nonconcave-rho",
             "positivity_margin": pos_margin,
             "concavity_margin": conc_margin,
@@ -89,11 +87,31 @@ def _profile_pos_concave(values, interval: WorkingInterval) -> dict:
                 "second_difference": float(d2[k - 1]),
             },
         }
-    return {
-        "ok": True,
-        "positivity_margin": pos_margin,
-        "concavity_margin": conc_margin,
-    }
+    return {"positivity_margin": pos_margin, "concavity_margin": conc_margin}
+
+
+def _profile_tests(gen: Generator, *senses: str) -> tuple:
+    """The decisive test of gen's profile, in each sense asked for.
+
+    Normalizes gen and samples rho once.  Returns (ngen, profile, detail,
+    tests); tests yields one record per sense, lazily: "convex" tests rho and
+    "concave" tests -rho for positivity and concavity, and a record passes
+    exactly when it has no "reason" key.  If rho raises, profile is None,
+    detail is its message, and every record's reason is "f2-identically-zero"
+    (f'' vanishes on the whole grid) or "sign-change" (with rho's witness).
+    """
+    ngen = normalize(gen)
+    try:
+        profile = rho(ngen)
+    except DegenerateSecondDerivative as exc:
+        return ngen, None, str(exc), repeat({"reason": "f2-identically-zero"}, len(senses))
+    except SignChange as exc:
+        return ngen, None, str(exc), repeat({"reason": "sign-change", "witness": exc.witness},
+                                            len(senses))
+    return ngen, profile, None, (
+        _profile_pos_concave(profile.values if sense == "convex" else -profile.values,
+                             ngen.domain)
+        for sense in senses)
 
 
 def classify(gen: Generator) -> ConvexityClass:
@@ -106,35 +124,19 @@ def classify(gen: Generator) -> ConvexityClass:
     the working interval) gives Concave; else Neither with witnesses from
     both failed tests, every witness x on the working interval.
     """
-    ngen = normalize(gen)
-    try:
-        values = rho(ngen).values
-    except DegenerateSecondDerivative as exc:
+    _, _, detail, tests = _profile_tests(gen, "convex", "concave")
+    convex = next(tests)
+    if convex.get("reason") == "f2-identically-zero":
         return ConvexityClass(
-            "ArithmeticBoth", {"branch": "f2-identically-zero", "detail": str(exc)})
-    except SignChange as exc:
-        primary = dual = {"ok": False, "reason": "sign-change", "witness": exc.witness}
-    else:
-        primary = _profile_pos_concave(values, ngen.domain)
-        if primary["ok"]:
-            return ConvexityClass("Convex", {"branch": "rho-positive-concave",
-                                             **_without_ok(primary)})
-        dual = _profile_pos_concave(-values, ngen.domain)
-        if dual["ok"]:
-            return ConvexityClass("Concave", {"branch": "reflected-rho-positive-concave",
-                                              **_without_ok(dual)})
-    return ConvexityClass(
-        "Neither",
-        {
-            "branch": "neither",
-            "convex_test": _without_ok(primary),
-            "concave_test": _without_ok(dual),
-        },
-    )
-
-
-def _without_ok(test: dict) -> dict:
-    return {k: v for k, v in test.items() if k != "ok"}
+            "ArithmeticBoth", {"branch": "f2-identically-zero", "detail": detail})
+    if "reason" not in convex:
+        return ConvexityClass("Convex", {"branch": "rho-positive-concave", **convex})
+    concave = next(tests)
+    if "reason" not in concave:
+        return ConvexityClass("Concave", {"branch": "reflected-rho-positive-concave",
+                                          **concave})
+    return ConvexityClass("Neither", {"branch": "neither", "convex_test": convex,
+                                      "concave_test": concave})
 
 
 def _grouped_tuples(rng, trials: int, n_max: int, interval: WorkingInterval):

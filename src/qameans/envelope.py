@@ -17,7 +17,8 @@ is the hull to the bit.
 An envelope in a given direction exists only when the mean sits on the
 right side of the arithmetic mean; for increasing f, QA_f >= A exactly when
 f is convex (Jensen), so the sign of rho decides, and a refusal returns a
-re-verified violating grid pair.
+re-verified violating grid pair.  Sign, degeneracy and extremality are read
+from one record of :func:`qameans.convexity._profile_tests`, as classify's are.
 """
 
 from __future__ import annotations
@@ -26,15 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexity import MEAN_CMP_TOL, _profile_pos_concave
-from .errors import (
-    DegenerateSecondDerivative,
-    NonpositiveM,
-    RangeError,
-    SignChange,
-    UsageError,
-)
-from .generators import Generator, TabulatedGenerator, normalize, rho, tabulate
+from .convexity import MEAN_CMP_TOL, _profile_tests
+from .errors import NonpositiveM, RangeError, SignChange, UsageError
+from .generators import Generator, TabulatedGenerator, normalize, tabulate
 from .grids import ScalarGrid, WorkingInterval
 from .means import ArithmeticMean, MeanHandle, QuasiArithmeticMean, _qa_mean_batch
 
@@ -226,52 +221,44 @@ def _pair_witness(gen: Generator, direction: str) -> dict | None:
 
 
 def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
-    ngen = normalize(gen)
+    # Existence and extremality are read from the one profile test in this
+    # direction (rho for convex, -rho for concave): a wrong sign rules the
+    # envelope out, and a passing test makes the mean its own envelope.
+    ngen, profile, detail, (test,) = _profile_tests(gen, direction)
     interval = ngen.domain
-    xs = interval.grid()
-
-    # Existence and extremality are read from rho for the convex direction
-    # and from -rho for the concave one (rho negative and convex is the
-    # concave counterpart of rho positive and concave): a wrong sign rules
-    # the envelope out.
-    try:
-        profile = rho(ngen)
-        oriented = profile.values if direction == "convex" else -profile.values
-        if not oriented[0] > 0.0:  # rho is one-signed
-            raise SignChange(f"{ngen.spec_string()}: the sign of f'' rules out "
-                             f"a {direction} envelope")
-    except DegenerateSecondDerivative as exc:
-        return _arithmetic(direction, interval, {"detail": str(exc)})
-    except SignChange as exc:
+    reason = test.get("reason")
+    if reason == "f2-identically-zero":
+        return _arithmetic(direction, interval, {"detail": detail})
+    if reason in ("sign-change", "nonpositive-rho"):
         witness = _pair_witness(ngen, direction)
         if witness is None:
-            raise SignChange(f"{exc}; no grid pair confirms it beyond the "
-                             f"comparison tolerance", exc.witness) from exc
+            cause = detail or (f"{ngen.spec_string()}: the sign of f'' rules out "
+                               f"a {direction} envelope")
+            raise SignChange(f"{cause}; no grid pair confirms it beyond the "
+                             f"comparison tolerance", test["witness"])
         return EnvelopeResult("NoneExists", direction, interval,
                               diagnostics={"witness": witness})
 
-    already = _profile_pos_concave(oriented, interval)
-    diag = {"profile_test": {k: v for k, v in already.items() if k != "ok"}}
     hull = (concave_envelope_1d(profile) if direction == "convex"
             else convex_envelope_1d(profile))
 
-    if already["ok"]:
+    if reason is None:
         gtab = tabulate(ngen)
         # The mean is its own envelope: keep the exact generator for the
         # mean handle and publish its sampled grids for serialization.
         return EnvelopeResult(
             "AlreadyExtremal", direction, interval,
             rho=profile, m=hull, g=gtab.values, g1=gtab.f1_values,
-            generator=ngen, diagnostics=diag,
+            generator=ngen, diagnostics={"profile_test": test},
         )
 
     # The hull is the result's profile: rho of the generator is m to the bit.
-    gen_out = reconstruct_generator(hull(xs), interval,
+    gen_out = reconstruct_generator(hull(interval.grid()), interval,
                                     source=f"envelope({ngen.spec_string()})")
     return EnvelopeResult(
         "Envelope", direction, interval,
         rho=profile, m=hull, g=gen_out.values, g1=gen_out.f1_values,
-        generator=gen_out, diagnostics=diag,
+        generator=gen_out, diagnostics={"profile_test": test},
     )
 
 

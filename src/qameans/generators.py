@@ -76,7 +76,7 @@ class PowerGenerator(Generator):
             raise UsageError("power generator needs p != 0 (use the log kind for p = 0)")
         if domain.lo <= 0:
             raise UsageError("power generator needs lo > 0")
-        self.p = float(p)
+        self.p = _finite_exponent("power generator", p)
         self.domain = domain
         self.increasing = self.p > 0
         # |f'| = |p| x**(p-1) is monotone in x, so the grid's extremes of f'
@@ -155,6 +155,14 @@ class ExpGenerator(Generator):
 
     def spec_string(self):
         return "exp"
+
+
+def _finite_exponent(kind: str, p: float) -> float:
+    """p as a float, or UsageError unless it is finite."""
+    p = float(p)
+    if not abs(p) < np.inf:  # NaN fails it too
+        raise UsageError(f"{kind} needs a finite exponent p, got p = {p!r}")
+    return p
 
 
 def _affine_coefficients(kind: str, a: float, b: float) -> tuple[float, float]:

@@ -25,16 +25,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RangeError, UsageError
-from .generators import Generator, _check_domain, _shortest, reflect_generator
+from .generators import Generator, _check_domain, _finite_exponent, _shortest, reflect_generator
 from .grids import WorkingInterval
 
 
-def _as_batch(values) -> np.ndarray:
+def _one_vector(values) -> np.ndarray:
+    """values as a (1, n) float array: one nonempty vector, else UsageError."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise UsageError("mean needs a nonempty vector of values")
+    if arr.shape[0] != 1:
+        raise UsageError("a mean takes a single vector per call; use batch for many")
     return arr
 
 
@@ -67,10 +70,7 @@ def _qa_mean_batch(gen: Generator, X) -> np.ndarray:
 
 def qa_mean(gen: Generator, values) -> float:
     """QA_f of a nonempty vector with entries in the working interval."""
-    X = _as_batch(values)
-    if X.shape[0] != 1:
-        raise UsageError("qa_mean takes a single vector; use a mean handle for batches")
-    return float(_qa_mean_batch(gen, X)[0])
+    return QuasiArithmeticMean(gen)(values)
 
 
 def _power_mean_batch(p: float, X: np.ndarray) -> np.ndarray:
@@ -93,7 +93,7 @@ def power_mean(p: float, values) -> float:
     Closed-form route, independent of the generator machinery, so the two
     can cross-check each other.
     """
-    return float(_power_mean_batch(float(p), _as_batch(values))[0])
+    return float(_power_mean_batch(_finite_exponent("power mean", p), _one_vector(values))[0])
 
 
 class MeanHandle:
@@ -102,7 +102,8 @@ class MeanHandle:
     domain: WorkingInterval
 
     def __call__(self, values) -> float:
-        return float(self.batch(_as_batch(values))[0])
+        """The mean of one nonempty vector; batch takes many rows at once."""
+        return float(self.batch(_one_vector(values))[0])
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -131,7 +132,7 @@ class PowerMeanHandle(MeanHandle):
     def __init__(self, p: float, domain: WorkingInterval):
         if domain.lo <= 0:
             raise UsageError("power mean needs a positive working interval")
-        self.p = float(p)
+        self.p = _finite_exponent("power mean", p)
         self.domain = domain
 
     def batch(self, X):

@@ -515,3 +515,11 @@ def test_seed_from_environment_is_read_on_every_run(capsys, monkeypatch):
         assert run(argv) == 0
         seeds.append(_json_out(capsys)["config"]["seed"])
     assert seeds == [3, 11]
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf", "1e400"])
+def test_nonfinite_power_exponent_is_a_usage_error(capsys, p):
+    assert run(["classify", "--gen", f"power:{p}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: power generator needs a finite exponent p")
+    assert err.count("\n") == 1

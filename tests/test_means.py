@@ -296,3 +296,35 @@ def test_parse_mean(iv):
     m = parse_mean("power:2", iv)
     assert isinstance(m, QuasiArithmeticMean)
     assert m([1.0, 7.0]) == pytest.approx(5.0, abs=1e-12)
+
+
+def test_every_mean_handle_takes_one_vector_per_call(iv):
+    """A call is one vector (or one row); many rows go through batch.  A 2-D
+    input of several rows once returned the mean of its first row."""
+    handles = [QuasiArithmeticMean(LogGenerator(iv)), ArithmeticMean(iv),
+               PowerMeanHandle(2.0, iv), reflect(PowerMeanHandle(2.0, iv))]
+    assert isinstance(handles[-1], ReflectedMean)
+    for mean in handles:
+        sign = -1.0 if isinstance(mean, ReflectedMean) else 1.0
+        rows = sign * np.array([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(UsageError, match="single vector"):
+            mean(rows)
+        assert mean(rows[:1]) == mean(rows[0]) == mean.batch(rows)[0]
+    with pytest.raises(UsageError, match="single vector"):
+        qa_mean(LogGenerator(iv), [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(UsageError, match="single vector"):
+        power_mean(2.0, [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, float("1e400")])
+def test_power_exponent_must_be_finite(iv, p):
+    """A non-finite p is a usage error, with no numpy warning on the way,
+    where it was a misleading NotMonotone or a silent NaN mean."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match="finite exponent"):
+            PowerGenerator(p, iv)
+        with pytest.raises(UsageError, match="finite exponent"):
+            PowerMeanHandle(p, iv)
+        with pytest.raises(UsageError, match="finite exponent"):
+            power_mean(p, [1.0, 7.0])
