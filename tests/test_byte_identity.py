@@ -19,6 +19,7 @@ from qameans import cli
 from qameans.cli import _envelope_csv, _float_text, _json_text, run
 from qameans.envelope import _monotone_chain, qa_concave_envelope, qa_convex_envelope
 from qameans.generators import (
+    ExpGenerator,
     LogGenerator,
     PowerGenerator,
     load_table,
@@ -196,17 +197,33 @@ def test_log_concave_envelope_csv_at_65537_matches_rowwise_writer():
     _assert_same_text(text, rowwise_envelope_csv(result, config))
 
 
-@pytest.mark.parametrize("gen", [PowerGenerator(3.0, WorkingInterval(0.1, 10.0, 65537)),
-                                 LogGenerator(WorkingInterval(0.1, 10.0, 65537))],
-                         ids=["power:3", "log"])
+_G65537 = WorkingInterval(0.1, 10.0, 65537)
+
+# Profiles on the benchmark's largest grid, one per branch of the scan:
+# - power:3 (rho = x/2), log (-x) and exp (constant) are affine, so almost
+#   every point replaces the top of the stack and one run takes the grid;
+# - power:-5 (x/(-6)) is affine too, but its crosses alternate in sign with
+#   the rounding, so every run ends within a few points;
+# - the bump profile 1 + (x - 5)^2/4 of perfbench's write_bump_table is
+#   convex, so its upper hull is the chord and its lower hull every point;
+# - sqrt is concave: every point is an upper vertex, none replaces the top.
+SCAN_PROFILES = {
+    "power:3": lambda: rho(normalize(PowerGenerator(3.0, _G65537))).values,
+    "log": lambda: rho(normalize(LogGenerator(_G65537))).values,
+    "power:-5": lambda: rho(normalize(PowerGenerator(-5.0, _G65537))).values,
+    "exp": lambda: rho(normalize(ExpGenerator(_G65537))).values,
+    "bump": lambda: 1.0 + (_G65537.grid() - 5.0) ** 2 / 4.0,
+    "sqrt": lambda: np.sqrt(_G65537.grid()),
+}
+
+
+@pytest.mark.parametrize("name", list(SCAN_PROFILES))
 @pytest.mark.parametrize("upper", [True, False])
-def test_float_hull_scan_matches_numpy_scalar_scan(gen, upper):
-    # rho is x/2 for power:3 and -x for log: every point is nearly collinear
-    # with its neighbours, so each pop hinges on the last bits of the cross.
-    profile = rho(normalize(gen))
-    xs = profile.interval.grid()
-    assert (_monotone_chain(xs, profile.values, upper)
-            == numpy_scalar_monotone_chain(xs, profile.values, upper))
+def test_float_hull_scan_matches_numpy_scalar_scan(name, upper):
+    # On the affine profiles each pop hinges on the last bits of a nearly
+    # collinear cross.
+    xs, ys = _G65537.grid(), SCAN_PROFILES[name]()
+    assert _monotone_chain(xs, ys, upper) == numpy_scalar_monotone_chain(xs, ys, upper)
 
 
 def test_load_table_is_bit_equal_to_float_per_cell(tmp_path):

@@ -3,15 +3,22 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qameans.cli import _json_text
 from qameans.convexity import classify
 from qameans.envelope import (
+    _FIRST_BLOCK,
+    _FIRST_STRETCH,
+    _RUN_BLOCK,
     PiecewiseLinearHull,
+    _monotone_chain,
     concave_envelope_1d,
     convex_envelope_1d,
     qa_concave_envelope,
@@ -38,6 +45,7 @@ from oracles import (
     concave_chord_profile_generator,
     constant_profile_generator,
     fd_curvature_ratio,
+    numpy_scalar_monotone_chain,
     running_trapezoid,
 )
 
@@ -148,6 +156,68 @@ def test_hull_validation():
     hull = PiecewiseLinearHull(((0.0, 0.0), (2.0, 4.0)), "upper")
     assert hull(1.0) == 2.0
     assert hull.to_list() == [[0.0, 0.0], [2.0, 4.0]]
+
+
+def _run_block_edges(limit):
+    """Lengths at which a run tried after the first plain stretch meets the
+    last point on a block edge, or one point before or after it."""
+    edges, stop, size = [], _FIRST_STRETCH, _FIRST_BLOCK
+    while stop < limit:
+        stop += size
+        size = min(2 * size, _RUN_BLOCK)
+        edges += [stop - 1, stop, stop + 1]
+    return edges
+
+
+@st.composite
+def scan_points(draw):
+    """x-sorted points whose scan has long runs, runs cut short, or none."""
+    n = draw(st.one_of(st.integers(3, 300), st.integers(3, 3 * _RUN_BLOCK + 100),
+                       st.sampled_from(_run_block_edges(3 * _RUN_BLOCK))))
+    kind = draw(st.sampled_from(["x/2", "x/3", "x/-6", "convex", "concave",
+                                 "kinked", "noisy", "nonfinite", "integer"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = np.linspace(0.1, 10.0, n)
+    if kind == "x/2":  # exact: every cross is 0
+        ys = xs / 2.0
+    elif kind == "x/3":  # inexact: the crosses alternate in sign
+        ys = xs / 3.0
+    elif kind == "x/-6":
+        ys = xs / -6.0
+    elif kind == "convex":
+        ys = (xs - rng.uniform(0.0, 11.0)) ** 2
+    elif kind == "concave":
+        ys = np.sqrt(xs)
+    elif kind == "kinked":  # a run ends at the kink, inside a block
+        ys = xs / 3.0 + rng.choice([-1.0, 1.0]) * np.abs(xs - xs[rng.integers(n)])
+    elif kind == "noisy":
+        ys = xs / 3.0 + rng.normal(scale=rng.choice([1e-15, 1e-3, 1.0]), size=n)
+    elif kind == "nonfinite":  # a NaN cross never pops, in the loop or a block
+        ys = xs / 2.0
+        ys[rng.integers(n, size=3)] = rng.choice([np.nan, np.inf, -np.inf], size=3)
+    else:  # exact arithmetic: collinear points and ties
+        xs = np.arange(n, dtype=float)
+        ys = [3.0 * xs - 7.0, np.floor(xs * rng.integers(1, 4) / rng.integers(1, 8)),
+              rng.integers(-2, 3, size=n).astype(float)][rng.integers(3)]
+    return xs, ys
+
+
+def _same_bits(a: tuple, b: tuple) -> bool:
+    """Equal vertex tuples, a NaN equal to a NaN and -0.0 unequal to 0.0."""
+    return np.array(a).tobytes() == np.array(b).tobytes()
+
+
+@settings(max_examples=150)
+@given(points=scan_points())
+def test_blocked_scan_matches_numpy_scalar_scan(points):
+    xs, ys = points
+    for upper in (True, False):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = numpy_scalar_monotone_chain(xs, ys, upper)
+        # like the float scan, the blocks overflow and make NaNs silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _same_bits(_monotone_chain(xs, ys, upper), want)
 
 
 # ------------------------------------------------------- reconstruction
