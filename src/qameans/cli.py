@@ -1,19 +1,26 @@
 """Command-line front end: eval, classify, compare, envelope, verify.
 
-Every report is machine-readable (JSON by default, CSV for envelope grid
-tables) and opens with a config block stating the effective interval,
-grid resolution, seed, and trial count, so any run can be reproduced from
-its own output.  Numbers are printed in shortest round-trip form, spelled
-as Python's repr spells them (json.dumps in JSON, so NaN and Infinity keep
-json's names).  A report is built as ASCII byte blocks and written straight
-to --out, or joined into one string for stdout, so no whole-report string
-exists for a file.  Float arrays and tables go in blocks of at most
+Every report is machine-readable (JSON by default; ``envelope --format csv``,
+the one CSV form, writes the grid table) and opens with a config block
+stating the effective interval, grid resolution, seed, and trial count, so
+any run can be reproduced from its own output.  A run's interval is the grid
+of its table: spec when it has one (the first, when both specs are tables),
+else --lo/--hi/--grid; the other spec of compare and of verify ij/kedlaya is
+parsed on it.  --seed and --trials are common to every command and echoed in
+every config, though only verify samples.
+
+Numbers are printed in shortest round-trip form, spelled as Python's repr
+spells them (json.dumps in JSON, so NaN and Infinity keep json's names).  A
+report is built as ASCII byte blocks and written straight to --out, or
+joined into one string for stdout, so no whole-report string exists for a
+file.  Float arrays and tables go in blocks of at most
 _BLOCK_ROWS rows, each run of rows formatted in C by one flat orjson call,
 whose text is repr's exactly when 1e-4 <= |v| < 1e16 or v = +-0; a row
 holding any other value is a block of its own, spelled cell by cell through
 repr or json.dumps.  Exit codes: 0 success or pass, 1 a check failed with a
 witness (including an envelope that does not exist), 2 usage or domain
-errors.
+errors: argparse's usage message, or one "error: " line for a QameansError
+or OSError.
 
 :func:`run` can be called repeatedly from one process: the argument parser
 is built once, on the first call, and parse_args gives every call a fresh
@@ -63,8 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--gen", required=True,
                         help="generator spec: " + " | ".join(generator_kinds()))
     common.add_argument("--lo", type=float, default=DEFAULT_LO,
-                        help=f"interval lower end (default {DEFAULT_LO}); "
-                             "ignored for table: specs, which carry their grid")
+                        help=f"interval lower end (default {DEFAULT_LO}); a run "
+                             "with a table: spec takes the table's own grid and "
+                             "ignores --lo/--hi/--grid")
     common.add_argument("--hi", type=float, default=DEFAULT_HI,
                         help=f"interval upper end (default {DEFAULT_HI})")
     common.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS,
@@ -73,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="random seed (default: QAM_SEED env var, else 0)")
     common.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                         help=f"sampling trials (default {DEFAULT_TRIALS})")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format; csv only for envelope grid tables")
     common.add_argument("--out", default=None, help="write the report to a file")
 
     parser = argparse.ArgumentParser(
@@ -83,26 +89,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     "classification, and convex/concave envelopes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common],
-                            help="evaluate the QA mean of a vector")
-    p_eval.add_argument("--vec", default=None,
-                        help="comma-separated values, e.g. 1,7")
-    p_eval.add_argument("--vec-file", default=None,
-                        help="CSV file, one tuple per row")
+    def command(name, handler, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    sub.add_parser("classify", parents=[common],
-                   help="convexity class of the QA mean")
+    p_eval = command("eval", _cmd_eval, "evaluate the QA mean of a vector")
+    vec = p_eval.add_mutually_exclusive_group(required=True)
+    vec.add_argument("--vec", help="comma-separated values, e.g. 1,7")
+    vec.add_argument("--vec-file", help="CSV file, one tuple per row")
 
-    p_cmp = sub.add_parser("compare", parents=[common],
-                           help="order two QA means by the generator criterion")
+    command("classify", _cmd_classify, "convexity class of the QA mean")
+
+    p_cmp = command("compare", _cmd_compare,
+                    "order two QA means by the generator criterion")
     p_cmp.add_argument("--gen2", required=True, help="second generator spec")
 
-    p_env = sub.add_parser("envelope", parents=[common],
-                           help="convex or concave QA envelope")
+    p_env = command("envelope", _cmd_envelope, "convex or concave QA envelope")
     p_env.add_argument("--kind", choices=("convex", "concave"), default="convex")
+    p_env.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="report format; csv writes the envelope's grid table")
 
-    p_ver = sub.add_parser("verify", parents=[common],
-                           help="randomized inequality checks")
+    p_ver = command("verify", _cmd_verify, "randomized inequality checks")
     p_ver.add_argument("--check", required=True,
                        choices=("ij", "kedlaya", "maximality", "duality",
                                 "symmetry"))
@@ -125,9 +133,25 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _config(args, seed: int, **extras) -> dict:
-    cfg = {"command": args.command, "gen": args.gen, "lo": args.lo,
-           "hi": args.hi, "grid_points": args.grid, "seed": seed,
+def _parse_specs(args, specs, parse=parse_generator):
+    """The run's working interval, and each of specs parsed by parse
+    (parse_generator or parse_mean).
+
+    The interval is the grid of the first table: spec among specs, else
+    --lo/--hi/--grid; every other spec is parsed on it.  Each table is read
+    once and keeps its own grid, so two tables on different grids meet the
+    command's refusal of means on different intervals.
+    """
+    tables = {s: parse(s, None) for s in dict.fromkeys(specs)
+              if s.strip().startswith("table:")}
+    interval = (next(iter(tables.values())).domain if tables
+                else WorkingInterval(args.lo, args.hi, args.grid))
+    return interval, [tables[s] if s in tables else parse(s, interval) for s in specs]
+
+
+def _config(args, interval: WorkingInterval, seed: int, **extras) -> dict:
+    cfg = {"command": args.command, "gen": args.gen, "lo": interval.lo,
+           "hi": interval.hi, "grid_points": interval.grid_points, "seed": seed,
            "trials": args.trials}
     cfg.update(extras)
     return cfg
@@ -280,11 +304,8 @@ def _parse_vec(text: str, where: str = "--vec") -> list:
 
 
 def _cmd_eval(args, seed: int) -> int:
-    if (args.vec is None) == (args.vec_file is None):
-        raise UsageError("eval needs exactly one of --vec or --vec-file")
-    interval = WorkingInterval(args.lo, args.hi, args.grid)
-    gen = parse_generator(args.gen, interval)
-    report = _config(args, seed)
+    interval, (gen,) = _parse_specs(args, [args.gen])
+    report = _config(args, interval, seed)
     if args.vec is not None:
         report = {"config": report, "value": qa_mean(gen, _parse_vec(args.vec))}
     else:
@@ -314,19 +335,17 @@ def _cmd_eval(args, seed: int) -> int:
 
 
 def _cmd_classify(args, seed: int) -> int:
-    interval = WorkingInterval(args.lo, args.hi, args.grid)
-    gen = parse_generator(args.gen, interval)
+    interval, (gen,) = _parse_specs(args, [args.gen])
     verdict = classify(gen)
-    _json_report({"config": _config(args, seed), **verdict.to_dict()}, args.out)
+    _json_report({"config": _config(args, interval, seed), **verdict.to_dict()},
+                 args.out)
     return 0
 
 
 def _cmd_compare(args, seed: int) -> int:
-    interval = WorkingInterval(args.lo, args.hi, args.grid)
-    f = parse_generator(args.gen, interval)
-    g = parse_generator(args.gen2, interval)
+    interval, (f, g) = _parse_specs(args, [args.gen, args.gen2])
     rep = compare(f, g)
-    _json_report({"config": _config(args, seed, gen2=args.gen2),
+    _json_report({"config": _config(args, interval, seed, gen2=args.gen2),
                   **rep.to_dict()}, args.out)
     return 0
 
@@ -356,54 +375,48 @@ def _envelope_csv(result, config: dict):
 
 
 def _cmd_envelope(args, seed: int) -> int:
-    interval = WorkingInterval(args.lo, args.hi, args.grid)
-    gen = parse_generator(args.gen, interval)
+    interval, (gen,) = _parse_specs(args, [args.gen])
     fn = qa_convex_envelope if args.kind == "convex" else qa_concave_envelope
     result = fn(gen)
     failed = result.status == "NoneExists"
+    config = _config(args, interval, seed, kind=args.kind)
     if args.format == "csv" and not failed:
-        _emit(_envelope_csv(result, _config(args, seed, kind=args.kind)), args.out)
+        _emit(_envelope_csv(result, config), args.out)
     else:
-        report = {"config": _config(args, seed, kind=args.kind)}
-        report.update(result.to_dict())
-        _json_report(report, args.out)
+        _json_report({"config": config, **result.to_dict()}, args.out)
     return 1 if failed else 0
 
 
 def _cmd_verify(args, seed: int) -> int:
-    interval = WorkingInterval(args.lo, args.hi, args.grid)
-    if args.check in ("ij", "kedlaya"):
-        M = parse_mean(args.gen, interval)
-        N = parse_mean(args.gen2, interval)
-        if args.check == "ij":
-            rep = ingham_jessen_sweep(M, N, args.trials, seed)
-        else:
-            rep = kedlaya_check(M, N, 5, args.trials, seed)
+    pair = args.check in ("ij", "kedlaya")
+    if args.check == "maximality" and args.trials < 1:
+        raise UsageError(f"need trials >= 1, got {args.trials}")
+    parse = parse_generator if args.check in ("maximality", "duality") else parse_mean
+    interval, parsed = _parse_specs(
+        args, [args.gen, args.gen2] if pair else [args.gen], parse)
+    first = parsed[0]  # --gen: a generator for maximality and duality, else a mean
+    if args.check == "ij":
+        rep = ingham_jessen_sweep(*parsed, args.trials, seed)
+    elif args.check == "kedlaya":
+        rep = kedlaya_check(*parsed, 5, args.trials, seed)
     elif args.check == "maximality":
-        if args.trials < 1:
-            raise UsageError(f"need trials >= 1, got {args.trials}")
-        gen = parse_generator(args.gen, interval)
-        env = qa_convex_envelope(gen)
+        env = qa_convex_envelope(first)
         if env.status not in ("Envelope", "AlreadyExtremal"):
-            report = {"config": _config(args, seed, check=args.check),
+            report = {"config": _config(args, interval, seed, check=args.check),
                       "check": "maximality",
                       "error": f"no convex envelope: status {env.status}",
                       "diagnostics": env.diagnostics}
             _json_report(report, args.out)
             return 1
         candidates = max(1, min(100, args.trials // 100))
-        rep = maximality_check(gen, env, candidates, args.trials // candidates,
-                               seed)
+        rep = maximality_check(first, env, candidates, args.trials // candidates, seed)
     elif args.check == "duality":
-        gen = parse_generator(args.gen, interval)
-        rep = duality_check(gen, args.trials, seed)
+        rep = duality_check(first, args.trials, seed)
     else:
-        mean = parse_mean(args.gen, interval)
-        rep = symmetry_check(mean, args.trials, seed)
-    report = {"config": _config(args, seed, check=args.check, gen2=args.gen2
-                                if args.check in ("ij", "kedlaya") else None)}
-    report.update(rep.to_dict())
-    _json_report(report, args.out)
+        rep = symmetry_check(first, args.trials, seed)
+    config = _config(args, interval, seed, check=args.check,
+                     gen2=args.gen2 if pair else None)
+    _json_report({"config": config, **rep.to_dict()}, args.out)
     return 0 if rep.passed else 1
 
 
@@ -411,30 +424,11 @@ def run(argv) -> int:
     """Parse argv, run the command, return the exit code."""
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse has printed its usage error or help
         return int(exc.code or 0)
     try:
-        seed = _resolve_seed(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    if args.format == "csv" and args.command != "envelope":
-        sys.stderr.write("error: --format csv is only available for envelope "
-                         "grid tables\n")
-        return 2
-    handlers = {
-        "eval": _cmd_eval,
-        "classify": _cmd_classify,
-        "compare": _cmd_compare,
-        "envelope": _cmd_envelope,
-        "verify": _cmd_verify,
-    }
-    try:
-        return handlers[args.command](args, seed)
-    except QameansError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+        return args.handler(args, _resolve_seed(args))
+    except (QameansError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

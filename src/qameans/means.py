@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RangeError, UsageError
-from .generators import Generator, _check_domain, _finite_exponent, _shortest, reflect_generator
+from .generators import (
+    Generator,
+    _check_domain,
+    _finite_exponent,
+    _shortest,
+    parse_generator,
+    reflect_generator,
+)
 from .grids import WorkingInterval
 
 
@@ -212,14 +219,15 @@ def compare(f: Generator, g: Generator) -> ComparisonReport:
     QA_f <= QA_g holds exactly when f''/f' <= g''/g' pointwise, that is
     1/rho_f <= 1/rho_g (0 where f'' = 0); the profile is invariant under
     negating the generator, so no normalization is needed.  The verdict
-    is about the sampled criterion on this grid.
+    is about the sampled criterion on this grid, with slack 1e-9 times the
+    larger max|f''/f'|: no absolute floor, so it scales with the interval.
     """
     if f.domain != g.domain:
         raise UsageError("compare needs generators on the same working interval")
     xs = f.domain.grid()
     sig_f = 1.0 / np.asarray(f.rho(xs), dtype=float)
     sig_g = 1.0 / np.asarray(g.rho(xs), dtype=float)
-    scale = max(1.0, float(np.max(np.abs(sig_f))), float(np.max(np.abs(sig_g))))
+    scale = max(float(np.max(np.abs(sig_f))), float(np.max(np.abs(sig_g))))
     delta = 1e-9 * scale
     d = sig_f - sig_g
     max_gap = float(np.max(d))
@@ -241,11 +249,14 @@ def compare(f: Generator, g: Generator) -> ComparisonReport:
     return ComparisonReport("Incomparable", delta, max_gap, min_gap, witness)
 
 
-def parse_mean(spec: str, interval: WorkingInterval) -> MeanHandle:
-    """Mean spec for the CLI: 'arith', or any generator spec for its QA mean."""
-    spec = spec.strip()
-    if spec == "arith":
-        return ArithmeticMean(interval)
-    from .generators import parse_generator
+def parse_mean(spec: str, interval: WorkingInterval | None) -> MeanHandle:
+    """Mean spec for the CLI: 'arith', or any generator spec for its QA mean.
 
-    return QuasiArithmeticMean(parse_generator(spec, interval))
+    As in parse_generator, a table: spec carries its own grid; every other
+    spec needs interval."""
+    spec = spec.strip()
+    if spec != "arith":
+        return QuasiArithmeticMean(parse_generator(spec, interval))
+    if interval is None:
+        raise UsageError("mean spec 'arith' needs a working interval")
+    return ArithmeticMean(interval)

@@ -121,22 +121,6 @@ def fd_curvature_ratio(g_values, step):
     return g1 / g2
 
 
-def power_grid_scan_refusal(p, interval):
-    """Why a whole-grid scan of f' = p x**(p-1) refuses power:p, or None.
-
-    Evaluates f' at every grid point, as the power generator's constructor
-    once did, and returns the text after the spec string of the NotMonotone
-    it raised: f' must be finite, and nonzero with one sign, on the grid.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        g1 = p * interval.grid() ** (p - 1.0)
-    if not np.all(np.isfinite(g1)):
-        return "derivative not finite on grid"
-    if not (np.all(g1 > 0.0) or np.all(g1 < 0.0)):
-        return "f' must be nonzero with one sign on the grid"
-    return None
-
-
 def chord_profile_generator(xs):
     """Closed form for the generator whose curvature ratio is 4x - 3 on [1,3].
 

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, formats, seeds, and exit codes."""
 
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qameans import cli
+from qameans import cli, generators
 from qameans.cli import run
 from qameans.envelope import qa_concave_envelope, qa_convex_envelope
 from qameans.generators import LogGenerator, PowerGenerator, load_table
@@ -182,6 +184,144 @@ def test_envelope_csv_failed_run_falls_back_to_json(capsys):
 def test_csv_format_rejected_outside_envelope(capsys):
     assert run(["classify", "--gen", "log", "--format", "csv"]) == 2
     assert "csv" in capsys.readouterr().err
+
+
+def _table(path, fn=lambda x: x ** 3, rows=257):
+    """A values-only table of fn on [1, 3]; x**3 generates a convex mean."""
+    xs = np.linspace(1.0, 3.0, rows).tolist()
+    path.write_text("x,f\n" + "".join(f"{x!r},{fn(x)!r}\n" for x in xs))
+    return f"table:{path}"
+
+
+@pytest.fixture
+def table13(tmp_path):
+    return _table(tmp_path / "t13.csv")
+
+
+TABLE_CONFIG = {"lo": 1.0, "hi": 3.0, "grid_points": 257}
+
+
+def _interval_of(config):
+    return {k: config[k] for k in TABLE_CONFIG}
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["eval", "--vec", "1.5,2.5"],
+    ["envelope"],
+    ["envelope", "--kind", "concave"],
+    ["verify", "--check", "symmetry", "--trials", "200"],
+    ["verify", "--check", "maximality", "--trials", "200"],
+])
+def test_table_run_reports_the_tables_interval(table13, capsys, argv):
+    """--lo/--hi/--grid are the defaults here, which the table replaces."""
+    assert run([*argv, "--gen", table13]) in (0, 1)
+    assert _interval_of(_json_out(capsys)["config"]) == TABLE_CONFIG
+
+
+def test_table_duality_reports_the_tables_interval(tmp_path, capsys):
+    """duality needs a concave envelope, so its table is of ln x."""
+    spec = _table(tmp_path / "log13.csv", math.log)
+    assert run(["verify", "--check", "duality", "--trials", "200", "--gen", spec]) == 0
+    assert _interval_of(_json_out(capsys)["config"]) == TABLE_CONFIG
+
+
+def test_table_envelope_csv_header_states_the_tables_interval(table13, tmp_path):
+    out_path = tmp_path / "env.csv"
+    assert run(["envelope", "--gen", table13, "--format", "csv",
+                "--out", str(out_path)]) == 0
+    head = out_path.read_text().splitlines()[0]
+    assert head.startswith("# ")
+    assert _interval_of(json.loads(head[2:])["config"]) == TABLE_CONFIG
+
+
+PAIRINGS = [("compare", "--gen2", other) for other in ("power:3", "log")] + [
+    ("verify", check, other) for check in ("ij", "kedlaya")
+    for other in ("power:3", "log", "arith")]
+
+
+@pytest.fixture
+def table_reads(monkeypatch):
+    """The paths load_table reads, in order."""
+    reads = []
+    load = generators.load_table
+    monkeypatch.setattr(generators, "load_table",
+                        lambda path: reads.append(path) or load(path))
+    return reads
+
+
+@pytest.mark.parametrize("table_first", [True, False])
+@pytest.mark.parametrize("command, check, other", PAIRINGS)
+def test_table_pairs_with_a_closed_form_on_the_tables_grid(
+        table13, capsys, table_reads, command, check, other, table_first):
+    """The other spec is parsed on the table's grid, and the table is read
+    once; no --lo/--hi/--grid is given."""
+    first, second = (table13, other) if table_first else (other, table13)
+    argv = [command, "--gen", first, "--gen2", second]
+    if command == "verify":
+        argv += ["--check", check, "--trials", "64"]
+    assert run(argv) in (0, 1)
+    assert _interval_of(_json_out(capsys)["config"]) == TABLE_CONFIG
+    assert len(table_reads) == 1
+
+
+def test_one_read_per_table_spec(table13, tmp_path, capsys, table_reads):
+    other = _table(tmp_path / "other.csv")
+    assert run(["compare", "--gen", table13, "--gen2", table13]) == 0
+    assert _json_out(capsys)["relation"] == "Equal" and len(table_reads) == 1
+    assert run(["verify", "--check", "ij", "--gen", table13, "--gen2", other,
+                "--trials", "64"]) in (0, 1)
+    assert len(table_reads) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--gen2"],
+    ["verify", "--check", "ij", "--trials", "64", "--gen2"],
+    ["verify", "--check", "kedlaya", "--trials", "64", "--gen2"],
+])
+def test_tables_on_different_grids_do_not_pair(table13, tmp_path, capsys, argv):
+    other = _table(tmp_path / "t129.csv", rows=129)
+    assert run([*argv, other, "--gen", table13]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "interval" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--gen", "log"],
+    ["eval", "--gen", "log", "--vec", "1,2"],
+    ["compare", "--gen", "log", "--gen2", "power:2"],
+    ["verify", "--check", "symmetry", "--gen", "log", "--trials", "100"],
+])
+def test_format_belongs_to_envelope(capsys, argv):
+    """These commands write JSON only; they once accepted and ignored
+    --format json."""
+    assert run([*argv, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --format" in captured.err
+
+
+def _subcommands():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+COMMON_OPTIONS = {"-h", "--help", "--gen", "--lo", "--hi", "--grid", "--seed",
+                  "--trials", "--out"}
+
+
+def test_each_command_takes_only_the_options_it_acts_on():
+    """Every option a command accepts is one it reads; a new option, or one
+    moved between commands, changes this table."""
+    options = {name: {opt for action in p._actions for opt in action.option_strings}
+               for name, p in _subcommands().items()}
+    assert options == {
+        "eval": COMMON_OPTIONS | {"--vec", "--vec-file"},
+        "classify": COMMON_OPTIONS,
+        "compare": COMMON_OPTIONS | {"--gen2"},
+        "envelope": COMMON_OPTIONS | {"--kind", "--format"},
+        "verify": COMMON_OPTIONS | {"--check", "--gen2"},
+    }
 
 
 def test_verify_symmetry_passes(capsys):
@@ -477,7 +617,7 @@ def _shell_report(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["eval", "--gen", "power:20", "--lo", "1e-20", "--hi", "1e20", "--vec", "1,2"],
+    ["eval", "--gen", "power:20", "--lo", "1e-20", "--hi", "1e20", "--vec", "1e19,1e20"],
     ["envelope", "--gen", "exp", "--lo", "0", "--hi", "720"],
     ["envelope", "--gen", "exp", "--lo", "0", "--hi", "720", "--kind", "concave"],
     ["envelope", "--gen", "exp", "--lo", "-800", "--hi", "-700"],

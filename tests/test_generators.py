@@ -33,7 +33,7 @@ from qameans.generators import (
 from qameans.grids import MAX_GRID_POINTS, WorkingInterval
 from qameans.means import qa_mean
 
-from oracles import fd_first, fd_second, power_grid_scan_refusal
+from oracles import fd_first, fd_second
 
 
 def test_eval_closed_forms(iv):
@@ -176,19 +176,6 @@ def test_tabulated_f1_must_be_finite_and_nonzero(iv, bad):
         TabulatedGenerator(iv, xs ** 3, f1, source="my-source")
 
 
-def test_power_constructor_evaluates_f1_at_the_endpoints_only(iv, monkeypatch):
-    sizes = []
-    f1 = PowerGenerator.f1
-
-    def recording_f1(self, x):
-        sizes.append(np.size(x))
-        return f1(self, x)
-
-    monkeypatch.setattr(PowerGenerator, "f1", recording_f1)
-    PowerGenerator(-1.0, iv)
-    assert sizes == [2]
-
-
 def test_normalize_reads_the_direction_not_f1(iv):
     for gen in (PowerGenerator(-1.0, iv), PowerGenerator(2.0, iv), ExpGenerator(iv),
                 AffineGenerator(-2.0, 1.0, iv), tabulate(PowerGenerator(-1.0, iv)),
@@ -242,17 +229,12 @@ def test_stated_direction_matches_the_values(gen):
 @given(p=st.one_of(st.floats(-400.0, 400.0), st.floats(-1e6, 1e6)).filter(lambda p: p != 0),
        lo_exp=st.floats(-300.0, 300.0), decades=st.floats(1e-3, 600.0),
        grid_points=st.integers(3, 257))
-def test_power_refuses_exactly_where_the_grid_scan_does(p, lo_exp, decades, grid_points):
+def test_power_is_built_on_every_positive_interval(p, lo_exp, decades, grid_points):
+    """power:p states its direction from p alone and evaluates nothing on
+    the grid, so no interval refuses it where f' over- or underflows."""
     lo, hi = 10.0 ** lo_exp, 10.0 ** min(lo_exp + decades, 300.0)
     assume(lo < hi)
-    iv = WorkingInterval(lo, hi, grid_points)
-    expected = power_grid_scan_refusal(p, iv)
-    try:
-        gen = PowerGenerator(p, iv)
-    except NotMonotone as exc:
-        assert str(exc) == f"power:{repr(p).removesuffix('.0')}: {expected}"
-    else:
-        assert expected is None and gen.increasing == (p > 0)
+    assert PowerGenerator(p, WorkingInterval(lo, hi, grid_points)).increasing == (p > 0)
 
 
 def test_rho_ignores_an_underflowing_f1():

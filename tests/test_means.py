@@ -4,13 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qameans.errors import DomainError, RangeError, UsageError
 from qameans.generators import (
+    AffineGenerator,
     AffineOfGenerator,
     ExpGenerator,
     LogGenerator,
     PowerGenerator,
+    parse_generator,
     reflect_generator,
     tabulate,
 )
@@ -249,6 +253,35 @@ def test_compare_incomparable_carries_witnesses():
     assert "le_fails_at" in r.witness and "ge_fails_at" in r.witness
     # gaps are the signed ratio difference at each failure point
     assert r.witness["le_gap"] > 0 and r.witness["ge_gap"] < 0
+
+
+def test_compare_slack_has_no_absolute_floor():
+    """On [1e10, 1e20] every |f''/f'| is below 2e-10, so a slack of at least
+    1e-9 once read QA_2 < QA_3 as Equal; QA_2(1e10, 1e20) = 7.07e19 and
+    QA_3 = 7.94e19.  Two arithmetic means have f''/f' = 0 and slack 0."""
+    ivw = WorkingInterval(1e10, 1e20)
+    assert compare(PowerGenerator(2.0, ivw), PowerGenerator(3.0, ivw)).relation == "LessOrEqual"
+    r = compare(AffineGenerator(1.0, 0.0, ivw), AffineGenerator(-2.0, 3.0, ivw))
+    assert (r.relation, r.delta) == ("Equal", 0.0)
+
+
+COMPARE_SPECS = ("power:-5", "power:-1", "power:0.5", "power:2", "power:3", "log",
+                 "id", "affine:-2:3")
+
+
+@settings(max_examples=200)
+@given(f=st.sampled_from(COMPARE_SPECS), g=st.sampled_from(COMPARE_SPECS),
+       k=st.one_of(st.sampled_from([0, 10, -10, 30, -30, 60, -60]),
+                   st.integers(-60, 60)))
+def test_compare_relation_is_invariant_under_scaling_by_a_power_of_two(f, g, k):
+    """These means are homogeneous, so x -> 2**k x keeps their order.  It is
+    exact on the grid and scales every f''/f' by 2**-k, and the slack with
+    it."""
+    assume(f != g)
+    scaled = WorkingInterval(0.1 * 2.0 ** k, 10.0 * 2.0 ** k)
+    rel = compare(parse_generator(f, WorkingInterval(0.1, 10.0)),
+                  parse_generator(g, WorkingInterval(0.1, 10.0))).relation
+    assert compare(parse_generator(f, scaled), parse_generator(g, scaled)).relation == rel
 
 
 def test_compare_rejects_mismatched_domains(iv):
