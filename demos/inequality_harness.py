@@ -13,7 +13,7 @@ import argparse
 
 import numpy as np
 
-from qameans.envelope import qa_convex_envelope
+from qameans.envelope import qa_concave_envelope, qa_convex_envelope
 from qameans.generators import parse_generator
 from qameans.grids import WorkingInterval
 from qameans.means import ArithmeticMean, QuasiArithmeticMean
@@ -52,7 +52,8 @@ def main():
     ok &= show(maximality_check(P3, env, candidates=20,
                                 trials=max(1, args.trials // 20),
                                 seed=args.seed))
-    ok &= show(duality_check(parse_generator("log", iv), args.trials, args.seed))
+    L = parse_generator("log", iv)
+    ok &= show(duality_check(L, qa_concave_envelope(L), args.trials, args.seed))
     ok &= show(symmetry_check(G, args.trials, args.seed))
 
     print("expected to fail (roles swapped on purpose):")

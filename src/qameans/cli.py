@@ -114,9 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--check", required=True,
                        choices=("ij", "kedlaya", "maximality", "duality",
                                 "symmetry"))
-    p_ver.add_argument("--gen2", default="arith",
+    p_ver.add_argument("--gen2",
                        help="second mean for ij/kedlaya: a generator spec or "
-                            "'arith' (default arith)")
+                            "'arith' (default arith); the other checks refuse it")
     return parser
 
 
@@ -387,14 +387,25 @@ def _cmd_envelope(args, seed: int) -> int:
     return 1 if failed else 0
 
 
+def _no_envelope(args, config: dict, env) -> int:
+    """Report a check whose envelope does not exist, as a failed check."""
+    _json_report({"config": config, "check": args.check,
+                  "error": f"no {env.direction} envelope: status {env.status}",
+                  "diagnostics": env.diagnostics}, args.out)
+    return 1
+
+
 def _cmd_verify(args, seed: int) -> int:
     pair = args.check in ("ij", "kedlaya")
-    if args.check == "maximality" and args.trials < 1:
+    if args.gen2 is not None and not pair:
+        raise UsageError(f"--gen2 applies to ij and kedlaya, not {args.check}")
+    gen2 = ("arith" if args.gen2 is None else args.gen2) if pair else None
+    if args.check in ("maximality", "duality") and args.trials < 1:
         raise UsageError(f"need trials >= 1, got {args.trials}")
     parse = parse_generator if args.check in ("maximality", "duality") else parse_mean
-    interval, parsed = _parse_specs(
-        args, [args.gen, args.gen2] if pair else [args.gen], parse)
+    interval, parsed = _parse_specs(args, [args.gen, gen2] if pair else [args.gen], parse)
     first = parsed[0]  # --gen: a generator for maximality and duality, else a mean
+    config = _config(args, interval, seed, check=args.check, gen2=gen2)
     if args.check == "ij":
         rep = ingham_jessen_sweep(*parsed, args.trials, seed)
     elif args.check == "kedlaya":
@@ -402,20 +413,16 @@ def _cmd_verify(args, seed: int) -> int:
     elif args.check == "maximality":
         env = qa_convex_envelope(first)
         if env.status not in ("Envelope", "AlreadyExtremal"):
-            report = {"config": _config(args, interval, seed, check=args.check),
-                      "check": "maximality",
-                      "error": f"no convex envelope: status {env.status}",
-                      "diagnostics": env.diagnostics}
-            _json_report(report, args.out)
-            return 1
+            return _no_envelope(args, config, env)
         candidates = max(1, min(100, args.trials // 100))
         rep = maximality_check(first, env, candidates, args.trials // candidates, seed)
     elif args.check == "duality":
-        rep = duality_check(first, args.trials, seed)
+        env = qa_concave_envelope(first)
+        if env.status == "NoneExists":
+            return _no_envelope(args, config, env)
+        rep = duality_check(first, env, args.trials, seed)
     else:
         rep = symmetry_check(first, args.trials, seed)
-    config = _config(args, interval, seed, check=args.check,
-                     gen2=args.gen2 if pair else None)
     _json_report({"config": config, **rep.to_dict()}, args.out)
     return 0 if rep.passed else 1
 

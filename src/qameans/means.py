@@ -9,7 +9,12 @@ internality.  Entries outside the working interval, NaN included, raise
 DomainError; a generator value, average or inverse of the average that is
 not finite raises RangeError rather than returning a wrong mean.  The
 interval test reads the batch's min and max, and seeks the entry to name
-only when it fails.
+only when it fails.  The clamp reads each row's min and max from one
+reduction over a column-major copy of the batch; where that could pick the
+other sign of a zero extreme than numpy's row kernel (a batch of two or
+more rows, on an interval holding 0, with a row whose extreme is 0), the
+batch takes them from the row kernel, so every mean keeps the bits of a
+clamp read from the row kernel.
 
 Mean handles wrap a callable mean with its working interval; the reflected
 handle realizes v -> -M(-v), which swaps convexity with concavity.
@@ -62,7 +67,10 @@ def _checked_rows(domain: WorkingInterval, X) -> np.ndarray:
 
 
 def _qa_mean_batch(gen: Generator, X) -> np.ndarray:
-    """Row-wise QA mean of a (B, n) array: f, row average, f^{-1}, clamp."""
+    """Row-wise QA mean of a (B, n) array: f, row average, f^{-1}, and a clamp
+    to each row's min and max from _row_extremes, whose signed-zero rule gives
+    the row kernel's bits.  The average stays an axis-1 sum: numpy adds rows
+    of 8 or more entries pairwise, which a column sum would not."""
     X = _checked_rows(gen.domain, X)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         avg = np.add.reduce(np.asarray(gen.f(X), dtype=float), axis=1) / X.shape[1]
@@ -72,7 +80,25 @@ def _qa_mean_batch(gen: Generator, X) -> np.ndarray:
             f"{gen.spec_string()}: generator values or the inverse of their average "
             f"are not finite on [{gen.domain.lo}, {gen.domain.hi}]"
         )
-    return np.minimum(np.maximum(out, X.min(axis=1)), X.max(axis=1))
+    lo, hi = _row_extremes(X, gen.domain)
+    return np.minimum(np.maximum(out, lo), hi)
+
+
+def _row_extremes(X: np.ndarray, domain: WorkingInterval) -> tuple:
+    """Each row's min and max, reduced over a column-major copy of X: numpy's
+    axis-1 kernel runs once per row, which costs most of a batch of short
+    rows.  On two or more rows holding both zeros the column form may pick
+    the other sign of zero than the row kernel, which would make a row's
+    clamp depend on the rest of its batch.  So a batch with a row whose
+    extreme is a zero takes its extremes from the row kernel; entries lie
+    in the domain, so only an interval holding 0 can hold such a row.  For
+    one row XT is a view, and the column reduction is the row kernel."""
+    XT = np.ascontiguousarray(X.T)
+    lo, hi = np.minimum.reduce(XT), np.maximum.reduce(XT)
+    if (len(X) > 1 and domain.lo <= 0.0 <= domain.hi
+            and ((lo == 0.0) | (hi == 0.0)).any()):
+        return X.min(axis=1), X.max(axis=1)
+    return lo, hi
 
 
 def qa_mean(gen: Generator, values) -> float:

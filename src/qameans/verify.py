@@ -30,7 +30,6 @@ from .envelope import (
     EnvelopeResult,
     PiecewiseLinearHull,
     _monotone_chain,
-    qa_concave_envelope,
     qa_concave_envelope_via_reflection,
     reconstruct_generator,
 )
@@ -250,15 +249,18 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
                                        "envelope_status": env.status})
 
 
-def duality_check(f: Generator, trials: int, seed: int = 0) -> TrialReport:
+def duality_check(f: Generator, env: EnvelopeResult, trials: int,
+                  seed: int = 0) -> TrialReport:
     """Agreement of the two concave-envelope routes on random tuples.
 
-    Route one takes the lower hull of rho directly; route two reflects the
-    generator, computes the convex envelope on the mirror interval, and
-    reflects back.  Both must produce the same status and means within
-    1e-6 of each other.
+    Route one is env, f's concave envelope by the lower hull of rho
+    (qa_concave_envelope); route two reflects the generator, computes the
+    convex envelope on the mirror interval, and reflects back.  Both must
+    produce the same status and means within 1e-6 of each other.
     """
-    env_a = qa_concave_envelope(f)
+    if env.direction != "concave":
+        raise UsageError("duality check applies to the concave envelope")
+    env_a = env
     env_b = qa_concave_envelope_via_reflection(f)
     if env_a.status != env_b.status:
         witness = {"status_direct": env_a.status, "status_reflected": env_b.status}

@@ -375,6 +375,49 @@ def test_verify_maximality_without_envelope_fails(capsys):
     assert "witness" in out["diagnostics"]
 
 
+@pytest.mark.parametrize("check,spec,kind", [
+    ("maximality", "log", "convex"),
+    ("duality", "power:3", "concave"),
+    ("duality", "x**3 table", "concave"),
+])
+def test_verify_without_its_envelope_reports_a_failed_check(tmp_path, capsys,
+                                                            check, spec, kind):
+    """A missing envelope is a failed check: exit 1 and a report naming it,
+    for maximality's convex envelope as for duality's concave one."""
+    if spec == "x**3 table":
+        spec = _table(tmp_path / "t13.csv")
+    code = run(["verify", "--check", check, "--gen", spec, "--trials", "200"])
+    assert code == 1
+    out = _json_out(capsys)
+    assert list(out) == ["config", "check", "error", "diagnostics"]
+    assert out["check"] == check
+    assert out["error"] == f"no {kind} envelope: status NoneExists"
+    assert "witness" in out["diagnostics"]
+    assert out["config"]["check"] == check and out["config"]["gen2"] is None
+
+
+@pytest.mark.parametrize("check", ["maximality", "duality", "symmetry"])
+def test_gen2_is_refused_by_the_single_mean_checks(capsys, check):
+    gen = "log" if check == "duality" else "power:3"
+    code = run(["verify", "--check", check, "--gen", gen, "--gen2", "arith",
+                "--trials", "200"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --gen2 ")
+
+
+@pytest.mark.parametrize("check", ["ij", "kedlaya"])
+def test_gen2_of_the_pair_checks_defaults_to_arith(capsys, check):
+    argv = ["verify", "--check", check, "--gen", "log", "--trials", "200"]
+    assert run(argv) == 0
+    default = capsys.readouterr().out
+    assert '"gen2": "arith"' in default
+    assert run([*argv, "--gen2", "arith"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_seed_resolution(capsys, monkeypatch):
     monkeypatch.setenv("QAM_SEED", "42")
     run(["verify", "--check", "symmetry", "--gen", "log", "--trials", "100"])

@@ -1,12 +1,14 @@
 """The means layer's batch paths against the reference formulas in oracles.py.
 
 `_qa_mean_batch`, `ArithmeticMean.batch` and `PowerMeanHandle.batch` test
-the interval on each row's min and max, which the QA mean reuses for its
-clamp, and average with np.add.reduce.  The references test the interval
-with a mask, average with ndarray.mean and reduce the rows again for the
-clamp.  Both must return the same bits, or raise the same exception class
-with the same message, on every batch: entries inside the interval, at its
-ends, outside it, NaN, +-inf and -0.0, and batches of no rows.
+the interval on the batch's min and max and average with np.add.reduce;
+the QA mean takes its clamp's row extremes from a column-major copy of the
+batch, and from numpy's row kernel when a row's extreme is a zero on an
+interval holding 0.  The references test the interval with a mask, average
+with ndarray.mean and clamp to the row kernel's min and max.  Both must
+return the same bits, or raise the same exception class with the same
+message, on every batch: entries inside the interval, at its ends, outside
+it, NaN, +-inf and -0.0, and batches of no rows.
 """
 
 import math
@@ -133,3 +135,54 @@ def test_rows_of_no_entries_are_a_usage_error(iv):
                  PowerMeanHandle(2.0, iv)):
         with pytest.raises(UsageError, match="nonempty"):
             mean.batch(np.empty((2, 0)))
+
+
+# Rows holding both zeros are where a column-major min or max can pick the
+# other sign of zero than numpy's row kernel; +-1e-300 sit next to them.
+ZERO_ENTRIES = (0.0, -0.0, 1e-300, -1e-300, 0.5)
+SIGNED_GENERATORS = (
+    AffineGenerator(2.0, 1.0, SIGNED[0]), AffineGenerator(-1.5, 0.0, SIGNED[0]),
+    ExpGenerator(SIGNED[0]), tabulate(ExpGenerator(SIGNED[0])),
+    ExpGenerator(SIGNED[1]), AffineGenerator(0.5, -2.0, SIGNED[1]))
+
+
+def _zero_rows(gen, rows, n, seed):
+    """rows x n entries of ZERO_ENTRIES that lie in gen's interval."""
+    entries = [v for v in ZERO_ENTRIES if gen.domain.lo <= v <= gen.domain.hi]
+    return np.random.default_rng(seed).choice(entries, size=(rows, n))
+
+
+def _caller_layouts(X):
+    """X as the verify checks hand batches over: contiguous, a kedlaya
+    prefix X[:, :k] of a wider batch, and the columns of (rows, n, 1)
+    matrices by the interchange check's swapped axes; and, which no caller
+    passes, a bare transposed view."""
+    rows, n = X.shape
+    wide = np.concatenate([X, np.full((rows, 3), 0.5)], axis=1)
+    return {"contiguous": X, "prefix": wide[:, :n],
+            "swapped": np.swapaxes(X[:, :, None], 1, 2).reshape(-1, n),
+            "transposed": np.ascontiguousarray(X.T).T}
+
+
+@pytest.mark.parametrize("gen", SIGNED_GENERATORS, ids=lambda g: g.spec_string())
+@pytest.mark.parametrize("rows", [1, 2, 17, 1000])
+def test_signed_zero_rows_are_bit_equal_to_the_reference(gen, rows):
+    for n in range(1, 13):
+        X = _zero_rows(gen, rows, n, seed=rows * 13 + n)
+        for layout, Y in _caller_layouts(X).items():
+            got = _outcome(lambda X: _qa_mean_batch(gen, X), Y)
+            assert got == _outcome(lambda X: reference_qa_mean_batch(gen, X), Y), (n, layout)
+
+
+@pytest.mark.parametrize("gen", SIGNED_GENERATORS, ids=lambda g: g.spec_string())
+@pytest.mark.parametrize("rows", [2, 17, 1000])
+def test_a_rows_batch_mean_is_its_single_row_mean(gen, rows):
+    """The row kernel reduces each row of a batch as it reduces the row
+    alone, so the clamp does not let a row's mean depend on its batch."""
+    for n in range(1, 13):
+        X = _zero_rows(gen, rows, n, seed=rows * 7 + n)
+        layouts = _caller_layouts(X)
+        for layout in ("contiguous", "prefix", "swapped"):
+            Y = layouts[layout]
+            alone = np.concatenate([_qa_mean_batch(gen, Y[i:i + 1]) for i in range(rows)])
+            assert _qa_mean_batch(gen, Y).tobytes() == alone.tobytes(), (n, layout)

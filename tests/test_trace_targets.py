@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qameans.envelope import qa_convex_envelope
+from qameans.envelope import qa_concave_envelope, qa_convex_envelope
 from qameans.generators import parse_generator
 from qameans.grids import ScalarGrid, WorkingInterval
 from qameans.means import MeanHandle, parse_mean
@@ -76,7 +76,7 @@ def _callers(tmp_path):
         ("verify", "ingham_jessen_sweep"): lambda fn: fn(arith, logm, 20, max_dim=3),
         ("verify", "kedlaya_check"): lambda fn: fn(arith, logm, 3, 20),
         ("verify", "maximality_check"): lambda fn: fn(gen, env, 1, 20),
-        ("verify", "duality_check"): lambda fn: fn(log, 20),
+        ("verify", "duality_check"): lambda fn: fn(log, qa_concave_envelope(log), 20),
         ("verify", "symmetry_check"): lambda fn: fn(logm, 20),
     }
 

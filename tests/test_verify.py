@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qameans import verify
-from qameans.envelope import qa_convex_envelope
+from qameans.envelope import qa_concave_envelope, qa_convex_envelope
 from qameans.errors import UsageError
 from qameans.means import ArithmeticMean, MeanHandle, QuasiArithmeticMean
 from qameans.verify import (
@@ -189,7 +189,8 @@ def test_checks_reject_bad_counts(iv, catalog, rho_x2_gen):
         with pytest.raises(UsageError):
             symmetry_check(g, trials=trials)
         with pytest.raises(UsageError):
-            duality_check(catalog["log"], trials=trials)
+            duality_check(catalog["log"], qa_concave_envelope(catalog["log"]),
+                          trials=trials)
         with pytest.raises(UsageError):
             ingham_jessen_sweep(g, a, trials=trials)
         with pytest.raises(UsageError):
@@ -209,7 +210,7 @@ def test_duality_passes_on_concave_catalog(catalog, rho_neg_x2_gen):
     gens = [catalog["log"], catalog["power:0.5"], catalog["power:-1"],
             catalog["id"], rho_neg_x2_gen]
     for gen in gens:
-        rep = duality_check(gen, trials=400, seed=0)
+        rep = duality_check(gen, qa_concave_envelope(gen), trials=400, seed=0)
         assert rep.passed, gen.spec_string()
         assert rep.worst_margin > 0.0
 
@@ -217,7 +218,14 @@ def test_duality_passes_on_concave_catalog(catalog, rho_neg_x2_gen):
 def test_duality_needs_an_envelope(catalog):
     # the exp mean has no concave envelope; both routes agree on that
     with pytest.raises(UsageError):
-        duality_check(catalog["exp"], trials=100, seed=0)
+        duality_check(catalog["exp"], qa_concave_envelope(catalog["exp"]),
+                      trials=100, seed=0)
+
+
+def test_duality_takes_the_concave_envelope(catalog):
+    with pytest.raises(UsageError, match="concave envelope"):
+        duality_check(catalog["power:3"], qa_convex_envelope(catalog["power:3"]),
+                      trials=100, seed=0)
 
 
 def test_symmetry_arithmetic_is_bitwise(iv):
