@@ -21,6 +21,7 @@ the classification and envelope machinery in the sibling modules.
 from __future__ import annotations
 
 import re
+import threading
 
 import numpy as np
 import orjson
@@ -33,7 +34,7 @@ from .errors import (
     SignChange,
     UsageError,
 )
-from .grids import ScalarGrid, WorkingInterval
+from .grids import MAX_GRID_POINTS, ScalarGrid, WorkingInterval
 
 # Floor deciding that f'' is identically zero on the grid: span * max|1/rho|,
 # the largest relative change of f' across the interval, is at most this.
@@ -524,7 +525,11 @@ def _orjson_table(raw: bytes):
         return None
     line_end = raw.find(b"\n", start, end)
     cols = raw.count(b",", start, end if line_end < 0 else line_end) + 1
-    rows = raw.count(b"\n", start, end) + 1
+    # Line ends, counted by numpy a chunk at a time: a mask of the whole
+    # file would hold as many bytes as the file.
+    text = np.frombuffer(raw, np.uint8, end - start, start)
+    rows = 1 + sum(int(np.count_nonzero(text[at:at + _CHUNK_BYTES] == 10))
+                   for at in range(0, len(text), _CHUNK_BYTES))
     if cols < 2 or rows < 3:
         return None
     skeleton_row = b"," * (cols - 1) + b"\n"
@@ -539,23 +544,25 @@ def _orjson_table(raw: bytes):
         chunk = raw[start:cut]
         skeleton = chunk.translate(None, _CELL_BYTES)
         n = skeleton.count(b"\n") + 1
-        if skeleton != (skeleton_row * n)[:-1] or _INT_MINUS_ZERO.search(chunk):
+        if skeleton != (skeleton_row * n)[:-1]:
             return None
         try:
             cells = orjson.loads(b"[" + chunk.replace(b"\n", b",") + b"]")
         except orjson.JSONDecodeError:
             return None
-        data[row:row + n] = np.array(cells, dtype=float).reshape(n, cols)
+        block = np.array(cells, dtype=float)
+        # An integer -0 parses to a zero cell, so a chunk without one has none.
+        if not block.all() and _INT_MINUS_ZERO.search(chunk):
+            return None
+        data[row:row + n] = block.reshape(n, cols)
         row += n
         start = cut + 1
     return header, data
 
 
-def _read_table(path: str):
-    """(header, data) of a table file, by orjson when _orjson_table takes
-    the bytes, else by np.loadtxt on the kept lines."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _parse_table(raw: bytes, path: str):
+    """(header, data) of a table file's bytes, by orjson when _orjson_table
+    takes them, else by np.loadtxt on the kept lines; errors name path."""
     table = _orjson_table(raw)
     if table is not None:
         return table
@@ -575,6 +582,34 @@ def _read_table(path: str):
     except ValueError as exc:
         raise UsageError(f"{path}: malformed data row: {exc}") from None
     return header, data
+
+
+# The parses of _read_table, keyed by the SHA-256 digest of a file's bytes,
+# least recently used first.  Their arrays are read-only.
+_TABLES: dict = {}
+_TABLES_LOCK = threading.Lock()
+
+
+def _read_table(path: str):
+    """(header, data) of a table file: the kept parse of the same bytes when
+    there is one, else a new parse, which is kept unless it fails.  Entries
+    least recently used go first once the kept rows exceed MAX_GRID_POINTS."""
+    import hashlib  # here, so that importing qameans does not load it
+
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    key = hashlib.sha256(raw).digest()
+    with _TABLES_LOCK:
+        table = _TABLES.pop(key, None)
+    if table is None:
+        table = _parse_table(raw, path)
+        table[1].flags.writeable = False
+    with _TABLES_LOCK:
+        _TABLES[key] = table
+        rows = sum(data.shape[0] for _, data in _TABLES.values())
+        while rows > MAX_GRID_POINTS:
+            rows -= _TABLES.pop(next(iter(_TABLES)))[1].shape[0]
+    return table
 
 
 def load_table(path: str) -> TabulatedGenerator:
@@ -608,6 +643,14 @@ def load_table(path: str) -> TabulatedGenerator:
 
     A byte that is not UTF-8, a non-numeric cell or a row with a different
     number of cells raises UsageError naming the file.
+
+    The file is read once a call.  A process keeps each table it parsed,
+    keyed by the SHA-256 digest of the file's bytes, not by path or
+    timestamp, and a later load of the same bytes reuses that parse; a
+    failed parse is not kept.  The kept tables are dropped least recently
+    used first once they hold more than ``grids.MAX_GRID_POINTS`` rows.
+    Every call runs the x column checks, names its own path in errors, and
+    returns a new generator holding its own copies of the columns.
     """
     header, data = _read_table(path)
     ncols = data.shape[1]

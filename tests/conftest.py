@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from qameans import generators
 from qameans.envelope import reconstruct_generator
 from qameans.generators import (
     ExpGenerator,
@@ -18,6 +19,13 @@ from qameans.grids import WorkingInterval
 # not timed per example, so a loaded host cannot fail them.
 settings.register_profile("qameans", derandomize=True, deadline=None)
 settings.load_profile("qameans")
+
+
+@pytest.fixture(autouse=True)
+def empty_table_memo():
+    """Each test starts with no kept table parses, so a test that loads a
+    table runs the reader even when an earlier test loaded the same bytes."""
+    generators._TABLES.clear()
 
 
 @pytest.fixture(scope="session")

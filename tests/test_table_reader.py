@@ -7,6 +7,11 @@ decline every file; what it gives, values or error, is what the reader gave
 before the fast path existed.
 """
 
+import hashlib
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -100,10 +105,12 @@ def _outcome(read, path):
 
 def assert_reads_as_loadtxt_path(read, path):
     """read(path) gives the np.loadtxt path's values or error, and an
-    error names the file; returns that outcome."""
+    error names the file; returns that outcome.  The np.loadtxt read starts
+    from no kept parse, so it parses the file again."""
     fast = _outcome(read, path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(generators, "_orjson_table", lambda raw: None)
+        mp.setattr(generators, "_TABLES", {})
         assert _outcome(read, path) == fast
     if isinstance(fast[0], type):
         assert str(path) in fast[1]
@@ -229,3 +236,126 @@ def test_fast_path_reads_envelope_csv(tmp_path, monkeypatch, argv):
     assert (tab.domain.lo, tab.domain.hi) == (want[0, 0], want[-1, 0])
     # The chunks bound what one orjson call sees: "[" + chunk + "]".
     assert max(sizes) <= _CHUNK_BYTES + 2
+
+
+def _write_cubic(path, n, shift=0.0):
+    """A headed n-row table of x**3 + 2x + shift on [1, 2]; returns its bytes."""
+    xs = np.linspace(1.0, 2.0, n).tolist()
+    text = "x,f\n" + "".join(f"{x!r},{x ** 3 + 2 * x + shift!r}\n" for x in xs)
+    path.write_text(text)
+    return path.read_bytes()
+
+
+def _kept_digests():
+    return list(generators._TABLES)
+
+
+def _digest(raw):
+    return hashlib.sha256(raw).digest()
+
+
+def test_memo_sees_a_same_size_rewrite_within_one_timestamp(tmp_path):
+    """A rewrite that keeps the file's size and modification time is read
+    anew: the memo's key is the bytes, not what os.stat reports."""
+    path = tmp_path / "t.csv"
+    path.write_text("x,f\n0,1\n1,2\n2,3\n")
+    stat = os.stat(path)
+    assert list(load_table(str(path)).values) == [1.0, 2.0, 3.0]
+    path.write_text("x,f\n0,1\n1,2\n2,4\n")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (os.stat(path).st_size, os.stat(path).st_mtime_ns) == (stat.st_size,
+                                                                  stat.st_mtime_ns)
+    assert list(load_table(str(path)).values) == [1.0, 2.0, 4.0]
+
+
+def test_loads_of_the_same_bytes_share_no_memory(tmp_path, monkeypatch):
+    path = tmp_path / "env.csv"
+    assert run(["envelope", "--gen", "power:3", "--grid", "257",
+                "--format", "csv", "--out", str(path)]) == 0
+    first = load_table(str(path))
+    parses = []
+    parse = generators._parse_table
+    monkeypatch.setattr(generators, "_parse_table",
+                        lambda raw, p: parses.append(p) or parse(raw, p))
+    second = load_table(str(path))
+    assert parses == []
+    assert second is not first
+    (header, data), = generators._TABLES.values()
+    assert not data.flags.writeable
+    arrays = lambda tab: (tab.values, tab.f1_values, tab.rho_values)
+    for a, b in zip(arrays(first), arrays(second)):
+        assert np.array_equal(_bits(a), _bits(b))
+        assert a.flags.writeable and b.flags.writeable
+        assert not np.shares_memory(a, b)
+        assert not np.shares_memory(a, data) and not np.shares_memory(b, data)
+
+
+def test_a_malformed_file_fixed_in_place_loads(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,f\n0,1\n1,abc\n2,3\n")
+    with pytest.raises(QameansError, match="malformed data row"):
+        load_table(str(path))
+    assert _kept_digests() == []
+    path.write_text("x,f\n0,1\n1,2\n2,3\n")
+    assert list(load_table(str(path)).values) == [1.0, 2.0, 3.0]
+
+
+def test_the_same_bytes_at_two_paths_keep_their_own_paths(tmp_path):
+    raw = _write_cubic(tmp_path / "a.csv", 9)
+    (tmp_path / "b.csv").write_bytes(raw)
+    a, b = (load_table(str(tmp_path / name)) for name in ("a.csv", "b.csv"))
+    assert _kept_digests() == [_digest(raw)]
+    assert (a.source, b.source) == (str(tmp_path / "a.csv"), str(tmp_path / "b.csv"))
+    assert b.spec_string() == f"table:{tmp_path / 'b.csv'}"
+    # The x checks run on every load, and their errors name that load's path.
+    bad = b"x,f\n0,1\n2,2\n1,3\n"
+    for name in ("c.csv", "d.csv"):
+        (tmp_path / name).write_bytes(bad)
+        with pytest.raises(QameansError, match=f"{tmp_path / name}: x column must be"):
+            load_table(str(tmp_path / name))
+
+
+def test_memo_drops_least_recently_used_tables_past_its_row_bound(tmp_path, monkeypatch):
+    monkeypatch.setattr(generators, "MAX_GRID_POINTS", 10)
+    raws = {name: _write_cubic(tmp_path / f"{name}.csv", 4, shift)
+            for shift, name in enumerate("abc")}
+    for name in "aba":
+        load_table(str(tmp_path / f"{name}.csv"))
+    assert _kept_digests() == [_digest(raws["b"]), _digest(raws["a"])]
+    load_table(str(tmp_path / "c.csv"))       # 12 rows kept: b goes
+    assert _kept_digests() == [_digest(raws["a"]), _digest(raws["c"])]
+    # A table above the bound by itself is not kept, and drops the rest.
+    _write_cubic(tmp_path / "big.csv", 11)
+    assert load_table(str(tmp_path / "big.csv")).domain.grid_points == 11
+    assert _kept_digests() == []
+
+
+def test_threads_loading_tables_while_the_memo_evicts(tmp_path, monkeypatch):
+    """More threads than CPUs load three tables over and over while the
+    bound keeps evicting: every load succeeds with its own file's values."""
+    monkeypatch.setattr(generators, "MAX_GRID_POINTS", 10)
+    paths = [tmp_path / f"{k}.csv" for k in range(3)]
+    for k, path in enumerate(paths):
+        _write_cubic(path, 4, k)
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(60):
+                k = (i + offset) % 3
+                assert load_table(str(paths[k])).values[0] == 3.0 + k
+        except Exception as exc:    # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
