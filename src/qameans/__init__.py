@@ -41,14 +41,11 @@ from .means import (
     ArithmeticMean,
     ComparisonReport,
     MeanHandle,
-    PowerMeanHandle,
     QuasiArithmeticMean,
-    ReflectedMean,
     compare,
     parse_mean,
     power_mean,
     qa_mean,
-    reflect,
 )
 from .convexity import (
     ConvexityClass,
@@ -97,12 +94,10 @@ __all__ = [
     "NotMonotone",
     "PiecewiseLinearHull",
     "PowerGenerator",
-    "PowerMeanHandle",
     "QameansError",
     "QuasiArithmeticMean",
     "RangeError",
     "ReflectedGenerator",
-    "ReflectedMean",
     "ScalarGrid",
     "SignChange",
     "TabulatedGenerator",
@@ -131,7 +126,6 @@ __all__ = [
     "qa_convex_envelope",
     "qa_mean",
     "reconstruct_generator",
-    "reflect",
     "reflect_generator",
     "rho",
     "symmetry_check",

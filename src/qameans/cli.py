@@ -133,15 +133,17 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _parse_specs(args, specs, parse=parse_generator):
+def _parse_specs(args, specs, parse=None):
     """The run's working interval, and each of specs parsed by parse
-    (parse_generator or parse_mean).
+    (parse_generator, the default, or parse_mean).  The default is looked
+    up at call time, so a rebinding of cli.parse_generator reaches it.
 
     The interval is the grid of the first table: spec among specs, else
     --lo/--hi/--grid; every other spec is parsed on it.  Each table is read
     once and keeps its own grid, so two tables on different grids meet the
     command's refusal of means on different intervals.
     """
+    parse = parse or parse_generator
     tables = {s: parse(s, None) for s in dict.fromkeys(specs)
               if s.strip().startswith("table:")}
     interval = (next(iter(tables.values())).domain if tables

@@ -32,7 +32,7 @@ import numpy as np
 
 from .convexity import MEAN_CMP_TOL, _profile_tests
 from .errors import NonpositiveM, RangeError, SignChange, UsageError
-from .generators import Generator, TabulatedGenerator, normalize, tabulate
+from .generators import Generator, TabulatedGenerator, normalize, reflect_generator, tabulate
 from .grids import ScalarGrid, WorkingInterval
 from .means import ArithmeticMean, MeanHandle, QuasiArithmeticMean, _qa_mean_batch
 
@@ -369,8 +369,6 @@ def qa_concave_envelope_via_reflection(gen: Generator) -> EnvelopeResult:
     the envelope generator is the reflected mirror generator, so mean
     values are directly comparable with the direct route's.
     """
-    from .generators import reflect_generator
-
     rgen = reflect_generator(gen)
     renv = _qa_envelope(rgen, "convex")
     interval = gen.domain

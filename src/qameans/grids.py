@@ -62,10 +62,6 @@ class WorkingInterval:
             object.__setattr__(self, "_grid", xs)
         return xs
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
-
     def reflected(self) -> "WorkingInterval":
         """The mirror interval [-hi, -lo] with the same resolution."""
         return WorkingInterval(-self.hi, -self.lo, self.grid_points)

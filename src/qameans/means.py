@@ -16,8 +16,10 @@ more rows, on an interval holding 0, with a row whose extreme is 0), the
 batch takes them from the row kernel, so every mean keeps the bits of a
 clamp read from the row kernel.
 
-Mean handles wrap a callable mean with its working interval; the reflected
-handle realizes v -> -M(-v), which swaps convexity with concavity.
+Mean handles wrap a callable mean with its working interval: the arithmetic
+mean and the QA mean of a generator.  The power mean's handle is
+QuasiArithmeticMean(PowerGenerator(p)); :func:`power_mean` is its closed
+form, for cross-checks.
 
 The comparison criterion: QA_f <= QA_g on the interval exactly when
 f''/f' <= g''/g' pointwise.  :func:`compare` decides this on the grid.
@@ -34,9 +36,7 @@ from .generators import (
     Generator,
     _check_domain,
     _finite_exponent,
-    _shortest,
     parse_generator,
-    reflect_generator,
 )
 from .grids import WorkingInterval
 
@@ -56,8 +56,11 @@ def _one_vector(values) -> np.ndarray:
 def _checked_rows(domain: WorkingInterval, X) -> np.ndarray:
     """X as a (B, n) float array, n >= 1 (else UsageError), whose entries lie
     in the working interval: the test reads the batch's min and max, and
-    _check_domain, which names the first entry outside, runs only if it fails."""
-    X = np.asarray(X, dtype=float)
+    _check_domain, which names the first entry outside, runs only if it fails.
+    The array is C-contiguous: numpy walks an axis-1 sum or min of a
+    column-major view column by column, which would give a row other bits
+    than the same row in a contiguous batch."""
+    X = np.ascontiguousarray(X, dtype=float)
     if X.shape[1] == 0:
         raise UsageError("mean needs a nonempty vector of values")
     if not (np.minimum.reduce(X, axis=None, initial=np.inf) >= domain.lo
@@ -106,27 +109,24 @@ def qa_mean(gen: Generator, values) -> float:
     return QuasiArithmeticMean(gen)(values)
 
 
-def _power_mean_batch(p: float, X: np.ndarray) -> np.ndarray:
-    nonpositive = ~(X > 0.0)
-    if np.any(nonpositive):
-        bad = X[nonpositive]
-        raise DomainError(f"power mean needs positive entries, got {float(np.ravel(bad)[0])!r}")
-    if p == 0:
-        return np.exp(np.mean(np.log(X), axis=1))
-    # From t = p log x, shifted by its row maximum, so no power overflows or
-    # underflows, and expm1/log1p keep the digits of t near 0 when |p| is small.
-    t = p * np.log(X)
-    top = t.max(axis=1)
-    return np.exp((top + np.log1p(np.mean(np.expm1(t - top[:, None]), axis=1))) / p)
-
-
 def power_mean(p: float, values) -> float:
     """The p-th power mean; p = 0 is the geometric mean.
 
     Closed-form route, independent of the generator machinery, so the two
     can cross-check each other.
     """
-    return float(_power_mean_batch(_finite_exponent("power mean", p), _one_vector(values))[0])
+    p = _finite_exponent("power mean", p)
+    x = _one_vector(values)[0]
+    bad = x[~(x > 0.0)]
+    if bad.size:
+        raise DomainError(f"power mean needs positive entries, got {float(bad[0])!r}")
+    if p == 0:
+        return float(np.exp(np.mean(np.log(x))))
+    # From t = p log x, shifted by its maximum, so no power overflows or
+    # underflows, and expm1/log1p keep the digits of t near 0 when |p| is small.
+    t = p * np.log(x)
+    top = t.max()
+    return float(np.exp((top + np.log1p(np.mean(np.expm1(t - top)))) / p))
 
 
 class MeanHandle:
@@ -161,20 +161,6 @@ class ArithmeticMean(MeanHandle):
         return "arith"
 
 
-class PowerMeanHandle(MeanHandle):
-    def __init__(self, p: float, domain: WorkingInterval):
-        if domain.lo <= 0:
-            raise UsageError("power mean needs a positive working interval")
-        self.p = _finite_exponent("power mean", p)
-        self.domain = domain
-
-    def batch(self, X):
-        return _power_mean_batch(self.p, _checked_rows(self.domain, X))
-
-    def spec_string(self):
-        return f"pmean:{_shortest(self.p)}"
-
-
 class QuasiArithmeticMean(MeanHandle):
     def __init__(self, gen: Generator):
         self.gen = gen
@@ -185,36 +171,6 @@ class QuasiArithmeticMean(MeanHandle):
 
     def spec_string(self):
         return f"qa({self.gen.spec_string()})"
-
-
-class ReflectedMean(MeanHandle):
-    """v -> -M(-v) on the mirror interval."""
-
-    def __init__(self, inner: MeanHandle):
-        self.inner = inner
-        self.domain = inner.domain.reflected()
-
-    def batch(self, X):
-        return -self.inner.batch(-np.asarray(X, dtype=float))
-
-    def spec_string(self):
-        return f"reflected({self.inner.spec_string()})"
-
-
-def reflect(mean: MeanHandle) -> MeanHandle:
-    """The reflected mean v -> -M(-v).
-
-    Reflecting twice returns a handle that evaluates identically to the
-    original: wrappers unwrap, the arithmetic mean maps to itself on the
-    mirror interval, and QA handles reflect their generator structurally.
-    """
-    if isinstance(mean, ReflectedMean):
-        return mean.inner
-    if isinstance(mean, ArithmeticMean):
-        return ArithmeticMean(mean.domain.reflected())
-    if isinstance(mean, QuasiArithmeticMean):
-        return QuasiArithmeticMean(reflect_generator(mean.gen))
-    return ReflectedMean(mean)
 
 
 @dataclass(frozen=True)

@@ -274,6 +274,26 @@ def test_one_read_per_table_spec(table13, tmp_path, capsys, table_reads):
     assert len(table_reads) == 3
 
 
+@pytest.mark.parametrize("argv, specs", [
+    (["classify", "--gen", "power:3"], ["power:3"]),
+    (["compare", "--gen", "power:3", "--gen2", "log"], ["power:3", "log"]),
+    (["envelope", "--gen", "exp", "--trials", "8"], ["exp"]),
+    (["eval", "--gen", "log", "--vec", "1,4"], ["log"]),
+    (["verify", "--check", "duality", "--gen", "log", "--trials", "8"], ["log"]),
+])
+def test_every_spec_parse_goes_through_cli_parse_generator(monkeypatch, capsys, argv,
+                                                           specs):
+    """A rebinding of cli.parse_generator, as a tracer makes, sees every
+    generator spec a command parses."""
+    seen = []
+    parse = cli.parse_generator
+    monkeypatch.setattr(cli, "parse_generator",
+                        lambda spec, interval: seen.append(spec) or parse(spec, interval))
+    assert run(argv + ["--grid", "33"]) in (0, 1)
+    capsys.readouterr()
+    assert seen == specs
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "--gen2"],
     ["verify", "--check", "ij", "--trials", "64", "--gen2"],

@@ -516,7 +516,7 @@ def test_reflected_route_witness_lies_on_the_working_interval(iv, spec):
     assert mirrored.status == "NoneExists"
     w = mirrored.diagnostics["witness"]
     assert w["values"] == pytest.approx(direct["values"], rel=1e-14)
-    assert iv.contains(w["values"])
+    assert all(iv.lo <= v <= iv.hi for v in w["values"])
     for key in ("qa_mean", "arith_mean", "margin"):
         assert w[key] == pytest.approx(direct[key], rel=1e-9)
     qa = qa_mean(gen, w["values"])

@@ -1,5 +1,7 @@
 """The package's public names: every exported name resolves."""
 
+import importlib
+
 import qameans
 
 
@@ -19,3 +21,14 @@ def test_removed_inversion_path_is_not_exported():
     for name in ("invert_f", "eval_f", "eval_f1"):
         assert not hasattr(qameans, name)
         assert name not in qameans.__all__
+
+
+def test_removed_second_routes_are_gone():
+    """The power mean's handle is QuasiArithmeticMean(PowerGenerator(p)),
+    reflection runs on generators, and the interval tests are the domain
+    checks of the means layer."""
+    means = importlib.import_module("qameans.means")
+    for name in ("PowerMeanHandle", "ReflectedMean", "reflect"):
+        assert not hasattr(qameans, name) and not hasattr(means, name), name
+        assert name not in qameans.__all__
+    assert not hasattr(qameans.WorkingInterval, "contains")

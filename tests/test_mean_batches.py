@@ -1,14 +1,15 @@
 """The means layer's batch paths against the reference formulas in oracles.py.
 
-`_qa_mean_batch`, `ArithmeticMean.batch` and `PowerMeanHandle.batch` test
-the interval on the batch's min and max and average with np.add.reduce;
+`_qa_mean_batch` and `ArithmeticMean.batch` test the interval on the
+batch's min and max and average a C-contiguous copy with np.add.reduce;
 the QA mean takes its clamp's row extremes from a column-major copy of the
 batch, and from numpy's row kernel when a row's extreme is a zero on an
 interval holding 0.  The references test the interval with a mask, average
 with ndarray.mean and clamp to the row kernel's min and max.  Both must
 return the same bits, or raise the same exception class with the same
 message, on every batch: entries inside the interval, at its ends, outside
-it, NaN, +-inf and -0.0, and batches of no rows.
+it, NaN, +-inf and -0.0, and batches of no rows.  `power_mean`, one row at
+a time, must give the bits of the reference's row.
 """
 
 import math
@@ -27,7 +28,7 @@ from qameans.generators import (
     tabulate,
 )
 from qameans.grids import WorkingInterval
-from qameans.means import ArithmeticMean, PowerMeanHandle, QuasiArithmeticMean, _qa_mean_batch
+from qameans.means import ArithmeticMean, QuasiArithmeticMean, _qa_mean_batch, power_mean
 
 from oracles import (
     reference_arithmetic_batch,
@@ -105,12 +106,17 @@ def test_arithmetic_batch_is_bit_equal_to_the_reference(data):
 
 
 @given(st.data())
-def test_power_handle_batch_is_bit_equal_to_the_reference(data):
+def test_power_mean_is_bit_equal_to_the_reference(data):
+    """power_mean of each row of a batch inside the interval gives the bits
+    of that row of the reference batch."""
     iv = data.draw(st.sampled_from(POSITIVE))
     p = data.draw(exponents)
-    X = data.draw(batches(iv))
-    assert _outcome(PowerMeanHandle(p, iv).batch, X) == _outcome(
-        lambda X: reference_power_batch(p, iv, X), X)
+    n = data.draw(st.integers(1, 12))
+    rows = st.lists(st.floats(iv.lo, iv.hi), min_size=n, max_size=n)
+    X = np.array(data.draw(st.lists(rows, min_size=1, max_size=4)), dtype=float)
+    want = reference_power_batch(p, iv, X)
+    got = np.array([power_mean(p, row) for row in X])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_exp_row_whose_sum_overflows_raises_as_the_reference():
@@ -124,17 +130,17 @@ def test_exp_row_whose_sum_overflows_raises_as_the_reference():
 @pytest.mark.parametrize("n", [1, 3])
 def test_batch_of_no_rows_is_empty(iv, n):
     X = np.empty((0, n))
-    for mean in (QuasiArithmeticMean(LogGenerator(iv)), ArithmeticMean(iv),
-                 PowerMeanHandle(2.0, iv)):
+    for mean in (QuasiArithmeticMean(LogGenerator(iv)), ArithmeticMean(iv)):
         out = mean.batch(X)
         assert out.shape == (0,) and out.dtype == float
 
 
 def test_rows_of_no_entries_are_a_usage_error(iv):
-    for mean in (QuasiArithmeticMean(LogGenerator(iv)), ArithmeticMean(iv),
-                 PowerMeanHandle(2.0, iv)):
+    for mean in (QuasiArithmeticMean(LogGenerator(iv)), ArithmeticMean(iv)):
         with pytest.raises(UsageError, match="nonempty"):
             mean.batch(np.empty((2, 0)))
+    with pytest.raises(UsageError, match="nonempty"):
+        power_mean(2.0, [])
 
 
 # Rows holding both zeros are where a column-major min or max can pick the
@@ -156,7 +162,7 @@ def _caller_layouts(X):
     """X as the verify checks hand batches over: contiguous, a kedlaya
     prefix X[:, :k] of a wider batch, and the columns of (rows, n, 1)
     matrices by the interchange check's swapped axes; and, which no caller
-    passes, a bare transposed view."""
+    in the package passes, a bare transposed view."""
     rows, n = X.shape
     wide = np.concatenate([X, np.full((rows, 3), 0.5)], axis=1)
     return {"contiguous": X, "prefix": wide[:, :n],
@@ -167,11 +173,13 @@ def _caller_layouts(X):
 @pytest.mark.parametrize("gen", SIGNED_GENERATORS, ids=lambda g: g.spec_string())
 @pytest.mark.parametrize("rows", [1, 2, 17, 1000])
 def test_signed_zero_rows_are_bit_equal_to_the_reference(gen, rows):
+    """Every layout of a batch gives the reference's bits for the
+    contiguous batch."""
     for n in range(1, 13):
         X = _zero_rows(gen, rows, n, seed=rows * 13 + n)
+        want = _outcome(lambda X: reference_qa_mean_batch(gen, X), X)
         for layout, Y in _caller_layouts(X).items():
-            got = _outcome(lambda X: _qa_mean_batch(gen, X), Y)
-            assert got == _outcome(lambda X: reference_qa_mean_batch(gen, X), Y), (n, layout)
+            assert _outcome(lambda X: _qa_mean_batch(gen, X), Y) == want, (n, layout)
 
 
 @pytest.mark.parametrize("gen", SIGNED_GENERATORS, ids=lambda g: g.spec_string())
@@ -181,8 +189,27 @@ def test_a_rows_batch_mean_is_its_single_row_mean(gen, rows):
     alone, so the clamp does not let a row's mean depend on its batch."""
     for n in range(1, 13):
         X = _zero_rows(gen, rows, n, seed=rows * 7 + n)
-        layouts = _caller_layouts(X)
-        for layout in ("contiguous", "prefix", "swapped"):
-            Y = layouts[layout]
+        for layout, Y in _caller_layouts(X).items():
             alone = np.concatenate([_qa_mean_batch(gen, Y[i:i + 1]) for i in range(rows)])
             assert _qa_mean_batch(gen, Y).tobytes() == alone.tobytes(), (n, layout)
+
+
+@pytest.mark.parametrize("mean, entries", [
+    (QuasiArithmeticMean(PowerGenerator(3.0, POSITIVE[0])), None),
+    (ArithmeticMean(POSITIVE[0]), None),
+    (QuasiArithmeticMean(ExpGenerator(SIGNED[0])), ZERO_ENTRIES),
+    (ArithmeticMean(SIGNED[0]), ZERO_ENTRIES),
+], ids=["power:3", "arith", "exp-zeros", "arith-zeros"])
+def test_a_batch_mean_does_not_depend_on_its_memory_layout(mean, entries):
+    """A transposed (column-major) view gives the bits of its contiguous
+    copy.  numpy walks such a view's axis-1 sum and min/max column by
+    column, which once changed a third of the rows of 40 entries below."""
+    rng = np.random.default_rng(3)
+    for n in (9, 40):
+        if entries is None:
+            X = rng.uniform(mean.domain.lo, mean.domain.hi, size=(1000, n))
+        else:
+            X = rng.choice(entries, size=(1000, n))
+        view = np.ascontiguousarray(X.T).T
+        assert not view.flags.c_contiguous
+        assert mean.batch(view).tobytes() == mean.batch(X).tobytes(), n

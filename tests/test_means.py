@@ -1,4 +1,4 @@
-"""Mean evaluation, power means, reflection duality, and comparison."""
+"""Mean evaluation, power means, comparison, and its reversal under reflection."""
 
 import warnings
 
@@ -22,14 +22,11 @@ from qameans.grids import WorkingInterval
 from qameans.means import (
     ArithmeticMean,
     ComparisonReport,
-    PowerMeanHandle,
     QuasiArithmeticMean,
-    ReflectedMean,
     compare,
     parse_mean,
     power_mean,
     qa_mean,
-    reflect,
 )
 
 from oracles import brute_qa_mean, decimal_power_mean
@@ -65,15 +62,17 @@ def test_mean_domain_checks_reject_nan(iv):
 
 
 def test_power_mean_handle_checks_its_interval(iv):
+    """The power mean's handle is the QA mean of the power generator."""
     with pytest.raises(DomainError):
-        PowerMeanHandle(2.0, iv)([50.0, 60.0])
+        QuasiArithmeticMean(PowerGenerator(2.0, iv))([50.0, 60.0])
     with pytest.raises(DomainError):
-        PowerMeanHandle(2.0, iv).batch(np.array([[1.0, np.nan]]))
+        QuasiArithmeticMean(PowerGenerator(2.0, iv)).batch(np.array([[1.0, np.nan]]))
 
 
 def test_power_mean_spec_string_keeps_every_digit(iv):
-    assert PowerMeanHandle(1.000000001, iv).spec_string() == "pmean:1.000000001"
-    assert PowerMeanHandle(2.0, iv).spec_string() == "pmean:2"
+    assert (QuasiArithmeticMean(PowerGenerator(1.000000001, iv)).spec_string()
+            == "qa(power:1.000000001)")
+    assert QuasiArithmeticMean(PowerGenerator(2.0, iv)).spec_string() == "qa(power:2)"
 
 
 def test_power_mean_rejects_nan():
@@ -195,38 +194,12 @@ def test_power_mean_monotone_in_p(iv):
 def test_mean_handles_evaluate(iv):
     a = ArithmeticMean(iv)
     assert a([1.0, 2.0, 6.0]) == pytest.approx(3.0, abs=1e-15)
-    p = PowerMeanHandle(2.0, iv)
+    p = QuasiArithmeticMean(PowerGenerator(2.0, iv))
     assert p([1.0, 7.0]) == pytest.approx(5.0, abs=1e-12)
     q = QuasiArithmeticMean(LogGenerator(iv))
     assert q([1.0, 4.0]) == pytest.approx(2.0, abs=1e-12)
     X = np.array([[1.0, 2.0], [4.0, 4.0]])
     assert np.allclose(a.batch(X), [1.5, 4.0], atol=1e-15)
-
-
-def test_reflect_mean_duality(iv):
-    """Reflected mean satisfies reflect(M)(v) = -M(-v)."""
-    rng = np.random.default_rng(31)
-    m = QuasiArithmeticMean(ExpGenerator(iv))
-    rm = reflect(m)
-    for _ in range(200):
-        v = rng.uniform(iv.lo, iv.hi, size=4)
-        assert rm(-v) == pytest.approx(-m(v), abs=1e-11)
-    # reflecting twice reproduces the original values
-    rrm = reflect(rm)
-    v = rng.uniform(iv.lo, iv.hi, size=5)
-    assert rrm(v) == pytest.approx(m(v), abs=1e-11)
-
-
-def test_reflect_arithmetic_is_arithmetic(iv):
-    ra = reflect(ArithmeticMean(iv))
-    assert isinstance(ra, ArithmeticMean)
-    assert ra.domain.lo == -iv.hi and ra.domain.hi == -iv.lo
-    assert ra([-1.0, -3.0]) == pytest.approx(-2.0, abs=1e-15)
-
-
-def test_reflect_unwraps_wrapper(iv):
-    m = ReflectedMean(QuasiArithmeticMean(LogGenerator(iv)))
-    assert isinstance(reflect(m), QuasiArithmeticMean)
 
 
 def test_compare_power_family_order(iv):
@@ -334,12 +307,9 @@ def test_parse_mean(iv):
 def test_every_mean_handle_takes_one_vector_per_call(iv):
     """A call is one vector (or one row); many rows go through batch.  A 2-D
     input of several rows once returned the mean of its first row."""
-    handles = [QuasiArithmeticMean(LogGenerator(iv)), ArithmeticMean(iv),
-               PowerMeanHandle(2.0, iv), reflect(PowerMeanHandle(2.0, iv))]
-    assert isinstance(handles[-1], ReflectedMean)
-    for mean in handles:
-        sign = -1.0 if isinstance(mean, ReflectedMean) else 1.0
-        rows = sign * np.array([[1.0, 2.0], [3.0, 4.0]])
+    rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+    for mean in (QuasiArithmeticMean(LogGenerator(iv)), ArithmeticMean(iv),
+                 QuasiArithmeticMean(PowerGenerator(2.0, iv))):
         with pytest.raises(UsageError, match="single vector"):
             mean(rows)
         assert mean(rows[:1]) == mean(rows[0]) == mean.batch(rows)[0]
@@ -357,7 +327,5 @@ def test_power_exponent_must_be_finite(iv, p):
         warnings.simplefilter("error")
         with pytest.raises(UsageError, match="finite exponent"):
             PowerGenerator(p, iv)
-        with pytest.raises(UsageError, match="finite exponent"):
-            PowerMeanHandle(p, iv)
         with pytest.raises(UsageError, match="finite exponent"):
             power_mean(p, [1.0, 7.0])
