@@ -14,7 +14,10 @@ reduction over a column-major copy of the batch; where that could pick the
 other sign of a zero extreme than numpy's row kernel (a batch of two or
 more rows, on an interval holding 0, with a row whose extreme is 0), the
 batch takes them from the row kernel, so every mean keeps the bits of a
-clamp read from the row kernel.
+clamp read from the row kernel.  A handle's running(X) holds in column k-1
+the bits of batch(X[:, :k]): numpy sums a contiguous row of up to 7 entries
+from left to right, from +0.0, as np.add.accumulate does, and a longer one
+pairwise, so running takes a batch call per prefix on rows of 8 or more.
 
 Mean handles wrap a callable mean with its working interval: the arithmetic
 mean and the QA mean of a generator.  The power mean's handle is
@@ -69,25 +72,32 @@ def _checked_rows(domain: WorkingInterval, X) -> np.ndarray:
     return X
 
 
-def _qa_mean_batch(gen: Generator, X) -> np.ndarray:
+def _averages(F: np.ndarray, running=False) -> np.ndarray:
+    """Row averages, an axis-1 sum: numpy adds rows of 8 or more entries
+    pairwise, which a column sum would not; running: each prefix's average."""
+    if running:
+        return (np.add.accumulate(F, axis=1) + 0.0) / np.arange(1, F.shape[1] + 1)
+    return np.add.reduce(F, axis=1) / F.shape[1]
+
+
+def _qa_mean_batch(gen: Generator, X, running=False) -> np.ndarray:
     """Row-wise QA mean of a (B, n) array: f, row average, f^{-1}, and a clamp
     to each row's min and max from _row_extremes, whose signed-zero rule gives
-    the row kernel's bits.  The average stays an axis-1 sum: numpy adds rows
-    of 8 or more entries pairwise, which a column sum would not."""
+    the row kernel's bits; running: those of each prefix, for rows of up to 7."""
     X = _checked_rows(gen.domain, X)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        avg = np.add.reduce(np.asarray(gen.f(X), dtype=float), axis=1) / X.shape[1]
+        avg = _averages(np.asarray(gen.f(X), dtype=float), running)
         out = np.asarray(gen.finv(avg), dtype=float)
     if not (np.isfinite(avg).all() and np.isfinite(out).all()):
         raise RangeError(
             f"{gen.spec_string()}: generator values or the inverse of their average "
             f"are not finite on [{gen.domain.lo}, {gen.domain.hi}]"
         )
-    lo, hi = _row_extremes(X, gen.domain)
+    lo, hi = _row_extremes(X, gen.domain, running)
     return np.minimum(np.maximum(out, lo), hi)
 
 
-def _row_extremes(X: np.ndarray, domain: WorkingInterval) -> tuple:
+def _row_extremes(X: np.ndarray, domain: WorkingInterval, running=False) -> tuple:
     """Each row's min and max, reduced over a column-major copy of X: numpy's
     axis-1 kernel runs once per row, which costs most of a batch of short
     rows.  On two or more rows holding both zeros the column form may pick
@@ -95,13 +105,30 @@ def _row_extremes(X: np.ndarray, domain: WorkingInterval) -> tuple:
     clamp depend on the rest of its batch.  So a batch with a row whose
     extreme is a zero takes its extremes from the row kernel; entries lie
     in the domain, so only an interval holding 0 can hold such a row.  For
-    one row XT is a view, and the column reduction is the row kernel."""
+    one row XT is a view, and the column reduction is the row kernel.
+    running: each prefix's min and max, a zero one signed as for the prefix."""
+    if running:
+        lo, hi = np.minimum.accumulate(X, axis=1), np.maximum.accumulate(X, axis=1)
+        if domain.lo <= 0.0 <= domain.hi:
+            for j in np.flatnonzero(((lo == 0.0) | (hi == 0.0)).any(axis=0)):
+                lo[:, j], hi[:, j] = _row_extremes(np.ascontiguousarray(X[:, :j + 1]), domain)
+        return lo, hi
     XT = np.ascontiguousarray(X.T)
     lo, hi = np.minimum.reduce(XT), np.maximum.reduce(XT)
     if (len(X) > 1 and domain.lo <= 0.0 <= domain.hi
             and ((lo == 0.0) | (hi == 0.0)).any()):
         return X.min(axis=1), X.max(axis=1)
     return lo, hi
+
+
+def _running(mean: MeanHandle, X, head) -> np.ndarray:
+    """mean.running(X): head(X) while rows have at most 7 entries, else the reference."""
+    if X.shape[1] <= 7:
+        try:
+            return head(X)
+        except DomainError:  # the reference names the first failing prefix's entry
+            pass
+    return MeanHandle.running(mean, X)
 
 
 def qa_mean(gen: Generator, values) -> float:
@@ -141,6 +168,10 @@ class MeanHandle:
     def batch(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def running(self, X: np.ndarray) -> np.ndarray:
+        """Column k-1 holds the bits of batch(X[:, :k]); the per-prefix loop is the reference."""
+        return np.column_stack([self.batch(X[:, :k]) for k in range(1, X.shape[1] + 1)])
+
     def spec_string(self) -> str:
         raise NotImplementedError
 
@@ -154,8 +185,21 @@ class ArithmeticMean(MeanHandle):
         self.domain = domain
 
     def batch(self, X):
-        X = _checked_rows(self.domain, X)
-        return np.add.reduce(X, axis=1) / X.shape[1]
+        return self._averages(X)
+
+    def running(self, X):
+        return _running(self, X, lambda P: self._averages(P, running=True))
+
+    def _averages(self, X, running=False):
+        """_averages, or RangeError if a row sum overflowed: none can while 2 n max|x| < inf."""
+        X, d = _checked_rows(self.domain, X), self.domain
+        if 2.0 * X.shape[1] * max(-d.lo, d.hi) < np.inf:
+            return _averages(X, running)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _averages(X, running)
+        if not np.isfinite(out).all():
+            raise RangeError(f"arith: a sum of entries is not finite on [{d.lo}, {d.hi}]")
+        return out
 
     def spec_string(self):
         return "arith"
@@ -168,6 +212,9 @@ class QuasiArithmeticMean(MeanHandle):
 
     def batch(self, X):
         return _qa_mean_batch(self.gen, X)
+
+    def running(self, X):
+        return _running(self, X, lambda P: _qa_mean_batch(self.gen, P, running=True))
 
     def spec_string(self):
         return f"qa({self.gen.spec_string()})"

@@ -149,9 +149,7 @@ def ingham_jessen_check(M: MeanHandle, N: MeanHandle, m: int, n: int,
 
 def _prefix_sides(M: MeanHandle, N: MeanHandle, vec: np.ndarray) -> tuple:
     """Both sides N(running M-means), M(running N-means) of one vector."""
-    ks = range(1, len(vec) + 1)
-    return (float(N([M(vec[:k]) for k in ks])),
-            float(M([N(vec[:k]) for k in ks])))
+    return float(N(M.running(vec[None])[0])), float(M(N.running(vec[None])[0]))
 
 
 def kedlaya_check(M: MeanHandle, N: MeanHandle, n_max: int, trials: int,
@@ -166,15 +164,9 @@ def kedlaya_check(M: MeanHandle, N: MeanHandle, n_max: int, trials: int,
     interval = M.domain
     rng = np.random.default_rng(seed)
     tol = MEAN_CMP_TOL * interval.span
-
-    def margin(X):
-        n = X.shape[1]
-        m_pref = np.column_stack([M.batch(X[:, :k]) for k in range(1, n + 1)])
-        n_pref = np.column_stack([N.batch(X[:, :k]) for k in range(1, n + 1)])
-        return (M.batch(n_pref) - N.batch(m_pref),)
-
     worst, failures, witness = _sample_margins(
-        _grouped_tuples(rng, trials, n_max, interval), margin, tol,
+        _grouped_tuples(rng, trials, n_max, interval),
+        lambda X: (M.batch(N.running(X)) - N.batch(M.running(X)),), tol,
         functools.partial(_shrunk_witness, "values",
                           functools.partial(_prefix_sides, M, N), tol))
     return TrialReport("kedlaya", trials, failures, worst, seed, witness,

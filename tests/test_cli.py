@@ -694,6 +694,17 @@ def test_overflowing_derivative_prints_one_error_line(argv):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+def test_kedlaya_whose_arithmetic_sum_overflows_prints_one_error_line():
+    """The running arithmetic means of entries near the largest float once
+    came out inf, after a numpy overflow warning, and the check then named
+    inf as an entry outside the interval."""
+    proc = _shell(["verify", "--check", "kedlaya", "--gen", "power:0.5",
+                   "--lo", "1e308", "--hi", "1.7e308", "--trials", "50"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: arith: a sum of entries is not finite on [1e+308, 1.7e+308]"]
+
+
 def test_repeated_runs_share_a_parser_without_state(capsys, monkeypatch):
     monkeypatch.delenv("QAM_SEED", raising=False)
     reports = []

@@ -9,10 +9,13 @@ with ndarray.mean and clamp to the row kernel's min and max.  Both must
 return the same bits, or raise the same exception class with the same
 message, on every batch: entries inside the interval, at its ends, outside
 it, NaN, +-inf and -0.0, and batches of no rows.  `power_mean`, one row at
-a time, must give the bits of the reference's row.
+a time, must give the bits of the reference's row.  A handle's `running(X)`
+must give, column by column, the bits or the exception of the batch of each
+prefix X[:, :k].
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from qameans.generators import (
     ExpGenerator,
     LogGenerator,
     PowerGenerator,
+    parse_generator,
     tabulate,
 )
 from qameans.grids import WorkingInterval
@@ -56,10 +60,10 @@ def _outcome(fn, X):
 
 
 @st.composite
-def batches(draw, iv):
+def batches(draw, iv, rows=st.integers(0, 4)):
     """A (B, n) float batch: mostly entries of iv, now and then its ends, a
     point outside it or a special value."""
-    rows = draw(st.integers(0, 4))
+    rows = draw(rows)
     n = draw(st.integers(1, 12))
     entry = st.one_of(st.floats(iv.lo, iv.hi), st.floats(iv.lo, iv.hi),
                       st.floats(iv.lo, iv.hi), st.sampled_from((iv.lo, iv.hi)),
@@ -133,12 +137,16 @@ def test_batch_of_no_rows_is_empty(iv, n):
     for mean in (QuasiArithmeticMean(LogGenerator(iv)), ArithmeticMean(iv)):
         out = mean.batch(X)
         assert out.shape == (0,) and out.dtype == float
+        out = mean.running(X)
+        assert out.shape == (0, n) and out.dtype == float
 
 
 def test_rows_of_no_entries_are_a_usage_error(iv):
     for mean in (QuasiArithmeticMean(LogGenerator(iv)), ArithmeticMean(iv)):
         with pytest.raises(UsageError, match="nonempty"):
             mean.batch(np.empty((2, 0)))
+        with pytest.raises(UsageError, match="nonempty"):
+            mean.running(np.empty((2, 0)))
     with pytest.raises(UsageError, match="nonempty"):
         power_mean(2.0, [])
 
@@ -213,3 +221,81 @@ def test_a_batch_mean_does_not_depend_on_its_memory_layout(mean, entries):
         view = np.ascontiguousarray(X.T).T
         assert not view.flags.c_contiguous
         assert mean.batch(view).tobytes() == mean.batch(X).tobytes(), n
+
+
+def _per_prefix(mean, X):
+    """The running means by definition: the batch of each prefix X[:, :k]."""
+    return np.column_stack([mean.batch(X[:, :k]) for k in range(1, X.shape[1] + 1)])
+
+
+@st.composite
+def mean_handles(draw):
+    kind = draw(st.sampled_from(("qa", "id", "arith")))
+    if kind == "qa":
+        return QuasiArithmeticMean(draw(generators()))
+    iv = draw(st.sampled_from(POSITIVE + SIGNED))
+    return QuasiArithmeticMean(parse_generator("id", iv)) if kind == "id" else ArithmeticMean(iv)
+
+
+@given(st.data())
+def test_running_means_are_bit_equal_to_per_prefix_batches(data):
+    """Rows of 1 to 12 entries, so prefixes fall on both sides of the 8
+    entries from which numpy sums pairwise; a batch of 1000 rows holds one
+    drawn row among rows of the interval."""
+    mean = data.draw(mean_handles())
+    iv = mean.domain
+    X = data.draw(batches(iv, rows=st.just(1)))
+    if data.draw(st.booleans()):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        at = data.draw(st.integers(0, 999))
+        fill = rng.uniform(iv.lo, iv.hi, size=(999, X.shape[1]))
+        X = np.concatenate([fill[:at], X, fill[at:]])
+    want = _outcome(lambda X: _per_prefix(mean, X), X)
+    for layout, Y in _caller_layouts(X).items():
+        assert _outcome(mean.running, Y) == want, layout
+
+
+RUNNING_SIGNED = [QuasiArithmeticMean(gen) for gen in SIGNED_GENERATORS] + [
+    ArithmeticMean(SIGNED[0]), QuasiArithmeticMean(parse_generator("id", SIGNED[0]))]
+
+
+@pytest.mark.parametrize("mean", RUNNING_SIGNED, ids=lambda m: m.spec_string())
+@pytest.mark.parametrize("rows", [1, 2, 17, 1000])
+def test_running_means_of_signed_zero_rows_are_bit_equal(mean, rows):
+    """Prefixes whose extremes or sums are zeros of either sign."""
+    for n in range(1, 13):
+        X = _zero_rows(mean, rows, n, seed=rows * 11 + n)
+        want = _outcome(lambda X: _per_prefix(mean, X), X)
+        for layout, Y in _caller_layouts(X).items():
+            assert _outcome(mean.running, Y) == want, (n, layout)
+
+
+@pytest.mark.parametrize("mean, X", [
+    # the first entry outside a single row
+    (QuasiArithmeticMean(LogGenerator(POSITIVE[0])), [[1.0, 20.0, 0.0]]),
+    # the first failing prefix ends in 60.0, though 50.0 comes first in the batch
+    (ArithmeticMean(POSITIVE[0]), [[1.0, 1.0, 50.0], [1.0, 60.0, 1.0]]),
+    # the prefix (709.0, 709.2) overflows before 800.0 is reached
+    (QuasiArithmeticMean(ExpGenerator(SIGNED[1])), [[709.0, 709.2, 800.0]]),
+    (ArithmeticMean(WorkingInterval(1e308, 1.7e308)), [[1.0e308, 1.5e308, 1.6e308]]),
+], ids=["domain-row", "domain-batch", "range-first", "arith-range"])
+def test_running_raises_as_the_first_failing_prefix(mean, X):
+    X = np.array(X)
+    want = _outcome(lambda X: _per_prefix(mean, X), X)
+    assert issubclass(want[0], QameansError)
+    assert _outcome(mean.running, X) == want
+
+
+def test_arithmetic_sum_that_overflows_is_a_range_error_without_warning():
+    """Entries of [1e308, 1.7e308] sum past the largest float; the mean once
+    came out inf, after a numpy overflow warning."""
+    mean = ArithmeticMean(WorkingInterval(1e308, 1.7e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (mean, lambda v: mean.running(np.array([v]))):
+            with pytest.raises(RangeError, match=r"^arith: a sum of entries is not finite "
+                                                 r"on \[1e\+308, 1\.7e\+308\]$"):
+                fn([1.5e308, 1.6e308])
+        # Near the largest float, a sum that stays finite is the plain one.
+        wide = ArithmeticMean(WorkingInterval(-1.7e308, 1.7e308))
+        assert wide([1.5e308, -1.6e308]) == (1.5e308 - 1.6e308) / 2

@@ -147,6 +147,84 @@ def test_kedlaya_misordered_fails_and_reverifies(iv, catalog):
     assert lhs > rhs + rep.extra["tol"]
 
 
+# The program seeds of perfbench's witness workload (KEDLAYA_SEEDS in
+# perfbench/workloads.py): arith against log at 200 trials fails and shrinks.
+KEDLAYA_WITNESS_SEEDS = (6, 11, 14, 21, 23, 27, 30, 34, 35, 37, 38)
+
+
+def _log_mean_calls(monkeypatch, log):
+    """Log each outermost batch, running and single-vector call of a mean
+    handle (not the batch call inside a single-vector call), each group of
+    tuples kedlaya_check draws, and each evaluation of a shrink point."""
+    depth = []
+
+    def spy(cls, name):
+        orig = getattr(cls, name)
+
+        def wrapped(self, *args):
+            if not depth:
+                log.append(name)
+            depth.append(name)
+            try:
+                return orig(self, *args)
+            finally:
+                depth.pop()
+        monkeypatch.setattr(cls, name, wrapped)
+
+    for cls in (ArithmeticMean, QuasiArithmeticMean):
+        spy(cls, "batch")
+        spy(cls, "running")
+    spy(MeanHandle, "__call__")
+    groups, sides = verify._grouped_tuples, verify._prefix_sides
+
+    def marked_groups(*args):
+        for group in groups(*args):
+            log.append("group")
+            yield group
+
+    def marked_sides(*args):
+        log.append("evaluation")
+        return sides(*args)
+    monkeypatch.setattr(verify, "_grouped_tuples", marked_groups)
+    monkeypatch.setattr(verify, "_prefix_sides", marked_sides)
+
+
+def test_kedlaya_takes_one_running_call_per_side(iv, catalog, monkeypatch):
+    """Each side of a size group and of a shrink evaluation is one running
+    call and one call of the other mean on its result."""
+    log = []
+    _log_mean_calls(monkeypatch, log)
+    rep = kedlaya_check(ArithmeticMean(iv), QuasiArithmeticMean(catalog["log"]), 5, 200,
+                        seed=KEDLAYA_WITNESS_SEEDS[0])
+    assert not rep.passed and log[0] == "group"
+    marks = [i for i, name in enumerate(log) if name in ("group", "evaluation")] + [len(log)]
+    calls = {"group": [], "evaluation": []}
+    for start, end in zip(marks, marks[1:]):
+        calls[log[start]].append(sorted(log[start + 1:end]))
+    assert calls["group"] == [["batch", "batch", "running", "running"]] * 4
+    assert len(calls["evaluation"]) > 10
+    assert all(c == ["__call__", "__call__", "running", "running"]
+               for c in calls["evaluation"])
+
+
+def test_kedlaya_reports_match_per_prefix_running_means(iv, catalog, monkeypatch):
+    """Byte-equal reports with each handle's running replaced by the
+    per-prefix loop: the failing witness runs, a passing run, and n_max = 9,
+    whose rows of 8 and 9 entries take a batch call per prefix."""
+    a, g = ArithmeticMean(iv), QuasiArithmeticMean(catalog["log"])
+    runs = [(a, g, 5, 200, seed) for seed in KEDLAYA_WITNESS_SEEDS]
+    runs += [(g, a, 5, 2000, 3), (a, g, 9, 400, 4), (g, a, 9, 400, 4)]
+
+    def reports():
+        return [json.dumps(kedlaya_check(M, N, n_max, trials, seed).to_dict())
+                for M, N, n_max, trials, seed in runs]
+
+    fast = reports()
+    for cls in (ArithmeticMean, QuasiArithmeticMean):
+        monkeypatch.setattr(cls, "running", MeanHandle.running)
+    assert reports() == fast
+
+
 def test_maximality_envelope_dominates_candidates(rho_x2_gen):
     env = qa_convex_envelope(rho_x2_gen)
     rep = maximality_check(rho_x2_gen, env, candidates=10, trials=300, seed=0)
