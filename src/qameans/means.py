@@ -123,6 +123,7 @@ def _row_extremes(X: np.ndarray, domain: WorkingInterval, running=False) -> tupl
 
 def _running(mean: MeanHandle, X, head) -> np.ndarray:
     """mean.running(X): head(X) while rows have at most 7 entries, else the reference."""
+    X = np.asarray(X, dtype=float)
     if X.shape[1] <= 7:
         try:
             return head(X)

@@ -284,6 +284,7 @@ def test_running_raises_as_the_first_failing_prefix(mean, X):
     want = _outcome(lambda X: _per_prefix(mean, X), X)
     assert issubclass(want[0], QameansError)
     assert _outcome(mean.running, X) == want
+    assert _outcome(lambda X: mean.running(X.tolist()), X) == want
 
 
 def test_arithmetic_sum_that_overflows_is_a_range_error_without_warning():
