@@ -186,12 +186,12 @@ class ArithmeticMean(MeanHandle):
         self.domain = domain
 
     def batch(self, X):
-        return self._averages(X)
+        return self._finite_averages(X)
 
     def running(self, X):
-        return _running(self, X, lambda P: self._averages(P, running=True))
+        return _running(self, X, lambda P: self._finite_averages(P, running=True))
 
-    def _averages(self, X, running=False):
+    def _finite_averages(self, X, running=False):
         """_averages, or RangeError if a row sum overflowed: none can while 2 n max|x| < inf."""
         X, d = _checked_rows(self.domain, X), self.domain
         if 2.0 * X.shape[1] * max(-d.lo, d.hi) < np.inf:
