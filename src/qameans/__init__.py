@@ -30,8 +30,6 @@ from .generators import (
     ReflectedGenerator,
     TabulatedGenerator,
     load_table,
-    negate_generator,
-    normalize,
     parse_generator,
     reflect_generator,
     rho,
@@ -116,8 +114,6 @@ __all__ = [
     "kedlaya_check",
     "load_table",
     "maximality_check",
-    "negate_generator",
-    "normalize",
     "parse_generator",
     "parse_mean",
     "power_mean",

@@ -1,15 +1,17 @@
 """Convexity classification of quasiarithmetic means.
 
-The decisive test: an increasing generator with nowhere-vanishing second
-derivative yields a convex mean exactly when the profile rho = f'/f'' is
-positive and concave on the interval.  Concavity of the mean is the dual
-statement: the reflected generator's profile is -rho(-x), so the same
-test runs on -rho over the same grid; both senses read one profile, which
-makes the convex/concave verdicts coherent by construction rather than by
-numerical luck.  Generators with f'' identically zero give the arithmetic
-mean, the unique member that is both convex and concave.  One function,
-:func:`_profile_tests`, reads the profile in either sense; classify and the
-envelopes of :mod:`qameans.envelope` take their verdicts from its records.
+The decisive test: a generator with nowhere-vanishing second derivative
+yields a convex mean exactly when the profile rho = f'/f'' is positive and
+concave on the interval; f and -f give the same mean and the same rho, so
+the test reads rho of the generator as given.  Concavity of the mean is
+the dual statement: the reflected generator's profile is -rho(-x), so the
+same test runs on -rho over the same grid; both senses read one profile,
+which makes the convex/concave verdicts coherent by construction rather
+than by numerical luck.  Generators with f'' identically zero give the
+arithmetic mean, the unique member that is both convex and concave.  One
+function, :func:`_profile_tests`, reads the profile in either sense;
+classify and the envelopes of :mod:`qameans.envelope` take their verdicts
+from its records.
 
 Two sampled cross-checks accompany the classification: domination of the
 arithmetic mean (a cross-check of the envelope existence verdict) and a direct
@@ -28,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DegenerateSecondDerivative, SignChange, UsageError
-from .generators import Generator, normalize, rho
+from .generators import Generator, rho
 from .grids import WorkingInterval
 from .means import MeanHandle, _qa_mean_batch
 
@@ -93,38 +95,37 @@ def _profile_pos_concave(values, interval: WorkingInterval) -> dict:
 def _profile_tests(gen: Generator, *senses: str) -> tuple:
     """The decisive test of gen's profile, in each sense asked for.
 
-    Normalizes gen and samples rho once.  Returns (ngen, profile, detail,
-    tests); tests yields one record per sense, lazily: "convex" tests rho and
+    Samples rho of gen once.  Returns (profile, detail, tests); tests
+    yields one record per sense, lazily: "convex" tests rho and
     "concave" tests -rho for positivity and concavity, and a record passes
     exactly when it has no "reason" key.  If rho raises, profile is None,
     detail is its message, and every record's reason is "f2-identically-zero"
     (f'' vanishes on the whole grid) or "sign-change" (with rho's witness).
     """
-    ngen = normalize(gen)
     try:
-        profile = rho(ngen)
+        profile = rho(gen)
     except DegenerateSecondDerivative as exc:
-        return ngen, None, str(exc), repeat({"reason": "f2-identically-zero"}, len(senses))
+        return None, str(exc), repeat({"reason": "f2-identically-zero"}, len(senses))
     except SignChange as exc:
-        return ngen, None, str(exc), repeat({"reason": "sign-change", "witness": exc.witness},
-                                            len(senses))
-    return ngen, profile, None, (
+        return None, str(exc), repeat({"reason": "sign-change", "witness": exc.witness},
+                                      len(senses))
+    return profile, None, (
         _profile_pos_concave(profile.values if sense == "convex" else -profile.values,
-                             ngen.domain)
+                             gen.domain)
         for sense in senses)
 
 
 def classify(gen: Generator) -> ConvexityClass:
     """Classify the QA mean of gen as Convex, Concave, ArithmeticBoth, or Neither.
 
-    The profile rho of the normalized generator is computed once.  A
+    The profile rho of the generator as given is computed once.  A
     degenerate f'' gives ArithmeticBoth; otherwise rho positive and concave
     gives Convex, and -rho positive and concave on the same grid (rho
     negative and convex, the profile of the reflected generator read back on
     the working interval) gives Concave; else Neither with witnesses from
     both failed tests, every witness x on the working interval.
     """
-    _, _, detail, tests = _profile_tests(gen, "convex", "concave")
+    _, detail, tests = _profile_tests(gen, "convex", "concave")
     convex = next(tests)
     if convex.get("reason") == "f2-identically-zero":
         return ConvexityClass(

@@ -32,7 +32,7 @@ import numpy as np
 
 from .convexity import MEAN_CMP_TOL, _profile_tests
 from .errors import NonpositiveM, RangeError, SignChange, UsageError
-from .generators import Generator, TabulatedGenerator, normalize, reflect_generator, tabulate
+from .generators import Generator, TabulatedGenerator, reflect_generator, tabulate
 from .grids import ScalarGrid, WorkingInterval
 from .means import ArithmeticMean, MeanHandle, QuasiArithmeticMean, _qa_mean_batch
 
@@ -271,9 +271,10 @@ def _arithmetic(direction: str, interval: WorkingInterval,
 def _pair_witness(gen: Generator, direction: str) -> dict | None:
     """A grid pair (a, b) with QA_f(a, b) on the wrong side of (a + b)/2, or None.
 
-    Second differences of f, negated for the concave direction, are negative
-    where f bends the wrong way; the pair bounds the maximal run of them around
-    the most negative.  Direct evaluation must confirm it beyond MEAN_CMP_TOL * span.
+    Second differences of the increasing one of f and -f, negated for the
+    concave direction, are negative where it bends the wrong way; the pair
+    bounds the maximal run of them around the most negative.  Direct
+    evaluation must confirm it beyond MEAN_CMP_TOL * span.
     """
     xs = gen.domain.grid()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -281,7 +282,7 @@ def _pair_witness(gen: Generator, direction: str) -> dict | None:
     if not np.all(np.isfinite(fx)):
         raise RangeError(f"{gen.spec_string()}: generator values overflow on the grid")
     d2 = fx[:-2] - 2.0 * fx[1:-1] + fx[2:]
-    if direction == "concave":
+    if (direction == "concave") == (fx[-1] > fx[0]):
         d2 = -d2
     k = int(np.argmin(d2))
     if not d2[k] < 0.0:
@@ -302,19 +303,28 @@ def _pair_witness(gen: Generator, direction: str) -> dict | None:
             "margin": margin, "tol": tol}
 
 
+def _rising_grids(gen: Generator) -> tuple:
+    """g and g' of gen sampled on its grid, negated if f falls there: -f
+    generates the same mean, and a published g rises."""
+    tab = tabulate(gen)
+    if tab.values[-1] > tab.values[0]:
+        return tab.values, tab.f1_values
+    return 0.0 - tab.values, -tab.f1_values
+
+
 def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
     # Existence and extremality are read from the one profile test in this
     # direction (rho for convex, -rho for concave): a wrong sign rules the
     # envelope out, and a passing test makes the mean its own envelope.
-    ngen, profile, detail, (test,) = _profile_tests(gen, direction)
-    interval = ngen.domain
+    profile, detail, (test,) = _profile_tests(gen, direction)
+    interval = gen.domain
     reason = test.get("reason")
     if reason == "f2-identically-zero":
         return _arithmetic(direction, interval, {"detail": detail})
     if reason in ("sign-change", "nonpositive-rho"):
-        witness = _pair_witness(ngen, direction)
+        witness = _pair_witness(gen, direction)
         if witness is None:
-            cause = detail or (f"{ngen.spec_string()}: the sign of f'' rules out "
+            cause = detail or (f"{gen.spec_string()}: the sign of f'' rules out "
                                f"a {direction} envelope")
             raise SignChange(f"{cause}; no grid pair confirms it beyond the "
                              f"comparison tolerance", test["witness"])
@@ -325,18 +335,18 @@ def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
             else convex_envelope_1d(profile))
 
     if reason is None:
-        gtab = tabulate(ngen)
         # The mean is its own envelope: keep the exact generator for the
         # mean handle and publish its sampled grids for serialization.
+        g, g1 = _rising_grids(gen)
         return EnvelopeResult(
             "AlreadyExtremal", direction, interval,
-            rho=profile, m=hull, g=gtab.values, g1=gtab.f1_values,
-            generator=ngen, diagnostics={"profile_test": test},
+            rho=profile, m=hull, g=g, g1=g1,
+            generator=gen, diagnostics={"profile_test": test},
         )
 
     # The hull is the result's profile: rho of the generator is m to the bit.
     gen_out = reconstruct_generator(hull(interval.grid()), interval,
-                                    source=f"envelope({ngen.spec_string()})")
+                                    source=f"envelope({gen.spec_string()})")
     return EnvelopeResult(
         "Envelope", direction, interval,
         rho=profile, m=hull, g=gen_out.values, g1=gen_out.f1_values,
@@ -347,11 +357,12 @@ def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
 def qa_convex_envelope(gen: Generator) -> EnvelopeResult:
     """Largest convex QA mean below QA_f on the working interval.
 
-    Pipeline: normalize; degenerate f'' gives the arithmetic mean; an f''
-    that is not strictly positive on the grid means no convex QA minorant
-    exists, and the result names a violating grid pair; a positive concave
-    profile means QA_f is its own envelope; otherwise the upper hull of the
-    profile is taken and the envelope generator is reconstructed from it.
+    Pipeline: rho of the generator as given; degenerate f'' gives the
+    arithmetic mean; a rho that is not strictly positive on the grid means
+    no convex QA minorant exists, and the result names a violating grid
+    pair; a positive concave rho means QA_f is its own envelope; otherwise
+    the upper hull of rho is taken and the envelope generator is
+    reconstructed from it.
     """
     return _qa_envelope(gen, "convex")
 
@@ -369,10 +380,8 @@ def qa_concave_envelope_via_reflection(gen: Generator) -> EnvelopeResult:
     the envelope generator is the reflected mirror generator, so mean
     values are directly comparable with the direct route's.
     """
-    rgen = reflect_generator(gen)
-    renv = _qa_envelope(rgen, "convex")
+    renv = _qa_envelope(reflect_generator(gen), "convex")
     interval = gen.domain
-    xs = interval.grid()
     diag = dict(renv.diagnostics)
     diag["route"] = "reflected"
 
@@ -391,11 +400,10 @@ def qa_concave_envelope_via_reflection(gen: Generator) -> EnvelopeResult:
     # envelope generator satisfies g'/g'' = -m-hat(-x).
     verts = tuple((-x, -y) for x, y in reversed(renv.m.vertices))
     hull = PiecewiseLinearHull(verts, "lower")
-    gen_out = normalize(reflect_generator(renv.generator))
+    gen_out = reflect_generator(renv.generator)
+    g, g1 = _rising_grids(gen_out)
     return EnvelopeResult(
         renv.status, "concave", interval,
-        rho=ScalarGrid(interval, -renv.rho.values[::-1]), m=hull,
-        g=np.asarray(gen_out.f(xs), dtype=float),
-        g1=np.asarray(gen_out.f1(xs), dtype=float),
+        rho=ScalarGrid(interval, -renv.rho.values[::-1]), m=hull, g=g, g1=g1,
         generator=gen_out, diagnostics=diag,
     )

@@ -1,21 +1,21 @@
 """Generator functions for quasiarithmetic means.
 
 A generator is a continuous, strictly monotone function f on a working
-interval, described by the facts the theory uses: its direction
-(``increasing``), f, its inverse f^{-1}, and its profile rho = f'/f''
-(infinite where f'' = 0); f', which each kind also gives, only fills an
-envelope's g' grid.  The direction is stated by each kind, not read off an
-f' grid: power:p is increasing iff p > 0, log and exp are increasing,
-affine:a:b iff a > 0, a tabulated generator follows its values.
+interval, described by the facts the theory uses: f, its inverse f^{-1},
+and its profile rho = f'/f'' (infinite where f'' = 0); f', which each kind
+also gives, only fills an envelope's g' grid.  No kind states a direction:
+f and -f generate the same mean and have the same profile, so nothing the
+theory decides depends on the sign of f.
 Closed-form kinds (power:p, log, exp, affine:a:b, with id = affine:1:0)
 return exact analytic values, invert in closed form and give rho in
 closed form (x/(p-1), -x, 1, +inf); tabulated kinds interpolate a sampled
 grid, invert by interpolating the same grid with the axes swapped, and
 fill in f' and rho by central differences unless given.
 
-:func:`rho` samples the profile on the grid and checks it.  For an
-increasing f, f'' has the sign of rho, so the sign and size of rho decide
-the classification and envelope machinery in the sibling modules.
+:func:`rho` samples the profile on the grid and checks it.  For the
+increasing one of f and -f, f'' has the sign of rho, so the sign and size
+of rho decide the classification and envelope machinery in the sibling
+modules.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class Generator:
     """Base class: strictly monotone f with derivative oracles on a domain."""
 
     domain: WorkingInterval
-    increasing: bool  # the direction of f, stated by the kind
 
     def f(self, x):
         raise NotImplementedError
@@ -79,7 +78,6 @@ class PowerGenerator(Generator):
             raise UsageError("power generator needs lo > 0")
         self.p = _finite_exponent("power generator", p)
         self.domain = domain
-        self.increasing = self.p > 0
 
     def f(self, x):
         return np.asarray(x, dtype=float) ** self.p
@@ -101,8 +99,6 @@ class PowerGenerator(Generator):
 
 class LogGenerator(Generator):
     """f(x) = ln x on a positive interval (the p = 0 member of the power family)."""
-
-    increasing = True
 
     def __init__(self, domain: WorkingInterval):
         if domain.lo <= 0:
@@ -127,8 +123,6 @@ class LogGenerator(Generator):
 
 class ExpGenerator(Generator):
     """f(x) = e**x."""
-
-    increasing = True
 
     def __init__(self, domain: WorkingInterval):
         self.domain = domain
@@ -174,7 +168,6 @@ class AffineGenerator(Generator):
     def __init__(self, a: float, b: float, domain: WorkingInterval):
         self.a, self.b = _affine_coefficients("affine generator", a, b)
         self.domain = domain
-        self.increasing = self.a > 0
 
     def f(self, x):
         return self.a * np.asarray(x, dtype=float) + self.b
@@ -197,15 +190,14 @@ class AffineGenerator(Generator):
 class AffineOfGenerator(Generator):
     """Value-space affine transform a*f + b of another generator.
 
-    Generates the same mean as the inner generator; a = -1, b = 0 is the
-    negation used by :func:`normalize`.
+    Generates the same mean as the inner generator and has its profile;
+    a = -1, b = 0 is the negation -f.
     """
 
     def __init__(self, inner: Generator, a: float, b: float):
         self.a, self.b = _affine_coefficients("affine transform", a, b)
         self.inner = inner
         self.domain = inner.domain
-        self.increasing = inner.increasing == (self.a > 0)
 
     def f(self, x):
         return self.a * self.inner.f(x) + self.b
@@ -229,7 +221,6 @@ class ReflectedGenerator(Generator):
     def __init__(self, inner: Generator):
         self.inner = inner
         self.domain = inner.domain.reflected()
-        self.increasing = not inner.increasing
 
     def f(self, x):
         return self.inner.f(-np.asarray(x, dtype=float))
@@ -352,18 +343,6 @@ def _shortest(v: float) -> str:
     return repr(float(v)).removesuffix(".0")
 
 
-def negate_generator(gen: Generator) -> Generator:
-    """The generator -f, which produces the identical mean."""
-    if isinstance(gen, AffineOfGenerator):
-        return AffineOfGenerator(gen.inner, -gen.a, -gen.b)
-    if isinstance(gen, AffineGenerator):
-        return AffineGenerator(-gen.a, -gen.b, gen.domain)
-    if isinstance(gen, TabulatedGenerator):
-        return TabulatedGenerator(gen.domain, -gen.values, -gen.f1_values,
-                                  gen.rho_values, source=gen.source)
-    return AffineOfGenerator(gen, -1.0, 0.0)
-
-
 def reflect_generator(gen: Generator) -> Generator:
     """The generator x -> f(-x) on the mirror interval.
 
@@ -372,35 +351,21 @@ def reflect_generator(gen: Generator) -> Generator:
     """
     if isinstance(gen, ReflectedGenerator):
         return gen.inner
-    if isinstance(gen, AffineOfGenerator):
-        return AffineOfGenerator(reflect_generator(gen.inner), gen.a, gen.b)
     return ReflectedGenerator(gen)
-
-
-def normalize(gen: Generator) -> Generator:
-    """Return gen unchanged if increasing, else its negation.
-
-    The direction is the generator's stated fact.  The returned generator is
-    increasing and produces the identical mean.  Idempotent: normalizing
-    twice gives the same object.
-    """
-    return gen if gen.increasing else negate_generator(gen)
 
 
 def rho(gen: Generator) -> ScalarGrid:
     """The slope/curvature profile f'/f'' sampled on the grid.
 
-    Reads the generator's own profile and nothing else; its sign and size
-    decide, since for an increasing f, f'' has the sign of rho and is zero
-    exactly where rho is infinite.
-    Requires an increasing generator (else UsageError) and rho nonzero and
-    not NaN (a zero rho is an infinite f'': RangeError).  Raises
-    DegenerateSecondDerivative when span * max|1/rho| <= DEGENERATE_TAU
+    Reads the generator's own profile and nothing else, whichever way f
+    runs: f and -f share it, and for the increasing one of them f'' has the
+    sign of rho and is zero exactly where rho is infinite.
+    Requires rho nonzero and not NaN (a zero rho is an infinite f'':
+    RangeError).  Raises DegenerateSecondDerivative when
+    span * max|1/rho| <= DEGENERATE_TAU
     (f'' numerically zero everywhere: the arithmetic mean), and SignChange
     unless every rho is finite with the sign of rho at lo.
     """
-    if not gen.increasing:
-        raise UsageError("rho requires a normalized (increasing) generator")
     xs = gen.domain.grid()
     r = np.asarray(gen.rho(xs), dtype=float)
     if not np.all(np.abs(r) > 0.0):  # NaN fails it too

@@ -70,6 +70,21 @@ def test_classify_identity_on_unit_interval(capsys):
     assert out["config"]["lo"] == 0.0 and out["config"]["hi"] == 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["envelope", "--kind", "convex"],
+    ["envelope", "--kind", "concave"],
+    ["verify", "--check", "maximality", "--trials", "200"],
+])
+def test_arithmetic_detail_names_the_generator_as_given(capsys, argv):
+    """affine:-2:3 falls; its report names it, not its negation affine:2:-3."""
+    code = run([*argv, "--gen", "affine:-2:3", "--lo", "0.5", "--hi", "4"])
+    out = _json_out(capsys)
+    assert code == (1 if argv[0] == "verify" else 0)
+    detail = out["evidence" if argv[0] == "classify" else "diagnostics"]["detail"]
+    assert detail.startswith("affine:-2:3: f'' vanishes on the whole grid")
+
+
 def test_classify_power_family(capsys):
     for spec, want in (("power:2", "Convex"), ("log", "Concave")):
         assert run(["classify", "--gen", spec]) == 0

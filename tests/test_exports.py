@@ -32,3 +32,18 @@ def test_removed_second_routes_are_gone():
         assert not hasattr(qameans, name) and not hasattr(means, name), name
         assert name not in qameans.__all__
     assert not hasattr(qameans.WorkingInterval, "contains")
+
+
+def test_no_generator_states_a_direction():
+    """f and -f generate one mean with one profile, so no kind states which
+    way f runs and nothing negates a generator before reading it."""
+    generators = importlib.import_module("qameans.generators")
+    for name in ("normalize", "negate_generator"):
+        assert not hasattr(qameans, name) and not hasattr(generators, name), name
+        assert name not in qameans.__all__
+    iv = qameans.WorkingInterval(0.1, 10.0)
+    for gen in (qameans.PowerGenerator(-1.0, iv), qameans.LogGenerator(iv),
+                qameans.ExpGenerator(iv), qameans.AffineGenerator(-2.0, 3.0, iv),
+                qameans.AffineOfGenerator(qameans.LogGenerator(iv), -1.0, 0.0),
+                qameans.ReflectedGenerator(qameans.ExpGenerator(iv))):
+        assert not hasattr(gen, "increasing"), gen

@@ -1,14 +1,19 @@
-"""Generator evaluation, normalization, curvature profile, and parsing."""
+"""Generator evaluation, curvature profile, negation, and parsing."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qameans.convexity import classify
+from qameans.envelope import qa_concave_envelope, qa_convex_envelope
 from qameans.errors import (
     DegenerateSecondDerivative,
     DomainError,
     NotMonotone,
+    QameansError,
     RangeError,
     SignChange,
     UsageError,
@@ -19,19 +24,16 @@ from qameans.generators import (
     ExpGenerator,
     LogGenerator,
     PowerGenerator,
-    ReflectedGenerator,
     TabulatedGenerator,
     _check_domain,
     load_table,
-    negate_generator,
-    normalize,
     parse_generator,
     reflect_generator,
     rho,
     tabulate,
 )
-from qameans.grids import MAX_GRID_POINTS, WorkingInterval
-from qameans.means import qa_mean
+from qameans.grids import MAX_GRID_POINTS, ScalarGrid, WorkingInterval
+from qameans.means import QuasiArithmeticMean, compare, qa_mean
 
 from oracles import fd_first, fd_second
 
@@ -132,24 +134,7 @@ def test_derivative_grids_match_finite_differences(iv):
         assert np.max(rel2) < 1e-2
 
 
-def test_normalize_keeps_increasing_generator(iv):
-    gen = PowerGenerator(2.0, iv)
-    assert normalize(gen) is gen
-
-
-def test_normalize_flips_decreasing_generator(iv):
-    # x^{-1} is decreasing on a positive interval
-    gen = PowerGenerator(-1.0, iv)
-    ngen = normalize(gen)
-    assert ngen is not gen
-    assert np.all(ngen.f1(iv.grid()) > 0.0)
-    xs = iv.grid()[::100]
-    assert np.allclose(ngen.f(xs), -gen.f(xs), rtol=1e-15)
-    # normalizing twice is the identity on the already increasing result
-    assert normalize(ngen) is ngen
-
-
-def test_normalize_rejects_nonmonotone():
+def test_tabulated_rejects_nonmonotone():
     ivq = WorkingInterval(-1.0, 1.0)
     xs = ivq.grid()
     with pytest.raises(NotMonotone):
@@ -176,18 +161,10 @@ def test_tabulated_f1_must_be_finite_and_nonzero(iv, bad):
         TabulatedGenerator(iv, xs ** 3, f1, source="my-source")
 
 
-def test_normalize_reads_the_direction_not_f1(iv):
-    for gen in (PowerGenerator(-1.0, iv), PowerGenerator(2.0, iv), ExpGenerator(iv),
-                AffineGenerator(-2.0, 1.0, iv), tabulate(PowerGenerator(-1.0, iv)),
-                reflect_generator(LogGenerator(iv))):
-        gen.f1 = None  # any f' evaluation would fail
-        assert normalize(gen).increasing
-
-
 @st.composite
 def composed_generators(draw):
     """power p, log, exp or affine a on a positive interval, then up to three
-    AffineOf, reflect, negate or tabulate steps."""
+    AffineOf, reflect, negate (-f) or tabulate steps."""
     lo = draw(st.floats(0.1, 5.0))
     iv = WorkingInterval(lo, lo + draw(st.floats(0.1, 10.0)), 65)
     nonzero = st.floats(0.05, 5.0).flatmap(lambda v: st.sampled_from((v, -v)))
@@ -208,21 +185,56 @@ def composed_generators(draw):
         elif step == "reflect":
             gen = reflect_generator(gen)
         elif step == "negate":
-            gen = negate_generator(gen)
+            gen = AffineOfGenerator(gen, -1.0, 0.0)
         else:
             gen = tabulate(gen)
     return gen
 
 
-def _rises(gen):
-    return bool(gen.f(gen.domain.hi) > gen.f(gen.domain.lo))
+def _outcome(fn, gen):
+    """fn(gen), or the type and witness of the error it raises."""
+    try:
+        return fn(gen)
+    except QameansError as exc:
+        return type(exc), getattr(exc, "witness", None)
 
 
-@given(composed_generators())
-def test_stated_direction_matches_the_values(gen):
-    assert gen.increasing == _rises(gen)
-    ngen = normalize(gen)
-    assert ngen.increasing and _rises(ngen)
+def _envelope_facts(env):
+    if isinstance(env, tuple):
+        return env
+    d = env.to_dict()
+    return (d["status"], d.get("hull_vertices"), d["diagnostics"].get("witness"),
+            None if env.g is None else (env.g.tolist(), env.g1.tolist()))
+
+
+@given(composed_generators(), st.data())
+def test_negation_changes_no_fact_the_theory_uses(gen, data):
+    """f and -f have one profile and one mean, so nothing reads a direction:
+    rho, classify, compare, both envelopes (status, hull, witness and the
+    published rising g and g') and the means of drawn rows agree."""
+    neg = AffineOfGenerator(gen, -1.0, 0.0)
+    d = gen.domain
+    r, rn = _outcome(rho, gen), _outcome(rho, neg)
+    assert (np.array_equal(r.values, rn.values) if isinstance(r, ScalarGrid)
+            else r == rn)
+    # a report that names its generator names it as given
+    verdicts = [_outcome(classify, g) for g in (gen, neg)]
+    verdicts = [json.dumps(v.to_dict()).replace(g.spec_string(), "<f>")
+                if hasattr(v, "to_dict") else v for v, g in zip(verdicts, (gen, neg))]
+    assert verdicts[0] == verdicts[1]
+    cube = (PowerGenerator(3.0, d) if d.lo > 0
+            else reflect_generator(PowerGenerator(3.0, d.reflected())))
+    assert compare(gen, cube) == compare(neg, cube)
+    for envelope in (qa_convex_envelope, qa_concave_envelope):
+        assert (_envelope_facts(_outcome(envelope, gen))
+                == _envelope_facts(_outcome(envelope, neg)))
+    n = data.draw(st.integers(1, 5))
+    t = np.array(data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+                                    min_size=1, max_size=4)))
+    X = np.clip(d.lo + t * d.span, d.lo, d.hi)
+    means = [_outcome(lambda g: QuasiArithmeticMean(g).batch(X), g) for g in (gen, neg)]
+    assert (np.array_equal(*means) if isinstance(means[0], np.ndarray)
+            else means[0][0] is means[1][0])
 
 
 @settings(max_examples=400)
@@ -230,11 +242,12 @@ def test_stated_direction_matches_the_values(gen):
        lo_exp=st.floats(-300.0, 300.0), decades=st.floats(1e-3, 600.0),
        grid_points=st.integers(3, 257))
 def test_power_is_built_on_every_positive_interval(p, lo_exp, decades, grid_points):
-    """power:p states its direction from p alone and evaluates nothing on
-    the grid, so no interval refuses it where f' over- or underflows."""
+    """power:p evaluates nothing on the grid, so no interval refuses it
+    where f' over- or underflows."""
     lo, hi = 10.0 ** lo_exp, 10.0 ** min(lo_exp + decades, 300.0)
     assume(lo < hi)
-    assert PowerGenerator(p, WorkingInterval(lo, hi, grid_points)).increasing == (p > 0)
+    iv = WorkingInterval(lo, hi, grid_points)
+    assert parse_generator(PowerGenerator(p, iv).spec_string(), iv).p == p
 
 
 def test_rho_ignores_an_underflowing_f1():
@@ -267,9 +280,9 @@ def test_rho_refuses_a_zero_or_nan_profile(iv):
 def test_rho_closed_forms(iv):
     """Curvature ratio f'/f'' for power generators is x/(p-1), in closed form."""
     xs = iv.grid()
+    # x**-1 falls, and rho reads it as given: x / -2
     for p in (-1.0, 0.5, 2.0, 3.0):
-        # rho needs the increasing representative; negation leaves it unchanged
-        r = rho(normalize(PowerGenerator(p, iv)))
+        r = rho(PowerGenerator(p, iv))
         assert np.array_equal(r.values, xs / (p - 1.0))
     # ln x: f'/f'' = (1/x)/(-1/x^2) = -x
     assert np.array_equal(rho(LogGenerator(iv)).values, -xs)
@@ -302,19 +315,6 @@ def test_rho_sign_change_carries_witness(neither_cubic):
     assert w["x"] == float(neither_cubic.domain.grid()[410])
 
 
-def test_negate_generator_round_trip(iv):
-    gen = PowerGenerator(2.0, iv)
-    neg = negate_generator(gen)
-    xs = iv.grid()[::50]
-    assert np.array_equal(neg.f(xs), -gen.f(xs))
-    back = negate_generator(neg)
-    assert np.array_equal(back.f(xs), gen.f(xs))
-    # the profile f'/f'' is invariant under negation
-    tab = tabulate(gen)
-    assert np.array_equal(negate_generator(tab).rho_values, tab.rho_values)
-    assert np.array_equal(neg.rho(xs), gen.rho(xs))
-
-
 def test_reflect_generator_values(iv):
     gen = ExpGenerator(iv)
     ref = reflect_generator(gen)
@@ -330,10 +330,12 @@ def test_reflect_generator_values(iv):
 def test_reflect_distributes_over_affine_wrappers(iv):
     gen = AffineOfGenerator(ExpGenerator(iv), 2.0, 1.0)
     ref = reflect_generator(gen)
-    # result stays an affine wrapper, never a nested reflection
-    assert not isinstance(ref, ReflectedGenerator)
     xs = ref.domain.grid()[::97]
-    assert np.allclose(ref.f(xs), gen.f(-xs), rtol=1e-15)
+    assert np.array_equal(ref.f(xs), gen.f(-xs))
+    wrapped = AffineOfGenerator(reflect_generator(ExpGenerator(iv)), 2.0, 1.0)
+    assert np.array_equal(ref.f(xs), wrapped.f(xs))
+    assert np.array_equal(ref.rho(xs), wrapped.rho(xs))
+    assert reflect_generator(ref) is gen
 
 
 def test_finv_closed_forms(iv):
@@ -414,7 +416,7 @@ def test_affine_of_spec_string_keeps_every_digit(iv):
     log = LogGenerator(iv)
     assert (AffineOfGenerator(log, 1 / 3, -0.1).spec_string()
             == "0.3333333333333333*(log)+-0.1")
-    assert negate_generator(log).spec_string() == "-1*(log)+0"
+    assert AffineOfGenerator(log, -1.0, 0.0).spec_string() == "-1*(log)+0"
 
 
 def test_parse_generator_errors(iv):
