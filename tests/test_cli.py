@@ -709,6 +709,21 @@ def test_overflowing_derivative_prints_one_error_line(argv):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+@pytest.mark.parametrize("f1", ["", "1"], ids=["without f1", "with f1"])
+def test_table_whose_differences_overflow_prints_one_error_line(tmp_path, f1):
+    """Finite values whose differences overflow: the derivative or the
+    profile is refused, and no numpy warning precedes the error."""
+    path = tmp_path / "overflow.csv"
+    rows = zip(("0", "0.25", "0.5", "0.75", "1"),
+               ("-1.7e308", "-1e308", "0", "1e308", "1.7e308"))
+    path.write_text(("x,f,f1\n" if f1 else "x,f\n")
+                    + "".join(",".join(filter(None, (x, f, f1))) + "\n" for x, f in rows))
+    proc = _shell(["classify", "--gen", f"table:{path}"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 def test_kedlaya_whose_arithmetic_sum_overflows_prints_one_error_line():
     """The running arithmetic means of entries near the largest float once
     came out inf, after a numpy overflow warning, and the check then named

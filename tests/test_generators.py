@@ -477,6 +477,32 @@ def test_load_table_rejects_bad_grids(tmp_path):
         load_table(str(empty))
 
 
+# x columns and the verdict of load_table's x tests: the message it raises,
+# or None when the table loads.  The two spacing cases sit just beyond and
+# just within the tolerance 1e-9 * h + 4 * spacing(max |x|) at h = 1.
+X_COLUMNS = {
+    "nan inside": ("0 1 nan 3 4", "x column must be strictly increasing"),
+    "-inf first": ("-inf 1 2 3 4", "x column must be finite"),
+    "+inf last": ("0 1 2 3 inf", "x column must be finite"),
+    "non-increasing step": ("0 1 1 3 4", "x column must be strictly increasing"),
+    "steps beyond the tolerance": ("0 1.0000000011 2 3 4",
+                                   "x column must be uniformly spaced"),
+    "steps within the tolerance": ("0 1.0000000009 2 3 4", None),
+}
+
+
+@pytest.mark.parametrize("xs, message", X_COLUMNS.values(), ids=X_COLUMNS)
+def test_load_table_x_column_verdicts(tmp_path, xs, message):
+    path = tmp_path / "x.csv"
+    path.write_text("x,f\n" + "".join(f"{x},{k}\n" for k, x in enumerate(xs.split())))
+    if message is None:
+        assert load_table(str(path)).domain.grid_points == 5
+    else:
+        with pytest.raises(UsageError) as info:
+            load_table(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+
 MALFORMED_TABLES = {
     "non-numeric cell": "x,f\n0.1,1\n0.2,abc\n0.3,3\n0.4,4\n",
     "ragged row": "x,f\n0.1,1\n0.2,2,5\n0.3,3\n0.4,4\n",
