@@ -11,11 +11,12 @@ every config, though only verify samples.
 
 Numbers are printed in shortest round-trip form, spelled as Python's repr
 spells them (json.dumps in JSON, so NaN and Infinity keep json's names).  A
-report is built as ASCII byte blocks and written straight to --out, or
+report is built as bytes-like ASCII blocks and written straight to --out, or
 joined into one string for stdout, so no whole-report string exists for a
-file.  Float arrays and tables go in blocks of at most
-_BLOCK_ROWS rows, each run of rows formatted in C by one flat orjson call,
-whose text is repr's exactly when 1e-4 <= |v| < 1e16 or v = +-0; a row
+file.  Float arrays and table columns go in blocks of at most _BLOCK_ROWS
+rows, gathered into one reused buffer, so the writer holds one block, not
+the table; each run of rows is formatted in C by one flat orjson call,
+whose text is repr's exactly when 1e-4 <= |v| < 1e16 or v = +-0, and a row
 holding any other value is a block of its own, spelled cell by cell through
 repr or json.dumps.  Exit codes: 0 success or pass, 1 a check failed with a
 witness (including an envelope that does not exist), 2 usage or domain
@@ -169,62 +170,71 @@ def _emit(blocks, out_path: str | None) -> None:
         sys.stdout.write(b"".join(blocks).decode("ascii"))
 
 
-def _float_text(table, row_sep: str, special):
-    """Yield the floats of a 1-D or 2-D array as ASCII byte blocks, each
-    cell as repr spells it.
+def _float_text(columns, row_sep: str, special):
+    """Yield the floats of equally long columns as bytes-like ASCII blocks,
+    row by row, each cell as repr spells it.
 
-    Cells of a row are joined by "," and rows by row_sep; a 1-D table is one
-    cell per row, and every block but the first opens with row_sep.  The
-    table is scanned _BLOCK_ROWS rows at a time, so no block holds more.
-    orjson writes repr's text when 1e-4 <= |v| < 1e16 or v = +-0, so each
-    run of rows holding only such values is one block, formatted flat by one
-    orjson.dumps call.  Other values orjson spells 0.00001, 1e16 or null, so
-    a row holding a nonzero |v| < 1e-4, |v| >= 1e16, NaN or +-inf is a block
-    of its own, spelled cell by cell through special (repr, or _json_float
-    for JSON's NaN and Infinity).
+    Cells of a row are joined by "," and rows by row_sep, and every block but
+    the first opens with row_sep.  A column is a sequence, or a function
+    evaluated on each block of the first column.  Rows are gathered
+    _BLOCK_ROWS at a time into one reused float buffer.  orjson writes
+    repr's text when 1e-4 <= |v| < 1e16 or v = +-0, so each run of rows
+    holding only such values is one block, formatted flat by one
+    orjson.dumps call; the min and max of |v| clear a whole block at once.
+    Other values orjson spells 0.00001, 1e16 or null, so a row holding a
+    nonzero |v| < 1e-4, |v| >= 1e16, NaN or +-inf is a block of its own,
+    spelled cell by cell through special (repr, or _json_float for JSON's
+    NaN and Infinity).
 
-    Beyond its input array and the blocks it has handed out, the generator
-    holds the working set of one scan: at most 116 bytes a cell.  That is
-    the scan's magnitudes and a run's comma offsets, 8 bytes a cell each, and
-    at most four buffers of the run's text (orjson's, its copy, the comma
-    mask over it and the block cut from it), each at most 25 bytes a cell
-    when row_sep is one byte: repr's longest float, 24 characters, and a
-    separator.
+    Beyond its columns and the blocks it has handed out, the generator holds
+    one block: the buffer and its magnitudes, 8 bytes a cell each, and at
+    most 90 bytes a cell of a run's text when row_sep is one byte: orjson's
+    text, its bytearray and its comma mask, each at most 25 bytes a cell
+    (repr's longest float and a separator), the mask's word test and the
+    comma offsets.
     """
-    arr = np.ascontiguousarray(table, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
+    rows = len(columns[0])
+    buf = np.empty((min(rows, _BLOCK_ROWS), len(columns)))
     sep = row_sep.encode()
-    lead = b""
-    for top in range(0, len(arr), _BLOCK_ROWS):
-        scan = arr[top:top + _BLOCK_ROWS]
-        mag = np.abs(scan)
-        odd = ((mag < 1e-4) & (scan != 0) | ~(mag < 1e16)).any(axis=1)
+    lead = False
+    for top in range(0, rows, _BLOCK_ROWS):
+        block = buf[:rows - top]
+        end = top + len(block)
+        for k, col in enumerate(columns):
+            block[:, k] = col(columns[0][top:end]) if callable(col) else col[top:end]
+        mag = np.abs(block)
+        odd = ([] if 1e-4 <= mag.min() and mag.max() < 1e16 else np.flatnonzero(
+            ((mag < 1e-4) & (block != 0) | ~(mag < 1e16)).any(axis=1)).tolist())
         start = 0
-        for stop in [*np.flatnonzero(odd).tolist(), len(scan)]:
+        for stop in [*odd, len(block)]:
             if start < stop:
-                yield lead + _orjson_rows(scan[start:stop], sep)
-                lead = sep
-            if stop < len(scan):
-                yield lead + ",".join(map(special, scan[stop].tolist())).encode()
-                lead = sep
+                yield _orjson_rows(block[start:stop], lead, sep)
+                lead = True
+            if stop < len(block):
+                yield sep * lead + ",".join(map(special, block[stop].tolist())).encode()
+                lead = True
             start = stop + 1
 
 
-def _orjson_rows(rows, sep: bytes) -> bytes:
+def _orjson_rows(rows, lead: bool, sep: bytes) -> bytearray:
     """orjson's text of the C-contiguous 2-D array rows, dumped flat: cells
-    joined by "," and rows by sep."""
+    joined by "," and rows by sep, opening with sep when lead is true."""
     raw = orjson.dumps(rows.reshape(-1), option=orjson.OPT_SERIALIZE_NUMPY)
-    cols = rows.shape[1]
-    if cols == 1:
-        return raw[1:-1].replace(b",", sep)
-    # Every cols-th comma ends a row.  orjson's text holds no newline, so
-    # one marks each row end until sep replaces it.
     text = bytearray(raw)
-    chars = np.frombuffer(text, np.uint8)
-    chars[np.flatnonzero(chars == ord(","))[cols - 1::cols]] = ord("\n")
-    body = bytes(memoryview(text)[1:-1])
-    return body if sep == b"\n" else body.replace(b"\n", sep)
+    # A row end is marked by "," in one column, else by "\n", which orjson's
+    # text holds nowhere: every cols-th comma ends a row.  A cell is at least
+    # 3 characters, so an aligned 4-byte word holds at most one comma.
+    cols = rows.shape[1]
+    mark = b"," if cols == 1 else b"\n"
+    if cols > 1:
+        words = (np.frombuffer(raw, np.uint8, len(raw) // 4 * 4) == ord(",")).view("<u4")
+        at = np.flatnonzero(words != 0)[cols - 1::cols]
+        w = words[at]  # 1 << 8k for a comma at byte k of its word
+        np.frombuffer(text, np.uint8)[4 * at + (w > 0xFF) + (w > 0xFFFF) + (w > 0xFFFFFF)] = 10
+    # Deleting at either end of a bytearray moves no bytes.
+    del text[-1]
+    text[:1] = mark if lead else b""
+    return text if sep == mark else text.replace(mark, sep)
 
 
 def _json_text(obj):
@@ -278,7 +288,7 @@ def _json_parts(obj, indent: str, parts: list) -> None:
             parts.append(f"\n{indent}}}")
             return
         if isinstance(obj, np.ndarray):
-            parts += [lead, _float_text(obj, sep, _json_float)]
+            parts += [lead, _float_text([obj], sep, _json_float)]
         else:
             for v in obj:
                 parts.append(lead)
@@ -356,24 +366,23 @@ def _envelope_csv(result, config: dict):
     """The envelope's grid table as CSV, in ASCII byte blocks: a "# " JSON
     header line, the column names, then one line of cells per grid point.
 
-    The columns are stacked into one float table before the first block, so
-    beyond the result the writer holds that table, the m column it computes
-    (8 bytes a cell each) and one block of _float_text's working set.
+    The result's columns go to _float_text as they are, and m as the hull,
+    evaluated per block of x, so beyond the result the writer holds one
+    block of _float_text's working set and of m.
     """
     xs = result.interval.grid()
     cols = [("x", xs)]
     if result.rho is not None:
         cols.append(("rho", result.rho.values))
     if result.m is not None:
-        cols.append(("m", result.m(xs)))
+        cols.append(("m", result.m))
     cols.append(("g", result.g))
     cols.append(("g1", result.g1))
     head = "# " + json.dumps({"config": config, "status": result.status,
                               "direction": result.direction})
     names = ",".join(name for name, _ in cols)
-    table = np.column_stack([vals for _, vals in cols])
     return itertools.chain([f"{head}\n{names}\n".encode()],
-                           _float_text(table, "\n", repr), [b"\n"])
+                           _float_text([vals for _, vals in cols], "\n", repr), [b"\n"])
 
 
 def _cmd_envelope(args, seed: int) -> int:

@@ -260,18 +260,19 @@ class TabulatedGenerator(Generator):
     naming the source).  The direction is that of the values; f' must be
     finite, nonzero and of the values' sign (NotMonotone naming the source).
 
-    f, f1 and rho give np.interp(x, grid, column) to the bit.  A batch of at
-    least _LOOKUP_MIN_QUERIES queries, inside [lo, hi], not in monotone order
-    (judged from _ORDER_SAMPLES evenly spaced entries), on a column whose
-    slopes are all finite, is looked up by grid index: j = floor((x - lo) /
-    step), moved by one where grid[j] or grid[j + 1] shows x outside that
-    bracket, then np.interp's slope[j] * (x - grid[j]) + column[j], or the
-    column value where x is a grid point.  np.interp is kept for every other
-    batch: small ones, monotone ones (grid and reflected-grid evaluations,
-    where its guessed search costs O(1) a query), those with a query
-    outside [lo, hi] or NaN, and columns with an infinite slope.  finv
-    always uses np.interp, since its abscissae, the values, are not a
-    uniform grid.
+    f, f1 and rho give np.interp(x, grid, column) to the bit.  At the
+    table's own grid array, domain.grid(), that is a copy of the column.  A
+    batch of at least _LOOKUP_MIN_QUERIES queries, inside [lo, hi], not in
+    monotone order (judged from _ORDER_SAMPLES evenly spaced entries), on a
+    column whose slopes are all finite, is looked up by grid index: j =
+    floor((x - lo) / step), moved by one where grid[j] or grid[j + 1] shows
+    x outside that bracket, then np.interp's slope[j] * (x - grid[j]) +
+    column[j], or the column value where x is a grid point.  np.interp is
+    kept for every other batch: small ones, monotone ones (such as
+    reflected-grid evaluations, where its guessed search costs O(1) a
+    query), those with a query outside [lo, hi] or NaN, and columns with an
+    infinite slope.  finv always uses np.interp, since its abscissae, the
+    values, are not a uniform grid.
     """
 
     def __init__(self, domain: WorkingInterval, values, f1_values=None,
@@ -330,6 +331,8 @@ class TabulatedGenerator(Generator):
         values and slopes leave no NaN for np.interp to retry from the
         right end."""
         grid, column = self.domain.grid(), getattr(self, name)
+        if x is grid:  # np.interp gives column[j] where x == grid[j]
+            return column.copy()
         x = np.asarray(x, dtype=float)
         if x.size < _LOOKUP_MIN_QUERIES:
             return np.interp(x, grid, column)

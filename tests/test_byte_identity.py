@@ -8,6 +8,10 @@ tuples, bit-equal arrays.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,12 +108,14 @@ ODD_TABLE = np.array([[1e-5, 1.0], [0.5, 0.25], [2.0, 1e300], [NAN, 3.0],
                       [4.0, 5.0], [6.0, -INF]])
 
 
-def _assert_blocks_match_per_cell_spelling(table):
+def _assert_blocks_match_per_cell_spelling(columns, table):
+    """_float_text of columns against the per-cell text of table, the same
+    cells in rows."""
     for rows in BLOCK_SIZES:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_BLOCK_ROWS", rows)
             for row_sep, spell in SPELLINGS:
-                blocks = list(_float_text(table, row_sep, spell))
+                blocks = list(_float_text(columns, row_sep, spell))
                 _assert_same_text(_text(blocks), per_cell_float_text(table, row_sep, spell))
                 # A block holds at most `rows` rows, with the separator that
                 # opens every block but the first.
@@ -123,7 +129,7 @@ def _assert_blocks_match_per_cell_spelling(table):
 @example([1e-5, NAN, INF, -1e20])
 @example([0.5, -0.0, 1e15, 1e-4])
 def test_float_text_matches_per_cell_spelling_on_lists(values):
-    _assert_blocks_match_per_cell_spelling(values)
+    _assert_blocks_match_per_cell_spelling([values], values)
 
 
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2), elements=floats))
@@ -133,8 +139,43 @@ def test_float_text_matches_per_cell_spelling_on_lists(values):
 @example(np.array([[0.5, 1.0, -2.0], [0.0, -0.0, 1e15], [3.25, 1e-4, 9999999999999998.0]]))
 # One row longer than a block of 3.
 @example(np.linspace(0.5, 4.0, 8).reshape(4, 2))
+# Cells of 3 and 4 characters, so that row ends fall at every byte of a word.
+@example(np.array([[1.0, 0.0, 2.0], [-0.0, 5.0, 1.0], [0.5, 10.0, 0.0], [3.0, -1.0, 7.0],
+                   [0.0, 0.0, 0.0], [9.0, -2.5, 1.0]]))
 def test_float_text_matches_per_cell_spelling_on_tables(table):
-    _assert_blocks_match_per_cell_spelling(table)
+    _assert_blocks_match_per_cell_spelling(list(table.T), table)
+
+
+# Cells orjson spells as repr does, of either sign, and the others: nonzero
+# |v| < 1e-4, |v| >= 1e16, NaN, +-inf, and +-0, which it spells as repr does
+# but which fail the block's min |v| test.
+in_range = st.floats(1e-4, 9999999999999998.0) | st.floats(-9999999999999998.0, -1e-4)
+odd_cells = (st.floats(-9.999999999999999e-05, 9.999999999999999e-05)
+             | st.sampled_from([1e16, -1e16, 1e300, -1.7976931348623157e308,
+                                NAN, INF, -INF, 0.0, -0.0]))
+
+
+@st.composite
+def column_lists(draw):
+    """1 to 6 columns of up to 13 rows, most cells in orjson's range and a
+    few odd ones at the first or last row of a block of 1, 2 or 3 rows or of
+    the table; now and then the last column is a function of the first."""
+    ncols, nrows = draw(st.integers(1, 6)), draw(st.integers(0, 13))
+    table = np.array([[draw(in_range) for _ in range(ncols)] for _ in range(nrows)])
+    table = table.reshape(nrows, ncols)
+    edges = [r for r in range(nrows) if r % 3 != 1 or r == nrows - 1]
+    for _ in range(draw(st.integers(0, 3)) if nrows else 0):
+        table[draw(st.sampled_from(edges)), draw(st.integers(0, ncols - 1))] = draw(odd_cells)
+    columns = list(table.T)
+    if ncols > 1 and draw(st.booleans()):
+        columns[-1] = np.negative
+        table[:, -1] = -table[:, 0]
+    return columns, table
+
+
+@given(column_lists())
+def test_float_text_matches_per_cell_spelling_on_column_lists(drawn):
+    _assert_blocks_match_per_cell_spelling(*drawn)
 
 
 @pytest.mark.parametrize("argv", [
@@ -194,6 +235,41 @@ def test_log_concave_envelope_csv_at_65537_matches_rowwise_writer():
     # so the equality below covers the rewrite of its row through repr.
     assert text.count("e-05") == 1 and ",2.746544313380802e-05," in text
     _assert_same_text(text, rowwise_envelope_csv(result, config))
+
+
+# The 65537-row CSVs of log concave and power:3 convex against the row-wise
+# writer on the same result; prints numpy's X86_V4 flag and the rows checked.
+SIMD_CSV_COMPARISON = """
+from numpy._core._multiarray_umath import __cpu_features__
+from oracles import rowwise_envelope_csv
+from qameans.cli import _envelope_csv
+from qameans.envelope import qa_concave_envelope, qa_convex_envelope
+from qameans.generators import LogGenerator, PowerGenerator
+from qameans.grids import WorkingInterval
+
+iv = WorkingInterval(0.1, 10.0, 65537)
+rows = 0
+for result in (qa_concave_envelope(LogGenerator(iv)),
+               qa_convex_envelope(PowerGenerator(3.0, iv))):
+    config = {"command": "envelope", "grid_points": 65537, "seed": 0}
+    text = b"".join(_envelope_csv(result, config)).decode("ascii")
+    assert text == rowwise_envelope_csv(result, config), result.status
+    rows += text.count("\\n") - 2
+print(bool(__cpu_features__.get("X86_V4")), rows)
+"""
+
+
+def test_envelope_csv_matches_rowwise_writer_on_avx2_kernels():
+    """NPY_DISABLE_CPU_FEATURES=X86_V4 makes numpy use its AVX2 kernels in
+    that process only.  The values may differ from the default target's;
+    their spelling must still be repr's."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run([sys.executable, "-c", SIMD_CSV_COMPARISON], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", str(2 * 65537)]
 
 
 _G65537 = WorkingInterval(0.1, 10.0, 65537)

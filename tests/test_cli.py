@@ -608,12 +608,13 @@ def test_output_file_writing(tmp_path, capsys):
     assert data["class"] == "Convex"
 
 
-def test_envelope_csv_writer_memory_is_bounded_by_its_block(tmp_path):
+def _assert_envelope_csv_peak_is_one_block(tmp_path, grid):
     """The CSV writer's peak, traced alone, stays within what _envelope_csv
-    and _float_text state: the stacked table and its computed m column,
-    8 bytes a cell each, plus one block's working set of 116 bytes a cell."""
-    result = qa_concave_envelope(LogGenerator(WorkingInterval(0.1, 10.0, 65537)))
-    config = {"command": "envelope", "grid_points": 65537, "seed": 0}
+    and _float_text state, with no term in the grid's rows: the gather
+    buffer, 8 bytes a cell, and one block's working set, the magnitudes'
+    8 bytes and at most 90 bytes of text a cell."""
+    result = qa_concave_envelope(LogGenerator(WorkingInterval(0.1, 10.0, grid)))
+    config = {"command": "envelope", "grid_points": grid, "seed": 0}
     path = tmp_path / "env.csv"
     tracemalloc.start()
     try:
@@ -623,10 +624,19 @@ def test_envelope_csv_writer_memory_is_bounded_by_its_block(tmp_path):
         tracemalloc.stop()
     names = path.read_text().split("\n", 2)[1].split(",")
     assert names == ["x", "rho", "m", "g", "g1"]
-    rows, cols = 65537, len(names)
     # 64 KiB covers the header line and the interpreter's small objects.
-    bound = 8 * rows * (cols + 1) + 116 * cli._BLOCK_ROWS * cols + 2 ** 16
+    bound = (8 + 8 + 90) * cli._BLOCK_ROWS * len(names) + 2 ** 16
     assert peak <= bound, (peak, bound)
+
+
+def test_envelope_csv_writer_memory_is_bounded_by_its_block(tmp_path):
+    _assert_envelope_csv_peak_is_one_block(tmp_path, 65537)
+
+
+def test_envelope_csv_writer_memory_does_not_grow_with_the_grid(tmp_path):
+    """At four times the rows, a writer that stacked the whole table, 8 bytes
+    a cell, would pass the bound by about 9 MB."""
+    _assert_envelope_csv_peak_is_one_block(tmp_path, 262145)
 
 
 def test_envelope_json_writer_memory_is_bounded_by_its_block(tmp_path):

@@ -109,6 +109,30 @@ def test_large_unsorted_batch_takes_the_index_path(monkeypatch):
     assert all(_same_bits(gen._lookup(q, name), w) for name, w in zip(COLUMNS, want))
 
 
+def test_lookup_at_the_tables_own_grid_is_a_copy_of_the_column(monkeypatch):
+    """At domain.grid() f, f1 and rho are np.interp's bits, on values holding
+    -0.0 and a rho column holding +-inf, and np.interp is not called."""
+    n = 1025
+    iv = WorkingInterval(0.1, 10.0, n)
+    vals = np.cumsum(np.random.default_rng(27).uniform(0.9, 1.1, n))
+    vals -= vals[n // 2]
+    vals[n // 2] = -0.0
+    rho = np.full(n, 2.0)
+    rho[[0, 7, n - 1]] = [np.inf, -np.inf, np.inf]
+    gen = TabulatedGenerator(iv, vals, np.ones(n), rho)
+    grid = iv.grid()
+    want = [_interp(gen, grid, name) for name in COLUMNS]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.interp called")
+
+    monkeypatch.setattr(np, "interp", refuse)
+    got = [gen.f(grid), gen.f1(grid), gen.rho(grid)]
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
+    got[0][:] = 1.0  # a copy: the table keeps its column
+    assert _same_bits(gen.values, want[0])
+
+
 @pytest.fixture(scope="module")
 def envelope_tables(tmp_path_factory):
     """Envelope CSVs of power:3 at 1025 and 65537 rows, reloadable as tables."""
