@@ -38,6 +38,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -65,9 +66,19 @@ DEFAULT_TRIALS = 10_000
 _BLOCK_ROWS = 8192
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with its newer upstream test for a negative number,
+    '-' then a digit or '.digit', so that values such as -1e3 and -1,2 are
+    not read as options.  Subparsers take the class of their parent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--gen", required=True,
                         help="generator spec: " + " | ".join(generator_kinds()))
     common.add_argument("--lo", type=float, default=DEFAULT_LO,
@@ -84,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"sampling trials (default {DEFAULT_TRIALS})")
     common.add_argument("--out", default=None, help="write the report to a file")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qameans",
         description="Quasiarithmetic means: evaluation, convexity "
                     "classification, and convex/concave envelopes.")

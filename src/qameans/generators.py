@@ -20,7 +20,9 @@ modules.
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 import threading
 
 import numpy as np
@@ -620,28 +622,50 @@ def _parse_table(raw: bytes, path: str):
     return header, data
 
 
-# The parses of _read_table, keyed by the SHA-256 digest of a file's bytes,
-# least recently used first.  Their arrays are read-only.
+# The parses of _read_table, each keyed by the file bytes it was parsed from,
+# least recently used first and at most MAX_GRID_POINTS rows in all.  A load
+# finds its entry by comparing bytes, not by path or timestamp.  The arrays
+# are read-only.
 _TABLES: dict = {}
 _TABLES_LOCK = threading.Lock()
+
+
+def _kept_bytes(fh):
+    """The kept key equal to the whole of fh, compared a chunk at a time in
+    one buffer; None when fh is not a regular file or no key matches.  fh
+    is read, and then sought back to its start, only if a key has its size."""
+    st = os.fstat(fh.fileno())
+    size = st.st_size if stat.S_ISREG(st.st_mode) else -1
+    with _TABLES_LOCK:
+        alike = [raw for raw in _TABLES if len(raw) == size]
+    if not alike:
+        return None
+    view = memoryview(bytearray(min(size, _CHUNK_BYTES)))
+    at = 0
+    while alike and (n := fh.readinto(view)):
+        alike = [raw for raw in alike if raw.startswith(view[:n], at)]
+        at += n
+    if alike and at == size:
+        return alike[0]
+    fh.seek(0)
+    return None
 
 
 def _read_table(path: str):
     """(header, data) of a table file: the kept parse of the same bytes when
     there is one, else a new parse, which is kept unless it fails.  Entries
     least recently used go first once the kept rows exceed MAX_GRID_POINTS."""
-    import hashlib  # here, so that importing qameans does not load it
-
     with open(path, "rb") as fh:
-        raw = fh.read()
-    key = hashlib.sha256(raw).digest()
+        raw = _kept_bytes(fh)
+        if raw is None:
+            raw = fh.read()
     with _TABLES_LOCK:
-        table = _TABLES.pop(key, None)
+        table = _TABLES.pop(raw, None)
     if table is None:
         table = _parse_table(raw, path)
         table[1].flags.writeable = False
     with _TABLES_LOCK:
-        _TABLES[key] = table
+        _TABLES[raw] = table
         rows = sum(data.shape[0] for _, data in _TABLES.values())
         while rows > MAX_GRID_POINTS:
             rows -= _TABLES.pop(next(iter(_TABLES)))[1].shape[0]
@@ -680,11 +704,13 @@ def load_table(path: str) -> TabulatedGenerator:
     A byte that is not UTF-8, a non-numeric cell or a row with a different
     number of cells raises UsageError naming the file.
 
-    The file is read once a call.  A process keeps each table it parsed,
-    keyed by the SHA-256 digest of the file's bytes, not by path or
-    timestamp, and a later load of the same bytes reuses that parse; a
-    failed parse is not kept.  The kept tables are dropped least recently
-    used first once they hold more than ``grids.MAX_GRID_POINTS`` rows.
+    A process keeps each table it parsed together with the file's bytes.
+    A load whose file has the bytes of a kept table, found by comparing
+    them exactly a chunk at a time, not by path or timestamp, reuses that
+    parse and holds no second copy of the file; any other load reads the
+    file once and parses it.  A failed parse is not kept.  The kept tables
+    are dropped least recently used first once they hold more than
+    ``grids.MAX_GRID_POINTS`` rows.
     Every call runs the x column checks, names its own path in errors, and
     returns a new generator holding its own copies of the columns.
     """

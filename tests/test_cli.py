@@ -16,7 +16,7 @@ import pytest
 from qameans import cli, generators
 from qameans.cli import run
 from qameans.envelope import qa_concave_envelope, qa_convex_envelope
-from qameans.generators import LogGenerator, PowerGenerator, load_table
+from qameans.generators import ExpGenerator, LogGenerator, PowerGenerator, load_table
 from qameans.grids import WorkingInterval
 from qameans.means import qa_mean
 
@@ -60,6 +60,34 @@ def test_eval_rejects_bad_vector(capsys):
 def test_eval_domain_violation_is_a_usage_failure(capsys):
     # 0 sits outside the default working interval for log
     assert run(["eval", "--gen", "log", "--vec", "0,1"]) == 2
+
+
+@pytest.mark.parametrize("argv, config, value", [
+    (["--gen", "exp", "--lo", "-1e3", "--hi", "3", "--vec", "1,2"],
+     {"lo": -1000.0, "hi": 3.0},
+     qa_mean(ExpGenerator(WorkingInterval(-1e3, 3.0)), [1.0, 2.0])),
+    (["--gen", "id", "--lo", "-2", "--hi", "3", "--vec", "-1,2"],
+     {"lo": -2.0, "hi": 3.0}, 0.5),
+    (["--gen", "id", "--lo", "-.5E1", "--hi", "3", "--vec", "-1e0,-.5"],
+     {"lo": -5.0, "hi": 3.0}, -0.75),
+], ids=["exponent", "list", "both"])
+def test_negative_values_in_exponent_or_list_form(capsys, argv, config, value):
+    """A token of '-' then a digit or '.digit' is a value: argparse's own
+    test before Python 3.12 took only -5 and -.5 as one."""
+    assert run(["eval", *argv]) == 0
+    out = _json_out(capsys)
+    assert {k: out["config"][k] for k in config} == config
+    assert out["value"] == value
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lo", "--hi", "3", "--vec", "1,2"],
+    ["--lo", "-hi", "3", "--vec", "1,2"],
+], ids=["long option", "no number"])
+def test_an_option_where_a_value_belongs_is_a_usage_error(capsys, argv):
+    assert run(["eval", "--gen", "id", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --lo: expected one argument" in captured.err
 
 
 def test_classify_identity_on_unit_interval(capsys):

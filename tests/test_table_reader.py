@@ -5,12 +5,18 @@ Every comparison is bit for bit, through ``.view(np.uint64)``, so the sign
 of zero counts.  The np.loadtxt path is forced by making ``_orjson_table``
 decline every file; what it gives, values or error, is what the reader gave
 before the fast path existed.
+
+The memo tests check that a load reuses a kept parse exactly when the file
+holds the kept table's bytes, and that finding them copies no whole file.
 """
 
 import hashlib
 import os
+import subprocess
 import sys
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,12 +252,10 @@ def _write_cubic(path, n, shift=0.0):
     return path.read_bytes()
 
 
-def _kept_digests():
+def _kept_keys():
+    """The memo's keys, least recently used first: the bytes of each kept
+    table."""
     return list(generators._TABLES)
-
-
-def _digest(raw):
-    return hashlib.sha256(raw).digest()
 
 
 def test_memo_sees_a_same_size_rewrite_within_one_timestamp(tmp_path):
@@ -295,7 +299,7 @@ def test_a_malformed_file_fixed_in_place_loads(tmp_path):
     path.write_text("x,f\n0,1\n1,abc\n2,3\n")
     with pytest.raises(QameansError, match="malformed data row"):
         load_table(str(path))
-    assert _kept_digests() == []
+    assert _kept_keys() == []
     path.write_text("x,f\n0,1\n1,2\n2,3\n")
     assert list(load_table(str(path)).values) == [1.0, 2.0, 3.0]
 
@@ -304,7 +308,7 @@ def test_the_same_bytes_at_two_paths_keep_their_own_paths(tmp_path):
     raw = _write_cubic(tmp_path / "a.csv", 9)
     (tmp_path / "b.csv").write_bytes(raw)
     a, b = (load_table(str(tmp_path / name)) for name in ("a.csv", "b.csv"))
-    assert _kept_digests() == [_digest(raw)]
+    assert _kept_keys() == [raw]
     assert (a.source, b.source) == (str(tmp_path / "a.csv"), str(tmp_path / "b.csv"))
     assert b.spec_string() == f"table:{tmp_path / 'b.csv'}"
     # The x checks run on every load, and their errors name that load's path.
@@ -321,13 +325,13 @@ def test_memo_drops_least_recently_used_tables_past_its_row_bound(tmp_path, monk
             for shift, name in enumerate("abc")}
     for name in "aba":
         load_table(str(tmp_path / f"{name}.csv"))
-    assert _kept_digests() == [_digest(raws["b"]), _digest(raws["a"])]
+    assert _kept_keys() == [raws["b"], raws["a"]]
     load_table(str(tmp_path / "c.csv"))       # 12 rows kept: b goes
-    assert _kept_digests() == [_digest(raws["a"]), _digest(raws["c"])]
+    assert _kept_keys() == [raws["a"], raws["c"]]
     # A table above the bound by itself is not kept, and drops the rest.
     _write_cubic(tmp_path / "big.csv", 11)
     assert load_table(str(tmp_path / "big.csv")).domain.grid_points == 11
-    assert _kept_digests() == []
+    assert _kept_keys() == []
 
 
 def test_threads_loading_tables_while_the_memo_evicts(tmp_path, monkeypatch):
@@ -359,3 +363,128 @@ def test_threads_loading_tables_while_the_memo_evicts(tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def _write_fixed(path, n):
+    """A headless n-row table of x**3 on [1, 2] whose every line is 44
+    bytes (two 21-byte cells), so the byte at an offset is known; returns
+    its bytes."""
+    xs = np.linspace(1.0, 2.0, n)
+    path.write_text("".join(f"{x:.15e},{x ** 3:.15e}\n" for x in xs))
+    return path.read_bytes()
+
+
+def _record_parses(monkeypatch):
+    """The bytes of each _parse_table call from now on."""
+    parses = []
+    parse = generators._parse_table
+    monkeypatch.setattr(generators, "_parse_table",
+                        lambda raw, p: parses.append(raw) or parse(raw, p))
+    return parses
+
+
+def _assert_parsed_anew(path, monkeypatch, raw, changed):
+    """Loading path, now holding changed, parses changed and keeps it after
+    the table of raw; the values are float() of each new cell."""
+    parses = _record_parses(monkeypatch)
+    _read_table(str(path))
+    assert parses == [changed]
+    assert _kept_keys() == [raw, changed]
+    assert_bits_equal_oracle(path)
+
+
+@pytest.mark.parametrize("at", [0, _CHUNK_BYTES - 1, _CHUNK_BYTES, -1],
+                         ids=["first", "before chunk edge", "after chunk edge", "last"])
+def test_a_same_size_rewrite_of_one_byte_is_parsed_again(tmp_path, monkeypatch, at):
+    """The memo compares a file with a kept table's bytes _CHUNK_BYTES at a
+    time; one byte at either end, or either side of a chunk edge, tells
+    them apart."""
+    path = tmp_path / "t.csv"
+    raw = _write_fixed(path, 8192)
+    assert len(raw) > _CHUNK_BYTES + 1
+    _, old = _read_table(str(path))
+    changed = bytearray(raw)
+    # A digit of a cell, or the last line end, becomes another digit.
+    changed[at] = ord("2") if raw[at] == ord("1") else ord("1")
+    path.write_bytes(changed)
+    _assert_parsed_anew(path, monkeypatch, raw, bytes(changed))
+    assert not np.array_equal(_read_table(str(path))[1], old)
+
+
+LAST_LINE = 44
+
+
+@pytest.mark.parametrize("stale_size", [False, True], ids=["fstat", "stale fstat"])
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw + b"3.000000000000000e+00,2.700000000000000e+01\n",
+    lambda raw: raw[:-LAST_LINE],
+], ids=["appended", "truncated"])
+def test_a_file_appended_to_or_truncated_after_a_load_is_parsed_again(
+        tmp_path, monkeypatch, edit, stale_size):
+    """With a stale size from os.fstat, as when the file changes between
+    fstat and the reads, the compare still reads to the file's end."""
+    path = tmp_path / "t.csv"
+    raw = _write_fixed(path, 8192)
+    _read_table(str(path))
+    changed = edit(raw)
+    path.write_bytes(changed)
+    if stale_size:
+        fstat = os.fstat
+
+        def kept_size(fd):
+            st = list(fstat(fd))
+            st[6] = len(raw)     # st_size
+            return os.stat_result(st)
+
+        monkeypatch.setattr(generators.os, "fstat", kept_size)
+    _assert_parsed_anew(path, monkeypatch, raw, changed)
+
+
+PIPED_CLASSIFY = """
+import sys
+from qameans.cli import run
+from qameans.generators import load_table
+load_table(sys.argv[1])
+sys.exit(run(["classify", "--gen", "table:/dev/stdin"]))
+"""
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["other bytes kept", "same bytes kept"])
+def test_a_table_piped_to_dev_stdin_loads(tmp_path, capsys, kept):
+    """A pipe cannot seek, so the memo reads it as a stream: it is compared
+    with no kept table, not even one of the same bytes."""
+    path = tmp_path / "t.csv"
+    raw = _write_cubic(path, 9)
+    other = tmp_path / "other.csv"
+    _write_cubic(other, 9, 1.0)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", PIPED_CLASSIFY, str(path if kept else other)],
+        input=raw, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert run(["classify", "--gen", f"table:{path}"]) == 0
+    want = capsys.readouterr().out
+    assert proc.stdout.decode() == want.replace(str(path), "/dev/stdin")
+
+
+def test_a_hit_on_a_large_table_parses_and_hashes_nothing(envelope_csv, monkeypatch):
+    """A load of kept bytes reads the file into one chunk buffer and copies
+    the columns; it holds no second copy of the file."""
+    path = str(envelope_csv)
+    load_table(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hit parsed or hashed the file")
+
+    monkeypatch.setattr(generators, "_parse_table", refuse)
+    for name in hashlib.algorithms_guaranteed | {"new", "file_digest"}:
+        if hasattr(hashlib, name):
+            monkeypatch.setattr(hashlib, name, refuse)
+    tracemalloc.start()
+    try:
+        tab = load_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tab.domain.grid_points == 65537
+    assert peak < envelope_csv.stat().st_size / 2
