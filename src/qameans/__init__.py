@@ -22,7 +22,6 @@ from .errors import (
 from .grids import DEFAULT_GRID_POINTS, ScalarGrid, WorkingInterval
 from .generators import (
     AffineGenerator,
-    AffineOfGenerator,
     ExpGenerator,
     Generator,
     LogGenerator,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineGenerator",
-    "AffineOfGenerator",
     "ArithmeticMean",
     "CandidateRejected",
     "ComparisonReport",

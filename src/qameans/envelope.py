@@ -241,7 +241,8 @@ class EnvelopeResult:
         raise UsageError(f"no envelope mean for status {self.status}")
 
     def to_dict(self) -> dict:
-        """The report fields; g and g1 stay arrays, which json.dumps takes as lists."""
+        """The report fields; g and g1 stay arrays, which cli._json_text writes as
+        lists (json.dumps refuses an ndarray; pass it g.tolist())."""
         out = {
             "status": self.status,
             "direction": self.direction,

@@ -153,14 +153,6 @@ def _finite_exponent(kind: str, p: float) -> float:
     return p
 
 
-def _affine_coefficients(kind: str, a: float, b: float) -> tuple[float, float]:
-    """(a, b) as floats, or UsageError unless both are finite and a != 0."""
-    a, b = float(a), float(b)
-    if not (0.0 < abs(a) < np.inf and abs(b) < np.inf):  # NaN fails it too
-        raise UsageError(f"{kind} needs a != 0 and finite a and b, got a = {a!r}, b = {b!r}")
-    return a, b
-
-
 class AffineGenerator(Generator):
     """f(x) = a*x + b with finite a != 0 and finite b; generates the arithmetic mean.
 
@@ -168,7 +160,11 @@ class AffineGenerator(Generator):
     """
 
     def __init__(self, a: float, b: float, domain: WorkingInterval):
-        self.a, self.b = _affine_coefficients("affine generator", a, b)
+        a, b = float(a), float(b)
+        if not (0.0 < abs(a) < np.inf and abs(b) < np.inf):  # NaN fails it too
+            raise UsageError(f"affine generator needs a != 0 and finite a and b, "
+                             f"got a = {a!r}, b = {b!r}")
+        self.a, self.b = a, b
         self.domain = domain
 
     def f(self, x):
@@ -187,34 +183,6 @@ class AffineGenerator(Generator):
         if self.a == 1.0 and self.b == 0.0:
             return "id"
         return f"affine:{_shortest(self.a)}:{_shortest(self.b)}"
-
-
-class AffineOfGenerator(Generator):
-    """Value-space affine transform a*f + b of another generator.
-
-    Generates the same mean as the inner generator and has its profile;
-    a = -1, b = 0 is the negation -f.
-    """
-
-    def __init__(self, inner: Generator, a: float, b: float):
-        self.a, self.b = _affine_coefficients("affine transform", a, b)
-        self.inner = inner
-        self.domain = inner.domain
-
-    def f(self, x):
-        return self.a * self.inner.f(x) + self.b
-
-    def finv(self, y):
-        return self.inner.finv((np.asarray(y, dtype=float) - self.b) / self.a)
-
-    def f1(self, x):
-        return self.a * self.inner.f1(x)
-
-    def rho(self, x):
-        return self.inner.rho(x)
-
-    def spec_string(self):
-        return f"{_shortest(self.a)}*({self.inner.spec_string()})+{_shortest(self.b)}"
 
 
 class ReflectedGenerator(Generator):

@@ -34,6 +34,8 @@ class WorkingInterval:
             raise UsageError("interval endpoints must be finite")
         if not self.lo < self.hi:
             raise UsageError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not np.isfinite(float(self.hi) - float(self.lo)):  # floats: no numpy warning
+            raise UsageError(f"need a finite span hi - lo, got [{self.lo}, {self.hi}]")
         n = self.grid_points
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise UsageError(f"grid_points must be an integer, got {n!r}")

@@ -16,8 +16,9 @@ reflected concave-envelope routes, and permutation symmetry.
 Each check supplies a margin function and a witness builder to the
 sampling driver ``convexity._sample_margins``, which calls the builder
 once, on the failing trial with the lowest index (maximality keeps the
-witness of its first failing candidate).  The interchange and
-running-mean witnesses are shrunk once per report.
+witness of its first failing candidate).  Witnesses read their means from
+the margin function's rows.  The interchange and running-mean witnesses are
+shrunk once per report, each point through the margin function as one row.
 """
 
 from __future__ import annotations
@@ -80,26 +81,20 @@ def _shrink(sides, arr0: np.ndarray, floor: float) -> tuple:
     return arr, kept if kept is not None else sides(arr)
 
 
-def _shrunk_witness(key: str, sides, tol: float, trial: int, x0: np.ndarray,
-                    margin: float) -> dict:
+def _shrunk_witness(key: str, margin_fn, tol: float, trial: int, x0: np.ndarray,
+                    margin: float, *_) -> dict:
     """Shrink a failing input x0 of lhs <= rhs once and evaluate both sides.
 
-    The last three arguments are the driver's witness row; sides(x) returns
-    (lhs, rhs) for an input of x0's shape, which the witness keeps under key.
+    The arguments past tol are the driver's witness row of margin_fn, which
+    returns (rhs - lhs, lhs, rhs) for a batch; each shrink point is one row.
     """
-    shrunk, (lhs, rhs) = _shrink(lambda flat: sides(flat.reshape(x0.shape)),
-                                 x0.ravel(), max(2.0 * tol, -0.5 * margin))
+    def sides(flat):
+        _, lhs, rhs = margin_fn(flat.reshape(1, *x0.shape))
+        return float(lhs[0]), float(rhs[0])
+
+    shrunk, (lhs, rhs) = _shrink(sides, x0.ravel(), max(2.0 * tol, -0.5 * margin))
     return {key: shrunk.reshape(x0.shape).tolist(), "lhs": lhs, "rhs": rhs,
             "violation": float(lhs - rhs), "trial": trial}
-
-
-def _ij_sides(M: MeanHandle, N: MeanHandle, x: np.ndarray) -> tuple:
-    """Both sides N(row-wise M), M(column-wise N) of one n-by-m matrix.
-
-    The columns are copied contiguous so each is summed in the order a
-    single-vector call would sum it.
-    """
-    return float(N(M.batch(x))), float(M(N.batch(np.ascontiguousarray(x.T))))
 
 
 def _ij_sample(M: MeanHandle, N: MeanHandle, draws: list, per: int) -> tuple:
@@ -124,11 +119,10 @@ def _ij_sample(M: MeanHandle, N: MeanHandle, draws: list, per: int) -> tuple:
         trials, n, m = X.shape
         lhs = N.batch(M.batch(X.reshape(-1, m)).reshape(trials, n))
         rhs = M.batch(N.batch(np.swapaxes(X, 1, 2).reshape(-1, n)).reshape(trials, m))
-        return (rhs - lhs,)
+        return rhs - lhs, lhs, rhs
 
-    def witness(trial, x, mg):
-        return _shrunk_witness("matrix", functools.partial(_ij_sides, M, N), tol,
-                               trial % per, x, mg)
+    def witness(trial, *row):
+        return _shrunk_witness("matrix", margin, tol, trial % per, *row)
 
     return (*_sample_margins(groups(), margin, tol, witness), tol)
 
@@ -148,11 +142,6 @@ def ingham_jessen_check(M: MeanHandle, N: MeanHandle, m: int, n: int,
                                        "M": M.spec_string(), "N": N.spec_string()})
 
 
-def _prefix_sides(M: MeanHandle, N: MeanHandle, vec: np.ndarray) -> tuple:
-    """Both sides N(running M-means), M(running N-means) of one vector."""
-    return float(N(M.running(vec[None])[0])), float(M(N.running(vec[None])[0]))
-
-
 def kedlaya_check(M: MeanHandle, N: MeanHandle, n_max: int, trials: int,
                   seed: int = 0) -> TrialReport:
     """Test N of running M-prefix-means <= M of running N-prefix-means.
@@ -165,11 +154,14 @@ def kedlaya_check(M: MeanHandle, N: MeanHandle, n_max: int, trials: int,
     interval = M.domain
     rng = np.random.default_rng(seed)
     tol = MEAN_CMP_TOL * interval.span
+
+    def margin(X):
+        lhs, rhs = N.batch(M.running(X)), M.batch(N.running(X))
+        return rhs - lhs, lhs, rhs
+
     worst, failures, witness = _sample_margins(
-        _grouped_tuples(rng, trials, n_max, interval),
-        lambda X: (M.batch(N.running(X)) - N.batch(M.running(X)),), tol,
-        functools.partial(_shrunk_witness, "values",
-                          functools.partial(_prefix_sides, M, N), tol))
+        _grouped_tuples(rng, trials, n_max, interval), margin, tol,
+        functools.partial(_shrunk_witness, "values", margin, tol))
     return TrialReport("kedlaya", trials, failures, worst, seed, witness,
                        extra={"n_max": n_max, "tol": tol,
                               "M": M.spec_string(), "N": N.spec_string()})
@@ -224,13 +216,17 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
                 f"candidate {c}: no dominating concave profile in 200 attempts")
         cand_mean = QuasiArithmeticMean(
             reconstruct_generator(mp, interval, source=f"candidate:{c}"))
+
+        def margin(X):
+            qa_candidate, qa_envelope = cand_mean.batch(X), env_mean.batch(X)
+            return qa_envelope - qa_candidate, qa_candidate, qa_envelope
+
         # Only the first failing candidate's witness is built and kept.
         w, fails, found = _sample_margins(
-            _grouped_tuples(rng, trials, 6, interval),
-            lambda X: (env_mean.batch(X) - cand_mean.batch(X),), MAXIMALITY_TOL,
-            lambda trial, x, mg: witness or {
-                "candidate": c, "values": x.tolist(), "qa_candidate": float(cand_mean(x)),
-                "qa_envelope": float(env_mean(x)), "margin": float(mg)})
+            _grouped_tuples(rng, trials, 6, interval), margin, MAXIMALITY_TOL,
+            lambda trial, x, mg, qc, qe: witness or {
+                "candidate": c, "values": x.tolist(), "qa_candidate": float(qc),
+                "qa_envelope": float(qe), "margin": float(mg)})
         worst = min(worst, w)
         failures += fails
         witness = witness or found
@@ -267,14 +263,14 @@ def duality_check(f: Generator, env: EnvelopeResult, trials: int,
     rng = np.random.default_rng(seed)
 
     def margin(X):
-        diff = np.abs(mean_a.batch(X) - mean_b.batch(X))
-        return DUALITY_TOL - diff, diff
+        direct, reflected = mean_a.batch(X), mean_b.batch(X)
+        return DUALITY_TOL - np.abs(direct - reflected), direct, reflected
 
     worst, failures, witness = _sample_margins(
         _grouped_tuples(rng, trials, 6, f.domain), margin, 0.0,
-        lambda trial, x, mg, diff: {
-            "values": x.tolist(), "direct": float(mean_a(x)),
-            "reflected": float(mean_b(x)), "difference": float(diff)})
+        lambda trial, x, mg, a, b: {
+            "values": x.tolist(), "direct": float(a), "reflected": float(b),
+            "difference": abs(float(a) - float(b))})
     return TrialReport("duality", trials, failures, worst, seed, witness,
                        extra={"generator": f.spec_string(), "tol": DUALITY_TOL,
                               "status": env_a.status})
@@ -288,14 +284,14 @@ def symmetry_check(mean: MeanHandle, trials: int, seed: int = 0) -> TrialReport:
         # One batch for both: a row's mean does not depend on its batch.
         P = rng.permuted(X, axis=1)
         both = mean.batch(np.concatenate((X, P)))
-        diff = np.abs(both[:len(X)] - both[len(X):])
-        return SYMMETRY_TOL - diff, P, diff
+        value, permuted = both[:len(X)], both[len(X):]
+        return SYMMETRY_TOL - np.abs(value - permuted), P, value, permuted
 
     worst, failures, witness = _sample_margins(
         _grouped_tuples(rng, trials, 6, mean.domain), margin, 0.0,
-        lambda trial, x, mg, p, diff: {
-            "values": x.tolist(), "permuted": p.tolist(), "value": float(mean(x)),
-            "permuted_value": float(mean(p)), "difference": float(diff)})
+        lambda trial, x, mg, p, v, pv: {
+            "values": x.tolist(), "permuted": p.tolist(), "value": float(v),
+            "permuted_value": float(pv), "difference": abs(float(v) - float(pv))})
     return TrialReport("symmetry", trials, failures, worst, seed, witness,
                        extra={"mean": mean.spec_string(), "tol": SYMMETRY_TOL})
 

@@ -8,6 +8,7 @@ from qameans import generators
 from qameans.envelope import reconstruct_generator
 from qameans.generators import (
     ExpGenerator,
+    Generator,
     LogGenerator,
     PowerGenerator,
     TabulatedGenerator,
@@ -19,6 +20,30 @@ from qameans.grids import WorkingInterval
 # not timed per example, so a loaded host cannot fail them.
 settings.register_profile("qameans", derandomize=True, deadline=None)
 settings.load_profile("qameans")
+
+
+class Negated(Generator):
+    """-f as the value-space transform -1 * f + 0: f and -f generate one mean
+    and share rho, so tests use it to check that nothing reads f's sign."""
+
+    def __init__(self, inner: Generator):
+        self.inner = inner
+        self.domain = inner.domain
+
+    def f(self, x):
+        return -1.0 * self.inner.f(x) + 0.0
+
+    def finv(self, y):
+        return self.inner.finv((np.asarray(y, dtype=float) - 0.0) / -1.0)
+
+    def f1(self, x):
+        return -1.0 * self.inner.f1(x)
+
+    def rho(self, x):
+        return self.inner.rho(x)
+
+    def spec_string(self):
+        return f"-({self.inner.spec_string()})"
 
 
 @pytest.fixture(autouse=True)

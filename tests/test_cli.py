@@ -568,6 +568,25 @@ def test_infinite_x_in_table_prints_one_error_line(tmp_path, capfd):
     assert captured.err == f"error: {path}: x column must be finite\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--gen", "exp"],
+    ["compare", "--gen", "exp", "--gen2", "id"],
+    ["envelope", "--gen", "exp"],
+    ["verify", "--check", "symmetry", "--gen", "id"],
+    ["verify", "--check", "kedlaya", "--gen", "id"],
+], ids=["classify", "compare", "envelope", "verify-symmetry", "verify-kedlaya"])
+def test_interval_whose_span_overflows_prints_one_error_line(capfd, argv):
+    """hi - lo = inf once gave a NaN grid: verdicts read off it after numpy
+    warnings, a hull error, or an uncaught OverflowError with exit 1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        code = run(argv + ["--lo", "-1e308", "--hi", "1e308"])
+    captured = capfd.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: need a finite span hi - lo, got [-1e+308, 1e+308]\n"
+
+
 def test_compare_on_nan_profile_table_is_usage_error(tmp_path, capsys):
     """A NaN in a table's m column is an explicit error, not a NaN gap."""
     xs = np.linspace(0.1, 10.0, 1025).tolist()

@@ -11,7 +11,6 @@ from qameans.convexity import (
 from qameans.errors import UsageError
 from qameans.generators import (
     AffineGenerator,
-    AffineOfGenerator,
     ExpGenerator,
     LogGenerator,
     PowerGenerator,
@@ -65,10 +64,8 @@ def test_classify_evidence_branches(catalog):
     assert got.evidence["branch"] == "reflected-rho-positive-concave"
 
 
-def test_classify_affine_wrappers_do_not_change_class(catalog, iv):
+def test_classify_affine_wrappers_do_not_change_class(iv):
     assert classify(AffineGenerator(-2.0, 3.0, iv)).value == "ArithmeticBoth"
-    wrapped = AffineOfGenerator(catalog["power:2"], -1.5, 4.0)
-    assert classify(wrapped).value == "Convex"
 
 
 def test_classify_neither_cubic(neither_cubic):

@@ -44,6 +44,13 @@ def test_no_generator_states_a_direction():
     iv = qameans.WorkingInterval(0.1, 10.0)
     for gen in (qameans.PowerGenerator(-1.0, iv), qameans.LogGenerator(iv),
                 qameans.ExpGenerator(iv), qameans.AffineGenerator(-2.0, 3.0, iv),
-                qameans.AffineOfGenerator(qameans.LogGenerator(iv), -1.0, 0.0),
                 qameans.ReflectedGenerator(qameans.ExpGenerator(iv))):
         assert not hasattr(gen, "increasing"), gen
+
+
+def test_removed_affine_transform_is_gone():
+    """a*f + b generates f's mean with f's profile, so no kind wraps f in it."""
+    generators = importlib.import_module("qameans.generators")
+    for name in ("AffineOfGenerator", "_affine_coefficients"):
+        assert not hasattr(qameans, name) and not hasattr(generators, name), name
+        assert name not in qameans.__all__

@@ -20,7 +20,6 @@ from qameans.errors import (
 )
 from qameans.generators import (
     AffineGenerator,
-    AffineOfGenerator,
     ExpGenerator,
     LogGenerator,
     PowerGenerator,
@@ -35,6 +34,7 @@ from qameans.generators import (
 from qameans.grids import MAX_GRID_POINTS, ScalarGrid, WorkingInterval
 from qameans.means import QuasiArithmeticMean, compare, qa_mean
 
+from conftest import Negated
 from oracles import fd_first, fd_second
 
 
@@ -64,8 +64,6 @@ def test_eval_outside_domain_raises(iv):
 def test_affine_kinds_reject_a_without_direction(iv, a):
     with pytest.raises(UsageError, match="needs a != 0 and finite a and b"):
         AffineGenerator(a, 1.0, iv)
-    with pytest.raises(UsageError, match="needs a != 0 and finite a and b"):
-        AffineOfGenerator(LogGenerator(iv), a, 1.0)
 
 
 @pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf])
@@ -73,8 +71,6 @@ def test_affine_kinds_reject_a_nonfinite_b(iv, b):
     """Every value of f would be NaN or infinite."""
     with pytest.raises(UsageError, match="needs a != 0 and finite a and b"):
         AffineGenerator(1.0, b, iv)
-    with pytest.raises(UsageError, match="needs a != 0 and finite a and b"):
-        AffineOfGenerator(LogGenerator(iv), -2.0, b)
 
 
 def test_power_generator_rejects_bad_arguments():
@@ -95,6 +91,24 @@ def test_working_interval_rejects_bad_grid_sizes(grid_points):
 def test_working_interval_accepts_integer_grid_sizes():
     assert WorkingInterval(0.1, 10.0, MAX_GRID_POINTS).grid_points == MAX_GRID_POINTS
     assert WorkingInterval(0.1, 10.0, np.int64(5)).grid().shape == (5,)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7e308, 1.7e308),
+                                    (np.float64(-1e308), np.float64(1e308))],
+                         ids=["1e308", "1.7e308", "numpy-1e308"])
+def test_working_interval_refuses_a_span_that_overflows(lo, hi):
+    """hi - lo = inf once made every grid point after lo NaN."""
+    with pytest.raises(UsageError, match=r"^need a finite span hi - lo, got \[-1"):
+        WorkingInterval(lo, hi)
+
+
+def test_working_interval_accepts_the_widest_finite_span():
+    top = np.finfo(float).max
+    for iv in (WorkingInterval(-8.9e307, 8.9e307), WorkingInterval(-top / 2, top / 2)):
+        xs = iv.grid()
+        assert np.isfinite(iv.span) and np.isfinite(iv.step)
+        assert (xs[0], xs[-1]) == (iv.lo, iv.hi) and np.all(np.diff(xs) > 0)
+    assert WorkingInterval(-top / 2, top / 2).span == top
 
 
 def test_working_interval_grid_is_built_once_and_read_only():
@@ -164,7 +178,7 @@ def test_tabulated_f1_must_be_finite_and_nonzero(iv, bad):
 @st.composite
 def composed_generators(draw):
     """power p, log, exp or affine a on a positive interval, then up to three
-    AffineOf, reflect, negate (-f) or tabulate steps."""
+    reflect, negate (-f) or tabulate steps."""
     lo = draw(st.floats(0.1, 5.0))
     iv = WorkingInterval(lo, lo + draw(st.floats(0.1, 10.0)), 65)
     nonzero = st.floats(0.05, 5.0).flatmap(lambda v: st.sampled_from((v, -v)))
@@ -178,14 +192,12 @@ def composed_generators(draw):
         gen = ExpGenerator(iv)
     else:
         gen = AffineGenerator(draw(nonzero), draw(offset), iv)
-    steps = st.sampled_from(("affine_of", "reflect", "negate", "tabulate"))
+    steps = st.sampled_from(("reflect", "negate", "tabulate"))
     for step in draw(st.lists(steps, max_size=3)):
-        if step == "affine_of":
-            gen = AffineOfGenerator(gen, draw(nonzero), draw(offset))
-        elif step == "reflect":
+        if step == "reflect":
             gen = reflect_generator(gen)
         elif step == "negate":
-            gen = AffineOfGenerator(gen, -1.0, 0.0)
+            gen = Negated(gen)
         else:
             gen = tabulate(gen)
     return gen
@@ -212,7 +224,7 @@ def test_negation_changes_no_fact_the_theory_uses(gen, data):
     """f and -f have one profile and one mean, so nothing reads a direction:
     rho, classify, compare, both envelopes (status, hull, witness and the
     published rising g and g') and the means of drawn rows agree."""
-    neg = AffineOfGenerator(gen, -1.0, 0.0)
+    neg = Negated(gen)
     d = gen.domain
     r, rn = _outcome(rho, gen), _outcome(rho, neg)
     assert (np.array_equal(r.values, rn.values) if isinstance(r, ScalarGrid)
@@ -290,12 +302,6 @@ def test_rho_closed_forms(iv):
     assert np.array_equal(rho(ExpGenerator(iv)).values, np.ones_like(xs))
 
 
-def test_rho_affine_invariance(iv):
-    base = PowerGenerator(3.0, iv)
-    wrapped = AffineOfGenerator(base, 2.5, -7.0)
-    assert np.max(np.abs(rho(wrapped).values - rho(base).values)) < 1e-10 * iv.hi
-
-
 def test_rho_degenerate_second_derivative(iv):
     with pytest.raises(DegenerateSecondDerivative):
         rho(parse_generator("id", iv))
@@ -324,17 +330,6 @@ def test_reflect_generator_values(iv):
     assert np.array_equal(ref.f1(xs), -gen.f1(-xs))
     assert np.array_equal(ref.rho(xs), -gen.rho(-xs))
     # double reflection unwraps to the original object
-    assert reflect_generator(ref) is gen
-
-
-def test_reflect_distributes_over_affine_wrappers(iv):
-    gen = AffineOfGenerator(ExpGenerator(iv), 2.0, 1.0)
-    ref = reflect_generator(gen)
-    xs = ref.domain.grid()[::97]
-    assert np.array_equal(ref.f(xs), gen.f(-xs))
-    wrapped = AffineOfGenerator(reflect_generator(ExpGenerator(iv)), 2.0, 1.0)
-    assert np.array_equal(ref.f(xs), wrapped.f(xs))
-    assert np.array_equal(ref.rho(xs), wrapped.rho(xs))
     assert reflect_generator(ref) is gen
 
 
@@ -410,13 +405,6 @@ def test_power_spec_string_round_trips(iv, p):
 def test_catalog_spec_strings_print_as_written(iv):
     for spec in ("power:3", "power:-5", "power:0.5", "affine:2:1", "id", "log", "exp"):
         assert parse_generator(spec, iv).spec_string() == spec
-
-
-def test_affine_of_spec_string_keeps_every_digit(iv):
-    log = LogGenerator(iv)
-    assert (AffineOfGenerator(log, 1 / 3, -0.1).spec_string()
-            == "0.3333333333333333*(log)+-0.1")
-    assert AffineOfGenerator(log, -1.0, 0.0).spec_string() == "-1*(log)+0"
 
 
 def test_parse_generator_errors(iv):

@@ -298,5 +298,6 @@ def test_arithmetic_sum_that_overflows_is_a_range_error_without_warning():
                                                  r"on \[1e\+308, 1\.7e\+308\]$"):
                 fn([1.5e308, 1.6e308])
         # Near the largest float, a sum that stays finite is the plain one.
-        wide = ArithmeticMean(WorkingInterval(-1.7e308, 1.7e308))
-        assert wide([1.5e308, -1.6e308]) == (1.5e308 - 1.6e308) / 2
+        wide = ArithmeticMean(WorkingInterval(-8.9e307, 8.9e307))
+        assert 2.0 * 2 * wide.domain.hi == np.inf
+        assert wide([8.5e307, -8.8e307]) == (8.5e307 - 8.8e307) / 2

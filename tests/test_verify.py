@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from qameans import verify
-from qameans.envelope import qa_concave_envelope, qa_convex_envelope
+from qameans.envelope import (
+    qa_concave_envelope,
+    qa_concave_envelope_via_reflection,
+    qa_convex_envelope,
+)
 from qameans.errors import UsageError
 from qameans.means import ArithmeticMean, MeanHandle, QuasiArithmeticMean
 from qameans.verify import (
@@ -175,18 +179,20 @@ def _log_mean_calls(monkeypatch, log):
         spy(cls, "batch")
         spy(cls, "running")
     spy(MeanHandle, "__call__")
-    groups, sides = verify._grouped_tuples, verify._prefix_sides
+    groups, shrink = verify._grouped_tuples, verify._shrink
 
     def marked_groups(*args):
         for group in groups(*args):
             log.append("group")
             yield group
 
-    def marked_sides(*args):
-        log.append("evaluation")
-        return sides(*args)
+    def marked_shrink(sides, *args):
+        def marked_sides(point):
+            log.append("evaluation")
+            return sides(point)
+        return shrink(marked_sides, *args)
     monkeypatch.setattr(verify, "_grouped_tuples", marked_groups)
-    monkeypatch.setattr(verify, "_prefix_sides", marked_sides)
+    monkeypatch.setattr(verify, "_shrink", marked_shrink)
 
 
 def test_kedlaya_takes_one_running_call_per_side(iv, catalog, monkeypatch):
@@ -203,7 +209,7 @@ def test_kedlaya_takes_one_running_call_per_side(iv, catalog, monkeypatch):
         calls[log[start]].append(sorted(log[start + 1:end]))
     assert calls["group"] == [["batch", "batch", "running", "running"]] * 4
     assert len(calls["evaluation"]) > 10
-    assert all(c == ["__call__", "__call__", "running", "running"]
+    assert all(c == ["batch", "batch", "running", "running"]
                for c in calls["evaluation"])
 
 
@@ -223,6 +229,57 @@ def test_kedlaya_reports_match_per_prefix_running_means(iv, catalog, monkeypatch
     for cls in (ArithmeticMean, QuasiArithmeticMean):
         monkeypatch.setattr(cls, "running", MeanHandle.running)
     assert reports() == fast
+
+
+# (m, n, seed) of failing interchange checks of arith against log at 100
+# trials, from IJ_CASES in perfbench/workloads.py.
+IJ_WITNESS_CASES = ((2, 2, 9), (2, 3, 8))
+
+
+def test_shrunk_witnesses_report_single_vector_means(iv, catalog):
+    """Each side of a shrunk witness is, bit for bit, its chain of
+    single-vector means: N of M's row means and M of N's column means for
+    the interchange, N and M of the per-prefix means for kedlaya."""
+    M, N = ArithmeticMean(iv), QuasiArithmeticMean(catalog["log"])
+    for m, n, seed in IJ_WITNESS_CASES:
+        w = ingham_jessen_check(M, N, m, n, 100, seed).witness
+        x = np.array(w["matrix"])
+        assert x.shape == (n, m)
+        assert w["lhs"] == N([M(row) for row in x])
+        assert w["rhs"] == M([N(col) for col in x.T])
+    for seed in KEDLAYA_WITNESS_SEEDS:
+        w = kedlaya_check(M, N, 5, 200, seed=seed).witness
+        x = np.array(w["values"])
+        assert w["lhs"] == N([M(x[:k]) for k in range(1, len(x) + 1)])
+        assert w["rhs"] == M([N(x[:k]) for k in range(1, len(x) + 1)])
+
+
+def test_forced_witnesses_report_single_vector_means(catalog, rho_x2_gen, monkeypatch):
+    """With every tolerance at -1 each trial fails, and the witness's means
+    are, bit for bit, those of single-vector calls on its own rows."""
+    for name in ("SYMMETRY_TOL", "DUALITY_TOL", "MAXIMALITY_TOL"):
+        monkeypatch.setattr(verify, name, -1.0)
+    log = catalog["log"]
+    g = QuasiArithmeticMean(log)
+    w = symmetry_check(g, 200, seed=3).witness
+    assert (w["value"], w["permuted_value"]) == (g(w["values"]), g(w["permuted"]))
+    env = qa_concave_envelope(log)
+    w = duality_check(log, env, 200, seed=3).witness
+    reflected = qa_concave_envelope_via_reflection(log).mean_handle()
+    assert (w["direct"], w["reflected"]) == (env.mean_handle()(w["values"]),
+                                             reflected(w["values"]))
+    built = []
+
+    def kept(gen):
+        built.append(QuasiArithmeticMean(gen))
+        return built[-1]
+    monkeypatch.setattr(verify, "QuasiArithmeticMean", kept)
+    rep = maximality_check(rho_x2_gen, qa_convex_envelope(rho_x2_gen), 3, 100, seed=3)
+    w = rep.witness
+    env_mean, candidates = built[0], built[1:]
+    assert rep.failures == 300 and w["candidate"] == 0
+    assert w["qa_envelope"] == env_mean(w["values"])
+    assert w["qa_candidate"] == candidates[w["candidate"]](w["values"])
 
 
 def test_maximality_envelope_dominates_candidates(rho_x2_gen):
