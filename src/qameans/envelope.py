@@ -15,7 +15,8 @@ trapezoid sums, since g'/g'' = m is equivalent to (ln g')' = 1/m:
 
 anchored at g(lo) = 0, g'(lo) = 1 (any anchor gives the same mean).  The
 result's generator carries g, g' and m itself as its profile, so its rho
-is the hull to the bit.
+is the hull to the bit; every result samples its published g and g' from
+its one generator, negated if they fall (see EnvelopeResult).
 
 An envelope in a given direction exists only when the mean sits on the
 right side of the arithmetic mean; for increasing f, QA_f >= A exactly when
@@ -212,9 +213,11 @@ class EnvelopeResult:
     """Outcome of a QA envelope computation.
 
     status is one of Envelope, AlreadyExtremal, ArithmeticEnvelope,
-    NoneExists.  The first three carry g and g' on the grid as read-only
-    arrays; NoneExists carries the violating grid pair in
-    diagnostics["witness"].
+    NoneExists; NoneExists carries the violating grid pair in
+    diagnostics["witness"].  g and g' on the grid are set from the rest,
+    read-only: the tabulated values and f' of the generator, negated if
+    they fall (-g generates the same mean); x and 1 for the arithmetic
+    envelope, which has no generator; None for NoneExists.
     """
 
     status: str
@@ -222,15 +225,23 @@ class EnvelopeResult:
     interval: WorkingInterval
     rho: ScalarGrid | None = None
     m: PiecewiseLinearHull | None = None
-    g: np.ndarray | None = None
-    g1: np.ndarray | None = None
+    g: np.ndarray | None = field(init=False)
+    g1: np.ndarray | None = field(init=False)
     generator: Generator | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for arr in (self.g, self.g1):
-            if arr is not None:
-                arr.flags.writeable = False
+        g = g1 = None
+        if self.generator is not None:
+            tab = tabulate(self.generator)
+            g, g1 = tab.values, tab.f1_values
+            if not g[-1] > g[0]:
+                g, g1 = 0.0 - g, -g1
+        elif self.status != "NoneExists":
+            g, g1 = self.interval.grid(), np.ones(self.interval.grid_points)
+        if g is not None:
+            g.flags.writeable = g1.flags.writeable = False
+        self.g, self.g1 = g, g1
 
     def mean_handle(self) -> MeanHandle:
         """The envelope mean itself, as an evaluable handle."""
@@ -259,14 +270,6 @@ class EnvelopeResult:
             out["g"] = self.g
             out["g1"] = self.g1
         return out
-
-
-def _arithmetic(direction: str, interval: WorkingInterval,
-                diagnostics: dict) -> EnvelopeResult:
-    """The arithmetic mean as the envelope: g(x) = x, g'(x) = 1."""
-    xs = interval.grid()
-    return EnvelopeResult("ArithmeticEnvelope", direction, interval, g=xs,
-                          g1=np.ones_like(xs), diagnostics=diagnostics)
 
 
 def _pair_witness(gen: Generator, direction: str) -> dict | None:
@@ -304,15 +307,6 @@ def _pair_witness(gen: Generator, direction: str) -> dict | None:
             "margin": margin, "tol": tol}
 
 
-def _rising_grids(gen: Generator) -> tuple:
-    """g and g' of gen sampled on its grid, negated if f falls there: -f
-    generates the same mean, and a published g rises."""
-    tab = tabulate(gen)
-    if tab.values[-1] > tab.values[0]:
-        return tab.values, tab.f1_values
-    return 0.0 - tab.values, -tab.f1_values
-
-
 def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
     # Existence and extremality are read from the one profile test in this
     # direction (rho for convex, -rho for concave): a wrong sign rules the
@@ -321,7 +315,8 @@ def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
     interval = gen.domain
     reason = test.get("reason")
     if reason == "f2-identically-zero":
-        return _arithmetic(direction, interval, {"detail": detail})
+        return EnvelopeResult("ArithmeticEnvelope", direction, interval,
+                              diagnostics={"detail": detail})
     if reason in ("sign-change", "nonpositive-rho"):
         witness = _pair_witness(gen, direction)
         if witness is None:
@@ -336,23 +331,15 @@ def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
             else convex_envelope_1d(profile))
 
     if reason is None:
-        # The mean is its own envelope: keep the exact generator for the
-        # mean handle and publish its sampled grids for serialization.
-        g, g1 = _rising_grids(gen)
-        return EnvelopeResult(
-            "AlreadyExtremal", direction, interval,
-            rho=profile, m=hull, g=g, g1=g1,
-            generator=gen, diagnostics={"profile_test": test},
-        )
+        # The mean is its own envelope: keep the exact generator for the mean handle.
+        return EnvelopeResult("AlreadyExtremal", direction, interval, rho=profile, m=hull,
+                              generator=gen, diagnostics={"profile_test": test})
 
     # The hull is the result's profile: rho of the generator is m to the bit.
     gen_out = reconstruct_generator(hull(interval.grid()), interval,
                                     source=f"envelope({gen.spec_string()})")
-    return EnvelopeResult(
-        "Envelope", direction, interval,
-        rho=profile, m=hull, g=gen_out.values, g1=gen_out.f1_values,
-        generator=gen_out, diagnostics={"profile_test": test},
-    )
+    return EnvelopeResult("Envelope", direction, interval, rho=profile, m=hull,
+                          generator=gen_out, diagnostics={"profile_test": test})
 
 
 def qa_convex_envelope(gen: Generator) -> EnvelopeResult:
@@ -393,18 +380,15 @@ def qa_concave_envelope_via_reflection(gen: Generator) -> EnvelopeResult:
         a, b = w["values"]
         w.update(values=[-b, -a], qa_mean=-w["qa_mean"], arith_mean=-w["arith_mean"])
         diag["witness"] = w
+    if renv.generator is None:  # NoneExists or ArithmeticEnvelope
         return EnvelopeResult(renv.status, "concave", interval, diagnostics=diag)
-    if renv.status == "ArithmeticEnvelope":
-        return _arithmetic("concave", interval, diag)
 
     # Mirror the hull: if m-hat is the profile envelope on -I, the original
     # envelope generator satisfies g'/g'' = -m-hat(-x).
     verts = tuple((-x, -y) for x, y in reversed(renv.m.vertices))
     hull = PiecewiseLinearHull(verts, "lower")
-    gen_out = reflect_generator(renv.generator)
-    g, g1 = _rising_grids(gen_out)
     return EnvelopeResult(
         renv.status, "concave", interval,
-        rho=ScalarGrid(interval, -renv.rho.values[::-1]), m=hull, g=g, g1=g1,
-        generator=gen_out, diagnostics=diag,
+        rho=ScalarGrid(interval, -renv.rho.values[::-1]), m=hull,
+        generator=reflect_generator(renv.generator), diagnostics=diag,
     )

@@ -50,19 +50,19 @@ SYMMETRY_TOL = 1e-12
 MAXIMALITY_TOL = 1e-6
 
 
-def _shrink(sides, arr0: np.ndarray, floor: float) -> tuple:
+def _shrink(sides, arr0: np.ndarray, sides0: tuple, floor: float) -> tuple:
     """Pull a counterexample toward the all-equal point while it still violates.
 
     Coordinate-wise bisection toward the grand mean; a move is kept only if
     the violation lhs - rhs of sides(point) stays at or above the floor, so
     the shrunk witness still re-verifies with a definite margin.  A pass that
     has kept no move stops past the previous pass's last kept one, whose
-    later trials it would repeat.  Returns the shrunk point and its sides,
-    evaluated once: those of the last kept move, or arr0's if none was kept.
+    later trials it would repeat.  Returns the shrunk point and its sides:
+    those of the last kept move, or sides0, arr0's own, if none was kept.
     """
     arr = arr0.astype(float).copy()
     target = float(arr.mean())
-    kept, last = None, arr.size
+    kept, last = sides0, arr.size
     for _ in range(40):
         moved = False
         for i in range(arr.size):
@@ -78,22 +78,23 @@ def _shrink(sides, arr0: np.ndarray, floor: float) -> tuple:
                 moved = True
         if not moved:
             break
-    return arr, kept if kept is not None else sides(arr)
+    return arr, kept
 
 
 def _shrunk_witness(key: str, margin_fn, tol: float, trial: int, x0: np.ndarray,
-                    margin: float, *_) -> dict:
+                    margin: float, lhs: float, rhs: float) -> dict:
     """Shrink a failing input x0 of lhs <= rhs once and evaluate both sides.
 
     The arguments past tol are the driver's witness row of margin_fn, which
-    returns (rhs - lhs, lhs, rhs) for a batch; each shrink point is one row.
+    returns (rhs - lhs, lhs, rhs) for a batch; x0 keeps its row's sides and
+    each shrink point is one row (a row's means do not depend on its batch).
     """
     def sides(flat):
         _, lhs, rhs = margin_fn(flat.reshape(1, *x0.shape))
         return float(lhs[0]), float(rhs[0])
 
-    shrunk, (lhs, rhs) = _shrink(sides, x0.ravel(), max(2.0 * tol, -0.5 * margin))
-    return {key: shrunk.reshape(x0.shape).tolist(), "lhs": lhs, "rhs": rhs,
+    shrunk, (lhs, rhs) = _shrink(sides, x0.ravel(), (lhs, rhs), max(2.0 * tol, -0.5 * margin))
+    return {key: shrunk.reshape(x0.shape).tolist(), "lhs": float(lhs), "rhs": float(rhs),
             "violation": float(lhs - rhs), "trial": trial}
 
 

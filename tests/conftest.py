@@ -1,5 +1,7 @@
 """Shared fixtures: working intervals and a catalog of test generators."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -20,6 +22,11 @@ from qameans.grids import WorkingInterval
 # not timed per example, so a loaded host cannot fail them.
 settings.register_profile("qameans", derandomize=True, deadline=None)
 settings.load_profile("qameans")
+
+# pyproject.toml fails a test on a numpy RuntimeWarning in this process; the
+# CLI runs, demos, corpus, benchmark and -c runners that tests start as
+# subprocesses copy os.environ, and so fail on one too.
+os.environ["PYTHONWARNINGS"] = "error::RuntimeWarning"
 
 
 class Negated(Generator):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qameans.cli import _json_text
+from qameans.cli import _json_text, run
 from qameans.convexity import classify
 from qameans.envelope import (
     _FIRST_BLOCK,
@@ -32,13 +32,15 @@ from qameans.generators import (
     LogGenerator,
     PowerGenerator,
     TabulatedGenerator,
+    load_table,
     parse_generator,
     rho,
+    tabulate,
 )
 from qameans.grids import ScalarGrid, WorkingInterval
 from qameans.means import ArithmeticMean, QuasiArithmeticMean, qa_mean
 
-from conftest import build_from_profile
+from conftest import Negated, build_from_profile
 from oracles import (
     chord_profile_generator,
     concave_chord_profile_generator,
@@ -546,6 +548,79 @@ def test_envelope_generator_profile_is_the_hull_to_the_bit(grid_points, sign):
     res = (qa_convex_envelope if sign > 0 else qa_concave_envelope)(gen)
     assert res.status == "Envelope"
     assert np.array_equal(rho(res.generator).values, res.m(xs))
+
+
+# ------------------------------------------------------- published grids
+
+ROUTES = (qa_convex_envelope, qa_concave_envelope, qa_concave_envelope_via_reflection)
+
+
+def _bits(arr) -> bytes:
+    return np.asarray(arr, dtype=float).tobytes()
+
+
+def _assert_grid_rule(res):
+    """g and g1 are read-only samples of a rising g: +-tabulate(generator),
+    x and 1 with no generator, None for NoneExists."""
+    if res.status == "NoneExists":
+        assert res.g is None and res.g1 is None
+        return
+    assert not res.g.flags.writeable and not res.g1.flags.writeable
+    assert np.all(np.diff(res.g) > 0.0) and np.all(res.g1 > 0.0)
+    if res.generator is None:
+        assert res.status == "ArithmeticEnvelope"
+        want = res.interval.grid(), np.ones(res.interval.grid_points)
+    else:
+        tab = tabulate(res.generator)
+        rises = tab.values[-1] > tab.values[0]
+        want = ((tab.values, tab.f1_values) if rises
+                else (0.0 - tab.values, -tab.f1_values))
+    assert _bits(res.g) == _bits(want[0]) and _bits(res.g1) == _bits(want[1])
+
+
+@pytest.mark.parametrize("negated", [False, True])
+@pytest.mark.parametrize("name", ["power:3", "power:-1", "log", "exp"])
+def test_closed_form_grids_follow_the_rule(catalog, name, negated):
+    gen = Negated(catalog[name]) if negated else catalog[name]
+    statuses = set()
+    for route in ROUTES:
+        res = route(gen)
+        statuses.add(res.status)
+        _assert_grid_rule(res)
+    assert statuses == {"AlreadyExtremal", "NoneExists"}
+
+
+@pytest.mark.parametrize("spec, kind", [("power:3", "convex"), ("log", "concave")])
+def test_reloaded_envelope_csv_grids_follow_the_rule(tmp_path, capsys, spec, kind):
+    path = tmp_path / "env.csv"
+    assert run(["envelope", "--gen", spec, "--kind", kind, "--format", "csv",
+                "--out", str(path)]) == 0
+    table = load_table(str(path))
+    routes = ROUTES[:1] if kind == "convex" else ROUTES[1:]
+    for route in routes:
+        res = route(table)
+        assert res.status == "AlreadyExtremal"
+        _assert_grid_rule(res)
+
+
+def test_envelope_grids_are_the_reconstructed_table_to_the_bit(rho_x2_gen, rho_neg_x2_gen):
+    for res in (qa_convex_envelope(rho_x2_gen), qa_concave_envelope(rho_neg_x2_gen),
+                qa_concave_envelope_via_reflection(rho_neg_x2_gen)):
+        assert res.status == "Envelope"
+        _assert_grid_rule(res)
+    for res in (qa_convex_envelope(rho_x2_gen), qa_concave_envelope(rho_neg_x2_gen)):
+        assert _bits(res.g) == _bits(res.generator.values)
+        assert _bits(res.g1) == _bits(res.generator.f1_values)
+
+
+@pytest.mark.parametrize("spec", ["id", "affine:-2:3"])
+def test_arithmetic_envelope_grids_are_x_and_one(iv, spec):
+    gen = parse_generator(spec, iv)
+    for route in ROUTES:
+        res = route(gen)
+        assert res.status == "ArithmeticEnvelope" and res.generator is None
+        _assert_grid_rule(res)
+        assert _bits(res.g) == _bits(iv.grid()) and np.all(res.g1 == 1.0)
 
 
 # ------------------------------------------------------------ reporting

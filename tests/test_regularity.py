@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from qameans.cli import run
-from qameans.convexity import classify
+from qameans.convexity import classify, jensen_midpoint_check
 from qameans.envelope import qa_convex_envelope
-from qameans.generators import load_table
+from qameans.generators import PowerGenerator, TabulatedGenerator, load_table
+from qameans.grids import WorkingInterval
+from qameans.means import QuasiArithmeticMean
 from qameans.verify import maximality_check
 
 from oracles import kinked_square_envelope_mean
@@ -23,9 +25,13 @@ GRIDS = (257, 1025, 16385)
 PAIR = (0.2, 2.9)
 
 
+def _kinked_square(xs):
+    return xs * xs + np.where(xs > 1.0, (xs - 1.0) ** 2, 0.0)
+
+
 def _kinked_table(tmp_path, grid: int) -> str:
     xs = np.linspace(0.1, 3.0, grid)
-    fs = xs * xs + np.where(xs > 1.0, (xs - 1.0) ** 2, 0.0)
+    fs = _kinked_square(xs)
     path = tmp_path / f"kinked{grid}.csv"
     path.write_text("x,f\n" + "".join(f"{x!r},{f!r}\n"
                                       for x, f in zip(xs.tolist(), fs.tolist())))
@@ -70,3 +76,42 @@ def test_kinked_square_envelope_mean_converges(envelopes):
               for grid in GRIDS]
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 2e-5
+
+
+# The contrapositive of the theorem, sampled: a generator that is not C^2
+# (the kinked square, or x + x^4, whose f'' vanishes at 0) has a mean that
+# is not convex, and the midpoint check finds a pair of tuples that
+# straddles the point where f'' jumps or vanishes.
+CONTRA_IV = WorkingInterval(0.1, 3.0, 1025)
+QUARTIC_IV = WorkingInterval(-0.5, 1.0, 1025)
+
+
+def _midpoint_check(gen):
+    return jensen_midpoint_check(QuasiArithmeticMean(gen), 4, 20000, "convex", seed=0)
+
+
+@pytest.mark.parametrize("case", ["kinked-square", "x+x^4"])
+def test_a_mean_whose_generator_is_not_c2_is_not_convex(case):
+    if case == "kinked-square":  # f'' jumps from 2 to 4 at 1
+        xs, where = CONTRA_IV.grid(), 1.0
+        gen = TabulatedGenerator(CONTRA_IV, _kinked_square(xs))
+    else:  # f'' = 12 x^2 vanishes at 0
+        xs, where = QUARTIC_IV.grid(), 0.0
+        gen = TabulatedGenerator(QUARTIC_IV, xs + xs**4)
+    rep = _midpoint_check(gen)
+    assert not rep.passed and rep.worst_margin < -1e-2
+    w, mean = rep.witness, QuasiArithmeticMean(gen)
+    x, y = np.array(w["x"]), np.array(w["y"])
+    at_mid = mean(list((x + y) / 2))
+    average = 0.5 * (mean(list(x)) + mean(list(y)))
+    assert at_mid == pytest.approx(w["m_at_midpoint"], abs=1e-12)
+    assert average == pytest.approx(w["average_of_m"], abs=1e-12)
+    assert average - at_mid == pytest.approx(w["margin"], abs=1e-12)
+    points = np.concatenate([x, y])
+    assert points.min() < where < points.max()
+
+
+def test_a_c2_generator_on_the_same_grid_is_convex_to_its_resolution():
+    xs = CONTRA_IV.grid()
+    assert _midpoint_check(TabulatedGenerator(CONTRA_IV, xs * xs)).worst_margin > -1e-5
+    assert _midpoint_check(PowerGenerator(3.0, CONTRA_IV)).failures == 0
