@@ -48,7 +48,6 @@ from .convexity import (
     ConvexityClass,
     classify,
     dominates_arithmetic,
-    jensen_midpoint_check,
 )
 from .envelope import (
     EnvelopeResult,
@@ -108,7 +107,6 @@ __all__ = [
     "duality_check",
     "ingham_jessen_check",
     "ingham_jessen_sweep",
-    "jensen_midpoint_check",
     "kedlaya_check",
     "load_table",
     "maximality_check",

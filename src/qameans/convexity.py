@@ -13,10 +13,10 @@ function, :func:`_profile_tests`, reads the profile in either sense;
 classify and the envelopes of :mod:`qameans.envelope` take their verdicts
 from its records.
 
-Two sampled cross-checks accompany the classification: domination of the
-arithmetic mean (a cross-check of the envelope existence verdict) and a direct
-midpoint Jensen test on random tuple pairs.  They, and every check in
-:mod:`qameans.verify`, run through one driver, :func:`_sample_margins`: it
+The cross-check :func:`dominates_arithmetic` samples QA_f >= A; Jensen's
+inequality for QA_f is :func:`qameans.verify.ingham_jessen_check` with
+M = A, N = QA_f (convexity) or the two swapped (concavity).  Every sampled
+check runs through one driver, :func:`_sample_margins`: it
 folds a margin function over groups of trials, keeps the worst margin and
 the failure count, and hands the failing trial with the lowest index to the
 check's witness builder.  Every check returns a :class:`TrialReport`.
@@ -32,16 +32,13 @@ import numpy as np
 from .errors import DegenerateSecondDerivative, SignChange, UsageError
 from .generators import Generator, rho
 from .grids import WorkingInterval
-from .means import MeanHandle, _qa_mean_batch
+from .means import _qa_mean_batch
 
 # Concavity slack for second differences of rho, relative to max |rho|.
 CONC_TAU = 1e-8
 
 # Slack for sampled mean comparisons, relative to the interval span.
 MEAN_CMP_TOL = 1e-9
-
-# Absolute slack for the midpoint Jensen test.
-JENSEN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -253,30 +250,3 @@ def dominates_arithmetic(gen: Generator, n_max: int, trials: int,
     return TrialReport("dominates_arithmetic", trials, failures, worst, seed, witness,
                        extra={"direction": direction, "n_max": n_max, "tol": tol})
 
-
-def jensen_midpoint_check(mean: MeanHandle, n_max: int, trials: int,
-                          sense: str = "convex", seed: int = 0) -> TrialReport:
-    """Test M((x+y)/2) <= (M(x)+M(y))/2 (or >= for sense "concave").
-
-    Random tuple pairs of each length 2..n_max; the margin is the slack of
-    the claimed inequality, so negative margin beyond tolerance is a
-    counterexample and is reported with both sides.
-    """
-    if sense not in ("convex", "concave"):
-        raise UsageError("sense must be 'convex' or 'concave'")
-    rng = np.random.default_rng(seed)
-    interval = mean.domain
-
-    def margin(X):
-        Y = rng.uniform(interval.lo, interval.hi, size=X.shape)
-        lhs = mean.batch(0.5 * (X + Y))
-        rhs = 0.5 * (mean.batch(X) + mean.batch(Y))
-        return (rhs - lhs if sense == "convex" else lhs - rhs), Y, lhs, rhs
-
-    worst, failures, witness = _sample_margins(
-        _grouped_tuples(rng, trials, n_max, interval), margin, JENSEN_TOL,
-        lambda trial, x, mg, y, lhs, rhs: {
-            "x": x.tolist(), "y": y.tolist(), "m_at_midpoint": float(lhs),
-            "average_of_m": float(rhs), "margin": float(mg), "trial": trial})
-    return TrialReport("jensen_midpoint", trials, failures, worst, seed, witness,
-                       extra={"sense": sense, "n_max": n_max, "tol": JENSEN_TOL})

@@ -17,6 +17,8 @@ from qameans.generators import (
     parse_generator,
 )
 from qameans.grids import WorkingInterval
+from qameans.means import ArithmeticMean, QuasiArithmeticMean
+from qameans.verify import ingham_jessen_check
 
 # Property tests draw the same examples on every run and machine, and are
 # not timed per example, so a loaded host cannot fail them.
@@ -93,6 +95,35 @@ def build_from_profile(profile_values, interval, name):
     the generator's rho grid, so the profile identity holds to the last bit.
     """
     return reconstruct_generator(profile_values, interval, source=name)
+
+
+def jensen_pairing(gen, sense):
+    """The means (M, N) for which ingham_jessen_check is Jensen's inequality
+    for QA_gen with equal weights (Hardy, Littlewood and Polya, ch. III).
+
+    On an n-by-2 matrix [X Y], "convex" (M = A, N = QA_gen) claims
+    QA_gen((X + Y) / 2) <= (QA_gen(X) + QA_gen(Y)) / 2, and "concave"
+    (M = QA_gen, N = A) claims that the average of QA_gen over the n rows is
+    at most QA_gen of the two column averages.
+    """
+    qa, a = QuasiArithmeticMean(gen), ArithmeticMean(gen.domain)
+    return (a, qa) if sense == "convex" else (qa, a)
+
+
+def jensen_check(gen, sense, n, trials, seed):
+    """ingham_jessen_check of jensen_pairing(gen, sense) on n-by-2 matrices."""
+    return ingham_jessen_check(*jensen_pairing(gen, sense), 2, n, trials, seed)
+
+
+def assert_jensen_witness_reverifies(gen, sense, rep):
+    """The failing witness of jensen_check(gen, sense, ...) fails again when
+    both sides are recomputed from single-vector means, to the bit."""
+    M, N = jensen_pairing(gen, sense)
+    w = rep.witness
+    x = np.asarray(w["matrix"], dtype=float)
+    lhs, rhs = N([M(row) for row in x]), M([N(col) for col in x.T])
+    assert (lhs, rhs) == (w["lhs"], w["rhs"])
+    assert lhs - rhs > rep.extra["tol"]
 
 
 @pytest.fixture(scope="session")

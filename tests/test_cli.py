@@ -408,6 +408,18 @@ def test_verify_ij_pass_and_fail(capsys):
     assert out["failures"] > 0 and "witness" in out
 
 
+def test_verify_ij_fails_the_concave_sqrt_mean_as_convex_at_1e_minus_20(capsys):
+    """--gen id --gen2 F samples convexity of QA_F.  On [1e-20, 1e-10] every
+    margin of power:0.5 is negative, and all lie within an absolute slack of
+    1e-9, which passed them; ij's span-relative slack fails every trial."""
+    code = run(["verify", "--check", "ij", "--gen", "id", "--gen2", "power:0.5",
+                "--lo", "1e-20", "--hi", "1e-10", "--trials", "2000"])
+    out = _json_out(capsys)
+    assert code == 1
+    assert out["trials"] == out["failures"] == 2000
+    assert -1e-9 < out["worst_margin"] < -1e-11
+
+
 def test_verify_kedlaya(capsys):
     code = run(["verify", "--check", "kedlaya", "--gen", "log", "--gen2", "arith",
                 "--trials", "500"])

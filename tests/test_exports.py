@@ -54,3 +54,12 @@ def test_removed_affine_transform_is_gone():
     for name in ("AffineOfGenerator", "_affine_coefficients"):
         assert not hasattr(qameans, name) and not hasattr(generators, name), name
         assert name not in qameans.__all__
+
+
+def test_removed_midpoint_jensen_check_is_gone():
+    """Jensen's inequality for a mean is ingham_jessen_check with A as one of
+    its two means, so the midpoint check and its absolute slack are gone."""
+    convexity = importlib.import_module("qameans.convexity")
+    for name in ("jensen_midpoint_check", "JENSEN_TOL"):
+        assert not hasattr(qameans, name) and not hasattr(convexity, name), name
+        assert name not in qameans.__all__

@@ -329,6 +329,8 @@ def test_checks_reject_bad_counts(iv, catalog, rho_x2_gen):
         with pytest.raises(UsageError):
             ingham_jessen_sweep(g, a, trials=trials)
         with pytest.raises(UsageError):
+            ingham_jessen_check(a, g, 2, 2, trials=trials)
+        with pytest.raises(UsageError):
             kedlaya_check(g, a, n_max=5, trials=trials)
         with pytest.raises(UsageError):
             maximality_check(rho_x2_gen, env, candidates=2, trials=trials)
@@ -336,6 +338,9 @@ def test_checks_reject_bad_counts(iv, catalog, rho_x2_gen):
         maximality_check(rho_x2_gen, env, candidates=0, trials=10)
     with pytest.raises(UsageError):
         kedlaya_check(g, a, n_max=1, trials=100)
+    for m, n in ((0, 2), (2, 0)):
+        with pytest.raises(UsageError):
+            ingham_jessen_check(a, g, m, n, trials=100)
     for max_dim in (1, 0):
         with pytest.raises(UsageError):
             ingham_jessen_sweep(g, a, trials=100, max_dim=max_dim)
