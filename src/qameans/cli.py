@@ -24,8 +24,12 @@ errors: argparse's usage message, or one "error: " line for a QameansError
 or OSError.
 
 :func:`run` can be called repeatedly from one process: the argument parser
-is built once, on the first call, and parse_args gives every call a fresh
-namespace, so each report is the same bytes as a shell run with that argv.
+is built once, on the first call, and every call gets a fresh namespace, so
+each report is the same bytes as a shell run with that argv.  A plain
+command line, a command name then exact --option value pairs, is read from
+the parser's own option table, built once from its subparsers, into the
+namespace parse_args would give, at a fraction of its cost; argparse
+parses everything else, and alone prints help, usage and errors.
 Grids handed out by ``WorkingInterval.grid()`` are shared and read-only;
 copy one before writing into it.
 """
@@ -45,7 +49,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 import orjson
 
-from .convexity import classify
+from .convexity import _check_trials, classify
 from .envelope import qa_concave_envelope, qa_convex_envelope
 from .errors import QameansError, UsageError
 from .generators import generator_kinds, parse_generator
@@ -130,6 +134,65 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="second mean for ij/kedlaya: a generator spec or "
                             "'arith' (default arith); the other checks refuse it")
     return parser
+
+
+@functools.cache
+def _option_tables() -> dict:
+    """Per command name, what parse_args reads of its subparser: the
+    subparser; its one-value store actions by option string; the namespace
+    parse_args starts from (the command, every action default, then the
+    set_defaults entries, in argparse's order); its required actions; and
+    its mutually exclusive groups, each as (actions, required)."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    tables = {}
+    for name, p in sub.choices.items():
+        start = {sub.dest: name}
+        start.update((a.dest, a.default) for a in p._actions
+                     if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS)
+        for dest, value in p._defaults.items():
+            start.setdefault(dest, value)
+        stores = {opt: a for a in p._actions if type(a) is argparse._StoreAction
+                  and a.nargs is None for opt in a.option_strings}
+        tables[name] = (p, stores, start, [a for a in p._actions if a.required],
+                        [(set(g._group_actions), g.required)
+                         for g in p._mutually_exclusive_groups])
+    return tables
+
+
+def _plain_args(argv) -> argparse.Namespace | None:
+    """parse_args(argv)'s namespace when argv is a plain command line, else None.
+
+    A plain command line is a command name, then exact --option value pairs
+    of its one-value store actions, each value converted and checked by the
+    subparser's own _get_values, where no value is one argparse would read
+    as an option (a '-' that does not start a negative number).  Every
+    required action and required group is given, and no exclusive group has
+    two members given.  Anything else, and any error, is left to parse_args,
+    which alone prints help, usage and errors.
+    """
+    table = _option_tables().get(argv[0]) if argv and len(argv) % 2 else None
+    if table is None:
+        return None
+    p, stores, start, required, groups = table
+    values, seen, changed = dict(start), set(), set()
+    for opt, text in zip(argv[1::2], argv[2::2]):
+        action = stores.get(opt)
+        if action is None or text[:1] == "-" and not p._negative_number_matcher.match(text):
+            return None
+        try:
+            value = p._get_values(action, [text])
+        except argparse.ArgumentError:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+        if value is not action.default:
+            changed.add(action)
+    if any(a not in seen for a in required) or any(
+            len(members & changed) > 1 or need and not members & changed
+            for members, need in groups):
+        return None
+    return argparse.Namespace(**values)
 
 
 def _resolve_seed(args) -> int:
@@ -422,8 +485,8 @@ def _cmd_verify(args, seed: int) -> int:
     if args.gen2 is not None and not pair:
         raise UsageError(f"--gen2 applies to ij and kedlaya, not {args.check}")
     gen2 = ("arith" if args.gen2 is None else args.gen2) if pair else None
-    if args.check in ("maximality", "duality") and args.trials < 1:
-        raise UsageError(f"need trials >= 1, got {args.trials}")
+    if args.check in ("maximality", "duality"):  # refused before the envelope is built
+        _check_trials(args.trials)
     parse = parse_generator if args.check in ("maximality", "duality") else parse_mean
     interval, parsed = _parse_specs(args, [args.gen, gen2] if pair else [args.gen], parse)
     first = parsed[0]  # --gen: a generator for maximality and duality, else a mean
@@ -451,10 +514,12 @@ def _cmd_verify(args, seed: int) -> int:
 
 def run(argv) -> int:
     """Parse argv, run the command, return the exit code."""
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse has printed its usage error or help
-        return int(exc.code or 0)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse has printed its usage error or help
+            return int(exc.code or 0)
     try:
         return args.handler(args, _resolve_seed(args))
     except (QameansError, OSError) as exc:

@@ -40,6 +40,13 @@ CONC_TAU = 1e-8
 # Slack for sampled mean comparisons, relative to the interval span.
 MEAN_CMP_TOL = 1e-9
 
+# Most trials of one sampled check.  Every check's trial holds at most 25
+# entries (a tuple of at most 6, or a matrix of at most 5x5 in the ij sweep),
+# and the costliest, a 5x5 interchange matrix of ingham_jessen_check, peaks
+# at about 570 bytes a trial with its means' temporaries (tracemalloc), so a
+# check at the bound holds under 600 MB; a larger matrix costs ~23 bytes an entry.
+MAX_TRIALS = 10**6
+
 
 @dataclass(frozen=True)
 class ConvexityClass:
@@ -137,16 +144,24 @@ def classify(gen: Generator) -> ConvexityClass:
                                       "concave_test": concave})
 
 
+def _check_trials(trials: int, least: int = 1) -> None:
+    """The one rule for the sample count of every sampled check: least <=
+    trials <= MAX_TRIALS, else UsageError, raised before anything is drawn."""
+    if trials < least:
+        raise UsageError(f"need trials >= {least}, got {trials}")
+    if trials > MAX_TRIALS:
+        raise UsageError(f"need trials <= {MAX_TRIALS}, got {trials}")
+
+
 def _grouped_tuples(rng, trials: int, n_max: int, interval: WorkingInterval):
     """Random tuple sizes 2..n_max, yielded as (original indices, batch).
 
-    The one rule for sample counts of every sampled check: trials >= 1 and
-    n_max >= 2, else UsageError, raised at the call, before anything is
-    drawn.  The batches are drawn lazily, one per size, between the draws
-    a margin function makes from the same rng.
+    Needs a sample count that _check_trials takes and n_max >= 2, else
+    UsageError, raised at the call, before anything is drawn.  The batches
+    are drawn lazily, one per size, between the draws a margin function
+    makes from the same rng.
     """
-    if trials < 1:
-        raise UsageError(f"need trials >= 1, got {trials}")
+    _check_trials(trials)
     if n_max < 2:
         raise UsageError(f"need n_max >= 2, got {n_max}")
     sizes = rng.integers(2, n_max + 1, size=trials)

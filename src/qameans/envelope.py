@@ -307,16 +307,19 @@ def _pair_witness(gen: Generator, direction: str) -> dict | None:
             "margin": margin, "tol": tol}
 
 
-def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
-    # Existence and extremality are read from the one profile test in this
-    # direction (rho for convex, -rho for concave): a wrong sign rules the
-    # envelope out, and a passing test makes the mean its own envelope.
+def _envelope_fields(gen: Generator, direction: str) -> dict:
+    """The fields of gen's envelope in direction that EnvelopeResult takes
+    besides direction and interval: status, rho, m, generator, diagnostics.
+
+    Existence and extremality are read from the one profile test in this
+    direction (rho for convex, -rho for concave): a wrong sign rules the
+    envelope out, and a passing test makes the mean its own envelope.
+    """
     profile, detail, (test,) = _profile_tests(gen, direction)
     interval = gen.domain
     reason = test.get("reason")
     if reason == "f2-identically-zero":
-        return EnvelopeResult("ArithmeticEnvelope", direction, interval,
-                              diagnostics={"detail": detail})
+        return {"status": "ArithmeticEnvelope", "diagnostics": {"detail": detail}}
     if reason in ("sign-change", "nonpositive-rho"):
         witness = _pair_witness(gen, direction)
         if witness is None:
@@ -324,22 +327,26 @@ def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
                                f"a {direction} envelope")
             raise SignChange(f"{cause}; no grid pair confirms it beyond the "
                              f"comparison tolerance", test["witness"])
-        return EnvelopeResult("NoneExists", direction, interval,
-                              diagnostics={"witness": witness})
+        return {"status": "NoneExists", "diagnostics": {"witness": witness}}
 
     hull = (concave_envelope_1d(profile) if direction == "convex"
             else convex_envelope_1d(profile))
 
     if reason is None:
         # The mean is its own envelope: keep the exact generator for the mean handle.
-        return EnvelopeResult("AlreadyExtremal", direction, interval, rho=profile, m=hull,
-                              generator=gen, diagnostics={"profile_test": test})
+        return {"status": "AlreadyExtremal", "rho": profile, "m": hull,
+                "generator": gen, "diagnostics": {"profile_test": test}}
 
     # The hull is the result's profile: rho of the generator is m to the bit.
     gen_out = reconstruct_generator(hull(interval.grid()), interval,
                                     source=f"envelope({gen.spec_string()})")
-    return EnvelopeResult("Envelope", direction, interval, rho=profile, m=hull,
-                          generator=gen_out, diagnostics={"profile_test": test})
+    return {"status": "Envelope", "rho": profile, "m": hull, "generator": gen_out,
+            "diagnostics": {"profile_test": test}}
+
+
+def _qa_envelope(gen: Generator, direction: str) -> EnvelopeResult:
+    return EnvelopeResult(direction=direction, interval=gen.domain,
+                          **_envelope_fields(gen, direction))
 
 
 def qa_convex_envelope(gen: Generator) -> EnvelopeResult:
@@ -366,29 +373,31 @@ def qa_concave_envelope_via_reflection(gen: Generator) -> EnvelopeResult:
     Cross-check for the direct route.  The returned result is expressed on
     the original interval: the hull transforms by (x, y) -> (-x, -y) and
     the envelope generator is the reflected mirror generator, so mean
-    values are directly comparable with the direct route's.
+    values are directly comparable with the direct route's.  The mirror
+    envelope is kept as its fields, so only the returned result samples g.
     """
-    renv = _qa_envelope(reflect_generator(gen), "convex")
+    renv = _envelope_fields(reflect_generator(gen), "convex")
+    status, mirror = renv["status"], renv.get("generator")
     interval = gen.domain
-    diag = dict(renv.diagnostics)
+    diag = dict(renv["diagnostics"])
     diag["route"] = "reflected"
 
-    if renv.status == "NoneExists":
+    if status == "NoneExists":
         # The mirror pair (a, b) on -I is the pair (-b, -a) on I, and both
         # means change sign; the margin and tolerance carry over.
         w = dict(diag["witness"])
         a, b = w["values"]
         w.update(values=[-b, -a], qa_mean=-w["qa_mean"], arith_mean=-w["arith_mean"])
         diag["witness"] = w
-    if renv.generator is None:  # NoneExists or ArithmeticEnvelope
-        return EnvelopeResult(renv.status, "concave", interval, diagnostics=diag)
+    if mirror is None:  # NoneExists or ArithmeticEnvelope
+        return EnvelopeResult(status, "concave", interval, diagnostics=diag)
 
     # Mirror the hull: if m-hat is the profile envelope on -I, the original
     # envelope generator satisfies g'/g'' = -m-hat(-x).
-    verts = tuple((-x, -y) for x, y in reversed(renv.m.vertices))
+    verts = tuple((-x, -y) for x, y in reversed(renv["m"].vertices))
     hull = PiecewiseLinearHull(verts, "lower")
     return EnvelopeResult(
-        renv.status, "concave", interval,
-        rho=ScalarGrid(interval, -renv.rho.values[::-1]), m=hull,
-        generator=reflect_generator(renv.generator), diagnostics=diag,
+        status, "concave", interval,
+        rho=ScalarGrid(interval, -renv["rho"].values[::-1]), m=hull,
+        generator=reflect_generator(mirror), diagnostics=diag,
     )

@@ -27,7 +27,13 @@ import functools
 
 import numpy as np
 
-from .convexity import MEAN_CMP_TOL, TrialReport, _grouped_tuples, _sample_margins
+from .convexity import (
+    MEAN_CMP_TOL,
+    TrialReport,
+    _check_trials,
+    _grouped_tuples,
+    _sample_margins,
+)
 from .envelope import (
     EnvelopeResult,
     PiecewiseLinearHull,
@@ -134,9 +140,11 @@ def ingham_jessen_check(M: MeanHandle, N: MeanHandle, m: int, n: int,
 
     M consumes the m entries of each row, N the n row results; the right
     side applies N down each of the m columns and M across the results.
+    Needs m, n >= 1 and 1 <= trials <= MAX_TRIALS, else UsageError.
     """
-    if m < 1 or n < 1 or trials < 1:
-        raise UsageError("need m, n, trials >= 1")
+    if m < 1 or n < 1:
+        raise UsageError(f"need m, n >= 1, got {m}, {n}")
+    _check_trials(trials)
     worst, failures, witness, tol = _ij_sample(M, N, [(seed, m, n)], trials)
     return TrialReport("ingham_jessen", trials, failures, worst, seed,
                        witness, extra={"m": m, "n": n, "tol": tol,
@@ -184,6 +192,7 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
         raise UsageError("maximality check applies to the convex envelope")
     if candidates < 1:
         raise UsageError(f"need candidates >= 1, got {candidates}")
+    _check_trials(trials)
     interval = env.interval
     xs = interval.grid()
     rho_vals = env.rho.values
@@ -250,6 +259,7 @@ def duality_check(f: Generator, env: EnvelopeResult, trials: int,
     """
     if env.direction != "concave":
         raise UsageError("duality check applies to the concave envelope")
+    _check_trials(trials)
     env_a = env
     env_b = qa_concave_envelope_via_reflection(f)
     if env_a.status != env_b.status:
@@ -304,13 +314,13 @@ def ingham_jessen_sweep(M: MeanHandle, N: MeanHandle, trials: int,
     Each of the (max_dim - 1)**2 shapes runs trials // shapes matrices on
     its own derived seed, so the sweep is reproducible as a whole, and the
     report counts the trials run.  The witness comes from the first failing
-    shape.  Needs max_dim >= 2 and trials >= shapes, else UsageError.
+    shape.  Needs max_dim >= 2 and shapes <= trials <= MAX_TRIALS, else
+    UsageError.
     """
     if max_dim < 2:
         raise UsageError(f"need max_dim >= 2, got {max_dim}")
     combos = [(m, n) for m in range(2, max_dim + 1) for n in range(2, max_dim + 1)]
-    if trials < len(combos):
-        raise UsageError(f"need trials >= {len(combos)}, got {trials}")
+    _check_trials(trials, len(combos))
     per = trials // len(combos)
     worst, failures, witness, _ = _ij_sample(
         M, N, [(seed + 7919 * i, m, n) for i, (m, n) in enumerate(combos)], per)

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, formats, seeds, and exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,9 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qameans import cli, generators
 from qameans.cli import run
+from qameans.convexity import MAX_TRIALS
 from qameans.envelope import qa_concave_envelope, qa_convex_envelope
 from qameans.generators import ExpGenerator, LogGenerator, PowerGenerator, load_table
 from qameans.grids import WorkingInterval
@@ -736,6 +741,28 @@ def test_nonpositive_trials_is_usage_error(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: need trials >= 1")
 
 
+@pytest.mark.parametrize("check", ["symmetry", "kedlaya", "maximality", "ij", "duality"])
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**12])
+def test_trials_above_the_bound_is_a_usage_error(capsys, check, trials):
+    """--trials 1000000000000 once ended in numpy's MemoryError traceback,
+    exit 1; it is refused before anything is drawn or allocated."""
+    tracemalloc.start()
+    try:
+        code = run(["verify", "--check", check, "--gen", "log", "--trials", str(trials)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and peak < 2**20
+    assert captured.err == f"error: need trials <= {MAX_TRIALS}, got {trials}\n"
+
+
+def test_trials_above_the_bound_prints_one_error_line():
+    proc = _shell(["verify", "--check", "ij", "--gen", "log", "--trials", "1000000000000"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: need trials <= {MAX_TRIALS}, got 1000000000000\n"
+
+
 # One argv per subcommand.  The first run sets --seed and the envelope run
 # asks for CSV, so a parser that carried values from one call into the next
 # would change a later report.
@@ -836,3 +863,182 @@ def test_nonfinite_power_exponent_is_a_usage_error(capsys, p):
     err = capsys.readouterr().err
     assert err.startswith("error: power generator needs a finite exponent p")
     assert err.count("\n") == 1
+
+
+# ------------------------------------------- plain command lines and argparse
+#
+# run reads a plain command line (a command, then exact --option value pairs)
+# from the subparsers' own option tables, and hands every other argv to
+# parse_args.  The fast pass must give parse_args's namespace or nothing.
+
+def _same_namespace(fast, slow) -> bool:
+    """Equal attributes in the same order, of the same types; NaN equals NaN."""
+    a, b = list(vars(fast).items()), list(vars(slow).items())
+    return [k for k, _ in a] == [k for k, _ in b] and all(
+        type(x) is type(y) and (x == y or x != x and y != y)
+        for (_, x), (_, y) in zip(a, b))
+
+
+def _argparse_outcome(argv):
+    """parse_args's namespace, or None, with its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return cli._build_parser().parse_args(argv), 0, out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+VALUES = ("log", "power:2", "table:t.csv", "arith", "1,7", "0.1", "10.0", "4", "33",
+          "1025", "0", "7", "-1", "-1e3", "-.5E1", "-1,2", "-", "-1 2", "-x", "--", "",
+          "nan", "inf", "1e400", "1.5", "x", "convex", "concave", "sideways", "json",
+          "csv", "ij", "kedlaya", "maximality", "duality", "symmetry", "nope", "--lo",
+          "--gen", "a=b")
+# The value each option wants, so most drawn command lines are well formed.
+GOOD = {"--gen": "log", "--gen2": "power:2", "--lo": "0.5", "--hi": "4", "--grid": "33",
+        "--seed": "7", "--trials": "300", "--out": "r.json", "--vec": "1,7",
+        "--vec-file": "v.csv", "--kind": "concave", "--format": "csv", "--check": "kedlaya"}
+
+
+# Options each command needs, besides --gen, to parse.
+NEEDS = {"eval": ["--vec"], "compare": ["--gen2"], "verify": ["--check"]}
+
+
+@st.composite
+def command_lines(draw):
+    """A command with its required options and a few more, each pair
+    mostly well formed, then now and then broken: a --opt=value token, an
+    abbreviated option, a lone token, or a dropped one."""
+    commands = sorted(_subcommands())
+    name = draw(st.sampled_from(commands * 8 + ["", "nope", "-h", "--help", "clas"]))
+    options = sorted({opt for a in _subcommands()[name]._actions for opt in a.option_strings}
+                     if name in commands else GOOD)
+
+    def value(opt):
+        kind = draw(st.integers(0, 9))
+        if kind < 7:
+            return GOOD.get(opt, "log")
+        return draw(st.sampled_from(VALUES) if kind < 9 else st.text(max_size=3))
+
+    opts = ["--gen", *NEEDS.get(name, [])] + draw(
+        st.lists(st.sampled_from(options), max_size=5))
+    argv = [name] + [tok for opt in draw(st.permutations(opts)) for tok in (opt, value(opt))]
+    for _ in range(draw(st.sampled_from([0] * 6 + [1, 2]))):
+        k = draw(st.integers(1, len(argv)))
+        form = draw(st.sampled_from(["eq", "abbrev", "lone", "drop"]))
+        opt = draw(st.sampled_from(options))
+        if form == "eq":
+            argv.insert(k, f"{opt}={value(opt)}")
+        elif form == "abbrev":
+            argv[k:k] = [opt[:draw(st.integers(2, max(2, len(opt) - 1)))], value(opt)]
+        elif form == "lone":
+            argv.insert(k, draw(st.sampled_from([opt, value(opt)])))
+        elif k < len(argv):
+            del argv[k]
+    return argv
+
+
+@settings(max_examples=1500)
+@given(command_lines())
+def test_a_plain_command_line_parses_to_argparses_namespace(argv):
+    fast = cli._plain_args(argv)
+    slow = _argparse_outcome(argv)[0]
+    if fast is not None:
+        assert slow is not None and _same_namespace(fast, slow), (argv, fast, slow)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--gen", "id", "--lo", "-1e3", "--hi", "-.5E1", "--vec", "-1,2"],
+    ["eval", "--gen", "log", "--vec-file", "v.csv", "--vec-file", "w.csv"],
+    ["classify", "--gen", "", "--lo", "nan", "--hi", "1e400", "--seed", "-1"],
+    ["envelope", "--gen", "log", "--kind", "convex", "--format", "json", "--trials", "-5"],
+    ["verify", "--check", "ij", "--gen", "log", "--gen2", "arith", "--gen", "power:2"],
+])
+def test_edge_values_of_a_plain_command_line_parse_alike(argv):
+    """Negative numbers, "", nan, 1e400, a default given again and a
+    repeated option are still plain; each gives parse_args's namespace."""
+    fast = cli._plain_args(argv)
+    assert fast is not None and _same_namespace(fast, _argparse_outcome(argv)[0])
+
+
+@pytest.fixture
+def parse_args_calls(monkeypatch):
+    """Every argv that reaches ArgumentParser.parse_args."""
+    calls = []
+    real = argparse.ArgumentParser.parse_args
+
+    def spy(self, args=None, namespace=None):
+        calls.append(list(args))
+        return real(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    return calls
+
+
+def test_plain_command_lines_never_reach_parse_args(tmp_path, capsys, monkeypatch,
+                                                    parse_args_calls):
+    """REUSE_ARGVS and command lines shaped like the benchmark's ops, each
+    with --out appended, are read from the option tables alone."""
+    monkeypatch.delenv("QAM_SEED", raising=False)
+    vec = tmp_path / "v.csv"
+    vec.write_text("1,7\n2,3,4\n")
+    span = ["--lo", "0.1", "--hi", "10.0"]
+    argvs = [*REUSE_ARGVS,
+             ["classify", "--gen", "power:-5", *span],
+             ["compare", "--gen", "affine:-2:3", "--gen2", "power:0.5", *span],
+             ["envelope", "--gen", "power:3", "--kind", "concave", "--grid", "1025",
+              "--format", "csv", "--seed", "1402", *span],
+             ["verify", "--check", "ij", "--gen", "log", "--trials", "160", "--seed", "5",
+              *span, "--gen2", "arith"],
+             ["verify", "--check", "symmetry", "--gen", "power:3", "--trials", "500",
+              "--seed", "6", *span],
+             ["eval", "--gen", "log", "--vec-file", str(vec), *span]]
+    for k, argv in enumerate(argvs):
+        assert run([*argv, "--out", str(tmp_path / f"r{k}")]) in (0, 1), argv
+    assert parse_args_calls == []
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["compare", "--help"],
+    ["nope", "--gen", "log"],
+    ["classify"],
+    ["compare", "--gen", "log"],
+    ["classify", "--gen", "log", "--grid", "1e3"],
+    ["envelope", "--gen", "log", "--kind", "sideways"],
+    ["verify", "--check", "nope", "--gen", "log"],
+    ["eval", "--gen", "log"],
+    ["eval", "--gen", "log", "--vec", "1,2", "--vec-file", "v.csv"],
+    ["eval", "--gen", "id", "--lo", "--hi", "3", "--vec", "1,2"],
+    ["eval", "--gen", "id", "--lo", "-", "--vec", "1,2"],
+    ["classify", "--gen", "log", "--format", "json"],
+    ["classify", "--gen", "log", "--lo"],
+    ["classify", "--gen", "log", "extra"],
+])
+def test_help_abbreviations_and_usage_errors_are_argparses(capsys, parse_args_calls, argv):
+    """Everything but a plain command line is parsed by argparse, which prints
+    its own help or usage error and sets the exit code."""
+    _, code, out, err = _argparse_outcome(argv)
+    del parse_args_calls[:]
+    assert code != 0 or out  # each of these is help or an error
+    assert run(argv) == code
+    assert parse_args_calls == [argv]
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("argv, plain", [
+    (["verify", "--check", "symmetry", "--gen", "log", "--tri", "100"],
+     ["verify", "--check", "symmetry", "--gen", "log", "--trials", "100"]),
+    (["classify", "--gen=log", "--lo=-.5E1", "--hi", "3", "--gen", "id"],
+     ["classify", "--gen", "log", "--lo", "-.5E1", "--hi", "3", "--gen", "id"]),
+])
+def test_abbreviations_and_equals_forms_are_parsed_by_argparse(capsys, parse_args_calls,
+                                                               argv, plain):
+    assert run(argv) == 0
+    assert parse_args_calls == [argv]
+    report = capsys.readouterr()
+    assert run(plain) == 0
+    assert parse_args_calls == [argv]
+    assert capsys.readouterr() == report

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qameans import envelope
 from qameans.cli import _json_text, run
 from qameans.convexity import classify
 from qameans.envelope import (
@@ -611,6 +612,22 @@ def test_envelope_grids_are_the_reconstructed_table_to_the_bit(rho_x2_gen, rho_n
     for res in (qa_convex_envelope(rho_x2_gen), qa_concave_envelope(rho_neg_x2_gen)):
         assert _bits(res.g) == _bits(res.generator.values)
         assert _bits(res.g1) == _bits(res.generator.f1_values)
+
+
+@pytest.mark.parametrize("name, status", [
+    ("log", "AlreadyExtremal"), ("rho_neg_x2", "Envelope"), ("power:3", "NoneExists"),
+    ("id", "ArithmeticEnvelope")])
+def test_the_reflected_route_samples_only_the_result_it_returns(
+        monkeypatch, catalog, rho_neg_x2_gen, name, status):
+    """The mirror envelope is kept as its fields, not as a result of its own,
+    so the reflected route tabulates the returned generator once, or nothing."""
+    seen = []
+    monkeypatch.setattr(envelope, "tabulate", lambda gen: seen.append(gen) or tabulate(gen))
+    res = qa_concave_envelope_via_reflection(
+        rho_neg_x2_gen if name == "rho_neg_x2" else catalog[name])
+    assert res.status == status
+    assert len(seen) == (res.generator is not None)
+    assert all(gen is res.generator for gen in seen)
 
 
 @pytest.mark.parametrize("spec", ["id", "affine:-2:3"])

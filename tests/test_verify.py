@@ -1,11 +1,13 @@
 """Randomized verification harness: reports, witnesses, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qameans import verify
+from qameans.convexity import MAX_TRIALS, _check_trials, dominates_arithmetic
 from qameans.envelope import (
     qa_concave_envelope,
     qa_concave_envelope_via_reflection,
@@ -344,6 +346,35 @@ def test_checks_reject_bad_counts(iv, catalog, rho_x2_gen):
     for max_dim in (1, 0):
         with pytest.raises(UsageError):
             ingham_jessen_sweep(g, a, trials=100, max_dim=max_dim)
+
+
+def test_checks_refuse_more_than_max_trials_before_drawing(catalog, rho_x2_gen):
+    """A sample count above MAX_TRIALS is refused at the call: nothing of the
+    size of the sample is allocated (the trial sizes alone of MAX_TRIALS + 1
+    trials take 8 MB), so an absurd count is a usage error, not a MemoryError."""
+    a, g = ArithmeticMean(catalog["log"].domain), QuasiArithmeticMean(catalog["log"])
+    convex, concave = qa_convex_envelope(rho_x2_gen), qa_concave_envelope(catalog["log"])
+    checks = [
+        lambda t: symmetry_check(g, t),
+        lambda t: kedlaya_check(g, a, 5, t),
+        lambda t: ingham_jessen_sweep(g, a, t),
+        lambda t: ingham_jessen_check(g, a, 5, 5, t),
+        lambda t: duality_check(catalog["log"], concave, t),
+        lambda t: maximality_check(rho_x2_gen, convex, 2, t),
+        lambda t: dominates_arithmetic(catalog["power:3"], 6, t),
+    ]
+    for trials in (MAX_TRIALS + 1, 10**12):
+        for check in checks:
+            tracemalloc.start()
+            try:
+                with pytest.raises(UsageError, match=f"need trials <= {MAX_TRIALS}, got {trials}"):
+                    check(trials)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, peak
+    _check_trials(MAX_TRIALS)
+    _check_trials(16, 16)
 
 
 def test_duality_passes_on_concave_catalog(catalog, rho_neg_x2_gen):
