@@ -40,12 +40,14 @@ CONC_TAU = 1e-8
 # Slack for sampled mean comparisons, relative to the interval span.
 MEAN_CMP_TOL = 1e-9
 
-# Most trials of one sampled check.  Every check's trial holds at most 25
-# entries (a tuple of at most 6, or a matrix of at most 5x5 in the ij sweep),
-# and the costliest, a 5x5 interchange matrix of ingham_jessen_check, peaks
-# at about 570 bytes a trial with its means' temporaries (tracemalloc), so a
-# check at the bound holds under 600 MB; a larger matrix costs ~23 bytes an entry.
+# Most trials of one sampled check, and most entries they draw (or, for
+# running means, read).  The costliest entry, one of a 5x5 interchange matrix
+# of ingham_jessen_check, peaks at about 23 bytes with its means' temporaries
+# (570 bytes a trial by tracemalloc); symmetry and kedlaya tuples cost about
+# the same an entry.  So a check at MAX_ENTRIES = 25 * MAX_TRIALS entries, the
+# 5x5 sweep's at MAX_TRIALS trials, holds under 600 MB.
 MAX_TRIALS = 10**6
+MAX_ENTRIES = 25 * MAX_TRIALS
 
 
 @dataclass(frozen=True)
@@ -144,30 +146,37 @@ def classify(gen: Generator) -> ConvexityClass:
                                       "concave_test": concave})
 
 
-def _check_trials(trials: int, least: int = 1) -> None:
-    """The one rule for the sample count of every sampled check: least <=
-    trials <= MAX_TRIALS, else UsageError, raised before anything is drawn."""
+def _check_trials(trials: int, least: int = 1, entries: int = 1) -> None:
+    """The one rule for the sample of every sampled check: least <= trials
+    <= MAX_TRIALS and trials * entries <= MAX_ENTRIES, entries being the most
+    one trial draws or reads; else UsageError, raised before anything is
+    drawn."""
     if trials < least:
         raise UsageError(f"need trials >= {least}, got {trials}")
     if trials > MAX_TRIALS:
         raise UsageError(f"need trials <= {MAX_TRIALS}, got {trials}")
+    if trials * entries > MAX_ENTRIES:
+        raise UsageError(f"need trials * entries per trial <= {MAX_ENTRIES}, "
+                         f"got {trials} * {entries}")
 
 
 def _grouped_tuples(rng, trials: int, n_max: int, interval: WorkingInterval):
     """Random tuple sizes 2..n_max, yielded as (original indices, batch).
 
-    Needs a sample count that _check_trials takes and n_max >= 2, else
-    UsageError, raised at the call, before anything is drawn.  The batches
-    are drawn lazily, one per size, between the draws a margin function
-    makes from the same rng.
+    Needs trials and n_max entries a trial that _check_trials takes, and
+    n_max >= 2, else UsageError, raised at the call, before anything is
+    drawn.  The batches are drawn lazily, one per size drawn, in increasing
+    size, between the draws a margin function makes from the same rng.
     """
-    _check_trials(trials)
+    _check_trials(trials, entries=n_max)
     if n_max < 2:
         raise UsageError(f"need n_max >= 2, got {n_max}")
     sizes = rng.integers(2, n_max + 1, size=trials)
 
     def groups():
-        for n in range(2, n_max + 1):
+        # At most min(n_max, trials) sizes to look for, so a long n_max costs
+        # nothing past the sizes drawn.
+        for n in range(2, n_max + 1) if n_max <= trials else sorted(set(sizes.tolist())):
             idx = np.nonzero(sizes == n)[0]
             if len(idx) == 0:
                 continue
@@ -212,10 +221,11 @@ class TrialReport:
 
 
 def _sample_margins(groups, margin_fn, tol: float, witness_fn) -> tuple:
-    """Fold a sampled inequality over groups of (trial indices, batch X).
+    """Fold a sampled inequality over groups of (trial indices, batch X,
+    *rows), rows being per-row values evaluated beforehand, if any.
 
-    margin_fn(X) returns (margin, *arrays) with one entry per row; a row
-    fails when its margin is below -tol.  Returns the worst margin, the
+    margin_fn(X, *rows) returns (margin, *arrays) with one entry per row; a
+    row fails when its margin is below -tol.  Returns the worst margin, the
     failure count and the witness: witness_fn(trial, x, margin, *arrays)
     called once on the failing row with the lowest trial index, or None
     when nothing fails.  A witness reads its means from its row, and a shrink
@@ -226,8 +236,8 @@ def _sample_margins(groups, margin_fn, tol: float, witness_fn) -> tuple:
     failures = 0
     witness_trial = None
     row = None
-    for idx, X in groups:
-        margin, *arrays = margin_fn(X)
+    for idx, X, *rows in groups:
+        margin, *arrays = margin_fn(X, *rows)
         worst = min(worst, float(np.min(margin)))
         bad = np.nonzero(margin < -tol)[0]
         failures += len(bad)

@@ -20,10 +20,12 @@ modules.
 
 from __future__ import annotations
 
+import copy
 import os
 import re
 import stat
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 import orjson
@@ -261,6 +263,7 @@ class TabulatedGenerator(Generator):
         self.values = vals
         self.increasing = bool(d[0] > 0.0)
         self._slopes = {}
+        self._copied_from = None
         h = domain.step
         if rho_values is not None:
             self.rho_values = np.array(rho_values, dtype=float)
@@ -314,9 +317,12 @@ class TabulatedGenerator(Generator):
             return np.interp(x, grid, column)
         if name not in self._slopes:
             # numpy's slope of bracket j, kept when all are finite, which
-            # implies a strictly increasing grid and so a positive, finite step
+            # implies a strictly increasing grid and so a positive, finite
+            # step.  A copy's are its original's, shared and read-only.
+            owner = self._copied_from or self
             with np.errstate(over="ignore", invalid="ignore"):
-                slopes = np.diff(column) / np.diff(grid)
+                slopes = np.diff(getattr(owner, name)) / np.diff(grid)
+            slopes.flags.writeable = False
             self._slopes[name] = slopes if np.isfinite(slopes).all() else None
         slopes = self._slopes[name]
         if slopes is None:
@@ -340,6 +346,19 @@ class TabulatedGenerator(Generator):
 
     def spec_string(self):
         return f"table:{self.source}"
+
+    def _renamed_copy(self, source: str) -> "TabulatedGenerator":
+        """This generator, whose columns are read-only, named source and
+        checked by no test again: its own writable copies of the three
+        columns, sharing the interval and the lookup slopes, which are
+        computed from this generator's columns on first use."""
+        gen = copy.copy(self)
+        gen.source = source
+        gen.values = self.values.copy()
+        gen.f1_values = self.f1_values.copy()
+        gen.rho_values = self.rho_values.copy()
+        gen._copied_from = self
+        return gen
 
 
 def _central_diff(values: np.ndarray, h: float) -> np.ndarray:
@@ -590,28 +609,39 @@ def _parse_table(raw: bytes, path: str):
     return header, data
 
 
-# The parses of _read_table, each keyed by the file bytes it was parsed from,
-# least recently used first and at most MAX_GRID_POINTS rows in all.  A load
-# finds its entry by comparing bytes, not by path or timestamp.  The arrays
-# are read-only.
-_TABLES: dict = {}
+# The tables load_table checked, least recently used first and at most
+# MAX_GRID_POINTS rows in all.  A load finds its entry by comparing the
+# bytes of the entries of its file's size, never by hashing them, nor by
+# path or timestamp.
+_TABLES: list = []
 _TABLES_LOCK = threading.Lock()
 
 
-def _kept_bytes(fh):
-    """The kept key equal to the whole of fh, compared a chunk at a time in
-    one buffer; None when fh is not a regular file or no key matches.  fh
-    is read, and then sought back to its start, only if a key has its size."""
+@dataclass(frozen=True, eq=False)
+class _KeptTable:
+    """A table file's bytes and the checked generator load_table made of
+    them, whose columns are read-only; every load of the bytes is a copy of
+    it, sharing its lookup slopes."""
+
+    raw: bytes
+    table: TabulatedGenerator
+
+
+def _kept_table(fh):
+    """The kept table whose bytes equal the whole of fh, compared a chunk at
+    a time in one buffer; None when fh is not a regular file or no kept
+    table matches.  fh is read, and then sought back to its start, only if
+    a kept table has its size."""
     st = os.fstat(fh.fileno())
     size = st.st_size if stat.S_ISREG(st.st_mode) else -1
     with _TABLES_LOCK:
-        alike = [raw for raw in _TABLES if len(raw) == size]
+        alike = [kept for kept in _TABLES if len(kept.raw) == size]
     if not alike:
         return None
     view = memoryview(bytearray(min(size, _CHUNK_BYTES)))
     at = 0
     while alike and (n := fh.readinto(view)):
-        alike = [raw for raw in alike if raw.startswith(view[:n], at)]
+        alike = [kept for kept in alike if kept.raw.startswith(view[:n], at)]
         at += n
     if alike and at == size:
         return alike[0]
@@ -619,70 +649,10 @@ def _kept_bytes(fh):
     return None
 
 
-def _read_table(path: str):
-    """(header, data) of a table file: the kept parse of the same bytes when
-    there is one, else a new parse, which is kept unless it fails.  Entries
-    least recently used go first once the kept rows exceed MAX_GRID_POINTS."""
-    with open(path, "rb") as fh:
-        raw = _kept_bytes(fh)
-        if raw is None:
-            raw = fh.read()
-    with _TABLES_LOCK:
-        table = _TABLES.pop(raw, None)
-    if table is None:
-        table = _parse_table(raw, path)
-        table[1].flags.writeable = False
-    with _TABLES_LOCK:
-        _TABLES[raw] = table
-        rows = sum(data.shape[0] for _, data in _TABLES.values())
-        while rows > MAX_GRID_POINTS:
-            rows -= _TABLES.pop(next(iter(_TABLES)))[1].shape[0]
-    return table
-
-
-def load_table(path: str) -> TabulatedGenerator:
-    """Load a tabulated generator from a CSV file.
-
-    The file must carry a uniformly spaced, strictly increasing ``x`` column
-    and a strictly monotone value column.  With a header row, the value
-    column is the one named ``f`` (falling back to ``g``, so envelope CSV
-    output reloads directly); a ``g1``/``f1`` column, when present, is used
-    as the first-derivative grid, and an ``m`` column (the profile f'/f''
-    an envelope was built from) as the profile grid, so a reloaded envelope
-    keeps its profile exactly.
-    Without a header the first two columns are taken as x and f.
-
-    Blank lines, lines whose cells are all empty, and lines whose first
-    cell starts with '#' are skipped; the first kept line is the header
-    when one of its cells is not a number.  The data lines are read by one
-    of two paths, both bit-equal to ``float()`` of each cell:
-
-    - orjson, when the lines before the first one opening with a digit,
-      sign or '.' keep at most a header, every later byte is a digit,
-      ``.eE+-``, a comma, a line end or a blank (space, tab, or the CR of
-      a CRLF line end), every line holds the first one's number of cells,
-      and every cell is a JSON number but no integer -0 (which orjson
-      reads as +0.0).  It parses chunks of at most ``_CHUNK_BYTES`` cut at
-      line ends into one preallocated array, so its extra memory is
-      bounded by the chunk, not the file;
-    - ``np.loadtxt`` on the kept lines otherwise: spellings JSON refuses
-      (``.5``, ``5.``, ``+1``, ``inf``, ``nan``, ``1e400``), comment or
-      blank lines among the data, and every malformed file.
-
-    A byte that is not UTF-8, a non-numeric cell or a row with a different
-    number of cells raises UsageError naming the file.
-
-    A process keeps each table it parsed together with the file's bytes.
-    A load whose file has the bytes of a kept table, found by comparing
-    them exactly a chunk at a time, not by path or timestamp, reuses that
-    parse and holds no second copy of the file; any other load reads the
-    file once and parses it.  A failed parse is not kept.  The kept tables
-    are dropped least recently used first once they hold more than
-    ``grids.MAX_GRID_POINTS`` rows.
-    Every call runs the x column checks, names its own path in errors, and
-    returns a new generator holding its own copies of the columns.
-    """
-    header, data = _read_table(path)
+def _checked_table(raw: bytes, path: str) -> TabulatedGenerator:
+    """The generator of a table file's bytes, parsed and checked as
+    load_table says, its columns read-only; errors name path."""
+    header, data = _parse_table(raw, path)
     ncols = data.shape[1]
     if header is not None and len(header) != ncols:
         raise UsageError(f"{path}: header has {len(header)} cells, data rows {ncols}")
@@ -720,8 +690,72 @@ def load_table(path: str) -> TabulatedGenerator:
         raise UsageError(f"{path}: x column must be uniformly spaced")
 
     interval = WorkingInterval(float(xs[0]), float(xs[-1]), len(xs))
-    return TabulatedGenerator(interval, fs, f1_values=f1s, rho_values=ms,
-                              source=path)
+    gen = TabulatedGenerator(interval, fs, f1_values=f1s, rho_values=ms, source=path)
+    for column in (gen.values, gen.f1_values, gen.rho_values):
+        column.flags.writeable = False
+    return gen
+
+
+def load_table(path: str) -> TabulatedGenerator:
+    """Load a tabulated generator from a CSV file.
+
+    The file must carry a uniformly spaced, strictly increasing ``x`` column
+    and a strictly monotone value column.  With a header row, the value
+    column is the one named ``f`` (falling back to ``g``, so envelope CSV
+    output reloads directly); a ``g1``/``f1`` column, when present, is used
+    as the first-derivative grid, and an ``m`` column (the profile f'/f''
+    an envelope was built from) as the profile grid, so a reloaded envelope
+    keeps its profile exactly.
+    Without a header the first two columns are taken as x and f.
+
+    Blank lines, lines whose cells are all empty, and lines whose first
+    cell starts with '#' are skipped; the first kept line is the header
+    when one of its cells is not a number.  The data lines are read by one
+    of two paths, both bit-equal to ``float()`` of each cell:
+
+    - orjson, when the lines before the first one opening with a digit,
+      sign or '.' keep at most a header, every later byte is a digit,
+      ``.eE+-``, a comma, a line end or a blank (space, tab, or the CR of
+      a CRLF line end), every line holds the first one's number of cells,
+      and every cell is a JSON number but no integer -0 (which orjson
+      reads as +0.0).  It parses chunks of at most ``_CHUNK_BYTES`` cut at
+      line ends into one preallocated array, so its extra memory is
+      bounded by the chunk, not the file;
+    - ``np.loadtxt`` on the kept lines otherwise: spellings JSON refuses
+      (``.5``, ``5.``, ``+1``, ``inf``, ``nan``, ``1e400``), comment or
+      blank lines among the data, and every malformed file.
+
+    A byte that is not UTF-8, a non-numeric cell or a row with a different
+    number of cells raises UsageError naming the file.
+
+    A process keeps each table it checked together with the file's bytes:
+    the interval, the three columns (values, f' and rho, read-only) and
+    their lookup slopes, not the file's other columns.  A load whose file
+    has the bytes of a kept table, found by comparing them exactly a chunk
+    at a time, not by hash, path or timestamp, runs no parse and no check
+    and holds no second copy of the file; any other load reads the file
+    once, parses it and runs the x column and TabulatedGenerator checks.
+    So the checks run once for each distinct set of bytes.  A table that
+    fails a parse or a check is not kept, so every load of it checks again
+    and names its own path.  The kept tables are dropped least recently
+    used first once they hold more than ``grids.MAX_GRID_POINTS`` rows.
+    Every call returns a new generator named by its own path, holding its
+    own writable copies of the three columns.
+    """
+    with open(path, "rb") as fh:
+        kept = _kept_table(fh)
+        if kept is None:
+            raw = fh.read()
+    if kept is None:
+        kept = _KeptTable(raw, _checked_table(raw, path))
+    with _TABLES_LOCK:
+        if kept in _TABLES:  # else a new table, or one another thread dropped
+            _TABLES.remove(kept)
+        _TABLES.append(kept)
+        rows = sum(t.table.domain.grid_points for t in _TABLES)
+        while rows > MAX_GRID_POINTS:
+            rows -= _TABLES.pop(0).table.domain.grid_points
+    return kept.table._renamed_copy(path)
 
 
 def generator_kinds() -> list[str]:

@@ -15,10 +15,12 @@ reflected concave-envelope routes, and permutation symmetry.
 
 Each check supplies a margin function and a witness builder to the
 sampling driver ``convexity._sample_margins``, which calls the builder
-once, on the failing trial with the lowest index (maximality keeps the
-witness of its first failing candidate).  Witnesses read their means from
-the margin function's rows.  The interchange and running-mean witnesses are
-shrunk once per report, each point through the margin function as one row.
+once, on the failing trial with the lowest index (maximality numbers its
+trials candidate by candidate, so its witness comes from the first failing
+candidate, and hands the sampler both sides' means evaluated beforehand).
+Witnesses read their means from the margin function's rows.  The
+interchange and running-mean witnesses are shrunk once per report, each
+point through the margin function as one row.
 """
 
 from __future__ import annotations
@@ -140,11 +142,12 @@ def ingham_jessen_check(M: MeanHandle, N: MeanHandle, m: int, n: int,
 
     M consumes the m entries of each row, N the n row results; the right
     side applies N down each of the m columns and M across the results.
-    Needs m, n >= 1 and 1 <= trials <= MAX_TRIALS, else UsageError.
+    Needs m, n >= 1, 1 <= trials <= MAX_TRIALS and trials * m * n <=
+    MAX_ENTRIES, else UsageError.
     """
     if m < 1 or n < 1:
         raise UsageError(f"need m, n >= 1, got {m}, {n}")
-    _check_trials(trials)
+    _check_trials(trials, entries=m * n)
     worst, failures, witness, tol = _ij_sample(M, N, [(seed, m, n)], trials)
     return TrialReport("ingham_jessen", trials, failures, worst, seed,
                        witness, extra={"m": m, "n": n, "tol": tol,
@@ -156,8 +159,10 @@ def kedlaya_check(M: MeanHandle, N: MeanHandle, n_max: int, trials: int,
     """Test N of running M-prefix-means <= M of running N-prefix-means.
 
     For each random vector x of length 2..n_max the two sides chain the
-    means over the prefixes (x_1), (x_1, x_2), ..., (x_1, ..., x_n).
+    means over the prefixes (x_1), (x_1, x_2), ..., (x_1, ..., x_n), whose
+    entries, n_max (n_max + 1) / 2 a trial at most, _check_trials bounds.
     """
+    _check_trials(trials, entries=n_max * (n_max + 1) // 2)
     if M.domain != N.domain:
         raise UsageError("both means must share a working interval")
     interval = M.domain
@@ -185,6 +190,17 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
     tuple.  Candidates are random piecewise-linear concave functions with
     2 to 6 vertices lifted above the rho graph; a candidate that fails to
     dominate rho after hulling is resampled and counted.
+
+    Each candidate and its trials' tuples are drawn in turn, and its mean
+    is evaluated on them.  The envelope mean is then evaluated once per
+    tuple length, on every candidate's tuples of that length together (a
+    row's mean does not depend on its batch), and the margins are folded
+    over those batches, trial k of candidate c counting as trial
+    c * trials + k.  So all candidates * trials tuples are held at once,
+    with their trial indices and both means: a peak of about 120 bytes a
+    trial (tracemalloc, 100 candidates of 1000 trials), so about 120 MB at
+    the bound candidates * trials <= MAX_TRIALS.  Needs candidates >= 1 and
+    1 <= trials, candidates * trials <= MAX_TRIALS, else UsageError.
     """
     if env.status not in ("Envelope", "AlreadyExtremal"):
         raise UsageError(f"maximality needs an envelope, got status {env.status}")
@@ -193,6 +209,7 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
     if candidates < 1:
         raise UsageError(f"need candidates >= 1, got {candidates}")
     _check_trials(trials)
+    _check_trials(candidates * trials, entries=6)
     interval = env.interval
     xs = interval.grid()
     rho_vals = env.rho.values
@@ -205,9 +222,7 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
     lift_scale = float(np.max(rho_vals) - np.min(rho_vals)) + 0.1 * max(
         1.0, float(np.max(np.abs(rho_vals))))
     rejected = 0
-    worst = np.inf
-    failures = 0
-    witness = None
+    drawn = []  # (trial index, tuples, candidate means) of every candidate's groups
     for c in range(candidates):
         for _ in range(200):
             k = int(rng.integers(2, 7))
@@ -226,20 +241,23 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
                 f"candidate {c}: no dominating concave profile in 200 attempts")
         cand_mean = QuasiArithmeticMean(
             reconstruct_generator(mp, interval, source=f"candidate:{c}"))
+        drawn += [(c * trials + idx, X, cand_mean.batch(X))
+                  for idx, X in _grouped_tuples(rng, trials, 6, interval)]
 
-        def margin(X):
-            qa_candidate, qa_envelope = cand_mean.batch(X), env_mean.batch(X)
-            return qa_envelope - qa_candidate, qa_candidate, qa_envelope
+    def groups():
+        # Trial k of candidate c is trial c * trials + k, so the witness,
+        # the lowest failing trial, comes from the first failing candidate.
+        for n in range(2, 7):
+            same = [group for group in drawn if group[1].shape[1] == n]
+            if same:
+                idx, X, qa_candidate = (np.concatenate(parts) for parts in zip(*same))
+                yield idx, X, qa_candidate, env_mean.batch(X)
 
-        # Only the first failing candidate's witness is built and kept.
-        w, fails, found = _sample_margins(
-            _grouped_tuples(rng, trials, 6, interval), margin, MAXIMALITY_TOL,
-            lambda trial, x, mg, qc, qe: witness or {
-                "candidate": c, "values": x.tolist(), "qa_candidate": float(qc),
-                "qa_envelope": float(qe), "margin": float(mg)})
-        worst = min(worst, w)
-        failures += fails
-        witness = witness or found
+    worst, failures, witness = _sample_margins(
+        groups(), lambda X, qc, qe: (qe - qc, qc, qe), MAXIMALITY_TOL,
+        lambda trial, x, mg, qc, qe: {
+            "candidate": trial // trials, "values": x.tolist(), "qa_candidate": float(qc),
+            "qa_envelope": float(qe), "margin": float(mg)})
     return TrialReport("maximality", candidates * trials, failures, worst, seed,
                        witness, extra={"candidates": candidates,
                                        "rejected_candidates": rejected,
@@ -314,13 +332,14 @@ def ingham_jessen_sweep(M: MeanHandle, N: MeanHandle, trials: int,
     Each of the (max_dim - 1)**2 shapes runs trials // shapes matrices on
     its own derived seed, so the sweep is reproducible as a whole, and the
     report counts the trials run.  The witness comes from the first failing
-    shape.  Needs max_dim >= 2 and shapes <= trials <= MAX_TRIALS, else
-    UsageError.
+    shape.  Needs max_dim >= 2, shapes <= trials <= MAX_TRIALS and
+    trials * max_dim**2 <= MAX_ENTRIES, else UsageError, raised before the
+    shapes are listed.
     """
     if max_dim < 2:
         raise UsageError(f"need max_dim >= 2, got {max_dim}")
+    _check_trials(trials, (max_dim - 1) ** 2, entries=max_dim ** 2)
     combos = [(m, n) for m in range(2, max_dim + 1) for n in range(2, max_dim + 1)]
-    _check_trials(trials, len(combos))
     per = trials // len(combos)
     worst, failures, witness, _ = _ij_sample(
         M, N, [(seed + 7919 * i, m, n) for i, (m, n) in enumerate(combos)], per)

@@ -6,8 +6,9 @@ of zero counts.  The np.loadtxt path is forced by making ``_orjson_table``
 decline every file; what it gives, values or error, is what the reader gave
 before the fast path existed.
 
-The memo tests check that a load reuses a kept parse exactly when the file
-holds the kept table's bytes, and that finding them copies no whole file.
+The memo tests check that a load reuses a kept table, parsed and checked,
+exactly when the file holds the kept table's bytes, that the reuse is bit
+for bit a fresh parse and check, and that finding them copies no whole file.
 """
 
 import hashlib
@@ -26,7 +27,8 @@ from hypothesis import strategies as st
 from qameans import generators
 from qameans.cli import run
 from qameans.errors import QameansError
-from qameans.generators import _CHUNK_BYTES, _orjson_table, _read_table, load_table
+from qameans.generators import _CHUNK_BYTES, TabulatedGenerator, _orjson_table, load_table
+from qameans.grids import WorkingInterval
 
 from oracles import float_cell_table
 
@@ -95,6 +97,11 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
+def _parse(path):
+    """(header, data) of the file at path, as load_table parses its bytes."""
+    return generators._parse_table(Path(path).read_bytes(), str(path))
+
+
 def _outcome(read, path):
     """What read(path) gives, in comparable form: the error's type and
     message, or the arrays' bits."""
@@ -116,7 +123,7 @@ def assert_reads_as_loadtxt_path(read, path):
     fast = _outcome(read, path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(generators, "_orjson_table", lambda raw: None)
-        mp.setattr(generators, "_TABLES", {})
+        mp.setattr(generators, "_TABLES", [])
         assert _outcome(read, path) == fast
     if isinstance(fast[0], type):
         assert str(path) in fast[1]
@@ -124,7 +131,7 @@ def assert_reads_as_loadtxt_path(read, path):
 
 
 def assert_bits_equal_oracle(path):
-    header, data = _read_table(str(path))
+    header, data = _parse(path)
     want_header, want = float_cell_table(path)
     assert header == want_header
     assert data.shape == want.shape
@@ -139,7 +146,7 @@ def test_reader_is_float_per_cell(tmp_path_factory, table):
     text, fast = table
     path = tmp_path_factory.getbasetemp() / "table.csv"
     path.write_bytes(text.encode())
-    outcome = assert_reads_as_loadtxt_path(_read_table, str(path))
+    outcome = assert_reads_as_loadtxt_path(_parse, str(path))
     if fast:
         assert _orjson_table(path.read_bytes()) is not None
     if not isinstance(outcome[0], type):
@@ -209,7 +216,7 @@ def test_chunk_boundaries(envelope_csv, tmp_path, where, mutation, malformed):
     start, end = _line_span(raw, where)
     path = tmp_path / "mutated.csv"
     path.write_bytes(raw[:start] + mutation(raw[start:end]) + raw[end:])
-    outcome = assert_reads_as_loadtxt_path(_read_table, str(path))
+    outcome = assert_reads_as_loadtxt_path(_parse, str(path))
     assert isinstance(outcome[0], type) == malformed
     if not malformed:
         assert_bits_equal_oracle(path)
@@ -253,9 +260,8 @@ def _write_cubic(path, n, shift=0.0):
 
 
 def _kept_keys():
-    """The memo's keys, least recently used first: the bytes of each kept
-    table."""
-    return list(generators._TABLES)
+    """The bytes of each kept table, least recently used first."""
+    return [kept.raw for kept in generators._TABLES]
 
 
 def test_memo_sees_a_same_size_rewrite_within_one_timestamp(tmp_path):
@@ -273,6 +279,8 @@ def test_memo_sees_a_same_size_rewrite_within_one_timestamp(tmp_path):
 
 
 def test_loads_of_the_same_bytes_share_no_memory(tmp_path, monkeypatch):
+    """Each load holds its own writable columns; what loads share with the
+    kept table, its interval and lookup slopes, is read-only."""
     path = tmp_path / "env.csv"
     assert run(["envelope", "--gen", "power:3", "--grid", "257",
                 "--format", "csv", "--out", str(path)]) == 0
@@ -284,14 +292,29 @@ def test_loads_of_the_same_bytes_share_no_memory(tmp_path, monkeypatch):
     second = load_table(str(path))
     assert parses == []
     assert second is not first
-    (header, data), = generators._TABLES.values()
-    assert not data.flags.writeable
+    kept, = generators._TABLES
     arrays = lambda tab: (tab.values, tab.f1_values, tab.rho_values)
-    for a, b in zip(arrays(first), arrays(second)):
+    for a, b, data in zip(arrays(first), arrays(second), arrays(kept.table)):
+        assert not data.flags.writeable
         assert np.array_equal(_bits(a), _bits(b))
         assert a.flags.writeable and b.flags.writeable
         assert not np.shares_memory(a, b)
         assert not np.shares_memory(a, data) and not np.shares_memory(b, data)
+    # A write to one load reaches neither the kept table nor another load,
+    # nor the lookup slopes: they are the kept table's, computed once from
+    # its columns and shared read-only, as the interval is.
+    want = [_bits(a).copy() for a in arrays(second)]
+    for a in arrays(first):
+        a[:] = 0.0
+    queries = np.random.default_rng(0).uniform(first.domain.lo, first.domain.hi, 600)
+    first.f(queries)
+    assert first._slopes is second._slopes is kept.table._slopes
+    assert not kept.table._slopes["values"].flags.writeable
+    assert first.domain is second.domain and not first.domain.grid().flags.writeable
+    want_f = _bits(np.interp(queries, kept.table.domain.grid(), kept.table.values))
+    for tab in (second, load_table(str(path))):
+        assert all(np.array_equal(_bits(a), w) for a, w in zip(arrays(tab), want))
+        assert np.array_equal(_bits(tab.f(queries)), want_f)
 
 
 def test_a_malformed_file_fixed_in_place_loads(tmp_path):
@@ -311,12 +334,109 @@ def test_the_same_bytes_at_two_paths_keep_their_own_paths(tmp_path):
     assert _kept_keys() == [raw]
     assert (a.source, b.source) == (str(tmp_path / "a.csv"), str(tmp_path / "b.csv"))
     assert b.spec_string() == f"table:{tmp_path / 'b.csv'}"
-    # The x checks run on every load, and their errors name that load's path.
+    # A table that fails an x check is not kept, so every load checks it
+    # again, and its error names that load's path.
     bad = b"x,f\n0,1\n2,2\n1,3\n"
     for name in ("c.csv", "d.csv"):
         (tmp_path / name).write_bytes(bad)
         with pytest.raises(QameansError, match=f"{tmp_path / name}: x column must be"):
             load_table(str(tmp_path / name))
+    assert _kept_keys() == [raw]
+
+
+@st.composite
+def valid_tables(draw):
+    """CSV text of a table that load_table takes, with the names of its
+    columns: n rows on a uniform x grid, strictly monotone values in either
+    direction, and f' and rho columns (f1, m) or neither, with a header in
+    any column order or none.  Steps between values are within a factor 2 of
+    each other, so the one-sided differences at the ends keep their sign."""
+    n = draw(st.integers(3, 40))
+    lo = draw(st.floats(-1e3, 1e3))
+    xs = np.linspace(lo, lo + draw(st.sampled_from([1e-3, 1.0, 7.0, 1e3])), n)
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    steps = draw(st.lists(st.floats(1.0, 2.0), min_size=n - 1, max_size=n - 1))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    columns = {"x": xs, "f": sign * np.concatenate(([0.0], np.cumsum(steps))) * scale}
+    if draw(st.booleans()):
+        columns["f1"] = sign * np.array(draw(st.lists(
+            st.floats(1e-3, 1e3), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        columns["m"] = np.array(draw(st.lists(
+            st.floats(0.1, 10.0), min_size=n, max_size=n))) * draw(
+            st.sampled_from([1.0, -1.0]))
+    names = list(columns)
+    header = len(names) > 2 or draw(st.booleans())
+    if header:
+        names = draw(st.permutations(names))
+    elif names != ["x", "f"]:
+        names = ["x", "f"]
+    lines = ([",".join(names)] if header else []) + [
+        ",".join(repr(float(columns[name][k])) for name in names) for k in range(n)]
+    return "\n".join(lines) + "\n", sign < 0
+
+
+@given(table=valid_tables())
+@example(table=("x,f\n0,3\n1,2\n2,0\n", True))
+@example(table=("x,m,f\n.5,inf,1\n1,-2,2\n1.5,-3,4\n", False))   # the np.loadtxt path
+def test_a_kept_load_is_a_fresh_parse_and_check(tmp_path_factory, table):
+    """A load that parses and checks the file and a load of its kept bytes
+    are each, column by column and evaluation by evaluation, the generator
+    that TabulatedGenerator checks from float() of every cell."""
+    text, decreasing = table
+    path = tmp_path_factory.getbasetemp() / "kept.csv"
+    path.write_text(text)
+    generators._TABLES.clear()
+    parses = []
+    parse = generators._parse_table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "_parse_table",
+                   lambda raw, p: parses.append(p) or parse(raw, p))
+        loads = [load_table(str(path)) for _ in range(2)]
+    assert parses == [str(path)]
+    header, data = float_cell_table(path)
+
+    def column(*names):
+        found = [header.index(name) for name in names if header and name in header]
+        return data[:, found[0]] if found else None
+
+    xs = data[:, 0] if header is None else column("x")
+    values = data[:, 1] if header is None else column("f", "g")
+    want = TabulatedGenerator(WorkingInterval(xs[0], xs[-1], len(xs)), values,
+                              column("f1", "g1"), column("m"), source=str(path))
+    queries = np.random.default_rng(0).uniform(xs[0], xs[-1], 600)
+    image = np.sort(values)[[0, -1]]
+    levels = np.random.default_rng(1).uniform(image[0], image[1], 600)
+    for got in loads:
+        assert got.spec_string() == want.spec_string() == f"table:{path}"
+        assert got.domain == want.domain
+        assert got.increasing == want.increasing == (not decreasing)
+        for name in ("values", "f1_values", "rho_values"):
+            assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name)))
+        for name in ("f", "f1", "rho"):
+            for x in (queries, want.domain.grid()):
+                assert np.array_equal(_bits(getattr(got, name)(x)),
+                                      _bits(getattr(want, name)(x)))
+        assert np.array_equal(_bits(got.finv(levels)), _bits(want.finv(levels)))
+
+
+@pytest.mark.parametrize("body, error", [
+    (b"x,f\n0,1\n2,2\n1,3\n", "x column must be strictly increasing"),
+    (b"x,f\n0,1\n1,1\n2,3\n", "tabulated values must be strictly monotone"),
+    (b"x,f,f1\n0,1,1\n1,2,-1\n2,3,1\n", "f' must be nonzero with the values' sign"),
+], ids=["x", "monotone", "f1 sign"])
+def test_a_table_that_fails_a_check_is_not_kept(tmp_path, monkeypatch, body, error):
+    """Every load of a failing table parses and checks it again, and names
+    its own path; the tables kept before stay."""
+    good = _write_cubic(tmp_path / "good.csv", 5)
+    load_table(str(tmp_path / "good.csv"))
+    parses = _record_parses(monkeypatch)
+    for name in ("c.csv", "d.csv", "c.csv"):
+        (tmp_path / name).write_bytes(body)
+        with pytest.raises(QameansError, match=f"{tmp_path / name}.*{error}"):
+            load_table(str(tmp_path / name))
+    assert parses == [body] * 3
+    assert _kept_keys() == [good]
 
 
 def test_memo_drops_least_recently_used_tables_past_its_row_bound(tmp_path, monkeypatch):
@@ -368,10 +488,15 @@ def test_threads_loading_tables_while_the_memo_evicts(tmp_path, monkeypatch):
 def _write_fixed(path, n):
     """A headless n-row table of x**3 on [1, 2] whose every line is 44
     bytes (two 21-byte cells), so the byte at an offset is known; returns
-    its bytes."""
-    xs = np.linspace(1.0, 2.0, n)
-    path.write_text("".join(f"{x:.15e},{x ** 3:.15e}\n" for x in xs))
+    its bytes.  The first row is commented out by a '#' in place of its
+    first digit, so that a first byte made a digit leaves a valid table."""
+    path.write_text("#" + "".join(map(_fixed_line, np.linspace(1.0, 2.0, n)))[1:])
     return path.read_bytes()
+
+
+def _fixed_line(x):
+    """The 44-byte line of x in _write_fixed's table."""
+    return f"{x:.15e},{x ** 3:.15e}\n"
 
 
 def _record_parses(monkeypatch):
@@ -385,12 +510,17 @@ def _record_parses(monkeypatch):
 
 def _assert_parsed_anew(path, monkeypatch, raw, changed):
     """Loading path, now holding changed, parses changed and keeps it after
-    the table of raw; the values are float() of each new cell."""
+    the table of raw; the parse and the kept columns are float() of each
+    new cell."""
     parses = _record_parses(monkeypatch)
-    _read_table(str(path))
+    load_table(str(path))
     assert parses == [changed]
     assert _kept_keys() == [raw, changed]
     assert_bits_equal_oracle(path)
+    _, want = float_cell_table(path)
+    kept = generators._TABLES[-1].table
+    assert np.array_equal(_bits(kept.values), _bits(want[:, 1]))
+    assert (kept.domain.lo, kept.domain.hi) == (want[0, 0], want[-1, 0])
 
 
 @pytest.mark.parametrize("at", [0, _CHUNK_BYTES - 1, _CHUNK_BYTES, -1],
@@ -402,13 +532,13 @@ def test_a_same_size_rewrite_of_one_byte_is_parsed_again(tmp_path, monkeypatch, 
     path = tmp_path / "t.csv"
     raw = _write_fixed(path, 8192)
     assert len(raw) > _CHUNK_BYTES + 1
-    _, old = _read_table(str(path))
+    old = load_table(str(path)).values
     changed = bytearray(raw)
     # A digit of a cell, or the last line end, becomes another digit.
     changed[at] = ord("2") if raw[at] == ord("1") else ord("1")
     path.write_bytes(changed)
     _assert_parsed_anew(path, monkeypatch, raw, bytes(changed))
-    assert not np.array_equal(_read_table(str(path))[1], old)
+    assert not np.array_equal(load_table(str(path)).values, old)
 
 
 LAST_LINE = 44
@@ -416,7 +546,7 @@ LAST_LINE = 44
 
 @pytest.mark.parametrize("stale_size", [False, True], ids=["fstat", "stale fstat"])
 @pytest.mark.parametrize("edit", [
-    lambda raw: raw + b"3.000000000000000e+00,2.700000000000000e+01\n",
+    lambda raw: raw + _fixed_line(2.0 + 1.0 / 8191).encode(),    # the next grid point
     lambda raw: raw[:-LAST_LINE],
 ], ids=["appended", "truncated"])
 def test_a_file_appended_to_or_truncated_after_a_load_is_parsed_again(
@@ -425,7 +555,7 @@ def test_a_file_appended_to_or_truncated_after_a_load_is_parsed_again(
     fstat and the reads, the compare still reads to the file's end."""
     path = tmp_path / "t.csv"
     raw = _write_fixed(path, 8192)
-    _read_table(str(path))
+    load_table(str(path))
     changed = edit(raw)
     path.write_bytes(changed)
     if stale_size:

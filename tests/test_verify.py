@@ -1,5 +1,8 @@
 """Randomized verification harness: reports, witnesses, determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
 import tracemalloc
 
@@ -7,13 +10,24 @@ import numpy as np
 import pytest
 
 from qameans import verify
-from qameans.convexity import MAX_TRIALS, _check_trials, dominates_arithmetic
+from qameans.cli import run
+from qameans.convexity import (
+    MAX_ENTRIES,
+    MAX_TRIALS,
+    _check_trials,
+    _grouped_tuples,
+    dominates_arithmetic,
+)
 from qameans.envelope import (
+    EnvelopeResult,
+    PiecewiseLinearHull,
     qa_concave_envelope,
     qa_concave_envelope_via_reflection,
     qa_convex_envelope,
+    reconstruct_generator,
 )
-from qameans.errors import UsageError
+from qameans.errors import CandidateRejected, UsageError
+from qameans.grids import WorkingInterval
 from qameans.means import ArithmeticMean, MeanHandle, QuasiArithmeticMean
 from qameans.verify import (
     TrialReport,
@@ -24,6 +38,8 @@ from qameans.verify import (
     maximality_check,
     symmetry_check,
 )
+
+from conftest import build_from_profile
 
 
 def test_trial_report_witness_invariant():
@@ -375,6 +391,189 @@ def test_checks_refuse_more_than_max_trials_before_drawing(catalog, rho_x2_gen):
             assert peak < 2**20, peak
     _check_trials(MAX_TRIALS)
     _check_trials(16, 16)
+
+
+def _refused_without_allocating(call, match):
+    """call() raises UsageError matching match, with a tracemalloc peak
+    under 1 MiB: it is refused before anything of its size is drawn."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match=match):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_checks_refuse_more_than_max_entries_before_drawing(catalog, rho_x2_gen):
+    """The trial shape is bounded with the trial count: a check whose trials
+    would draw (or, for running means, read) more than MAX_ENTRIES entries
+    is refused at the call, before its sizes are drawn or its shapes listed."""
+    a, g = ArithmeticMean(catalog["log"].domain), QuasiArithmeticMean(catalog["log"])
+    rng = np.random.default_rng(0)
+    over = "need trials \\* entries per trial <= 25000000, got"
+    refusals = [
+        (lambda: ingham_jessen_check(g, a, 1000, 1000, 1000), f"{over} 1000 \\* 1000000$"),
+        (lambda: ingham_jessen_check(g, a, 10**9, 1, 1), f"{over} 1 \\* 1000000000$"),
+        (lambda: ingham_jessen_sweep(g, a, 10**6, max_dim=10**9), "need trials >= "),
+        (lambda: ingham_jessen_sweep(g, a, 10**6, max_dim=100), f"{over} 1000000 \\* 10000$"),
+        (lambda: kedlaya_check(g, a, 10**9, 1), f"{over} 1 \\* 500000000500000000$"),
+        (lambda: kedlaya_check(g, a, 7071, 1), f"{over} 1 \\* 25003056$"),
+        (lambda: _grouped_tuples(rng, 100, 10**9, g.domain), f"{over} 100 \\* 1000000000$"),
+        (lambda: dominates_arithmetic(catalog["log"], 10**9, 1), f"{over} 1 \\* 1000000000$"),
+        (lambda: maximality_check(rho_x2_gen, qa_convex_envelope(rho_x2_gen), 10**6, 10**6),
+         f"need trials <= {MAX_TRIALS}, got {10**12}$"),
+        (lambda: maximality_check(rho_x2_gen, qa_convex_envelope(rho_x2_gen), 3, MAX_TRIALS),
+         f"need trials <= {MAX_TRIALS}, got {3 * MAX_TRIALS}$"),
+    ]
+    for call, match in refusals:
+        _refused_without_allocating(call, match)
+    assert MAX_ENTRIES == 25 * MAX_TRIALS
+    # Each bound itself is taken: the 5x5 sweep and interchange at MAX_TRIALS.
+    _check_trials(MAX_TRIALS, entries=25)
+    _check_trials(1, entries=MAX_ENTRIES)
+    _check_trials(1, entries=7070 * 7071 // 2)     # kedlaya's longest n_max at 1 trial
+
+
+def test_grouped_tuples_draw_only_the_sizes_drawn():
+    """A long n_max costs nothing past the sizes drawn: the groups are those
+    of a loop over every size 2..n_max, in the same rng order."""
+    interval = WorkingInterval(0.1, 10.0)
+    got = list(_grouped_tuples(np.random.default_rng(3), 40, 10**5, interval))
+    rng = np.random.default_rng(3)
+    sizes = rng.integers(2, 10**5 + 1, size=40)
+    want = [(np.nonzero(sizes == n)[0], n) for n in sorted(set(sizes.tolist()))]
+    assert len(got) == len(want)
+    for (idx, X), (want_idx, n) in zip(got, want):
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(X, rng.uniform(interval.lo, interval.hi, size=(len(idx), n)))
+
+
+def _raised_hull(env: EnvelopeResult, lift: float) -> EnvelopeResult:
+    """env with the highest interior vertex of its hull raised by lift: the
+    profile rises, so the envelope mean falls below some candidates'."""
+    verts = list(env.m.vertices)
+    k = max(range(1, len(verts) - 1), key=lambda i: verts[i][1])
+    verts[k] = (verts[k][0], verts[k][1] + lift)
+    hull = PiecewiseLinearHull(tuple(verts), "upper")
+    iv = env.interval
+    return EnvelopeResult("Envelope", "convex", iv, rho=env.rho, m=hull,
+                          generator=reconstruct_generator(hull(iv.grid()), iv, source="raised"))
+
+
+def _maximality_reports(case: str, grid: int) -> list:
+    """The reports of one case at seeds 0-5: the CLI's maximality check of
+    power:3 (1000 trials: 10 candidates of 100), and maximality_check(10,
+    100) of the x**2 profile's envelope (it passes) and of the tent
+    profile's with its kink raised by 0.2 (it fails)."""
+    out = []
+    for seed in range(6):
+        if case == "cli power:3":
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text):
+                run(["verify", "--check", "maximality", "--gen", "power:3", "--grid",
+                     str(grid), "--seed", str(seed), "--trials", "1000"])
+            out.append(text.getvalue())
+            continue
+        iv = WorkingInterval(1.0, 3.0, grid)
+        xs = iv.grid()
+        gen = build_from_profile(xs ** 2 if case == "rho-x2" else 2.0 - np.abs(xs - 2.0),
+                                 iv, case)
+        env = qa_convex_envelope(gen)
+        if case == "raised tent":
+            env = _raised_hull(env, 0.2)
+        out.append(json.dumps(maximality_check(gen, env, 10, 100, seed).to_dict()))
+    return out
+
+
+# sha256 of each case's six reports joined by newlines, as the per-candidate
+# envelope batches made them, on numpy 2.4 for each SIMD target the kernels
+# can take on an x86 host (NPY_DISABLE_CPU_FEATURES picks the lower two).
+MAXIMALITY_REPORT_HASHES = {
+    "X86_V4": {
+        "cli power:3 257": "74b82b845845f55773ebb97d0eee394b601c9dfd58175831af6c02c75f3b666c",
+        "cli power:3 1025": "7394cc9dc997682b39feb875b961efc009a67b23c40838e80f2ab4271a12c5e9",
+        "rho-x2 257": "e9fc4abc0f8aae51106abd7f4bb48b63142dbd29e7a1e67d21163ba52fadc47b",
+        "rho-x2 1025": "4523cf0d2199ab1e2a141440b995be8c0f278fcdd92f46742e826720ce4932c7",
+        "raised tent 257": "60e625612b0c6b6b0b51a9e957acfe0543a9e340af6713a11e8692481059e363",
+        "raised tent 1025": "d82ed861bb8626f83e6bef6028dcace072b87271fc9d29844fb0ded28d351a4e",
+    },
+    "X86_V3": {
+        "cli power:3 257": "ec4b41fa5ba4f5480cde68eabe8e01197ea7bc958782ad32581dabfc6c1b09b8",
+        "cli power:3 1025": "7394cc9dc997682b39feb875b961efc009a67b23c40838e80f2ab4271a12c5e9",
+        "rho-x2 257": "e9fc4abc0f8aae51106abd7f4bb48b63142dbd29e7a1e67d21163ba52fadc47b",
+        "rho-x2 1025": "4523cf0d2199ab1e2a141440b995be8c0f278fcdd92f46742e826720ce4932c7",
+        "raised tent 257": "60e625612b0c6b6b0b51a9e957acfe0543a9e340af6713a11e8692481059e363",
+        "raised tent 1025": "b0a5882ef0e0aec1b48ccb2431ced018e0ac2bb90b1dadb0b6b1abe1dfc708c8",
+    },
+    "baseline": {
+        "cli power:3 257": "ec4b41fa5ba4f5480cde68eabe8e01197ea7bc958782ad32581dabfc6c1b09b8",
+        "cli power:3 1025": "7394cc9dc997682b39feb875b961efc009a67b23c40838e80f2ab4271a12c5e9",
+        "rho-x2 257": "e9fc4abc0f8aae51106abd7f4bb48b63142dbd29e7a1e67d21163ba52fadc47b",
+        "rho-x2 1025": "4523cf0d2199ab1e2a141440b995be8c0f278fcdd92f46742e826720ce4932c7",
+        "raised tent 257": "60e625612b0c6b6b0b51a9e957acfe0543a9e340af6713a11e8692481059e363",
+        "raised tent 1025": "b0a5882ef0e0aec1b48ccb2431ced018e0ac2bb90b1dadb0b6b1abe1dfc708c8",
+    },
+}
+
+
+def _simd_target():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    return next((t for t in ("X86_V4", "X86_V3") if __cpu_features__.get(t)), "baseline")
+
+
+@pytest.mark.parametrize("grid", [257, 1025])
+@pytest.mark.parametrize("case", ["cli power:3", "rho-x2", "raised tent"])
+def test_maximality_reports_keep_their_bytes(case, grid):
+    """Evaluating the envelope side once per tuple length, over every
+    candidate's tuples, leaves every report byte for byte as it was."""
+    reports = _maximality_reports(case, grid)
+    digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
+    assert digest == MAXIMALITY_REPORT_HASHES[_simd_target()][f"{case} {grid}"]
+
+
+def test_a_raised_hull_fails_with_the_first_failing_candidates_witness(monkeypatch):
+    """The witness comes from the first candidate that fails (candidate 4 of
+    10 at seed 0, with 8 failures, as before the envelope side was batched
+    over candidates), and its means are, bit for bit, single-vector means of
+    that candidate and of the envelope."""
+    iv = WorkingInterval(1.0, 3.0, 257)
+    gen = build_from_profile(2.0 - np.abs(iv.grid() - 2.0), iv, "tent")
+    env = _raised_hull(qa_convex_envelope(gen), 0.2)
+    built = []
+
+    def kept(g):
+        built.append(QuasiArithmeticMean(g))
+        return built[-1]
+    monkeypatch.setattr(verify, "QuasiArithmeticMean", kept)
+    rep = maximality_check(gen, env, 10, 100, seed=0)
+    env_mean, candidates = built[0], built[1:]
+    w = rep.witness
+    assert rep.failures == 8 and w["candidate"] == 4
+    assert w["qa_envelope"] == env_mean(w["values"])
+    assert w["qa_candidate"] == candidates[4](w["values"])
+    assert w["margin"] == w["qa_envelope"] - w["qa_candidate"] < -rep.extra["tol"]
+
+
+def test_a_candidate_without_a_dominating_profile_is_refused(rho_x2_gen, monkeypatch):
+    """Once three candidates are accepted, every hull falls below rho: the
+    fourth candidate is refused after 200 attempts."""
+    accepted = []
+    reconstruct = verify.reconstruct_generator
+    monkeypatch.setattr(verify, "reconstruct_generator",
+                        lambda *args, **kw: accepted.append(1) or reconstruct(*args, **kw))
+    hull = verify.PiecewiseLinearHull
+    monkeypatch.setattr(verify, "PiecewiseLinearHull", lambda vertices, orientation: hull(
+        tuple((x, y - 1e9 * (len(accepted) >= 3)) for x, y in vertices), orientation))
+    env = qa_convex_envelope(rho_x2_gen)
+    with pytest.raises(CandidateRejected,
+                       match="^candidate 3: no dominating concave profile in 200 attempts$"):
+        maximality_check(rho_x2_gen, env, 10, 100, seed=0)
+    assert len(accepted) == 3
 
 
 def test_duality_passes_on_concave_catalog(catalog, rho_neg_x2_gen):
