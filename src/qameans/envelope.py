@@ -197,15 +197,19 @@ def reconstruct_generator(mvals, interval: WorkingInterval,
     one sign: positive for an increasing convex generator, negative for an
     increasing concave one.  Returns the tabulated generator g anchored at
     g(lo) = 0, g'(lo) = 1, named by source, which carries m itself as its
-    profile, so its rho is m to the bit.
+    profile, so its rho is m to the bit.  An m that is not one value per
+    grid point is a UsageError; a g or g' that overflows, a RangeError.
     """
     mvals = np.asarray(mvals, dtype=float)
+    if mvals.shape != (interval.grid_points,):
+        raise UsageError("profile m must match the grid")
     if not (np.all(mvals > 0.0) or np.all(mvals < 0.0)):
         raise NonpositiveM("profile m must have one nonzero sign on the grid")
     xs = interval.grid()
-    g1 = np.exp(_cumulative_trapezoid(1.0 / mvals, xs))
-    return TabulatedGenerator(interval, _cumulative_trapezoid(g1, xs), g1, mvals,
-                              source=source)
+    with np.errstate(over="ignore"):  # TabulatedGenerator refuses an infinite g
+        g1 = np.exp(_cumulative_trapezoid(1.0 / mvals, xs))
+        g = _cumulative_trapezoid(g1, xs)
+    return TabulatedGenerator(interval, g, g1, mvals, source=source)
 
 
 @dataclass(eq=False)

@@ -231,9 +231,13 @@ class TabulatedGenerator(Generator):
     supplied rho may be +-inf (f'' = 0) but not zero or NaN (UsageError
     naming the source).  The direction is that of the values; f' must be
     finite, nonzero and of the values' sign (NotMonotone naming the source).
+    A column that is not one value per grid point is a UsageError.  The
+    three columns, values, f1_values and rho_values, are the constructor's
+    own read-only copies, so the lookup slopes computed from them stay
+    valid for the table's life, and copy.copy of a table shares them all.
 
     f, f1 and rho give np.interp(x, grid, column) to the bit.  At the
-    table's own grid array, domain.grid(), that is a copy of the column.  A
+    table's own grid array, domain.grid(), that is the column itself.  A
     batch of at least _LOOKUP_MIN_QUERIES queries, inside [lo, hi], not in
     monotone order (judged from _ORDER_SAMPLES evenly spaced entries), on a
     column whose slopes are all finite, is looked up by grid index: j =
@@ -252,36 +256,37 @@ class TabulatedGenerator(Generator):
         self.domain = domain
         self.source = source
         vals = np.array(values, dtype=float)
-        if vals.shape != (domain.grid_points,):
-            raise UsageError("tabulated values must match the grid")
+        f1, r = (None if c is None else np.array(c, dtype=float)
+                 for c in (f1_values, rho_values))
+        for name, column in (("values", vals), ("f' values", f1), ("rho values", r)):
+            if column is not None and column.shape != (domain.grid_points,):
+                raise UsageError(f"tabulated {name} must match the grid")
         if not np.all(np.isfinite(vals)):
             raise RangeError(f"{self.spec_string()}: tabulated values must be finite")
         d = np.diff(vals)
         if not (np.all(d > 0.0) or np.all(d < 0.0)):
             raise NotMonotone(
                 f"{self.spec_string()}: tabulated values must be strictly monotone")
-        self.values = vals
+        if r is not None and not np.all(np.abs(r) > 0.0):
+            raise UsageError(f"{source}: rho values must be nonzero and not NaN")
         self.increasing = bool(d[0] > 0.0)
-        self._slopes = {}
-        self._copied_from = None
         h = domain.step
-        if rho_values is not None:
-            self.rho_values = np.array(rho_values, dtype=float)
-            if not np.all(np.abs(self.rho_values) > 0.0):
-                raise UsageError(f"{source}: rho values must be nonzero and not NaN")
         # Differences of finite values may overflow: the f' tests below
         # refuse such a derivative, and rho() such a profile.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            self.f1_values = (np.array(f1_values, dtype=float) if f1_values is not None
-                              else _central_diff(vals, h))
-            if rho_values is None:  # f'' = 0: rho is infinite
-                self.rho_values = self.f1_values / _central_diff2(vals, h)
-        f1 = self.f1_values
+            if f1 is None:
+                f1 = _central_diff(vals, h)
+            if r is None:  # f'' = 0: rho is infinite
+                r = f1 / _central_diff2(vals, h)
         if not np.all(np.isfinite(f1)):
             raise NotMonotone(f"{self.spec_string()}: derivative not finite on grid")
         if not np.all(f1 > 0.0 if self.increasing else f1 < 0.0):
             raise NotMonotone(
                 f"{self.spec_string()}: f' must be nonzero with the values' sign on the grid")
+        for column in (vals, f1, r):
+            column.flags.writeable = False
+        self.values, self.f1_values, self.rho_values = vals, f1, r
+        self._slopes = {}
 
     def f(self, x):
         return self._lookup(x, "values")
@@ -305,7 +310,7 @@ class TabulatedGenerator(Generator):
         right end."""
         grid, column = self.domain.grid(), getattr(self, name)
         if x is grid:  # np.interp gives column[j] where x == grid[j]
-            return column.copy()
+            return column
         x = np.asarray(x, dtype=float)
         if x.size < _LOOKUP_MIN_QUERIES:
             return np.interp(x, grid, column)
@@ -318,10 +323,9 @@ class TabulatedGenerator(Generator):
         if name not in self._slopes:
             # numpy's slope of bracket j, kept when all are finite, which
             # implies a strictly increasing grid and so a positive, finite
-            # step.  A copy's are its original's, shared and read-only.
-            owner = self._copied_from or self
+            # step.  The column is read-only, so they never go stale.
             with np.errstate(over="ignore", invalid="ignore"):
-                slopes = np.diff(getattr(owner, name)) / np.diff(grid)
+                slopes = np.diff(column) / np.diff(grid)
             slopes.flags.writeable = False
             self._slopes[name] = slopes if np.isfinite(slopes).all() else None
         slopes = self._slopes[name]
@@ -346,19 +350,6 @@ class TabulatedGenerator(Generator):
 
     def spec_string(self):
         return f"table:{self.source}"
-
-    def _renamed_copy(self, source: str) -> "TabulatedGenerator":
-        """This generator, whose columns are read-only, named source and
-        checked by no test again: its own writable copies of the three
-        columns, sharing the interval and the lookup slopes, which are
-        computed from this generator's columns on first use."""
-        gen = copy.copy(self)
-        gen.source = source
-        gen.values = self.values.copy()
-        gen.f1_values = self.f1_values.copy()
-        gen.rho_values = self.rho_values.copy()
-        gen._copied_from = self
-        return gen
 
 
 def _central_diff(values: np.ndarray, h: float) -> np.ndarray:
@@ -620,8 +611,9 @@ _TABLES_LOCK = threading.Lock()
 @dataclass(frozen=True, eq=False)
 class _KeptTable:
     """A table file's bytes and the checked generator load_table made of
-    them, whose columns are read-only; every load of the bytes is a copy of
-    it, sharing its lookup slopes."""
+    them; every load of the bytes returns a copy.copy of it, named by the
+    load's path and sharing its interval, read-only columns and lookup
+    slopes."""
 
     raw: bytes
     table: TabulatedGenerator
@@ -651,7 +643,7 @@ def _kept_table(fh):
 
 def _checked_table(raw: bytes, path: str) -> TabulatedGenerator:
     """The generator of a table file's bytes, parsed and checked as
-    load_table says, its columns read-only; errors name path."""
+    load_table says; errors name path."""
     header, data = _parse_table(raw, path)
     ncols = data.shape[1]
     if header is not None and len(header) != ncols:
@@ -690,10 +682,7 @@ def _checked_table(raw: bytes, path: str) -> TabulatedGenerator:
         raise UsageError(f"{path}: x column must be uniformly spaced")
 
     interval = WorkingInterval(float(xs[0]), float(xs[-1]), len(xs))
-    gen = TabulatedGenerator(interval, fs, f1_values=f1s, rho_values=ms, source=path)
-    for column in (gen.values, gen.f1_values, gen.rho_values):
-        column.flags.writeable = False
-    return gen
+    return TabulatedGenerator(interval, fs, f1_values=f1s, rho_values=ms, source=path)
 
 
 def load_table(path: str) -> TabulatedGenerator:
@@ -739,8 +728,9 @@ def load_table(path: str) -> TabulatedGenerator:
     fails a parse or a check is not kept, so every load of it checks again
     and names its own path.  The kept tables are dropped least recently
     used first once they hold more than ``grids.MAX_GRID_POINTS`` rows.
-    Every call returns a new generator named by its own path, holding its
-    own writable copies of the three columns.
+    Every call returns a new generator named by its own path, a copy.copy
+    of the kept one: it shares the kept table's interval, read-only
+    columns and lookup slopes, so a load holds no column of its own.
     """
     with open(path, "rb") as fh:
         kept = _kept_table(fh)
@@ -755,7 +745,9 @@ def load_table(path: str) -> TabulatedGenerator:
         rows = sum(t.table.domain.grid_points for t in _TABLES)
         while rows > MAX_GRID_POINTS:
             rows -= _TABLES.pop(0).table.domain.grid_points
-    return kept.table._renamed_copy(path)
+    gen = copy.copy(kept.table)
+    gen.source = path
+    return gen
 
 
 def generator_kinds() -> list[str]:

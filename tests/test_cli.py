@@ -585,6 +585,24 @@ def test_infinite_x_in_table_prints_one_error_line(tmp_path, capfd):
     assert captured.err == f"error: {path}: x column must be finite\n"
 
 
+def test_an_envelope_whose_generator_overflows_prints_one_error_line(tmp_path, capfd):
+    """A profile m of about 0.001 on [0.1, 10] makes g' = exp(integral 1/m)
+    overflow: no numpy warning precedes the error line."""
+    xs = np.linspace(0.1, 10.0, 1025)
+    m = 0.001 * (1.0 + (xs - 5.0) ** 2 / 4.0)
+    path = tmp_path / "steep.csv"
+    path.write_text("x,f,m\n" + "".join(f"{x!r},{x!r},{v!r}\n"
+                                          for x, v in zip(xs.tolist(), m.tolist())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        code = run(["envelope", "--gen", f"table:{path}"])
+    captured = capfd.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: table:envelope(table:{path}): "
+                            f"tabulated values must be finite\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--gen", "exp"],
     ["compare", "--gen", "exp", "--gen2", "id"],

@@ -264,6 +264,11 @@ def test_reconstruct_rejects_sign_crossing_profile(iv13):
         reconstruct_generator(xs - 2.0, iv13)
 
 
+def test_reconstruct_refuses_a_profile_off_the_grid(iv13):
+    with pytest.raises(UsageError, match="^profile m must match the grid$"):
+        reconstruct_generator(np.ones(5), iv13)
+
+
 @pytest.mark.parametrize("grid_points", [3, 1025, 65537])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_reconstruction_is_bit_equal_to_a_running_trapezoid_loop(grid_points, sign):

@@ -283,8 +283,14 @@ def test_rho_refuses_a_zero_or_nan_profile(iv):
     """rho = 0 is an infinite f''; NaN is no profile at all."""
     xs = iv.grid()
     for bad in (0.0, np.nan):
-        gen = TabulatedGenerator(iv, xs**3, 3.0 * xs**2, xs / 2.0, source="cube")
-        gen.rho_values[100] = bad  # past the constructor's own check
+        column = xs / 2.0
+        column[100] = bad
+
+        class BadProfile(TabulatedGenerator):  # past the constructor's own check
+            def rho(self, x):
+                return column
+
+        gen = BadProfile(iv, xs**3, 3.0 * xs**2, xs / 2.0, source="cube")
         with pytest.raises(RangeError, match="^table:cube: f'' is not finite on the grid$"):
             rho(gen)
 
@@ -531,6 +537,15 @@ def test_load_table_accepts_infinite_m(tmp_path):
     path = tmp_path / "affine.csv"
     path.write_text("x,f,m\n0,0,inf\n1,1,inf\n2,2,inf\n")
     assert np.all(np.isposinf(load_table(str(path)).rho_values))
+
+
+@pytest.mark.parametrize("column, name", [("f1_values", "f' values"),
+                                          ("rho_values", "rho values")])
+def test_tabulated_refuses_a_column_off_the_grid(iv, column, name):
+    """A supplied f' or rho column of the wrong length is refused before any
+    arithmetic, as the values column is."""
+    with pytest.raises(UsageError, match=f"^tabulated {name} must match the grid$"):
+        TabulatedGenerator(iv, iv.grid() ** 3, **{column: np.ones(5)})
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan])

@@ -18,8 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qameans.cli import run
-from qameans.envelope import qa_convex_envelope
-from qameans.generators import _LOOKUP_MIN_QUERIES, TabulatedGenerator, load_table
+from qameans.envelope import qa_convex_envelope, reconstruct_generator
+from qameans.generators import (
+    _LOOKUP_MIN_QUERIES,
+    PowerGenerator,
+    TabulatedGenerator,
+    load_table,
+    tabulate,
+)
 from qameans.grids import WorkingInterval
 from qameans.means import QuasiArithmeticMean
 from qameans.verify import maximality_check, symmetry_check
@@ -109,7 +115,7 @@ def test_large_unsorted_batch_takes_the_index_path(monkeypatch):
     assert all(_same_bits(gen._lookup(q, name), w) for name, w in zip(COLUMNS, want))
 
 
-def test_lookup_at_the_tables_own_grid_is_a_copy_of_the_column(monkeypatch):
+def test_lookup_at_the_tables_own_grid_is_the_read_only_column(monkeypatch):
     """At domain.grid() f, f1 and rho are np.interp's bits, on values holding
     -0.0 and a rho column holding +-inf, and np.interp is not called."""
     n = 1025
@@ -129,8 +135,59 @@ def test_lookup_at_the_tables_own_grid_is_a_copy_of_the_column(monkeypatch):
     monkeypatch.setattr(np, "interp", refuse)
     got = [gen.f(grid), gen.f1(grid), gen.rho(grid)]
     assert all(_same_bits(g, w) for g, w in zip(got, want))
-    got[0][:] = 1.0  # a copy: the table keeps its column
+    with pytest.raises(ValueError):  # the column itself, read-only
+        got[0][:] = 1.0
     assert _same_bits(gen.values, want[0])
+
+
+def _cube_table(builder, tmp_path):
+    """x**3 on [0.1, 10] at grid 257, built by the named builder."""
+    iv = WorkingInterval(0.1, 10.0, 257)
+    xs = iv.grid()
+    if builder == "constructor":
+        return TabulatedGenerator(iv, xs**3, 3.0 * xs**2, xs / 2.0)
+    if builder == "tabulate":
+        return tabulate(PowerGenerator(3.0, iv))
+    if builder == "reconstruct_generator":
+        return reconstruct_generator(xs / 2.0, iv)
+    path = tmp_path / "cube.csv"
+    path.write_text("x,f\n" + "".join(f"{x!r},{x**3!r}\n" for x in xs.tolist()))
+    first = load_table(str(path))
+    if builder == "load_table":
+        return first
+    kept = load_table(str(path))  # the same bytes: the kept table's copy
+    assert all(np.shares_memory(getattr(kept, c), getattr(first, c)) for c in COLUMNS)
+    return kept
+
+
+@pytest.mark.parametrize("builder", ["constructor", "tabulate", "reconstruct_generator",
+                                     "load_table", "load_table kept"])
+def test_every_builder_makes_read_only_columns(builder, tmp_path):
+    gen = _cube_table(builder, tmp_path)
+    for name in COLUMNS:
+        column = getattr(gen, name)
+        want = column.copy()
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+        with pytest.raises(ValueError):
+            column *= 2.0
+        assert _same_bits(getattr(gen, name), want)
+
+
+def test_a_refused_write_leaves_a_large_batch_bit_equal_to_small_ones():
+    """The lookup slopes a 600-entry batch computes stay valid: a write
+    into a column is refused, so the batch keeps the bits of two 300-entry
+    batches, which np.interp evaluates from the column itself."""
+    gen = tabulate(PowerGenerator(3.0, WorkingInterval(0.1, 10.0, 257)))
+    mean = QuasiArithmeticMean(gen)
+    X = np.random.default_rng(1).uniform(0.1, 10.0, (200, 3))
+    assert 300 < _LOOKUP_MIN_QUERIES <= X.size
+    before = mean.batch(X)
+    with pytest.raises(ValueError):
+        gen.values *= 2.0
+    halves = np.concatenate([mean.batch(X[:100]), mean.batch(X[100:])])
+    assert _same_bits(mean.batch(X), before) and _same_bits(before, halves)
 
 
 @pytest.fixture(scope="module")

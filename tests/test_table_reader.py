@@ -278,9 +278,9 @@ def test_memo_sees_a_same_size_rewrite_within_one_timestamp(tmp_path):
     assert list(load_table(str(path)).values) == [1.0, 2.0, 4.0]
 
 
-def test_loads_of_the_same_bytes_share_no_memory(tmp_path, monkeypatch):
-    """Each load holds its own writable columns; what loads share with the
-    kept table, its interval and lookup slopes, is read-only."""
+def test_loads_of_the_same_bytes_share_the_kept_tables_columns(tmp_path, monkeypatch):
+    """Each load is the kept table under its own path: it shares the kept
+    table's read-only columns, interval and lookup slopes."""
     path = tmp_path / "env.csv"
     assert run(["envelope", "--gen", "power:3", "--grid", "257",
                 "--format", "csv", "--out", str(path)]) == 0
@@ -297,15 +297,19 @@ def test_loads_of_the_same_bytes_share_no_memory(tmp_path, monkeypatch):
     for a, b, data in zip(arrays(first), arrays(second), arrays(kept.table)):
         assert not data.flags.writeable
         assert np.array_equal(_bits(a), _bits(b))
-        assert a.flags.writeable and b.flags.writeable
-        assert not np.shares_memory(a, b)
-        assert not np.shares_memory(a, data) and not np.shares_memory(b, data)
-    # A write to one load reaches neither the kept table nor another load,
-    # nor the lookup slopes: they are the kept table's, computed once from
-    # its columns and shared read-only, as the interval is.
+        assert not a.flags.writeable and not b.flags.writeable
+        assert np.shares_memory(a, data) and np.shares_memory(b, data)
+    for tab in (first, second):  # the kept table's attributes, but its own source
+        assert vars(tab).keys() == vars(kept.table).keys() and tab.source == str(path)
+        assert all(v is vars(kept.table)[k] for k, v in vars(tab).items() if k != "source")
+    # A write to a load's column is refused, so it can reach neither the
+    # kept table nor another load, nor the lookup slopes: they are the kept
+    # table's, computed once from its columns and shared read-only, as the
+    # interval is.
     want = [_bits(a).copy() for a in arrays(second)]
     for a in arrays(first):
-        a[:] = 0.0
+        with pytest.raises(ValueError):
+            a[:] = 0.0
     queries = np.random.default_rng(0).uniform(first.domain.lo, first.domain.hi, 600)
     first.f(queries)
     assert first._slopes is second._slopes is kept.table._slopes
