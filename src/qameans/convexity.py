@@ -206,18 +206,8 @@ class TrialReport:
         return self.failures == 0
 
     def to_dict(self) -> dict:
-        out = {
-            "check": self.check,
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst_margin": self.worst_margin,
-            "seed": self.seed,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.extra:
-            out["extra"] = self.extra
-        return out
+        """The fields in declaration order, less a None witness and an empty extra."""
+        return {k: v for k, v in vars(self).items() if v is not None and v != {}}
 
 
 def _sample_margins(groups, margin_fn, tol: float, witness_fn) -> tuple:

@@ -27,7 +27,7 @@ from one record of :func:`qameans.convexity._profile_tests`, as classify's are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -261,11 +261,7 @@ class EnvelopeResult:
         out = {
             "status": self.status,
             "direction": self.direction,
-            "interval": {
-                "lo": self.interval.lo,
-                "hi": self.interval.hi,
-                "grid_points": self.interval.grid_points,
-            },
+            "interval": asdict(self.interval),
             "diagnostics": self.diagnostics,
         }
         if self.m is not None:

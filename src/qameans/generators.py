@@ -227,10 +227,13 @@ class TabulatedGenerator(Generator):
     The f' and rho grids may be supplied (when built from an exact
     construction, such as an envelope's hull m) or are otherwise filled in
     by central finite differences with the grid step, accurate to O(h^2) in
-    the interior: f' directly, rho as f' over the second difference.  A
-    supplied rho may be +-inf (f'' = 0) but not zero or NaN (UsageError
-    naming the source).  The direction is that of the values; f' must be
-    finite, nonzero and of the values' sign (NotMonotone naming the source).
+    the interior: f' directly (an end whose one-sided estimate has the
+    wrong sign takes its end cell's slope), rho as f' over the second
+    difference.  A supplied rho may be +-inf (f'' = 0) but not zero or NaN
+    (UsageError naming the source).  The direction is that of the values,
+    and no attribute states it: finv reads it from the end values.  f' must
+    be finite, nonzero and of the values' sign (NotMonotone naming the
+    source).
     A column that is not one value per grid point is a UsageError.  The
     three columns, values, f1_values and rho_values, are the constructor's
     own read-only copies, so the lookup slopes computed from them stay
@@ -263,13 +266,14 @@ class TabulatedGenerator(Generator):
                 raise UsageError(f"tabulated {name} must match the grid")
         if not np.all(np.isfinite(vals)):
             raise RangeError(f"{self.spec_string()}: tabulated values must be finite")
-        d = np.diff(vals)
+        with np.errstate(over="ignore"):  # an overflowed step is +-inf, of its sign
+            d = np.diff(vals)
         if not (np.all(d > 0.0) or np.all(d < 0.0)):
             raise NotMonotone(
                 f"{self.spec_string()}: tabulated values must be strictly monotone")
         if r is not None and not np.all(np.abs(r) > 0.0):
             raise UsageError(f"{source}: rho values must be nonzero and not NaN")
-        self.increasing = bool(d[0] > 0.0)
+        rising = d[0] > 0.0
         h = domain.step
         # Differences of finite values may overflow: the f' tests below
         # refuse such a derivative, and rho() such a profile.
@@ -280,7 +284,7 @@ class TabulatedGenerator(Generator):
                 r = f1 / _central_diff2(vals, h)
         if not np.all(np.isfinite(f1)):
             raise NotMonotone(f"{self.spec_string()}: derivative not finite on grid")
-        if not np.all(f1 > 0.0 if self.increasing else f1 < 0.0):
+        if not np.all(f1 > 0.0 if rising else f1 < 0.0):
             raise NotMonotone(
                 f"{self.spec_string()}: f' must be nonzero with the values' sign on the grid")
         for column in (vals, f1, r):
@@ -293,7 +297,7 @@ class TabulatedGenerator(Generator):
 
     def finv(self, y):
         # np.interp needs an increasing abscissa
-        if self.increasing:
+        if self.values[-1] > self.values[0]:
             return np.interp(y, self.values, self.domain.grid())
         return np.interp(-np.asarray(y, dtype=float), -self.values, self.domain.grid())
 
@@ -353,13 +357,16 @@ class TabulatedGenerator(Generator):
 
 
 def _central_diff(values: np.ndarray, h: float) -> np.ndarray:
-    """First derivative by central differences, one-sided at the ends."""
-    n = len(values)
-    out = np.empty(n)
+    """First derivative by central differences, one-sided at the ends.  An
+    end estimate without its end cell's sign, as where the values grow fast
+    (v2 - v1 > 3 (v1 - v0) at lo), takes that cell's slope, the interpolant's f'."""
+    out = np.empty(len(values))
     out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    if n >= 3:
-        out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-        out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
+    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    for end, step in ((0, values[1] - values[0]), (-1, values[-1] - values[-2])):
+        if np.sign(out[end]) != np.sign(step):
+            out[end] = step / h
     return out
 
 

@@ -72,13 +72,18 @@ class WorkingInterval:
 @dataclass(frozen=True, eq=False)
 class ScalarGrid:
     """A real function sampled on the uniform grid of `interval`, its values
-    stored read-only and finite."""
+    stored read-only and finite.  A read-only float64 array that owns its
+    memory, such as a table's column, is kept as it is; anything else is
+    copied."""
 
     interval: WorkingInterval
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        vals = self.values
+        if not (isinstance(vals, np.ndarray) and vals.dtype == np.float64
+                and vals.flags.owndata and not vals.flags.writeable):
+            vals = np.array(vals, dtype=float)
         if vals.shape != (self.interval.grid_points,):
             raise UsageError(
                 f"expected {self.interval.grid_points} values, got shape {vals.shape}"

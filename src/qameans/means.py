@@ -232,15 +232,8 @@ class ComparisonReport:
     witness: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "relation": self.relation,
-            "delta": self.delta,
-            "max_gap": self.max_gap,
-            "min_gap": self.min_gap,
-        }
-        if self.witness:
-            out["witness"] = self.witness
-        return out
+        """The fields in declaration order, less a None or empty witness."""
+        return {k: v for k, v in vars(self).items() if v is not None and v != {}}
 
 
 def compare(f: Generator, g: Generator) -> ComparisonReport:

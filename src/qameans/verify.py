@@ -44,7 +44,7 @@ from .envelope import (
     reconstruct_generator,
 )
 from .errors import CandidateRejected, UsageError
-from .generators import Generator, TabulatedGenerator
+from .generators import Generator, tabulate
 from .means import MeanHandle, QuasiArithmeticMean
 
 # Agreement tolerance between the two concave-envelope routes.
@@ -191,8 +191,10 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
     2 to 6 vertices lifted above the rho graph; a candidate that fails to
     dominate rho after hulling is resampled and counted.
 
-    Each candidate and its trials' tuples are drawn in turn, and its mean
-    is evaluated on them.  The envelope mean is then evaluated once per
+    Each candidate and its trials' tuples are drawn in turn, its mean is
+    evaluated on them, and the groups are kept by tuple length as they are
+    drawn.  The envelope mean, that of tabulate(env.generator), whose
+    values and f' are env's g and g' up to sign, is then evaluated once per
     tuple length, on every candidate's tuples of that length together (a
     row's mean does not depend on its batch), and the margins are folded
     over those batches, trial k of candidate c counting as trial
@@ -216,13 +218,14 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
     # Candidates are grid-reconstructed, so the envelope side must go
     # through the same discretization: otherwise quadrature bias of order
     # step^2 shows up as spurious ordering failures against an exact mean.
-    env_mean = QuasiArithmeticMean(TabulatedGenerator(
-        interval, env.g, env.g1, env.m(xs), source="envelope-grid"))
+    env_mean = QuasiArithmeticMean(tabulate(env.generator))
     rng = np.random.default_rng(seed)
     lift_scale = float(np.max(rho_vals) - np.min(rho_vals)) + 0.1 * max(
         1.0, float(np.max(np.abs(rho_vals))))
     rejected = 0
-    drawn = []  # (trial index, tuples, candidate means) of every candidate's groups
+    # tuple length -> (trial indices, tuples, candidate means) of each
+    # candidate's group of that length, in candidate order
+    drawn = {}
     for c in range(candidates):
         for _ in range(200):
             k = int(rng.integers(2, 7))
@@ -241,17 +244,15 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
                 f"candidate {c}: no dominating concave profile in 200 attempts")
         cand_mean = QuasiArithmeticMean(
             reconstruct_generator(mp, interval, source=f"candidate:{c}"))
-        drawn += [(c * trials + idx, X, cand_mean.batch(X))
-                  for idx, X in _grouped_tuples(rng, trials, 6, interval)]
+        for idx, X in _grouped_tuples(rng, trials, 6, interval):
+            drawn.setdefault(X.shape[1], []).append((c * trials + idx, X, cand_mean.batch(X)))
 
     def groups():
         # Trial k of candidate c is trial c * trials + k, so the witness,
         # the lowest failing trial, comes from the first failing candidate.
-        for n in range(2, 7):
-            same = [group for group in drawn if group[1].shape[1] == n]
-            if same:
-                idx, X, qa_candidate = (np.concatenate(parts) for parts in zip(*same))
-                yield idx, X, qa_candidate, env_mean.batch(X)
+        for same in drawn.values():
+            idx, X, qa_candidate = (np.concatenate(parts) for parts in zip(*same))
+            yield idx, X, qa_candidate, env_mean.batch(X)
 
     worst, failures, witness = _sample_margins(
         groups(), lambda X, qc, qe: (qe - qc, qc, qe), MAXIMALITY_TOL,

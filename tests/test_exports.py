@@ -34,17 +34,24 @@ def test_removed_second_routes_are_gone():
     assert not hasattr(qameans.WorkingInterval, "contains")
 
 
-def test_no_generator_states_a_direction():
+def test_no_generator_states_a_direction(tmp_path):
     """f and -f generate one mean with one profile, so no kind states which
-    way f runs and nothing negates a generator before reading it."""
+    way f runs and nothing negates a generator before reading it; a table
+    reads its direction from its values."""
     generators = importlib.import_module("qameans.generators")
     for name in ("normalize", "negate_generator"):
         assert not hasattr(qameans, name) and not hasattr(generators, name), name
         assert name not in qameans.__all__
     iv = qameans.WorkingInterval(0.1, 10.0)
+    cube = iv.grid() ** 3
+    path = tmp_path / "falling.csv"
+    path.write_text("x,f\n" + "".join(f"{x!r},{-v!r}\n"
+                                      for x, v in zip(iv.grid().tolist(), cube.tolist())))
     for gen in (qameans.PowerGenerator(-1.0, iv), qameans.LogGenerator(iv),
                 qameans.ExpGenerator(iv), qameans.AffineGenerator(-2.0, 3.0, iv),
-                qameans.ReflectedGenerator(qameans.ExpGenerator(iv))):
+                qameans.ReflectedGenerator(qameans.ExpGenerator(iv)),
+                qameans.TabulatedGenerator(iv, cube), qameans.TabulatedGenerator(iv, -cube),
+                qameans.load_table(str(path))):
         assert not hasattr(gen, "increasing"), gen
 
 

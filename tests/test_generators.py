@@ -279,6 +279,29 @@ def test_rho_makes_no_f1_call(iv):
     assert rho(_NoDerivative(WorkingInterval(0.0, 1e4))).values[0] == 1.0
 
 
+def test_rho_of_a_table_shares_its_rho_column(tmp_path):
+    """A table's rho column is read-only and its own, so rho() keeps it."""
+    tab = tabulate(PowerGenerator(3.0, WorkingInterval(0.1, 10.0, 65537)))
+    assert np.shares_memory(rho(tab).values, tab.rho_values)
+    xs = np.linspace(0.1, 10.0, 9)
+    path = tmp_path / "cube.csv"
+    path.write_text("x,f\n" + "".join(f"{x!r},{x ** 3!r}\n" for x in xs.tolist()))
+    loaded = load_table(str(path))
+    assert np.shares_memory(rho(loaded).values, loaded.rho_values)
+
+
+def test_scalar_grid_copies_what_it_cannot_keep(iv):
+    """A writable array, or a read-only view of one, is copied."""
+    writable = iv.grid() / 2.0
+    view = writable[:]
+    view.flags.writeable = False
+    for values in (writable, view, list(writable)):
+        grid = ScalarGrid(iv, values)
+        assert not np.shares_memory(grid.values, writable)
+        assert not grid.values.flags.writeable
+        assert np.array_equal(grid.values, writable)
+
+
 def test_rho_refuses_a_zero_or_nan_profile(iv):
     """rho = 0 is an infinite f''; NaN is no profile at all."""
     xs = iv.grid()

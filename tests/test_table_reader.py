@@ -12,6 +12,7 @@ for bit a fresh parse and check, and that finding them copies no whole file.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -414,7 +415,8 @@ def test_a_kept_load_is_a_fresh_parse_and_check(tmp_path_factory, table):
     for got in loads:
         assert got.spec_string() == want.spec_string() == f"table:{path}"
         assert got.domain == want.domain
-        assert got.increasing == want.increasing == (not decreasing)
+        assert (got.values[-1] > got.values[0]) == (want.values[-1] > want.values[0]) \
+            == (not decreasing)
         for name in ("values", "f1_values", "rho_values"):
             assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name)))
         for name in ("f", "f1", "rho"):
@@ -441,6 +443,53 @@ def test_a_table_that_fails_a_check_is_not_kept(tmp_path, monkeypatch, body, err
             load_table(str(tmp_path / name))
     assert parses == [body] * 3
     assert _kept_keys() == [good]
+
+
+def _write_values(path, f, lo, hi, n):
+    """A table of f at n points on [lo, hi], with x and f columns only."""
+    xs = np.linspace(lo, hi, n)
+    path.write_text("x,f\n" + "".join(f"{x!r},{v!r}\n"
+                                      for x, v in zip(xs.tolist(), f(xs).tolist())))
+    return path
+
+
+@pytest.mark.parametrize("f, lo, hi, n, end", [
+    (lambda x: x ** 20, 0.1, 10.0, 1025, 0),
+    (lambda x: x ** 14, 0.1, 10.0, 1025, 0),
+    (lambda x: x ** 5, 0.1, 10.0, 257, 0),
+    (np.exp, 0.0, 10.0, 5, 0),
+    (np.exp, 0.0, 10.0, 9, 0),
+    (lambda x: -(10.1 - x) ** 20, 0.1, 10.0, 1025, -1),
+], ids=["x^20 1025", "x^14 1025", "x^5 257", "exp 5", "exp 9", "far end 1025"])
+def test_a_values_only_table_that_grows_fast_at_an_end_loads(tmp_path, capsys,
+                                                             f, lo, hi, n, end):
+    """Where the one-sided end estimate of f' has the wrong sign, the end
+    takes its cell's slope, so the table loads and classify runs."""
+    path = _write_values(tmp_path / "fast.csv", f, lo, hi, n)
+    tab = load_table(str(path))
+    cell = tab.values[[0, 1]] if end == 0 else tab.values[[-2, -1]]
+    assert tab.f1_values[end] == (cell[1] - cell[0]) / tab.domain.step
+    assert run(["classify", "--gen", f"table:{path}"]) == 0
+
+
+def test_the_mean_of_a_fast_growing_values_only_table(tmp_path, capsys):
+    path = _write_values(tmp_path / "p20.csv", lambda x: x ** 20, 0.1, 10.0, 1025)
+    assert run(["eval", "--gen", f"table:{path}", "--vec", "1,7"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert value == pytest.approx((0.5 * (1 + 7.0 ** 20)) ** (1 / 20), rel=1e-5)
+
+
+def test_a_table_whose_steps_overflow_prints_one_error_line(tmp_path, capfd):
+    """A step past the largest float is +-inf of its sign: the monotone test
+    holds, the f' test refuses, and numpy prints no warning first."""
+    path = tmp_path / "T.csv"
+    path.write_text("x,f\n0,-1.7e308\n1,1.6e308\n2,1.7e308\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qameans.cli", "classify", "--gen", f"table:{path}"],
+        env=env, timeout=120)
+    assert proc.returncode == 2
+    assert capfd.readouterr().err == f"error: table:{path}: derivative not finite on grid\n"
 
 
 def test_memo_drops_least_recently_used_tables_past_its_row_bound(tmp_path, monkeypatch):

@@ -27,8 +27,14 @@ from qameans.envelope import (
     reconstruct_generator,
 )
 from qameans.errors import CandidateRejected, UsageError
+from qameans.generators import TabulatedGenerator
 from qameans.grids import WorkingInterval
-from qameans.means import ArithmeticMean, MeanHandle, QuasiArithmeticMean
+from qameans.means import (
+    ArithmeticMean,
+    ComparisonReport,
+    MeanHandle,
+    QuasiArithmeticMean,
+)
 from qameans.verify import (
     TrialReport,
     duality_check,
@@ -534,6 +540,49 @@ def test_maximality_reports_keep_their_bytes(case, grid):
     reports = _maximality_reports(case, grid)
     digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
     assert digest == MAXIMALITY_REPORT_HASHES[_simd_target()][f"{case} {grid}"]
+
+
+@pytest.mark.parametrize("supplied", [False, True], ids=["computed", "supplied"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_maximality_of_a_falling_table_is_that_of_its_rising_negation(supplied, seed):
+    """-x**3 and x**3 tabulated generate one mean: their reports agree.
+    With f' and rho computed the profile is not concave (an Envelope); with
+    them supplied it is, so the falling table is its own envelope."""
+    iv = WorkingInterval(0.1, 10.0, 1025)
+    xs = iv.grid()
+    reports = []
+    for sign in (-1.0, 1.0):
+        columns = (sign * 3.0 * xs ** 2, xs / 2.0) if supplied else ()
+        gen = TabulatedGenerator(iv, sign * xs ** 3, *columns)
+        env = qa_convex_envelope(gen)
+        assert env.status == ("AlreadyExtremal" if supplied else "Envelope")
+        rep = maximality_check(gen, env, 10, 100, seed=seed).to_dict()
+        reports.append((rep.pop("failures"), rep.pop("worst_margin"),
+                        rep.get("witness"), rep["extra"]["rejected_candidates"]))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("report, want", [
+    (TrialReport("c", 3, 0, 0.5, 7),
+     {"check": "c", "trials": 3, "failures": 0, "worst_margin": 0.5, "seed": 7}),
+    (TrialReport("c", 3, 0, 0.5, 7, extra={"tol": 1.0}),
+     {"check": "c", "trials": 3, "failures": 0, "worst_margin": 0.5, "seed": 7,
+      "extra": {"tol": 1.0}}),
+    (TrialReport("c", 3, 1, -0.5, 7, {"values": [1.0]}),
+     {"check": "c", "trials": 3, "failures": 1, "worst_margin": -0.5, "seed": 7,
+      "witness": {"values": [1.0]}}),
+    (TrialReport("c", 3, 1, -0.5, 7, {"values": [1.0]}, {"tol": 1.0}),
+     {"check": "c", "trials": 3, "failures": 1, "worst_margin": -0.5, "seed": 7,
+      "witness": {"values": [1.0]}, "extra": {"tol": 1.0}}),
+    (ComparisonReport("Equal", 1e-9, 0.0, 0.0),
+     {"relation": "Equal", "delta": 1e-9, "max_gap": 0.0, "min_gap": 0.0}),
+    (ComparisonReport("Incomparable", 1e-9, 1.0, -1.0, {"x": 2.0}),
+     {"relation": "Incomparable", "delta": 1e-9, "max_gap": 1.0, "min_gap": -1.0,
+      "witness": {"x": 2.0}}),
+], ids=["trial", "trial extra", "trial witness", "trial witness extra",
+        "comparison", "comparison witness"])
+def test_report_dicts_keep_their_keys_and_order(report, want):
+    assert list(report.to_dict().items()) == list(want.items())
 
 
 def test_a_raised_hull_fails_with_the_first_failing_candidates_witness(monkeypatch):
