@@ -219,8 +219,8 @@ def _sample_margins(groups, margin_fn, tol: float, witness_fn) -> tuple:
     failure count and the witness: witness_fn(trial, x, margin, *arrays)
     called once on the failing row with the lowest trial index, or None
     when nothing fails.  A witness reads its means from its row, and a shrink
-    evaluates each point through margin_fn.  groups may draw lazily from an
-    rng that margin_fn also draws from.
+    evaluates its points through margin_fn in batches.  groups may draw
+    lazily from an rng that margin_fn also draws from.
     """
     worst = np.inf
     failures = 0

@@ -20,7 +20,7 @@ trials candidate by candidate, so its witness comes from the first failing
 candidate, and hands the sampler both sides' means evaluated beforehand).
 Witnesses read their means from the margin function's rows.  The
 interchange and running-mean witnesses are shrunk once per report, each
-point through the margin function as one row.
+pass of the shrink through the margin function in a few batches.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .envelope import (
     qa_concave_envelope_via_reflection,
     reconstruct_generator,
 )
-from .errors import CandidateRejected, UsageError
+from .errors import CandidateRejected, QameansError, UsageError
 from .generators import Generator, tabulate
 from .means import MeanHandle, QuasiArithmeticMean
 
@@ -58,6 +58,16 @@ SYMMETRY_TOL = 1e-12
 MAXIMALITY_TOL = 1e-6
 
 
+# A shrink pass is decided a window of at most _SHRINK_WINDOW live
+# coordinates at a time.  Row 2**p - 1 + path of _SHRINK_TREE moves the
+# window's p-th coordinate and each earlier one whose bit is set in path,
+# the bitmask of the window's moves kept before it (path < 2**p); a window
+# of w coordinates takes the first 2**w - 1 rows and w columns.
+_SHRINK_WINDOW = 6
+_SHRINK_TREE = np.array([[j == p or bool(path >> j & 1) for j in range(_SHRINK_WINDOW)]
+                         for p in range(_SHRINK_WINDOW) for path in range(1 << p)])
+
+
 def _shrink(sides, arr0: np.ndarray, sides0: tuple, floor: float) -> tuple:
     """Pull a counterexample toward the all-equal point while it still violates.
 
@@ -67,23 +77,47 @@ def _shrink(sides, arr0: np.ndarray, sides0: tuple, floor: float) -> tuple:
     has kept no move stops past the previous pass's last kept one, whose
     later trials it would repeat.  Returns the shrunk point and its sides:
     those of the last kept move, or sides0, arr0's own, if none was kept.
+
+    sides takes a (k, size) batch and returns its lhs and rhs arrays.  In a
+    pass, coordinate i moves to 0.5 * (arr[i] + target) whichever earlier
+    moves were kept, so every decision path of a window is one batch, and
+    the window's decisions are then read off in scan order: the same points
+    and sides as a scan of one point a call.  A batch that raises a
+    QameansError, which a row off the scan's path may, gives way to the
+    scan's own points one at a time, so the shrink raises where a scan would.
     """
     arr = arr0.astype(float).copy()
     target = float(arr.mean())
     kept, last = sides0, arr.size
     for _ in range(40):
         moved = False
-        for i in range(arr.size):
-            if i > last and not moved:
+        half = 0.5 * (arr + target)
+        live = [i for i, (a, h) in enumerate(zip(arr.tolist(), half.tolist()))
+                if not abs(h - a) <= 1e-15 * (1.0 + abs(a))]
+        for start in range(0, len(live), _SHRINK_WINDOW):
+            win = live[start:start + _SHRINK_WINDOW]
+            if win[0] > last and not moved:
                 break
-            trial = arr.copy()
-            trial[i] = 0.5 * (trial[i] + target)
-            if abs(trial[i] - arr[i]) <= 1e-15 * (1.0 + abs(arr[i])):
-                continue
-            trial_sides = sides(trial)
-            if trial_sides[0] - trial_sides[1] >= floor:
-                arr, kept, last = trial, trial_sides, i
-                moved = True
+            mask = np.zeros(((1 << len(win)) - 1, arr.size), dtype=bool)
+            mask[:, win] = _SHRINK_TREE[:len(mask), :len(win)]
+            rows = np.where(mask, half, arr)
+            try:
+                lhs, rhs = sides(rows)
+            except QameansError:
+                lhs = None
+            path = 0
+            for p, i in enumerate(win):
+                if i > last and not moved:
+                    break
+                r = (1 << p) - 1 + path
+                if lhs is None:
+                    trial_sides = tuple(side[0] for side in sides(rows[r:r + 1]))
+                else:
+                    trial_sides = lhs[r], rhs[r]
+                if trial_sides[0] - trial_sides[1] >= floor:
+                    arr, kept, last = rows[r], trial_sides, i
+                    moved = True
+                    path |= 1 << p
         if not moved:
             break
     return arr, kept
@@ -95,11 +129,12 @@ def _shrunk_witness(key: str, margin_fn, tol: float, trial: int, x0: np.ndarray,
 
     The arguments past tol are the driver's witness row of margin_fn, which
     returns (rhs - lhs, lhs, rhs) for a batch; x0 keeps its row's sides and
-    each shrink point is one row (a row's means do not depend on its batch).
+    the shrink's points go through margin_fn in batches (a row's means do
+    not depend on its batch).
     """
-    def sides(flat):
-        _, lhs, rhs = margin_fn(flat.reshape(1, *x0.shape))
-        return float(lhs[0]), float(rhs[0])
+    def sides(X):
+        _, lhs, rhs = margin_fn(X.reshape(-1, *x0.shape))
+        return lhs, rhs
 
     shrunk, (lhs, rhs) = _shrink(sides, x0.ravel(), (lhs, rhs), max(2.0 * tol, -0.5 * margin))
     return {key: shrunk.reshape(x0.shape).tolist(), "lhs": float(lhs), "rhs": float(rhs),

@@ -330,3 +330,35 @@ def float_cell_table(path):
         header = [c.strip() for c in rows[0]]
         rows = rows[1:]
     return header, np.array([[float(c) for c in row] for row in rows])
+
+
+def sequential_shrink(sides, arr0, sides0, floor):
+    """The witness shrink as a plain coordinate-by-coordinate scan.
+
+    Coordinate-wise bisection toward the grand mean; a move is kept only if
+    the violation lhs - rhs of sides(point) stays at or above the floor, so
+    the shrunk witness still re-verifies with a definite margin.  A pass that
+    has kept no move stops past the previous pass's last kept one, whose
+    later trials it would repeat.  sides takes one point and returns its
+    (lhs, rhs).  Returns the shrunk point and its sides: those of the last
+    kept move, or sides0, arr0's own, if none was kept.
+    """
+    arr = arr0.astype(float).copy()
+    target = float(arr.mean())
+    kept, last = sides0, arr.size
+    for _ in range(40):
+        moved = False
+        for i in range(arr.size):
+            if i > last and not moved:
+                break
+            trial = arr.copy()
+            trial[i] = 0.5 * (trial[i] + target)
+            if abs(trial[i] - arr[i]) <= 1e-15 * (1.0 + abs(arr[i])):
+                continue
+            trial_sides = sides(trial)
+            if trial_sides[0] - trial_sides[1] >= floor:
+                arr, kept, last = trial, trial_sides, i
+                moved = True
+        if not moved:
+            break
+    return arr, kept

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qameans import verify
 from qameans.cli import run
@@ -26,8 +28,8 @@ from qameans.envelope import (
     qa_convex_envelope,
     reconstruct_generator,
 )
-from qameans.errors import CandidateRejected, UsageError
-from qameans.generators import TabulatedGenerator
+from qameans.errors import CandidateRejected, RangeError, UsageError
+from qameans.generators import TabulatedGenerator, parse_generator
 from qameans.grids import WorkingInterval
 from qameans.means import (
     ArithmeticMean,
@@ -45,6 +47,7 @@ from qameans.verify import (
     symmetry_check,
 )
 
+import oracles
 from conftest import build_from_profile
 
 
@@ -134,21 +137,207 @@ def test_failing_reports_shrink_one_witness(iv, catalog, monkeypatch):
     assert rep.failures > 1 and len(calls) == 1
 
 
-@pytest.mark.parametrize("floor, moves", [(0.5, True), (100.0, False)])
-def test_shrink_evaluates_each_point_once(floor, moves):
-    seen = []
+def _max_mean(X):
+    return X.max(axis=1), X.mean(axis=1)
 
-    def sides(x):
-        seen.append(tuple(x))
-        return float(x.max()), float(x.mean())
+
+@pytest.mark.parametrize("floor, moves", [(0.5, True), (100.0, False)])
+def test_shrink_evaluates_no_point_twice_in_one_call(floor, moves):
+    calls = []
+
+    def sides(X):
+        calls.append([tuple(x) for x in X])
+        return _max_mean(X)
 
     x0 = np.array([1.0, 5.0, 2.0])
     arr, (lhs, rhs) = verify._shrink(sides, x0, (float(x0.max()), float(x0.mean())), floor)
-    assert len(seen) == len(set(seen))
+    assert all(len(rows) == len(set(rows)) for rows in calls)
     assert (tuple(arr) != tuple(x0)) == moves
-    # arr0 comes with its sides and is never evaluated; a kept point is, once
-    assert tuple(x0) not in seen and seen.count(tuple(arr)) == int(moves)
+    # arr0 comes with its sides and is never evaluated; a kept point is
+    seen = {row for rows in calls for row in rows}
+    assert tuple(x0) not in seen and (tuple(arr) in seen) == moves
     assert (lhs, rhs) == (float(arr.max()), float(arr.mean()))
+
+
+def _one_point(sides):
+    """The reference scan's sides of one point, from batch sides."""
+    def one(x):
+        lhs, rhs = sides(x[None])
+        return float(lhs[0]), float(rhs[0])
+    return one
+
+
+def _scan(sides, arr0, sides0, floor):
+    """The reference scan's point and sides, and the coordinates it moves
+    pass by pass: a pass moves coordinates in increasing order, so one
+    starts wherever the coordinate moved is not past the one before."""
+    current, passes = arr0.astype(float), []
+
+    def one(x):
+        nonlocal current
+        lhs, rhs = _one_point(sides)(x)
+        i = int(np.flatnonzero(x != current)[0])
+        if not passes or i <= passes[-1][-1]:
+            passes.append([])
+        passes[-1].append(i)
+        if lhs - rhs >= floor:
+            current = x
+        return lhs, rhs
+    return oracles.sequential_shrink(one, arr0, sides0, floor), passes
+
+
+def _bits(arr, kept):
+    return arr.tobytes(), np.asarray(kept, dtype=float).tobytes()
+
+
+def _assert_shrinks_as_the_scan(sides, arr0, sides0, floor):
+    """_shrink returns the reference scan's point and sides, bit for bit,
+    from one call per window of each pass: the scan evaluates a prefix of
+    a pass's live coordinates, so its points of a pass span
+    ceil(count / _SHRINK_WINDOW) windows.  Returns the row counts of the
+    calls and the scan's passes."""
+    calls = []
+
+    def counted(X):
+        calls.append(len(X))
+        return sides(X)
+    shrunk = verify._shrink(counted, arr0, sides0, floor)
+    scanned, passes = _scan(sides, arr0, sides0, floor)
+    assert _bits(*shrunk) == _bits(*scanned)
+    assert len(calls) == sum(-(-len(p) // verify._SHRINK_WINDOW) for p in passes)
+    return calls, passes
+
+
+@st.composite
+def _shrink_points(draw):
+    """1 to 25 entries.  A few small integers repeat and may hit the mean,
+    and up to 3 entries are the mean of the others (within rounding), so
+    the skip of a coordinate already at the target fires."""
+    x = draw(st.lists(st.one_of(st.integers(-4, 4).map(float), st.floats(-1e3, 1e3)),
+                      min_size=1, max_size=25))
+    x += [float(np.mean(x))] * draw(st.integers(0, min(3, 25 - len(x))))
+    return draw(st.permutations(x))
+
+
+@settings(max_examples=300)
+# Coordinate 0 moves by exactly its skip threshold, 1e-15, and is skipped.
+@example(x=[0.0, 4e-15], frac=0.0, sides=_max_mean)
+@given(x=_shrink_points(), frac=st.floats(0.0, 1.5),
+       sides=st.sampled_from([_max_mean, lambda X: (X[:, 0], X.min(axis=1))]))
+def test_shrink_takes_the_scans_decisions_on_synthetic_sides(x, frac, sides):
+    x0 = np.array(x)
+    sides0 = _one_point(sides)(x0)
+    _assert_shrinks_as_the_scan(sides, x0, sides0, frac * (sides0[0] - sides0[1]))
+
+
+def _margin_of(check, *args):
+    """The margin function that check(*args) hands the sampling driver."""
+    sample, margins = verify._sample_margins, []
+
+    def capture(groups, margin_fn, *rest):
+        margins.append(margin_fn)
+        return sample(groups, margin_fn, *rest)
+    verify._sample_margins = capture
+    try:
+        check(*args)
+    finally:
+        verify._sample_margins = sample
+    return margins[0]
+
+
+def _mean(spec):
+    iv = WorkingInterval(0.1, 10.0)
+    return ArithmeticMean(iv) if spec == "arith" else QuasiArithmeticMean(parse_generator(spec, iv))
+
+
+# (kedlaya margin, interchange margin) of each mean pair
+_CHECK_MARGINS = [
+    (_margin_of(kedlaya_check, M, N, 2, 1), _margin_of(ingham_jessen_check, M, N, 1, 1, 1))
+    for M, N in ((_mean(M), _mean(N)) for M, N in
+                 (("arith", "log"), ("arith", "power:3"), ("power:-1", "arith")))]
+
+
+@settings(max_examples=60)
+@given(pair=st.sampled_from(_CHECK_MARGINS), interchange=st.booleans(),
+       k=st.integers(2, 9), m=st.integers(1, 5), n=st.integers(1, 5),
+       frac=st.floats(0.0, 1.5), data=st.data())
+def test_shrink_takes_the_scans_decisions_on_check_margins(pair, interchange, k, m, n,
+                                                           frac, data):
+    """A kedlaya vector of 2 to 9 entries or an n-by-m interchange matrix
+    of up to 5 by 5, through the margin function its check samples."""
+    margin, shape = (pair[1], (n, m)) if interchange else (pair[0], (k,))
+    size = int(np.prod(shape))
+    x0 = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=size, max_size=size)))
+
+    def sides(X):
+        return margin(X.reshape(-1, *shape))[1:]
+    sides0 = _one_point(sides)(x0)
+    _assert_shrinks_as_the_scan(sides, x0, sides0, frac * (sides0[0] - sides0[1]))
+
+
+def _spy_shrinks(monkeypatch):
+    """Record the arguments of each shrink."""
+    shrinks, shrink = [], verify._shrink
+
+    def spy(*args):
+        shrinks.append(args)
+        return shrink(*args)
+    monkeypatch.setattr(verify, "_shrink", spy)
+    return shrinks
+
+
+def test_shrink_of_a_5x5_witness_takes_the_scans_decisions(monkeypatch):
+    """25 coordinates: a pass is windows of 6, 6, 6, 6 and 1 coordinates."""
+    shrinks = _spy_shrinks(monkeypatch)
+    assert not ingham_jessen_check(_mean("arith"), _mean("log"), 5, 5, 20, 0).passed
+    monkeypatch.undo()
+    [args] = shrinks
+    calls, _ = _assert_shrinks_as_the_scan(*args)
+    assert args[1].size == 25 and calls[:5] == [63, 63, 63, 63, 1]
+
+
+def test_shrink_that_keeps_every_move_stops_at_the_pass_cap():
+    x0 = np.array([1.0, 5.0, 2.0])
+    calls, passes = _assert_shrinks_as_the_scan(_max_mean, x0, _one_point(_max_mean)(x0), 0.0)
+    assert passes == [[0, 1, 2]] * 40 and calls == [7] * 40
+
+
+def test_a_raising_batch_gives_way_to_the_scans_points():
+    """A row that only a speculative batch holds may raise and the shrink
+    still returns the scan's result; a row on the scan's own path raises
+    as it does in the scan."""
+    x0 = np.array([1.0, 5.0, 2.0])
+    sides0 = _one_point(_max_mean)(x0)
+    floor = 0.5 * (sides0[0] - sides0[1])
+    batched, path = set(), []
+
+    def batch_sides(X):
+        batched.update(map(tuple, X))
+        return _max_mean(X)
+
+    def scan_sides(x):
+        path.append(tuple(x))
+        return _one_point(_max_mean)(x)
+    verify._shrink(batch_sides, x0, sides0, floor)
+    expected = oracles.sequential_shrink(scan_sides, x0, sides0, floor)
+    speculative = batched - set(path)
+    assert speculative and path
+
+    def raising_at(bad):
+        def sides(X):
+            if bad in map(tuple, X):
+                raise RangeError(f"no sides at {bad}")
+            return _max_mean(X)
+        return sides
+
+    for bad in speculative:
+        assert _bits(*verify._shrink(raising_at(bad), x0, sides0, floor)) == _bits(*expected)
+    for bad in path:
+        with pytest.raises(RangeError) as batch_error:
+            verify._shrink(raising_at(bad), x0, sides0, floor)
+        with pytest.raises(RangeError) as scan_error:
+            oracles.sequential_shrink(_one_point(raising_at(bad)), x0, sides0, floor)
+        assert str(batch_error.value) == str(scan_error.value)
 
 
 def test_kedlaya_equal_means_and_paired_means(iv, catalog):
@@ -183,7 +372,7 @@ KEDLAYA_WITNESS_SEEDS = (6, 11, 14, 21, 23, 27, 30, 34, 35, 37, 38)
 def _log_mean_calls(monkeypatch, log):
     """Log each outermost batch, running and single-vector call of a mean
     handle (not the batch call inside a single-vector call), each group of
-    tuples kedlaya_check draws, and each evaluation of a shrink point."""
+    tuples kedlaya_check draws, and each batch of shrink points."""
     depth = []
 
     def spy(cls, name):
@@ -220,7 +409,7 @@ def _log_mean_calls(monkeypatch, log):
 
 
 def test_kedlaya_takes_one_running_call_per_side(iv, catalog, monkeypatch):
-    """Each side of a size group and of a shrink evaluation is one running
+    """Each side of a size group and of a shrink batch is one running
     call and one call of the other mean on its result."""
     log = []
     _log_mean_calls(monkeypatch, log)
@@ -232,7 +421,7 @@ def test_kedlaya_takes_one_running_call_per_side(iv, catalog, monkeypatch):
     for start, end in zip(marks, marks[1:]):
         calls[log[start]].append(sorted(log[start + 1:end]))
     assert calls["group"] == [["batch", "batch", "running", "running"]] * 4
-    assert len(calls["evaluation"]) > 10
+    assert len(calls["evaluation"]) == 9
     assert all(c == ["batch", "batch", "running", "running"]
                for c in calls["evaluation"])
 
@@ -258,6 +447,26 @@ def test_kedlaya_reports_match_per_prefix_running_means(iv, catalog, monkeypatch
 # (m, n, seed) of failing interchange checks of arith against log at 100
 # trials, from IJ_CASES in perfbench/workloads.py.
 IJ_WITNESS_CASES = ((2, 2, 9), (2, 3, 8))
+
+
+def test_witness_shrinks_take_one_call_per_window_of_a_pass(iv, catalog, monkeypatch):
+    """The witness workload's shrinks, of 6 entries or fewer, take one call
+    a pass, and so fewer calls than the scan's points."""
+    shrinks = _spy_shrinks(monkeypatch)
+    M, N = ArithmeticMean(iv), QuasiArithmeticMean(catalog["log"])
+    for seed in KEDLAYA_WITNESS_SEEDS:
+        kedlaya_check(M, N, 5, 200, seed=seed)
+    for m, n, seed in IJ_WITNESS_CASES:
+        ingham_jessen_check(M, N, m, n, 100, seed)
+    monkeypatch.undo()
+    assert len(shrinks) == len(KEDLAYA_WITNESS_SEEDS) + len(IJ_WITNESS_CASES)
+    counts = []
+    for args in shrinks:
+        calls, passes = _assert_shrinks_as_the_scan(*args)
+        counts.append((sum(map(len, passes)), len(calls)))
+        assert len(calls) == len(passes) < counts[-1][0]
+    # kedlaya seed 6: the scan's 27 points take 9 calls
+    assert counts[0] == (27, 9)
 
 
 def test_shrunk_witnesses_report_single_vector_means(iv, catalog):
