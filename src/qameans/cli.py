@@ -11,9 +11,10 @@ every config, though only verify samples.
 
 Numbers are printed in shortest round-trip form, spelled as Python's repr
 spells them (json.dumps in JSON, so NaN and Infinity keep json's names).  A
-report is built as bytes-like ASCII blocks and written straight to --out, or
-joined into one string for stdout, so no whole-report string exists for a
-file.  Float arrays and table columns go in blocks of at most _BLOCK_ROWS
+report is ASCII byte blocks, written straight to --out or joined into one
+string for stdout.  json.dumps writes a JSON report's text with each
+top-level float array as [], and the array's items are cut in after its
+bracket.  Float arrays and table columns go in blocks of at most _BLOCK_ROWS
 rows, gathered into one reused buffer, so the writer holds one block, not
 the table; each run of rows is formatted in C by one flat orjson call,
 whose text is repr's exactly when 1e-4 <= |v| < 1e16 or v = +-0, and a row
@@ -44,7 +45,6 @@ import math
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import orjson
@@ -68,6 +68,8 @@ DEFAULT_HI = 10.0
 DEFAULT_TRIALS = 10_000
 # Rows of a float table scanned and formatted at a time by _float_text.
 _BLOCK_ROWS = 8192
+# The encoder json.dumps(obj, indent=2) builds per call, built once.
+_JSON = json.JSONEncoder(indent=2)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -311,64 +313,28 @@ def _orjson_rows(rows, lead: bool, sep: bytes) -> bytearray:
     return text if sep == mark else text.replace(mark, sep)
 
 
-def _json_text(obj):
-    """Yield the text of json.dumps(obj, indent=2) for a tree of str-keyed
-    dicts as ASCII byte blocks, each 1-D float ndarray written as its list.
+def _json_text(report: dict):
+    """Yield the text of json.dumps(report, indent=2) as ASCII byte blocks,
+    each top-level 1-D float ndarray value written as its list.
 
-    The tree is walked, and every scalar spelled, before the first block; a
-    1-D ndarray is left to _float_text, which formats it in blocks of orjson
-    text when its turn comes, so a 65537-point grid pays neither a repr per
-    value nor a pass through the pure-Python indenting encoder.  Its items
-    are orjson's text when 1e-4 <= |v| < 1e16 or v = +-0, which is repr's,
-    and json.dumps's otherwise.  The text between two arrays is one block.
+    json.dumps writes the report with each array as [], and the items of a
+    nonempty one go in after its bracket as _float_text's blocks, orjson's
+    text when 1e-4 <= |v| < 1e16 or v = +-0, which is repr's, else
+    json.dumps's.  The bracket is the first after the previous cut on a line
+    opening with its key at indent 2: json escapes a newline in a string,
+    and a nested key sits at indent 4 or more, so no other line matches.
     """
-    parts = []
-    _json_parts(obj, "", parts)
-    text = []
-    for part in parts:
-        if isinstance(part, str):
-            text.append(part)
-        else:
-            yield "".join(text).encode()
-            text.clear()
-            yield from part
-    yield "".join(text).encode()
-
-
-def _json_parts(obj, indent: str, parts: list) -> None:
-    """Append obj's indented JSON text to parts: a str for each piece, and a
-    _float_text generator for each 1-D float ndarray.
-
-    Lists and tuples go item by item, strings through json's escaper, ints
-    and finite floats through repr, every other scalar through json.dumps.
-    """
-    if isinstance(obj, str):
-        parts.append(encode_basestring_ascii(obj))
-    elif type(obj) is int or (type(obj) is float and math.isfinite(obj)):
-        parts.append(repr(obj))
-    elif not isinstance(obj, (dict, list, tuple, np.ndarray)):
-        parts.append(json.dumps(obj))
-    elif not len(obj):
-        parts.append("{}" if isinstance(obj, dict) else "[]")
-    else:
-        inner = indent + "  "
-        sep = ",\n" + inner
-        lead = ("{" if isinstance(obj, dict) else "[") + "\n" + inner
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                parts.append(f"{lead}{encode_basestring_ascii(k)}: ")
-                _json_parts(v, inner, parts)
-                lead = sep
-            parts.append(f"\n{indent}}}")
-            return
-        if isinstance(obj, np.ndarray):
-            parts += [lead, _float_text([obj], sep, _json_float)]
-        else:
-            for v in obj:
-                parts.append(lead)
-                _json_parts(v, inner, parts)
-                lead = sep
-        parts.append(f"\n{indent}]")
+    arrays = {k: v for k, v in report.items() if isinstance(v, np.ndarray)}
+    text = _JSON.encode({**report, **dict.fromkeys(arrays, [])})
+    start, close = 0, ""
+    for key, values in arrays.items():
+        if len(values):
+            head = f"\n  {json.dumps(key)}: ["
+            cut = text.index(head, start) + len(head)
+            yield f"{close}{text[start:cut]}\n    ".encode()
+            yield from _float_text([values], ",\n    ", _json_float)
+            start, close = cut, "\n  "
+    yield (close + text[start:]).encode()
 
 
 def _json_float(v: float) -> str:

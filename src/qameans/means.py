@@ -56,16 +56,23 @@ def _one_vector(values) -> np.ndarray:
     return arr
 
 
-def _checked_rows(domain: WorkingInterval, X) -> np.ndarray:
-    """X as a (B, n) float array, n >= 1 (else UsageError), whose entries lie
-    in the working interval: the test reads the batch's min and max, and
-    _check_domain, which names the first entry outside, runs only if it fails.
-    The array is C-contiguous: numpy walks an axis-1 sum or min of a
-    column-major view column by column, which would give a row other bits
-    than the same row in a contiguous batch."""
-    X = np.ascontiguousarray(X, dtype=float)
+def _batch_rows(X) -> np.ndarray:
+    """X as a C-contiguous (B, n) float array, n >= 1, else UsageError: numpy
+    walks an axis-1 sum or min of a column-major view column by column, which
+    would give a row other bits than the same row in a contiguous batch."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise UsageError(f"a batch of means needs a (B, n) array, got shape {X.shape}")
     if X.shape[1] == 0:
         raise UsageError("mean needs a nonempty vector of values")
+    return np.ascontiguousarray(X)
+
+
+def _checked_rows(domain: WorkingInterval, X) -> np.ndarray:
+    """_batch_rows(X), whose entries lie in the working interval: the test
+    reads the batch's min and max, and _check_domain, which names the first
+    entry outside, runs only if it fails."""
+    X = _batch_rows(X)
     if not (np.minimum.reduce(X, axis=None, initial=np.inf) >= domain.lo
             and np.maximum.reduce(X, axis=None, initial=-np.inf) <= domain.hi):
         _check_domain(domain, X)
@@ -123,7 +130,7 @@ def _row_extremes(X: np.ndarray, domain: WorkingInterval, running=False) -> tupl
 
 def _running(mean: MeanHandle, X, head) -> np.ndarray:
     """mean.running(X): head(X) while rows have at most 7 entries, else the reference."""
-    X = np.asarray(X, dtype=float)
+    X = _batch_rows(X)
     if X.shape[1] <= 7:
         try:
             return head(X)
@@ -167,10 +174,12 @@ class MeanHandle:
         return float(self.batch(_one_vector(values))[0])
 
     def batch(self, X: np.ndarray) -> np.ndarray:
+        """The mean of each row of a (B, n) array, n >= 1, else UsageError."""
         raise NotImplementedError
 
     def running(self, X: np.ndarray) -> np.ndarray:
-        """Column k-1 holds the bits of batch(X[:, :k]); the per-prefix loop is the reference."""
+        """For a (B, n) array X, n >= 1 (else UsageError), column k-1 holds the
+        bits of batch(X[:, :k]); the per-prefix loop is the reference."""
         return np.column_stack([self.batch(X[:, :k]) for k in range(1, X.shape[1] + 1)])
 
     def spec_string(self) -> str:

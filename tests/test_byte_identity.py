@@ -82,19 +82,45 @@ trees = st.recursive(
 )
 
 
-@given(trees)
-@example({"empty_list": [], "empty_dict": {}, "tuple": (1.5, NAN),
-          "nested": [[-0.0, INF], [-INF], []], "mixed": [1, 2.5, True, None],
-          "text": "é€\n\"q\""})
-def test_json_writer_matches_json_dumps(obj):
-    assert _text(_json_text(obj)) == indented_json(obj)
+# The ends of the range where orjson's text is repr's, and the least subnormal.
+EDGES = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 5e-324]
+# Keys of top-level arrays, most of which json escapes.
+ARRAY_KEYS = ["g", '"', "\\", "é", "a\nb"]
+array_items = floats | st.sampled_from(EDGES + [NAN, INF, -INF, 0.0, -0.0])
+
+
+@st.composite
+def reports(draw):
+    """A report: trees under text keys, and 0 to 3 1-D float arrays under
+    ARRAY_KEYS placed between them, now and then after a nested dict that
+    holds the first array's key."""
+    items = list(draw(st.dictionaries(st.text(), trees, max_size=4)).items())
+    keys = draw(st.lists(st.sampled_from(ARRAY_KEYS), max_size=3, unique=True))
+    if keys and draw(st.booleans()):
+        items.append(("nested", {keys[0]: draw(trees)}))
+    items = [(k, v) for k, v in items if k not in keys]
+    for key in keys:
+        values = np.array(draw(st.lists(array_items, max_size=20)), dtype=float)
+        items.insert(draw(st.integers(0, len(items))), (key, values))
+    return dict(items)
+
+
+@given(reports())
+@example({"g": np.array([]), "empty_list": [], "empty_dict": {}, "tuple": (1.5, NAN),
+          "nested": [[-0.0, INF], [-INF], []], '"': np.array([0.5]),
+          "mixed": [1, 2.5, True, None], "text": "é€\n\"q\"",
+          "a\nb": np.array(EDGES + [-v for v in EDGES]
+                           + [NAN, INF, -INF, 0.0, -0.0, 1.5, 2.0, 1e-5, 1e20, 7.25])})
+@example({"inner": {"g": [1.0], "\\": {"é": 2}}, "g": np.array([2.5]), "x": None,
+          "é": np.array([NAN, 0.25]), "\\": np.array([-0.0])})
+def test_json_writer_matches_json_dumps(report):
+    lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in report.items()}
+    assert _text(_json_text(report)) == indented_json(lists)
 
 
 # Row separators and spellings of the two report formats: JSON list items,
 # CSV rows.
 SPELLINGS = [(",\n  ", json.dumps), ("\n", repr)]
-# The ends of the range where orjson's text is repr's, and the least subnormal.
-EDGES = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 5e-324]
 
 
 # Block sizes for _float_text: a few rows, so that hypothesis draws cross
@@ -186,8 +212,15 @@ def test_float_text_matches_per_cell_spelling_on_column_lists(drawn):
     ["envelope", "--gen", "exp", "--kind", "concave", "--trials", "500"],
     ["verify", "--check", "kedlaya", "--gen", "log", "--trials", "200"],
     ["envelope", "--gen", "power:3", "--grid", "65537", "--trials", "500"],
+    ["eval", "--gen", "log", "--lo", "1e-7", "--vec-file", "rows.csv"],
+    ["eval", "--gen", "log", "--vec-file", "comments.csv"],
+    ["verify", "--check", "ij", "--gen", "arith", "--gen2", "log", "--trials", "800"],
 ])
-def test_json_writer_matches_json_dumps_on_reports(tmp_path, argv):
+def test_json_writer_matches_json_dumps_on_reports(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    # Rows of two lengths, one of whose means lies below 1e-4.
+    Path("rows.csv").write_text("1,7\n# a comment\n2,3,4\n1e-6,1e-5\n0.5,9\n")
+    Path("comments.csv").write_text("# only\n\n# comments\n")
     path = tmp_path / "report.json"
     assert run(argv + ["--out", str(path)]) in (0, 1)
     text = path.read_text()

@@ -151,6 +151,19 @@ def test_rows_of_no_entries_are_a_usage_error(iv):
         power_mean(2.0, [])
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2), (2, 3, 4)])
+def test_batches_that_are_not_2d_are_a_usage_error(shape):
+    """Before the check, a 0-D or 1-D batch raised IndexError, (2, 2, 2) gave
+    means of the wrong shape and (2, 3, 4) a numpy broadcast ValueError."""
+    iv = POSITIVE[0]
+    for mean in (ArithmeticMean(iv), QuasiArithmeticMean(PowerGenerator(3.0, iv)),
+                 QuasiArithmeticMean(tabulate(LogGenerator(iv)))):
+        for fn in (mean.batch, mean.running):
+            with pytest.raises(UsageError) as info:
+                fn(np.ones(shape))
+            assert str(info.value) == f"a batch of means needs a (B, n) array, got shape {shape}"
+
+
 # Rows holding both zeros are where a column-major min or max can pick the
 # other sign of zero than numpy's row kernel; +-1e-300 sit next to them.
 ZERO_ENTRIES = (0.0, -0.0, 1e-300, -1e-300, 0.5)
