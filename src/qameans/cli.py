@@ -25,12 +25,14 @@ errors: argparse's usage message, or one "error: " line for a QameansError
 or OSError.
 
 :func:`run` can be called repeatedly from one process: the argument parser
-is built once, on the first call, and every call gets a fresh namespace, so
-each report is the same bytes as a shell run with that argv.  A plain
-command line, a command name then exact --option value pairs, is read from
-the parser's own option table, built once from its subparsers, into the
-namespace parse_args would give, at a fraction of its cost; argparse
-parses everything else, and alone prints help, usage and errors.
+is built once, on the first call that needs it, and every call gets a fresh
+namespace, so each report is the same bytes as a shell run with that argv.
+Each option is declared once, in _COMMON and _COMMANDS, the table the
+parser is built from.  A plain command line, a command name then exact
+--option value pairs, is read from _COMMANDS into the namespace parse_args
+would give, at a fraction of its cost; a plain command line never builds
+argparse.  argparse parses everything else, and alone prints help, usage
+and errors.
 Grids handed out by ``WorkingInterval.grid()`` are shared and read-only;
 copy one before writing into it.
 """
@@ -72,127 +74,92 @@ _BLOCK_ROWS = 8192
 _JSON = json.JSONEncoder(indent=2)
 
 
+# argparse's newer upstream test for a negative number, '-' then a digit or
+# '.digit', so that values such as -1e3 and -1,2 are not read as options.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+# Each option as (flag, add_argument keywords), the options of every
+# command first; _COMMANDS, after the handlers, holds each command's own.
+_COMMON = (
+    ("--gen", dict(required=True, help="generator spec: " + " | ".join(generator_kinds()))),
+    ("--lo", dict(type=float, default=DEFAULT_LO,
+                  help=f"interval lower end (default {DEFAULT_LO}); a run with a "
+                       "table: spec takes the table's own grid and ignores "
+                       "--lo/--hi/--grid")),
+    ("--hi", dict(type=float, default=DEFAULT_HI,
+                  help=f"interval upper end (default {DEFAULT_HI})")),
+    ("--grid", dict(type=int, default=DEFAULT_GRID_POINTS,
+                    help=f"grid points (default {DEFAULT_GRID_POINTS})")),
+    ("--seed", dict(type=int, default=None,
+                    help="random seed (default: QAM_SEED env var, else 0)")),
+    ("--trials", dict(type=int, default=DEFAULT_TRIALS,
+                      help=f"sampling trials (default {DEFAULT_TRIALS})")),
+    ("--out", dict(default=None, help="write the report to a file")),
+)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser with its newer upstream test for a negative number,
-    '-' then a digit or '.digit', so that values such as -1e3 and -1,2 are
-    not read as options.  Subparsers take the class of their parent."""
+    """argparse's parser with _NEGATIVE_NUMBER as its test for a negative
+    number.  Subparsers take the class of their parent."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--gen", required=True,
-                        help="generator spec: " + " | ".join(generator_kinds()))
-    common.add_argument("--lo", type=float, default=DEFAULT_LO,
-                        help=f"interval lower end (default {DEFAULT_LO}); a run "
-                             "with a table: spec takes the table's own grid and "
-                             "ignores --lo/--hi/--grid")
-    common.add_argument("--hi", type=float, default=DEFAULT_HI,
-                        help=f"interval upper end (default {DEFAULT_HI})")
-    common.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS,
-                        help=f"grid points (default {DEFAULT_GRID_POINTS})")
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed (default: QAM_SEED env var, else 0)")
-    common.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                        help=f"sampling trials (default {DEFAULT_TRIALS})")
-    common.add_argument("--out", default=None, help="write the report to a file")
-
     parser = _Parser(
         prog="qameans",
         description="Quasiarithmetic means: evaluation, convexity "
                     "classification, and convex/concave envelopes.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, summary):
-        p = sub.add_parser(name, parents=[common], help=summary)
+    for name, (handler, summary, options, group) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs in _COMMON + options:
+            p.add_argument(flag, **kwargs)
+        if group:
+            members = p.add_mutually_exclusive_group(required=True)
+            for flag, kwargs in group:
+                members.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
-        return p
-
-    p_eval = command("eval", _cmd_eval, "evaluate the QA mean of a vector")
-    vec = p_eval.add_mutually_exclusive_group(required=True)
-    vec.add_argument("--vec", help="comma-separated values, e.g. 1,7")
-    vec.add_argument("--vec-file", help="CSV file, one tuple per row")
-
-    command("classify", _cmd_classify, "convexity class of the QA mean")
-
-    p_cmp = command("compare", _cmd_compare,
-                    "order two QA means by the generator criterion")
-    p_cmp.add_argument("--gen2", required=True, help="second generator spec")
-
-    p_env = command("envelope", _cmd_envelope, "convex or concave QA envelope")
-    p_env.add_argument("--kind", choices=("convex", "concave"), default="convex")
-    p_env.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="report format; csv writes the envelope's grid table")
-
-    p_ver = command("verify", _cmd_verify, "randomized inequality checks")
-    p_ver.add_argument("--check", required=True,
-                       choices=("ij", "kedlaya", "maximality", "duality",
-                                "symmetry"))
-    p_ver.add_argument("--gen2",
-                       help="second mean for ij/kedlaya: a generator spec or "
-                            "'arith' (default arith); the other checks refuse it")
     return parser
-
-
-@functools.cache
-def _option_tables() -> dict:
-    """Per command name, what parse_args reads of its subparser: the
-    subparser; its one-value store actions by option string; the namespace
-    parse_args starts from (the command, every action default, then the
-    set_defaults entries, in argparse's order); its required actions; and
-    its mutually exclusive groups, each as (actions, required)."""
-    parser = _build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    tables = {}
-    for name, p in sub.choices.items():
-        start = {sub.dest: name}
-        start.update((a.dest, a.default) for a in p._actions
-                     if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS)
-        for dest, value in p._defaults.items():
-            start.setdefault(dest, value)
-        stores = {opt: a for a in p._actions if type(a) is argparse._StoreAction
-                  and a.nargs is None for opt in a.option_strings}
-        tables[name] = (p, stores, start, [a for a in p._actions if a.required],
-                        [(set(g._group_actions), g.required)
-                         for g in p._mutually_exclusive_groups])
-    return tables
 
 
 def _plain_args(argv) -> argparse.Namespace | None:
     """parse_args(argv)'s namespace when argv is a plain command line, else None.
 
     A plain command line is a command name, then exact --option value pairs
-    of its one-value store actions, each value converted and checked by the
-    subparser's own _get_values, where no value is one argparse would read
-    as an option (a '-' that does not start a negative number).  Every
-    required action and required group is given, and no exclusive group has
-    two members given.  Anything else, and any error, is left to parse_args,
-    which alone prints help, usage and errors.
+    of its options in _COMMANDS, each value converted by the option's type
+    and held by its choices, if it has any, where no value is one argparse
+    would read as an option (a '-' that does not start a negative number).
+    Every required option, and exactly one member of the command's group,
+    is given.  The namespace holds the command, each option's value or
+    default, then the handler, in parse_args's order.  Anything else, and
+    any error, is left to parse_args, which alone prints help, usage and
+    errors; a plain command line never builds the parser.
     """
-    table = _option_tables().get(argv[0]) if argv and len(argv) % 2 else None
-    if table is None:
+    command = _COMMANDS.get(argv[0]) if argv and len(argv) % 2 else None
+    if command is None:
         return None
-    p, stores, start, required, groups = table
-    values, seen, changed = dict(start), set(), set()
-    for opt, text in zip(argv[1::2], argv[2::2]):
-        action = stores.get(opt)
-        if action is None or text[:1] == "-" and not p._negative_number_matcher.match(text):
+    handler, _, options, group = command
+    table = dict(_COMMON + options + group)
+    values = {"command": argv[0], **{flag[2:].replace("-", "_"): kwargs.get("default")
+                                     for flag, kwargs in table.items()}, "handler": handler}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        kwargs = table.get(flag)
+        if kwargs is None or text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
             return None
         try:
-            value = p._get_values(action, [text])
-        except argparse.ArgumentError:
+            value = kwargs.get("type", str)(text)
+        except ValueError:
             return None
-        values[action.dest] = value
-        seen.add(action)
-        if value is not action.default:
-            changed.add(action)
-    if any(a not in seen for a in required) or any(
-            len(members & changed) > 1 or need and not members & changed
-            for members, need in groups):
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[flag[2:].replace("-", "_")] = value
+    given = set(argv[1::2])
+    required = [flag for flag, kwargs in table.items() if kwargs.get("required")]
+    if not given.issuperset(required) or group and len(given.intersection(dict(group))) != 1:
         return None
     return argparse.Namespace(**values)
 
@@ -476,6 +443,27 @@ def _cmd_verify(args, seed: int) -> int:
         rep = symmetry_check(first, args.trials, seed)
     _json_report({"config": config, **rep.to_dict()}, args.out)
     return 0 if rep.passed else 1
+
+
+# Per command: its handler, its help, its own options and its one required
+# exclusive group, each option as in _COMMON.
+_COMMANDS = {
+    "eval": (_cmd_eval, "evaluate the QA mean of a vector", (), (
+        ("--vec", dict(help="comma-separated values, e.g. 1,7")),
+        ("--vec-file", dict(help="CSV file, one tuple per row")))),
+    "classify": (_cmd_classify, "convexity class of the QA mean", (), ()),
+    "compare": (_cmd_compare, "order two QA means by the generator criterion", (
+        ("--gen2", dict(required=True, help="second generator spec")),), ()),
+    "envelope": (_cmd_envelope, "convex or concave QA envelope", (
+        ("--kind", dict(choices=("convex", "concave"), default="convex")),
+        ("--format", dict(choices=("json", "csv"), default="json",
+                          help="report format; csv writes the envelope's grid table"))), ()),
+    "verify": (_cmd_verify, "randomized inequality checks", (
+        ("--check", dict(required=True, choices=("ij", "kedlaya", "maximality",
+                                                 "duality", "symmetry"))),
+        ("--gen2", dict(help="second mean for ij/kedlaya: a generator spec or "
+                             "'arith' (default arith); the other checks refuse it"))), ()),
+}
 
 
 def run(argv) -> int:

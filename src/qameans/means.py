@@ -45,11 +45,14 @@ from .grids import WorkingInterval
 
 
 def _one_vector(values) -> np.ndarray:
-    """values as a (1, n) float array: one nonempty vector, else UsageError."""
+    """values as a (1, n) float array: one nonempty vector, of shape (n,) or
+    (1, n), else UsageError."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] == 0:
+    if arr.ndim != 2:
+        raise UsageError(f"a mean needs an (n,) or (1, n) array, got shape {arr.shape}")
+    if arr.shape[1] == 0:
         raise UsageError("mean needs a nonempty vector of values")
     if arr.shape[0] != 1:
         raise UsageError("a mean takes a single vector per call; use batch for many")

@@ -886,8 +886,9 @@ def test_nonfinite_power_exponent_is_a_usage_error(capsys, p):
 # ------------------------------------------- plain command lines and argparse
 #
 # run reads a plain command line (a command, then exact --option value pairs)
-# from the subparsers' own option tables, and hands every other argv to
-# parse_args.  The fast pass must give parse_args's namespace or nothing.
+# from cli._COMMANDS, the table the parser is built from, and hands every
+# other argv to parse_args.  The fast pass must give parse_args's namespace
+# or nothing.
 
 def _same_namespace(fast, slow) -> bool:
     """Equal attributes in the same order, of the same types; NaN equals NaN."""
@@ -1017,6 +1018,18 @@ def test_plain_command_lines_never_reach_parse_args(tmp_path, capsys, monkeypatc
     assert capsys.readouterr() == ("", "")
 
 
+def test_a_plain_command_line_builds_no_parser(tmp_path, capsys, monkeypatch,
+                                               parse_args_calls):
+    """The command lines above are read from cli._COMMANDS alone; the parser
+    is built on the first one that is not plain."""
+    cli._build_parser.cache_clear()
+    test_plain_command_lines_never_reach_parse_args(tmp_path, capsys, monkeypatch,
+                                                    parse_args_calls)
+    assert cli._build_parser.cache_info().currsize == 0
+    assert run(["classify", "--gen=log", "--out", str(tmp_path / "eq.json")]) == 0
+    assert cli._build_parser.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["-h"],
@@ -1034,6 +1047,12 @@ def test_plain_command_lines_never_reach_parse_args(tmp_path, capsys, monkeypatc
     ["classify", "--gen", "log", "--format", "json"],
     ["classify", "--gen", "log", "--lo"],
     ["classify", "--gen", "log", "extra"],
+    ["classify", "--gen", "log", "--bogus", "1"],
+    ["classify", "--gen", "log", "--kind", "convex"],
+    ["classify", "--gen", "log", "--gen2", "power:2"],
+    ["classify", "--gen", "log", "--grid", "1.5"],
+    ["classify", "--gen", "-x"],
+    ["verify", "--gen", "log"],
 ])
 def test_help_abbreviations_and_usage_errors_are_argparses(capsys, parse_args_calls, argv):
     """Everything but a plain command line is parsed by argparse, which prints

@@ -1,5 +1,6 @@
 """Mean evaluation, power means, comparison, and its reversal under reflection."""
 
+import re
 import warnings
 
 import numpy as np
@@ -301,6 +302,15 @@ def test_every_mean_handle_takes_one_vector_per_call(iv):
         qa_mean(LogGenerator(iv), [[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(UsageError, match="single vector"):
         power_mean(2.0, [[1.0, 2.0], [3.0, 4.0]])
+    # A shape other than (n,) or (1, n) once met "nonempty vector", which
+    # names the wrong fault.
+    for call in (QuasiArithmeticMean(LogGenerator(iv)), lambda v: qa_mean(LogGenerator(iv), v),
+                 lambda v: power_mean(2.0, v)):
+        with pytest.raises(UsageError, match="nonempty vector"):
+            call([])
+        for values in (np.float64(3.0), np.ones((1, 2, 2)), np.ones((2, 2, 2))):
+            with pytest.raises(UsageError, match=re.escape(f"got shape {values.shape}")):
+                call(values)
 
 
 @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, float("1e400")])
