@@ -10,7 +10,6 @@ construction rests on.
 
 from .errors import (
     CandidateRejected,
-    DegenerateSecondDerivative,
     DomainError,
     NonpositiveM,
     NotMonotone,
@@ -78,7 +77,6 @@ __all__ = [
     "ComparisonReport",
     "ConvexityClass",
     "DEFAULT_GRID_POINTS",
-    "DegenerateSecondDerivative",
     "DomainError",
     "EnvelopeResult",
     "ExpGenerator",

@@ -406,7 +406,7 @@ def _cmd_envelope(args, seed: int) -> int:
 
 
 def _no_envelope(args, config: dict, env) -> int:
-    """Report a check whose envelope does not exist, as a failed check."""
+    """Report a check whose envelope does not exist (NoneExists), as a failed check."""
     _json_report({"config": config, "check": args.check,
                   "error": f"no {env.direction} envelope: status {env.status}",
                   "diagnostics": env.diagnostics}, args.out)
@@ -430,7 +430,7 @@ def _cmd_verify(args, seed: int) -> int:
         rep = kedlaya_check(*parsed, 5, args.trials, seed)
     elif args.check == "maximality":
         env = qa_convex_envelope(first)
-        if env.status not in ("Envelope", "AlreadyExtremal"):
+        if env.status == "NoneExists":
             return _no_envelope(args, config, env)
         candidates = max(1, min(100, args.trials // 100))
         rep = maximality_check(first, env, candidates, args.trials // candidates, seed)

@@ -9,9 +9,10 @@ same test runs on -rho over the same grid; both senses read one profile,
 which makes the convex/concave verdicts coherent by construction rather
 than by numerical luck.  Generators with f'' identically zero give the
 arithmetic mean, the unique member that is both convex and concave.  One
-function, :func:`_profile_tests`, reads the profile in either sense;
-classify and the envelopes of :mod:`qameans.envelope` take their verdicts
-from its records.
+function, :func:`_profile_tests`, decides every verdict on the profile
+that :func:`qameans.generators.rho` samples: degeneracy, a sign change,
+then positivity and concavity in either sense; classify and the envelopes
+of :mod:`qameans.envelope` take their verdicts from its records.
 
 The cross-check :func:`dominates_arithmetic` samples QA_f >= A; Jensen's
 inequality for QA_f is :func:`qameans.verify.ingham_jessen_check` with
@@ -29,10 +30,14 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DegenerateSecondDerivative, SignChange, UsageError
+from .errors import UsageError
 from .generators import Generator, rho
-from .grids import WorkingInterval
+from .grids import ScalarGrid, WorkingInterval
 from .means import _qa_mean_batch
+
+# Floor deciding that f'' is identically zero on the grid: span * max|1/rho|,
+# the largest relative change of f' across the interval, is at most this.
+DEGENERATE_TAU = 1e-8
 
 # Concavity slack for second differences of rho, relative to max |rho|.
 CONC_TAU = 1e-8
@@ -101,20 +106,32 @@ def _profile_pos_concave(values, interval: WorkingInterval) -> dict:
 def _profile_tests(gen: Generator, *senses: str) -> tuple:
     """The decisive test of gen's profile, in each sense asked for.
 
-    Samples rho of gen once.  Returns (profile, detail, tests); tests
-    yields one record per sense, lazily: "convex" tests rho and
-    "concave" tests -rho for positivity and concavity, and a record passes
-    exactly when it has no "reason" key.  If rho raises, profile is None,
-    detail is its message, and every record's reason is "f2-identically-zero"
-    (f'' vanishes on the whole grid) or "sign-change" (with rho's witness).
+    Samples rho once (rho() refuses a zero or NaN value) and returns
+    (profile, detail, tests), tests yielding one record per sense, lazily.
+    If span * max|1/rho| <= DEGENERATE_TAU (f'' vanishes on the whole grid)
+    or some rho is infinite or not of the sign at lo, profile is None,
+    detail says why, and every record's reason is "f2-identically-zero" or
+    "sign-change" (with a witness at the first such grid point).  Else
+    profile is the sampled ScalarGrid, "convex" tests rho and "concave"
+    tests -rho for positivity and concavity, and a record passes exactly
+    when it has no "reason" key.
     """
-    try:
-        profile = rho(gen)
-    except DegenerateSecondDerivative as exc:
-        return None, str(exc), repeat({"reason": "f2-identically-zero"}, len(senses))
-    except SignChange as exc:
-        return None, str(exc), repeat({"reason": "sign-change", "witness": exc.witness},
-                                      len(senses))
+    r = rho(gen)
+    curvature = gen.domain.span / float(np.abs(r).min())
+    if curvature <= DEGENERATE_TAU:
+        detail = (f"{gen.spec_string()}: f'' vanishes on the whole grid "
+                  f"(span * max |1/rho| = {curvature:.3e} <= {DEGENERATE_TAU:.3e})")
+        return None, detail, repeat({"reason": "f2-identically-zero"}, len(senses))
+    one_signed = np.isfinite(r) & (np.sign(r) == np.sign(r[0]))
+    if not one_signed.all():
+        # first grid point whose rho is infinite (f'' = 0) or of the other sign
+        k = int(np.argmin(one_signed))
+        xs = gen.domain.grid()
+        detail = (f"{gen.spec_string()}: rho is {r[0]:.3e} at x = {float(xs[0])!r} "
+                  f"but {r[k]:.3e} at x = {float(xs[k])!r}")
+        witness = {"x": float(xs[k]), "rho": float(r[k])}
+        return None, detail, repeat({"reason": "sign-change", "witness": witness}, len(senses))
+    profile = ScalarGrid(gen.domain, r)
     return profile, None, (
         _profile_pos_concave(profile.values if sense == "convex" else -profile.values,
                              gen.domain)

@@ -21,15 +21,11 @@ class NotMonotone(QameansError):
     """A generator's first derivative changes sign or vanishes on the grid."""
 
 
-class DegenerateSecondDerivative(QameansError):
-    """The second derivative is numerically zero everywhere: the generator is
-    affine-equivalent and produces the arithmetic mean."""
-
-
 class SignChange(QameansError):
-    """The second derivative is not strictly one-signed on the grid.  An
-    envelope raises it when f'' rules the envelope out but no grid pair of
-    the values confirms that: the curvature data contradicts the values."""
+    """Raised only by an envelope, when the sign of f'' (of rho) rules the
+    envelope out but no grid pair of the values confirms that: the
+    curvature data contradicts the values.  witness names a grid point x
+    and rho there."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -12,10 +12,10 @@ closed form (x/(p-1), -x, 1, +inf); tabulated kinds interpolate a sampled
 grid, invert by interpolating the same grid with the axes swapped, and
 fill in f' and rho by central differences unless given.
 
-:func:`rho` samples the profile on the grid and checks it.  For the
-increasing one of f and -f, f'' has the sign of rho, so the sign and size
-of rho decide the classification and envelope machinery in the sibling
-modules.
+:func:`rho` samples the profile on the grid and refuses a zero or NaN
+value.  For the increasing one of f and -f, f'' has the sign of rho, so the
+sign and size of rho decide the classification and envelope verdicts, which
+:func:`qameans.convexity._profile_tests` reads from that sample.
 """
 
 from __future__ import annotations
@@ -30,19 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .errors import (
-    DegenerateSecondDerivative,
-    DomainError,
-    NotMonotone,
-    RangeError,
-    SignChange,
-    UsageError,
-)
-from .grids import MAX_GRID_POINTS, ScalarGrid, WorkingInterval
-
-# Floor deciding that f'' is identically zero on the grid: span * max|1/rho|,
-# the largest relative change of f' across the interval, is at most this.
-DEGENERATE_TAU = 1e-8
+from .errors import DomainError, NotMonotone, RangeError, UsageError
+from .grids import MAX_GRID_POINTS, WorkingInterval
 
 
 class Generator:
@@ -412,37 +401,20 @@ def reflect_generator(gen: Generator) -> Generator:
     return ReflectedGenerator(gen)
 
 
-def rho(gen: Generator) -> ScalarGrid:
-    """The slope/curvature profile f'/f'' sampled on the grid.
+def rho(gen: Generator) -> np.ndarray:
+    """The slope/curvature profile f'/f'' sampled on the grid, as an array;
+    a table's is its own read-only rho column.
 
     Reads the generator's own profile and nothing else, whichever way f
     runs: f and -f share it, and for the increasing one of them f'' has the
-    sign of rho and is zero exactly where rho is infinite.
-    Requires rho nonzero and not NaN (a zero rho is an infinite f'':
-    RangeError).  Raises DegenerateSecondDerivative when
-    span * max|1/rho| <= DEGENERATE_TAU
-    (f'' numerically zero everywhere: the arithmetic mean), and SignChange
-    unless every rho is finite with the sign of rho at lo.
+    sign of rho and is zero exactly where rho is infinite.  A zero rho is an
+    infinite f'' and a NaN one no profile, so either is a RangeError; every
+    verdict on the profile is :func:`qameans.convexity._profile_tests`'s.
     """
-    xs = gen.domain.grid()
-    r = np.asarray(gen.rho(xs), dtype=float)
-    if not np.all(np.abs(r) > 0.0):  # NaN fails it too
+    r = np.asarray(gen.rho(gen.domain.grid()), dtype=float)
+    if not np.abs(r).min() > 0.0:  # NaN fails it too
         raise RangeError(f"{gen.spec_string()}: f'' is not finite on the grid")
-    curvature = gen.domain.span / float(np.min(np.abs(r)))
-    if curvature <= DEGENERATE_TAU:
-        raise DegenerateSecondDerivative(
-            f"{gen.spec_string()}: f'' vanishes on the whole grid "
-            f"(span * max |1/rho| = {curvature:.3e} <= {DEGENERATE_TAU:.3e})"
-        )
-    one_signed = np.isfinite(r) & (np.sign(r) == np.sign(r[0]))
-    if not np.all(one_signed):
-        # first grid point whose rho is infinite (f'' = 0) or of the other sign
-        k = int(np.argmin(one_signed))
-        raise SignChange(
-            f"{gen.spec_string()}: rho is {r[0]:.3e} at x = {float(xs[0])!r} "
-            f"but {r[k]:.3e} at x = {float(xs[k])!r}",
-            witness={"x": float(xs[k]), "rho": float(r[k])})
-    return ScalarGrid(gen.domain, r)
+    return r
 
 
 def tabulate(gen: Generator) -> TabulatedGenerator:

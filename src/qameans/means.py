@@ -40,6 +40,7 @@ from .generators import (
     _check_domain,
     _finite_exponent,
     parse_generator,
+    rho,
 )
 from .grids import WorkingInterval
 
@@ -151,20 +152,28 @@ def power_mean(p: float, values) -> float:
     """The p-th power mean; p = 0 is the geometric mean.
 
     Closed-form route, independent of the generator machinery, so the two
-    can cross-check each other.
+    can cross-check each other.  As every mean here, it is clamped to
+    [min x, max x], so a constant row gives its value and no rounding leaves
+    the row's range; a result that is not finite (|p| so large that p log x
+    overflows) raises RangeError.
     """
     p = _finite_exponent("power mean", p)
     x = _one_vector(values)[0]
     bad = x[~(x > 0.0)]
     if bad.size:
         raise DomainError(f"power mean needs positive entries, got {float(bad[0])!r}")
-    if p == 0:
-        return float(np.exp(np.mean(np.log(x))))
-    # From t = p log x, shifted by its maximum, so no power overflows or
-    # underflows, and expm1/log1p keep the digits of t near 0 when |p| is small.
-    t = p * np.log(x)
-    top = t.max()
-    return float(np.exp((top + np.log1p(np.mean(np.expm1(t - top)))) / p))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if p == 0:
+            out = np.exp(np.mean(np.log(x)))
+        else:
+            # From t = p log x shifted by its maximum, so no power over- or
+            # underflows; expm1/log1p keep the digits of t near 0 for small |p|.
+            t = p * np.log(x)
+            top = t.max()
+            out = np.exp((top + np.log1p(np.mean(np.expm1(t - top)))) / p)
+    if not np.isfinite(out):
+        raise RangeError(f"power mean with p = {p!r} is not finite on these entries")
+    return float(np.minimum(np.maximum(out, x.min()), x.max()))
 
 
 class MeanHandle:
@@ -256,12 +265,13 @@ def compare(f: Generator, g: Generator) -> ComparisonReport:
     negating the generator, so no normalization is needed.  The verdict
     is about the sampled criterion on this grid, with slack 1e-9 times the
     larger max|f''/f'|: no absolute floor, so it scales with the interval.
+    Each profile is sampled by rho(), so a zero or NaN rho (an infinite f'')
+    is a RangeError, as it is for classify.
     """
     if f.domain != g.domain:
         raise UsageError("compare needs generators on the same working interval")
     xs = f.domain.grid()
-    sig_f = 1.0 / np.asarray(f.rho(xs), dtype=float)
-    sig_g = 1.0 / np.asarray(g.rho(xs), dtype=float)
+    sig_f, sig_g = 1.0 / rho(f), 1.0 / rho(g)
     scale = max(float(np.max(np.abs(sig_f))), float(np.max(np.abs(sig_g))))
     delta = 1e-9 * scale
     d = sig_f - sig_g

@@ -236,11 +236,14 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
     c * trials + k.  So all candidates * trials tuples are held at once,
     with their trial indices and both means: a peak of about 120 bytes a
     trial (tracemalloc, 100 candidates of 1000 trials), so about 120 MB at
-    the bound candidates * trials <= MAX_TRIALS.  Needs candidates >= 1 and
-    1 <= trials, candidates * trials <= MAX_TRIALS, else UsageError.
+    the bound candidates * trials <= MAX_TRIALS.  Needs an env of status
+    Envelope or AlreadyExtremal (the others have no profile), candidates >= 1
+    and 1 <= trials, candidates * trials <= MAX_TRIALS, else UsageError.
     """
     if env.status not in ("Envelope", "AlreadyExtremal"):
-        raise UsageError(f"maximality needs an envelope, got status {env.status}")
+        raise UsageError(f"maximality of {f.spec_string()} needs a convex envelope with a "
+                         f"profile, got status {env.status}: there is no profile for "
+                         f"candidates to dominate")
     if env.direction != "convex":
         raise UsageError("maximality check applies to the convex envelope")
     if candidates < 1:

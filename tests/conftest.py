@@ -30,6 +30,12 @@ settings.load_profile("qameans")
 # subprocesses copy os.environ, and so fail on one too.
 os.environ["PYTHONWARNINGS"] = "error::RuntimeWarning"
 
+# x, f, f1 on [1, 5]: f increases, but its second difference at x = 2 is
+# 1.7e308 - 2e308 + 0, which overflows, so rho = f1 / f'' = -0 there: an
+# infinite f'' that classify and compare refuse.
+OVERFLOWING_TABLE = ("x,f,f1\n1,0,1\n2,1e308,1\n3,1.7e308,1\n4,1.75e308,1\n"
+                     "5,1.76e308,1\n")
+
 
 class Negated(Generator):
     """-f as the value-space transform -1 * f + 0: f and -f generate one mean

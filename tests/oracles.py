@@ -230,10 +230,13 @@ def reference_arithmetic_batch(domain, X):
 
 def reference_power_batch(p, domain, X):
     """Row-wise p-th power mean, p != 0, after a masked interval test on a
-    positive interval: from t = p log x shifted by its row maximum."""
-    t = p * np.log(domain_checked(domain, X))
+    positive interval: from t = p log x shifted by its row maximum, and a
+    clamp to the rows' min and max."""
+    X = domain_checked(domain, X)
+    t = p * np.log(X)
     top = t.max(axis=1)
-    return np.exp((top + np.log1p(np.mean(np.expm1(t - top[:, None]), axis=1))) / p)
+    out = np.exp((top + np.log1p(np.mean(np.expm1(t - top[:, None]), axis=1))) / p)
+    return np.minimum(np.maximum(out, X.min(axis=1)), X.max(axis=1))
 
 
 def decimal_power_mean(p, values):

@@ -316,10 +316,10 @@ _G65537 = WorkingInterval(0.1, 10.0, 65537)
 #   convex, so its upper hull is the chord and its lower hull every point;
 # - sqrt is concave: every point is an upper vertex, none replaces the top.
 SCAN_PROFILES = {
-    "power:3": lambda: rho(PowerGenerator(3.0, _G65537)).values,
-    "log": lambda: rho(LogGenerator(_G65537)).values,
-    "power:-5": lambda: rho(PowerGenerator(-5.0, _G65537)).values,
-    "exp": lambda: rho(ExpGenerator(_G65537)).values,
+    "power:3": lambda: rho(PowerGenerator(3.0, _G65537)),
+    "log": lambda: rho(LogGenerator(_G65537)),
+    "power:-5": lambda: rho(PowerGenerator(-5.0, _G65537)),
+    "exp": lambda: rho(ExpGenerator(_G65537)),
     "bump": lambda: 1.0 + (_G65537.grid() - 5.0) ** 2 / 4.0,
     "sqrt": lambda: np.sqrt(_G65537.grid()),
 }

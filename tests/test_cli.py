@@ -25,6 +25,8 @@ from qameans.generators import ExpGenerator, LogGenerator, PowerGenerator, load_
 from qameans.grids import WorkingInterval
 from qameans.means import qa_mean
 
+from conftest import OVERFLOWING_TABLE
+
 
 def _json_out(capsys):
     return json.loads(capsys.readouterr().out)
@@ -107,13 +109,13 @@ def test_classify_identity_on_unit_interval(capsys):
     ["classify"],
     ["envelope", "--kind", "convex"],
     ["envelope", "--kind", "concave"],
-    ["verify", "--check", "maximality", "--trials", "200"],
 ])
 def test_arithmetic_detail_names_the_generator_as_given(capsys, argv):
-    """affine:-2:3 falls; its report names it, not its negation affine:2:-3."""
+    """affine:-2:3 falls; its report names it, not its negation affine:2:-3.
+    maximality refuses it, with an error line that names it so too."""
     code = run([*argv, "--gen", "affine:-2:3", "--lo", "0.5", "--hi", "4"])
     out = _json_out(capsys)
-    assert code == (1 if argv[0] == "verify" else 0)
+    assert code == 0
     detail = out["evidence" if argv[0] == "classify" else "diagnostics"]["detail"]
     assert detail.startswith("affine:-2:3: f'' vanishes on the whole grid")
 
@@ -455,6 +457,24 @@ def test_verify_maximality_without_envelope_fails(capsys):
     assert "witness" in out["diagnostics"]
 
 
+@pytest.mark.parametrize("spec", ["id", "affine:-2:3"])
+def test_verify_maximality_of_an_affine_generator_is_a_usage_error(capsys, spec):
+    """An affine generator's convex envelope exists (it is A), so no check
+    failed; it has no profile for candidates to dominate, so maximality is
+    refused: exit 2 and one error line naming the generator as given (not
+    affine:2:-3 for affine:-2:3) and the status.  Once it reported a failed
+    check, exit 1, "no convex envelope: status ArithmeticEnvelope"."""
+    code = run(["verify", "--check", "maximality", "--gen", spec, "--lo", "0.5",
+                "--hi", "4", "--trials", "200"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: maximality of {spec} needs ")
+    assert "status ArithmeticEnvelope" in lines[0]
+    assert "no profile for candidates to dominate" in lines[0]
+
+
 @pytest.mark.parametrize("check,spec,kind", [
     ("maximality", "log", "convex"),
     ("duality", "power:3", "concave"),
@@ -547,6 +567,20 @@ def test_undecodable_table_is_usage_error(tmp_path, capsys, content):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
+def test_compare_refuses_a_table_whose_second_difference_overflows(tmp_path, capsys):
+    """rho = -0 at one grid point is an infinite f'': compare refuses it
+    with classify's error, where it once printed numpy's divide-by-zero
+    warning and an Incomparable report of NaN gaps, and exited 0."""
+    path = tmp_path / "T.csv"
+    path.write_text(OVERFLOWING_TABLE)
+    for command in (["compare", "--gen", f"table:{path}", "--gen2", "log"],
+                    ["classify", "--gen", f"table:{path}"]):
+        assert run(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: table:{path}: f'' is not finite on the grid\n"
 
 
 def test_bad_vec_file_row_names_the_file_and_line(tmp_path, capsys):

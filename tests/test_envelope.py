@@ -553,7 +553,7 @@ def test_envelope_generator_profile_is_the_hull_to_the_bit(grid_points, sign):
     gen = build_from_profile(sign * (1.5 + np.sin(6.0 * xs)), ivs, "sine")
     res = (qa_convex_envelope if sign > 0 else qa_concave_envelope)(gen)
     assert res.status == "Envelope"
-    assert np.array_equal(rho(res.generator).values, res.m(xs))
+    assert np.array_equal(rho(res.generator), res.m(xs))
 
 
 # ------------------------------------------------------- published grids

@@ -70,3 +70,18 @@ def test_removed_midpoint_jensen_check_is_gone():
     for name in ("jensen_midpoint_check", "JENSEN_TOL"):
         assert not hasattr(qameans, name) and not hasattr(convexity, name), name
         assert name not in qameans.__all__
+
+
+def test_profile_verdicts_live_in_one_function():
+    """rho() only samples the profile and refuses a zero or NaN value;
+    convexity._profile_tests decides degeneracy and the sign, so the
+    exception rho() once raised for an affine generator and the floor it
+    read are gone from generators."""
+    errors = importlib.import_module("qameans.errors")
+    generators = importlib.import_module("qameans.generators")
+    convexity = importlib.import_module("qameans.convexity")
+    assert not hasattr(qameans, "DegenerateSecondDerivative")
+    assert not hasattr(errors, "DegenerateSecondDerivative")
+    assert "DegenerateSecondDerivative" not in qameans.__all__
+    assert not hasattr(generators, "DEGENERATE_TAU")
+    assert convexity.DEGENERATE_TAU == 1e-8

@@ -7,15 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qameans.convexity import classify
+from qameans.convexity import _profile_tests, classify
 from qameans.envelope import qa_concave_envelope, qa_convex_envelope
 from qameans.errors import (
-    DegenerateSecondDerivative,
     DomainError,
     NotMonotone,
     QameansError,
     RangeError,
-    SignChange,
     UsageError,
 )
 from qameans.generators import (
@@ -227,8 +225,7 @@ def test_negation_changes_no_fact_the_theory_uses(gen, data):
     neg = Negated(gen)
     d = gen.domain
     r, rn = _outcome(rho, gen), _outcome(rho, neg)
-    assert (np.array_equal(r.values, rn.values) if isinstance(r, ScalarGrid)
-            else r == rn)
+    assert (np.array_equal(r, rn) if isinstance(r, np.ndarray) else r == rn)
     # a report that names its generator names it as given
     verdicts = [_outcome(classify, g) for g in (gen, neg)]
     verdicts = [json.dumps(v.to_dict()).replace(g.spec_string(), "<f>")
@@ -266,7 +263,7 @@ def test_rho_ignores_an_underflowing_f1():
     """e**x on [-800, -700] underflows to 0, but its profile is 1 there."""
     iv = WorkingInterval(-800.0, -700.0)
     assert ExpGenerator(iv).f1(-800.0) == 0.0
-    assert np.array_equal(rho(ExpGenerator(iv)).values, np.ones(iv.grid_points))
+    assert np.array_equal(rho(ExpGenerator(iv)), np.ones(iv.grid_points))
 
 
 class _NoDerivative(ExpGenerator):
@@ -275,19 +272,19 @@ class _NoDerivative(ExpGenerator):
 
 
 def test_rho_makes_no_f1_call(iv):
-    assert np.array_equal(rho(_NoDerivative(iv)).values, np.ones(iv.grid_points))
-    assert rho(_NoDerivative(WorkingInterval(0.0, 1e4))).values[0] == 1.0
+    assert np.array_equal(rho(_NoDerivative(iv)), np.ones(iv.grid_points))
+    assert rho(_NoDerivative(WorkingInterval(0.0, 1e4)))[0] == 1.0
 
 
 def test_rho_of_a_table_shares_its_rho_column(tmp_path):
-    """A table's rho column is read-only and its own, so rho() keeps it."""
+    """A table's rho column is read-only and its own, so rho() returns it."""
     tab = tabulate(PowerGenerator(3.0, WorkingInterval(0.1, 10.0, 65537)))
-    assert np.shares_memory(rho(tab).values, tab.rho_values)
+    assert rho(tab) is tab.rho_values
     xs = np.linspace(0.1, 10.0, 9)
     path = tmp_path / "cube.csv"
     path.write_text("x,f\n" + "".join(f"{x!r},{x ** 3!r}\n" for x in xs.tolist()))
     loaded = load_table(str(path))
-    assert np.shares_memory(rho(loaded).values, loaded.rho_values)
+    assert rho(loaded) is loaded.rho_values
 
 
 def test_scalar_grid_copies_what_it_cannot_keep(iv):
@@ -323,25 +320,33 @@ def test_rho_closed_forms(iv):
     xs = iv.grid()
     # x**-1 falls, and rho reads it as given: x / -2
     for p in (-1.0, 0.5, 2.0, 3.0):
-        r = rho(PowerGenerator(p, iv))
-        assert np.array_equal(r.values, xs / (p - 1.0))
+        assert np.array_equal(rho(PowerGenerator(p, iv)), xs / (p - 1.0))
     # ln x: f'/f'' = (1/x)/(-1/x^2) = -x
-    assert np.array_equal(rho(LogGenerator(iv)).values, -xs)
+    assert np.array_equal(rho(LogGenerator(iv)), -xs)
     # e^x: ratio is identically 1
-    assert np.array_equal(rho(ExpGenerator(iv)).values, np.ones_like(xs))
+    assert np.array_equal(rho(ExpGenerator(iv)), np.ones_like(xs))
 
 
 def test_rho_degenerate_second_derivative(iv):
-    with pytest.raises(DegenerateSecondDerivative):
-        rho(parse_generator("id", iv))
-    with pytest.raises(DegenerateSecondDerivative):
-        rho(AffineGenerator(3.0, -2.0, iv))
+    """rho of an affine generator is +inf everywhere, and the profile tests
+    read that as f'' vanishing on the whole grid, in both senses."""
+    for gen in (parse_generator("id", iv), AffineGenerator(3.0, -2.0, iv)):
+        assert np.array_equal(rho(gen), np.full(iv.grid_points, np.inf))
+        profile, detail, tests = _profile_tests(gen, "convex", "concave")
+        assert profile is None
+        assert detail == (f"{gen.spec_string()}: f'' vanishes on the whole grid "
+                          f"(span * max |1/rho| = 0.000e+00 <= 1.000e-08)")
+        assert list(tests) == [{"reason": "f2-identically-zero"}] * 2
 
 
 def test_rho_sign_change_carries_witness(neither_cubic):
-    with pytest.raises(SignChange) as exc:
-        rho(neither_cubic)
-    w = exc.value.witness
+    profile, detail, tests = _profile_tests(neither_cubic, "convex", "concave")
+    assert profile is None
+    convex, concave = tests
+    assert convex == concave and convex["reason"] == "sign-change"
+    w = convex["witness"]
+    assert detail == (f"table:cubic: rho is {-0.5:.3e} at x = -1.0 "
+                      f"but {w['rho']:.3e} at x = {w['x']!r}")
     assert neither_cubic.domain.lo <= w["x"] <= neither_cubic.domain.hi
     # rho = x/2 is negative at lo = -1: the witness is the first grid point
     # where it is positive

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qameans.errors import DomainError, RangeError, UsageError
@@ -14,6 +14,7 @@ from qameans.generators import (
     ExpGenerator,
     LogGenerator,
     PowerGenerator,
+    load_table,
     parse_generator,
     reflect_generator,
     tabulate,
@@ -29,6 +30,7 @@ from qameans.means import (
     qa_mean,
 )
 
+from conftest import OVERFLOWING_TABLE
 from oracles import brute_qa_mean, decimal_power_mean
 
 
@@ -151,6 +153,37 @@ def test_power_mean_is_accurate_at_extreme_scales(p, values):
     assert got == pytest.approx(decimal_power_mean(p, values), rel=1e-12, abs=0.0)
 
 
+@settings(max_examples=300)
+@given(p=st.one_of(st.sampled_from([-3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0]),
+                   st.floats(-20.0, 20.0)),
+       x=st.floats(1e-100, 1e100), n=st.integers(1, 5))
+@example(p=2.0, x=3.0, n=1)
+@example(p=0.0, x=7.0, n=3)
+def test_power_mean_of_a_constant_row_is_its_value(p, x, n):
+    """Reflexivity: once power_mean(2, [3]) gave 3.0000000000000004 and
+    power_mean(0, [7, 7, 7]) gave 6.999999999999999."""
+    assert power_mean(p, [x] * n) == x
+
+
+@settings(max_examples=300)
+@given(p=st.floats(allow_nan=False, allow_infinity=False),
+       row=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=5))
+@example(p=1e308, row=[3.0, 2.0])
+@example(p=1e308, row=[10.0, 20.0])
+@example(p=-1e308, row=[10.0, 20.0])
+def test_power_mean_stays_in_its_row_or_raises_a_range_error(p, row):
+    """Every mean lies within its row's [min, max], whatever p; where p log x
+    overflows the mean is finite or a RangeError.  Once power_mean(1e308,
+    [3, 2]) gave 3.0000000000000004, and power_mean(1e308, [10, 20]) NaN
+    after two RuntimeWarnings."""
+    try:
+        got = power_mean(p, row)
+    except RangeError as exc:
+        assert "is not finite" in str(exc)
+        return
+    assert min(row) <= got <= max(row)
+
+
 def test_power_mean_rejects_nonpositive():
     with pytest.raises(DomainError):
         power_mean(2.0, [1.0, -1.0])
@@ -240,6 +273,21 @@ def test_compare_relation_is_invariant_under_scaling_by_a_power_of_two(f, g, k):
     rel = compare(parse_generator(f, WorkingInterval(0.1, 10.0)),
                   parse_generator(g, WorkingInterval(0.1, 10.0))).relation
     assert compare(parse_generator(f, scaled), parse_generator(g, scaled)).relation == rel
+
+
+def test_compare_refuses_an_infinite_second_derivative(tmp_path):
+    """This table's second difference overflows at x = 2, so rho there is
+    -0: an infinite f''.  compare samples rho() as classify does and
+    refuses it, where it once reported Incomparable with NaN gaps after a
+    numpy divide-by-zero warning."""
+    path = tmp_path / "T.csv"
+    path.write_text(OVERFLOWING_TABLE)
+    table = load_table(str(path))
+    with pytest.raises(RangeError, match=f"^table:{re.escape(str(path))}: f'' is not "
+                                         f"finite on the grid$"):
+        compare(table, LogGenerator(table.domain))
+    with pytest.raises(RangeError, match="f'' is not finite on the grid"):
+        compare(LogGenerator(table.domain), table)
 
 
 def test_compare_rejects_mismatched_domains(iv):
