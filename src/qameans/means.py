@@ -162,7 +162,7 @@ def power_mean(p: float, values) -> float:
     bad = x[~(x > 0.0)]
     if bad.size:
         raise DomainError(f"power mean needs positive entries, got {float(bad[0])!r}")
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if p == 0:
             out = np.exp(np.mean(np.log(x)))
         else:

@@ -111,8 +111,7 @@ def test_classify_identity_on_unit_interval(capsys):
     ["envelope", "--kind", "concave"],
 ])
 def test_arithmetic_detail_names_the_generator_as_given(capsys, argv):
-    """affine:-2:3 falls; its report names it, not its negation affine:2:-3.
-    maximality refuses it, with an error line that names it so too."""
+    """affine:-2:3 falls; its report names it, not its negation affine:2:-3."""
     code = run([*argv, "--gen", "affine:-2:3", "--lo", "0.5", "--hi", "4"])
     out = _json_out(capsys)
     assert code == 0
