@@ -70,12 +70,13 @@ class ConvexityClass:
         return {"class": self.value, "evidence": self.evidence}
 
 
-def _profile_pos_concave(values, interval: WorkingInterval) -> dict:
+def _profile_pos_concave(values, interval: WorkingInterval, affine: bool) -> dict:
     """Decide positivity and concavity of a sampled profile.
 
     Returns the margins, or the failure reason, its margins and a concrete
     witness (nonpositive value, or a grid triple violating midpoint
-    concavity).
+    concavity).  An affine profile is concave with margin exactly 0, so its
+    samples' second differences, which are rounding noise, are not tested.
     """
     xs = interval.grid()
     r = np.asarray(values, dtype=float)
@@ -84,6 +85,8 @@ def _profile_pos_concave(values, interval: WorkingInterval) -> dict:
         k = int(np.argmin(r))
         return {"reason": "nonpositive-rho", "positivity_margin": pos_margin,
                 "witness": {"x": float(xs[k]), "rho": float(r[k])}}
+    if affine:
+        return {"positivity_margin": pos_margin, "concavity_margin": 0.0}
 
     d2 = r[:-2] - 2.0 * r[1:-1] + r[2:]
     delta_cc = CONC_TAU * float(np.max(np.abs(r)))
@@ -113,8 +116,9 @@ def _profile_tests(gen: Generator, *senses: str) -> tuple:
     detail says why, and every record's reason is "f2-identically-zero" or
     "sign-change" (with a witness at the first such grid point).  Else
     profile is the sampled ScalarGrid, "convex" tests rho and "concave"
-    tests -rho for positivity and concavity, and a record passes exactly
-    when it has no "reason" key.
+    tests -rho for positivity and concavity (exactly concave where
+    gen.affine_profile), and a record passes exactly when it has no
+    "reason" key.
     """
     r = rho(gen)
     curvature = gen.domain.span / float(np.abs(r).min())
@@ -134,7 +138,7 @@ def _profile_tests(gen: Generator, *senses: str) -> tuple:
     profile = ScalarGrid(gen.domain, r)
     return profile, None, (
         _profile_pos_concave(profile.values if sense == "convex" else -profile.values,
-                             gen.domain)
+                             gen.domain, gen.affine_profile)
         for sense in senses)
 
 

@@ -3,13 +3,12 @@
 The construction runs entirely through the profile rho = f'/f'': the
 convex QA envelope of QA_f is QA_g where g'/g'' is the least concave
 majorant (upper hull) of rho, and the concave envelope dually uses the
-greatest convex minorant (lower hull).  Hulls of the sampled profile are
-computed by Andrew's monotone-chain scan on floats, whose long runs of
-points that each replace the top of the stack (an affine profile, the
-chord of a convex one) are decided in numpy blocks by the same floating
-point operations, so the vertices are the plain scan's to the bit.  The
-generator g is recovered from its profile m on the grid by two running
-trapezoid sums, since g'/g'' = m is equivalent to (ln g')' = 1/m:
+greatest convex minorant (lower hull).  An affine profile (every
+closed-form kind, see Generator.affine_profile) is its own hull, the chord
+through its two end values; any other sampled profile's hull is computed by
+Andrew's monotone-chain scan on floats.  The generator g is recovered from
+its profile m on the grid by two running trapezoid sums, since
+g'/g'' = m is equivalent to (ln g')' = 1/m:
 
     g'(x) = exp( integral_lo^x dt / m(t) ),    g(x) = integral_lo^x g'(t) dt,
 
@@ -42,10 +41,10 @@ from .means import ArithmeticMean, MeanHandle, QuasiArithmeticMean, _qa_mean_bat
 class PiecewiseLinearHull:
     """Upper (concave) or lower (convex) hull of sampled points.
 
-    Vertices are strictly increasing in x and span the whole interval.  The
-    list is the float scan's: it drops an interior vertex whose rounded turn
-    test reads collinear, so it is minimal only up to the rounding of that
-    test (an affine profile can keep a dozen vertices at grid 65537; see
+    Vertices are strictly increasing in x and span the whole interval.  A
+    scanned list drops an interior vertex whose rounded turn test reads
+    collinear, so it is minimal only up to the rounding of that test (a
+    table of an affine profile can keep a dozen vertices at grid 65537; see
     ROADMAP item 2).  The vertex coordinates are also kept as two read-only
     arrays, built once, which every evaluation interpolates.
     """
@@ -73,23 +72,18 @@ class PiecewiseLinearHull:
         return [[float(x), float(y)] for x, y in self.vertices]
 
 
-# The scan takes plain stretches of _FIRST_STRETCH points, doubled after each
-# try that finds no run; a run is tested in blocks of _FIRST_BLOCK points,
-# doubled up to _RUN_BLOCK (cli._BLOCK_ROWS' bound on temporary arrays).
-_FIRST_STRETCH = 64
-_FIRST_BLOCK = 32
-_RUN_BLOCK = 8192
+def _monotone_chain(xs: np.ndarray, ys: np.ndarray, upper: bool) -> tuple:
+    """Hull of x-sorted float points by Andrew's monotone-chain scan.
 
-
-def _scan(stack: list, xs: np.ndarray, ys: np.ndarray, upper: bool) -> None:
-    """Push the points onto the stack by the plain scan, on Python floats.
-
-    The cross product of the last two stack points with the incoming point
-    decides the turn; popping on >= 0 (upper) or <= 0 (lower) also removes
-    collinear interior vertices.  Numpy-scalar arithmetic per element is
-    slower and gives the same IEEE results.
+    Returns the stack of (x, y) float pairs the scan leaves.  The cross
+    product of the last two stack points with the incoming point decides the
+    turn; popping on >= 0 (upper) or <= 0 (lower) also removes collinear
+    interior vertices.  The scan runs on Python floats: numpy-scalar
+    arithmetic per element is slower and gives the same IEEE results.
     """
-    for x, y in zip(xs.tolist(), ys.tolist()):
+    stack: list = []
+    for x, y in zip(np.asarray(xs, dtype=float).tolist(),
+                    np.asarray(ys, dtype=float).tolist()):
         while len(stack) >= 2:
             x0, y0 = stack[-2]
             x1, y1 = stack[-1]
@@ -99,76 +93,6 @@ def _scan(stack: list, xs: np.ndarray, ys: np.ndarray, upper: bool) -> None:
             else:
                 break
         stack.append((x, y))
-
-
-def _replace_top_run(stack: list, xs: np.ndarray, ys: np.ndarray, i: int,
-                     upper: bool) -> int:
-    """The number of points from i on that the scan pushes, each replacing the top.
-
-    The top of the stack is p_{i-1}.  With s = stack[-2] and r = stack[-3],
-    point p_j pops p_{j-1} when the cross of (s, p_{j-1}, p_j) passes the pop
-    test, and then leaves s when the cross of (r, s, p_j) fails it.  While
-    both hold, s and r stay put, so both crosses are elementwise in j.  They
-    are formed by the scan's operations in the scan's order, one numpy ufunc
-    per float operation, each rounded once and none fused, so every decision
-    is the scan's.
-    """
-    n = len(xs)
-    sx, sy = stack[-2]
-    third = len(stack) >= 3
-    if third:
-        rx, ry = stack[-3]
-        ux, uy = sx - rx, sy - ry
-    start, size = i, _FIRST_BLOCK
-    # Python floats overflow to inf and give NaN silently; so do these blocks.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while i < n:
-            stop = min(i + size, n)
-            # p_{j-1} - s and p_j - s are neighbours in one difference array
-            dx = xs[i - 1:stop] - sx
-            dy = ys[i - 1:stop] - sy
-            cross = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
-            ends = ~(cross >= 0.0) if upper else ~(cross <= 0.0)
-            if third:
-                cross = ux * (ys[i:stop] - ry) - uy * (xs[i:stop] - rx)
-                ends |= (cross >= 0.0) if upper else (cross <= 0.0)
-            k = int(ends.argmax())
-            if ends[k]:
-                return i + k - start
-            i, size = stop, min(2 * size, _RUN_BLOCK)
-    return n - start
-
-
-def _monotone_chain(xs: np.ndarray, ys: np.ndarray, upper: bool) -> tuple:
-    """Hull of x-sorted float points by a single stacked scan.
-
-    Returns the stack of (x, y) float pairs that the plain scan (_scan)
-    leaves, to the bit.  Where the scan meets a replace-top run, a stretch
-    of points that each pop the top and push themselves against a fixed
-    second vertex, _replace_top_run decides the whole run in numpy blocks
-    and only the top changes.  A run is tried after each plain stretch whose
-    last point replaced the top; a try that takes fewer than _FIRST_BLOCK
-    points, or is not made, doubles the next stretch, so profiles without
-    long runs (noise, alternating roundings, every point a vertex) pay
-    O(log n) tries.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    n = len(xs)
-    stack: list = []
-    i, stretch = 0, _FIRST_STRETCH
-    while n - i > stretch:
-        stop = i + stretch
-        _scan(stack, xs[i:stop - 1], ys[i:stop - 1], upper)
-        depth = len(stack)
-        _scan(stack, xs[stop - 1:stop], ys[stop - 1:stop], upper)
-        i, took = stop, 0
-        if len(stack) == depth:
-            took = _replace_top_run(stack, xs, ys, i, upper)
-            i += took
-            stack[-1] = (xs[i - 1].item(), ys[i - 1].item())
-        stretch = _FIRST_STRETCH if took >= _FIRST_BLOCK else 2 * stretch
-    _scan(stack, xs[i:], ys[i:], upper)
     return tuple(stack)
 
 
@@ -329,8 +253,14 @@ def _envelope_fields(gen: Generator, direction: str) -> dict:
                              f"comparison tolerance", test["witness"])
         return {"status": "NoneExists", "diagnostics": {"witness": witness}}
 
-    hull = (concave_envelope_1d(profile) if direction == "convex"
-            else convex_envelope_1d(profile))
+    if gen.affine_profile:  # its own hull: the chord through its two end values
+        r = profile.values
+        hull = PiecewiseLinearHull(((float(interval.lo), float(r[0])),
+                                    (float(interval.hi), float(r[-1]))),
+                                   "upper" if direction == "convex" else "lower")
+    else:
+        hull = (concave_envelope_1d(profile) if direction == "convex"
+                else convex_envelope_1d(profile))
 
     if reason is None:
         # The mean is its own envelope: keep the exact generator for the mean handle.

@@ -8,9 +8,14 @@ f and -f generate the same mean and have the same profile, so nothing the
 theory decides depends on the sign of f.
 Closed-form kinds (power:p, log, exp, affine:a:b, with id = affine:1:0)
 return exact analytic values, invert in closed form and give rho in
-closed form (x/(p-1), -x, 1, +inf); tabulated kinds interpolate a sampled
-grid, invert by interpolating the same grid with the axes swapped, and
-fill in f' and rho by central differences unless given.
+closed form (x/(p-1), -x, 1, +inf).  Each of these profiles is affine in
+x, and the kind says so by the class fact ``affine_profile = True`` (a
+reflection keeps its inner kind's); an affine profile is concave with
+margin exactly 0 and is its own hull, so classify and the envelopes take
+it from its two end values.  Tabulated kinds interpolate a sampled grid,
+invert by interpolating the same grid with the axes swapped, and fill in
+f' and rho by central differences unless given; they, like the base
+class, state no affine profile, and their hulls are scanned.
 
 :func:`rho` samples the profile on the grid and refuses a zero or NaN
 value.  For the increasing one of f and -f, f'' has the sign of rho, so the
@@ -38,6 +43,8 @@ class Generator:
     """Base class: strictly monotone f with derivative oracles on a domain."""
 
     domain: WorkingInterval
+    # True where rho is affine in x on every interval, so two values decide it.
+    affine_profile = False
 
     def f(self, x):
         raise NotImplementedError
@@ -63,6 +70,8 @@ class Generator:
 
 class PowerGenerator(Generator):
     """f(x) = x**p on a positive interval, p != 0."""
+
+    affine_profile = True
 
     def __init__(self, p: float, domain: WorkingInterval):
         if p == 0:
@@ -93,6 +102,8 @@ class PowerGenerator(Generator):
 class LogGenerator(Generator):
     """f(x) = ln x on a positive interval (the p = 0 member of the power family)."""
 
+    affine_profile = True
+
     def __init__(self, domain: WorkingInterval):
         if domain.lo <= 0:
             raise UsageError("log generator needs lo > 0")
@@ -116,6 +127,8 @@ class LogGenerator(Generator):
 
 class ExpGenerator(Generator):
     """f(x) = e**x."""
+
+    affine_profile = True
 
     def __init__(self, domain: WorkingInterval):
         self.domain = domain
@@ -150,6 +163,8 @@ class AffineGenerator(Generator):
     a = 1, b = 0 is the identity, spelled ``id``.
     """
 
+    affine_profile = True
+
     def __init__(self, a: float, b: float, domain: WorkingInterval):
         a, b = float(a), float(b)
         if not (0.0 < abs(a) < np.inf and abs(b) < np.inf):  # NaN fails it too
@@ -182,6 +197,7 @@ class ReflectedGenerator(Generator):
     def __init__(self, inner: Generator):
         self.inner = inner
         self.domain = inner.domain.reflected()
+        self.affine_profile = inner.affine_profile
 
     def f(self, x):
         return self.inner.f(-np.asarray(x, dtype=float))

@@ -162,13 +162,19 @@ def power_mean(p: float, values) -> float:
     bad = x[~(x > 0.0)]
     if bad.size:
         raise DomainError(f"power mean needs positive entries, got {float(bad[0])!r}")
+    logs = np.log(x)
+    spread = float(logs.max() - logs.min())
     with np.errstate(over="ignore", invalid="ignore"):
-        if p == 0:
-            out = np.exp(np.mean(np.log(x)))
+        # log M_p - log G = p Var(log x)/2 + O(p^2), and Var(log x) <= spread^2/4,
+        # so |log M_p - log G| <= |p| spread^2/8 to first order (Hoeffding's lemma
+        # makes it a bound at every p).  Below 2^-54, half an ulp, M_p rounds as G
+        # does, which also spares t = p log x the lost digits of a subnormal p.
+        if abs(p) * spread * spread / 8.0 < 2.0**-54:
+            out = np.exp(np.mean(logs))
         else:
             # From t = p log x shifted by its maximum, so no power over- or
             # underflows; expm1/log1p keep the digits of t near 0 for small |p|.
-            t = p * np.log(x)
+            t = p * logs
             top = t.max()
             out = np.exp((top + np.log1p(np.mean(np.expm1(t - top)))) / p)
     if not np.isfinite(out):

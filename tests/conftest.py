@@ -44,6 +44,7 @@ class Negated(Generator):
     def __init__(self, inner: Generator):
         self.inner = inner
         self.domain = inner.domain
+        self.affine_profile = inner.affine_profile
 
     def f(self, x):
         return -1.0 * self.inner.f(x) + 0.0

@@ -230,12 +230,16 @@ def reference_arithmetic_batch(domain, X):
 
 def reference_power_batch(p, domain, X):
     """Row-wise p-th power mean, p != 0, after a masked interval test on a
-    positive interval: from t = p log x shifted by its row maximum, and a
+    positive interval: from t = p log x shifted by its row maximum, or the
+    geometric mean where |p| (max log x - min log x)^2 / 8 < 2^-54, and a
     clamp to the rows' min and max."""
     X = domain_checked(domain, X)
-    t = p * np.log(X)
+    logs = np.log(X)
+    t = p * logs
     top = t.max(axis=1)
     out = np.exp((top + np.log1p(np.mean(np.expm1(t - top[:, None]), axis=1))) / p)
+    spread = logs.max(axis=1) - logs.min(axis=1)
+    out = np.where(abs(p) * spread * spread / 8.0 < 2.0**-54, np.exp(logs.mean(axis=1)), out)
     return np.minimum(np.maximum(out, X.min(axis=1)), X.max(axis=1))
 
 

@@ -307,11 +307,11 @@ def test_envelope_csv_matches_rowwise_writer_on_avx2_kernels():
 
 _G65537 = WorkingInterval(0.1, 10.0, 65537)
 
-# Profiles on the benchmark's largest grid, one per branch of the scan:
+# Profiles on the benchmark's largest grid, as tables of them are scanned:
 # - power:3 (rho = x/2), log (-x) and exp (constant) are affine, so almost
-#   every point replaces the top of the stack and one run takes the grid;
+#   every point replaces the top of the stack;
 # - power:-5 (x/(-6)) is affine too, but its crosses alternate in sign with
-#   the rounding, so every run ends within a few points;
+#   the rounding, so vertices come and go within a few points;
 # - the bump profile 1 + (x - 5)^2/4 of perfbench's write_bump_table is
 #   convex, so its upper hull is the chord and its lower hull every point;
 # - sqrt is concave: every point is an upper vertex, none replaces the top.

@@ -15,9 +15,6 @@ from qameans import envelope
 from qameans.cli import _json_text, run
 from qameans.convexity import classify
 from qameans.envelope import (
-    _FIRST_BLOCK,
-    _FIRST_STRETCH,
-    _RUN_BLOCK,
     PiecewiseLinearHull,
     _monotone_chain,
     concave_envelope_1d,
@@ -35,6 +32,7 @@ from qameans.generators import (
     TabulatedGenerator,
     load_table,
     parse_generator,
+    reflect_generator,
     rho,
     tabulate,
 )
@@ -160,22 +158,10 @@ def test_hull_validation():
     assert hull.to_list() == [[0.0, 0.0], [2.0, 4.0]]
 
 
-def _run_block_edges(limit):
-    """Lengths at which a run tried after the first plain stretch meets the
-    last point on a block edge, or one point before or after it."""
-    edges, stop, size = [], _FIRST_STRETCH, _FIRST_BLOCK
-    while stop < limit:
-        stop += size
-        size = min(2 * size, _RUN_BLOCK)
-        edges += [stop - 1, stop, stop + 1]
-    return edges
-
-
 @st.composite
 def scan_points(draw):
     """x-sorted points whose scan has long runs, runs cut short, or none."""
-    n = draw(st.one_of(st.integers(3, 300), st.integers(3, 3 * _RUN_BLOCK + 100),
-                       st.sampled_from(_run_block_edges(3 * _RUN_BLOCK))))
+    n = draw(st.one_of(st.integers(3, 300), st.integers(3, 25000)))
     kind = draw(st.sampled_from(["x/2", "x/3", "x/-6", "convex", "concave",
                                  "kinked", "noisy", "nonfinite", "integer"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -190,11 +176,11 @@ def scan_points(draw):
         ys = (xs - rng.uniform(0.0, 11.0)) ** 2
     elif kind == "concave":
         ys = np.sqrt(xs)
-    elif kind == "kinked":  # a run ends at the kink, inside a block
+    elif kind == "kinked":  # a run ends at the kink
         ys = xs / 3.0 + rng.choice([-1.0, 1.0]) * np.abs(xs - xs[rng.integers(n)])
     elif kind == "noisy":
         ys = xs / 3.0 + rng.normal(scale=rng.choice([1e-15, 1e-3, 1.0]), size=n)
-    elif kind == "nonfinite":  # a NaN cross never pops, in the loop or a block
+    elif kind == "nonfinite":  # a NaN cross never pops
         ys = xs / 2.0
         ys[rng.integers(n, size=3)] = rng.choice([np.nan, np.inf, -np.inf], size=3)
     else:  # exact arithmetic: collinear points and ties
@@ -211,15 +197,57 @@ def _same_bits(a: tuple, b: tuple) -> bool:
 
 @settings(max_examples=150)
 @given(points=scan_points())
-def test_blocked_scan_matches_numpy_scalar_scan(points):
+def test_scan_matches_numpy_scalar_scan(points):
     xs, ys = points
     for upper in (True, False):
         with np.errstate(over="ignore", invalid="ignore"):
             want = numpy_scalar_monotone_chain(xs, ys, upper)
-        # like the float scan, the blocks overflow and make NaNs silently
+        # the float scan overflows and makes NaNs silently
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _same_bits(_monotone_chain(xs, ys, upper), want)
+
+
+CLOSED_FORMS = ["power:-5", "power:-2", "power:1.3", "power:3", "power:4", "power:20",
+                "log", "exp"]
+
+
+def _scanned_vertices(gen, route):
+    """The float scan's hull of gen's sampled rho for the route; the mirror
+    route scans the reflected generator's profile and maps its vertices back."""
+    if route is not qa_concave_envelope_via_reflection:
+        upper = route is qa_convex_envelope
+        return [list(v) for v in numpy_scalar_monotone_chain(gen.domain.grid(), rho(gen),
+                                                             upper)]
+    mirror = reflect_generator(gen)
+    hull = numpy_scalar_monotone_chain(mirror.domain.grid(), rho(mirror), True)
+    return [[-x, -y] for x, y in reversed(hull)]
+
+
+@pytest.mark.parametrize("grid_points", [257, 1025, 16385, 65537])
+@pytest.mark.parametrize("spec", CLOSED_FORMS)
+def test_closed_form_hull_is_the_chord_of_its_ends_and_a_table_is_scanned(spec, grid_points):
+    """A closed form's affine profile is its own hull, the two end values,
+    with concavity margin exactly 0, by every route; the tabulated same
+    generator keeps the float scan of its rho column."""
+    iv = WorkingInterval(0.1, 10.0, grid_points)
+    gen = parse_generator(spec, iv)
+    ends = [[0.1, float(gen.rho(0.1))], [10.0, float(gen.rho(10.0))]]
+    table = tabulate(gen)
+    found = 0
+    for route in ROUTES:
+        res = route(gen)
+        if res.status == "NoneExists":
+            continue
+        found += 1
+        assert res.status == "AlreadyExtremal"
+        assert res.m.to_list() == ends
+        assert res.diagnostics["profile_test"]["concavity_margin"] == 0.0
+        tab = route(table)
+        assert tab.status == "AlreadyExtremal"
+        assert tab.m.to_list() == _scanned_vertices(table, route)
+    # the convex route, or both concave routes
+    assert found == (2 if classify(gen).value == "Concave" else 1)
 
 
 # ------------------------------------------------------- reconstruction

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qameans import generators
 from qameans.convexity import _profile_tests, classify
 from qameans.envelope import qa_concave_envelope, qa_convex_envelope
 from qameans.errors import (
@@ -19,6 +20,7 @@ from qameans.errors import (
 from qameans.generators import (
     AffineGenerator,
     ExpGenerator,
+    Generator,
     LogGenerator,
     PowerGenerator,
     TabulatedGenerator,
@@ -353,6 +355,37 @@ def test_rho_sign_change_carries_witness(neither_cubic):
     assert "rho" in w
     assert w["rho"] == w["x"] / 2.0 > 0.0
     assert w["x"] == float(neither_cubic.domain.grid()[410])
+
+
+# Every kind that states an affine profile, with the generators that test it.
+AFFINE_KINDS = {
+    PowerGenerator: ["power:-5", "power:-2", "power:0.5", "power:1", "power:1.3",
+                     "power:3", "power:20"],
+    LogGenerator: ["log"],
+    ExpGenerator: ["exp"],
+    AffineGenerator: ["id", "affine:-2:3"],
+}
+
+
+def test_every_kind_stating_an_affine_profile_is_checked():
+    """Tables and reflections are not among the classes that state it."""
+    claims = {cls for cls in vars(generators).values()
+              if isinstance(cls, type) and issubclass(cls, Generator) and cls.affine_profile}
+    assert claims == set(AFFINE_KINDS)
+
+
+@pytest.mark.parametrize("spec", [s for specs in AFFINE_KINDS.values() for s in specs])
+@pytest.mark.parametrize("lo, hi", [(0.1, 10.0), (1e-50, 1e50)])
+def test_an_affine_profile_is_its_chord(spec, lo, hi):
+    """rho at the midpoint is the mean of rho at the ends within 4 ulp, on
+    the interval and on its mirror."""
+    gen = parse_generator(spec, WorkingInterval(lo, hi))
+    for g in (gen, reflect_generator(gen)):
+        assert g.affine_profile
+        a, b = g.domain.lo, g.domain.hi
+        want = float(np.mean(g.rho(np.array([a, b]))))
+        mid = float(g.rho(np.array([(a + b) / 2.0]))[0])
+        assert mid == want or abs(mid - want) <= 4 * np.spacing(abs(want))
 
 
 def test_reflect_generator_values(iv):

@@ -1,5 +1,6 @@
 """Mean evaluation, power means, comparison, and its reversal under reflection."""
 
+import math
 import re
 import warnings
 
@@ -151,6 +152,16 @@ def test_power_mean_is_accurate_at_extreme_scales(p, values):
         warnings.simplefilter("error")
         got = power_mean(p, values)
     assert got == pytest.approx(decimal_power_mean(p, values), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [5e-324, -5e-324, 1e-310])
+def test_power_mean_at_a_subnormal_exponent_is_the_geometric_mean(p):
+    """Once power_mean(5e-324, [2, 3]) gave e and power_mean(1e-310, [2, 3])
+    2.449489742783129.  So small a p is below what decimal_power_mean's 60
+    digits resolve, so the geometric mean is the reference."""
+    got = power_mean(p, [2.0, 3.0])
+    assert got == power_mean(0.0, [2.0, 3.0])
+    assert abs(got - math.sqrt(6.0)) <= math.ulp(math.sqrt(6.0))
 
 
 @settings(max_examples=300)

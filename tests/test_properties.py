@@ -179,13 +179,18 @@ def test_power_family_follows_the_paper_table_at_every_scale(p, decades, grid_po
     ArithmeticBoth, also where f' over- or underflows at an end."""
     iv = WorkingInterval(10.0 ** decades[0], 10.0 ** decades[1], grid_points)
     want = "Concave" if p < 1.0 else "Convex" if p > 1.0 else "ArithmeticBoth"
-    assert classify(PowerGenerator(p, iv)).value == want
+    got = classify(PowerGenerator(p, iv))
+    assert got.value == want
+    if want != "ArithmeticBoth":  # rho = x/(p - 1) is affine: concave with margin 0
+        assert got.evidence["concavity_margin"] == 0.0
 
 
 @settings(max_examples=300)
 @given(lo=st.floats(-1e4, 1e4), width=st.floats(1e-6, 1e4))
 def test_exp_is_convex_on_intervals_up_to_1e4_wide(lo, width):
-    assert classify(ExpGenerator(WorkingInterval(lo, lo + width))).value == "Convex"
+    got = classify(ExpGenerator(WorkingInterval(lo, lo + width)))
+    assert got.value == "Convex"
+    assert got.evidence["concavity_margin"] == 0.0
 
 
 def test_bisection_oracle_hand_values():
