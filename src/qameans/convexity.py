@@ -30,8 +30,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import UsageError
-from .generators import Generator, rho
+from .errors import RangeError, UsageError
+from .generators import Generator, rho, rho_ends
 from .grids import ScalarGrid, WorkingInterval
 from .means import _qa_mean_batch
 
@@ -106,26 +106,52 @@ def _profile_pos_concave(values, interval: WorkingInterval, affine: bool) -> dic
     return {"positivity_margin": pos_margin, "concavity_margin": conc_margin}
 
 
-def _profile_tests(gen: Generator, *senses: str) -> tuple:
+def _ends_pos(a: float, b: float) -> dict:
+    """_profile_pos_concave of an affine profile from its end values a, b:
+    its sample's min is min(a, b), and it is concave with margin exactly 0.
+    A failing record names no grid witness; the sampled route gives one."""
+    pos_margin = min(a, b)
+    if pos_margin <= 0.0:
+        return {"reason": "nonpositive-rho", "positivity_margin": pos_margin}
+    return {"positivity_margin": pos_margin, "concavity_margin": 0.0}
+
+
+def _profile_tests(gen: Generator, *senses: str, sampled: bool = False) -> tuple:
     """The decisive test of gen's profile, in each sense asked for.
 
-    Samples rho once (rho() refuses a zero or NaN value) and returns
-    (profile, detail, tests), tests yielding one record per sense, lazily.
+    Returns (profile, detail, tests), tests yielding one record per sense,
+    lazily: "convex" tests rho and "concave" tests -rho for positivity and
+    concavity, and a record passes exactly when it has no "reason" key.
+
+    Where rho_ends() decides the sample (closed forms) and not sampled, the
+    records are read from the two end values: those of the sample, bit for
+    bit, but a failing one names no grid witness, and profile is None.
+    Else rho is sampled once (rho() refuses a zero or NaN value) and
+    profile is that ScalarGrid.  A generator that states end values has an
+    affine profile, concave with margin exactly 0 by either route.
+
     If span * max|1/rho| <= DEGENERATE_TAU (f'' vanishes on the whole grid)
-    or some rho is infinite or not of the sign at lo, profile is None,
-    detail says why, and every record's reason is "f2-identically-zero" or
-    "sign-change" (with a witness at the first such grid point).  Else
-    profile is the sampled ScalarGrid, "convex" tests rho and "concave"
-    tests -rho for positivity and concavity (exactly concave where
-    gen.affine_profile), and a record passes exactly when it has no
-    "reason" key.
+    or some sampled rho is infinite or not of the sign at lo, profile is
+    None, detail says why, and every record's reason is
+    "f2-identically-zero" or "sign-change" (with a witness at the first such
+    grid point).  End values of which only one is infinite are a closed
+    form's rho overflowing on the interval: a RangeError.
     """
-    r = rho(gen)
+    ends = None if sampled else rho_ends(gen)
+    r = rho(gen) if ends is None else ends
     curvature = gen.domain.span / float(np.abs(r).min())
     if curvature <= DEGENERATE_TAU:
         detail = (f"{gen.spec_string()}: f'' vanishes on the whole grid "
                   f"(span * max |1/rho| = {curvature:.3e} <= {DEGENERATE_TAU:.3e})")
         return None, detail, repeat({"reason": "f2-identically-zero"}, len(senses))
+    if ends is not None:
+        a, b = ends
+        if abs(a) == np.inf or abs(b) == np.inf:  # not both: that is degenerate
+            d = gen.domain
+            raise RangeError(f"{gen.spec_string()}: rho overflows on [{d.lo}, {d.hi}]: "
+                             f"{a:.3e} at x = {d.lo!r} but {b:.3e} at x = {d.hi!r}")
+        return None, None, (_ends_pos(a, b) if sense == "convex" else _ends_pos(-a, -b)
+                            for sense in senses)
     one_signed = np.isfinite(r) & (np.sign(r) == np.sign(r[0]))
     if not one_signed.all():
         # first grid point whose rho is infinite (f'' = 0) or of the other sign
@@ -136,9 +162,10 @@ def _profile_tests(gen: Generator, *senses: str) -> tuple:
         witness = {"x": float(xs[k]), "rho": float(r[k])}
         return None, detail, repeat({"reason": "sign-change", "witness": witness}, len(senses))
     profile = ScalarGrid(gen.domain, r)
+    affine = gen.rho_ends() is not None
     return profile, None, (
         _profile_pos_concave(profile.values if sense == "convex" else -profile.values,
-                             gen.domain, gen.affine_profile)
+                             gen.domain, affine)
         for sense in senses)
 
 

@@ -4,7 +4,7 @@ The construction runs entirely through the profile rho = f'/f'': the
 convex QA envelope of QA_f is QA_g where g'/g'' is the least concave
 majorant (upper hull) of rho, and the concave envelope dually uses the
 greatest convex minorant (lower hull).  An affine profile (every
-closed-form kind, see Generator.affine_profile) is its own hull, the chord
+closed-form kind, see Generator.rho_ends) is its own hull, the chord
 through its two end values; any other sampled profile's hull is computed by
 Andrew's monotone-chain scan on floats.  The generator g is recovered from
 its profile m on the grid by two running trapezoid sums, since
@@ -21,7 +21,9 @@ An envelope in a given direction exists only when the mean sits on the
 right side of the arithmetic mean; for increasing f, QA_f >= A exactly when
 f is convex (Jensen), so the sign of rho decides, and a refusal returns a
 re-verified violating grid pair.  Sign, degeneracy and extremality are read
-from one record of :func:`qameans.convexity._profile_tests`, as classify's are.
+from one record of :func:`qameans.convexity._profile_tests`, as classify's are,
+from the end values of a closed form's profile, so a refusal samples no
+profile; a result that publishes the profile (its rho column) samples it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .convexity import MEAN_CMP_TOL, _profile_tests
 from .errors import NonpositiveM, RangeError, SignChange, UsageError
-from .generators import Generator, TabulatedGenerator, reflect_generator, tabulate
+from .generators import Generator, TabulatedGenerator, reflect_generator, rho, tabulate
 from .grids import ScalarGrid, WorkingInterval
 from .means import ArithmeticMean, MeanHandle, QuasiArithmeticMean, _qa_mean_batch
 
@@ -247,16 +249,20 @@ def _envelope_fields(gen: Generator, direction: str) -> dict:
     if reason in ("sign-change", "nonpositive-rho"):
         witness = _pair_witness(gen, direction)
         if witness is None:
+            if "witness" not in test:  # read from the end values: name the grid point
+                _, _, (test,) = _profile_tests(gen, direction, sampled=True)
             cause = detail or (f"{gen.spec_string()}: the sign of f'' rules out "
                                f"a {direction} envelope")
             raise SignChange(f"{cause}; no grid pair confirms it beyond the "
                              f"comparison tolerance", test["witness"])
         return {"status": "NoneExists", "diagnostics": {"witness": witness}}
 
-    if gen.affine_profile:  # its own hull: the chord through its two end values
-        r = profile.values
-        hull = PiecewiseLinearHull(((float(interval.lo), float(r[0])),
-                                    (float(interval.hi), float(r[-1]))),
+    if profile is None:  # decided from the end values; the result publishes the sample
+        profile = ScalarGrid(interval, rho(gen))
+    ends = gen.rho_ends()
+    if ends is not None:  # its own hull: the chord through its two end values
+        hull = PiecewiseLinearHull(((float(interval.lo), ends[0]),
+                                    (float(interval.hi), ends[1])),
                                    "upper" if direction == "convex" else "lower")
     else:
         hull = (concave_envelope_1d(profile) if direction == "convex"

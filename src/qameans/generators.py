@@ -8,19 +8,22 @@ f and -f generate the same mean and have the same profile, so nothing the
 theory decides depends on the sign of f.
 Closed-form kinds (power:p, log, exp, affine:a:b, with id = affine:1:0)
 return exact analytic values, invert in closed form and give rho in
-closed form (x/(p-1), -x, 1, +inf).  Each of these profiles is affine in
-x, and the kind says so by the class fact ``affine_profile = True`` (a
-reflection keeps its inner kind's); an affine profile is concave with
-margin exactly 0 and is its own hull, so classify and the envelopes take
-it from its two end values.  Tabulated kinds interpolate a sampled grid,
+closed form (x/(p-1), -x, 1, +inf).  Each of these profiles is one
+correctly rounded expression in x that only rises or only falls, and the
+grid's ends are lo and hi exactly, so its two end values, which the kind
+states by ``rho_ends()`` (a reflection mirrors its inner kind's), bound
+every sample of it, in order: the profile is affine, concave with margin
+exactly 0 and its own hull.  Tabulated kinds interpolate a sampled grid,
 invert by interpolating the same grid with the axes swapped, and fill in
 f' and rho by central differences unless given; they, like the base
-class, state no affine profile, and their hulls are scanned.
+class, state no end values, and their profiles are sampled and scanned.
 
 :func:`rho` samples the profile on the grid and refuses a zero or NaN
-value.  For the increasing one of f and -f, f'' has the sign of rho, so the
-sign and size of rho decide the classification and envelope verdicts, which
-:func:`qameans.convexity._profile_tests` reads from that sample.
+value; :func:`rho_ends` gives the two end values where they decide the
+sample.  For the increasing one of f and -f, f'' has the sign of rho, so
+the sign and size of rho decide the classification and envelope verdicts,
+which :func:`qameans.convexity._profile_tests` reads from the end values
+or from the sample.
 """
 
 from __future__ import annotations
@@ -39,12 +42,16 @@ from .errors import DomainError, NotMonotone, RangeError, UsageError
 from .grids import MAX_GRID_POINTS, WorkingInterval
 
 
+def _rho_at_ends(gen) -> tuple:
+    """The closed forms' rho_ends: gen.rho at lo and at hi, as two floats."""
+    d = gen.domain
+    return tuple(np.asarray(gen.rho(np.array([d.lo, d.hi])), dtype=float).tolist())
+
+
 class Generator:
     """Base class: strictly monotone f with derivative oracles on a domain."""
 
     domain: WorkingInterval
-    # True where rho is affine in x on every interval, so two values decide it.
-    affine_profile = False
 
     def f(self, x):
         raise NotImplementedError
@@ -60,6 +67,11 @@ class Generator:
         """The profile f'/f'' at x, infinite where f'' = 0."""
         raise NotImplementedError
 
+    def rho_ends(self):
+        """rho at lo and at hi, two floats between which every grid sample
+        of rho lies, in order, or None when only the sample tells (tables)."""
+        return None
+
     def spec_string(self) -> str:
         raise NotImplementedError
 
@@ -71,7 +83,7 @@ class Generator:
 class PowerGenerator(Generator):
     """f(x) = x**p on a positive interval, p != 0."""
 
-    affine_profile = True
+    rho_ends = _rho_at_ends
 
     def __init__(self, p: float, domain: WorkingInterval):
         if p == 0:
@@ -92,7 +104,8 @@ class PowerGenerator(Generator):
         return self.p * x ** (self.p - 1.0)
 
     def rho(self, x):
-        with np.errstate(divide="ignore"):  # p = 1: f'' = 0, rho = +inf
+        # p = 1: f'' = 0, rho = +inf; p within about x/1.8e308 of 1: rho overflows
+        with np.errstate(divide="ignore", over="ignore"):
             return np.asarray(x, dtype=float) / (self.p - 1.0)
 
     def spec_string(self):
@@ -102,7 +115,7 @@ class PowerGenerator(Generator):
 class LogGenerator(Generator):
     """f(x) = ln x on a positive interval (the p = 0 member of the power family)."""
 
-    affine_profile = True
+    rho_ends = _rho_at_ends
 
     def __init__(self, domain: WorkingInterval):
         if domain.lo <= 0:
@@ -128,7 +141,7 @@ class LogGenerator(Generator):
 class ExpGenerator(Generator):
     """f(x) = e**x."""
 
-    affine_profile = True
+    rho_ends = _rho_at_ends
 
     def __init__(self, domain: WorkingInterval):
         self.domain = domain
@@ -163,7 +176,7 @@ class AffineGenerator(Generator):
     a = 1, b = 0 is the identity, spelled ``id``.
     """
 
-    affine_profile = True
+    rho_ends = _rho_at_ends
 
     def __init__(self, a: float, b: float, domain: WorkingInterval):
         a, b = float(a), float(b)
@@ -197,7 +210,6 @@ class ReflectedGenerator(Generator):
     def __init__(self, inner: Generator):
         self.inner = inner
         self.domain = inner.domain.reflected()
-        self.affine_profile = inner.affine_profile
 
     def f(self, x):
         return self.inner.f(-np.asarray(x, dtype=float))
@@ -210,6 +222,10 @@ class ReflectedGenerator(Generator):
 
     def rho(self, x):
         return -self.inner.rho(-np.asarray(x, dtype=float))
+
+    def rho_ends(self):
+        ends = self.inner.rho_ends()
+        return None if ends is None else (-ends[1], -ends[0])
 
     def spec_string(self):
         return f"reflected({self.inner.spec_string()})"
@@ -431,6 +447,18 @@ def rho(gen: Generator) -> np.ndarray:
     if not np.abs(r).min() > 0.0:  # NaN fails it too
         raise RangeError(f"{gen.spec_string()}: f'' is not finite on the grid")
     return r
+
+
+def rho_ends(gen: Generator) -> tuple | None:
+    """gen.rho_ends() where those two values decide the sample: both
+    nonzero, not NaN and of one sign, so the sample is one-signed and each
+    of rho and 1/rho runs one way between them.  Else None, and the profile
+    must be sampled; rho() refuses a zero or NaN end value."""
+    ends = gen.rho_ends()
+    if ends is None:
+        return None
+    a, b = ends
+    return ends if (a > 0.0 and b > 0.0) or (a < 0.0 and b < 0.0) else None
 
 
 def tabulate(gen: Generator) -> TabulatedGenerator:

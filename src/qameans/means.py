@@ -25,12 +25,13 @@ QuasiArithmeticMean(PowerGenerator(p)); :func:`power_mean` is its closed
 form, for cross-checks.
 
 The comparison criterion: QA_f <= QA_g on the interval exactly when
-f''/f' <= g''/g' pointwise.  :func:`compare` decides this on the grid.
+f''/f' <= g''/g' pointwise.  :func:`compare` decides this on the grid,
+reading the answer from the two profiles' end values where they fix it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .generators import (
     _finite_exponent,
     parse_generator,
     rho,
+    rho_ends,
 )
 from .grids import WorkingInterval
 
@@ -263,6 +265,30 @@ class ComparisonReport:
         return {k: v for k, v in vars(self).items() if v is not None and v != {}}
 
 
+def _gaps(sig_f, sig_g) -> tuple:
+    """The report of sigma_f = 1/rho_f against sigma_g on their samples,
+    less an Incomparable one's witness, and the gaps d = sigma_f - sigma_g."""
+    scale = max(float(np.max(np.abs(sig_f))), float(np.max(np.abs(sig_g))))
+    delta = 1e-9 * scale
+    d = sig_f - sig_g
+    max_gap = float(np.max(d))
+    min_gap = float(np.min(d))
+    if max_gap <= delta and min_gap >= -delta:
+        relation = "Equal"
+    elif max_gap <= delta:
+        relation = "LessOrEqual"
+    elif min_gap >= -delta:
+        relation = "GreaterOrEqual"
+    else:
+        relation = "Incomparable"
+    return ComparisonReport(relation, delta, max_gap, min_gap), d
+
+
+def _runs(s) -> int:
+    """1 where s[1] > s[0], -1 where s[1] < s[0], 0 where they are equal."""
+    return int(s[1] > s[0]) - int(s[1] < s[0])
+
+
 def compare(f: Generator, g: Generator) -> ComparisonReport:
     """Order QA_f against QA_g on the grid.
 
@@ -271,24 +297,28 @@ def compare(f: Generator, g: Generator) -> ComparisonReport:
     negating the generator, so no normalization is needed.  The verdict
     is about the sampled criterion on this grid, with slack 1e-9 times the
     larger max|f''/f'|: no absolute floor, so it scales with the interval.
-    Each profile is sampled by rho(), so a zero or NaN rho (an infinite f'')
+
+    Where both generators state end values that decide their samples
+    (rho_ends: closed forms), each 1/rho runs one way between its ends; if
+    the two run opposite ways or one is constant, so does their difference,
+    and the report is read from the ends, bit-equal to the sampled one.
+    Pairs that run the same way, whose gaps may peak inside the grid,
+    Incomparable pairs, whose witnesses name grid points, and tables are
+    sampled: each profile by rho(), so a zero or NaN rho (an infinite f'')
     is a RangeError, as it is for classify.
     """
     if f.domain != g.domain:
         raise UsageError("compare needs generators on the same working interval")
+    ends_f, ends_g = rho_ends(f), rho_ends(g)
+    if ends_f is not None and ends_g is not None:
+        sig_f, sig_g = 1.0 / np.array(ends_f), 1.0 / np.array(ends_g)
+        report, _ = _gaps(sig_f, sig_g)
+        if _runs(sig_f) * _runs(sig_g) <= 0 and report.relation != "Incomparable":
+            return report
     xs = f.domain.grid()
-    sig_f, sig_g = 1.0 / rho(f), 1.0 / rho(g)
-    scale = max(float(np.max(np.abs(sig_f))), float(np.max(np.abs(sig_g))))
-    delta = 1e-9 * scale
-    d = sig_f - sig_g
-    max_gap = float(np.max(d))
-    min_gap = float(np.min(d))
-    if max_gap <= delta and min_gap >= -delta:
-        return ComparisonReport("Equal", delta, max_gap, min_gap)
-    if max_gap <= delta:
-        return ComparisonReport("LessOrEqual", delta, max_gap, min_gap)
-    if min_gap >= -delta:
-        return ComparisonReport("GreaterOrEqual", delta, max_gap, min_gap)
+    report, d = _gaps(1.0 / rho(f), 1.0 / rho(g))
+    if report.relation != "Incomparable":
+        return report
     k_hi = int(np.argmax(d))
     k_lo = int(np.argmin(d))
     witness = {
@@ -297,7 +327,7 @@ def compare(f: Generator, g: Generator) -> ComparisonReport:
         "ge_fails_at": float(xs[k_lo]),
         "ge_gap": float(d[k_lo]),
     }
-    return ComparisonReport("Incomparable", delta, max_gap, min_gap, witness)
+    return replace(report, witness=witness)
 
 
 def parse_mean(spec: str, interval: WorkingInterval | None) -> MeanHandle:

@@ -44,7 +44,6 @@ class Negated(Generator):
     def __init__(self, inner: Generator):
         self.inner = inner
         self.domain = inner.domain
-        self.affine_profile = inner.affine_profile
 
     def f(self, x):
         return -1.0 * self.inner.f(x) + 0.0
@@ -57,6 +56,9 @@ class Negated(Generator):
 
     def rho(self, x):
         return self.inner.rho(x)
+
+    def rho_ends(self):
+        return self.inner.rho_ends()
 
     def spec_string(self):
         return f"-({self.inner.spec_string()})"

@@ -856,6 +856,16 @@ def test_overflowing_derivative_prints_one_error_line(argv):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+@pytest.mark.parametrize("command", ["classify", "envelope"])
+def test_an_overflowed_closed_form_profile_prints_one_error_line(command):
+    """rho = x/(p - 1) is finite at lo and overflows before hi: an explicit
+    error, not a sign change, and no numpy warning precedes it."""
+    proc = _shell([command, "--gen", "power:1.0000000000000002", "--lo", "1", "--hi", "1e300"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: power:1.0000000000000002: rho overflows on [1.0, 1e+300]: "
+                           "4.504e+15 at x = 1.0 but inf at x = 1e+300\n")
+
+
 @pytest.mark.parametrize("f1", ["", "1"], ids=["without f1", "with f1"])
 def test_table_whose_differences_overflow_prints_one_error_line(tmp_path, f1):
     """Finite values whose differences overflow: the derivative or the

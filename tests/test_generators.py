@@ -23,6 +23,7 @@ from qameans.generators import (
     Generator,
     LogGenerator,
     PowerGenerator,
+    ReflectedGenerator,
     TabulatedGenerator,
     _check_domain,
     load_table,
@@ -367,11 +368,16 @@ AFFINE_KINDS = {
 }
 
 
-def test_every_kind_stating_an_affine_profile_is_checked():
-    """Tables and reflections are not among the classes that state it."""
+def test_every_kind_stating_an_affine_profile_is_checked(iv):
+    """The classes with their own rho_ends are those checked here, besides the
+    reflection, which mirrors its inner kind's; tables and the base class
+    state no end values."""
     claims = {cls for cls in vars(generators).values()
-              if isinstance(cls, type) and issubclass(cls, Generator) and cls.affine_profile}
-    assert claims == set(AFFINE_KINDS)
+              if isinstance(cls, type) and issubclass(cls, Generator)
+              and cls.rho_ends is not Generator.rho_ends}
+    assert claims == set(AFFINE_KINDS) | {ReflectedGenerator}
+    table = tabulate(PowerGenerator(3.0, iv))
+    assert table.rho_ends() is None and reflect_generator(table).rho_ends() is None
 
 
 @pytest.mark.parametrize("spec", [s for specs in AFFINE_KINDS.values() for s in specs])
@@ -381,8 +387,8 @@ def test_an_affine_profile_is_its_chord(spec, lo, hi):
     the interval and on its mirror."""
     gen = parse_generator(spec, WorkingInterval(lo, hi))
     for g in (gen, reflect_generator(gen)):
-        assert g.affine_profile
         a, b = g.domain.lo, g.domain.hi
+        assert g.rho_ends() == tuple(g.rho(np.array([a, b])).tolist())
         want = float(np.mean(g.rho(np.array([a, b]))))
         mid = float(g.rho(np.array([(a + b) / 2.0]))[0])
         assert mid == want or abs(mid - want) <= 4 * np.spacing(abs(want))
