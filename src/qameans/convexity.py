@@ -138,8 +138,12 @@ def _profile_tests(gen: Generator, *senses: str, sampled: bool = False) -> tuple
     form's rho overflowing on the interval: a RangeError.
     """
     ends = None if sampled else rho_ends(gen)
-    r = rho(gen) if ends is None else ends
-    curvature = gen.domain.span / float(np.abs(r).min())
+    if ends is None:
+        r = rho(gen)
+        least = float(np.abs(r).min())
+    else:
+        least = min(abs(ends[0]), abs(ends[1]))
+    curvature = gen.domain.span / least
     if curvature <= DEGENERATE_TAU:
         detail = (f"{gen.spec_string()}: f'' vanishes on the whole grid "
                   f"(span * max |1/rho| = {curvature:.3e} <= {DEGENERATE_TAU:.3e})")

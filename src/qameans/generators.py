@@ -45,7 +45,7 @@ from .grids import MAX_GRID_POINTS, WorkingInterval
 def _rho_at_ends(gen) -> tuple:
     """The closed forms' rho_ends: gen.rho at lo and at hi, as two floats."""
     d = gen.domain
-    return tuple(np.asarray(gen.rho(np.array([d.lo, d.hi])), dtype=float).tolist())
+    return tuple(gen.rho(np.array([d.lo, d.hi])).tolist())
 
 
 class Generator:

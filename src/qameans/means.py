@@ -265,14 +265,10 @@ class ComparisonReport:
         return {k: v for k, v in vars(self).items() if v is not None and v != {}}
 
 
-def _gaps(sig_f, sig_g) -> tuple:
-    """The report of sigma_f = 1/rho_f against sigma_g on their samples,
-    less an Incomparable one's witness, and the gaps d = sigma_f - sigma_g."""
-    scale = max(float(np.max(np.abs(sig_f))), float(np.max(np.abs(sig_g))))
+def _report(scale: float, max_gap: float, min_gap: float) -> ComparisonReport:
+    """The report on gaps sigma_f - sigma_g between max_gap and min_gap, with
+    slack 1e-9 * scale, less an Incomparable one's witness."""
     delta = 1e-9 * scale
-    d = sig_f - sig_g
-    max_gap = float(np.max(d))
-    min_gap = float(np.min(d))
     if max_gap <= delta and min_gap >= -delta:
         relation = "Equal"
     elif max_gap <= delta:
@@ -281,12 +277,12 @@ def _gaps(sig_f, sig_g) -> tuple:
         relation = "GreaterOrEqual"
     else:
         relation = "Incomparable"
-    return ComparisonReport(relation, delta, max_gap, min_gap), d
+    return ComparisonReport(relation, delta, max_gap, min_gap)
 
 
-def _runs(s) -> int:
-    """1 where s[1] > s[0], -1 where s[1] < s[0], 0 where they are equal."""
-    return int(s[1] > s[0]) - int(s[1] < s[0])
+def _runs(a: float, b: float) -> int:
+    """1 where b > a, -1 where b < a, 0 where they are equal."""
+    return (b > a) - (b < a)
 
 
 def compare(f: Generator, g: Generator) -> ComparisonReport:
@@ -311,12 +307,17 @@ def compare(f: Generator, g: Generator) -> ComparisonReport:
         raise UsageError("compare needs generators on the same working interval")
     ends_f, ends_g = rho_ends(f), rho_ends(g)
     if ends_f is not None and ends_g is not None:
-        sig_f, sig_g = 1.0 / np.array(ends_f), 1.0 / np.array(ends_g)
-        report, _ = _gaps(sig_f, sig_g)
-        if _runs(sig_f) * _runs(sig_g) <= 0 and report.relation != "Incomparable":
-            return report
+        (f0, f1), (g0, g1) = ((1.0 / a, 1.0 / b) for a, b in (ends_f, ends_g))
+        if _runs(f0, f1) * _runs(g0, g1) <= 0:
+            d0, d1 = f0 - g0, f1 - g1
+            report = _report(max(abs(f0), abs(f1), abs(g0), abs(g1)), max(d0, d1), min(d0, d1))
+            if report.relation != "Incomparable":
+                return report
     xs = f.domain.grid()
-    report, d = _gaps(1.0 / rho(f), 1.0 / rho(g))
+    sig_f, sig_g = 1.0 / rho(f), 1.0 / rho(g)
+    d = sig_f - sig_g
+    report = _report(max(float(np.max(np.abs(sig_f))), float(np.max(np.abs(sig_g)))),
+                     float(np.max(d)), float(np.min(d)))
     if report.relation != "Incomparable":
         return report
     k_hi = int(np.argmax(d))
