@@ -42,12 +42,6 @@ from .errors import DomainError, NotMonotone, RangeError, UsageError
 from .grids import MAX_GRID_POINTS, WorkingInterval
 
 
-def _rho_at_ends(gen) -> tuple:
-    """The closed forms' rho_ends: gen.rho at lo and at hi, as two floats."""
-    d = gen.domain
-    return tuple(gen.rho(np.array([d.lo, d.hi])).tolist())
-
-
 class Generator:
     """Base class: strictly monotone f with derivative oracles on a domain."""
 
@@ -83,8 +77,6 @@ class Generator:
 class PowerGenerator(Generator):
     """f(x) = x**p on a positive interval, p != 0."""
 
-    rho_ends = _rho_at_ends
-
     def __init__(self, p: float, domain: WorkingInterval):
         if p == 0:
             raise UsageError("power generator needs p != 0 (use the log kind for p = 0)")
@@ -108,14 +100,19 @@ class PowerGenerator(Generator):
         with np.errstate(divide="ignore", over="ignore"):
             return np.asarray(x, dtype=float) / (self.p - 1.0)
 
+    def rho_ends(self):
+        # rho's expression on floats, which divide as numpy does and overflow to inf
+        q = self.p - 1.0
+        if q == 0.0:
+            return np.inf, np.inf
+        return float(self.domain.lo) / q, float(self.domain.hi) / q
+
     def spec_string(self):
         return f"power:{_shortest(self.p)}"
 
 
 class LogGenerator(Generator):
     """f(x) = ln x on a positive interval (the p = 0 member of the power family)."""
-
-    rho_ends = _rho_at_ends
 
     def __init__(self, domain: WorkingInterval):
         if domain.lo <= 0:
@@ -134,14 +131,15 @@ class LogGenerator(Generator):
     def rho(self, x):
         return -np.asarray(x, dtype=float)
 
+    def rho_ends(self):
+        return -float(self.domain.lo), -float(self.domain.hi)
+
     def spec_string(self):
         return "log"
 
 
 class ExpGenerator(Generator):
     """f(x) = e**x."""
-
-    rho_ends = _rho_at_ends
 
     def __init__(self, domain: WorkingInterval):
         self.domain = domain
@@ -157,6 +155,9 @@ class ExpGenerator(Generator):
 
     def rho(self, x):
         return np.ones_like(np.asarray(x, dtype=float))
+
+    def rho_ends(self):
+        return 1.0, 1.0
 
     def spec_string(self):
         return "exp"
@@ -175,8 +176,6 @@ class AffineGenerator(Generator):
 
     a = 1, b = 0 is the identity, spelled ``id``.
     """
-
-    rho_ends = _rho_at_ends
 
     def __init__(self, a: float, b: float, domain: WorkingInterval):
         a, b = float(a), float(b)
@@ -197,6 +196,9 @@ class AffineGenerator(Generator):
 
     def rho(self, x):
         return np.full_like(np.asarray(x, dtype=float), np.inf)
+
+    def rho_ends(self):
+        return np.inf, np.inf
 
     def spec_string(self):
         if self.a == 1.0 and self.b == 0.0:
