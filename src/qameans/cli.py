@@ -11,18 +11,21 @@ every config, though only verify samples.
 
 Numbers are printed in shortest round-trip form, spelled as Python's repr
 spells them (json.dumps in JSON, so NaN and Infinity keep json's names).  A
-report is ASCII byte blocks, written straight to --out or joined into one
-string for stdout.  json.dumps writes a JSON report's text with each
-top-level float array as [], and the array's items are cut in after its
-bracket.  Float arrays and table columns go in blocks of at most _BLOCK_ROWS
-rows, gathered into one reused buffer, so the writer holds one block, not
-the table; each run of rows is formatted in C by one flat orjson call,
-whose text is repr's exactly when 1e-4 <= |v| < 1e16 or v = +-0, and a row
-holding any other value is a block of its own, spelled cell by cell through
-repr or json.dumps.  Exit codes: 0 success or pass, 1 a check failed with a
-witness (including an envelope that does not exist), 2 usage or domain
-errors: argparse's usage message, or one "error: " line for a QameansError
-or OSError.
+report is ASCII byte blocks, written through one file descriptor to --out or
+joined into one string for stdout.  A JSON report's skeleton, the report
+with each top-level float array as [], is written by one indented orjson
+call whose exponent and [1e-5, 1e-4) numbers are respelled as repr spells
+them; json.dumps writes it instead when orjson refuses the skeleton or its
+text holds null, a non-ASCII byte or 0x7f.  Each array's items are cut in
+after its bracket.  Float arrays and table columns go in blocks of at most
+_BLOCK_ROWS rows, gathered into one reused buffer, so the writer holds one
+block, not the table; each run of rows is formatted in C by one flat orjson
+call, whose text is repr's exactly when 1e-4 <= |v| < 1e16 or v = +-0, and a
+row holding any other value is a block of its own, spelled cell by cell
+through repr or json.dumps.  Exit codes: 0 success or pass, 1 a check
+failed with a witness (including an envelope that does not exist), 2 usage
+or domain errors: argparse's usage message, or one "error: " line for a
+QameansError or OSError.
 
 :func:`run` can be called repeatedly from one process: the argument parser
 is built once, on the first call that needs it, and every call gets a fresh
@@ -72,6 +75,13 @@ DEFAULT_TRIALS = 10_000
 _BLOCK_ROWS = 8192
 # The encoder json.dumps(obj, indent=2) builds per call, built once.
 _JSON = json.JSONEncoder(indent=2)
+# Where orjson spells a float otherwise than repr: an exponent without "+"
+# or a zero pad (2e-8, 1e16 for 2e-08, 1e+16), and a float in [1e-5, 1e-4)
+# written positionally (0.00001 for 1e-05).  In indented text every number
+# ends its line, with an optional comma, and no string ends a line, so each
+# pattern matches only the tail of a number.
+_ORJSON_EXPONENT = re.compile(rb"e(-?\d+)(?=,?$)", re.M)
+_ORJSON_POSITIONAL = re.compile(rb"0\.0000\d+(?=,?$)", re.M)
 
 
 # argparse's newer upstream test for a negative number, '-' then a digit or
@@ -204,13 +214,26 @@ def _config(args, interval: WorkingInterval, seed: int, **extras) -> dict:
 
 
 def _emit(blocks, out_path: str | None) -> None:
-    """Write a report's ASCII byte blocks to out_path, truncating it, or to
-    stdout as one string of the same bytes."""
+    """Write a report's ASCII byte blocks to out_path, truncating it, through
+    one descriptor, or to stdout as one string of the same bytes.  Each
+    block is dropped before the next is made, so the writer holds one."""
     if out_path:
-        with open(out_path, "wb") as fh:
-            fh.writelines(blocks)
+        fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            for block in blocks:
+                _write_all(fd, block)
+                del block
+        finally:
+            os.close(fd)
     else:
         sys.stdout.write(b"".join(blocks).decode("ascii"))
+
+
+def _write_all(fd: int, block) -> None:
+    """os.write the bytes-like block to fd in full, looping on partial writes."""
+    view = memoryview(block)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def _float_text(columns, row_sep: str, special):
@@ -280,28 +303,62 @@ def _orjson_rows(rows, lead: bool, sep: bytes) -> bytearray:
     return text if sep == mark else text.replace(mark, sep)
 
 
-def _json_text(report: dict):
-    """Yield the text of json.dumps(report, indent=2) as ASCII byte blocks,
-    each top-level 1-D float ndarray value written as its list.
+def _json_text(report: dict, end: bytes = b""):
+    """Yield the text of json.dumps(report, indent=2), then end, as ASCII
+    byte blocks, each top-level 1-D float ndarray value written as its list.
 
-    json.dumps writes the report with each array as [], and the items of a
-    nonempty one go in after its bracket as _float_text's blocks, orjson's
-    text when 1e-4 <= |v| < 1e16 or v = +-0, which is repr's, else
+    _skeleton_text writes the report with each array as [], and the items
+    of a nonempty one go in after its bracket as _float_text's blocks,
+    orjson's text when 1e-4 <= |v| < 1e16 or v = +-0, which is repr's, else
     json.dumps's.  The bracket is the first after the previous cut on a line
     opening with its key at indent 2: json escapes a newline in a string,
     and a nested key sits at indent 4 or more, so no other line matches.
     """
     arrays = {k: v for k, v in report.items() if isinstance(v, np.ndarray)}
-    text = _JSON.encode({**report, **dict.fromkeys(arrays, [])})
-    start, close = 0, ""
+    text = _skeleton_text({**report, **dict.fromkeys(arrays, [])})
+    start, close = 0, b""
     for key, values in arrays.items():
         if len(values):
-            head = f"\n  {json.dumps(key)}: ["
+            head = f"\n  {json.dumps(key)}: [".encode()
             cut = text.index(head, start) + len(head)
-            yield f"{close}{text[start:cut]}\n    ".encode()
+            yield close + text[start:cut] + b"\n    "
             yield from _float_text([values], ",\n    ", _json_float)
-            start, close = cut, "\n  "
-    yield (close + text[start:]).encode()
+            start, close = cut, b"\n  "
+    yield close + text[start:] + end
+
+
+def _skeleton_text(skeleton: dict) -> bytes:
+    """json.dumps(skeleton, indent=2) as ASCII bytes, written by orjson.
+
+    orjson lays indented text out as json does and spells each float with
+    repr's shortest digits, so respelling the exponents, and the floats in
+    [1e-5, 1e-4) it writes positionally, gives json's text.  json.dumps
+    writes it instead where orjson cannot: when orjson refuses the skeleton
+    (an int beyond 64 bits, a key that is not a str, a lone surrogate, a
+    numpy scalar), or when its text holds null (None, NaN or +-inf), a
+    non-ASCII byte or 0x7f, which json escapes and orjson does not.
+    """
+    try:
+        text = orjson.dumps(skeleton, option=orjson.OPT_INDENT_2)
+    except orjson.JSONEncodeError:
+        text = None
+    if text is None or b"null" in text or not text.isascii() or b"\x7f" in text:
+        return _JSON.encode(skeleton).encode()
+    text = _ORJSON_EXPONENT.sub(_repr_exponent, text)
+    return _ORJSON_POSITIONAL.sub(_repr_positional, text)
+
+
+def _repr_exponent(match) -> bytes:
+    """repr's spelling of an exponent: the mantissas are the same digits."""
+    return b"e%+03d" % int(match[1])
+
+
+def _repr_positional(match) -> bytes:
+    """repr's spelling of a float in [1e-5, 1e-4) that orjson spelled as
+    match's text; a match inside a larger number is left as it is."""
+    if match.string[match.start() - 1] in b" -":
+        return repr(float(match[0])).encode()
+    return match[0]
 
 
 def _json_float(v: float) -> str:
@@ -311,7 +368,7 @@ def _json_float(v: float) -> str:
 
 
 def _json_report(report: dict, out_path: str | None) -> None:
-    _emit(itertools.chain(_json_text(report), [b"\n"]), out_path)
+    _emit(_json_text(report, b"\n"), out_path)
 
 
 def _parse_vec(text: str, where: str = "--vec") -> list:

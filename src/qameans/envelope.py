@@ -34,7 +34,13 @@ import numpy as np
 
 from .convexity import MEAN_CMP_TOL, _profile_tests
 from .errors import NonpositiveM, RangeError, SignChange, UsageError
-from .generators import Generator, TabulatedGenerator, reflect_generator, rho, tabulate
+from .generators import (
+    Generator,
+    TabulatedGenerator,
+    reflect_generator,
+    rho,
+    sampled_columns,
+)
 from .grids import ScalarGrid, WorkingInterval
 from .means import ArithmeticMean, MeanHandle, QuasiArithmeticMean, _qa_mean_batch
 
@@ -145,9 +151,10 @@ class EnvelopeResult:
     status is one of Envelope, AlreadyExtremal, ArithmeticEnvelope,
     NoneExists; NoneExists carries the violating grid pair in
     diagnostics["witness"].  g and g' on the grid are set from the rest,
-    read-only: the tabulated values and f' of the generator, negated if
-    they fall (-g generates the same mean); x and 1 for the arithmetic
-    envelope, which has no generator; None for NoneExists.
+    read-only: the generator's f and f' on the grid, checked as tabulate
+    checks them (generators.sampled_columns), negated if they fall (-g
+    generates the same mean); x and 1 for the arithmetic envelope, which
+    has no generator; None for NoneExists.
     """
 
     status: str
@@ -163,8 +170,7 @@ class EnvelopeResult:
     def __post_init__(self):
         g = g1 = None
         if self.generator is not None:
-            tab = tabulate(self.generator)
-            g, g1 = tab.values, tab.f1_values
+            g, g1 = sampled_columns(self.generator)
             if not g[-1] > g[0]:
                 g, g1 = 0.0 - g, -g1
         elif self.status != "NoneExists":

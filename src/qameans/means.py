@@ -285,6 +285,35 @@ def _runs(a: float, b: float) -> int:
     return (b > a) - (b < a)
 
 
+def _overflow(gen: Generator, r: float, x: float) -> RangeError:
+    d = gen.domain
+    return RangeError(f"{gen.spec_string()}: 1/rho overflows on [{d.lo}, {d.hi}]: "
+                      f"rho = {r:.3e} at x = {x!r}")
+
+
+def _reciprocal_ends(gen: Generator, ends: tuple) -> tuple:
+    """1/rho at lo and at hi from gen's end values; a RangeError naming the
+    end of least |rho| when one overflows (a subnormal rho)."""
+    (a, b), d = ends, gen.domain
+    ra, rb = 1.0 / a, 1.0 / b
+    if max(abs(ra), abs(rb)) == np.inf:
+        raise _overflow(gen, *((a, d.lo) if abs(a) <= abs(b) else (b, d.hi)))
+    return ra, rb
+
+
+def _reciprocal(gen: Generator) -> tuple:
+    """1/rho on the grid and its largest magnitude; a RangeError naming the
+    first grid point of least |rho| when it overflows (a subnormal rho)."""
+    r = rho(gen)
+    with np.errstate(over="ignore"):  # refused below
+        sig = 1.0 / r
+    scale = float(np.max(np.abs(sig)))
+    if scale == np.inf:
+        k = int(np.argmin(np.abs(r)))
+        raise _overflow(gen, float(r[k]), float(gen.domain.grid()[k]))
+    return sig, scale
+
+
 def compare(f: Generator, g: Generator) -> ComparisonReport:
     """Order QA_f against QA_g on the grid.
 
@@ -301,23 +330,23 @@ def compare(f: Generator, g: Generator) -> ComparisonReport:
     Pairs that run the same way, whose gaps may peak inside the grid,
     Incomparable pairs, whose witnesses name grid points, and tables are
     sampled: each profile by rho(), so a zero or NaN rho (an infinite f'')
-    is a RangeError, as it is for classify.
+    is a RangeError, as it is for classify.  A 1/rho that overflows, from a
+    subnormal rho, is a RangeError on either route.
     """
     if f.domain != g.domain:
         raise UsageError("compare needs generators on the same working interval")
     ends_f, ends_g = rho_ends(f), rho_ends(g)
     if ends_f is not None and ends_g is not None:
-        (f0, f1), (g0, g1) = ((1.0 / a, 1.0 / b) for a, b in (ends_f, ends_g))
+        (f0, f1), (g0, g1) = _reciprocal_ends(f, ends_f), _reciprocal_ends(g, ends_g)
         if _runs(f0, f1) * _runs(g0, g1) <= 0:
             d0, d1 = f0 - g0, f1 - g1
             report = _report(max(abs(f0), abs(f1), abs(g0), abs(g1)), max(d0, d1), min(d0, d1))
             if report.relation != "Incomparable":
                 return report
     xs = f.domain.grid()
-    sig_f, sig_g = 1.0 / rho(f), 1.0 / rho(g)
+    (sig_f, scale_f), (sig_g, scale_g) = _reciprocal(f), _reciprocal(g)
     d = sig_f - sig_g
-    report = _report(max(float(np.max(np.abs(sig_f))), float(np.max(np.abs(sig_g)))),
-                     float(np.max(d)), float(np.min(d)))
+    report = _report(max(scale_f, scale_g), float(np.max(d)), float(np.min(d)))
     if report.relation != "Incomparable":
         return report
     k_hi = int(np.argmax(d))

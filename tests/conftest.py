@@ -37,6 +37,15 @@ OVERFLOWING_TABLE = ("x,f,f1\n1,0,1\n2,1e308,1\n3,1.7e308,1\n4,1.75e308,1\n"
                      "5,1.76e308,1\n")
 
 
+def power_ends_equal(p: float, lo: float, hi: float) -> bool:
+    """Whether x**p is one float at lo and at hi, where PowerGenerator
+    refuses p: it rounds to 1 for tiny |p|, or underflows to 0 at both ends."""
+    try:
+        return lo ** p == hi ** p
+    except OverflowError:
+        return False
+
+
 class Negated(Generator):
     """-f as the value-space transform -1 * f + 0: f and -f generate one mean
     and share rho, so tests use it to check that nothing reads f's sign."""

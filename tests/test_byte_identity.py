@@ -105,7 +105,45 @@ def reports(draw):
     return dict(items)
 
 
+# Reports orjson writes: no None, NaN, +-inf, non-ASCII or 0x7f, and
+# nothing it refuses.  Their odd floats, exponents -5 to -9, >= 16 and
+# <= -300 and [1e-5, 1e-4), are respelled as repr spells them, in nested
+# lists and dicts, beside strings and keys that end in such numbers.
+ORJSON_ROUTE = [
+    {"config": {"lo": 1.2345e-05, "hi": 1.5e16, "grid_points": 1025, "seed": 0},
+     "relation": "Equal", "delta": 2e-08, "max_gap": 3.3e-09, "min_gap": -7.7e-07},
+    {"odd": [3.3e-06, [7.77e-07, {"b": 9.1e-08, "c 1e-05": -2.2e-09}], 1e-05],
+     "big": [1e16, 1.7976931348623157e308, -4.4e300, 123456789012345678.0, 1e22],
+     "tiny": [5e-324, -2.2250738585072014e-308, 1e-300, 2.5e-310],
+     "positional": [9.999999999999999e-05, -1.23e-05, 5e-05, 0.0001, 1e-4 * (1 - 2**-52)],
+     "holding 0.0000": [10.00001, -100.00001, 1.0000001e20, 1.00001e-07, 0.000100001],
+     "plain": [0.5, -0.0, 0.0, 1e15, 9999999999999998.0, 2**63, -(2**63), 0, True, False],
+     "text": "x 1e-05\n 1e16", "e": {}, "l": [[], {}], "t": (1.5e-06, 2)},
+    {"a": np.array([1.5e-07, 0.5, 1e16]), "nested": {"a": [6e-06]}, "k": 7e-300,
+     "b": np.array([]), "c": np.array([2.5e-05])},
+]
+# Reports json.dumps writes, one trigger each: None beside NaN, 0x7f and a
+# non-ASCII character in a string, an int beyond 64 bits, a numpy scalar, a
+# lone surrogate and a key that is not a str.
+FALLBACK_ROUTE = [
+    {"witness": None, "gap": NAN, "v": 1e-05, "g": np.array([1e16, 0.5])},
+    {"text": "a\x7fb", "v": 2e-08},
+    {"text": "é", "v": 1e16},
+    {"n": 2**64, "v": 1e-05},
+    {"v": np.float64(1e-05), "w": [np.float64(0.5)]},
+    {"text": "\ud800", "v": 3e-07},
+    {1: 2.0, "v": 1e-05},
+]
+
+
+def _examples(test):
+    for report in ORJSON_ROUTE + FALLBACK_ROUTE:
+        test = example(report)(test)
+    return test
+
+
 @given(reports())
+@_examples
 @example({"g": np.array([]), "empty_list": [], "empty_dict": {}, "tuple": (1.5, NAN),
           "nested": [[-0.0, INF], [-INF], []], '"': np.array([0.5]),
           "mixed": [1, 2.5, True, None], "text": "é€\n\"q\"",
@@ -116,6 +154,27 @@ def reports(draw):
 def test_json_writer_matches_json_dumps(report):
     lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in report.items()}
     assert _text(_json_text(report)) == indented_json(lists)
+
+
+class _CountingEncoder:
+    """Stands in for cli._JSON, the fallback's encoder, and counts its calls."""
+
+    calls = 0
+
+    def encode(self, obj):
+        self.calls += 1
+        return json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("report, orjson_writes", [
+    *((r, True) for r in ORJSON_ROUTE), *((r, False) for r in FALLBACK_ROUTE)])
+def test_json_writer_takes_orjson_unless_a_fallback_trigger_is_present(
+        monkeypatch, report, orjson_writes):
+    encoder = _CountingEncoder()
+    monkeypatch.setattr(cli, "_JSON", encoder)
+    lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in report.items()}
+    assert _text(_json_text(report)) == indented_json(lists)
+    assert encoder.calls == (0 if orjson_writes else 1)
 
 
 # Row separators and spellings of the two report formats: JSON list items,
@@ -231,7 +290,8 @@ def test_json_writer_matches_json_dumps_on_reports(tmp_path, monkeypatch, argv):
     ["envelope", "--gen", "power:3", "--grid", "65537"],
     ["envelope", "--gen", "power:3", "--grid", "65537", "--format", "csv"],
     ["classify", "--gen", "power:3"],
-], ids=["envelope json", "envelope csv", "classify"])
+    ["compare", "--gen", "power:2", "--gen2", "log"],
+], ids=["envelope json", "envelope csv", "classify", "compare"])
 def test_out_file_holds_the_bytes_of_stdout(tmp_path, capsys, argv):
     path = tmp_path / "report"
     path.write_bytes(b"an older, longer file that --out must truncate" * 10**5)

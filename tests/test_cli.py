@@ -866,6 +866,60 @@ def test_an_overflowed_closed_form_profile_prints_one_error_line(command):
                            "4.504e+15 at x = 1.0 but inf at x = 1e+300\n")
 
 
+@pytest.mark.parametrize("gen2", ["power:2", "power:-2"], ids=["same way", "opposite ways"])
+def test_compare_whose_reciprocal_profile_overflows_prints_one_error_line(gen2):
+    """rho = x/2 is subnormal at lo = 1e-310, where 1/rho overflows.  Against
+    power:2 compare once printed two numpy warnings, then Incomparable with
+    NaN gaps and Infinity as its slack, and exited 0."""
+    proc = _shell(["compare", "--gen", "power:3", "--gen2", gen2, "--lo", "1e-310", "--hi", "1"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: power:3: 1/rho overflows on [1e-310, 1.0]: "
+                           "rho = 5.000e-311 at x = 1e-310\n")
+
+
+def test_power_generator_whose_ends_are_one_float_prints_one_error_line(capsys):
+    """eval once printed 2.0, the row's minimum, where the mean is sqrt(6)."""
+    assert run(["eval", "--gen", "power:1e-300", "--vec", "2,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: power generator needs x**p to differ at lo and hi, but "
+                            "x**1e-300 is 1.0 at both ends of [0.1, 10.0] "
+                            "(use the log kind for p near 0)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--gen", "exp", "--lo", "700", "--hi", "720"], "exp): tabulated values must be finite"),
+    (["--gen", "exp", "--lo", "-800", "--hi", "-700"],
+     "exp): tabulated values must be strictly monotone"),
+    (["--gen", "power:1e-5", "--kind", "concave", "--lo", "1e-310", "--hi", "1"],
+     "power:1e-05): derivative not finite on grid"),
+    (["--gen", "power:-1", "--kind", "concave", "--lo", "1e200", "--hi", "1e300"],
+     "power:-1): f' must be nonzero with the values' sign on the grid"),
+], ids=["values overflow", "values repeat", "f' overflows", "f' underflows"])
+def test_an_envelope_whose_published_grids_fail_a_table_check_names_it(capsys, argv, message):
+    """An extremal closed form's g and g' are checked as tabulate checks
+    its columns, with the same errors, though no table is built."""
+    assert run(["envelope", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: table:tabulated({message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["classify", "--gen", "exp"],
+    ["envelope", "--gen", "exp", "--format", "csv"],
+], ids=["json", "csv"])
+@pytest.mark.parametrize("target, errno", [
+    ("missing/report", "[Errno 2] No such file or directory"),
+    (".", "[Errno 21] Is a directory"),
+], ids=["missing directory", "directory"])
+def test_out_that_cannot_be_opened_prints_one_error_line(tmp_path, capsys, command,
+                                                          target, errno):
+    out = str(tmp_path / target)
+    assert run(command + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {errno}: {out!r}\n"
+
+
 @pytest.mark.parametrize("f1", ["", "1"], ids=["without f1", "with f1"])
 def test_table_whose_differences_overflow_prints_one_error_line(tmp_path, f1):
     """Finite values whose differences overflow: the derivative or the

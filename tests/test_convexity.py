@@ -259,11 +259,12 @@ OVERFLOWS = "x**p overflows or underflows, and the mean raises RangeError"
 
 @pytest.mark.parametrize("spec, k", [
     pytest.param("power:20", -60, marks=_item_1(
-        "x**20 underflows to 0, so the mean is silently wrong (the row minimum); "
-        "classify says Convex, and the convexity pairing fails 256 of 500 trials",
-        raises=AssertionError)),
+        "x**20 underflows to 0 at both ends, where the mean would be the row "
+        "minimum, so the generator is refused", raises=UsageError)),
     pytest.param("power:20", 60, marks=_item_1(OVERFLOWS, raises=RangeError)),
-    pytest.param("power:-20", 60, marks=_item_1(OVERFLOWS, raises=RangeError)),
+    pytest.param("power:-20", 60, marks=_item_1(
+        "x**-20 underflows to 0 at both ends, where the mean would be the row "
+        "minimum, so the generator is refused", raises=UsageError)),
     pytest.param("power:-20", -60, marks=_item_1(OVERFLOWS, raises=RangeError)),
 ])
 def test_jensen_pairings_agree_with_classify_at_the_power_ends(spec, k):

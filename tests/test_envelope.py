@@ -34,6 +34,7 @@ from qameans.generators import (
     parse_generator,
     reflect_generator,
     rho,
+    sampled_columns,
     tabulate,
 )
 from qameans.grids import ScalarGrid, WorkingInterval
@@ -647,15 +648,40 @@ def test_envelope_grids_are_the_reconstructed_table_to_the_bit(rho_x2_gen, rho_n
         assert _bits(res.g1) == _bits(res.generator.f1_values)
 
 
+@pytest.mark.parametrize("spec, direction", [
+    ("log", "concave"), ("power:3", "convex"), ("power:-5", "concave"), ("exp", "convex")])
+def test_an_extremal_result_samples_g_without_building_a_table(monkeypatch, spec, direction):
+    """An AlreadyExtremal result's g and g' are the generator's f and f',
+    bit-equal to tabulate's columns (negated if they fall), sampled without
+    a table, by every route."""
+    gen = parse_generator(spec, WorkingInterval(0.1, 10.0, 65537))
+    tab = tabulate(gen)
+    sign = 1.0 if tab.values[-1] > tab.values[0] else -1.0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(TabulatedGenerator, "__init__", refuse)
+    routes = ([qa_concave_envelope, qa_concave_envelope_via_reflection]
+              if direction == "concave" else [qa_convex_envelope])
+    for route in routes:
+        res = route(gen)
+        assert res.status == "AlreadyExtremal"
+        assert _bits(res.g) == _bits(0.0 + sign * tab.values)
+        assert _bits(res.g1) == _bits(sign * tab.f1_values)
+        assert not (res.g.flags.writeable or res.g1.flags.writeable)
+
+
 @pytest.mark.parametrize("name, status", [
     ("log", "AlreadyExtremal"), ("rho_neg_x2", "Envelope"), ("power:3", "NoneExists"),
     ("id", "ArithmeticEnvelope")])
 def test_the_reflected_route_samples_only_the_result_it_returns(
         monkeypatch, catalog, rho_neg_x2_gen, name, status):
     """The mirror envelope is kept as its fields, not as a result of its own,
-    so the reflected route tabulates the returned generator once, or nothing."""
+    so the reflected route samples the returned generator once, or nothing."""
     seen = []
-    monkeypatch.setattr(envelope, "tabulate", lambda gen: seen.append(gen) or tabulate(gen))
+    monkeypatch.setattr(envelope, "sampled_columns",
+                        lambda gen: seen.append(gen) or sampled_columns(gen))
     res = qa_concave_envelope_via_reflection(
         rho_neg_x2_gen if name == "rho_neg_x2" else catalog[name])
     assert res.status == status

@@ -35,7 +35,7 @@ from qameans.generators import (
 from qameans.grids import MAX_GRID_POINTS, ScalarGrid, WorkingInterval
 from qameans.means import QuasiArithmeticMean, compare, qa_mean
 
-from conftest import Negated
+from conftest import Negated, power_ends_equal
 from oracles import fd_first, fd_second
 
 
@@ -254,12 +254,39 @@ def test_negation_changes_no_fact_the_theory_uses(gen, data):
        lo_exp=st.floats(-300.0, 300.0), decades=st.floats(1e-3, 600.0),
        grid_points=st.integers(3, 257))
 def test_power_is_built_on_every_positive_interval(p, lo_exp, decades, grid_points):
-    """power:p evaluates nothing on the grid, so no interval refuses it
-    where f' over- or underflows."""
+    """power:p evaluates x**p at the two ends only, so no interval refuses
+    it where f' over- or underflows; it is refused, pointing to log, exactly
+    where x**p is one float at both ends."""
     lo, hi = 10.0 ** lo_exp, 10.0 ** min(lo_exp + decades, 300.0)
     assume(lo < hi)
     iv = WorkingInterval(lo, hi, grid_points)
-    assert parse_generator(PowerGenerator(p, iv).spec_string(), iv).p == p
+    if power_ends_equal(p, lo, hi):
+        with pytest.raises(UsageError, match=r"at both ends .*use the log kind"):
+            PowerGenerator(p, iv)
+    else:
+        assert parse_generator(PowerGenerator(p, iv).spec_string(), iv).p == p
+
+
+@pytest.mark.parametrize("p, lo, hi, value", [
+    ("1e-300", 0.1, 10.0, "1.0"), ("5e-324", 2.0, 3.0, "1.0"), ("-1e-17", 1.0, 10.0, "1.0"),
+    ("1e-16", 5.0, 6.0, "1.0000000000000002"), ("20", 1e-20, 1e-17, "0.0"),
+    ("-20", 1e17, 1e19, "0.0")])
+def test_power_whose_ends_are_one_float_is_refused_pointing_to_log(p, lo, hi, value):
+    """x**p rounding to one value at lo and hi would make every mean the
+    row's minimum: eval --gen power:1e-300 --vec 2,3 printed 2.0."""
+    assert power_ends_equal(float(p), lo, hi)
+    with pytest.raises(UsageError) as info:
+        parse_generator(f"power:{p}", WorkingInterval(lo, hi))
+    assert str(info.value) == (
+        f"power generator needs x**p to differ at lo and hi, but x**{p} is "
+        f"{value} at both ends of [{lo!r}, {hi!r}] (use the log kind for p near 0)")
+
+
+@pytest.mark.parametrize("p, lo, hi", [(1e-15, 0.1, 10.0), (1e-16, 1.0, 10.0),
+                                       (20.0, 1e-20, 1e-15), (400.0, 1e10, 1e300)])
+def test_power_whose_ends_differ_in_floats_is_built(p, lo, hi):
+    """Ends that differ, or overflow, leave p to the grid's own tests."""
+    assert PowerGenerator(p, WorkingInterval(lo, hi)).p == p
 
 
 def test_rho_ignores_an_underflowing_f1():
@@ -466,7 +493,7 @@ def test_parse_generator_grammar(iv):
     assert aff.f(1.0) == 1.0
 
 
-@pytest.mark.parametrize("p", [3.0, -5.0, 0.5, 1.000000001, 0.1, 1 / 3, -20.25, 1e-300])
+@pytest.mark.parametrize("p", [3.0, -5.0, 0.5, 1.000000001, 0.1, 1 / 3, -20.25, 1e-15])
 def test_power_spec_string_round_trips(iv, p):
     gen = PowerGenerator(p, iv)
     assert parse_generator(gen.spec_string(), iv).p == p

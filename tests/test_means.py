@@ -15,6 +15,7 @@ from qameans.generators import (
     ExpGenerator,
     LogGenerator,
     PowerGenerator,
+    TabulatedGenerator,
     load_table,
     parse_generator,
     reflect_generator,
@@ -299,6 +300,29 @@ def test_compare_refuses_an_infinite_second_derivative(tmp_path):
         compare(table, LogGenerator(table.domain))
     with pytest.raises(RangeError, match="f'' is not finite on the grid"):
         compare(LogGenerator(table.domain), table)
+
+
+def test_compare_refuses_a_reciprocal_profile_that_overflows():
+    """1/rho of a subnormal rho overflows.  The sampled route (a table) names
+    the first grid point of least |rho|, the end-value route (two closed
+    forms) the end of least |rho|; neither warns."""
+    iv = WorkingInterval(1.0, 2.0, 5)
+    xs = iv.grid()
+    table = TabulatedGenerator(iv, xs ** 2, 2.0 * xs, [1.0, 1e-310, 0.5, -1e-310, 1.0])
+    with pytest.raises(RangeError) as info:
+        compare(LogGenerator(iv), table)
+    assert str(info.value) == ("table:<grid>: 1/rho overflows on [1.0, 2.0]: "
+                               "rho = 1.000e-310 at x = 1.25")
+    tiny = WorkingInterval(1e-310, 1.0)
+    for f, g in ((PowerGenerator(3.0, tiny), LogGenerator(tiny)),
+                 (LogGenerator(tiny), PowerGenerator(3.0, tiny))):
+        with pytest.raises(RangeError) as info:
+            compare(f, g)
+        assert str(info.value) == (f"{f.spec_string()}: 1/rho overflows on [1e-310, 1.0]: "
+                                   f"rho = {f.rho_ends()[0]:.3e} at x = 1e-310")
+    line = TabulatedGenerator(tiny, tiny.grid(), np.ones(tiny.grid_points))
+    with pytest.raises(RangeError, match=r"^power:3: .* at x = 1e-310$"):
+        compare(PowerGenerator(3.0, tiny), line)
 
 
 def test_compare_rejects_mismatched_domains(iv):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from qameans.convexity import classify, dominates_arithmetic
 from qameans.envelope import qa_concave_envelope, qa_convex_envelope
+from qameans.errors import UsageError
 from qameans.generators import (
     AffineGenerator,
     ExpGenerator,
@@ -32,7 +33,7 @@ from qameans.generators import (
 from qameans.grids import WorkingInterval
 from qameans.means import power_mean, qa_mean
 
-from conftest import Negated
+from conftest import Negated, power_ends_equal
 from oracles import bisection_qa_mean
 
 REL = 1e-12
@@ -176,8 +177,13 @@ decade_pairs = st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)).fil
 @given(p=wide_exponents, decades=decade_pairs, grid_points=st.sampled_from([257, 1025]))
 def test_power_family_follows_the_paper_table_at_every_scale(p, decades, grid_points):
     """The class is the paper's: p < 1 Concave, p > 1 Convex, p = 1
-    ArithmeticBoth, also where f' over- or underflows at an end."""
+    ArithmeticBoth, also where f' over- or underflows at an end.  Where
+    x**p is one float at both ends the generator is refused."""
     iv = WorkingInterval(10.0 ** decades[0], 10.0 ** decades[1], grid_points)
+    if power_ends_equal(p, iv.lo, iv.hi):
+        with pytest.raises(UsageError):
+            PowerGenerator(p, iv)
+        return
     want = "Concave" if p < 1.0 else "Convex" if p > 1.0 else "ArithmeticBoth"
     got = classify(PowerGenerator(p, iv))
     assert got.value == want
