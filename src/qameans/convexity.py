@@ -106,29 +106,30 @@ def _profile_pos_concave(values, interval: WorkingInterval, affine: bool) -> dic
     return {"positivity_margin": pos_margin, "concavity_margin": conc_margin}
 
 
-def _ends_pos(a: float, b: float) -> dict:
-    """_profile_pos_concave of an affine profile from its end values a, b:
-    its sample's min is min(a, b), and it is concave with margin exactly 0.
-    A failing record names no grid witness; the sampled route gives one."""
-    pos_margin = min(a, b)
-    if pos_margin <= 0.0:
-        return {"reason": "nonpositive-rho", "positivity_margin": pos_margin}
-    return {"positivity_margin": pos_margin, "concavity_margin": 0.0}
+def _ends_pos(a: float, b: float, lo: float, hi: float) -> dict:
+    """_profile_pos_concave of an affine profile from its values a at lo and
+    b at hi: its sample's min is the first of them that is least, and it is
+    concave with margin exactly 0."""
+    if min(a, b) <= 0.0:
+        x, r = (lo, a) if a <= b else (hi, b)
+        return {"reason": "nonpositive-rho", "positivity_margin": r,
+                "witness": {"x": x, "rho": r}}
+    return {"positivity_margin": min(a, b), "concavity_margin": 0.0}
 
 
-def _profile_tests(gen: Generator, *senses: str, sampled: bool = False) -> tuple:
+def _profile_tests(gen: Generator, *senses: str) -> tuple:
     """The decisive test of gen's profile, in each sense asked for.
 
     Returns (profile, detail, tests), tests yielding one record per sense,
     lazily: "convex" tests rho and "concave" tests -rho for positivity and
     concavity, and a record passes exactly when it has no "reason" key.
 
-    Where rho_ends() decides the sample (closed forms) and not sampled, the
-    records are read from the two end values: those of the sample, bit for
-    bit, but a failing one names no grid witness, and profile is None.
-    Else rho is sampled once (rho() refuses a zero or NaN value) and
-    profile is that ScalarGrid.  A generator that states end values has an
-    affine profile, concave with margin exactly 0 by either route.
+    Where rho_ends() decides the sample (closed forms), the records are read
+    from the two end values: those of the sample, bit for bit, a failing
+    one's witness an end of the interval, and profile is None.  Else rho is
+    sampled once (rho() refuses a zero or NaN value) and profile is that
+    ScalarGrid.  A generator that states end values has an affine profile,
+    concave with margin exactly 0 by either route.
 
     If span * max|1/rho| <= DEGENERATE_TAU (f'' vanishes on the whole grid)
     or some sampled rho is infinite or not of the sign at lo, profile is
@@ -137,7 +138,7 @@ def _profile_tests(gen: Generator, *senses: str, sampled: bool = False) -> tuple
     grid point).  End values of which only one is infinite are a closed
     form's rho overflowing on the interval: a RangeError.
     """
-    ends = None if sampled else rho_ends(gen)
+    ends = rho_ends(gen)
     if ends is None:
         r = rho(gen)
         least = float(np.abs(r).min())
@@ -149,13 +150,12 @@ def _profile_tests(gen: Generator, *senses: str, sampled: bool = False) -> tuple
                   f"(span * max |1/rho| = {curvature:.3e} <= {DEGENERATE_TAU:.3e})")
         return None, detail, repeat({"reason": "f2-identically-zero"}, len(senses))
     if ends is not None:
-        a, b = ends
+        (a, b), d = ends, gen.domain
         if abs(a) == np.inf or abs(b) == np.inf:  # not both: that is degenerate
-            d = gen.domain
             raise RangeError(f"{gen.spec_string()}: rho overflows on [{d.lo}, {d.hi}]: "
                              f"{a:.3e} at x = {d.lo!r} but {b:.3e} at x = {d.hi!r}")
-        return None, None, (_ends_pos(a, b) if sense == "convex" else _ends_pos(-a, -b)
-                            for sense in senses)
+        return None, None, (_ends_pos(a, b, *d.ends) if sense == "convex"
+                            else _ends_pos(-a, -b, *d.ends) for sense in senses)
     one_signed = np.isfinite(r) & (np.sign(r) == np.sign(r[0]))
     if not one_signed.all():
         # first grid point whose rho is infinite (f'' = 0) or of the other sign

@@ -245,7 +245,9 @@ def _envelope_fields(gen: Generator, direction: str) -> dict:
 
     Existence and extremality are read from the one profile test in this
     direction (rho for convex, -rho for concave): a wrong sign rules the
-    envelope out, and a passing test makes the mean its own envelope.
+    envelope out, and a passing test makes the mean its own envelope.  A
+    SignChange carries the test's witness, for a closed form an end of the
+    interval.
     """
     profile, detail, (test,) = _profile_tests(gen, direction)
     interval = gen.domain
@@ -255,8 +257,6 @@ def _envelope_fields(gen: Generator, direction: str) -> dict:
     if reason in ("sign-change", "nonpositive-rho"):
         witness = _pair_witness(gen, direction)
         if witness is None:
-            if "witness" not in test:  # read from the end values: name the grid point
-                _, _, (test,) = _profile_tests(gen, direction, sampled=True)
             cause = detail or (f"{gen.spec_string()}: the sign of f'' rules out "
                                f"a {direction} envelope")
             raise SignChange(f"{cause}; no grid pair confirms it beyond the "

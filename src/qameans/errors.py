@@ -25,7 +25,7 @@ class SignChange(QameansError):
     """Raised only by an envelope, when the sign of f'' (of rho) rules the
     envelope out but no grid pair of the values confirms that: the
     curvature data contradicts the values.  witness names a grid point x
-    and rho there."""
+    and rho there: for a closed form, an end of the interval."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

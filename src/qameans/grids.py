@@ -50,6 +50,12 @@ class WorkingInterval:
     def step(self) -> float:
         return (self.hi - self.lo) / (self.grid_points - 1)
 
+    @property
+    def ends(self) -> tuple:
+        """The grid's first and last points, lo and hi as floats, without
+        building it: linspace starts a grid from lo = -0.0 at 0.0."""
+        return float(self.lo) + 0.0, float(self.hi)
+
     def grid(self) -> np.ndarray:
         """The uniform grid linspace(lo, hi, grid_points), built on first use.
 

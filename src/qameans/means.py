@@ -25,13 +25,13 @@ QuasiArithmeticMean(PowerGenerator(p)); :func:`power_mean` is its closed
 form, for cross-checks.
 
 The comparison criterion: QA_f <= QA_g on the interval exactly when
-f''/f' <= g''/g' pointwise.  :func:`compare` decides this on the grid,
-reading the answer from the two profiles' end values where they fix it.
+f''/f' <= g''/g' pointwise.  :func:`compare` reads it from the two
+profiles' end values for two closed forms, and samples the grid for a table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -252,12 +252,12 @@ class QuasiArithmeticMean(MeanHandle):
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Outcome of the grid comparison of two means via f''/f' vs g''/g'."""
+    """Outcome of the comparison of two means via f''/f' vs g''/g'."""
 
     relation: str  # LessOrEqual | GreaterOrEqual | Equal | Incomparable
     delta: float
-    max_gap: float  # max over grid of sigma_f - sigma_g
-    min_gap: float  # min over grid of sigma_f - sigma_g
+    max_gap: float  # max of sigma_f - sigma_g, over the grid or its two ends
+    min_gap: float  # min of sigma_f - sigma_g, likewise
     witness: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -265,24 +265,24 @@ class ComparisonReport:
         return {k: v for k, v in vars(self).items() if v is not None and v != {}}
 
 
-def _report(scale: float, max_gap: float, min_gap: float) -> ComparisonReport:
-    """The report on gaps sigma_f - sigma_g between max_gap and min_gap, with
-    slack 1e-9 * scale, less an Incomparable one's witness."""
+def _report(scale: float, xs, d, k_hi: int, k_lo: int) -> ComparisonReport:
+    """The report on gaps d = sigma_f - sigma_g at the points xs, d[k_hi]
+    the first largest and d[k_lo] the first least, with slack 1e-9 * scale;
+    an Incomparable one names both points.  A gap that overflows, between
+    two finite reciprocals, is a RangeError."""
+    max_gap, min_gap = float(d[k_hi]), float(d[k_lo])
+    if max(max_gap, -min_gap) == np.inf:
+        x = float(xs[k_hi if max_gap == np.inf else k_lo])
+        raise RangeError(f"1/rho_f - 1/rho_g overflows on [{float(xs[0])!r}, "
+                         f"{float(xs[-1])!r}] at x = {x!r}")
     delta = 1e-9 * scale
-    if max_gap <= delta and min_gap >= -delta:
-        relation = "Equal"
-    elif max_gap <= delta:
-        relation = "LessOrEqual"
-    elif min_gap >= -delta:
-        relation = "GreaterOrEqual"
-    else:
-        relation = "Incomparable"
-    return ComparisonReport(relation, delta, max_gap, min_gap)
-
-
-def _runs(a: float, b: float) -> int:
-    """1 where b > a, -1 where b < a, 0 where they are equal."""
-    return (b > a) - (b < a)
+    le, ge = max_gap <= delta, min_gap >= -delta
+    if le or ge:
+        relation = "Equal" if le and ge else "LessOrEqual" if le else "GreaterOrEqual"
+        return ComparisonReport(relation, delta, max_gap, min_gap)
+    return ComparisonReport("Incomparable", delta, max_gap, min_gap, {
+        "le_fails_at": float(xs[k_hi]), "le_gap": max_gap,
+        "ge_fails_at": float(xs[k_lo]), "ge_gap": min_gap})
 
 
 def _overflow(gen: Generator, r: float, x: float) -> RangeError:
@@ -315,49 +315,36 @@ def _reciprocal(gen: Generator) -> tuple:
 
 
 def compare(f: Generator, g: Generator) -> ComparisonReport:
-    """Order QA_f against QA_g on the grid.
+    """Order QA_f against QA_g on the working interval.
 
     QA_f <= QA_g holds exactly when f''/f' <= g''/g' pointwise, that is
     1/rho_f <= 1/rho_g (0 where f'' = 0); the profile is invariant under
     negating the generator, so no normalization is needed.  The verdict
-    is about the sampled criterion on this grid, with slack 1e-9 times the
+    is about the criterion at the grid's points, with slack 1e-9 times the
     larger max|f''/f'|: no absolute floor, so it scales with the interval.
 
-    Where both generators state end values that decide their samples
-    (rho_ends: closed forms), each 1/rho runs one way between its ends; if
-    the two run opposite ways or one is constant, so does their difference,
-    and the report is read from the ends, bit-equal to the sampled one.
-    Pairs that run the same way, whose gaps may peak inside the grid,
-    Incomparable pairs, whose witnesses name grid points, and tables are
-    sampled: each profile by rho(), so a zero or NaN rho (an infinite f'')
-    is a RangeError, as it is for classify.  A 1/rho that overflows, from a
-    subnormal rho, is a RangeError on either route.
+    Two generators that state end values deciding their samples (rho_ends:
+    closed forms) are read from those ends: each 1/rho is A/x + B, so the
+    difference of two is monotone and its extremes sit at lo and hi, and an
+    Incomparable report names those ends.  A pair with a table samples
+    each profile by rho(), so a zero or NaN rho (an infinite f'') is a
+    RangeError, as it is for classify.  A 1/rho that overflows, from a
+    subnormal rho, or a gap between two that overflows is a RangeError on
+    either route.
     """
     if f.domain != g.domain:
         raise UsageError("compare needs generators on the same working interval")
     ends_f, ends_g = rho_ends(f), rho_ends(g)
     if ends_f is not None and ends_g is not None:
         (f0, f1), (g0, g1) = _reciprocal_ends(f, ends_f), _reciprocal_ends(g, ends_g)
-        if _runs(f0, f1) * _runs(g0, g1) <= 0:
-            d0, d1 = f0 - g0, f1 - g1
-            report = _report(max(abs(f0), abs(f1), abs(g0), abs(g1)), max(d0, d1), min(d0, d1))
-            if report.relation != "Incomparable":
-                return report
-    xs = f.domain.grid()
+        d0, d1 = f0 - g0, f1 - g1
+        return _report(max(abs(f0), abs(f1), abs(g0), abs(g1)), f.domain.ends, (d0, d1),
+                       int(d1 > d0), int(d1 < d0))
     (sig_f, scale_f), (sig_g, scale_g) = _reciprocal(f), _reciprocal(g)
-    d = sig_f - sig_g
-    report = _report(max(scale_f, scale_g), float(np.max(d)), float(np.min(d)))
-    if report.relation != "Incomparable":
-        return report
-    k_hi = int(np.argmax(d))
-    k_lo = int(np.argmin(d))
-    witness = {
-        "le_fails_at": float(xs[k_hi]),
-        "le_gap": float(d[k_hi]),
-        "ge_fails_at": float(xs[k_lo]),
-        "ge_gap": float(d[k_lo]),
-    }
-    return replace(report, witness=witness)
+    with np.errstate(over="ignore"):  # refused in _report
+        d = sig_f - sig_g
+    return _report(max(scale_f, scale_g), f.domain.grid(), d,
+                   int(np.argmax(d)), int(np.argmin(d)))
 
 
 def parse_mean(spec: str, interval: WorkingInterval | None) -> MeanHandle:

@@ -877,6 +877,17 @@ def test_compare_whose_reciprocal_profile_overflows_prints_one_error_line(gen2):
                            "rho = 5.000e-311 at x = 1e-310\n")
 
 
+def test_compare_whose_gap_overflows_prints_one_error_line():
+    """1/rho is 2/x for power:3 and -2/x for power:-1, each finite at
+    lo = 1.5e-308, where their gap 4/x is not.  compare once reported
+    GreaterOrEqual with "max_gap": Infinity and exited 0."""
+    proc = _shell(["compare", "--gen", "power:3", "--gen2", "power:-1",
+                   "--lo", "1.5e-308", "--hi", "1"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: 1/rho_f - 1/rho_g overflows on [1.5e-308, 1.0] "
+                           "at x = 1.5e-308\n")
+
+
 def test_power_generator_whose_ends_are_one_float_prints_one_error_line(capsys):
     """eval once printed 2.0, the row's minimum, where the mean is sqrt(6)."""
     assert run(["eval", "--gen", "power:1e-300", "--vec", "2,3"]) == 2

@@ -325,6 +325,19 @@ def test_compare_refuses_a_reciprocal_profile_that_overflows():
         compare(PowerGenerator(3.0, tiny), line)
 
 
+def test_compare_refuses_a_gap_that_overflows_between_two_tables():
+    """1/rho is 1e308 and -1e308 at x = 1.25, each finite, and their gap is
+    not: a RangeError naming the point, in either order, with no warning."""
+    iv = WorkingInterval(1.0, 2.0, 5)
+    xs = iv.grid()
+    f, g = (TabulatedGenerator(iv, xs ** 2, 2.0 * xs, [1.0, r, 0.5, 0.5, 1.0])
+            for r in (1e-308, -1e-308))
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(RangeError) as info:
+            compare(a, b)
+        assert str(info.value) == "1/rho_f - 1/rho_g overflows on [1.0, 2.0] at x = 1.25"
+
+
 def test_compare_rejects_mismatched_domains(iv):
     other = WorkingInterval(1.0, 2.0)
     with pytest.raises(UsageError):

@@ -5,11 +5,12 @@ correctly rounded expression in x that only rises or only falls, and the
 grid's ends are lo and hi exactly, so classify, compare and the envelopes
 read their verdicts from rho_ends() where the end values decide them.  The
 tests here pin that this end route gives the bytes of the sampled route,
-and that it samples nothing.
+and that it samples nothing.  Two closed forms always compare by their
+ends: the difference of two reciprocals A/x + B runs one way.
 """
 
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from qameans.envelope import (
     qa_concave_envelope_via_reflection,
     qa_convex_envelope,
 )
-from qameans.errors import QameansError
+from qameans.errors import QameansError, SignChange
 from qameans.generators import (
     AffineGenerator,
     ExpGenerator,
@@ -33,6 +34,7 @@ from qameans.generators import (
     PowerGenerator,
     parse_generator,
     reflect_generator,
+    rho,
 )
 from qameans.grids import WorkingInterval
 from qameans.means import compare
@@ -138,8 +140,8 @@ def pairs(draw, grids=GRIDS):
 @given(pair=pairs())
 def test_classify_and_compare_read_the_sampled_bytes_from_the_ends(pair):
     """Byte-equal reports by both routes, for pairs whose reciprocals 1/rho
-    run every way: opposite, constant, the same way (sampled) and pairs that
-    come out Incomparable (sampled for their witnesses)."""
+    run every way: opposite, constant, the same way, and pairs that come out
+    Incomparable, whose witnesses the end route names at lo and hi."""
     f, g = pair
     for gen in pair:
         ends, sampled = both_routes(classify, gen)
@@ -156,6 +158,8 @@ CATALOG = ("power:3", "power:2", "power:0.5", "power:-1", "power:1", "log", "exp
 
 @pytest.mark.parametrize("n", GRIDS)
 def test_every_catalog_pair_reads_the_sampled_bytes_from_the_ends(n):
+    """Every ordered pair, direct and reflected, of every relation: the
+    same-way and Incomparable pairs read from the ends as the rest do."""
     iv = WorkingInterval(0.1, 10.0, n)
     gens = [parse_generator(spec, iv) for spec in CATALOG]
     relations = set()
@@ -169,10 +173,12 @@ def test_every_catalog_pair_reads_the_sampled_bytes_from_the_ends(n):
 
 
 def envelope_outcome(fn, gen):
+    """The status and diagnostics of fn(gen), or the error it raises with a
+    SignChange's witness."""
     try:
         env = fn(gen)
     except QameansError as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}", json.dumps(getattr(exc, "witness", None))
     return env.status, json.dumps(env.diagnostics)
 
 
@@ -221,13 +227,18 @@ CAP = WorkingInterval(0.1, 10.0, 2**20 + 1)
 KINDS = {"power:3": "Convex", "power:0.5": "Concave", "power:-5": "Concave",
          "power:1": "ArithmeticBoth", "log": "Concave", "exp": "Convex",
          "id": "ArithmeticBoth", "affine:-2:3": "ArithmeticBoth"}
-# (f, g, relation): sigma = 1/rho runs opposite ways, or one is constant
-ONE_WAY_PAIRS = (("power:3", "log", "GreaterOrEqual"),
-                 ("log", "power:2", "LessOrEqual"),
-                 ("power:-1", "exp", "LessOrEqual"),
-                 ("id", "power:-1", "GreaterOrEqual"),
-                 ("exp", "id", "GreaterOrEqual"),
-                 ("affine:-2:3", "id", "Equal"))
+# (f, g, relation): the reciprocals sigma = 1/rho run opposite ways, or one
+# is constant, or they run the same way (power:3 and power:2, log and
+# power:0.5), or cross (power:3 and exp)
+PAIRS = (("power:3", "log", "GreaterOrEqual"),
+         ("log", "power:2", "LessOrEqual"),
+         ("power:-1", "exp", "LessOrEqual"),
+         ("id", "power:-1", "GreaterOrEqual"),
+         ("exp", "id", "GreaterOrEqual"),
+         ("affine:-2:3", "id", "Equal"),
+         ("power:3", "power:2", "GreaterOrEqual"),
+         ("log", "power:0.5", "LessOrEqual"),
+         ("power:3", "exp", "Incomparable"))
 
 
 def _no_grid(self):
@@ -238,17 +249,22 @@ def _no_grid(self):
                          ids=["plain", "reflected", "negated", "two-point-rho"])
 def test_the_end_route_samples_nothing(monkeypatch, wrap):
     """At the cap grid, with every grid refused, classify of each closed-form
-    kind and compare of each pair whose reciprocals run one way; a
-    reflection swaps Convex and Concave, and the two one-sided relations."""
+    kind and compare of pairs of every relation; a reflection swaps Convex
+    and Concave, and the two one-sided relations.  An Incomparable report's
+    witnesses name the interval's ends."""
     monkeypatch.setattr(WorkingInterval, "grid", _no_grid)
     swap = {"Convex": "Concave", "Concave": "Convex",
             "LessOrEqual": "GreaterOrEqual", "GreaterOrEqual": "LessOrEqual"}
     mirrored = (lambda v: swap.get(v, v)) if wrap is reflect_generator else (lambda v: v)
     for spec, want in KINDS.items():
         assert classify(wrap(parse_generator(spec, CAP))).value == mirrored(want)
-    for f, g, want in ONE_WAY_PAIRS:
-        rep = compare(wrap(parse_generator(f, CAP)), wrap(parse_generator(g, CAP)))
+    for f, g, want in PAIRS:
+        f, g = wrap(parse_generator(f, CAP)), wrap(parse_generator(g, CAP))
+        rep = compare(f, g)
         assert rep.relation == mirrored(want)
+        if want == "Incomparable":
+            ends = {f.domain.lo, f.domain.hi}
+            assert {rep.witness["le_fails_at"], rep.witness["ge_fails_at"]} == ends
 
 
 def test_an_envelope_that_ends_none_exists_samples_no_profile():
@@ -257,14 +273,45 @@ def test_an_envelope_that_ends_none_exists_samples_no_profile():
     assert qa_convex_envelope(TwoPointProfile(LogGenerator(iv))).status == "NoneExists"
 
 
-def test_same_way_and_incomparable_pairs_are_sampled():
-    """Reciprocals that run the same way, or an Incomparable pair, need the
-    grid: the two-point profile refuses it."""
-    iv = WorkingInterval(0.1, 10.0)
-    for f, g in (("power:3", "power:2"), ("log", "power:0.5"), ("power:3", "exp")):
-        with pytest.raises(AssertionError, match="rho sampled"):
-            compare(TwoPointProfile(parse_generator(f, iv)),
-                    TwoPointProfile(parse_generator(g, iv)))
+def test_a_sign_change_names_its_witness_from_the_ends():
+    """rho = x/(p - 1) is negative and least at hi, and x**p is so nearly
+    linear that no grid pair confirms the missing convex envelope: the
+    SignChange names hi and rho there without sampling rho."""
+    gen = TwoPointProfile(PowerGenerator(0.999999999, WorkingInterval(0.1, 10.0)))
+    with pytest.raises(SignChange, match="no grid pair confirms it") as info:
+        qa_convex_envelope(gen)
+    assert info.value.witness == {"x": 10.0, "rho": gen.rho_ends()[1]}
+
+
+def test_a_sign_change_from_lo_minus_zero_names_the_grids_first_point():
+    """On [-0.0, 1e-5] no grid pair confirms that exp has no concave
+    envelope; the end route's witness is the sampled one, x = 0.0, which
+    linspace puts first, not lo's -0.0."""
+    gen = ExpGenerator(WorkingInterval(-0.0, 1e-5))
+    witnesses = []
+    for route in (nullcontext, sampled_route):
+        with route(), pytest.raises(SignChange) as info:
+            qa_concave_envelope(gen)
+        witnesses.append(json.dumps(info.value.witness))
+    assert witnesses == ['{"x": 0.0, "rho": -1.0}'] * 2
+
+
+def test_a_same_way_pair_on_a_narrow_interval_reports_its_end_gaps():
+    """power:3 against power:3.0000001 on [1e10, 1e10 + 1]: the difference
+    of the reciprocals is one float at both ends, and the sampled max, by
+    rounding from cancellation in 1/rho, sits at grid index 9.  The report
+    was {"relation": "LessOrEqual", "delta": 2.0000000999999998e-19,
+    "max_gap": -9.999999941149167e-18, "min_gap": -9.999999966998561e-18};
+    its gaps are now both the ends' -9.999999966998561e-18."""
+    iv = WorkingInterval(1e10, 1e10 + 1.0)
+    f, g = PowerGenerator(3.0, iv), PowerGenerator(3.0000001, iv)
+    d = 1.0 / rho(f) - 1.0 / rho(g)
+    rep = compare(f, g)
+    assert rep.max_gap == rep.min_gap == d[0] == d[-1] == -9.999999966998561e-18
+    assert json.dumps(rep.to_dict()) == (
+        '{"relation": "LessOrEqual", "delta": 2.0000000999999998e-19, '
+        '"max_gap": -9.999999966998561e-18, "min_gap": -9.999999966998561e-18}')
+    assert d.max() == -9.999999941149167e-18  # the old report's max_gap
 
 
 @pytest.mark.parametrize("p", [1.0000000000000002, 0.9999999999999999])

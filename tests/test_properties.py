@@ -16,12 +16,12 @@ missing envelope; p = 1 itself is drawn.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qameans.convexity import classify, dominates_arithmetic
 from qameans.envelope import qa_concave_envelope, qa_convex_envelope
-from qameans.errors import UsageError
+from qameans.errors import RangeError, UsageError
 from qameans.generators import (
     AffineGenerator,
     ExpGenerator,
@@ -163,26 +163,32 @@ def test_power_family_follows_the_paper_table(p, iv):
 
 
 # The paper's table over whole ranges: any p in [-20, 20] but 0, on
-# [10**lo_exp, 10**hi_exp] with exponents up to 100 in size.  hi >= 2 lo
+# [10**lo_exp, 10**hi_exp] with exponents up to 300 in size.  hi >= 2 lo
 # keeps span * max|1/rho| = |p - 1| (hi - lo) / lo >= P_MIN, far above the
 # degeneracy floor, so only p = 1 is arithmetic; p within P_MIN of 1 is left
 # out as in the table above.
 wide_exponents = st.one_of(st.floats(-20.0, 1.0 - P_MIN), st.just(1.0),
                            st.floats(1.0 + P_MIN, 20.0)).filter(lambda p: p != 0.0)
-decade_pairs = st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)).filter(
+decade_pairs = st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)).filter(
     lambda e: e[1] - e[0] >= np.log10(2.0))
 
 
 @settings(max_examples=500)
 @given(p=wide_exponents, decades=decade_pairs, grid_points=st.sampled_from([257, 1025]))
+@example(p=1.0000000000000002, decades=(0.0, 300.0), grid_points=257)
 def test_power_family_follows_the_paper_table_at_every_scale(p, decades, grid_points):
     """The class is the paper's: p < 1 Concave, p > 1 Convex, p = 1
     ArithmeticBoth, also where f' over- or underflows at an end.  Where
-    x**p is one float at both ends the generator is refused."""
+    x**p is one float at both ends the generator is refused, and where
+    rho = x/(p - 1) overflows at hi (the example, p beside 1) classify is."""
     iv = WorkingInterval(10.0 ** decades[0], 10.0 ** decades[1], grid_points)
     if power_ends_equal(p, iv.lo, iv.hi):
         with pytest.raises(UsageError):
             PowerGenerator(p, iv)
+        return
+    if p != 1.0 and iv.hi / (p - 1.0) == np.inf:
+        with pytest.raises(RangeError, match="rho overflows on"):
+            classify(PowerGenerator(p, iv))
         return
     want = "Concave" if p < 1.0 else "Convex" if p > 1.0 else "ArithmeticBoth"
     got = classify(PowerGenerator(p, iv))
@@ -192,8 +198,9 @@ def test_power_family_follows_the_paper_table_at_every_scale(p, decades, grid_po
 
 
 @settings(max_examples=300)
-@given(lo=st.floats(-1e4, 1e4), width=st.floats(1e-6, 1e4))
-def test_exp_is_convex_on_intervals_up_to_1e4_wide(lo, width):
+@given(lo=st.floats(-1e300, 1e300), width=st.floats(1e-6, 2e300))
+def test_exp_is_convex_on_every_interval_within_1e300(lo, width):
+    assume(lo < lo + width <= 1e300)
     got = classify(ExpGenerator(WorkingInterval(lo, lo + width)))
     assert got.value == "Convex"
     assert got.evidence["concavity_margin"] == 0.0
