@@ -335,17 +335,33 @@ def _skeleton_text(skeleton: dict) -> bytes:
     [1e-5, 1e-4) it writes positionally, gives json's text.  json.dumps
     writes it instead where orjson cannot: when orjson refuses the skeleton
     (an int beyond 64 bits, a key that is not a str, a lone surrogate, a
-    numpy scalar), or when its text holds null (None, NaN or +-inf), a
-    non-ASCII byte or 0x7f, which json escapes and orjson does not.
+    numpy scalar), when it holds a NaN or +-inf, which orjson writes as
+    null and json as NaN or Infinity, or when its text holds a non-ASCII
+    byte or 0x7f, which json escapes and orjson does not.  A null from None
+    is json's own; the skeleton is searched for a float that is not finite
+    only when the text holds null.
     """
     try:
         text = orjson.dumps(skeleton, option=orjson.OPT_INDENT_2)
     except orjson.JSONEncodeError:
         text = None
-    if text is None or b"null" in text or not text.isascii() or b"\x7f" in text:
+    if (text is None or not text.isascii() or b"\x7f" in text
+            or (b"null" in text and _holds_nonfinite(skeleton))):
         return _JSON.encode(skeleton).encode()
     text = _ORJSON_EXPONENT.sub(_repr_exponent, text)
     return _ORJSON_POSITIONAL.sub(_repr_positional, text)
+
+
+def _holds_nonfinite(obj) -> bool:
+    """Whether obj, a JSON value of dicts, lists, tuples and scalars, holds
+    a float that is not finite."""
+    if isinstance(obj, float):
+        return not math.isfinite(obj)
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return False
+    return any(_holds_nonfinite(v) for v in obj)
 
 
 def _repr_exponent(match) -> bytes:

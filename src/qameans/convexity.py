@@ -47,10 +47,12 @@ MEAN_CMP_TOL = 1e-9
 
 # Most trials of one sampled check, and most entries they draw (or, for
 # running means, read).  The costliest entry, one of a 5x5 interchange matrix
-# of ingham_jessen_check, peaks at about 23 bytes with its means' temporaries
-# (570 bytes a trial by tracemalloc); symmetry and kedlaya tuples cost about
-# the same an entry.  So a check at MAX_ENTRIES = 25 * MAX_TRIALS entries, the
-# 5x5 sweep's at MAX_TRIALS trials, holds under 600 MB.
+# of ingham_jessen_check with arithmetic rows and log columns, peaks at about
+# 38 bytes with its means' temporaries and the column-major copies they sum
+# (960 bytes a trial by tracemalloc); the sweep, which holds all its shapes'
+# matrices, peaks at 322 bytes a trial at max_dim 5, and symmetry and kedlaya
+# tuples cost less an entry.  So a check at MAX_ENTRIES = 25 * MAX_TRIALS
+# entries, the 5x5 check's at MAX_TRIALS trials, holds under 1 GB.
 MAX_TRIALS = 10**6
 MAX_ENTRIES = 25 * MAX_TRIALS
 

@@ -210,7 +210,11 @@ def _pair_witness(gen: Generator, direction: str) -> dict | None:
     Second differences of the increasing one of f and -f, negated for the
     concave direction, are negative where it bends the wrong way; the pair
     bounds the maximal run of them around the most negative.  Direct
-    evaluation must confirm it beyond MEAN_CMP_TOL * span.
+    evaluation must confirm it beyond MEAN_CMP_TOL * span.  When it does
+    not, or no difference is negative, and gen states its end values (a
+    closed form, whose sign is one on the whole interval), the grid's two
+    end points are tried: on a narrow interval the differences are
+    rounding noise.
     """
     xs = gen.domain.grid()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -220,23 +224,26 @@ def _pair_witness(gen: Generator, direction: str) -> dict | None:
     d2 = fx[:-2] - 2.0 * fx[1:-1] + fx[2:]
     if (direction == "concave") == (fx[-1] > fx[0]):
         d2 = -d2
+    pairs = []
     k = int(np.argmin(d2))
-    if not d2[k] < 0.0:
-        return None
-    # d2[j] sits at grid point j + 1; the pair flanks the run around k
-    ok = np.flatnonzero(d2 >= 0.0)
-    j = int(np.searchsorted(ok, k))
-    a = int(ok[j - 1]) + 1 if j > 0 else 0
-    b = int(ok[j]) + 1 if j < len(ok) else len(xs) - 1
-    pair = xs[[a, b]]
-    qa = float(_qa_mean_batch(gen, pair[None, :])[0])
-    am = float(pair.mean())
-    margin = am - qa if direction == "convex" else qa - am
+    if d2[k] < 0.0:
+        # d2[j] sits at grid point j + 1; the pair flanks the run around k
+        ok = np.flatnonzero(d2 >= 0.0)
+        j = int(np.searchsorted(ok, k))
+        pairs.append((int(ok[j - 1]) + 1 if j > 0 else 0,
+                      int(ok[j]) + 1 if j < len(ok) else len(xs) - 1))
+    if gen.rho_ends() is not None and (0, len(xs) - 1) not in pairs:
+        pairs.append((0, len(xs) - 1))
     tol = MEAN_CMP_TOL * gen.domain.span
-    if not margin > tol:
-        return None
-    return {"values": pair.tolist(), "qa_mean": qa, "arith_mean": am,
-            "margin": margin, "tol": tol}
+    for a, b in pairs:
+        pair = xs[[a, b]]
+        qa = float(_qa_mean_batch(gen, pair[None, :])[0])
+        am = float(pair.mean())
+        margin = am - qa if direction == "convex" else qa - am
+        if margin > tol:
+            return {"values": pair.tolist(), "qa_mean": qa, "arith_mean": am,
+                    "margin": margin, "tol": tol}
+    return None
 
 
 def _envelope_fields(gen: Generator, direction: str) -> dict:
@@ -267,8 +274,8 @@ def _envelope_fields(gen: Generator, direction: str) -> dict:
         profile = ScalarGrid(interval, rho(gen))
     ends = gen.rho_ends()
     if ends is not None:  # its own hull: the chord through its two end values
-        hull = PiecewiseLinearHull(((float(interval.lo), ends[0]),
-                                    (float(interval.hi), ends[1])),
+        lo, hi = interval.ends
+        hull = PiecewiseLinearHull(((lo, ends[0]), (hi, ends[1])),
                                    "upper" if direction == "convex" else "lower")
     else:
         hull = (concave_envelope_1d(profile) if direction == "convex"

@@ -19,8 +19,12 @@ once, on the failing trial with the lowest index (maximality numbers its
 trials candidate by candidate, so its witness comes from the first failing
 candidate, and hands the sampler both sides' means evaluated beforehand).
 Witnesses read their means from the margin function's rows.  The
+interchange sweep draws and holds all its shapes' matrices, within
+_check_trials' bound on entries, and evaluates each side in one mean call
+per row length across the shapes (a row's mean does not depend on its
+batch), handing the sampler both sides as evaluated rows.  The
 interchange and running-mean witnesses are shrunk once per report, each
-pass of the shrink through the margin function in a few batches.
+pass of the shrink through the check's sides in a few batches.
 """
 
 from __future__ import annotations
@@ -123,52 +127,87 @@ def _shrink(sides, arr0: np.ndarray, sides0: tuple, floor: float) -> tuple:
     return arr, kept
 
 
-def _shrunk_witness(key: str, margin_fn, tol: float, trial: int, x0: np.ndarray,
+def _shrunk_witness(key: str, sides, tol: float, trial: int, x0: np.ndarray,
                     margin: float, lhs: float, rhs: float) -> dict:
     """Shrink a failing input x0 of lhs <= rhs once and evaluate both sides.
 
-    The arguments past tol are the driver's witness row of margin_fn, which
-    returns (rhs - lhs, lhs, rhs) for a batch; x0 keeps its row's sides and
-    the shrink's points go through margin_fn in batches (a row's means do
-    not depend on its batch).
+    The arguments past tol are the driver's witness row, whose sides x0
+    keeps; sides returns the lhs and rhs arrays of a batch of inputs shaped
+    as x0, through which the shrink's points go in batches (a row's means
+    do not depend on its batch).
     """
-    def sides(X):
-        _, lhs, rhs = margin_fn(X.reshape(-1, *x0.shape))
-        return lhs, rhs
-
-    shrunk, (lhs, rhs) = _shrink(sides, x0.ravel(), (lhs, rhs), max(2.0 * tol, -0.5 * margin))
+    shrunk, (lhs, rhs) = _shrink(lambda X: sides(X.reshape(-1, *x0.shape)), x0.ravel(),
+                                 (lhs, rhs), max(2.0 * tol, -0.5 * margin))
     return {key: shrunk.reshape(x0.shape).tolist(), "lhs": float(lhs), "rhs": float(rhs),
             "violation": float(lhs - rhs), "trial": trial}
+
+
+def _by_length(mean: MeanHandle, batches: list) -> list:
+    """mean.batch of each 2-D array of batches, in one call per row length:
+    a row's mean does not depend on its batch."""
+    out, same = [None] * len(batches), {}
+    for i, B in enumerate(batches):
+        same.setdefault(B.shape[1], []).append(i)
+    for idx in same.values():
+        means = mean.batch(batches[idx[0]] if len(idx) == 1
+                           else np.concatenate([batches[i] for i in idx]))
+        start = 0
+        for i in idx:
+            out[i], start = means[start:start + len(batches[i])], start + len(batches[i])
+    return out
+
+
+def _ij_sides(M: MeanHandle, N: MeanHandle, Xs: list) -> tuple:
+    """The interchange sides of each (trials, n, m) batch of matrices in Xs:
+    the lists of lhs = N(M of each row) and rhs = M(N of each column).
+
+    M runs on all rows and N on all columns, then N on the row means and M
+    on the column means, each in one call per row length across Xs.  For
+    one batch the two N calls are adjacent, as in lhs-then-rhs order, and
+    each mean's error names only the mean, so any error is that order's.
+    """
+    rows = _by_length(M, [X.reshape(-1, X.shape[2]) for X in Xs])
+    cols = _by_length(N, [np.swapaxes(X, 1, 2).reshape(-1, X.shape[1]) for X in Xs])
+    lhs = _by_length(N, [r.reshape(len(X), -1) for r, X in zip(rows, Xs)])
+    rhs = _by_length(M, [c.reshape(len(X), -1) for c, X in zip(cols, Xs)])
+    return lhs, rhs
 
 
 def _ij_sample(M: MeanHandle, N: MeanHandle, draws: list, per: int) -> tuple:
     """Interchange margins of per random matrices for each (seed, m, n) draw.
 
-    Trial k of draw i is trial i * per + k, so the witness comes from the
-    first failing draw; it is shrunk once.  Returns the driver's worst
-    margin, failure count and witness, and the tolerance.
+    Every draw's matrices are drawn first, from its own seed, and held
+    (_check_trials bounds their entries), so both sides take one mean call
+    per row length across the draws.  A batch that raises gives way to the
+    draws one at a time, so the error is the first failing draw's.  Trial k
+    of draw i is trial i * per + k, so the witness comes from the first
+    failing draw; it is shrunk once.  Returns the driver's worst margin,
+    failure count and witness, and the tolerance.
     """
     if M.domain != N.domain:
         raise UsageError("both means must share a working interval")
     interval = M.domain
     tol = MEAN_CMP_TOL * interval.span
+    Xs = [np.random.default_rng(seed).uniform(interval.lo, interval.hi, size=(per, n, m))
+          for seed, m, n in draws]
+    try:
+        lhs, rhs = _ij_sides(M, N, Xs)
+    except QameansError:
+        for X in Xs:
+            _ij_sides(M, N, [X])
+        raise
 
-    def groups():
-        for i, (seed, m, n) in enumerate(draws):
-            rng = np.random.default_rng(seed)
-            yield (np.arange(i * per, (i + 1) * per),
-                   rng.uniform(interval.lo, interval.hi, size=(per, n, m)))
-
-    def margin(X):
-        trials, n, m = X.shape
-        lhs = N.batch(M.batch(X.reshape(-1, m)).reshape(trials, n))
-        rhs = M.batch(N.batch(np.swapaxes(X, 1, 2).reshape(-1, n)).reshape(trials, m))
-        return rhs - lhs, lhs, rhs
+    def sides(X):
+        (lhs,), (rhs,) = _ij_sides(M, N, [X])
+        return lhs, rhs
 
     def witness(trial, *row):
-        return _shrunk_witness("matrix", margin, tol, trial % per, *row)
+        return _shrunk_witness("matrix", sides, tol, trial % per, *row)
 
-    return (*_sample_margins(groups(), margin, tol, witness), tol)
+    groups = ((np.arange(i * per, (i + 1) * per), *group)
+              for i, group in enumerate(zip(Xs, lhs, rhs)))
+    return (*_sample_margins(groups, lambda X, lhs, rhs: (rhs - lhs, lhs, rhs), tol,
+                             witness), tol)
 
 
 def ingham_jessen_check(M: MeanHandle, N: MeanHandle, m: int, n: int,
@@ -204,13 +243,16 @@ def kedlaya_check(M: MeanHandle, N: MeanHandle, n_max: int, trials: int,
     rng = np.random.default_rng(seed)
     tol = MEAN_CMP_TOL * interval.span
 
+    def sides(X):
+        return N.batch(M.running(X)), M.batch(N.running(X))
+
     def margin(X):
-        lhs, rhs = N.batch(M.running(X)), M.batch(N.running(X))
+        lhs, rhs = sides(X)
         return rhs - lhs, lhs, rhs
 
     worst, failures, witness = _sample_margins(
         _grouped_tuples(rng, trials, n_max, interval), margin, tol,
-        functools.partial(_shrunk_witness, "values", margin, tol))
+        functools.partial(_shrunk_witness, "values", sides, tol))
     return TrialReport("kedlaya", trials, failures, worst, seed, witness,
                        extra={"n_max": n_max, "tol": tol,
                               "M": M.spec_string(), "N": N.spec_string()})

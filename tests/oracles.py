@@ -369,3 +369,41 @@ def sequential_shrink(sides, arr0, sides0, floor):
         if not moved:
             break
     return arr, kept
+
+
+def _interchange_sides(M, N, X):
+    """lhs = N(M of each row) and rhs = M(N of each column) of a
+    (trials, n, m) batch of matrices, by four mean calls."""
+    trials, n, m = X.shape
+    lhs = N.batch(M.batch(X.reshape(-1, m)).reshape(trials, n))
+    rhs = M.batch(N.batch(np.swapaxes(X, 1, 2).reshape(-1, n)).reshape(trials, m))
+    return lhs, rhs
+
+
+def per_shape_interchange(M, N, draws, per, tol):
+    """The sampled interchange inequality, one (seed, m, n) draw after the
+    other: per matrices drawn from the draw's own seed, trial k of draw i
+    counting as trial i * per + k.  Returns the worst margin rhs - lhs, the
+    failures (margin below -tol) and the witness of the lowest failing
+    trial, shrunk by sequential_shrink one matrix at a time, or None."""
+    worst, failures, first = np.inf, 0, None
+    for i, (seed, m, n) in enumerate(draws):
+        X = np.random.default_rng(seed).uniform(M.domain.lo, M.domain.hi, size=(per, n, m))
+        lhs, rhs = _interchange_sides(M, N, X)
+        margin = rhs - lhs
+        worst = min(worst, float(margin.min()))
+        bad = np.flatnonzero(margin < -tol)
+        failures += len(bad)
+        if first is None and len(bad):
+            k = int(bad[0])
+            first = (k, X[k], float(margin[k]), lhs[k], rhs[k])
+    if first is None:
+        return worst, failures, None
+    k, x0, margin, lhs, rhs = first
+
+    def sides(point):
+        return tuple(side[0] for side in _interchange_sides(M, N, point.reshape(1, *x0.shape)))
+    shrunk, (lhs, rhs) = sequential_shrink(sides, x0.ravel(), (lhs, rhs),
+                                           max(2.0 * tol, -0.5 * margin))
+    return worst, failures, {"matrix": shrunk.reshape(x0.shape).tolist(), "lhs": float(lhs),
+                             "rhs": float(rhs), "violation": float(lhs - rhs), "trial": k}

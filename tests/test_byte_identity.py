@@ -105,11 +105,14 @@ def reports(draw):
     return dict(items)
 
 
-# Reports orjson writes: no None, NaN, +-inf, non-ASCII or 0x7f, and
-# nothing it refuses.  Their odd floats, exponents -5 to -9, >= 16 and
-# <= -300 and [1e-5, 1e-4), are respelled as repr spells them, in nested
-# lists and dicts, beside strings and keys that end in such numbers.
+# Reports orjson writes: no NaN or +-inf outside a top-level array, no
+# non-ASCII or 0x7f, and nothing it refuses; a None is json's null too.
+# Their odd floats, exponents -5 to -9, >= 16 and <= -300 and [1e-5, 1e-4),
+# are respelled as repr spells them, in nested lists and dicts, beside
+# strings and keys that end in such numbers.
 ORJSON_ROUTE = [
+    {"config": {"gen": "log", "gen2": None, "seed": 3}, "witness": None, "v": 1e-05},
+    {"null": [None, "null", {"x": None}], "g": np.array([NAN, INF, -INF, 0.5]), "t": (None,)},
     {"config": {"lo": 1.2345e-05, "hi": 1.5e16, "grid_points": 1025, "seed": 0},
      "relation": "Equal", "delta": 2e-08, "max_gap": 3.3e-09, "min_gap": -7.7e-07},
     {"odd": [3.3e-06, [7.77e-07, {"b": 9.1e-08, "c 1e-05": -2.2e-09}], 1e-05],
@@ -122,11 +125,15 @@ ORJSON_ROUTE = [
     {"a": np.array([1.5e-07, 0.5, 1e16]), "nested": {"a": [6e-06]}, "k": 7e-300,
      "b": np.array([]), "c": np.array([2.5e-05])},
 ]
-# Reports json.dumps writes, one trigger each: None beside NaN, 0x7f and a
-# non-ASCII character in a string, an int beyond 64 bits, a numpy scalar, a
-# lone surrogate and a key that is not a str.
+# Reports json.dumps writes, one trigger each: NaN, inf or -inf alone and
+# beside None, 0x7f and a non-ASCII character in a string, an int beyond 64
+# bits, a numpy scalar, a lone surrogate and a key that is not a str.
 FALLBACK_ROUTE = [
+    {"gap": NAN, "v": 1e-05},
+    {"config": {"hi": INF}},
+    {"w": [{"lo": -INF}], "t": (1.5, 2)},
     {"witness": None, "gap": NAN, "v": 1e-05, "g": np.array([1e16, 0.5])},
+    {"t": (None, [INF, -INF]), "x": None, "s": "null"},
     {"text": "a\x7fb", "v": 2e-08},
     {"text": "é", "v": 1e16},
     {"n": 2**64, "v": 1e-05},

@@ -464,6 +464,27 @@ def test_refusal_needs_a_confirmed_pair():
         qa_concave_envelope(PowerGenerator(1.0 + 1e-9, iv))
 
 
+def test_a_closed_form_refusal_tries_the_grid_ends():
+    """exp has no concave envelope.  On [0, 1e-5] its second differences
+    at 1025 points are rounding noise and confirm no pair, so the grid's
+    two ends are tried: QA_exp(0, 1e-5) exceeds the midpoint by 1.25e-11,
+    beyond the 1e-14 tolerance.  At 5 points they are the sampled pair."""
+    res = qa_concave_envelope(ExpGenerator(WorkingInterval(0.0, 1e-5)))
+    assert res.status == "NoneExists"
+    assert res.diagnostics["witness"]["values"] == [0.0, 1e-5]
+    coarse = qa_concave_envelope(ExpGenerator(WorkingInterval(0.0, 1e-5, 5)))
+    assert res.diagnostics == coarse.diagnostics
+
+
+def test_a_closed_form_chord_starts_where_its_grid_does():
+    """The chord's x values are WorkingInterval.ends: from lo = -0.0 it
+    starts at 0.0, as the grid and a table's scanned hull do."""
+    iv = WorkingInterval(-0.0, 1.0, 5)
+    chord = qa_convex_envelope(ExpGenerator(iv)).m.to_list()
+    assert chord == qa_convex_envelope(tabulate(ExpGenerator(iv))).m.to_list()
+    assert not np.signbit(chord[0][0])
+
+
 def test_already_extremal_keeps_kinked_profile(tent_profile_gen, iv13):
     res = qa_convex_envelope(tent_profile_gen)
     assert res.status == "AlreadyExtremal"

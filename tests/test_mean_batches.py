@@ -1,9 +1,10 @@
 """The means layer's batch paths against the reference formulas in oracles.py.
 
 `_qa_mean_batch` and `ArithmeticMean.batch` test the interval on the
-batch's min and max and average a C-contiguous copy with np.add.reduce;
-the QA mean takes its clamp's row extremes from a column-major copy of the
-batch, and from numpy's row kernel when a row's extreme is a zero on an
+batch's min and max and average by `_averages`, which sums rows of up to 7
+entries over a column-major copy and longer ones with numpy's row kernel;
+the QA mean evaluates f on that copy and takes its clamp's row extremes
+from it, or from numpy's row kernel when a row's extreme is a zero on an
 interval holding 0.  The references test the interval with a mask, average
 with ndarray.mean and clamp to the row kernel's min and max.  Both must
 return the same bits, or raise the same exception class with the same
@@ -32,6 +33,7 @@ from qameans.generators import (
     tabulate,
 )
 from qameans.grids import WorkingInterval
+from qameans import means
 from qameans.means import ArithmeticMean, QuasiArithmeticMean, _qa_mean_batch, power_mean
 
 from oracles import (
@@ -234,6 +236,51 @@ def test_a_batch_mean_does_not_depend_on_its_memory_layout(mean, entries):
         view = np.ascontiguousarray(X.T).T
         assert not view.flags.c_contiguous
         assert mean.batch(view).tobytes() == mean.batch(X).tobytes(), n
+
+
+# Summands whose partial sums round, and zeros of both signs.
+SUMMANDS = st.one_of(st.floats(-1e18, 1e18),
+                     st.sampled_from((0.0, -0.0, 1.0, 2.0**53, -(2.0**53), 2.0**-60)))
+
+
+def _summands(data, rows, n):
+    """A (rows, n) batch of SUMMANDS, now and then with a row of -0.0."""
+    F = np.array(data.draw(st.lists(st.lists(SUMMANDS, min_size=n, max_size=n),
+                                    min_size=rows, max_size=rows)), dtype=float)
+    F = F.reshape(rows, n)
+    if rows and data.draw(st.booleans()):
+        F[data.draw(st.integers(0, rows - 1))] = -0.0
+    return F
+
+
+@given(rows=st.integers(0, 2 * means._COLUMN_MIN_ROWS), n=st.integers(1, means._SHORT_ROW),
+       data=st.data())
+def test_short_rows_summed_by_columns_keep_the_row_kernels_bits(rows, n, data):
+    """Rows of 1 to 7 entries, a batch row-major (copied to columns from
+    _COLUMN_MIN_ROWS rows) or the transpose of a column-major array: the
+    averages and prefix averages have the bits of numpy's axis-1 kernel on
+    each contiguous prefix, an all -0.0 row's +0.0 among them."""
+    F = _summands(data, rows, n)
+    prefix = [np.add.reduce(np.ascontiguousarray(F[:, :k]), axis=1) / k for k in range(1, n + 1)]
+    for Y in (F, np.ascontiguousarray(F.T).T):
+        assert means._averages(Y).tobytes() == prefix[-1].tobytes()
+        assert (means._averages(Y, running=True).tobytes()
+                == np.column_stack(prefix).reshape(rows, n).tobytes())
+
+
+@given(rows=st.integers(1, 2 * means._COLUMN_MIN_ROWS), n=st.integers(8, 40), data=st.data())
+def test_rows_of_8_or_more_keep_the_row_kernel(rows, n, data):
+    F = _summands(data, rows, n)
+    assert means._averages(F).tobytes() == (np.add.reduce(F, axis=1) / n).tobytes()
+
+
+def test_a_row_of_8_entries_is_summed_pairwise():
+    """numpy adds 8 entries pairwise, to 5 here; left to right, as a column
+    sum of the batch would, they add to 4."""
+    row = [1.0, 2.0**53, 1.0, -(2.0**53), 1.0, 1.0, 1.0, 1.0]
+    F = np.array([row] * means._COLUMN_MIN_ROWS)
+    assert np.add.reduce(np.ascontiguousarray(F.T), axis=0, initial=0.0)[0] == 4.0
+    assert (means._averages(F) == 5.0 / 8).all()
 
 
 def _per_prefix(mean, X):

@@ -284,15 +284,18 @@ def test_a_sign_change_names_its_witness_from_the_ends():
 
 
 def test_a_sign_change_from_lo_minus_zero_names_the_grids_first_point():
-    """On [-0.0, 1e-5] no grid pair confirms that exp has no concave
+    """On [-0.0, 1e-5] exp's profile has the wrong sign for a concave
     envelope; the end route's witness is the sampled one, x = 0.0, which
-    linspace puts first, not lo's -0.0."""
+    linspace puts first, not lo's -0.0.  No pair of the 1025-point grid
+    confirms the refusal; the grid's two ends, from 0.0, do."""
     gen = ExpGenerator(WorkingInterval(-0.0, 1e-5))
     witnesses = []
     for route in (nullcontext, sampled_route):
-        with route(), pytest.raises(SignChange) as info:
-            qa_concave_envelope(gen)
-        witnesses.append(json.dumps(info.value.witness))
+        with route():
+            _, _, (test,) = convexity._profile_tests(gen, "concave")
+            witnesses.append(json.dumps(test["witness"]))
+            pair = qa_concave_envelope(gen).diagnostics["witness"]["values"]
+            assert json.dumps(pair) == "[0.0, 1e-05]"
     assert witnesses == ['{"x": 0.0, "rho": -1.0}'] * 2
 
 

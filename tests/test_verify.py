@@ -16,6 +16,7 @@ from qameans.cli import run
 from qameans.convexity import (
     MAX_ENTRIES,
     MAX_TRIALS,
+    MEAN_CMP_TOL,
     _check_trials,
     _grouped_tuples,
     dominates_arithmetic,
@@ -117,6 +118,82 @@ def test_ingham_jessen_sweep_aggregates(iv, catalog):
     bad = ingham_jessen_sweep(a, g, trials=400, seed=0, max_dim=3)
     assert not bad.passed
     assert {"m", "n"} <= set(bad.witness)
+
+
+def _sweep_draws(seed, max_dim):
+    """The sweep's (seed, m, n) draws, one per shape."""
+    combos = [(m, n) for m in range(2, max_dim + 1) for n in range(2, max_dim + 1)]
+    return [(seed + 7919 * i, m, n) for i, (m, n) in enumerate(combos)]
+
+
+def _as_text(worst, failures, witness):
+    return json.dumps([worst, failures, witness])
+
+
+@pytest.mark.parametrize("max_dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("pair", [("log", "arith"), ("arith", "log"), ("power:3", "arith")])
+def test_sweep_is_the_per_shape_loop_to_the_bit(pair, max_dim):
+    """All shapes' matrices, held and taken in one mean call per row length,
+    give the worst margin, failures and shrunk witness of a loop that runs
+    the shapes one after the other."""
+    M, N = map(_mean, pair)
+    per, seed = 6, 17
+    rep = ingham_jessen_sweep(M, N, per * (max_dim - 1) ** 2, seed, max_dim)
+    worst, failures, witness = oracles.per_shape_interchange(
+        M, N, _sweep_draws(seed, max_dim), per, MEAN_CMP_TOL * M.domain.span)
+    if witness is not None:
+        witness.update(m=len(witness["matrix"][0]), n=len(witness["matrix"]))
+    assert rep.passed == (pair == ("log", "arith"))
+    assert (_as_text(rep.worst_margin, rep.failures, rep.witness)
+            == _as_text(worst, failures, witness))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 2), (3, 2), (4, 5)])
+@pytest.mark.parametrize("pair", [("log", "arith"), ("arith", "log")])
+def test_interchange_check_is_the_per_shape_loop_to_the_bit(pair, m, n):
+    M, N = map(_mean, pair)
+    rep = ingham_jessen_check(M, N, m, n, 40, seed=3)
+    want = oracles.per_shape_interchange(M, N, [(3, m, n)], 40, rep.extra["tol"])
+    assert _as_text(rep.worst_margin, rep.failures, rep.witness) == _as_text(*want)
+
+
+class _Counted(MeanHandle):
+    """A mean handle's batch, counted; with bad set, a RangeError naming
+    the handle on a batch of rows of bad entries."""
+
+    def __init__(self, inner, bad=None):
+        self.inner, self.domain, self.bad, self.calls = inner, inner.domain, bad, 0
+
+    def batch(self, X):
+        self.calls += 1
+        if X.shape[1] == self.bad:
+            raise RangeError(f"{self.spec_string()} on rows of {self.bad}")
+        return self.inner.batch(X)
+
+    def spec_string(self):
+        return f"counted({self.inner.spec_string()})"
+
+
+def test_a_max_dim_5_sweep_makes_one_batch_call_per_row_length_and_side():
+    """4 row lengths, each through M and N twice: 16 calls, not 4 per shape."""
+    M, N = _Counted(_mean("log")), _Counted(_mean("arith"))
+    assert ingham_jessen_sweep(M, N, 1600, seed=0).passed
+    assert (M.calls, N.calls) == (8, 8)
+
+
+def test_a_sweep_raises_the_error_of_its_first_failing_shape():
+    """M fails on rows of 3 and N on rows of 2: shape by shape, the 2x2
+    shape's N fails first, while the batch of all rows of 3 reaches M's
+    error first."""
+    M, N = _Counted(_mean("log"), bad=3), _Counted(_mean("arith"), bad=2)
+    draws = _sweep_draws(0, 5)
+    Xs = [np.random.default_rng(s).uniform(0.1, 10.0, size=(10, n, m)) for s, m, n in draws]
+    with pytest.raises(RangeError, match=r"^counted\(qa\(log\)\) on rows of 3$"):
+        verify._ij_sides(M, N, Xs)
+    with pytest.raises(RangeError, match=r"^counted\(arith\) on rows of 2$"):
+        oracles.per_shape_interchange(M, N, draws, 10, 0.0)
+    with pytest.raises(RangeError, match=r"^counted\(arith\) on rows of 2$"):
+        ingham_jessen_sweep(M, N, 160, seed=0)
 
 
 def test_failing_reports_shrink_one_witness(iv, catalog, monkeypatch):
@@ -250,27 +327,42 @@ def _mean(spec):
     return ArithmeticMean(iv) if spec == "arith" else QuasiArithmeticMean(parse_generator(spec, iv))
 
 
-# (kedlaya margin, interchange margin) of each mean pair
-_CHECK_MARGINS = [
-    (_margin_of(kedlaya_check, M, N, 2, 1), _margin_of(ingham_jessen_check, M, N, 1, 1, 1))
+def _kedlaya_sides(M, N):
+    """The sides of the margin function kedlaya_check samples."""
+    margin = _margin_of(kedlaya_check, M, N, 2, 1)
+    return lambda X: margin(X)[1:]
+
+
+def _interchange_sides(M, N):
+    """The sides the interchange check evaluates on a batch of matrices: the
+    shared function its sweep and its shrink call."""
+    def sides(X):
+        (lhs,), (rhs,) = verify._ij_sides(M, N, [X])
+        return lhs, rhs
+    return sides
+
+
+# (kedlaya sides, interchange sides) of each mean pair
+_CHECK_SIDES = [
+    (_kedlaya_sides(M, N), _interchange_sides(M, N))
     for M, N in ((_mean(M), _mean(N)) for M, N in
                  (("arith", "log"), ("arith", "power:3"), ("power:-1", "arith")))]
 
 
 @settings(max_examples=60)
-@given(pair=st.sampled_from(_CHECK_MARGINS), interchange=st.booleans(),
+@given(pair=st.sampled_from(_CHECK_SIDES), interchange=st.booleans(),
        k=st.integers(2, 9), m=st.integers(1, 5), n=st.integers(1, 5),
        frac=st.floats(0.0, 1.5), data=st.data())
 def test_shrink_takes_the_scans_decisions_on_check_margins(pair, interchange, k, m, n,
                                                            frac, data):
     """A kedlaya vector of 2 to 9 entries or an n-by-m interchange matrix
-    of up to 5 by 5, through the margin function its check samples."""
-    margin, shape = (pair[1], (n, m)) if interchange else (pair[0], (k,))
+    of up to 5 by 5, through the sides its check samples."""
+    check_sides, shape = (pair[1], (n, m)) if interchange else (pair[0], (k,))
     size = int(np.prod(shape))
     x0 = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=size, max_size=size)))
 
     def sides(X):
-        return margin(X.reshape(-1, *shape))[1:]
+        return check_sides(X.reshape(-1, *shape))
     sides0 = _one_point(sides)(x0)
     _assert_shrinks_as_the_scan(sides, x0, sides0, frac * (sides0[0] - sides0[1]))
 
