@@ -9,10 +9,11 @@ same test runs on -rho over the same grid; both senses read one profile,
 which makes the convex/concave verdicts coherent by construction rather
 than by numerical luck.  Generators with f'' identically zero give the
 arithmetic mean, the unique member that is both convex and concave.  One
-function, :func:`_profile_tests`, decides every verdict on the profile
-that :func:`qameans.generators.rho` samples: degeneracy, a sign change,
-then positivity and concavity in either sense; classify and the envelopes
-of :mod:`qameans.envelope` take their verdicts from its records.
+function, :func:`_profile_tests`, decides every verdict on the profile,
+read from a closed form's two end values (rho_ends) or a table's sample
+(:func:`qameans.generators.rho`): degeneracy, a sign change, then
+positivity and concavity in either sense; classify and the envelopes of
+:mod:`qameans.envelope` take their verdicts from its records.
 
 The cross-check :func:`dominates_arithmetic` samples QA_f >= A; Jensen's
 inequality for QA_f is :func:`qameans.verify.ingham_jessen_check` with
@@ -31,7 +32,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import RangeError, UsageError
-from .generators import Generator, rho, rho_ends
+from .generators import Generator, rho
 from .grids import ScalarGrid, WorkingInterval
 from .means import _qa_mean_batch
 
@@ -72,13 +73,12 @@ class ConvexityClass:
         return {"class": self.value, "evidence": self.evidence}
 
 
-def _profile_pos_concave(values, interval: WorkingInterval, affine: bool) -> dict:
+def _profile_pos_concave(values, interval: WorkingInterval) -> dict:
     """Decide positivity and concavity of a sampled profile.
 
     Returns the margins, or the failure reason, its margins and a concrete
     witness (nonpositive value, or a grid triple violating midpoint
-    concavity).  An affine profile is concave with margin exactly 0, so its
-    samples' second differences, which are rounding noise, are not tested.
+    concavity).
     """
     xs = interval.grid()
     r = np.asarray(values, dtype=float)
@@ -87,9 +87,6 @@ def _profile_pos_concave(values, interval: WorkingInterval, affine: bool) -> dic
         k = int(np.argmin(r))
         return {"reason": "nonpositive-rho", "positivity_margin": pos_margin,
                 "witness": {"x": float(xs[k]), "rho": float(r[k])}}
-    if affine:
-        return {"positivity_margin": pos_margin, "concavity_margin": 0.0}
-
     d2 = r[:-2] - 2.0 * r[1:-1] + r[2:]
     delta_cc = CONC_TAU * float(np.max(np.abs(r)))
     conc_margin = delta_cc - float(np.max(d2))
@@ -126,12 +123,11 @@ def _profile_tests(gen: Generator, *senses: str) -> tuple:
     lazily: "convex" tests rho and "concave" tests -rho for positivity and
     concavity, and a record passes exactly when it has no "reason" key.
 
-    Where rho_ends() decides the sample (closed forms), the records are read
-    from the two end values: those of the sample, bit for bit, a failing
-    one's witness an end of the interval, and profile is None.  Else rho is
-    sampled once (rho() refuses a zero or NaN value) and profile is that
-    ScalarGrid.  A generator that states end values has an affine profile,
-    concave with margin exactly 0 by either route.
+    Where gen.rho_ends() states two end values (closed forms), the records
+    are read from them: an affine profile, concave with margin exactly 0, a
+    failing record's witness an end of the interval, and profile is None.
+    Else (tables) rho is sampled once (rho() refuses a zero or NaN value)
+    and profile is that ScalarGrid.
 
     If span * max|1/rho| <= DEGENERATE_TAU (f'' vanishes on the whole grid)
     or some sampled rho is infinite or not of the sign at lo, profile is
@@ -140,7 +136,7 @@ def _profile_tests(gen: Generator, *senses: str) -> tuple:
     grid point).  End values of which only one is infinite are a closed
     form's rho overflowing on the interval: a RangeError.
     """
-    ends = rho_ends(gen)
+    ends = gen.rho_ends()
     if ends is None:
         r = rho(gen)
         least = float(np.abs(r).min())
@@ -168,10 +164,9 @@ def _profile_tests(gen: Generator, *senses: str) -> tuple:
         witness = {"x": float(xs[k]), "rho": float(r[k])}
         return None, detail, repeat({"reason": "sign-change", "witness": witness}, len(senses))
     profile = ScalarGrid(gen.domain, r)
-    affine = gen.rho_ends() is not None
     return profile, None, (
         _profile_pos_concave(profile.values if sense == "convex" else -profile.values,
-                             gen.domain, affine)
+                             gen.domain)
         for sense in senses)
 
 

@@ -20,10 +20,12 @@ its one generator, negated if they fall (see EnvelopeResult).
 An envelope in a given direction exists only when the mean sits on the
 right side of the arithmetic mean; for increasing f, QA_f >= A exactly when
 f is convex (Jensen), so the sign of rho decides, and a refusal returns a
-re-verified violating grid pair.  Sign, degeneracy and extremality are read
-from one record of :func:`qameans.convexity._profile_tests`, as classify's are,
-from the end values of a closed form's profile, so a refusal samples no
-profile; a result that publishes the profile (its rho column) samples it.
+re-verified violating grid pair: the pair flanking a wrong-signed run of
+f's second differences, else the grid's two ends, for every kind.  Sign,
+degeneracy and extremality are read from one record of
+:func:`qameans.convexity._profile_tests`, as classify's are, so a closed
+form's refusal samples no profile; a result that publishes the profile
+(its rho column) samples it.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ class PiecewiseLinearHull:
     """
 
     vertices: tuple
-    orientation: str  # "upper" or "lower"
 
     def __post_init__(self):
         if len(self.vertices) < 2:
@@ -66,8 +67,6 @@ class PiecewiseLinearHull:
         vx = np.array([v[0] for v in self.vertices])
         if not np.all(np.diff(vx) > 0):
             raise UsageError("hull vertices must be strictly increasing in x")
-        if self.orientation not in ("upper", "lower"):
-            raise UsageError("orientation must be 'upper' or 'lower'")
         vy = np.array([v[1] for v in self.vertices])
         vx.flags.writeable = vy.flags.writeable = False
         object.__setattr__(self, "_vx", vx)
@@ -107,13 +106,13 @@ def _monotone_chain(xs: np.ndarray, ys: np.ndarray, upper: bool) -> tuple:
 def concave_envelope_1d(samples: ScalarGrid) -> PiecewiseLinearHull:
     """Least concave piecewise-linear majorant of the samples (upper hull)."""
     xs = samples.interval.grid()
-    return PiecewiseLinearHull(_monotone_chain(xs, samples.values, upper=True), "upper")
+    return PiecewiseLinearHull(_monotone_chain(xs, samples.values, upper=True))
 
 
 def convex_envelope_1d(samples: ScalarGrid) -> PiecewiseLinearHull:
     """Greatest convex piecewise-linear minorant of the samples (lower hull)."""
     xs = samples.interval.grid()
-    return PiecewiseLinearHull(_monotone_chain(xs, samples.values, upper=False), "lower")
+    return PiecewiseLinearHull(_monotone_chain(xs, samples.values, upper=False))
 
 
 def _cumulative_trapezoid(y: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -209,12 +208,10 @@ def _pair_witness(gen: Generator, direction: str) -> dict | None:
 
     Second differences of the increasing one of f and -f, negated for the
     concave direction, are negative where it bends the wrong way; the pair
-    bounds the maximal run of them around the most negative.  Direct
-    evaluation must confirm it beyond MEAN_CMP_TOL * span.  When it does
-    not, or no difference is negative, and gen states its end values (a
-    closed form, whose sign is one on the whole interval), the grid's two
-    end points are tried: on a narrow interval the differences are
-    rounding noise.
+    bounds the maximal run of them around the most negative.  When direct
+    evaluation does not confirm it beyond MEAN_CMP_TOL * span, or no
+    difference is negative, the grid's two end points are tried: on a
+    narrow interval the differences are rounding noise.
     """
     xs = gen.domain.grid()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -232,7 +229,7 @@ def _pair_witness(gen: Generator, direction: str) -> dict | None:
         j = int(np.searchsorted(ok, k))
         pairs.append((int(ok[j - 1]) + 1 if j > 0 else 0,
                       int(ok[j]) + 1 if j < len(ok) else len(xs) - 1))
-    if gen.rho_ends() is not None and (0, len(xs) - 1) not in pairs:
+    if (0, len(xs) - 1) not in pairs:
         pairs.append((0, len(xs) - 1))
     tol = MEAN_CMP_TOL * gen.domain.span
     for a, b in pairs:
@@ -275,8 +272,7 @@ def _envelope_fields(gen: Generator, direction: str) -> dict:
     ends = gen.rho_ends()
     if ends is not None:  # its own hull: the chord through its two end values
         lo, hi = interval.ends
-        hull = PiecewiseLinearHull(((lo, ends[0]), (hi, ends[1])),
-                                   "upper" if direction == "convex" else "lower")
+        hull = PiecewiseLinearHull(((lo, ends[0]), (hi, ends[1])))
     else:
         hull = (concave_envelope_1d(profile) if direction == "convex"
                 else convex_envelope_1d(profile))
@@ -344,7 +340,7 @@ def qa_concave_envelope_via_reflection(gen: Generator) -> EnvelopeResult:
     # Mirror the hull: if m-hat is the profile envelope on -I, the original
     # envelope generator satisfies g'/g'' = -m-hat(-x).
     verts = tuple((-x, -y) for x, y in reversed(renv["m"].vertices))
-    hull = PiecewiseLinearHull(verts, "lower")
+    hull = PiecewiseLinearHull(verts)
     return EnvelopeResult(
         status, "concave", interval,
         rho=ScalarGrid(interval, -renv["rho"].values[::-1]), m=hull,

@@ -13,17 +13,18 @@ correctly rounded expression in x that only rises or only falls, and the
 grid's ends are lo and hi exactly, so its two end values, which the kind
 states by ``rho_ends()`` (a reflection mirrors its inner kind's), bound
 every sample of it, in order: the profile is affine, concave with margin
-exactly 0 and its own hull.  Tabulated kinds interpolate a sampled grid,
-invert by interpolating the same grid with the axes swapped, and fill in
-f' and rho by central differences unless given; they, like the base
-class, state no end values, and their profiles are sampled and scanned.
+exactly 0 and its own hull.  A power whose x/(p-1) underflows to 0 at lo
+states none.  Tabulated kinds interpolate a sampled grid, invert by
+interpolating the same grid with the axes swapped, and fill in f' and rho
+by central differences unless given; they, like the base class, state no
+end values, and their profiles are sampled and scanned.
 
-:func:`rho` samples the profile on the grid and refuses a zero or NaN
-value; :func:`rho_ends` gives the two end values where they decide the
-sample.  For the increasing one of f and -f, f'' has the sign of rho, so
-the sign and size of rho decide the classification and envelope verdicts,
-which :func:`qameans.convexity._profile_tests` reads from the end values
-or from the sample.
+A kind's ``rho_ends()`` alone decides whether its profile is read from
+its two end values; :func:`rho` samples the profile on the grid and
+refuses a zero or NaN value.  For the increasing one of f and -f, f'' has
+the sign of rho, so the sign and size of rho decide the classification
+and envelope verdicts, which :func:`qameans.convexity._profile_tests`
+reads from the end values or from the sample.
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ class Generator:
         raise NotImplementedError
 
     def rho_ends(self):
-        """rho at lo and at hi, two floats between which every grid sample
-        of rho lies, in order, or None when only the sample tells (tables)."""
+        """rho at lo and at hi, two nonzero floats of one sign between which
+        every grid sample of rho lies, in order, or None when only the sample
+        tells (tables)."""
         return None
 
     def spec_string(self) -> str:
@@ -118,11 +120,13 @@ class PowerGenerator(Generator):
             return np.asarray(x, dtype=float) / (self.p - 1.0)
 
     def rho_ends(self):
-        # rho's expression on floats, which divide as numpy does and overflow to inf
+        # rho's expression on floats, which divide as numpy does and overflow to
+        # inf; None where it underflows to 0 at lo, an infinite f'' that rho() refuses
         q = self.p - 1.0
         if q == 0.0:
             return np.inf, np.inf
-        return float(self.domain.lo) / q, float(self.domain.hi) / q
+        a = float(self.domain.lo) / q
+        return None if a == 0.0 else (a, float(self.domain.hi) / q)
 
     def spec_string(self):
         return f"power:{_shortest(self.p)}"
@@ -476,18 +480,6 @@ def rho(gen: Generator) -> np.ndarray:
     if not np.abs(r).min() > 0.0:  # NaN fails it too
         raise RangeError(f"{gen.spec_string()}: f'' is not finite on the grid")
     return r
-
-
-def rho_ends(gen: Generator) -> tuple | None:
-    """gen.rho_ends() where those two values decide the sample: both
-    nonzero, not NaN and of one sign, so the sample is one-signed and each
-    of rho and 1/rho runs one way between them.  Else None, and the profile
-    must be sampled; rho() refuses a zero or NaN end value."""
-    ends = gen.rho_ends()
-    if ends is None:
-        return None
-    a, b = ends
-    return ends if (a > 0.0 and b > 0.0) or (a < 0.0 and b < 0.0) else None
 
 
 def tabulate(gen: Generator) -> TabulatedGenerator:

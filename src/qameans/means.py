@@ -46,7 +46,6 @@ from .generators import (
     _finite_exponent,
     parse_generator,
     rho,
-    rho_ends,
 )
 from .grids import WorkingInterval
 
@@ -175,9 +174,9 @@ def _row_extremes(X: np.ndarray, XT: np.ndarray | None, domain: WorkingInterval)
 
 
 def _running(mean: MeanHandle, X, head) -> np.ndarray:
-    """mean.running(X): head(X) while rows have at most 7 entries, else the reference."""
+    """mean.running(X): head(X) on rows of up to _SHORT_ROW entries, else the reference."""
     X = _batch_rows(X)
-    if X.shape[1] <= 7:
+    if X.shape[1] <= _SHORT_ROW:
         try:
             return head(X)
         except DomainError:  # the reference names the first failing prefix's entry
@@ -363,10 +362,10 @@ def compare(f: Generator, g: Generator) -> ComparisonReport:
     is about the criterion at the grid's points, with slack 1e-9 times the
     larger max|f''/f'|: no absolute floor, so it scales with the interval.
 
-    Two generators that state end values deciding their samples (rho_ends:
-    closed forms) are read from those ends: each 1/rho is A/x + B, so the
-    difference of two is monotone and its extremes sit at lo and hi, and an
-    Incomparable report names those ends.  A pair with a table samples
+    Two generators that state end values (rho_ends: closed forms) are read
+    from those ends: each 1/rho is A/x + B, so the difference of two is
+    monotone and its extremes sit at lo and hi, and an Incomparable report
+    names those ends.  A pair with a table samples
     each profile by rho(), so a zero or NaN rho (an infinite f'') is a
     RangeError, as it is for classify.  A 1/rho that overflows, from a
     subnormal rho, or a gap between two that overflows is a RangeError on
@@ -374,7 +373,7 @@ def compare(f: Generator, g: Generator) -> ComparisonReport:
     """
     if f.domain != g.domain:
         raise UsageError("compare needs generators on the same working interval")
-    ends_f, ends_g = rho_ends(f), rho_ends(g)
+    ends_f, ends_g = f.rho_ends(), g.rho_ends()
     if ends_f is not None and ends_g is not None:
         (f0, f1), (g0, g1) = _reciprocal_ends(f, ends_f), _reciprocal_ends(g, ends_g)
         d0, d1 = f0 - g0, f1 - g1

@@ -315,7 +315,7 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
                 rejected += 1
                 continue
             vy = np.interp(vx, xs, rho_vals) + rng.uniform(0.01, 1.0, size=k) * lift_scale
-            mp = PiecewiseLinearHull(_monotone_chain(vx, vy, upper=True), "upper")(xs)
+            mp = PiecewiseLinearHull(_monotone_chain(vx, vy, upper=True))(xs)
             if np.all(mp >= rho_vals):
                 break
             rejected += 1

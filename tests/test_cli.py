@@ -655,6 +655,28 @@ def test_interval_whose_span_overflows_prints_one_error_line(capfd, argv):
     assert captured.err == "error: need a finite span hi - lo, got [-1e+308, 1e+308]\n"
 
 
+def test_an_interval_with_lo_above_hi_prints_one_error_line(capfd):
+    code = run(["classify", "--gen", "log", "--lo", "5", "--hi", "1"])
+    captured = capfd.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: need lo < hi, got [5.0, 1.0]\n"
+
+
+def test_a_reloaded_table_of_exp_is_refused_at_the_ends_as_exp_is(tmp_path, capsys):
+    """On [0, 1e-5] no run of f's second differences, which are rounding
+    noise, confirms that exp has no concave envelope; the grid's two ends
+    do, for exp and for its CSV reloaded as a table (exit 1, NoneExists)."""
+    path = tmp_path / "T.csv"
+    assert run(["envelope", "--gen", "exp", "--lo", "0", "--hi", "1e-5",
+                "--format", "csv", "--out", str(path)]) == 0
+    capsys.readouterr()
+    for argv in (["--gen", "exp", "--lo", "0", "--hi", "1e-5"], ["--gen", f"table:{path}"]):
+        assert run(["envelope", "--kind", "concave", *argv]) == 1
+        out = _json_out(capsys)
+        assert out["status"] == "NoneExists"
+        assert out["diagnostics"]["witness"]["values"] == [0.0, 1e-05]
+
+
 def test_compare_on_nan_profile_table_is_usage_error(tmp_path, capsys):
     """A NaN in a table's m column is an explicit error, not a NaN gap."""
     xs = np.linspace(0.1, 10.0, 1025).tolist()

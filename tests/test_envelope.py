@@ -70,13 +70,12 @@ def test_upper_hull_of_convex_samples_is_the_chord():
     xs = ivs.grid()
     hull = concave_envelope_1d(ScalarGrid(ivs, xs**2))
     assert hull.vertices == ((1.0, 1.0), (3.0, 9.0))
-    assert hull.orientation == "upper"
 
 
 def test_hull_vertex_arrays_are_built_once():
     verts = ((0.0, 1.0), (1.0, 3.0), (2.0, 2.0))
-    a = PiecewiseLinearHull(verts, "upper")
-    b = PiecewiseLinearHull(verts, "upper")
+    a = PiecewiseLinearHull(verts)
+    b = PiecewiseLinearHull(verts)
     x = np.array([0.0, 0.5, 1.5, 2.0])
     assert np.array_equal(a(x), [1.0, 2.0, 2.5, 2.0])
     assert a(x).tobytes() == np.interp(x, [0.0, 1.0, 2.0], [1.0, 3.0, 2.0]).tobytes()
@@ -96,7 +95,6 @@ def test_lower_hull_mirrors_upper_hull():
     vals = rng.normal(size=17)
     lower = convex_envelope_1d(ScalarGrid(ivs, vals))
     upper = concave_envelope_1d(ScalarGrid(ivs, -vals))
-    assert lower.orientation == "lower"
     assert lower.vertices == tuple((x, -y) for x, y in upper.vertices)
 
 
@@ -149,12 +147,10 @@ def test_hull_is_extremal_at_every_interior_vertex():
 
 def test_hull_validation():
     with pytest.raises(UsageError):
-        PiecewiseLinearHull(((0.0, 0.0),), "upper")
+        PiecewiseLinearHull(((0.0, 0.0),))
     with pytest.raises(UsageError):
-        PiecewiseLinearHull(((1.0, 0.0), (0.0, 1.0)), "upper")
-    with pytest.raises(UsageError):
-        PiecewiseLinearHull(((0.0, 0.0), (1.0, 1.0)), "sideways")
-    hull = PiecewiseLinearHull(((0.0, 0.0), (2.0, 4.0)), "upper")
+        PiecewiseLinearHull(((1.0, 0.0), (0.0, 1.0)))
+    hull = PiecewiseLinearHull(((0.0, 0.0), (2.0, 4.0)))
     assert hull(1.0) == 2.0
     assert hull.to_list() == [[0.0, 0.0], [2.0, 4.0]]
 
@@ -256,7 +252,7 @@ def test_closed_form_hull_is_the_chord_of_its_ends_and_a_table_is_scanned(spec, 
 
 def test_reconstruct_constant_profile(iv13):
     xs = iv13.grid()
-    hull = PiecewiseLinearHull(((1.0, 2.0), (3.0, 2.0)), "upper")
+    hull = PiecewiseLinearHull(((1.0, 2.0), (3.0, 2.0)))
     gen = reconstruct_generator(hull(xs), iv13)
     want_g, want_g1 = constant_profile_generator(xs, 1.0, 2.0)
     # the inner quadrature of a constant is exact, so g1 is tight
@@ -268,7 +264,7 @@ def test_reconstruct_constant_profile(iv13):
 
 def test_reconstruct_chord_profile(iv13):
     xs = iv13.grid()
-    hull = PiecewiseLinearHull(((1.0, 1.0), (3.0, 9.0)), "upper")
+    hull = PiecewiseLinearHull(((1.0, 1.0), (3.0, 9.0)))
     gen = reconstruct_generator(hull(xs), iv13)
     want_g, want_g1 = chord_profile_generator(xs)
     assert np.max(np.abs(gen.f1_values - want_g1)) < 1e-5
@@ -286,7 +282,7 @@ def test_reconstruct_negative_profile_internal(iv13):
 
 def test_reconstruct_rejects_sign_crossing_profile(iv13):
     xs = iv13.grid()
-    hull = PiecewiseLinearHull(((1.0, -1.0), (3.0, 1.0)), "upper")
+    hull = PiecewiseLinearHull(((1.0, -1.0), (3.0, 1.0)))
     with pytest.raises(NonpositiveM):
         reconstruct_generator(hull(xs), iv13)
     with pytest.raises(NonpositiveM):
@@ -322,7 +318,7 @@ def test_import_loads_no_scipy():
 def test_reconstructed_profile_matches_by_finite_differences(iv13):
     """FD curvature ratio of the reconstructed g reproduces the profile."""
     xs = iv13.grid()
-    hull = PiecewiseLinearHull(((1.0, 1.0), (3.0, 9.0)), "upper")
+    hull = PiecewiseLinearHull(((1.0, 1.0), (3.0, 9.0)))
     gen = reconstruct_generator(hull(xs), iv13)
     ratio = fd_curvature_ratio(gen.values, iv13.step)
     want = 4.0 * xs - 3.0

@@ -1,6 +1,7 @@
 """Generator evaluation, curvature profile, negation, and parsing."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ def test_working_interval_accepts_integer_grid_sizes():
 def test_working_interval_refuses_a_span_that_overflows(lo, hi):
     """hi - lo = inf once made every grid point after lo NaN."""
     with pytest.raises(UsageError, match=r"^need a finite span hi - lo, got \[-1"):
+        WorkingInterval(lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (0.0, -0.0), (5.0, 1.0), (-1.0, -2.0)])
+def test_working_interval_refuses_lo_not_below_hi(lo, hi):
+    with pytest.raises(UsageError, match=f"^{re.escape(f'need lo < hi, got [{lo}, {hi}]')}$"):
+        WorkingInterval(lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0),
+                                    (0.0, np.inf), (np.nan, np.nan)])
+def test_working_interval_refuses_a_nonfinite_end(lo, hi):
+    with pytest.raises(UsageError, match="^interval endpoints must be finite$"):
         WorkingInterval(lo, hi)
 
 
@@ -315,6 +329,17 @@ def test_rho_of_a_table_shares_its_rho_column(tmp_path):
     path.write_text("x,f\n" + "".join(f"{x!r},{x ** 3!r}\n" for x in xs.tolist()))
     loaded = load_table(str(path))
     assert rho(loaded) is loaded.rho_values
+
+
+def test_scalar_grid_refuses_a_wrong_length_or_a_nonfinite_value():
+    iv = WorkingInterval(0.0, 1.0, 5)
+    with pytest.raises(UsageError, match=re.escape("expected 5 values, got shape (4,)")):
+        ScalarGrid(iv, np.ones(4))
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.ones(5)
+        values[2] = bad
+        with pytest.raises(UsageError, match="^grid values must all be finite$"):
+            ScalarGrid(iv, values)
 
 
 def test_scalar_grid_copies_what_it_cannot_keep(iv):

@@ -10,7 +10,7 @@ ends: the difference of two reciprocals A/x + B runs one way.
 """
 
 import json
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -18,14 +18,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qameans import convexity, means
+from qameans import convexity
 from qameans.convexity import classify
 from qameans.envelope import (
     qa_concave_envelope,
     qa_concave_envelope_via_reflection,
     qa_convex_envelope,
 )
-from qameans.errors import QameansError, SignChange
+from qameans.errors import QameansError, RangeError, SignChange
 from qameans.generators import (
     AffineGenerator,
     ExpGenerator,
@@ -35,6 +35,7 @@ from qameans.generators import (
     parse_generator,
     reflect_generator,
     rho,
+    tabulate,
 )
 from qameans.grids import WorkingInterval
 from qameans.means import compare
@@ -42,14 +43,28 @@ from qameans.means import compare
 from conftest import Negated, power_ends_equal
 
 
+CLOSED_KINDS = (PowerGenerator, LogGenerator, ExpGenerator, AffineGenerator)
+
+
 @contextmanager
 def sampled_route():
-    """classify, compare and the envelopes as if no generator stated its end
-    values: each profile is sampled on the grid.  A generator that states
-    them is still known to have an affine profile, so the sampled concavity
-    test gives it margin 0, as the end route does."""
-    with mock.patch.object(convexity, "rho_ends", lambda gen: None), \
-            mock.patch.object(means, "rho_ends", lambda gen: None):
+    """classify, compare and the envelopes as if no closed-form kind stated
+    its end values: each profile is sampled on the grid.  Every generator
+    these tests sample is a closed form, whose profile is affine, so a
+    positive profile gets concavity margin 0 here, as the end route gives
+    it; a nonpositive one fails as the sampled test says."""
+    test = convexity._profile_pos_concave
+
+    def affine_test(values, interval):
+        least = float(np.min(values))
+        if least <= 0.0:
+            return test(values, interval)
+        return {"positivity_margin": least, "concavity_margin": 0.0}
+
+    with ExitStack() as stack:
+        for cls in CLOSED_KINDS:
+            stack.enter_context(mock.patch.object(cls, "rho_ends", lambda self: None))
+        stack.enter_context(mock.patch.object(convexity, "_profile_pos_concave", affine_test))
         yield
 
 
@@ -327,3 +342,28 @@ def test_an_overflowed_profile_is_a_range_error_that_compare_answers(p):
             fn(gen)
     ends, sampled = both_routes(compare, gen, LogGenerator(gen.domain))
     assert ends == sampled and json.loads(ends)["relation"] != "Incomparable"
+
+
+def test_a_power_whose_profile_underflows_at_lo_is_refused_by_its_sample():
+    """x/(p - 1) = 5e-324/3 rounds to 0 at lo, an infinite f'': power:4
+    states no end values there (read from them, the span would be divided
+    by that 0), and rho() refuses the sample, as for every call here."""
+    gen = PowerGenerator(4.0, WorkingInterval(5e-324, 1.0))
+    log = LogGenerator(gen.domain)
+    assert gen.rho_ends() is None
+    for fn, args in ((classify, (gen,)), (compare, (gen, log)), (qa_convex_envelope, (gen,)),
+                     (qa_concave_envelope, (gen,))):
+        with pytest.raises(RangeError, match="^power:4: f'' is not finite on the grid$"):
+            fn(*args)
+
+
+def test_a_tabulated_closed_form_is_refused_at_the_ends_as_the_closed_form_is():
+    """On [0, 1e-5] f's second differences are rounding noise, so no run of
+    them confirms that tabulated exp has no concave envelope; the grid's two
+    ends do, by the direct and the reflected route, as they do for exp."""
+    gen = ExpGenerator(WorkingInterval(0.0, 1e-5))
+    for g in (gen, tabulate(gen)):
+        for fn in (qa_concave_envelope, qa_concave_envelope_via_reflection):
+            env = fn(g)
+            assert env.status == "NoneExists"
+            assert json.dumps(env.diagnostics["witness"]["values"]) == "[0.0, 1e-05]"

@@ -763,7 +763,7 @@ def _raised_hull(env: EnvelopeResult, lift: float) -> EnvelopeResult:
     verts = list(env.m.vertices)
     k = max(range(1, len(verts) - 1), key=lambda i: verts[i][1])
     verts[k] = (verts[k][0], verts[k][1] + lift)
-    hull = PiecewiseLinearHull(tuple(verts), "upper")
+    hull = PiecewiseLinearHull(tuple(verts))
     iv = env.interval
     return EnvelopeResult("Envelope", "convex", iv, rho=env.rho, m=hull,
                           generator=reconstruct_generator(hull(iv.grid()), iv, source="raised"))
@@ -917,8 +917,8 @@ def test_a_candidate_without_a_dominating_profile_is_refused(rho_x2_gen, monkeyp
     monkeypatch.setattr(verify, "reconstruct_generator",
                         lambda *args, **kw: accepted.append(1) or reconstruct(*args, **kw))
     hull = verify.PiecewiseLinearHull
-    monkeypatch.setattr(verify, "PiecewiseLinearHull", lambda vertices, orientation: hull(
-        tuple((x, y - 1e9 * (len(accepted) >= 3)) for x, y in vertices), orientation))
+    monkeypatch.setattr(verify, "PiecewiseLinearHull", lambda vertices: hull(
+        tuple((x, y - 1e9 * (len(accepted) >= 3)) for x, y in vertices)))
     env = qa_convex_envelope(rho_x2_gen)
     with pytest.raises(CandidateRejected,
                        match="^candidate 3: no dominating concave profile in 200 attempts$"):
