@@ -7,17 +7,20 @@ also gives, only fills an envelope's g' grid.  No kind states a direction:
 f and -f generate the same mean and have the same profile, so nothing the
 theory decides depends on the sign of f.
 Closed-form kinds (power:p, log, exp, affine:a:b, with id = affine:1:0)
-return exact analytic values, invert in closed form and give rho in
-closed form (x/(p-1), -x, 1, +inf).  Each of these profiles is one
-correctly rounded expression in x that only rises or only falls, and the
-grid's ends are lo and hi exactly, so its two end values, which the kind
-states by ``rho_ends()`` (a reflection mirrors its inner kind's), bound
-every sample of it, in order: the profile is affine, concave with margin
-exactly 0 and its own hull.  A power whose x/(p-1) underflows to 0 at lo
-states none.  Tabulated kinds interpolate a sampled grid, invert by
+return exact analytic values and invert in closed form, and each states
+its profile once, as the pair ``sigma = (A, B)`` with f''/f' = 1/rho =
+A/x + B: power (p - 1, 0), log (-1, 0), exp (0, 1) and affine (0, 0); a
+reflection x -> f(-x) states (A, -B) of its inner kind.  The base class
+derives ``rho(x)`` and ``rho_ends()`` from it: rho is x/A, or 1/B where A
+= 0, or an infinity of B's sign where both are 0.  Each such profile is
+one correctly rounded expression in x that only rises or only falls, and
+the grid's ends are lo and hi exactly, so its two end values bound every
+sample of it, in order: the profile is affine, concave with margin
+exactly 0 and its own hull.  An end where x/A underflows to 0 states
+none.  Tabulated kinds interpolate a sampled grid, invert by
 interpolating the same grid with the axes swapped, and fill in f' and rho
-by central differences unless given; they, like the base class, state no
-end values, and their profiles are sampled and scanned.
+by central differences unless given; they state no sigma and so no end
+values, and their profiles are sampled and scanned.
 
 A kind's ``rho_ends()`` alone decides whether its profile is read from
 its two end values; :func:`rho` samples the profile on the grid and
@@ -30,6 +33,7 @@ reads from the end values or from the sample.
 from __future__ import annotations
 
 import copy
+import math
 import os
 import re
 import stat
@@ -58,15 +62,36 @@ class Generator:
     def f1(self, x):
         raise NotImplementedError
 
+    # (A, B) with f''/f' = A/x + B, exact in the kind's parameter; None for
+    # a kind without one (tables), which gives rho itself.
+    sigma: tuple | None = None
+
     def rho(self, x):
-        """The profile f'/f'' at x, infinite where f'' = 0."""
-        raise NotImplementedError
+        """The profile f'/f'' at x, infinite where f'' = 0: x/A where A != 0,
+        else 1/B, else an infinity of B's sign."""
+        if self.sigma is None:
+            raise NotImplementedError
+        x = np.asarray(x, dtype=float)
+        a, b = self.sigma
+        if a != 0.0:
+            with np.errstate(over="ignore"):  # a power within about x/1.8e308 of p = 1
+                return x / a
+        return np.full_like(x, 1.0 / b if b != 0.0 else math.copysign(math.inf, b))
 
     def rho_ends(self):
         """rho at lo and at hi, two nonzero floats of one sign between which
         every grid sample of rho lies, in order, or None when only the sample
-        tells (tables)."""
-        return None
+        tells: a kind without sigma, or an end where x/A underflows to 0, an
+        infinite f'' that rho() refuses.  They are rho's own float operations,
+        so x/A overflows to inf as numpy's does."""
+        if self.sigma is None:
+            return None
+        a, b = self.sigma
+        if a == 0.0:
+            r = 1.0 / b if b != 0.0 else math.copysign(math.inf, b)
+            return r, r
+        ends = float(self.domain.lo) / a, float(self.domain.hi) / a
+        return None if 0.0 in ends else ends
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -93,6 +118,7 @@ class PowerGenerator(Generator):
         if domain.lo <= 0:
             raise UsageError("power generator needs lo > 0")
         self.p = p = _finite_exponent("power generator", p)
+        self.sigma = (p - 1.0, 0.0)
         self.domain = domain
         lo, hi = float(domain.lo), float(domain.hi)
         try:
@@ -114,26 +140,14 @@ class PowerGenerator(Generator):
         x = np.asarray(x, dtype=float)
         return self.p * x ** (self.p - 1.0)
 
-    def rho(self, x):
-        # p = 1: f'' = 0, rho = +inf; p within about x/1.8e308 of 1: rho overflows
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.asarray(x, dtype=float) / (self.p - 1.0)
-
-    def rho_ends(self):
-        # rho's expression on floats, which divide as numpy does and overflow to
-        # inf; None where it underflows to 0 at lo, an infinite f'' that rho() refuses
-        q = self.p - 1.0
-        if q == 0.0:
-            return np.inf, np.inf
-        a = float(self.domain.lo) / q
-        return None if a == 0.0 else (a, float(self.domain.hi) / q)
-
     def spec_string(self):
         return f"power:{_shortest(self.p)}"
 
 
 class LogGenerator(Generator):
     """f(x) = ln x on a positive interval (the p = 0 member of the power family)."""
+
+    sigma = (-1.0, 0.0)
 
     def __init__(self, domain: WorkingInterval):
         if domain.lo <= 0:
@@ -149,18 +163,14 @@ class LogGenerator(Generator):
     def f1(self, x):
         return 1.0 / np.asarray(x, dtype=float)
 
-    def rho(self, x):
-        return -np.asarray(x, dtype=float)
-
-    def rho_ends(self):
-        return -float(self.domain.lo), -float(self.domain.hi)
-
     def spec_string(self):
         return "log"
 
 
 class ExpGenerator(Generator):
     """f(x) = e**x."""
+
+    sigma = (0.0, 1.0)
 
     def __init__(self, domain: WorkingInterval):
         self.domain = domain
@@ -173,12 +183,6 @@ class ExpGenerator(Generator):
 
     def f1(self, x):
         return np.exp(np.asarray(x, dtype=float))
-
-    def rho(self, x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def rho_ends(self):
-        return 1.0, 1.0
 
     def spec_string(self):
         return "exp"
@@ -198,6 +202,8 @@ class AffineGenerator(Generator):
     a = 1, b = 0 is the identity, spelled ``id``.
     """
 
+    sigma = (0.0, 0.0)
+
     def __init__(self, a: float, b: float, domain: WorkingInterval):
         a, b = float(a), float(b)
         if not (0.0 < abs(a) < np.inf and abs(b) < np.inf):  # NaN fails it too
@@ -215,12 +221,6 @@ class AffineGenerator(Generator):
     def f1(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.a)
 
-    def rho(self, x):
-        return np.full_like(np.asarray(x, dtype=float), np.inf)
-
-    def rho_ends(self):
-        return np.inf, np.inf
-
     def spec_string(self):
         if self.a == 1.0 and self.b == 0.0:
             return "id"
@@ -228,11 +228,14 @@ class AffineGenerator(Generator):
 
 
 class ReflectedGenerator(Generator):
-    """Argument-reflected generator x -> f(-x), living on the mirror interval."""
+    """Argument-reflected generator x -> f(-x), living on the mirror interval;
+    f(-x)''/f(-x)' = A/x - B states its inner kind's (A, B) as (A, -B)."""
 
     def __init__(self, inner: Generator):
         self.inner = inner
         self.domain = inner.domain.reflected()
+        if inner.sigma is not None:
+            self.sigma = (inner.sigma[0], -inner.sigma[1])
 
     def f(self, x):
         return self.inner.f(-np.asarray(x, dtype=float))
@@ -245,10 +248,6 @@ class ReflectedGenerator(Generator):
 
     def rho(self, x):
         return -self.inner.rho(-np.asarray(x, dtype=float))
-
-    def rho_ends(self):
-        ends = self.inner.rho_ends()
-        return None if ends is None else (-ends[1], -ends[0])
 
     def spec_string(self):
         return f"reflected({self.inner.spec_string()})"

@@ -48,11 +48,13 @@ def power_ends_equal(p: float, lo: float, hi: float) -> bool:
 
 class Negated(Generator):
     """-f as the value-space transform -1 * f + 0: f and -f generate one mean
-    and share rho, so tests use it to check that nothing reads f's sign."""
+    and share rho, and so sigma; tests use it to check that nothing reads
+    f's sign."""
 
     def __init__(self, inner: Generator):
         self.inner = inner
         self.domain = inner.domain
+        self.sigma = inner.sigma
 
     def f(self, x):
         return -1.0 * self.inner.f(x) + 0.0
@@ -65,9 +67,6 @@ class Negated(Generator):
 
     def rho(self, x):
         return self.inner.rho(x)
-
-    def rho_ends(self):
-        return self.inner.rho_ends()
 
     def spec_string(self):
         return f"-({self.inner.spec_string()})"

@@ -420,14 +420,26 @@ AFFINE_KINDS = {
 }
 
 
-def test_every_kind_stating_an_affine_profile_is_checked(iv):
-    """The classes with their own rho_ends are those checked here, besides the
-    reflection, which mirrors its inner kind's; tables and the base class
-    state no end values."""
-    claims = {cls for cls in vars(generators).values()
-              if isinstance(cls, type) and issubclass(cls, Generator)
-              and cls.rho_ends is not Generator.rho_ends}
-    assert claims == set(AFFINE_KINDS) | {ReflectedGenerator}
+def test_every_kind_stating_an_affine_profile_is_checked(iv, tmp_path):
+    """The kinds whose parsed specs state sigma = (A, B) are those checked
+    here, and so are their reflections; no class gives its own rho_ends, and
+    only tables and the reflection, which mirrors a table's, give their own
+    rho.  Tables and the base class state no sigma and so no end values."""
+    path = tmp_path / "t.csv"
+    path.write_text("x,f\n1,1\n2,4\n3,9\n")
+    examples = {"power:<p>": "power:3", "affine:<a>:<b>": "affine:-2:3",
+                "table:<path>": f"table:{path}"}
+    gens = [parse_generator(examples.get(kind, kind), iv)
+            for kind in generators.generator_kinds()]
+    assert {type(g) for g in gens if g.sigma is not None} == set(AFFINE_KINDS)
+    for g in gens:
+        assert reflect_generator(g).sigma == (None if g.sigma is None
+                                              else (g.sigma[0], -g.sigma[1]))
+    classes = [cls for cls in vars(generators).values()
+               if isinstance(cls, type) and issubclass(cls, Generator)]
+    assert [cls for cls in classes if cls.rho_ends is not Generator.rho_ends] == []
+    assert ({cls for cls in classes if cls.rho is not Generator.rho}
+            == {TabulatedGenerator, ReflectedGenerator})
     table = tabulate(PowerGenerator(3.0, iv))
     assert table.rho_ends() is None and reflect_generator(table).rho_ends() is None
 
@@ -444,6 +456,30 @@ def test_an_affine_profile_is_its_chord(spec, lo, hi):
         want = float(np.mean(g.rho(np.array([a, b]))))
         mid = float(g.rho(np.array([(a + b) / 2.0]))[0])
         assert mid == want or abs(mid - want) <= 4 * np.spacing(abs(want))
+
+
+# (spec, lo, hi, ends of the direct kind, ends of its reflection) where the
+# rules deriving rho_ends from sigma decide: an end where x/A underflows to 0
+# states none, x/A may overflow at one end only, an A = 0 profile ignores an
+# x end of 0.0, and B = -0.0 gives -inf.
+EDGES = [
+    ("power:4", 5e-324, 1.0, None, None),
+    ("power:1.0000000000000002", 1.0, 1e300, (1.0 / 2.0**-52, np.inf),
+     (-np.inf, -1.0 / 2.0**-52)),
+    ("exp", -0.0, 1e-5, (1.0, 1.0), (-1.0, -1.0)),
+    ("id", -1.0, 1.0, (np.inf, np.inf), (-np.inf, -np.inf)),
+    ("affine:-2:3", -1.0, 1.0, (np.inf, np.inf), (-np.inf, -np.inf)),
+]
+
+
+@pytest.mark.parametrize("spec, lo, hi, ends, mirrored", EDGES)
+def test_rho_ends_are_rho_at_the_ends_on_the_edges(spec, lo, hi, ends, mirrored):
+    """rho_ends() is rho at lo and hi to the bit, or None where either is 0,
+    on the interval and on its mirror."""
+    gen = parse_generator(spec, WorkingInterval(lo, hi))
+    for g, want in ((gen, ends), (reflect_generator(gen), mirrored)):
+        at_ends = tuple(g.rho(np.array([g.domain.lo, g.domain.hi])).tolist())
+        assert g.rho_ends() == (None if 0.0 in at_ends else at_ends) == want
 
 
 def test_reflect_generator_values(iv):

@@ -383,6 +383,23 @@ def test_parse_mean(iv):
     m = parse_mean("power:2", iv)
     assert isinstance(m, QuasiArithmeticMean)
     assert m([1.0, 7.0]) == pytest.approx(5.0, abs=1e-12)
+    with pytest.raises(UsageError, match="^mean spec 'arith' needs a working interval$"):
+        parse_mean("arith", None)
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="ArithmeticMean does not clamp to the row's [min, max]; "
+                          "ROADMAP item 20 weighs folding it into the id mean")
+def test_arith_of_a_constant_row_is_its_value(iv):
+    """Every other mean clamps to the row's [min, max], so a constant row
+    gives its value; 0.1 + 0.1 + 0.1 is 0.30000000000000004, so arith gives
+    0.10000000000000002."""
+    X = np.full((1, 3), 0.1)
+    identity = QuasiArithmeticMean(parse_generator("id", iv))
+    assert identity.batch(X).tolist() == [0.1]
+    assert identity.running(X).tolist() == [[0.1, 0.1, 0.1]]
+    assert ArithmeticMean(iv).batch(X).tolist() == [0.1]
+    assert ArithmeticMean(iv).running(X).tolist() == [[0.1, 0.1, 0.1]]
 
 
 def test_every_mean_handle_takes_one_vector_per_call(iv):

@@ -10,7 +10,7 @@ ends: the difference of two reciprocals A/x + B runs one way.
 """
 
 import json
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -43,9 +43,6 @@ from qameans.means import compare
 from conftest import Negated, power_ends_equal
 
 
-CLOSED_KINDS = (PowerGenerator, LogGenerator, ExpGenerator, AffineGenerator)
-
-
 @contextmanager
 def sampled_route():
     """classify, compare and the envelopes as if no closed-form kind stated
@@ -61,10 +58,8 @@ def sampled_route():
             return test(values, interval)
         return {"positivity_margin": least, "concavity_margin": 0.0}
 
-    with ExitStack() as stack:
-        for cls in CLOSED_KINDS:
-            stack.enter_context(mock.patch.object(cls, "rho_ends", lambda self: None))
-        stack.enter_context(mock.patch.object(convexity, "_profile_pos_concave", affine_test))
+    with (mock.patch.object(Generator, "rho_ends", lambda self: None),
+          mock.patch.object(convexity, "_profile_pos_concave", affine_test)):
         yield
 
 

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from qameans import generators
 from qameans.cli import run
-from qameans.errors import QameansError
+from qameans.errors import QameansError, UsageError
 from qameans.generators import _CHUNK_BYTES, TabulatedGenerator, _orjson_table, load_table
 from qameans.grids import WorkingInterval
 
@@ -174,6 +174,30 @@ def test_malformed_table_errors_as_loadtxt_path(tmp_path_factory, n, row, column
     path.write_bytes((newline.join(lines) + newline).encode())
     outcome = assert_reads_as_loadtxt_path(load_table, str(path))
     assert isinstance(outcome[0], type) and issubclass(outcome[0], QameansError)
+
+
+@pytest.mark.parametrize("body", [b"x,f\n0,1\n1,2\n", b"0,1\n1,2\n"],
+                         ids=["header", "no header"])
+def test_a_table_of_two_rows_is_refused(tmp_path, body):
+    path = tmp_path / "two.csv"
+    path.write_bytes(body)
+    with pytest.raises(UsageError) as info:
+        load_table(str(path))
+    assert str(info.value) == f"{path}: need at least 3 rows"
+
+
+def test_a_line_longer_than_a_chunk_loads_through_loadtxt(tmp_path):
+    """A data line longer than _CHUNK_BYTES leaves the fast path no line
+    end to cut its chunk at, so np.loadtxt reads the file, and the blanks
+    around a cell change no bit of the table."""
+    rows = [b"0,1", b"1,2", b"2,4", b"3,8", b"4,16"]
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    plain.write_bytes(b"\n".join(rows) + b"\n")
+    rows[2] = b"2," + b" " * _CHUNK_BYTES + b"4"
+    padded.write_bytes(b"\n".join(rows) + b"\n")
+    assert _orjson_table(plain.read_bytes()) is not None
+    assert _orjson_table(padded.read_bytes()) is None
+    assert _outcome(load_table, str(padded)) == _outcome(load_table, str(plain))
 
 
 @pytest.fixture(scope="module")

@@ -935,6 +935,22 @@ def test_duality_passes_on_concave_catalog(catalog, rho_neg_x2_gen):
         assert rep.worst_margin > 0.0
 
 
+def test_duality_reports_a_status_mismatch(monkeypatch, capsys, catalog):
+    """A reflected route whose status differs from the direct one's is one
+    failure with margin 0, whose witness names both statuses, and exit 1."""
+    log = catalog["log"]
+    monkeypatch.setattr(verify, "qa_concave_envelope_via_reflection",
+                        lambda gen: EnvelopeResult("ArithmeticEnvelope", "concave", gen.domain))
+    env = qa_concave_envelope(log)
+    assert env.status == "AlreadyExtremal"
+    rep = duality_check(log, env, trials=100, seed=0)
+    assert (rep.failures, rep.worst_margin) == (1, 0.0)
+    assert rep.witness == {"status_direct": "AlreadyExtremal",
+                           "status_reflected": "ArithmeticEnvelope"}
+    assert run(["verify", "--check", "duality", "--gen", "log"]) == 1
+    assert json.loads(capsys.readouterr().out)["witness"] == rep.witness
+
+
 def test_duality_needs_an_envelope(catalog):
     # the exp mean has no concave envelope; both routes agree on that
     with pytest.raises(UsageError):
