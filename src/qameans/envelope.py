@@ -20,12 +20,12 @@ its one generator, negated if they fall (see EnvelopeResult).
 An envelope in a given direction exists only when the mean sits on the
 right side of the arithmetic mean; for increasing f, QA_f >= A exactly when
 f is convex (Jensen), so the sign of rho decides, and a refusal returns a
-re-verified violating grid pair: the pair flanking a wrong-signed run of
-f's second differences, else the grid's two ends, for every kind.  Sign,
-degeneracy and extremality are read from one record of
-:func:`qameans.convexity._profile_tests`, as classify's are, so a closed
-form's refusal samples no profile; a result that publishes the profile
-(its rho column) samples it.
+re-verified violating grid pair: the grid's two ends, else the pair
+flanking the wrong-signed run of f's second differences around the worst
+one, for every kind.  Sign, degeneracy and extremality are read from one
+record of :func:`qameans.convexity._profile_tests`, as classify's are, so a
+closed form's refusal that its ends confirm builds no grid; a result that
+publishes the profile (its rho column) samples it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .convexity import MEAN_CMP_TOL, _profile_tests
-from .errors import NonpositiveM, RangeError, SignChange, UsageError
+from .errors import NonpositiveM, SignChange, UsageError
 from .generators import (
     Generator,
     TabulatedGenerator,
@@ -204,36 +204,10 @@ class EnvelopeResult:
 
 
 def _pair_witness(gen: Generator, direction: str) -> dict | None:
-    """A grid pair (a, b) with QA_f(a, b) on the wrong side of (a + b)/2, or None.
-
-    Second differences of the increasing one of f and -f, negated for the
-    concave direction, are negative where it bends the wrong way; the pair
-    bounds the maximal run of them around the most negative.  When direct
-    evaluation does not confirm it beyond MEAN_CMP_TOL * span, or no
-    difference is negative, the grid's two end points are tried: on a
-    narrow interval the differences are rounding noise.
-    """
-    xs = gen.domain.grid()
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx = np.asarray(gen.f(xs), dtype=float)
-    if not np.all(np.isfinite(fx)):
-        raise RangeError(f"{gen.spec_string()}: generator values overflow on the grid")
-    d2 = fx[:-2] - 2.0 * fx[1:-1] + fx[2:]
-    if (direction == "concave") == (fx[-1] > fx[0]):
-        d2 = -d2
-    pairs = []
-    k = int(np.argmin(d2))
-    if d2[k] < 0.0:
-        # d2[j] sits at grid point j + 1; the pair flanks the run around k
-        ok = np.flatnonzero(d2 >= 0.0)
-        j = int(np.searchsorted(ok, k))
-        pairs.append((int(ok[j - 1]) + 1 if j > 0 else 0,
-                      int(ok[j]) + 1 if j < len(ok) else len(xs) - 1))
-    if (0, len(xs) - 1) not in pairs:
-        pairs.append((0, len(xs) - 1))
+    """The first of _candidate_pairs whose QA_f(a, b) lies on the wrong side
+    of (a + b)/2 beyond MEAN_CMP_TOL * span, evaluated directly, or None."""
     tol = MEAN_CMP_TOL * gen.domain.span
-    for a, b in pairs:
-        pair = xs[[a, b]]
+    for pair in _candidate_pairs(gen, direction):
         qa = float(_qa_mean_batch(gen, pair[None, :])[0])
         am = float(pair.mean())
         margin = am - qa if direction == "convex" else qa - am
@@ -241,6 +215,31 @@ def _pair_witness(gen: Generator, direction: str) -> dict | None:
             return {"values": pair.tolist(), "qa_mean": qa, "arith_mean": am,
                     "margin": margin, "tol": tol}
     return None
+
+
+def _candidate_pairs(gen: Generator, direction: str):
+    """Grid pairs (a, b) as arrays.  First the grid's ends, with no grid: a
+    closed form's profile has one sign, so they are the theory's witness,
+    and as f is monotone their mean is a RangeError wherever f is not
+    finite on the grid.  Then the outer ends of the maximal run of negative
+    second differences around the most negative one, unless it spans the
+    grid: those of the increasing one of f and -f, negated for the concave
+    direction, are negative where it bends the wrong way, as a table may."""
+    yield np.array(gen.domain.ends)
+    xs = gen.domain.grid()
+    fx = np.asarray(gen.f(xs), dtype=float)
+    d2 = fx[:-2] - 2.0 * fx[1:-1] + fx[2:]
+    if (direction == "concave") == (fx[-1] > fx[0]):
+        d2 = -d2
+    k = int(np.argmin(d2))
+    if d2[k] < 0.0:
+        # d2[j] sits at grid point j + 1; the pair flanks the run around k
+        ok = np.flatnonzero(d2 >= 0.0)
+        j = int(np.searchsorted(ok, k))
+        a = int(ok[j - 1]) + 1 if j > 0 else 0
+        b = int(ok[j]) + 1 if j < len(ok) else len(xs) - 1
+        if (a, b) != (0, len(xs) - 1):
+            yield xs[[a, b]]
 
 
 def _envelope_fields(gen: Generator, direction: str) -> dict:

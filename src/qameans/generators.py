@@ -482,18 +482,16 @@ def rho(gen: Generator) -> np.ndarray:
 
 
 def tabulate(gen: Generator) -> TabulatedGenerator:
-    """Sample a generator (f, f' and rho) into a tabulated one."""
-    xs = gen.domain.grid()
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
-        values, f1_values = gen.f(xs), gen.f1(xs)
-    return TabulatedGenerator(gen.domain, values, f1_values, gen.rho(xs),
+    """Sample a generator into a tabulated one: f and f' by sampled_columns,
+    then rho, so a bad f or f' is refused before rho is sampled."""
+    return TabulatedGenerator(gen.domain, *sampled_columns(gen), gen.rho(gen.domain.grid()),
                               source=f"tabulated({gen.spec_string()})")
 
 
 def sampled_columns(gen: Generator) -> tuple:
-    """f and f' of gen on its grid, bit-equal to tabulate(gen)'s values and
-    f1_values and refused by the same checks with the same errors, without
-    sampling rho or building the table.
+    """f and f' of gen on its grid, the values and f1_values of tabulate(gen),
+    refused as that table refuses them, without sampling rho or building
+    the table.
 
     Each is returned as a copy made after the checks, as the table's own
     columns were: returning gen.f's and gen.f1's arrays themselves raised

@@ -878,6 +878,16 @@ def test_overflowing_derivative_prints_one_error_line(argv):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+def test_a_refusal_whose_generator_overflows_at_an_end_names_the_mean(capsys):
+    """e**720 overflows, so the mean of the refusal's end pair is not finite."""
+    assert run(["envelope", "--gen", "exp", "--kind", "concave", "--lo", "0",
+                "--hi", "720"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: exp: generator values or the inverse of their "
+                            "average are not finite on [0.0, 720.0]\n")
+
+
 @pytest.mark.parametrize("command", ["classify", "envelope"])
 def test_an_overflowed_closed_form_profile_prints_one_error_line(command):
     """rho = x/(p - 1) is finite at lo and overflows before hi: an explicit

@@ -449,6 +449,39 @@ def test_harmonic_mean_is_its_own_concave_envelope_on_a_wide_interval():
     assert qa_concave_envelope(gen).status == "AlreadyExtremal"
 
 
+@pytest.mark.parametrize("spec, direction", [
+    ("power:3", "concave"), ("exp", "concave"), ("log", "convex")])
+def test_a_closed_forms_refusal_at_its_ends_builds_no_grid(monkeypatch, spec, direction):
+    """A closed form's profile has one sign, so the interval's two ends are
+    the witness, read with no grid even at 2^20 + 1 points, by the direct
+    route and by the mirror route (on the reflected generator for convex)."""
+    def refuse(self):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(WorkingInterval, "grid", refuse)
+    gen = parse_generator(spec, WorkingInterval(0.1, 10.0, 2**20 + 1))
+    direct = qa_concave_envelope if direction == "concave" else qa_convex_envelope
+    mirror = gen if direction == "concave" else reflect_generator(gen)
+    for route, g in ((direct, gen), (qa_concave_envelope_via_reflection, mirror)):
+        res = route(g)
+        assert res.status == "NoneExists"
+        w = res.diagnostics["witness"]
+        assert w["values"] == list(g.domain.ends) and w["margin"] > w["tol"]
+
+
+def test_a_narrow_refusal_names_the_ends_by_both_concave_routes():
+    """power:3 on [1, 1.000001] at 129 points: the ends confirm with margin
+    2.5e-13.  The second differences there are rounding noise, and the runs
+    they gave once named [1.000000046875, 1.000000140625] (margin 2.0e-15)
+    and [1.0000004140625, 1.0000005] (1.8e-15), one per route, against a
+    tolerance of 1.0e-15."""
+    gen = PowerGenerator(3.0, WorkingInterval(1.0, 1.000001, 129))
+    for route in (qa_concave_envelope, qa_concave_envelope_via_reflection):
+        w = route(gen).diagnostics["witness"]
+        assert w["values"] == [1.0, 1.000001]
+        assert w["margin"] == pytest.approx(2.498e-13, rel=1e-3) and w["margin"] > w["tol"]
+
+
 def test_refusal_needs_a_confirmed_pair():
     """x**p with p > 1 has no concave envelope.  At p = 1 + 1e-9 on [0.01, 4]
     f'' is 40 times the degenerate floor, but QA_p(0.01, 4) exceeds 2.005 by

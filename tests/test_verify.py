@@ -926,6 +926,19 @@ def test_a_candidate_without_a_dominating_profile_is_refused(rho_x2_gen, monkeyp
     assert len(accepted) == 3
 
 
+def test_a_profile_no_candidate_dominates_raises_after_200_draws(rho_x2_gen, monkeypatch):
+    """Every hulled candidate lies 1e9 below rho, so the first candidate is
+    refused after its 200th draw instead of being redrawn forever."""
+    chain, draws = verify._monotone_chain, []
+    monkeypatch.setattr(verify, "_monotone_chain", lambda xs, ys, upper: draws.append(1)
+                        or chain(xs, ys - 1e9, upper))
+    env = qa_convex_envelope(rho_x2_gen)
+    with pytest.raises(CandidateRejected,
+                       match="^candidate 0: no dominating concave profile in 200 attempts$"):
+        maximality_check(rho_x2_gen, env, 10, 100, seed=0)
+    assert len(draws) == 200
+
+
 def test_duality_passes_on_concave_catalog(catalog, rho_neg_x2_gen):
     gens = [catalog["log"], catalog["power:0.5"], catalog["power:-1"],
             catalog["id"], rho_neg_x2_gen]
