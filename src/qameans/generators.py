@@ -491,21 +491,15 @@ def tabulate(gen: Generator) -> TabulatedGenerator:
 def sampled_columns(gen: Generator) -> tuple:
     """f and f' of gen on its grid, the values and f1_values of tabulate(gen),
     refused as that table refuses them, without sampling rho or building
-    the table.
-
-    Each is returned as a copy made after the checks, as the table's own
-    columns were: returning gen.f's and gen.f1's arrays themselves raised
-    perfbench analyze's peak_rss_mb from 61.8 to 66.8 MB over 15 passes
-    (2-vCPU Xeon), glibc returning less of the heap after the 65537-point
-    envelopes.
-    """
+    the table.  They are gen's own arrays (a table's own columns, for a
+    table), which the table copies; a caller that keeps them copies them."""
     xs = gen.domain.grid()
     with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
         values = np.asarray(gen.f(xs), dtype=float)
         f1_values = np.asarray(gen.f1(xs), dtype=float)
     spec = f"table:tabulated({gen.spec_string()})"
     _check_f1(spec, f1_values, _values_rise(spec, values))
-    return values.copy(), f1_values.copy()
+    return values, f1_values
 
 
 def parse_generator(spec: str, interval: WorkingInterval | None = None) -> Generator:

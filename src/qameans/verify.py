@@ -267,8 +267,8 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
     tuple.  Candidates are random piecewise-linear concave functions with
     2 to 6 vertices lifted above the rho graph; one that fails to dominate
     rho after hulling, or whose inner nodes tie (a uniform draw can be lo),
-    is redrawn and counted, and 200 failed draws raise CandidateRejected, so
-    a profile that no candidate dominates is an error, not an endless loop.
+    is redrawn, and 200 failed draws raise CandidateRejected rather than
+    loop forever on a profile that no candidate dominates.
 
     Each candidate and its trials' tuples are drawn in turn, its mean is
     evaluated on them, and the groups are kept by tuple length as they are

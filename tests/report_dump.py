@@ -39,7 +39,7 @@ from qameans import (
 
 KINDS = ("power:3", "power:0.5", "power:-1", "power:-3", "log", "exp", "id", "affine:-2:1")
 INTERVALS = ((0.1, 10.0), (1.0, 1.000001), (0.001, 1000.0), (0.5, 2.0), (10.0, 11.0),
-             (0.0, 720.0), (0.1, 1e120), (5e-324, 1.0), (-5.0, 5.0))
+             (0.0, 720.0), (709.0, 709.78), (0.1, 1e120), (5e-324, 1.0), (-5.0, 5.0))
 GRIDS = (3, 5, 129, 1025, 4097, 65537)
 ENVELOPES = (("convex", qa_convex_envelope), ("concave", qa_concave_envelope),
              ("concave_via_reflection", qa_concave_envelope_via_reflection))

@@ -888,6 +888,16 @@ def test_a_refusal_whose_generator_overflows_at_an_end_names_the_mean(capsys):
                             "average are not finite on [0.0, 720.0]\n")
 
 
+def test_a_refusal_whose_end_sum_overflows_names_a_pair_inside(capsys):
+    """e**709 and e**709.78 are finite, their sum is not: the refusal names
+    the pair flanking the run of wrong-signed second differences."""
+    assert run(["envelope", "--gen", "exp", "--kind", "concave", "--lo", "709",
+                "--hi", "709.78"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "NoneExists"
+    assert report["diagnostics"]["witness"]["values"] == [709.0, 709.0898828125]
+
+
 @pytest.mark.parametrize("command", ["classify", "envelope"])
 def test_an_overflowed_closed_form_profile_prints_one_error_line(command):
     """rho = x/(p - 1) is finite at lo and overflows before hi: an explicit

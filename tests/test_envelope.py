@@ -482,6 +482,22 @@ def test_a_narrow_refusal_names_the_ends_by_both_concave_routes():
         assert w["margin"] == pytest.approx(2.498e-13, rel=1e-3) and w["margin"] > w["tol"]
 
 
+def test_an_end_pair_whose_sum_overflows_yields_to_the_run_pair():
+    """exp on [709, 709.78]: e**709 and e**709.78 are finite but their sum
+    is not, so the end pair's mean is a RangeError.  The run of wrong-signed
+    second differences stops where 2 e**x overflows, and its pair confirms:
+    every concave route refuses with it, tabulated too."""
+    gen = parse_generator("exp", WorkingInterval(709.0, 709.78, 1025))
+    for g in (gen, tabulate(gen)):
+        for route in (qa_concave_envelope, qa_concave_envelope_via_reflection):
+            res = route(g)
+            assert res.status == "NoneExists"
+            w = res.diagnostics["witness"]
+            assert w["values"] == [709.0, 709.0898828125] and w["margin"] > 1e-3
+    w = qa_convex_envelope(reflect_generator(gen)).diagnostics["witness"]
+    assert w["values"] == [-709.0898828125, -709.0]
+
+
 def test_refusal_needs_a_confirmed_pair():
     """x**p with p > 1 has no concave envelope.  At p = 1 + 1e-9 on [0.01, 4]
     f'' is 40 times the degenerate floor, but QA_p(0.01, 4) exceeds 2.005 by
