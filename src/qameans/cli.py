@@ -15,17 +15,18 @@ report is ASCII byte blocks, written through one file descriptor to --out or
 joined into one string for stdout.  A JSON report's skeleton, the report
 with each top-level float array as [], is written by one indented orjson
 call whose exponent and [1e-5, 1e-4) numbers are respelled as repr spells
-them; json.dumps writes it instead when orjson refuses the skeleton or its
-text holds null, a non-ASCII byte or 0x7f.  Each array's items are cut in
-after its bracket.  Float arrays and table columns go in blocks of at most
-_BLOCK_ROWS rows, gathered into one reused buffer, so the writer holds one
-block, not the table; each run of rows is formatted in C by one flat orjson
-call, whose text is repr's exactly when 1e-4 <= |v| < 1e16 or v = +-0, and a
-row holding any other value is a block of its own, spelled cell by cell
-through repr or json.dumps.  Exit codes: 0 success or pass, 1 a check
-failed with a witness (including an envelope that does not exist), 2 usage
-or domain errors: argparse's usage message, or one "error: " line for a
-QameansError or OSError.
+them; json.dumps writes it instead when orjson refuses the skeleton, when
+the skeleton holds a NaN or +-inf, or when the text holds a non-ASCII byte
+or 0x7f.  Each array's items are cut in after its bracket.  Float arrays
+and table columns go in blocks of at most _BLOCK_ROWS rows, gathered into
+one reused buffer, so the writer holds one block, not the table; each run
+of rows is formatted in C by one flat orjson call, whose text is repr's
+exactly when 1e-4 <= |v| < 1e16 or v = +-0, and a row holding any other
+value is a block of its own, spelled cell by cell through repr or
+json.dumps.  Exit codes: 0 success or pass, 1 a check failed with a witness
+(including an envelope that does not exist), 2 usage or domain errors:
+argparse's usage message, or one "error: " line for a QameansError or
+OSError.
 
 :func:`run` can be called repeatedly from one process: the argument parser
 is built once, on the first call that needs it, and every call gets a fresh

@@ -274,11 +274,10 @@ def _envelope_fields(gen: Generator, direction: str) -> dict:
                              f"comparison tolerance", test["witness"])
         return {"status": "NoneExists", "diagnostics": {"witness": witness}}
 
-    if profile is None:  # decided from the end values; the result publishes the sample
+    if profile is None:  # decided from the end values, which its sample repeats
+        # to the bit: the result publishes the sample, and its hull is the chord.
         profile = ScalarGrid(interval, rho(gen))
-    ends = gen.rho_ends()
-    if ends is not None:  # its own hull: the chord through its two end values
-        hull = PiecewiseLinearHull(tuple(zip(interval.ends, ends)))
+        hull = PiecewiseLinearHull(tuple(zip(interval.ends, profile.values[[0, -1]].tolist())))
     else:
         hull = (concave_envelope_1d(profile) if direction == "convex"
                 else convex_envelope_1d(profile))

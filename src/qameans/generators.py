@@ -260,7 +260,9 @@ class ReflectedGenerator(Generator):
 # 700 on 257 points.
 _LOOKUP_MIN_QUERIES = 512
 # Evenly spaced entries of a batch read to tell whether it is in monotone
-# order, where np.interp's guessed search costs O(1) a query.
+# order.  Timed as above, np.interp's guessed search beats the index lookup
+# on a dense monotone batch, such as a reflected grid, but not on a sparse
+# sorted one.
 _ORDER_SAMPLES = 32
 
 
@@ -290,11 +292,10 @@ class TabulatedGenerator(Generator):
     floor((x - lo) / step), moved by one where grid[j] or grid[j + 1] shows
     x outside that bracket, then np.interp's slope[j] * (x - grid[j]) +
     column[j], or the column value where x is a grid point.  np.interp is
-    kept for every other batch: small ones, monotone ones (such as
-    reflected-grid evaluations, where its guessed search costs O(1) a
-    query), those with a query outside [lo, hi] or NaN, and columns with an
-    infinite slope.  finv always uses np.interp, since its abscissae, the
-    values, are not a uniform grid.
+    kept for every other batch: small ones, monotone ones (it is faster on
+    dense ones, such as reflected grids), those with a query outside
+    [lo, hi] or NaN, and columns with an infinite slope.  finv always uses
+    np.interp, since its abscissae, the values, are not a uniform grid.
     """
 
     def __init__(self, domain: WorkingInterval, values, f1_values=None,

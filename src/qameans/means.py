@@ -11,17 +11,18 @@ not finite raises RangeError rather than returning a wrong mean.  The
 interval test reads the batch's min and max, and seeks the entry to name
 only when it fails.  numpy's axis-1 kernel costs a fixed time per row,
 which is most of a batch of short rows, so the clamp reads each row's min
-and max from one reduction over a column-major copy of the batch, and in a
-batch of at least 32 rows of up to 7 entries the same copy serves f and
-the row sums too.  numpy sums a contiguous row of up to 7 entries from left
-to right, from +0.0, as a column-by-column sum and np.add.accumulate do,
-and a longer one pairwise, so longer rows, smaller batches and prefix sums
-keep the row kernel.  Where the column extremes could pick the other sign
-of a zero extreme than the row kernel (a batch of two or more rows, on an
-interval holding 0, with a row whose extreme is 0), the batch takes them
-from the row kernel, so every mean keeps the bits of a clamp read from the
-row kernel.  A handle's running(X) holds in column k-1 the bits of
-batch(X[:, :k]), and takes a batch call per prefix on rows of 8 or more.
+and max from one reduction over a column-major copy of the batch, and for
+rows of up to 7 entries the same copy serves f and the row sums too.  numpy
+sums a contiguous row of up to 7 entries from left to right, from +0.0, as
+a column-by-column sum and np.add.accumulate do, and a longer one pairwise,
+so longer rows and prefix sums keep the row kernel.  The column extremes
+could pick the other sign of a zero extreme than the row kernel, so a row
+whose min or max is 0 (on an interval holding 0) takes both from the row
+kernel, on that row alone.  A row's route thus depends only on its length
+and its own entries, never on its batch, and every mean keeps the bits of
+a clamp read from the row kernel.  A handle's running(X) holds in column
+k-1 the bits of batch(X[:, :k]), and takes a batch call per prefix on rows
+of 8 or more.
 
 Mean handles wrap a callable mean with its working interval: the arithmetic
 mean and the QA mean of a generator.  The power mean's handle is
@@ -91,20 +92,6 @@ def _checked_rows(domain: WorkingInterval, X) -> np.ndarray:
 # Longest row that _averages sums over a column-major copy: numpy adds a
 # row of 8 or more entries pairwise.
 _SHORT_ROW = 7
-# Fewest rows for which _averages sums over a column-major copy.  Timed on a
-# 2-vCPU Xeon (numpy 2.4) for rows of 2 to 5 entries: the axis-1 kernel takes
-# 2.0-2.2 us up to 16 rows, 2.4-2.7 at 32 and 4.2-4.7 at 128; the copy and a
-# column sum take 2.3-2.8 us up to 32 rows and 2.8-3.3 at 128.  A log mean
-# with f on the extremes' copy and its sum by columns took 1 us more on one
-# row (13.9 against 12.9 us), -5 to +6 % on 8 to 31 rows and 4 to 16 % less
-# on 63 and 200 rows; a running mean took 2 to 17 % more at every size, so
-# prefix sums keep the row kernel.
-_COLUMN_MIN_ROWS = 32
-
-
-def _by_columns(X: np.ndarray) -> bool:
-    """Whether _averages sums the rows of the (B, n) batch X by columns."""
-    return X.shape[1] <= _SHORT_ROW and len(X) >= _COLUMN_MIN_ROWS
 
 
 def _averages(F: np.ndarray, running=False) -> np.ndarray:
@@ -112,13 +99,15 @@ def _averages(F: np.ndarray, running=False) -> np.ndarray:
     transpose of a column-major array; running: each prefix's average, an
     axis-1 np.add.accumulate.  numpy's axis-1 kernel adds a contiguous row
     of up to 7 entries left to right from +0.0, and a longer one pairwise,
-    at a fixed cost per row.  So a batch that _by_columns picks is summed
-    over a column-major copy of F (none when F is the transpose of one), a
-    column at a time from +0.0: the row kernel's bits, in one pass."""
+    at a fixed cost per row.  So rows of up to 7 entries are summed over a
+    column-major copy of F (none when F is the transpose of one), a column
+    at a time from +0.0: the row kernel's bits, in one pass, whatever the
+    number of rows.  Prefix sums keep the row kernel: over a column-major
+    copy, a running mean took 2 to 17 % more at every batch size."""
     n = F.shape[1]
     if running:
         return (np.add.accumulate(F, axis=1) + 0.0) / np.arange(1, n + 1)
-    if _by_columns(F):
+    if n <= _SHORT_ROW:
         return np.add.reduce(np.ascontiguousarray(F.T), axis=0, initial=0.0) / n
     return np.add.reduce(F, axis=1) / n
 
@@ -127,13 +116,13 @@ def _qa_mean_batch(gen: Generator, X, running=False) -> np.ndarray:
     """Row-wise QA mean of a (B, n) array: f, row average, f^{-1}, and a clamp
     to each row's min and max from _row_extremes, whose signed-zero rule gives
     the row kernel's bits; running: those of each prefix, for rows of up to 7.
-    A batch summed by columns evaluates f on the column-major copy the
-    extremes read, so _averages makes no copy of its own."""
+    Rows of up to 7 entries evaluate f on the column-major copy the extremes
+    read, so _averages makes no copy of its own."""
     X = _checked_rows(gen.domain, X)
     XT = None if running else np.ascontiguousarray(X.T)
     lo, hi = _row_extremes(X, XT, gen.domain)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if XT is not None and _by_columns(X):
+        if XT is not None and X.shape[1] <= _SHORT_ROW:
             avg = _averages(np.asarray(gen.f(XT), dtype=float).T)
         else:
             del XT  # no copy stays alive beside f's values
@@ -149,27 +138,26 @@ def _qa_mean_batch(gen: Generator, X, running=False) -> np.ndarray:
 
 def _row_extremes(X: np.ndarray, XT: np.ndarray | None, domain: WorkingInterval) -> tuple:
     """Each row's min and max, reduced over XT, the column-major copy of X
-    that f also reads when the batch is summed by columns: numpy's axis-1
-    kernel runs once per row, which costs most of a batch of short rows.
-    On two or more rows holding both zeros the column form may pick the
-    other sign of zero than the row kernel, which would make a row's clamp
-    depend on the rest of its batch.  So a batch with a row whose extreme
-    is a zero takes its extremes from the row kernel; entries lie in the
-    domain, so only an interval holding 0 can hold such a row.  For one row
-    XT is a view, and the column reduction is the row kernel.  XT None:
-    each prefix's min and max (running), a zero one signed as for the
+    that f also reads for rows of up to 7 entries: numpy's axis-1 kernel
+    runs once per row, which costs most of a batch of short rows.  Where a
+    row holds both zeros the column form may pick the other sign of zero
+    than the row kernel.  So a row whose min or max is a zero takes both
+    from the row kernel, on that row alone; entries lie in the domain, so
+    only an interval holding 0 can hold such a row.  XT None: each prefix's
+    min and max (running), a prefix's zero one from the row kernel on that
     prefix."""
     if XT is None:
         lo, hi = np.minimum.accumulate(X, axis=1), np.maximum.accumulate(X, axis=1)
         if domain.lo <= 0.0 <= domain.hi:
             for j in np.flatnonzero(((lo == 0.0) | (hi == 0.0)).any(axis=0)):
                 P = np.ascontiguousarray(X[:, :j + 1])
-                lo[:, j], hi[:, j] = _row_extremes(P, np.ascontiguousarray(P.T), domain)
+                lo[:, j], hi[:, j] = P.min(axis=1), P.max(axis=1)
         return lo, hi
     lo, hi = np.minimum.reduce(XT), np.maximum.reduce(XT)
-    if (len(X) > 1 and domain.lo <= 0.0 <= domain.hi
-            and ((lo == 0.0) | (hi == 0.0)).any()):
-        return X.min(axis=1), X.max(axis=1)
+    if domain.lo <= 0.0 <= domain.hi:
+        z = (lo == 0.0) | (hi == 0.0)
+        if z.any():
+            lo[z], hi[z] = X[z].min(axis=1), X[z].max(axis=1)
     return lo, hi
 
 

@@ -194,7 +194,7 @@ def _caller_layouts(X):
 
 
 @pytest.mark.parametrize("gen", SIGNED_GENERATORS, ids=lambda g: g.spec_string())
-@pytest.mark.parametrize("rows", [1, 2, 17, 1000])
+@pytest.mark.parametrize("rows", [1, 2, 17, 31, 32, 33, 1000])
 def test_signed_zero_rows_are_bit_equal_to_the_reference(gen, rows):
     """Every layout of a batch gives the reference's bits for the
     contiguous batch."""
@@ -206,7 +206,7 @@ def test_signed_zero_rows_are_bit_equal_to_the_reference(gen, rows):
 
 
 @pytest.mark.parametrize("gen", SIGNED_GENERATORS, ids=lambda g: g.spec_string())
-@pytest.mark.parametrize("rows", [2, 17, 1000])
+@pytest.mark.parametrize("rows", [1, 2, 17, 31, 32, 33, 1000])
 def test_a_rows_batch_mean_is_its_single_row_mean(gen, rows):
     """The row kernel reduces each row of a batch as it reduces the row
     alone, so the clamp does not let a row's mean depend on its batch."""
@@ -253,11 +253,11 @@ def _summands(data, rows, n):
     return F
 
 
-@given(rows=st.integers(0, 2 * means._COLUMN_MIN_ROWS), n=st.integers(1, means._SHORT_ROW),
+@given(rows=st.integers(0, 64), n=st.integers(1, means._SHORT_ROW),
        data=st.data())
 def test_short_rows_summed_by_columns_keep_the_row_kernels_bits(rows, n, data):
-    """Rows of 1 to 7 entries, a batch row-major (copied to columns from
-    _COLUMN_MIN_ROWS rows) or the transpose of a column-major array: the
+    """Rows of 1 to 7 entries, a batch row-major (copied to columns at any
+    number of rows) or the transpose of a column-major array: the
     averages and prefix averages have the bits of numpy's axis-1 kernel on
     each contiguous prefix, an all -0.0 row's +0.0 among them."""
     F = _summands(data, rows, n)
@@ -268,7 +268,7 @@ def test_short_rows_summed_by_columns_keep_the_row_kernels_bits(rows, n, data):
                 == np.column_stack(prefix).reshape(rows, n).tobytes())
 
 
-@given(rows=st.integers(1, 2 * means._COLUMN_MIN_ROWS), n=st.integers(8, 40), data=st.data())
+@given(rows=st.integers(1, 64), n=st.integers(8, 40), data=st.data())
 def test_rows_of_8_or_more_keep_the_row_kernel(rows, n, data):
     F = _summands(data, rows, n)
     assert means._averages(F).tobytes() == (np.add.reduce(F, axis=1) / n).tobytes()
@@ -278,7 +278,7 @@ def test_a_row_of_8_entries_is_summed_pairwise():
     """numpy adds 8 entries pairwise, to 5 here; left to right, as a column
     sum of the batch would, they add to 4."""
     row = [1.0, 2.0**53, 1.0, -(2.0**53), 1.0, 1.0, 1.0, 1.0]
-    F = np.array([row] * means._COLUMN_MIN_ROWS)
+    F = np.array([row] * 32)
     assert np.add.reduce(np.ascontiguousarray(F.T), axis=0, initial=0.0)[0] == 4.0
     assert (means._averages(F) == 5.0 / 8).all()
 
