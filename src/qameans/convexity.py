@@ -15,9 +15,12 @@ read from a closed form's two end values (rho_ends) or a table's sample
 positivity and concavity in either sense; classify and the envelopes of
 :mod:`qameans.envelope` take their verdicts from its records.
 
-The cross-check :func:`dominates_arithmetic` samples QA_f >= A; Jensen's
-inequality for QA_f is :func:`qameans.verify.ingham_jessen_check` with
-M = A, N = QA_f (convexity) or the two swapped (concavity).  Every sampled
+:func:`dominates_arithmetic` samples QA_f >= A (or <=).  Nothing calls it:
+not the library, the CLI, the demos or the perfbench workloads.  It stays
+only because perfbench/spans.py names it, and ROADMAP item 4's benchmark
+change deletes both.  Jensen's inequality for QA_f is
+:func:`qameans.verify.ingham_jessen_check` with M = A, N = QA_f
+(convexity) or the two swapped (concavity).  Every sampled
 check runs through one driver, :func:`_sample_margins`: it
 folds a margin function over groups of trials, keeps the worst margin and
 the failure count, and hands the failing trial with the lowest index to the

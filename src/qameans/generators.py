@@ -259,11 +259,6 @@ class ReflectedGenerator(Generator):
 # from about 400 queries on a 1025-point grid, 128 on 65537 points and
 # 700 on 257 points.
 _LOOKUP_MIN_QUERIES = 512
-# Evenly spaced entries of a batch read to tell whether it is in monotone
-# order.  Timed as above, np.interp's guessed search beats the index lookup
-# on a dense monotone batch, such as a reflected grid, but not on a sparse
-# sorted one.
-_ORDER_SAMPLES = 32
 
 
 class TabulatedGenerator(Generator):
@@ -281,21 +276,19 @@ class TabulatedGenerator(Generator):
     source).
     A column that is not one value per grid point is a UsageError.  The
     three columns, values, f1_values and rho_values, are the constructor's
-    own read-only copies, so the lookup slopes computed from them stay
-    valid for the table's life, and copy.copy of a table shares them all.
+    own read-only copies, so the lookup slopes computed from the values
+    stay valid for the table's life, and copy.copy of a table shares them
+    all.
 
     f, f1 and rho give np.interp(x, grid, column) to the bit.  At the
-    table's own grid array, domain.grid(), that is the column itself.  A
-    batch of at least _LOOKUP_MIN_QUERIES queries, inside [lo, hi], not in
-    monotone order (judged from _ORDER_SAMPLES evenly spaced entries), on a
-    column whose slopes are all finite, is looked up by grid index: j =
+    table's own grid array, domain.grid(), that is the column itself.  f
+    looks a batch of at least _LOOKUP_MIN_QUERIES queries inside [lo, hi]
+    up by grid index when the values' slopes are all finite: j =
     floor((x - lo) / step), moved by one where grid[j] or grid[j + 1] shows
     x outside that bracket, then np.interp's slope[j] * (x - grid[j]) +
-    column[j], or the column value where x is a grid point.  np.interp is
-    kept for every other batch: small ones, monotone ones (it is faster on
-    dense ones, such as reflected grids), those with a query outside
-    [lo, hi] or NaN, and columns with an infinite slope.  finv always uses
-    np.interp, since its abscissae, the values, are not a uniform grid.
+    values[j], or the value where x is a grid point.  Every other lookup,
+    and f1 and rho off the grid, use np.interp, as does finv, since its
+    abscissae, the values, are not a uniform grid.
     """
 
     def __init__(self, domain: WorkingInterval, values, f1_values=None,
@@ -326,7 +319,7 @@ class TabulatedGenerator(Generator):
         self._slopes = {}
 
     def f(self, x):
-        return self._lookup(x, "values")
+        return self._lookup(x)
 
     def finv(self, y):
         # np.interp needs an increasing abscissa
@@ -335,39 +328,37 @@ class TabulatedGenerator(Generator):
         return np.interp(-np.asarray(y, dtype=float), -self.values, self.domain.grid())
 
     def f1(self, x):
-        return self._lookup(x, "f1_values")
+        grid = self.domain.grid()
+        return self.f1_values if x is grid else np.interp(x, grid, self.f1_values)
 
     def rho(self, x):
-        return self._lookup(x, "rho_values")
+        grid = self.domain.grid()
+        return self.rho_values if x is grid else np.interp(x, grid, self.rho_values)
 
-    def _lookup(self, x, name: str):
-        """np.interp(x, grid, column) to the bit, for the column called name,
-        by grid index or by np.interp as the class docstring says.  Finite
-        values and slopes leave no NaN for np.interp to retry from the
-        right end."""
-        grid, column = self.domain.grid(), getattr(self, name)
-        if x is grid:  # np.interp gives column[j] where x == grid[j]
-            return column
+    def _lookup(self, x):
+        """np.interp(x, grid, values) to the bit, by grid index or by
+        np.interp as the class docstring says.  Finite values and slopes
+        leave no NaN for np.interp to retry from the right end."""
+        grid, values = self.domain.grid(), self.values
+        if x is grid:  # np.interp gives values[j] where x == grid[j]
+            return values
         x = np.asarray(x, dtype=float)
-        if x.size < _LOOKUP_MIN_QUERIES:
-            return np.interp(x, grid, column)
-        q = x.reshape(-1)
-        sample = q[::q.size // _ORDER_SAMPLES].tolist()
-        ordered = sorted(sample)
-        if (sample == ordered or sample[::-1] == ordered
-                or not (q.min() >= self.domain.lo and q.max() <= self.domain.hi)):
-            return np.interp(x, grid, column)
-        if name not in self._slopes:
+        if x.size < _LOOKUP_MIN_QUERIES or not (
+                x.min() >= self.domain.lo and x.max() <= self.domain.hi):
+            return np.interp(x, grid, values)
+        if "values" not in self._slopes:
             # numpy's slope of bracket j, kept when all are finite, which
             # implies a strictly increasing grid and so a positive, finite
-            # step.  The column is read-only, so they never go stale.
+            # step.  The values are read-only, so they never go stale, and
+            # copy.copy of the table shares this dict.
             with np.errstate(over="ignore", invalid="ignore"):
-                slopes = np.diff(column) / np.diff(grid)
+                slopes = np.diff(values) / np.diff(grid)
             slopes.flags.writeable = False
-            self._slopes[name] = slopes if np.isfinite(slopes).all() else None
-        slopes = self._slopes[name]
+            self._slopes["values"] = slopes if np.isfinite(slopes).all() else None
+        slopes = self._slopes["values"]
         if slopes is None:
-            return np.interp(x, grid, column)
+            return np.interp(x, grid, values)
+        q = x.reshape(-1)
         j = ((q - self.domain.lo) / self.domain.step).astype(np.intp)
         np.minimum(j, len(grid) - 2, out=j)
         left, right = grid[j], grid[j + 1]
@@ -377,12 +368,12 @@ class TabulatedGenerator(Generator):
             j -= below
             left, right = grid[j], grid[j + 1]
             if not ((left <= q).all() and (q <= right).all()):
-                return np.interp(x, grid, column)
-        out = slopes[j] * (q - left) + column[j]
+                return np.interp(x, grid, values)
+        out = slopes[j] * (q - left) + values[j]
         for k, edge in ((0, left), (1, right)):
             hit = q == edge
             if hit.any():
-                out[hit] = column[j[hit] + k]
+                out[hit] = values[j[hit] + k]
         return out.reshape(x.shape)
 
     def spec_string(self):
