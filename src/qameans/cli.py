@@ -409,19 +409,24 @@ def _cmd_eval(args, seed: int) -> int:
                         if line.strip() and not line.lstrip().startswith("#")]
         except UnicodeDecodeError as exc:
             raise UsageError(f"{args.vec_file}: {exc}") from None
-        # One batch per row length, written back in file order.  A batch
-        # raises exactly when one of its rows would; the rows are then
-        # evaluated one by one, so the first failing row in file order raises.
+        # One batches call on a batch of each row length, written back in
+        # file order: as one-row batches, 100 rows of 2 to 6 entries took
+        # 199 us against 82 us (2-vCPU Xeon), most of it numpy call setup.
+        # A row's mean does not depend on its batch, so the call raises
+        # exactly when one of its rows would; the rows are then evaluated
+        # one by one, so the first failing row in file order raises.
         by_length, values = {}, np.empty(len(rows))
         for k, row in enumerate(rows):
             by_length.setdefault(len(row), []).append(k)
         try:
-            for idx in by_length.values():
-                values[idx] = QuasiArithmeticMean(gen).batch(np.array([rows[k] for k in idx]))
+            means = QuasiArithmeticMean(gen).batches(
+                [[rows[k] for k in idx] for idx in by_length.values()])
         except QameansError:
             for row in rows:
                 qa_mean(gen, row)
             raise
+        for idx, group_means in zip(by_length.values(), means):
+            values[idx] = group_means
         report = {"config": report, "values": values}
     _json_report(report, args.out)
     return 0

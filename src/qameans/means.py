@@ -22,7 +22,13 @@ kernel, on that row alone.  A row's route thus depends only on its length
 and its own entries, never on its batch, and every mean keeps the bits of
 a clamp read from the row kernel.  A handle's running(X) holds in column
 k-1 the bits of batch(X[:, :k]), and takes a batch call per prefix on rows
-of 8 or more.
+of 8 or more.  A handle's batches(Xs) returns [batch(X) for X in Xs], bit
+for bit, for a list of batches of any row lengths.  The QA and arithmetic
+means evaluate a list of more than one row length, rows of up to 7
+entries and at most _PADDED_MAX_CELLS padded cells in one pass of the same
+kernel: each row is padded with its own first entry, and summed over and
+divided by its own entries only.  Every other list, and one on which that
+pass raises, takes one batch call per row length.
 
 Mean handles wrap a callable mean with its working interval: the arithmetic
 mean and the QA mean of a generator.  The power mean's handle is
@@ -37,10 +43,11 @@ profiles' end values for two closed forms, and samples the grid for a table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError, RangeError, UsageError
+from .errors import DomainError, QameansError, RangeError, UsageError
 from .generators import (
     Generator,
     _check_domain,
@@ -94,7 +101,7 @@ def _checked_rows(domain: WorkingInterval, X) -> np.ndarray:
 _SHORT_ROW = 7
 
 
-def _averages(F: np.ndarray, running=False) -> np.ndarray:
+def _averages(F: np.ndarray, running=False, lengths=None) -> np.ndarray:
     """Row averages of a (B, n) array F, C-contiguous unless it is the
     transpose of a column-major array; running: each prefix's average, an
     axis-1 np.add.accumulate.  numpy's axis-1 kernel adds a contiguous row
@@ -103,27 +110,35 @@ def _averages(F: np.ndarray, running=False) -> np.ndarray:
     column-major copy of F (none when F is the transpose of one), a column
     at a time from +0.0: the row kernel's bits, in one pass, whatever the
     number of rows.  Prefix sums keep the row kernel: over a column-major
-    copy, a running mean took 2 to 17 % more at every batch size."""
+    copy, a running mean took 2 to 17 % more at every batch size.
+
+    lengths (a padded block of _padded_batches, n <= 7): the column sum
+    skips row i's entries past lengths[i], so it adds the row's own entries
+    in order from +0.0, and divides by lengths[i]."""
     n = F.shape[1]
     if running:
         return (np.add.accumulate(F, axis=1) + 0.0) / np.arange(1, n + 1)
-    if n <= _SHORT_ROW:
+    if n > _SHORT_ROW:
+        return np.add.reduce(F, axis=1) / n
+    if lengths is None:
         return np.add.reduce(np.ascontiguousarray(F.T), axis=0, initial=0.0) / n
-    return np.add.reduce(F, axis=1) / n
+    return np.add.reduce(np.ascontiguousarray(F.T), axis=0, initial=0.0,
+                         where=np.arange(n, dtype=lengths.dtype)[:, None] < lengths) / lengths
 
 
-def _qa_mean_batch(gen: Generator, X, running=False) -> np.ndarray:
+def _qa_mean_batch(gen: Generator, X, running=False, lengths=None) -> np.ndarray:
     """Row-wise QA mean of a (B, n) array: f, row average, f^{-1}, and a clamp
     to each row's min and max from _row_extremes, whose signed-zero rule gives
     the row kernel's bits; running: those of each prefix, for rows of up to 7.
     Rows of up to 7 entries evaluate f on the column-major copy the extremes
-    read, so _averages makes no copy of its own."""
+    read, so _averages makes no copy of its own.  lengths: X is a padded
+    block of _padded_batches, row i of lengths[i] entries."""
     X = _checked_rows(gen.domain, X)
     XT = None if running else np.ascontiguousarray(X.T)
-    lo, hi = _row_extremes(X, XT, gen.domain)
+    lo, hi = _row_extremes(X, XT, gen.domain, lengths)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if XT is not None and X.shape[1] <= _SHORT_ROW:
-            avg = _averages(np.asarray(gen.f(XT), dtype=float).T)
+            avg = _averages(np.asarray(gen.f(XT), dtype=float).T, lengths=lengths)
         else:
             del XT  # no copy stays alive beside f's values
             avg = _averages(np.asarray(gen.f(X), dtype=float), running)
@@ -136,16 +151,17 @@ def _qa_mean_batch(gen: Generator, X, running=False) -> np.ndarray:
     return np.minimum(np.maximum(out, lo), hi)
 
 
-def _row_extremes(X: np.ndarray, XT: np.ndarray | None, domain: WorkingInterval) -> tuple:
+def _row_extremes(X: np.ndarray, XT: np.ndarray | None, domain: WorkingInterval,
+                  lengths=None) -> tuple:
     """Each row's min and max, reduced over XT, the column-major copy of X
     that f also reads for rows of up to 7 entries: numpy's axis-1 kernel
     runs once per row, which costs most of a batch of short rows.  Where a
     row holds both zeros the column form may pick the other sign of zero
     than the row kernel.  So a row whose min or max is a zero takes both
-    from the row kernel, on that row alone; entries lie in the domain, so
-    only an interval holding 0 can hold such a row.  XT None: each prefix's
-    min and max (running), a prefix's zero one from the row kernel on that
-    prefix."""
+    from the row kernel, on that row's own entries alone (its first
+    lengths[i] in a padded block); entries lie in the domain, so only an
+    interval holding 0 can hold such a row.  XT None: each prefix's min and
+    max (running), a prefix's zero one from the row kernel on that prefix."""
     if XT is None:
         lo, hi = np.minimum.accumulate(X, axis=1), np.maximum.accumulate(X, axis=1)
         if domain.lo <= 0.0 <= domain.hi:
@@ -157,7 +173,10 @@ def _row_extremes(X: np.ndarray, XT: np.ndarray | None, domain: WorkingInterval)
     if domain.lo <= 0.0 <= domain.hi:
         z = (lo == 0.0) | (hi == 0.0)
         if z.any():
-            lo[z], hi[z] = X[z].min(axis=1), X[z].max(axis=1)
+            ns = np.full(len(X), X.shape[1]) if lengths is None else lengths
+            for n in np.unique(ns[z]):
+                r = z & (ns == n)
+                lo[r], hi[r] = X[r, :n].min(axis=1), X[r, :n].max(axis=1)
     return lo, hi
 
 
@@ -170,6 +189,77 @@ def _running(mean: MeanHandle, X, head) -> np.ndarray:
         except DomainError:  # the reference names the first failing prefix's entry
             pass
     return MeanHandle.running(mean, X)
+
+
+# Most cells (rows times the longest row) of a padded block: past it one
+# batch call per row length is as fast.  Timed on a 2-vCPU Xeon, against
+# one call per length, on lists of 16 batches of rows of 2 to 5 entries and
+# of 50 of 2 to 6: the padded pass of log, power:3 or a 1025-row table's QA
+# mean is faster up to 7000-16000 cells (log in 16 batches first), that of
+# the arithmetic mean, which has no f, up to 2000-4000 cells, and it costs
+# 8-14 us more at 6000.  From 16384 cells (128 KiB) numpy maps each block
+# afresh, which doubles the pass's time.
+_PADDED_MAX_CELLS = 6144
+
+
+def _by_length(Xs: list) -> list:
+    """The indices in Xs of its _batch_rows arrays of each row length, in
+    order of first appearance."""
+    same = {}
+    for i, X in enumerate(Xs):
+        same.setdefault(X.shape[1], []).append(i)
+    return list(same.values())
+
+
+def _stacked(Xs: list, idx: list) -> np.ndarray:
+    """The rows of Xs[i] for each i of idx, in turn."""
+    return Xs[idx[0]] if len(idx) == 1 else np.concatenate([Xs[i] for i in idx])
+
+
+def _scatter(Xs: list, groups: list, means: list) -> list:
+    """For each X of Xs, its rows' means, cut from the means of its group."""
+    out = [None] * len(Xs)
+    for idx, group_means in zip(groups, means):
+        start = 0
+        for i in idx:
+            out[i], start = group_means[start:start + len(Xs[i])], start + len(Xs[i])
+    return out
+
+
+def _per_length(mean: MeanHandle, Xs: list, groups: list) -> list:
+    """mean.batches of _batch_rows arrays Xs grouped as _by_length groups
+    them: one batch call per group, in order."""
+    return _scatter(Xs, groups, [mean.batch(_stacked(Xs, idx)) for idx in groups])
+
+
+def _padded_batches(mean: MeanHandle, Xs, kernel) -> list:
+    """mean.batches(Xs) by one kernel(P, lengths) call when the rows of Xs
+    are of more than one length, each of at most _SHORT_ROW entries, and
+    fill a block P of at most _PADDED_MAX_CELLS cells.  P stacks the rows
+    of each length in turn, padded to the longest with the row's own first
+    entry, so the domain test and each row's extremes see only its own
+    values; lengths holds each row's length.  Any other list, or one on
+    which the kernel raises a QameansError, takes one batch call per row
+    length, and so raises that route's error."""
+    Xs = [_batch_rows(X) for X in Xs]
+    groups = _by_length(Xs)
+    ns = [Xs[idx[0]].shape[1] for idx in groups]
+    counts = [sum(len(Xs[i]) for i in idx) for idx in groups]
+    n = max(ns, default=0)
+    if len(groups) > 1 and n <= _SHORT_ROW and sum(counts) * n <= _PADDED_MAX_CELLS:
+        P, start = np.empty((sum(counts), n)), 0
+        for idx, k, rows in zip(groups, ns, counts):
+            B = _stacked(Xs, idx)
+            P[start:start + rows, :k], P[start:start + rows, k:] = B, B[:, :1]
+            start += rows
+        try:
+            means = kernel(P, np.repeat(np.array(ns, dtype=np.uint8), counts))
+        except QameansError:
+            pass
+        else:
+            ends = list(accumulate(counts))
+            return _scatter(Xs, groups, [means[a:b] for a, b in zip([0] + ends, ends)])
+    return _per_length(mean, Xs, groups)
 
 
 def qa_mean(gen: Generator, values) -> float:
@@ -224,6 +314,13 @@ class MeanHandle:
         """The mean of each row of a (B, n) array, n >= 1, else UsageError."""
         raise NotImplementedError
 
+    def batches(self, Xs) -> list:
+        """[batch(X) for X in Xs], each result's bits, for a list of (B, n)
+        arrays of any n >= 1 (else UsageError), in one batch call per row
+        length: a row's mean does not depend on its batch."""
+        Xs = [_batch_rows(X) for X in Xs]
+        return _per_length(self, Xs, _by_length(Xs))
+
     def running(self, X: np.ndarray) -> np.ndarray:
         """For a (B, n) array X, n >= 1 (else UsageError), column k-1 holds the
         bits of batch(X[:, :k]); the per-prefix loop is the reference."""
@@ -244,16 +341,19 @@ class ArithmeticMean(MeanHandle):
     def batch(self, X):
         return self._finite_averages(X)
 
+    def batches(self, Xs):
+        return _padded_batches(self, Xs, lambda P, lengths: self._finite_averages(P, lengths=lengths))
+
     def running(self, X):
         return _running(self, X, lambda P: self._finite_averages(P, running=True))
 
-    def _finite_averages(self, X, running=False):
+    def _finite_averages(self, X, running=False, lengths=None):
         """_averages, or RangeError if a row sum overflowed: none can while 2 n max|x| < inf."""
         X, d = _checked_rows(self.domain, X), self.domain
         if 2.0 * X.shape[1] * max(-d.lo, d.hi) < np.inf:
-            return _averages(X, running)
+            return _averages(X, running, lengths)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _averages(X, running)
+            out = _averages(X, running, lengths)
         if not np.isfinite(out).all():
             raise RangeError(f"arith: a sum of entries is not finite on [{d.lo}, {d.hi}]")
         return out
@@ -269,6 +369,10 @@ class QuasiArithmeticMean(MeanHandle):
 
     def batch(self, X):
         return _qa_mean_batch(self.gen, X)
+
+    def batches(self, Xs):
+        return _padded_batches(self, Xs,
+                               lambda P, lengths: _qa_mean_batch(self.gen, P, lengths=lengths))
 
     def running(self, X):
         return _running(self, X, lambda P: _qa_mean_batch(self.gen, P, running=True))

@@ -20,11 +20,13 @@ trials candidate by candidate, so its witness comes from the first failing
 candidate, and hands the sampler both sides' means evaluated beforehand).
 Witnesses read their means from the margin function's rows.  The
 interchange sweep draws and holds all its shapes' matrices, within
-_check_trials' bound on entries, and evaluates each side in one mean call
-per row length across the shapes (a row's mean does not depend on its
-batch), handing the sampler both sides as evaluated rows.  The
-interchange and running-mean witnesses are shrunk once per report, each
-pass of the shrink through the check's sides in a few batches.
+_check_trials' bound on entries, and evaluates each side by one
+MeanHandle.batches call per step across the shapes (a row's mean does not
+depend on its batch), handing the sampler both sides as evaluated rows.
+Maximality likewise makes one batches call per candidate and one for the
+envelope.  The interchange and running-mean witnesses are shrunk once per
+report, each pass of the shrink through the check's sides in a few
+batches.
 """
 
 from __future__ import annotations
@@ -142,34 +144,19 @@ def _shrunk_witness(key: str, sides, tol: float, trial: int, x0: np.ndarray,
             "violation": float(lhs - rhs), "trial": trial}
 
 
-def _by_length(mean: MeanHandle, batches: list) -> list:
-    """mean.batch of each 2-D array of batches, in one call per row length:
-    a row's mean does not depend on its batch."""
-    out, same = [None] * len(batches), {}
-    for i, B in enumerate(batches):
-        same.setdefault(B.shape[1], []).append(i)
-    for idx in same.values():
-        means = mean.batch(batches[idx[0]] if len(idx) == 1
-                           else np.concatenate([batches[i] for i in idx]))
-        start = 0
-        for i in idx:
-            out[i], start = means[start:start + len(batches[i])], start + len(batches[i])
-    return out
-
-
 def _ij_sides(M: MeanHandle, N: MeanHandle, Xs: list) -> tuple:
     """The interchange sides of each (trials, n, m) batch of matrices in Xs:
     the lists of lhs = N(M of each row) and rhs = M(N of each column).
 
     M runs on all rows and N on all columns, then N on the row means and M
-    on the column means, each in one call per row length across Xs.  For
-    one batch the two N calls are adjacent, as in lhs-then-rhs order, and
-    each mean's error names only the mean, so any error is that order's.
+    on the column means, each in one batches call across Xs.  For one batch
+    the two N calls are adjacent, as in lhs-then-rhs order, and each mean's
+    error names only the mean, so any error is that order's.
     """
-    rows = _by_length(M, [X.reshape(-1, X.shape[2]) for X in Xs])
-    cols = _by_length(N, [np.swapaxes(X, 1, 2).reshape(-1, X.shape[1]) for X in Xs])
-    lhs = _by_length(N, [r.reshape(len(X), -1) for r, X in zip(rows, Xs)])
-    rhs = _by_length(M, [c.reshape(len(X), -1) for c, X in zip(cols, Xs)])
+    rows = M.batches([X.reshape(-1, X.shape[2]) for X in Xs])
+    cols = N.batches([np.swapaxes(X, 1, 2).reshape(-1, X.shape[1]) for X in Xs])
+    lhs = N.batches([r.reshape(len(X), -1) for r, X in zip(rows, Xs)])
+    rhs = M.batches([c.reshape(len(X), -1) for c, X in zip(cols, Xs)])
     return lhs, rhs
 
 
@@ -177,8 +164,8 @@ def _ij_sample(M: MeanHandle, N: MeanHandle, draws: list, per: int) -> tuple:
     """Interchange margins of per random matrices for each (seed, m, n) draw.
 
     Every draw's matrices are drawn first, from its own seed, and held
-    (_check_trials bounds their entries), so both sides take one mean call
-    per row length across the draws.  A batch that raises gives way to the
+    (_check_trials bounds their entries), so each step of both sides takes
+    one batches call across the draws.  A call that raises gives way to the
     draws one at a time, so the error is the first failing draw's.  Trial k
     of draw i is trial i * per + k, so the witness comes from the first
     failing draw; it is shrunk once.  Returns the driver's worst margin,
@@ -270,19 +257,19 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
     is redrawn, and 200 failed draws raise CandidateRejected rather than
     loop forever on a profile that no candidate dominates.
 
-    Each candidate and its trials' tuples are drawn in turn, its mean is
-    evaluated on them, and the groups are kept by tuple length as they are
-    drawn.  The envelope mean, that of tabulate(env.generator), whose
-    values and f' are env's g and g' up to sign, is then evaluated once per
-    tuple length, on every candidate's tuples of that length together (a
-    row's mean does not depend on its batch), and the margins are folded
-    over those batches, trial k of candidate c counting as trial
-    c * trials + k.  So all candidates * trials tuples are held at once,
-    with their trial indices and both means: a peak of about 120 bytes a
-    trial (tracemalloc, 100 candidates of 1000 trials), so about 120 MB at
-    the bound candidates * trials <= MAX_TRIALS.  Needs an env of status
-    Envelope or AlreadyExtremal (the others have no profile), candidates >= 1
-    and 1 <= trials, candidates * trials <= MAX_TRIALS, else UsageError.
+    Each candidate and its trials' tuples are drawn in turn, and its mean
+    is evaluated on all of them in one batches call.  The envelope mean,
+    that of tabulate(env.generator), whose values and f' are env's g and g'
+    up to sign, is then evaluated on every candidate's tuples in one
+    batches call (a row's mean does not depend on its batch), and the
+    margins are folded in one group, trial k of candidate c counting as
+    trial c * trials + k.  So all candidates * trials tuples are held at
+    once, with their trial indices and both means: a peak of about 130
+    bytes a trial (tracemalloc, 100 candidates of 1000 trials), so about
+    130 MB at the bound candidates * trials <= MAX_TRIALS.  Needs an env of
+    status Envelope or AlreadyExtremal (the others have no profile),
+    candidates >= 1 and 1 <= trials, candidates * trials <= MAX_TRIALS,
+    else UsageError.
     """
     if env.status not in ("Envelope", "AlreadyExtremal"):
         raise UsageError(f"maximality of {f.spec_string()} needs a convex envelope with a "
@@ -305,9 +292,9 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
     lift_scale = float(np.max(rho_vals) - np.min(rho_vals)) + 0.1 * max(
         1.0, float(np.max(np.abs(rho_vals))))
     rejected = 0
-    # tuple length -> (trial indices, tuples, candidate means) of each
-    # candidate's group of that length, in candidate order
-    drawn = {}
+    # Each candidate's groups of tuples of one length, in candidate order,
+    # with their trial indices and the candidate's means.
+    idx, Xs, qa_candidate = [], [], []
     for c in range(candidates):
         for _ in range(200):
             k = int(rng.integers(2, 7))
@@ -326,21 +313,29 @@ def maximality_check(f: Generator, env: EnvelopeResult, candidates: int,
                 f"candidate {c}: no dominating concave profile in 200 attempts")
         cand_mean = QuasiArithmeticMean(
             reconstruct_generator(mp, interval, source=f"candidate:{c}"))
-        for idx, X in _grouped_tuples(rng, trials, 6, interval):
-            drawn.setdefault(X.shape[1], []).append((c * trials + idx, X, cand_mean.batch(X)))
+        own, groups = zip(*_grouped_tuples(rng, trials, 6, interval))
+        idx += (c * trials + k for k in own)
+        Xs += groups
+        qa_candidate += cand_mean.batches(groups)
 
-    def groups():
-        # Trial k of candidate c is trial c * trials + k, so the witness,
-        # the lowest failing trial, comes from the first failing candidate.
-        for same in drawn.values():
-            idx, X, qa_candidate = (np.concatenate(parts) for parts in zip(*same))
-            yield idx, X, qa_candidate, env_mean.batch(X)
+    def tuple_at(at):
+        for X in Xs:
+            if at < len(X):
+                return X[at]
+            at -= len(X)
 
+    # The tuples are of several lengths, so the fold's rows are their
+    # positions in Xs, from which the witness takes its tuple.  Trial k of
+    # candidate c is trial c * trials + k, so the witness, the lowest
+    # failing trial, comes from the first failing candidate.
+    idx, qa_candidate = np.concatenate(idx), np.concatenate(qa_candidate)
+    qa_envelope = np.concatenate(env_mean.batches(Xs))
     worst, failures, witness = _sample_margins(
-        groups(), lambda X, qc, qe: (qe - qc, qc, qe), MAXIMALITY_TOL,
-        lambda trial, x, mg, qc, qe: {
-            "candidate": trial // trials, "values": x.tolist(), "qa_candidate": float(qc),
-            "qa_envelope": float(qe), "margin": float(mg)})
+        [(idx, np.arange(len(idx)), qa_candidate, qa_envelope)],
+        lambda at, qc, qe: (qe - qc, qc, qe), MAXIMALITY_TOL,
+        lambda trial, at, mg, qc, qe: {
+            "candidate": trial // trials, "values": tuple_at(at).tolist(),
+            "qa_candidate": float(qc), "qa_envelope": float(qe), "margin": float(mg)})
     return TrialReport("maximality", candidates * trials, failures, worst, seed,
                        witness, extra={"candidates": candidates,
                                        "rejected_candidates": rejected,

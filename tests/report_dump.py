@@ -29,6 +29,17 @@ the interval holds 0.  A line reads
 where the outcome is the first 16 hex digits of the sha256 of the result's
 bytes, as a JSON string, or the error class and text.
 
+The `batches` route runs the same means through batches on each list of
+BATCH_LISTS, cut from the same fixed batch: B x n slices, each taken k
+times, whose padded blocks fall below, at and above the means layer's
+bound of 6144 cells, with rows of 8 or more, or of one length.  A line
+reads
+
+    <lo> <hi> <grid> batches <generator> <list> -> <outcome>
+
+with the outcome a digest of the results' bytes in list order, as in the
+mean route.  A handle without batches takes [batch(X) for X in Xs].
+
 The `lookup` route evaluates f, f1 and rho of each tabulated generator and
 of its reflection at the generator's own grid, at the mirrored grid (the
 negated grid of the mirror interval, which the reflection route reads) and
@@ -72,11 +83,20 @@ INTERVALS = ((0.1, 10.0), (1.0, 1.000001), (0.001, 1000.0), (0.5, 2.0), (10.0, 1
 GRIDS = (3, 5, 129, 1025, 4097, 65537)
 ENVELOPES = (("convex", qa_convex_envelope), ("concave", qa_concave_envelope),
              ("concave_via_reflection", qa_concave_envelope_via_reflection))
-ROUTES = ("build", "classify", "compare", "mean", "lookup") + tuple(
+ROUTES = ("build", "classify", "compare", "mean", "batches", "lookup") + tuple(
     name for name, _ in ENVELOPES)
 ROW_LENGTHS = range(1, 10)
 BATCH_SIZES = (1, 31, 32, 33, 64)
 LOOKUP_SIZES = (511, 512, 4000)
+# name -> ((B, n, k), ...): k slices X[:B, :n] of the fixed batch, in turn
+BATCH_LISTS = {
+    "small": ((31, 2, 1), (1, 5, 1), (64, 3, 1), (32, 7, 1), (0, 4, 1)),
+    "at_bound": ((64, 3, 8), (64, 6, 8)),
+    "past_bound": ((64, 3, 8), (64, 6, 8), (1, 2, 1)),
+    "large": ((64, 2, 6), (64, 5, 6), (64, 7, 6), (33, 4, 2)),
+    "rows_of_8": ((33, 4, 1), (5, 8, 1), (64, 1, 1), (2, 9, 1)),
+    "one_length": ((64, 4, 1), (17, 4, 1)),
+}
 VARIANTS = (("direct", lambda gen: gen), ("reflected", reflect_generator),
             ("tabulated", tabulate))
 
@@ -117,6 +137,20 @@ def _mean_lines(head: str, label: str, mean):
                 yield f"{head} mean {label} {method} {rows}x{n} -> {text}"
 
 
+def _batches_lines(head: str, label: str, mean):
+    X = _entries(mean.domain)
+
+    def batches(Xs):
+        if hasattr(mean, "batches"):
+            return mean.batches(Xs)
+        return [mean.batch(B) for B in Xs]
+
+    for name, cuts in BATCH_LISTS.items():
+        Xs = [X[:rows, :n] for rows, n, k in cuts for _ in range(k)]
+        text = _outcome(lambda: _digest(np.concatenate(batches(Xs))))
+        yield f"{head} batches {label} {name} -> {text}"
+
+
 def _queries(domain: WorkingInterval):
     """The lookup route's query sets on domain, by name."""
     yield "grid", domain.grid()
@@ -141,7 +175,9 @@ def dump_lines(kinds=KINDS, intervals=INTERVALS, grids=GRIDS):
     for lo, hi in intervals:
         for n in grids:
             head = f"{lo!r} {hi!r} {n}"
-            yield from _mean_lines(head, "arith", ArithmeticMean(WorkingInterval(lo, hi, n)))
+            arith = ArithmeticMean(WorkingInterval(lo, hi, n))
+            yield from _mean_lines(head, "arith", arith)
+            yield from _batches_lines(head, "arith", arith)
             by_domain = {}
             for kind in kinds:
                 for variant, build in VARIANTS:
@@ -158,6 +194,7 @@ def dump_lines(kinds=KINDS, intervals=INTERVALS, grids=GRIDS):
                         text = _outcome(lambda: _envelope_report(envelope(gen)))
                         yield f"{head} {name} {label} -> {text}"
                     yield from _mean_lines(head, label, QuasiArithmeticMean(gen))
+                    yield from _batches_lines(head, label, QuasiArithmeticMean(gen))
                     if variant == "tabulated":
                         yield from _lookup_lines(head, label, gen)
                         yield from _lookup_lines(head, f"reflected({label})",

@@ -1,4 +1,4 @@
-"""`eval --vec-file`: one batch per row length, the per-row loop's bytes and errors.
+"""`eval --vec-file`: one batches call for the file, the per-row loop's bytes and errors.
 
 The reference is the loop `eval --vec-file` used to run: `qa_mean` of each
 row in file order, written by json.dumps, and on a failing row the first
@@ -83,20 +83,21 @@ def test_first_failing_row_in_file_order_is_reported(tmp_path, capsys, bad):
     assert want_code == 2
 
 
-def test_one_batch_per_distinct_row_length(tmp_path, capsys, monkeypatch):
+def test_one_batches_call_for_the_whole_file(tmp_path, capsys, monkeypatch):
+    """The rows go to the mean in one call, a batch of each row length."""
     calls = []
-    batch = means.QuasiArithmeticMean.batch
+    batches = means.QuasiArithmeticMean.batches
 
-    def counting(self, X):
-        calls.append(np.shape(X))
-        return batch(self, X)
+    def counting(self, Xs):
+        calls.append([np.shape(X) for X in Xs])
+        return batches(self, Xs)
 
-    monkeypatch.setattr(means.QuasiArithmeticMean, "batch", counting)
+    monkeypatch.setattr(means.QuasiArithmeticMean, "batches", counting)
     path = _write_rows(tmp_path / "rows.csv",
                        ["1,2", "3,4,5", "6,7", "1,2,3,4,5", "8,9,1", "2,3"])
     assert run(["eval", "--gen", "log", "--vec-file", str(path)]) == 0
     capsys.readouterr()
-    assert sorted(calls) == [(1, 5), (2, 3), (3, 2)]
+    assert calls == [[(3, 2), (2, 3), (1, 5)]]
 
 
 def test_vec_file_leaves_numpy_ma_unimported(tmp_path):

@@ -12,7 +12,8 @@ message, on every batch: entries inside the interval, at its ends, outside
 it, NaN, +-inf and -0.0, and batches of no rows.  `power_mean`, one row at
 a time, must give the bits of the reference's row.  A handle's `running(X)`
 must give, column by column, the bits or the exception of the batch of each
-prefix X[:, :k].
+prefix X[:, :k].  A handle's `batches(Xs)` must give, batch by batch, the
+bits of `batch(X)`, and raise the error of one batch call per row length.
 """
 
 import math
@@ -20,7 +21,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qameans.errors import QameansError, RangeError, UsageError
@@ -34,7 +35,13 @@ from qameans.generators import (
 )
 from qameans.grids import WorkingInterval
 from qameans import means
-from qameans.means import ArithmeticMean, QuasiArithmeticMean, _qa_mean_batch, power_mean
+from qameans.means import (
+    ArithmeticMean,
+    MeanHandle,
+    QuasiArithmeticMean,
+    _qa_mean_batch,
+    power_mean,
+)
 
 from oracles import (
     reference_arithmetic_batch,
@@ -361,3 +368,162 @@ def test_arithmetic_sum_that_overflows_is_a_range_error_without_warning():
         wide = ArithmeticMean(WorkingInterval(-8.9e307, 8.9e307))
         assert 2.0 * 2 * wide.domain.hi == np.inf
         assert wide([8.5e307, -8.8e307]) == (8.5e307 - 8.8e307) / 2
+
+
+# batches(Xs): [batch(X) for X in Xs] in one padded pass or one call per
+# row length.  The QA handles of the catalog, a 1025-row table's (whose
+# lookups switch route at 512 queries), handles on intervals holding 0 and
+# the arithmetic mean.
+BATCHES_HANDLES = (
+    *(QuasiArithmeticMean(parse_generator(spec, POSITIVE[0]))
+      for spec in ("power:-1", "log", "power:0.5", "id", "power:2", "power:3", "exp")),
+    QuasiArithmeticMean(tabulate(PowerGenerator(3.0, POSITIVE[0]))),
+    *(QuasiArithmeticMean(gen) for gen in SIGNED_GENERATORS),
+    ArithmeticMean(POSITIVE[0]), ArithmeticMean(SIGNED[0]), ArithmeticMean(SIGNED[1]))
+
+
+def _listed(fn, Xs):
+    """Each result's dtype, shape and bytes, or the exception's class and text."""
+    try:
+        return [(out.dtype, out.shape, out.tobytes()) for out in fn(Xs)]
+    except QameansError as exc:
+        return type(exc), str(exc)
+
+
+def _per_length(mean):
+    """The base class's route: one batch call per row length."""
+    return lambda Xs: MeanHandle.batches(mean, Xs)
+
+
+@st.composite
+def batch_lists(draw, iv):
+    """1 to 6 batches of rows of 1 to 9 entries, few rows or many, so the
+    padded block falls on both sides of _PADDED_MAX_CELLS: draws inside iv,
+    now and then its ends and zeros of both signs, and rarely an entry
+    outside iv or NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.sampled_from((st.integers(0, 6), st.integers(100, 1100))))
+    special = [iv.lo, iv.hi] + ([0.0, -0.0] if iv.lo <= 0.0 <= iv.hi else [])
+    Xs = []
+    for _ in range(draw(st.integers(1, 6))):
+        X = rng.uniform(iv.lo, iv.hi, size=(draw(rows), draw(st.integers(1, 9))))
+        pick = rng.random(X.shape) < 0.2
+        X[pick] = rng.choice(special, size=int(pick.sum()))
+        if X.size and draw(st.integers(0, 9)) == 0:
+            X.flat[rng.integers(X.size)] = draw(st.sampled_from(
+                (math.nan, iv.lo - 1.0, 2.0 * iv.hi + 1.0)))
+        Xs.append(X)
+    return Xs
+
+
+# 600 examples, about 2 s.
+@settings(max_examples=600)
+@given(st.data())
+def test_batches_are_bit_equal_to_one_batch_call_each(data):
+    mean = data.draw(st.sampled_from(BATCHES_HANDLES))
+    Xs = data.draw(batch_lists(mean.domain))
+    got = _listed(mean.batches, Xs)
+    assert got == _listed(_per_length(mean), Xs)
+    want = _listed(lambda Xs: [mean.batch(X) for X in Xs], Xs)
+    assert isinstance(got, tuple) == isinstance(want, tuple)
+    if not isinstance(got, tuple):
+        assert got == want
+
+
+EXP_RANGE = ("RangeError: exp: generator values or the inverse of their average are "
+             "not finite on [0.0, 709.5]")
+ARITH_RANGE = "RangeError: arith: a sum of entries is not finite on [1e+308, 1.7e+308]"
+
+
+@pytest.mark.parametrize("mean, Xs, error", [
+    # the rows of 2 go first, so 60.0 is named, not the earlier 50.0
+    (QuasiArithmeticMean(LogGenerator(POSITIVE[0])),
+     [[[1.0, 2.0]], [[3.0, 50.0, 4.0]], [[60.0, 1.0]]],
+     "DomainError: value 60.0 outside working interval [0.1, 10.0]"),
+    (ArithmeticMean(POSITIVE[0]), [[[1.0, 2.0]], [[3.0, 50.0, 4.0]], [[60.0, 1.0]]],
+     "DomainError: value 60.0 outside working interval [0.1, 10.0]"),
+    # exp(709.0) + exp(709.2) overflows in the row of 2
+    (QuasiArithmeticMean(ExpGenerator(SIGNED[1])), [[[1.0, 2.0, 3.0]], [[709.0, 709.2]]],
+     EXP_RANGE),
+    (ArithmeticMean(WorkingInterval(1e308, 1.7e308)), [[[1e308, 1e308, 1e308]], [[1.5e308]]],
+     ARITH_RANGE),
+    # the rows of 2 overflow before the row of 3 meets its entry outside,
+    # which the padded block's domain test would name first
+    (QuasiArithmeticMean(ExpGenerator(SIGNED[1])), [[[709.0, 709.2]], [[1.0, 800.0, 2.0]]],
+     EXP_RANGE),
+    (ArithmeticMean(WorkingInterval(1e308, 1.7e308)),
+     [[[1.5e308, 1.6e308]], [[1e308, 2e308, 1e308]]], ARITH_RANGE),
+], ids=["qa-domain", "arith-domain", "qa-range", "arith-range", "qa-range-first",
+        "arith-range-first"])
+def test_batches_raise_the_error_of_one_call_per_length(mean, Xs, error):
+    Xs = [np.array(X) for X in Xs]
+    got = _listed(mean.batches, Xs)
+    assert got == _listed(_per_length(mean), Xs)
+    assert f"{got[0].__name__}: {got[1]}" == error
+
+
+def _kernel_calls(monkeypatch):
+    """The padded-row lengths of each _qa_mean_batch call, None for a plain batch."""
+    calls = []
+    kernel = means._qa_mean_batch
+
+    def counting(gen, X, running=False, lengths=None):
+        calls.append(None if lengths is None else lengths.tolist())
+        return kernel(gen, X, running, lengths)
+
+    monkeypatch.setattr(means, "_qa_mean_batch", counting)
+    return calls
+
+
+@pytest.mark.parametrize("shapes, padded", [
+    ([(512, 3), (512, 6)], True),           # 1024 rows of 6: 6144 cells
+    ([(512, 3), (513, 6)], False),          # 6150 cells
+    ([(2, 3), (2, 3)], False),              # one row length
+    ([(2, 3), (2, 8)], False),              # rows of 8
+    ([(3, 1), (0, 7), (2, 4), (1, 1)], True),
+], ids=["at-bound", "past-bound", "one-length", "row-of-8", "mixed"])
+def test_a_small_list_of_short_rows_of_several_lengths_is_one_kernel_call(
+        monkeypatch, shapes, padded):
+    mean = QuasiArithmeticMean(LogGenerator(POSITIVE[0]))
+    rng = np.random.default_rng(5)
+    Xs = [rng.uniform(0.1, 10.0, size=shape) for shape in shapes]
+    want = _listed(lambda Xs: [mean.batch(X) for X in Xs], Xs)
+    calls = _kernel_calls(monkeypatch)
+    assert _listed(mean.batches, Xs) == want
+    lengths = list(dict.fromkeys(n for _, n in shapes))  # in order of first appearance
+    if padded:  # one call on the rows of each length in turn
+        assert calls == [[n for n in lengths for rows, k in shapes if k == n
+                          for _ in range(rows)]]
+    else:
+        assert calls == [None] * len(lengths)
+
+
+def test_a_handle_that_overrides_only_batch_gets_its_own_batch():
+    """The base route calls the handle's batch once per row length."""
+
+    class Halved(MeanHandle):
+        def __init__(self):
+            self.domain, self.calls = POSITIVE[0], []
+
+        def batch(self, X):
+            self.calls.append(X.shape)
+            return X.sum(axis=1) / 2.0
+
+        def spec_string(self):
+            return "halved"
+
+    mean = Halved()
+    Xs = [np.ones((2, 3)), np.ones((1, 2)), np.ones((3, 3))]
+    got = mean.batches(Xs)
+    assert [out.tolist() for out in got] == [[1.5, 1.5], [1.0], [1.5, 1.5, 1.5]]
+    assert mean.calls == [(5, 3), (1, 2)]
+
+
+@pytest.mark.parametrize("mean", RUNNING_SIGNED, ids=lambda m: m.spec_string())
+def test_batches_of_signed_zero_rows_are_bit_equal(mean):
+    """Short rows of zeros of both signs padded beside longer ones: each
+    row's zero extremes come from the row kernel on its own entries."""
+    for seed in range(4):
+        Xs = [_zero_rows(mean, 40, n, seed=seed * 10 + n) for n in (3, 1, 7, 2, 5, 4, 6)]
+        assert _listed(mean.batches, Xs) == _listed(
+            lambda Xs: [mean.batch(X) for X in Xs], Xs), seed
