@@ -23,12 +23,12 @@ and its own entries, never on its batch, and every mean keeps the bits of
 a clamp read from the row kernel.  A handle's running(X) holds in column
 k-1 the bits of batch(X[:, :k]), and takes a batch call per prefix on rows
 of 8 or more.  A handle's batches(Xs) returns [batch(X) for X in Xs], bit
-for bit, for a list of batches of any row lengths.  The QA and arithmetic
-means evaluate a list of more than one row length, rows of up to 7
-entries and at most _PADDED_MAX_CELLS padded cells in one pass of the same
-kernel: each row is padded with its own first entry, and summed over and
-divided by its own entries only.  Every other list, and one on which that
-pass raises, takes one batch call per row length.
+for bit, for a list of batches of any row lengths.  The QA mean evaluates
+a list of more than one row length, rows of up to 7 entries and at most
+_PADDED_MAX_CELLS padded cells in one pass of the same kernel: each row
+is padded with its own first entry, and summed over and divided by its
+own entries only.  Every other list, and one on which that pass raises,
+takes one batch call per row length.
 
 Mean handles wrap a callable mean with its working interval: the arithmetic
 mean and the QA mean of a generator.  The power mean's handle is
@@ -172,10 +172,11 @@ def _row_extremes(X: np.ndarray, XT: np.ndarray | None, domain: WorkingInterval,
     lo, hi = np.minimum.reduce(XT), np.maximum.reduce(XT)
     if domain.lo <= 0.0 <= domain.hi:
         z = (lo == 0.0) | (hi == 0.0)
-        if z.any():
-            ns = np.full(len(X), X.shape[1]) if lengths is None else lengths
-            for n in np.unique(ns[z]):
-                r = z & (ns == n)
+        if z.any() and lengths is None:
+            lo[z], hi[z] = X[z].min(axis=1), X[z].max(axis=1)
+        elif z.any():
+            for n in np.unique(lengths[z]):
+                r = z & (lengths == n)
                 lo[r], hi[r] = X[r, :n].min(axis=1), X[r, :n].max(axis=1)
     return lo, hi
 
@@ -194,21 +195,24 @@ def _running(mean: MeanHandle, X, head) -> np.ndarray:
 # Most cells (rows times the longest row) of a padded block: past it one
 # batch call per row length is as fast.  Timed on a 2-vCPU Xeon, against
 # one call per length, on lists of 16 batches of rows of 2 to 5 entries and
-# of 50 of 2 to 6: the padded pass of log, power:3 or a 1025-row table's QA
-# mean is faster up to 7000-16000 cells (log in 16 batches first), that of
-# the arithmetic mean, which has no f, up to 2000-4000 cells, and it costs
-# 8-14 us more at 6000.  From 16384 cells (128 KiB) numpy maps each block
-# afresh, which doubles the pass's time.
+# of 50 of 2 to 6: the padded pass of power:3 or a 1025-row table's QA mean
+# is faster up to 9000-14000 cells, but that of log only up to 7000-9000
+# (at 8000 cells in 16 batches, 104 against 99 us).  From 16384 cells
+# (128 KiB) numpy maps each block afresh, which doubles the pass's time.
 _PADDED_MAX_CELLS = 6144
 
 
-def _by_length(Xs: list) -> list:
-    """The indices in Xs of its _batch_rows arrays of each row length, in
-    order of first appearance."""
+def _by_length(Xs: list) -> dict:
+    """Each row length -> the indices in Xs of its batches of that length,
+    in order of first appearance; UsageError unless each is a (B, n) array,
+    n >= 1.  The batch call on a group's rows converts them."""
     same = {}
     for i, X in enumerate(Xs):
-        same.setdefault(X.shape[1], []).append(i)
-    return list(same.values())
+        shape = X.shape if isinstance(X, np.ndarray) else np.shape(X)
+        if len(shape) != 2 or not shape[1]:
+            _batch_rows(X)  # raises the batch call's UsageError
+        same.setdefault(shape[1], []).append(i)
+    return same
 
 
 def _stacked(Xs: list, idx: list) -> np.ndarray:
@@ -226,34 +230,34 @@ def _scatter(Xs: list, groups: list, means: list) -> list:
     return out
 
 
-def _per_length(mean: MeanHandle, Xs: list, groups: list) -> list:
-    """mean.batches of _batch_rows arrays Xs grouped as _by_length groups
-    them: one batch call per group, in order."""
+def _per_length(mean: MeanHandle, Xs: list, groups) -> list:
+    """mean.batches(Xs), Xs grouped by _by_length: one batch call per row
+    length, in order."""
     return _scatter(Xs, groups, [mean.batch(_stacked(Xs, idx)) for idx in groups])
 
 
-def _padded_batches(mean: MeanHandle, Xs, kernel) -> list:
-    """mean.batches(Xs) by one kernel(P, lengths) call when the rows of Xs
-    are of more than one length, each of at most _SHORT_ROW entries, and
-    fill a block P of at most _PADDED_MAX_CELLS cells.  P stacks the rows
-    of each length in turn, padded to the longest with the row's own first
-    entry, so the domain test and each row's extremes see only its own
-    values; lengths holds each row's length.  Any other list, or one on
-    which the kernel raises a QameansError, takes one batch call per row
-    length, and so raises that route's error."""
-    Xs = [_batch_rows(X) for X in Xs]
-    groups = _by_length(Xs)
-    ns = [Xs[idx[0]].shape[1] for idx in groups]
+def _padded_batches(mean: QuasiArithmeticMean, Xs) -> list:
+    """mean.batches(Xs) by one _qa_mean_batch(gen, P, lengths=...) call
+    when the rows of Xs are of more than one length, each of at most
+    _SHORT_ROW entries, and fill a block P of at most _PADDED_MAX_CELLS
+    cells.  P stacks the rows of each length in turn, padded to the longest
+    with the row's own first entry, so the domain test and each row's
+    extremes see only its own values; lengths holds each row's length.  Any
+    other list, or one on which the kernel raises a QameansError, takes one
+    batch call per row length, and so raises that route's error."""
+    same = _by_length(Xs)
+    groups = list(same.values())
     counts = [sum(len(Xs[i]) for i in idx) for idx in groups]
-    n = max(ns, default=0)
-    if len(groups) > 1 and n <= _SHORT_ROW and sum(counts) * n <= _PADDED_MAX_CELLS:
+    n = max(same, default=0)
+    if len(same) > 1 and n <= _SHORT_ROW and sum(counts) * n <= _PADDED_MAX_CELLS:
         P, start = np.empty((sum(counts), n)), 0
-        for idx, k, rows in zip(groups, ns, counts):
-            B = _stacked(Xs, idx)
+        for k, idx, rows in zip(same, groups, counts):
+            B = np.asarray(_stacked(Xs, idx), dtype=float)
             P[start:start + rows, :k], P[start:start + rows, k:] = B, B[:, :1]
             start += rows
+        lengths = np.repeat(np.array(list(same), dtype=np.uint8), counts)
         try:
-            means = kernel(P, np.repeat(np.array(ns, dtype=np.uint8), counts))
+            means = _qa_mean_batch(mean.gen, P, lengths=lengths)
         except QameansError:
             pass
         else:
@@ -318,8 +322,7 @@ class MeanHandle:
         """[batch(X) for X in Xs], each result's bits, for a list of (B, n)
         arrays of any n >= 1 (else UsageError), in one batch call per row
         length: a row's mean does not depend on its batch."""
-        Xs = [_batch_rows(X) for X in Xs]
-        return _per_length(self, Xs, _by_length(Xs))
+        return _per_length(self, Xs, _by_length(Xs).values())
 
     def running(self, X: np.ndarray) -> np.ndarray:
         """For a (B, n) array X, n >= 1 (else UsageError), column k-1 holds the
@@ -341,19 +344,16 @@ class ArithmeticMean(MeanHandle):
     def batch(self, X):
         return self._finite_averages(X)
 
-    def batches(self, Xs):
-        return _padded_batches(self, Xs, lambda P, lengths: self._finite_averages(P, lengths=lengths))
-
     def running(self, X):
         return _running(self, X, lambda P: self._finite_averages(P, running=True))
 
-    def _finite_averages(self, X, running=False, lengths=None):
+    def _finite_averages(self, X, running=False):
         """_averages, or RangeError if a row sum overflowed: none can while 2 n max|x| < inf."""
         X, d = _checked_rows(self.domain, X), self.domain
         if 2.0 * X.shape[1] * max(-d.lo, d.hi) < np.inf:
-            return _averages(X, running, lengths)
+            return _averages(X, running)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _averages(X, running, lengths)
+            out = _averages(X, running)
         if not np.isfinite(out).all():
             raise RangeError(f"arith: a sum of entries is not finite on [{d.lo}, {d.hi}]")
         return out
@@ -371,8 +371,7 @@ class QuasiArithmeticMean(MeanHandle):
         return _qa_mean_batch(self.gen, X)
 
     def batches(self, Xs):
-        return _padded_batches(self, Xs,
-                               lambda P, lengths: _qa_mean_batch(self.gen, P, lengths=lengths))
+        return _padded_batches(self, Xs)
 
     def running(self, X):
         return _running(self, X, lambda P: _qa_mean_batch(self.gen, P, running=True))

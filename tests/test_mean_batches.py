@@ -156,6 +156,8 @@ def test_rows_of_no_entries_are_a_usage_error(iv):
             mean.batch(np.empty((2, 0)))
         with pytest.raises(UsageError, match="nonempty"):
             mean.running(np.empty((2, 0)))
+        with pytest.raises(UsageError, match="nonempty"):
+            mean.batches([np.ones((1, 2)), np.empty((2, 0))])
     with pytest.raises(UsageError, match="nonempty"):
         power_mean(2.0, [])
 
@@ -167,7 +169,7 @@ def test_batches_that_are_not_2d_are_a_usage_error(shape):
     iv = POSITIVE[0]
     for mean in (ArithmeticMean(iv), QuasiArithmeticMean(PowerGenerator(3.0, iv)),
                  QuasiArithmeticMean(tabulate(LogGenerator(iv)))):
-        for fn in (mean.batch, mean.running):
+        for fn in (mean.batch, mean.running, lambda X: mean.batches([np.ones((1, 2)), X])):
             with pytest.raises(UsageError) as info:
                 fn(np.ones(shape))
             assert str(info.value) == f"a batch of means needs a (B, n) array, got shape {shape}"
@@ -373,7 +375,7 @@ def test_arithmetic_sum_that_overflows_is_a_range_error_without_warning():
 # batches(Xs): [batch(X) for X in Xs] in one padded pass or one call per
 # row length.  The QA handles of the catalog, a 1025-row table's (whose
 # lookups switch route at 512 queries), handles on intervals holding 0 and
-# the arithmetic mean.
+# the arithmetic mean, which takes the base class's route.
 BATCHES_HANDLES = (
     *(QuasiArithmeticMean(parse_generator(spec, POSITIVE[0]))
       for spec in ("power:-1", "log", "power:0.5", "id", "power:2", "power:3", "exp")),
