@@ -450,7 +450,7 @@ ARITH_RANGE = "RangeError: arith: a sum of entries is not finite on [1e+308, 1.7
     (ArithmeticMean(WorkingInterval(1e308, 1.7e308)), [[[1e308, 1e308, 1e308]], [[1.5e308]]],
      ARITH_RANGE),
     # the rows of 2 overflow before the row of 3 meets its entry outside,
-    # which the padded block's domain test would name first
+    # which the QA mean's padded block's domain test would name first
     (QuasiArithmeticMean(ExpGenerator(SIGNED[1])), [[[709.0, 709.2]], [[1.0, 800.0, 2.0]]],
      EXP_RANGE),
     (ArithmeticMean(WorkingInterval(1e308, 1.7e308)),
