@@ -420,7 +420,7 @@ def _cmd_eval(args, seed: int) -> int:
             by_length.setdefault(len(row), []).append(k)
         try:
             means = QuasiArithmeticMean(gen).batches(
-                [[rows[k] for k in idx] for idx in by_length.values()])
+                [np.array([rows[k] for k in idx], dtype=float) for idx in by_length.values()])
         except QameansError:
             for row in rows:
                 qa_mean(gen, row)

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import RangeError, UsageError
 from .generators import Generator, rho
 from .grids import ScalarGrid, WorkingInterval
-from .means import _qa_mean_batch
+from .means import QuasiArithmeticMean
 
 # Floor deciding that f'' is identically zero on the grid: span * max|1/rho|,
 # the largest relative change of f' across the interval, is at most this.
@@ -302,10 +302,10 @@ def dominates_arithmetic(gen: Generator, n_max: int, trials: int,
     if direction not in ("ge", "le"):
         raise UsageError("direction must be 'ge' or 'le'")
     rng = np.random.default_rng(seed)
-    tol = MEAN_CMP_TOL * gen.domain.span
+    tol, mean = MEAN_CMP_TOL * gen.domain.span, QuasiArithmeticMean(gen)
 
     def margin(X):
-        qa = _qa_mean_batch(gen, X)
+        qa = mean.batch(X)
         am = X.mean(axis=1)
         return (qa - am if direction == "ge" else am - qa), qa, am
 

@@ -44,7 +44,7 @@ from .generators import (
     sampled_columns,
 )
 from .grids import ScalarGrid, WorkingInterval
-from .means import ArithmeticMean, MeanHandle, QuasiArithmeticMean, _qa_mean_batch
+from .means import ArithmeticMean, MeanHandle, QuasiArithmeticMean
 
 
 @dataclass(frozen=True)
@@ -207,11 +207,11 @@ def _pair_witness(gen: Generator, direction: str) -> dict | None:
     """The first of _candidate_pairs whose QA_f(a, b) is on the wrong side of
     (a + b)/2 beyond MEAN_CMP_TOL * span, or None.  A pair whose mean is a
     RangeError is passed over, and the error raised if no later pair confirms."""
-    tol = MEAN_CMP_TOL * gen.domain.span
+    tol, mean = MEAN_CMP_TOL * gen.domain.span, QuasiArithmeticMean(gen)
     error = None
     for pair in _candidate_pairs(gen, direction):
         try:
-            qa = float(_qa_mean_batch(gen, pair[None, :])[0])
+            qa = float(mean.batch(pair[None, :])[0])
         except RangeError as exc:  # f(a) + f(b) may overflow where f does not
             error = exc
             continue

@@ -17,8 +17,8 @@ sums a contiguous row of up to 7 entries from left to right, from +0.0, as
 a column-by-column sum and np.add.accumulate do, and a longer one pairwise,
 so longer rows and prefix sums keep the row kernel.  The column extremes
 could pick the other sign of a zero extreme than the row kernel, so a row
-whose min or max is 0 (on an interval holding 0) takes both from the row
-kernel, on that row alone.  A row's route thus depends only on its length
+whose min or max is a zero takes both from the row kernel, on its own
+entries (_kernel_extremes).  A row's route thus depends only on its length
 and its own entries, never on its batch, and every mean keeps the bits of
 a clamp read from the row kernel.  A handle's running(X) holds in column
 k-1 the bits of batch(X[:, :k]), and takes a batch call per prefix on rows
@@ -28,7 +28,8 @@ a list of more than one row length, rows of up to 7 entries and at most
 _PADDED_MAX_CELLS padded cells in one pass of the same kernel: each row
 is padded with its own first entry, and summed over and divided by its
 own entries only.  Every other list, and one on which that pass raises,
-takes one batch call per row length.
+takes one batch call per row length.  Only this module calls the kernel,
+_qa_mean_batch: the package takes a QA mean through QuasiArithmeticMean.
 
 Mean handles wrap a callable mean with its working interval: the arithmetic
 mean and the QA mean of a generator.  The power mean's handle is
@@ -104,17 +105,13 @@ _SHORT_ROW = 7
 def _averages(F: np.ndarray, running=False, lengths=None) -> np.ndarray:
     """Row averages of a (B, n) array F, C-contiguous unless it is the
     transpose of a column-major array; running: each prefix's average, an
-    axis-1 np.add.accumulate.  numpy's axis-1 kernel adds a contiguous row
-    of up to 7 entries left to right from +0.0, and a longer one pairwise,
-    at a fixed cost per row.  So rows of up to 7 entries are summed over a
+    axis-1 np.add.accumulate.  Rows of up to 7 entries are summed over a
     column-major copy of F (none when F is the transpose of one), a column
-    at a time from +0.0: the row kernel's bits, in one pass, whatever the
+    at a time from +0.0: the row kernel's bits in one pass, whatever the
     number of rows.  Prefix sums keep the row kernel: over a column-major
     copy, a running mean took 2 to 17 % more at every batch size.
-
-    lengths (a padded block of _padded_batches, n <= 7): the column sum
-    skips row i's entries past lengths[i], so it adds the row's own entries
-    in order from +0.0, and divides by lengths[i]."""
+    lengths (n <= 7): the column sum skips row i's entries past lengths[i]
+    and divides by lengths[i]."""
     n = F.shape[1]
     if running:
         return (np.add.accumulate(F, axis=1) + 0.0) / np.arange(1, n + 1)
@@ -128,11 +125,10 @@ def _averages(F: np.ndarray, running=False, lengths=None) -> np.ndarray:
 
 def _qa_mean_batch(gen: Generator, X, running=False, lengths=None) -> np.ndarray:
     """Row-wise QA mean of a (B, n) array: f, row average, f^{-1}, and a clamp
-    to each row's min and max from _row_extremes, whose signed-zero rule gives
-    the row kernel's bits; running: those of each prefix, for rows of up to 7.
-    Rows of up to 7 entries evaluate f on the column-major copy the extremes
-    read, so _averages makes no copy of its own.  lengths: X is a padded
-    block of _padded_batches, row i of lengths[i] entries."""
+    to each row's min and max; running: those of each prefix, for rows of up
+    to 7.  Rows of up to 7 entries evaluate f on the column-major copy the
+    extremes read, so _averages makes no copy of its own.  lengths: X is a
+    padded block of _padded_batches, row i of lengths[i] entries."""
     X = _checked_rows(gen.domain, X)
     XT = None if running else np.ascontiguousarray(X.T)
     lo, hi = _row_extremes(X, XT, gen.domain, lengths)
@@ -151,33 +147,36 @@ def _qa_mean_batch(gen: Generator, X, running=False, lengths=None) -> np.ndarray
     return np.minimum(np.maximum(out, lo), hi)
 
 
+def _kernel_extremes(lo, hi, X: np.ndarray, rows, k: int) -> None:
+    """lo[rows] and hi[rows] from numpy's row kernel: the min and max of
+    the first k entries of each row picked, as a contiguous row.  Where a
+    row holds both zeros, a reduction over the columns may pick the other
+    sign of zero than the row kernel, so a row whose min or max is a zero
+    takes both from here; only an interval holding 0 holds such a row."""
+    P = X[rows, :k]
+    lo[rows], hi[rows] = P.min(axis=1), P.max(axis=1)
+
+
 def _row_extremes(X: np.ndarray, XT: np.ndarray | None, domain: WorkingInterval,
                   lengths=None) -> tuple:
     """Each row's min and max, reduced over XT, the column-major copy of X
     that f also reads for rows of up to 7 entries: numpy's axis-1 kernel
-    runs once per row, which costs most of a batch of short rows.  Where a
-    row holds both zeros the column form may pick the other sign of zero
-    than the row kernel.  So a row whose min or max is a zero takes both
-    from the row kernel, on that row's own entries alone (its first
-    lengths[i] in a padded block); entries lie in the domain, so only an
-    interval holding 0 can hold such a row.  XT None: each prefix's min and
-    max (running), a prefix's zero one from the row kernel on that prefix."""
+    runs once per row, which costs most of a batch of short rows.  XT None:
+    each prefix's min and max (running).  lengths: a padded row's own
+    entries are its first lengths[i]."""
     if XT is None:
         lo, hi = np.minimum.accumulate(X, axis=1), np.maximum.accumulate(X, axis=1)
-        if domain.lo <= 0.0 <= domain.hi:
-            for j in np.flatnonzero(((lo == 0.0) | (hi == 0.0)).any(axis=0)):
-                P = np.ascontiguousarray(X[:, :j + 1])
-                lo[:, j], hi[:, j] = P.min(axis=1), P.max(axis=1)
+    else:
+        lo, hi = np.minimum.reduce(XT), np.maximum.reduce(XT)
+    if not domain.lo <= 0.0 <= domain.hi:
         return lo, hi
-    lo, hi = np.minimum.reduce(XT), np.maximum.reduce(XT)
-    if domain.lo <= 0.0 <= domain.hi:
-        z = (lo == 0.0) | (hi == 0.0)
-        if z.any() and lengths is None:
-            lo[z], hi[z] = X[z].min(axis=1), X[z].max(axis=1)
-        elif z.any():
-            for n in np.unique(lengths[z]):
-                r = z & (lengths == n)
-                lo[r], hi[r] = X[r, :n].min(axis=1), X[r, :n].max(axis=1)
+    z = (lo == 0.0) | (hi == 0.0)
+    if XT is None:  # column j: the prefix of j + 1 entries
+        for j in np.flatnonzero(z.any(axis=0)):
+            _kernel_extremes(lo[:, j], hi[:, j], X, z[:, j], j + 1)
+    elif z.any():
+        for n in (X.shape[1],) if lengths is None else np.unique(lengths[z]):
+            _kernel_extremes(lo, hi, X, z if lengths is None else z & (lengths == n), n)
     return lo, hi
 
 
@@ -241,8 +240,8 @@ def _padded_batches(mean: QuasiArithmeticMean, Xs) -> list:
     when the rows of Xs are of more than one length, each of at most
     _SHORT_ROW entries, and fill a block P of at most _PADDED_MAX_CELLS
     cells.  P stacks the rows of each length in turn, padded to the longest
-    with the row's own first entry, so the domain test and each row's
-    extremes see only its own values; lengths holds each row's length.  Any
+    with the row's own first entry, so the domain test and the column
+    extremes see only the row's values; lengths holds each row's length.  Any
     other list, or one on which the kernel raises a QameansError, takes one
     batch call per row length, and so raises that route's error."""
     same = _by_length(Xs)

@@ -85,3 +85,12 @@ def test_profile_verdicts_live_in_one_function():
     assert "DegenerateSecondDerivative" not in qameans.__all__
     assert not hasattr(generators, "DEGENERATE_TAU")
     assert convexity.DEGENERATE_TAU == 1e-8
+
+
+def test_the_mean_kernel_is_bound_only_in_means():
+    """envelope's pair witnesses and convexity's sampled test take the QA
+    mean through QuasiArithmeticMean.batch, so the kernel's running and
+    lengths arguments are known in one module."""
+    for modname in ("qameans.envelope", "qameans.convexity"):
+        assert not hasattr(importlib.import_module(modname), "_qa_mean_batch"), modname
+    assert "_qa_mean_batch" not in qameans.__all__

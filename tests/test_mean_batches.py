@@ -184,10 +184,16 @@ SIGNED_GENERATORS = (
     ExpGenerator(SIGNED[1]), AffineGenerator(0.5, -2.0, SIGNED[1]))
 
 
-def _zero_rows(gen, rows, n, seed):
-    """rows x n entries of ZERO_ENTRIES that lie in gen's interval."""
+def _zero_rows(gen, rows, n, seed, some=False):
+    """rows x n entries of ZERO_ENTRIES that lie in gen's interval; some:
+    every other row of its nonzero ones only, so at a prefix only some rows
+    hit a zero extreme."""
     entries = [v for v in ZERO_ENTRIES if gen.domain.lo <= v <= gen.domain.hi]
-    return np.random.default_rng(seed).choice(entries, size=(rows, n))
+    rng = np.random.default_rng(seed)
+    X = rng.choice(entries, size=(rows, n))
+    if some:
+        X[1::2] = rng.choice([v for v in entries if v != 0.0], size=X[1::2].shape)
+    return X
 
 
 def _caller_layouts(X):
@@ -200,18 +206,6 @@ def _caller_layouts(X):
     return {"contiguous": X, "prefix": wide[:, :n],
             "swapped": np.swapaxes(X[:, :, None], 1, 2).reshape(-1, n),
             "transposed": np.ascontiguousarray(X.T).T}
-
-
-@pytest.mark.parametrize("gen", SIGNED_GENERATORS, ids=lambda g: g.spec_string())
-@pytest.mark.parametrize("rows", [1, 2, 17, 31, 32, 33, 1000])
-def test_signed_zero_rows_are_bit_equal_to_the_reference(gen, rows):
-    """Every layout of a batch gives the reference's bits for the
-    contiguous batch."""
-    for n in range(1, 13):
-        X = _zero_rows(gen, rows, n, seed=rows * 13 + n)
-        want = _outcome(lambda X: reference_qa_mean_batch(gen, X), X)
-        for layout, Y in _caller_layouts(X).items():
-            assert _outcome(lambda X: _qa_mean_batch(gen, X), Y) == want, (n, layout)
 
 
 @pytest.mark.parametrize("gen", SIGNED_GENERATORS, ids=lambda g: g.spec_string())
@@ -324,19 +318,8 @@ def test_running_means_are_bit_equal_to_per_prefix_batches(data):
         assert _outcome(mean.running, Y) == want, layout
 
 
-RUNNING_SIGNED = [QuasiArithmeticMean(gen) for gen in SIGNED_GENERATORS] + [
+SIGNED_MEANS = [QuasiArithmeticMean(gen) for gen in SIGNED_GENERATORS] + [
     ArithmeticMean(SIGNED[0]), QuasiArithmeticMean(parse_generator("id", SIGNED[0]))]
-
-
-@pytest.mark.parametrize("mean", RUNNING_SIGNED, ids=lambda m: m.spec_string())
-@pytest.mark.parametrize("rows", [1, 2, 17, 1000])
-def test_running_means_of_signed_zero_rows_are_bit_equal(mean, rows):
-    """Prefixes whose extremes or sums are zeros of either sign."""
-    for n in range(1, 13):
-        X = _zero_rows(mean, rows, n, seed=rows * 11 + n)
-        want = _outcome(lambda X: _per_prefix(mean, X), X)
-        for layout, Y in _caller_layouts(X).items():
-            assert _outcome(mean.running, Y) == want, (n, layout)
 
 
 @pytest.mark.parametrize("mean, X", [
@@ -521,11 +504,38 @@ def test_a_handle_that_overrides_only_batch_gets_its_own_batch():
     assert mean.calls == [(5, 3), (1, 2)]
 
 
-@pytest.mark.parametrize("mean", RUNNING_SIGNED, ids=lambda m: m.spec_string())
-def test_batches_of_signed_zero_rows_are_bit_equal(mean):
-    """Short rows of zeros of both signs padded beside longer ones: each
-    row's zero extremes come from the row kernel on its own entries."""
-    for seed in range(4):
-        Xs = [_zero_rows(mean, 40, n, seed=seed * 10 + n) for n in (3, 1, 7, 2, 5, 4, 6)]
-        assert _listed(mean.batches, Xs) == _listed(
-            lambda Xs: [mean.batch(X) for X in Xs], Xs), seed
+def _shuffled_prefixes(X):
+    """X's prefixes X[:, :k], k = 1 to n, in an order fixed by n, so short
+    ones are padded beside longer ones in one block while it fits."""
+    n = X.shape[1]
+    return [X[:, :k] for k in np.random.default_rng(n).permutation(n) + 1]
+
+
+# Each mode's route and its reference, from (mean, X) to a list of results.
+SIGNED_ZERO_MODES = {
+    "batch": (lambda mean, X: [mean.batch(X)],
+              lambda mean, X: [reference_arithmetic_batch(mean.domain, X)
+                               if isinstance(mean, ArithmeticMean)
+                               else reference_qa_mean_batch(mean.gen, X)]),
+    "batches": (lambda mean, X: mean.batches(_shuffled_prefixes(X)),
+                lambda mean, X: [mean.batch(P) for P in _shuffled_prefixes(X)]),
+    "running": (lambda mean, X: [mean.running(X)], lambda mean, X: [_per_prefix(mean, X)]),
+}
+
+
+@pytest.mark.parametrize("mode", SIGNED_ZERO_MODES)
+@pytest.mark.parametrize("mean", SIGNED_MEANS, ids=lambda m: m.spec_string())
+@pytest.mark.parametrize("rows", [1, 2, 17, 31, 32, 33, 1000])
+@pytest.mark.parametrize("some", [False, True], ids=["all", "some"])
+def test_signed_zero_rows_are_bit_equal(mode, mean, rows, some):
+    """Rows whose extremes or sums are zeros of either sign, in every row or
+    in every other one: a plain batch, a list of batches and running means
+    give their reference's bits for the contiguous batch in every layout,
+    so each row's or prefix's zero extremes come from the row kernel on its
+    own entries."""
+    route, reference = SIGNED_ZERO_MODES[mode]
+    for n in range(1, 13):
+        X = _zero_rows(mean, rows, n, seed=rows * 13 + n, some=some)
+        want = _listed(lambda X: reference(mean, X), X)
+        for layout, Y in _caller_layouts(X).items():
+            assert _listed(lambda Y: route(mean, Y), Y) == want, (n, layout)
